@@ -637,6 +637,48 @@ func BenchmarkParallelJoin_100k_w2(b *testing.B) { benchParallelJoin(b, 100_000,
 func BenchmarkParallelJoin_100k_w4(b *testing.B) { benchParallelJoin(b, 100_000, 4) }
 func BenchmarkParallelJoin_100k_w8(b *testing.B) { benchParallelJoin(b, 100_000, 8) }
 
+// BenchmarkJoinAggregate is the materialisation gate of the probe
+// sinks: one op = a 12k × 1k hash join grouped into 10 rows, at 2
+// workers. The final probe folds each match into the aggregate, so an
+// op allocates the build table and little else; ci.sh gates B/op — a
+// probe that went back to building the 12k wide joined rows first would
+// cost megabytes.
+func BenchmarkJoinAggregate(b *testing.B) {
+	e := query.NewEngine(query.NewCatalog(4096), nil, nil)
+	e.MustExec("CREATE TABLE item (id INT, grp INT, price FLOAT, name STRING)")
+	e.MustExec("CREATE TABLE grp (g INT, region STRING)")
+	cat := e.Catalog()
+	const items, groups, regions = 12_000, 1_000, 10
+	for i := 0; i < items; i++ {
+		if _, err := cat.Insert("item", storage.Tuple{storage.IntValue(int64(i)),
+			storage.IntValue(int64(i % groups)), storage.FloatValue(float64(i%997) / 4),
+			storage.StringValue(fmt.Sprintf("item-%032d", i))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for g := 0; g < groups; g++ {
+		if _, err := cat.Insert("grp", storage.Tuple{storage.IntValue(int64(g)),
+			storage.StringValue(fmt.Sprintf("region-%d", g%regions))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.MustExec("ANALYZE item")
+	e.MustExec("ANALYZE grp")
+	const sql = "SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g ON i.grp = g.g GROUP BY g.region"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, _, err := e.ExecuteSQL(sql, query.ExecOptions{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != regions {
+			b.Fatalf("join-aggregate produced %d rows, want %d", len(res.Rows), regions)
+		}
+	}
+	b.ReportMetric(float64(items+groups)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+}
+
 // BenchmarkBatchHeapScan is the allocation gate of the vectorized scan
 // path: one op = one full batched scan of a 50k-row heap file through
 // a reused Batch. Steady state must stay O(1) allocs per scan (the

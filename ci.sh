@@ -33,6 +33,11 @@
 #                and mid-group-commit; the leak oracles (open txns,
 #                pooled batches, tracked conns, goroutines) must read
 #                zero after every schedule
+#   wire bench   go vet + go test in benchmark/, the nested module of
+#                the admsqld wire benchmark (see its README), which
+#                go build ./... and go test ./... at the root do not
+#                compile: an engine API change that breaks it fails
+#                here, not in the perf pipeline.
 #   lint         admlint over every checked-in ADL model, rule file and
 #                assembly listing; the negative fixtures must keep
 #                producing diagnostics (exit != 0), the clean ones none.
@@ -71,12 +76,15 @@
 #                intentional perf change, or on new CI hardware), see
 #                the update procedure in bench_baseline.json's
 #                _readme.
-#   alloc gate   BenchmarkBatchHeapScan, BenchmarkTopK and
-#                BenchmarkFilterBatch with -benchmem: fails if the
-#                batched scan's allocs/op exceeds SCAN_ALLOC_BUDGET,
-#                if the Top-K path exceeds TOPK_ALLOC_BUDGET
-#                allocs/op or TOPK_BYTE_BUDGET B/op — the bounded
-#                heaps started materialising the input they exist to
+#   alloc gate   BenchmarkBatchHeapScan, BenchmarkTopK,
+#                BenchmarkJoinAggregate and BenchmarkFilterBatch with
+#                -benchmem: fails if the batched scan's allocs/op
+#                exceeds SCAN_ALLOC_BUDGET, if the Top-K path exceeds
+#                TOPK_ALLOC_BUDGET allocs/op or TOPK_BYTE_BUDGET B/op —
+#                the bounded heaps started materialising the input
+#                they exist to avoid — if a join-aggregate exceeds
+#                JOINAGG_BYTE_BUDGET B/op — the final probe started
+#                building the joined rows its aggregate sink exists to
 #                avoid — or if steady-state kernel filtering of a
 #                1024-row batch exceeds FILTER_ALLOC_BUDGET allocs/op
 #                (the selection vector must be reused off the batch,
@@ -100,6 +108,10 @@ SCAN_ALLOC_BUDGET=8
 # non-materialisation gate — 100k tuples would be megabytes.
 TOPK_ALLOC_BUDGET=64
 TOPK_BYTE_BUDGET=16384
+# Budget for a 12k x 1k join grouped into 10 rows at 2 workers.
+# Measured ~350 KB per op, nearly all of it the 1k-row build table;
+# the 12k joined rows the probe no longer materialises were ~21 MB.
+JOINAGG_BYTE_BUDGET=1048576
 # Steady-state vectorized filtering of a 1024-row batch (measured 0:
 # the selection vector lives on the batch and is reused; headroom for
 # the occasional conjunct-reorder copy).
@@ -200,6 +212,9 @@ else
     done
 fi
 
+step "wire benchmark module (vet + smoke test)"
+(cd benchmark && go vet . && go test .)
+
 step "admlint (clean inputs)"
 go run ./cmd/admlint \
     cmd/adlc/testdata \
@@ -254,6 +269,21 @@ if [ "$topk_allocs" -gt "$TOPK_ALLOC_BUDGET" ]; then
 fi
 if [ "$topk_bytes" -gt "$TOPK_BYTE_BUDGET" ]; then
     echo "MATERIALISATION REGRESSION: top-k at $topk_bytes B/op, budget $TOPK_BYTE_BUDGET" >&2
+    exit 1
+fi
+
+step "alloc gate (join-aggregate)"
+joinagg_out=$(go test -run '^$' -bench '^BenchmarkJoinAggregate$' \
+    -benchmem -benchtime 20x .)
+joinagg_bytes=$(echo "$joinagg_out" | awk '/^BenchmarkJoinAggregate/ { print $(NF-3) }')
+if [ -z "$joinagg_bytes" ]; then
+    echo "could not parse B/op from benchmark output:" >&2
+    echo "$joinagg_out" >&2
+    exit 1
+fi
+echo "   JoinAggregate: $joinagg_bytes B/op (budget $JOINAGG_BYTE_BUDGET)"
+if [ "$joinagg_bytes" -gt "$JOINAGG_BYTE_BUDGET" ]; then
+    echo "MATERIALISATION REGRESSION: join-aggregate at $joinagg_bytes B/op, budget $JOINAGG_BYTE_BUDGET" >&2
     exit 1
 fi
 

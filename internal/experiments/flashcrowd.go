@@ -39,8 +39,14 @@ const (
 	flashThinkMS = 30
 	flashRows    = 2000
 	// flashDupes rows share each join key, so the self-join produces
-	// flashRows*flashDupes pairs for the aggregate to consume.
-	flashDupes = 6
+	// flashRows*flashDupes pairs for the aggregate to consume. Sized to
+	// the cost of a pair: the probe folds each one straight into the
+	// aggregate (tens of nanoseconds), so it takes ~520k of them to make
+	// the statement the ~5ms of work the drive is built around. Much
+	// lighter and served latency at l1 sits under the ladder's recovery
+	// bound (SLO/2), the ladder reopens the queue mid-crowd now and
+	// then, and the adaptive p99 lands in the static range.
+	flashDupes = 260
 	flashQuery = "SELECT COUNT(a.g) FROM f a JOIN f b ON a.g = b.g"
 
 	// Both servers are configured IDENTICALLY — two execution slots,

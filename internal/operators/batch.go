@@ -481,7 +481,7 @@ func (j *BatchHashProbe) NextBatch(b *Batch) (int, error) {
 			return 0, nil
 		}
 		out.reset()
-		j.Table.probeBatch(j.scratch.Tuples, j.ProbeCol, &out)
+		j.Table.probe(j.scratch.Tuples, j.ProbeCol, nil, &out)
 		if len(out.ends) > 0 {
 			b.Tuples = out.materialize(b.Tuples[:0])
 			return len(b.Tuples), nil

@@ -336,23 +336,50 @@ type aggState struct {
 }
 
 // aggAccum accumulates grouped aggregate state. It is the shared core
-// of the serial HashAggregate and the parallel partial-aggregation
-// path: workers each fill a local accumulator, then the partials are
-// merged at the barrier (count/sum/n add, min/max fold), which is
-// exact for every supported aggregate.
+// of the serial HashAggregate and the parallel paths: workers each fill
+// a local accumulator, then the partials are merged at the barrier
+// (count/sum/n add, min/max fold), which is exact for every supported
+// aggregate. It is also the aggregate probe sink (see pairSink): input
+// arrives as a (build, probe) pair, and a plain tuple is the pair with
+// no build side.
 type aggAccum struct {
-	groupCol int
-	aggs     []AggSpec
-	groups   map[string]*aggState
-	order    []string // first-seen group order
+	grouped bool
+	group   PairCol // the grouping column, when grouped
+	aggs    []AggSpec
+	args    []PairCol // aggs[i]'s argument column
+	groups  map[joinK]*aggState
+	order   []joinK // first-seen group order
 }
 
-func newAggAccum(groupCol int, aggs []AggSpec) *aggAccum {
-	return &aggAccum{groupCol: groupCol, aggs: aggs, groups: map[string]*aggState{}}
+// newAggAccum builds an accumulator grouping on groupCol (< 0 = one
+// global group). m maps groupCol and every aggs[i].Col onto the input
+// pair; nil means the input is a plain tuple (the probe side alone).
+func newAggAccum(groupCol int, aggs []AggSpec, m []PairCol) *aggAccum {
+	at := func(c int) PairCol {
+		if m == nil {
+			return PairCol{Probe: true, Idx: c}
+		}
+		return m[c]
+	}
+	a := &aggAccum{grouped: groupCol >= 0, aggs: aggs,
+		args: make([]PairCol, len(aggs)), groups: map[joinK]*aggState{}}
+	if a.grouped {
+		a.group = at(groupCol)
+	}
+	for i, sp := range aggs {
+		if sp.Kind != AggCount {
+			a.args[i] = at(sp.Col)
+		}
+	}
+	return a
 }
 
-func (a *aggAccum) state(gk string, gv storage.Value) *aggState {
-	st, ok := a.groups[gk]
+// state finds or creates the group keyed k. Values with one key need
+// not be identical (2 and 2.0, -0 and +0, NaN payloads): the group
+// shows the least of them under totalValueCompare, so the output does
+// not depend on which worker saw which first.
+func (a *aggAccum) state(k joinK, gv storage.Value) *aggState {
+	st, ok := a.groups[k]
 	if !ok {
 		st = &aggState{
 			group: gv,
@@ -361,45 +388,55 @@ func (a *aggAccum) state(gk string, gv storage.Value) *aggState {
 			max:   make([]storage.Value, len(a.aggs)),
 			n:     make([]int64, len(a.aggs)),
 		}
-		a.groups[gk] = st
-		a.order = append(a.order, gk)
+		a.groups[k] = st
+		a.order = append(a.order, k)
+	} else if k.class != keyStr && totalValueCompare(gv, st.group) < 0 {
+		st.group = gv
 	}
 	return st
 }
 
 // absorb folds one input tuple into the accumulator.
-func (a *aggAccum) absorb(t storage.Tuple) {
-	gk := "*"
+func (a *aggAccum) absorb(t storage.Tuple) { a.pair(nil, t) }
+
+// pair folds one probe match into the accumulator.
+func (a *aggAccum) pair(b, p storage.Tuple) {
+	var k joinK
 	var gv storage.Value
-	if a.groupCol >= 0 {
-		gv = t[a.groupCol]
-		gk = joinKey(gv)
+	if a.grouped {
+		gv = a.group.of(b, p)
+		k = keyOf(gv)
 	}
-	st := a.state(gk, gv)
+	st := a.state(k, gv)
 	st.count++
 	for i, sp := range a.aggs {
 		if sp.Kind == AggCount {
 			continue
 		}
-		v := t[sp.Col]
+		v := a.args[i].of(b, p)
 		if v.IsNull() {
 			continue
 		}
-		f, _ := v.AsFloat()
-		if st.n[i] == 0 {
-			st.min[i], st.max[i] = v, v
-		} else {
-			if storage.Compare(v, st.min[i]) < 0 {
+		switch sp.Kind {
+		case AggMin:
+			if st.n[i] == 0 || storage.Compare(v, st.min[i]) < 0 {
 				st.min[i] = v
 			}
-			if storage.Compare(v, st.max[i]) > 0 {
+		case AggMax:
+			if st.n[i] == 0 || storage.Compare(v, st.max[i]) > 0 {
 				st.max[i] = v
 			}
+		default: // AggSum, AggAvg
+			f, _ := v.AsFloat()
+			st.sum[i] += f
 		}
-		st.sum[i] += f
 		st.n[i]++
 	}
 }
+
+// taken implements pairSink: an aggregate materialises nothing per
+// match.
+func (a *aggAccum) taken() (int, []storage.Value) { return 0, nil }
 
 // merge folds another accumulator's partial state into this one.
 func (a *aggAccum) merge(b *aggAccum) {
@@ -430,22 +467,15 @@ func (a *aggAccum) merge(b *aggAccum) {
 // rows renders the final output tuples ([group?, agg1, agg2, ...]) in
 // first-seen group order.
 func (a *aggAccum) rows() []storage.Tuple {
-	order := a.order
-	if a.groupCol < 0 && len(order) == 0 {
+	if !a.grouped && len(a.order) == 0 {
 		// Global aggregate over empty input still emits one row.
-		order = append(order, "*")
-		a.groups["*"] = &aggState{
-			sum: make([]float64, len(a.aggs)),
-			min: make([]storage.Value, len(a.aggs)),
-			max: make([]storage.Value, len(a.aggs)),
-			n:   make([]int64, len(a.aggs)),
-		}
+		a.state(joinK{}, storage.Value{})
 	}
 	var out []storage.Tuple
-	for _, gk := range order {
+	for _, gk := range a.order {
 		st := a.groups[gk]
 		var t storage.Tuple
-		if a.groupCol >= 0 {
+		if a.grouped {
 			t = append(t, st.group)
 		}
 		for i, sp := range a.aggs {
@@ -485,7 +515,7 @@ func (a *HashAggregate) Open() error {
 	if err != nil {
 		return err
 	}
-	acc := newAggAccum(a.GroupCol, a.Aggs)
+	acc := newAggAccum(a.GroupCol, a.Aggs, nil)
 	for _, t := range rows {
 		acc.absorb(t)
 	}

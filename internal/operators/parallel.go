@@ -527,39 +527,53 @@ func DrainParallelBatches(src BatchSource, cfg ParallelConfig) ([]storage.Tuple,
 // keys are now comparable structs hashed directly.
 
 // joinK is a hash/equality key over a Value, normalised so mixed
-// numeric kinds (and bools) join per Compare semantics: any value with
-// a float image keys by that image, strings key by content.
+// numeric kinds (and bools) match per Compare semantics: any value with
+// a float image keys by that image (-0 folded into +0), strings key by
+// content. NaN and NULL get classes of their own — a float NaN can
+// never be found again in a map, and NULL groups (but never joins) —
+// so neither can collide with a user string. It keys the join hash
+// tables and the aggregate group maps alike.
 type joinK struct {
-	f   float64
-	s   string
-	num bool
+	f     float64
+	s     string
+	class uint8
 }
 
-// joinKeyOf derives the key; ok is false for NULL (never joins).
-func joinKeyOf(v storage.Value) (joinK, bool) {
+// joinK classes.
+const (
+	keyStr uint8 = iota
+	keyNum
+	keyNaN
+	keyNull
+)
+
+// keyOf derives the key of any value, NULL included (GROUP BY puts all
+// NULLs in one group).
+func keyOf(v storage.Value) joinK {
 	if f, ok := v.AsFloat(); ok {
+		if math.IsNaN(f) {
+			return joinK{class: keyNaN}
+		}
 		if f == 0 {
 			f = 0 // fold -0 into +0 so both hash to one partition
 		}
-		if math.IsNaN(f) {
-			// Map lookups can't hit float NaN keys; fold NaN to a
-			// reserved string key (distinct from any user string, which
-			// would key with num=false but equal content and s-prefix
-			// hashing — the \x00 prefix cannot appear in decoded text
-			// produced by our encoder's joinable kinds).
-			return joinK{s: "\x00NaN"}, true
-		}
-		return joinK{f: f, num: true}, true
+		return joinK{f: f, class: keyNum}
 	}
 	if v.Kind == storage.KindNull {
-		return joinK{}, false
+		return joinK{class: keyNull}
 	}
-	return joinK{s: v.Str}, true
+	return joinK{s: v.Str}
+}
+
+// joinKeyOf derives a join key; ok is false for NULL (never joins).
+func joinKeyOf(v storage.Value) (joinK, bool) {
+	k := keyOf(v)
+	return k, k.class != keyNull
 }
 
 // hash radix-partitions a key (FNV-1a).
 func (k joinK) hash() uint32 {
-	if k.num {
+	if k.class == keyNum {
 		b := math.Float64bits(k.f)
 		h := uint32(2166136261)
 		for i := 0; i < 64; i += 8 {
@@ -708,22 +722,72 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 	return &BuildTable{parts: parts, rows: int(consumed.Load())}, nil, nil
 }
 
-// probeOut accumulates join output in a value arena: concatenated
-// (build, probe) values back-to-back in vals, tuple boundaries in
-// ends. materialize carves the tuple headers once the arena is final,
-// so a probe allocates O(log n) arena growths instead of one
-// allocation per output row.
-type probeOut struct {
-	vals storage.Tuple
-	ends []int
+// Probe sinks. A probe match is never concatenated into a joined row:
+// the probe loop hands each match to its worker's sink as the pair
+// (build tuple, probe tuple), and the sink reads the columns it needs
+// through PairCols. There are two sinks — aggAccum (joins.go), which
+// folds the pair into worker-local aggregate state, and probeOut,
+// which copies the mapped columns into an arena — so what a join
+// materialises is decided by what consumes it, not by the join.
+
+// PairCol addresses one column of a probe match.
+type PairCol struct {
+	// Probe selects the probe tuple; false selects the build tuple.
+	Probe bool
+	Idx   int
 }
 
-func (o *probeOut) reset() { o.vals, o.ends = o.vals[:0], o.ends[:0] }
+func (c PairCol) of(b, p storage.Tuple) storage.Value {
+	if c.Probe {
+		return p[c.Idx]
+	}
+	return b[c.Idx]
+}
 
-func (o *probeOut) emit(b, p storage.Tuple) {
-	o.vals = append(o.vals, b...)
-	o.vals = append(o.vals, p...)
+// PairEq is a residual join equality checked on the pair before the
+// sink sees it (null-rejecting, like the hash condition).
+type PairEq struct{ A, B PairCol }
+
+// pairSink is one worker's consumer of probe matches.
+type pairSink interface {
+	pair(b, p storage.Tuple)
+	// taken reports what the sink materialised since the previous
+	// call: output rows (the LIMIT quota counts them) and their values
+	// (the MemBudget meters them).
+	taken() (rows int, vals []storage.Value)
+}
+
+// probeOut is the projection sink: the mapped columns of every match
+// back-to-back in vals, tuple boundaries in ends. materialize carves
+// the tuple headers once the arena is final, so a probe allocates
+// O(log n) arena growths instead of one allocation per output row.
+type probeOut struct {
+	cols []PairCol // output columns in order; nil = the whole pair, build columns first
+	vals storage.Tuple
+	ends []int
+	// seenVals, seenEnds are taken's high-water marks.
+	seenVals, seenEnds int
+}
+
+func (o *probeOut) reset() {
+	o.vals, o.ends, o.seenVals, o.seenEnds = o.vals[:0], o.ends[:0], 0, 0
+}
+
+func (o *probeOut) pair(b, p storage.Tuple) {
+	if o.cols == nil {
+		o.vals = append(append(o.vals, b...), p...)
+	} else {
+		for _, c := range o.cols {
+			o.vals = append(o.vals, c.of(b, p))
+		}
+	}
 	o.ends = append(o.ends, len(o.vals))
+}
+
+func (o *probeOut) taken() (int, []storage.Value) {
+	rows, vals := len(o.ends)-o.seenEnds, o.vals[o.seenVals:]
+	o.seenVals, o.seenEnds = len(o.vals), len(o.ends)
+	return rows, vals
 }
 
 // materialize appends the accumulated tuples to dst. The arena is
@@ -738,42 +802,25 @@ func (o *probeOut) materialize(dst []storage.Tuple) []storage.Tuple {
 	return dst
 }
 
-// probeBatch probes every tuple of rows against the table, emitting
-// matches (build columns first) into out.
-func (t *BuildTable) probeBatch(rows []storage.Tuple, col int, out *probeOut) {
+// probe is the one probe loop: every tuple of rows is looked up in the
+// table and each match that passes the residual equalities is handed
+// to sink as the pair (build tuple, probe tuple).
+func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pairSink) {
 	np := uint32(len(t.parts))
 	for _, p := range rows {
 		k, ok := joinKeyOf(p[col])
 		if !ok {
 			continue
 		}
+	match:
 		for _, b := range t.parts[k.hash()%np][k] {
-			out.emit(b, p)
-		}
-	}
-}
-
-// probeBatchProject is probeBatch with the final projection fused in:
-// cols index the conceptual joined tuple (build columns first, then
-// probe columns, buildW of the former), and only those columns are
-// emitted. Fusing skips materialising the wide joined tuple for
-// queries that immediately project it away.
-func (t *BuildTable) probeBatchProject(rows []storage.Tuple, col int, out *probeOut, cols []int, buildW int) {
-	np := uint32(len(t.parts))
-	for _, p := range rows {
-		k, ok := joinKeyOf(p[col])
-		if !ok {
-			continue
-		}
-		for _, b := range t.parts[k.hash()%np][k] {
-			for _, c := range cols {
-				if c < buildW {
-					out.vals = append(out.vals, b[c])
-				} else {
-					out.vals = append(out.vals, p[c-buildW])
+			for _, eq := range on {
+				av, bv := eq.A.of(b, p), eq.B.of(b, p)
+				if av.IsNull() || bv.IsNull() || !storage.Equal(av, bv) {
+					continue match
 				}
 			}
-			out.ends = append(out.ends, len(out.vals))
+			sink.pair(b, p)
 		}
 	}
 }
@@ -785,37 +832,80 @@ func (t *BuildTable) ParallelProbe(src MorselSource, col int, cfg ParallelConfig
 }
 
 // ParallelProbeBatches streams src through the table with cfg workers
-// and returns the joined tuples (build side's columns first, as
-// HashJoin emits). Each worker accumulates output in a private value
-// arena. The result order is nondeterministic.
+// and returns the joined tuples whole (build side's columns first, as
+// HashJoin emits). The result order is nondeterministic.
 func (t *BuildTable) ParallelProbeBatches(src BatchSource, col int, cfg ParallelConfig) ([]storage.Tuple, error) {
-	return t.parallelProbe(src, col, cfg, nil, 0)
+	return t.ProbeProject(src, col, cfg, nil, nil)
 }
 
-// ParallelProbeProject is ParallelProbeBatches with the projection
-// fused into the probe: each output tuple holds only cols (indexes
-// into the joined build++probe layout, buildW build columns). The
-// wide intermediate join tuple is never materialised.
-func (t *BuildTable) ParallelProbeProject(src BatchSource, col int, cfg ParallelConfig,
-	cols []int, buildW int) ([]storage.Tuple, error) {
-	return t.parallelProbe(src, col, cfg, cols, buildW)
+// ProbeProject streams src through the table with cfg workers into the
+// projection sink: each output tuple holds only cols of its match, in
+// that order (nil cols = the whole pair), so a join that is projected
+// never materialises its wide row. Matches failing a residual equality
+// in on are dropped. The result order is nondeterministic; cfg.Limit
+// is honoured as a cooperative quota.
+func (t *BuildTable) ProbeProject(src BatchSource, col int, cfg ParallelConfig,
+	on []PairEq, cols []PairCol) ([]storage.Tuple, error) {
+	outs := make([]probeOut, cfg.WorkerCount())
+	sinks := make([]pairSink, len(outs))
+	for i := range outs {
+		outs[i].cols = cols
+		sinks[i] = &outs[i]
+	}
+	if err := t.parallelProbe(src, col, cfg, on, sinks); err != nil {
+		return nil, err
+	}
+	n := 0
+	for i := range outs {
+		n += len(outs[i].ends)
+	}
+	rows := make([]storage.Tuple, 0, n)
+	for i := range outs {
+		rows = outs[i].materialize(rows)
+	}
+	return rows, nil
 }
 
+// ProbeAggregate streams src through the table with cfg workers into
+// the aggregate sink: every match is folded straight into its worker's
+// partial accumulator and the partials merge at the barrier, so the
+// joined relation is never built. groupCol and aggs index a conceptual
+// row that m maps onto the pair (m[i] locates position i). Output is
+// ParallelHashAggregateBatches's: [group?, agg1, ...] per group, in
+// nondeterministic group order.
+func (t *BuildTable) ProbeAggregate(src BatchSource, col int, cfg ParallelConfig,
+	on []PairEq, m []PairCol, groupCol int, aggs []AggSpec) ([]storage.Tuple, error) {
+	partials, sinks := aggSinks(cfg.WorkerCount(), groupCol, aggs, m)
+	if err := t.parallelProbe(src, col, cfg, on, sinks); err != nil {
+		return nil, err
+	}
+	return mergePartials(partials), nil
+}
+
+// parallelProbe runs one probe worker per sink.
 func (t *BuildTable) parallelProbe(src BatchSource, col int, cfg ParallelConfig,
-	cols []int, buildW int) ([]storage.Tuple, error) {
-	w := cfg.WorkerCount()
-	outs := make([][]storage.Tuple, w)
+	on []PairEq, sinks []pairSink) error {
+	return feedSinks(src, cfg, "probe", sinks, func(rows []storage.Tuple, sink pairSink) {
+		t.probe(rows, col, on, sink)
+	})
+}
+
+// feedSinks runs one worker per sink: each claims batches from src and
+// passes them to feed with its own sink, until the source is exhausted,
+// the statement fails or is cancelled, or the sinks together hold
+// cfg.Limit rows.
+func feedSinks(src BatchSource, cfg ParallelConfig, phase string, sinks []pairSink,
+	feed func(rows []storage.Tuple, sink pairSink)) error {
 	var produced atomic.Int64
 	var fail failFlag
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for i := range sinks {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer containPanic(&fail, i, "probe")
+			defer containPanic(&fail, i, phase)
 			b := GetBatch()
 			defer PutBatch(b)
-			var out probeOut
 			rows := 0
 			for !fail.failed() {
 				if cfg.Limit > 0 && produced.Load() >= int64(cfg.Limit) {
@@ -832,32 +922,23 @@ func (t *BuildTable) parallelProbe(src BatchSource, col int, cfg ParallelConfig,
 				if n == 0 {
 					break
 				}
-				before := len(out.ends)
-				beforeVals := len(out.vals)
-				if cols == nil {
-					t.probeBatch(b.Tuples, col, &out)
-				} else {
-					t.probeBatchProject(b.Tuples, col, &out, cols, buildW)
-				}
-				if cfg.chargeVals(&fail, out.vals[beforeVals:]) {
+				feed(b.Tuples, sinks[i])
+				out, vals := sinks[i].taken()
+				if cfg.chargeVals(&fail, vals) {
 					break
 				}
 				rows += n
 				if cfg.Limit > 0 {
-					produced.Add(int64(len(out.ends) - before))
+					produced.Add(int64(out))
 				}
 			}
-			outs[i] = out.materialize(nil)
 			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, "probe", rows)
+				cfg.OnWorker(i, phase, rows)
 			}
 		}(i)
 	}
 	wg.Wait()
-	if err := fail.err(); err != nil {
-		return nil, err
-	}
-	return mergeSlices(outs), nil
+	return fail.err()
 }
 
 // ---------------------------------------------------------------------------
@@ -871,58 +952,45 @@ func ParallelHashAggregate(src MorselSource, groupCol int, aggs []AggSpec,
 }
 
 // ParallelHashAggregateBatches computes grouped aggregates over src
-// with cfg workers: worker-local partial accumulators, merged at the
-// barrier. Merging is exact for COUNT/SUM/AVG/MIN/MAX (integer sums
-// stay exact in float64 below 2^53; float SUM/AVG may differ from the
-// serial result in the last ulps because addition order varies).
-// Group order in the output is nondeterministic.
+// with cfg workers: the aggregate sink fed by a scan instead of a probe
+// — worker-local partial accumulators, merged at the barrier. Merging
+// is exact for COUNT/SUM/AVG/MIN/MAX (integer sums stay exact in
+// float64 below 2^53; float SUM/AVG may differ from the serial result
+// in the last ulps because addition order varies). Group order in the
+// output is nondeterministic.
 func ParallelHashAggregateBatches(src BatchSource, groupCol int, aggs []AggSpec,
 	cfg ParallelConfig) ([]storage.Tuple, error) {
-	w := cfg.WorkerCount()
-	partials := make([]*aggAccum, w)
-	var fail failFlag
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer containPanic(&fail, i, "aggregate")
-			b := GetBatch()
-			defer PutBatch(b)
-			acc := newAggAccum(groupCol, aggs)
-			rows := 0
-			for !fail.failed() {
-				if cfg.interrupted(&fail) {
-					break
-				}
-				n, err := src.NextBatch(b)
-				if err != nil {
-					fail.set(err)
-					break
-				}
-				if n == 0 {
-					break
-				}
-				for _, t := range b.Tuples {
-					acc.absorb(t)
-				}
-				rows += n
-			}
-			partials[i] = acc
-			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, "aggregate", rows)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := fail.err(); err != nil {
+	partials, sinks := aggSinks(cfg.WorkerCount(), groupCol, aggs, nil)
+	err := feedSinks(src, cfg, "aggregate", sinks, func(rows []storage.Tuple, sink pairSink) {
+		for _, t := range rows {
+			sink.pair(nil, t)
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
+	return mergePartials(partials), nil
+}
+
+// aggSinks builds one partial accumulator per worker.
+func aggSinks(workers, groupCol int, aggs []AggSpec, m []PairCol) ([]*aggAccum, []pairSink) {
+	partials := make([]*aggAccum, workers)
+	sinks := make([]pairSink, workers)
+	for i := range partials {
+		partials[i] = newAggAccum(groupCol, aggs, m)
+		sinks[i] = partials[i]
+	}
+	return partials, sinks
+}
+
+// mergePartials folds the workers' partial accumulators into the first
+// and renders its rows.
+func mergePartials(partials []*aggAccum) []storage.Tuple {
 	final := partials[0]
 	for _, p := range partials[1:] {
 		final.merge(p)
 	}
-	return final.rows(), nil
+	return final.rows()
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package operators
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -145,6 +146,69 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestProbeSinksMatchSerial checks both probe sinks against the
+// materialising reference — serial HashJoin, then the residual
+// equality as a filter, then Project or HashAggregate over the joined
+// rows — with the sinks reading the same columns through a pair map.
+func TestProbeSinksMatchSerial(t *testing.T) {
+	var build, probe []storage.Tuple
+	for i := 0; i < 300; i++ {
+		build = append(build, intTuple(int64(i%50), int64(i%4), int64(i)))
+	}
+	for i := 0; i < 900; i++ {
+		probe = append(probe, intTuple(int64(i%75), int64(i%3), int64(-i)))
+	}
+	build = append(build, storage.Tuple{storage.NullValue(), storage.IntValue(1), storage.IntValue(1)},
+		storage.Tuple{storage.IntValue(7), storage.NullValue(), storage.NullValue()})
+	probe = append(probe, storage.Tuple{storage.NullValue(), storage.IntValue(2), storage.IntValue(2)},
+		storage.Tuple{storage.IntValue(7), storage.NullValue(), storage.NullValue()})
+
+	// The conceptual joined row is build ++ probe: positions 0-2, 3-5.
+	rowMap := []PairCol{{Idx: 0}, {Idx: 1}, {Idx: 2}, {Probe: true, Idx: 0}, {Probe: true, Idx: 1}, {Probe: true, Idx: 2}}
+	on := []PairEq{{A: rowMap[1], B: rowMap[4]}} // build.1 = probe.1, null-rejecting
+	joined := func() Iterator {
+		return NewFilter(NewHashJoin(NewMemScan(build), NewMemScan(probe), 0, 0),
+			func(r storage.Tuple) bool {
+				return !r[1].IsNull() && !r[4].IsNull() && storage.Equal(r[1], r[4])
+			})
+	}
+	proj := []int{5, 2, 0}
+	wantProj, err := Drain(NewProject(joined(), proj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 5}, {Kind: AggMin, Col: 2}, {Kind: AggMax, Col: 5}}
+
+	for _, workers := range []int{1, 2, 4} {
+		cfg := ParallelConfig{Workers: workers, MorselSize: 64}
+		bt, _, err := ParallelBuildBatches(NewSliceBatches(build, 64), 0, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([]PairCol, len(proj))
+		for i, c := range proj {
+			cols[i] = rowMap[c]
+		}
+		got, err := bt.ProbeProject(NewSliceBatches(probe, 64), 0, cfg, on, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMultiset(t, got, wantProj)
+
+		for _, groupCol := range []int{1, 3, -1} { // build side, probe side, global
+			want, err := Drain(NewHashAggregate(joined(), groupCol, aggs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bt.ProbeAggregate(NewSliceBatches(probe, 64), 0, cfg, on, rowMap, groupCol, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMultiset(t, got, want)
+		}
+	}
+}
+
 func TestParallelBuildAbortReturnsExactPrefix(t *testing.T) {
 	var build []storage.Tuple
 	for i := 0; i < 1000; i++ {
@@ -208,6 +272,65 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 			}
 			sameMultiset(t, got, want)
 		}
+	}
+}
+
+// TestGroupKeysFollowJoinKeySemantics: GROUP BY keys its groups as the
+// hash join keys its matches — -0 with +0, every NaN together, numeric
+// kinds by float image, strings apart from numbers — plus one group for
+// all NULLs; and the value a group shows does not depend on arrival
+// order, in the serial operator or across workers.
+func TestGroupKeysFollowJoinKeySemantics(t *testing.T) {
+	negZero := storage.FloatValue(math.Copysign(0, -1))
+	in := []storage.Tuple{
+		{negZero}, {storage.FloatValue(0)}, {negZero},
+		{storage.FloatValue(math.NaN())}, {storage.FloatValue(-math.NaN())},
+		{storage.NullValue()}, {storage.NullValue()},
+		{storage.FloatValue(2)}, {storage.IntValue(2)}, {storage.FloatValue(2)},
+		{storage.StringValue("2")},
+		{storage.StringValue("")},
+	}
+	want := map[string]int64{ // kind-tagged group value -> COUNT(*)
+		"2:0":    3, // -0 and +0, shown as +0
+		"2:NaN":  2,
+		"0:NULL": 2,
+		"1:2":    3, // INT 2 and FLOAT 2, shown as the INT
+		"3:2":    1,
+		"3:":     1,
+	}
+	check := func(label string, rows []storage.Tuple) {
+		t.Helper()
+		got := map[string]int64{}
+		for _, r := range rows {
+			got[fmt.Sprintf("%d:%s", r[0].Kind, r[0])] = r[1].Int
+		}
+		if len(rows) != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: groups %v, want %v", label, got, want)
+		}
+		for _, r := range rows {
+			if r[0].Kind == storage.KindFloat && r[0].Float == 0 && math.Signbit(r[0].Float) {
+				t.Fatalf("%s: the zero group shows -0", label)
+			}
+		}
+	}
+	aggs := []AggSpec{{Kind: AggCount}}
+	reversed := make([]storage.Tuple, len(in))
+	for i, tp := range in {
+		reversed[len(in)-1-i] = tp
+	}
+	for label, rows := range map[string][]storage.Tuple{"serial": in, "serial reversed": reversed} {
+		got, err := Drain(NewHashAggregate(NewMemScan(rows), 0, aggs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label, got)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 1), 0, aggs, ParallelConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("workers=%d", workers), got)
 	}
 }
 

@@ -124,8 +124,12 @@ func (e *Engine) execSelectAdaptiveRun(st *SelectStmt, cfg AdaptiveConfig) (*Res
 		// Multi-join: the staged router generalises the one-shot
 		// side-swap into continuous safe-point adaptation. Run it
 		// single-worker so this entry point stays serial.
+		tail, err := compileTail(st, plan.sch)
+		if err != nil {
+			return nil, nil, err
+		}
 		rep2 := &ExecReport{}
-		res, err := e.execStagedJoins(plan, ExecOptions{Workers: 1, Adaptive: &cfg}, rep2)
+		res, err := e.execStagedJoins(plan, &tail, ExecOptions{Workers: 1, Adaptive: &cfg}, rep2)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -223,6 +223,10 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 		res, err := e.execSelect(st, opts.Txn)
 		return res, rep, err
 	}
+	tail, err := compileTail(st, plan.sch)
+	if err != nil {
+		return nil, nil, err
+	}
 	if opts.NoVectorKernels {
 		for _, sp := range plan.scans {
 			sp.noKernel = true
@@ -239,7 +243,7 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 		// Multi-join: the staged router executes the pipeline one hash
 		// join at a time, re-routing at safe points on cardinality
 		// feedback.
-		res, err := e.execStagedJoins(plan, opts, rep)
+		res, err := e.execStagedJoins(plan, &tail, opts, rep)
 		return res, rep, err
 	}
 
@@ -263,33 +267,7 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 		if err != nil {
 			return nil, nil, err
 		}
-		if st.OrderBy != nil && !hasAggregate(st) && st.GroupBy == nil {
-			// Bare ordered scan: runs (or Top-K heaps) form inside the
-			// scan workers themselves — pages are claimed, keys extracted
-			// and partial orders built without an intermediate unordered
-			// materialisation.
-			idx, err := plan.sch.resolve(*st.OrderBy)
-			if err != nil {
-				return nil, nil, err
-			}
-			rows, err := orderSourceParallel(src, idx, st.Desc, st.Limit, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := e.finishProjectTail(plan, rows)
-			return res, rep, err
-		}
-		scanCfg := cfg
-		if st.OrderBy == nil && !hasAggregate(st) && st.GroupBy == nil && st.Limit > 0 {
-			// Unordered LIMIT: any prefix is valid, so a satisfied quota
-			// stops the workers claiming pages (early termination).
-			scanCfg.Limit = st.Limit
-		}
-		rows, err := operators.DrainParallelBatches(src, scanCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := e.finishSelectParallel(plan, rows, cfg)
+		res, err := e.scanTail(plan, &tail, src, cfg)
 		return res, rep, err
 	}
 
@@ -300,7 +278,6 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 	if err != nil {
 		return nil, nil, err
 	}
-	leftW, rightW := len(plan.scans[0].sch), len(plan.scans[1].sch)
 	rep.Adaptive.InitialBuild = sides.build.ref.Binding()
 	rep.Adaptive.FinalBuild = sides.build.ref.Binding()
 	rep.Adaptive.EstimatedBuildRows = sides.build.estRows
@@ -328,6 +305,12 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 	buildCfg := cfg
 	buildCfg.MorselSize = buildBatch
 
+	// b, p: the build and probe scans' join-order indexes.
+	b, p := 1, 0
+	if sides.buildIsLeft {
+		b, p = 0, 1
+	}
+	var stage probeStage
 	bt, prefix, err := operators.ParallelBuildBatches(buildSrc, sides.buildCol, buildCfg, safePoint)
 	switch {
 	case err == nil:
@@ -338,20 +321,7 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 		}
 		rep.Adaptive.PeakHashRows = bt.Rows()
 		rep.Adaptive.ExecutedOrder = []string{sides.build.ref.Binding(), sides.probe.ref.Binding()}
-		if cols, names, ok := joinFastCols(st, plan, sides.buildIsLeft); ok {
-			out, err := bt.ParallelProbeProject(probeSrc, sides.probeCol, probeLimitCfg(st, cfg), cols, buildWidth(sides.buildIsLeft, leftW, rightW))
-			if err != nil {
-				return nil, nil, err
-			}
-			return e.limitResult(plan, names, out), rep, nil
-		}
-		joined, err := bt.ParallelProbeBatches(probeSrc, sides.probeCol, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows := permuteToDecl(permuteRows(joined, sides.buildIsLeft, leftW, rightW), plan.outPerm)
-		res, err := e.finishSelectParallel(plan, rows, cfg)
-		return res, rep, err
+		stage = probeStage{table: bt, src: probeSrc, col: sides.probeCol, build: []int{b}, probe: []int{p}}
 
 	case errors.Is(err, operators.ErrBuildAborted):
 		// Violation: every worker has drained at the barrier; revise the
@@ -380,106 +350,176 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 			operators.NewSliceBatches(prefix, buildBatch), buildSrc)
 		rep.Adaptive.PeakHashRows = maxInt(len(prefix), nbt.Rows())
 		rep.Adaptive.ExecutedOrder = []string{newBuild.ref.Binding(), sides.build.ref.Binding()}
-		// Output tuples are (newBuild, oldBuild) = (probe, build): the
-		// flip of the original orientation.
-		if cols, names, ok := joinFastCols(st, plan, !sides.buildIsLeft); ok {
-			out, err := nbt.ParallelProbeProject(replay, sides.buildCol, probeLimitCfg(st, cfg), cols, buildWidth(!sides.buildIsLeft, leftW, rightW))
-			if err != nil {
-				return nil, nil, err
-			}
-			return e.limitResult(plan, names, out), rep, nil
-		}
-		joined, err := nbt.ParallelProbeBatches(replay, sides.buildCol, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows := permuteToDecl(permuteRows(joined, !sides.buildIsLeft, leftW, rightW), plan.outPerm)
-		res, err := e.finishSelectParallel(plan, rows, cfg)
-		return res, rep, err
+		// The roles flip: the old probe side is the table, the old build
+		// side streams through it.
+		stage = probeStage{table: nbt, src: replay, col: sides.buildCol, build: []int{p}, probe: []int{b}}
 
 	default:
 		return nil, nil, err
 	}
+	res, err := e.probeTail(plan, &tail, stage, cfg)
+	return res, rep, err
 }
 
-// joinFastCols decides whether a join statement can take the fused
-// probe-projection path (no aggregate, no GROUP BY, no ORDER BY) and,
-// when it can, remaps the projection from declaration order through
-// the plan's join order to the probe-output layout (build columns,
-// then probe). Resolution errors fall back to the slow path, which
-// reports them identically.
-func joinFastCols(st *SelectStmt, plan *selectPlan, buildLeft bool) ([]int, []string, bool) {
-	if st.GroupBy != nil || st.OrderBy != nil {
-		return nil, nil, false
-	}
-	for _, item := range st.Items {
-		if item.Agg != AggNone {
-			return nil, nil, false
+// selectTail is everything a SELECT does after its last pipeline stage
+// (scan or final probe), compiled once against the declaration-order
+// schema. It decides which sink that stage writes into: the aggregate
+// (agg != nil), or a projection of cols.
+type selectTail struct {
+	agg *aggPlan
+	// cols are the declaration-order columns a non-aggregate tail needs:
+	// the select list (one per name), then the ORDER BY column when the
+	// list lacks it.
+	cols  []int
+	names []string
+	// order locates the ORDER BY column — in cols, or in the aggregate's
+	// output row; -1 without ORDER BY.
+	order int
+}
+
+func compileTail(st *SelectStmt, sch schema) (selectTail, error) {
+	t := selectTail{order: -1}
+	if hasAggregate(st) || st.GroupBy != nil {
+		ap, err := compileAggregate(st, sch)
+		if err != nil {
+			return t, err
 		}
-	}
-	cols, names, err := projectionCols(st, plan.sch)
-	if err != nil {
-		return nil, nil, false
-	}
-	if plan.outPerm != nil {
-		// projectionCols resolved declaration-order positions; the probe
-		// output is laid out in join order.
-		remapped := make([]int, len(cols))
-		for i, c := range cols {
-			remapped[i] = plan.outPerm[c]
-		}
-		cols = remapped
-	}
-	leftW, rightW := len(plan.scans[0].sch), len(plan.scans[1].sch)
-	if !buildLeft {
-		// Build side is the right table: left columns live after the
-		// rightW build columns, right columns at the front.
-		remapped := make([]int, len(cols))
-		for i, c := range cols {
-			if c < leftW {
-				remapped[i] = rightW + c
-			} else {
-				remapped[i] = c - leftW
+		t.agg = ap
+		if st.OrderBy != nil {
+			if t.order, err = ap.outSch.resolve(*st.OrderBy); err != nil {
+				return t, err
 			}
 		}
-		cols = remapped
+		return t, nil
 	}
-	return cols, names, true
+	cols, names, err := projectionCols(st, sch)
+	if err != nil {
+		return t, err
+	}
+	t.cols, t.names = cols, names
+	if st.OrderBy != nil {
+		idx, err := sch.resolve(*st.OrderBy)
+		if err != nil {
+			return t, err
+		}
+		for i, c := range cols {
+			if c == idx {
+				t.order = i
+				break
+			}
+		}
+		if t.order < 0 {
+			t.order = len(t.cols)
+			t.cols = append(t.cols, idx)
+		}
+	}
+	return t, nil
 }
 
-// buildWidth is the tuple width of the join's build side.
-func buildWidth(buildLeft bool, leftW, rightW int) int {
-	if buildLeft {
-		return leftW
-	}
-	return rightW
+// probeStage is one hash probe ready to run: the built table, the
+// stream that probes it, and which scans' columns (join-order indexes,
+// in tuple order) make up each side of a match.
+type probeStage struct {
+	table        *operators.BuildTable
+	src          operators.BatchSource
+	col          int                // probe key column in src's tuples
+	on           []operators.PairEq // residual ON equalities
+	build, probe []int
 }
 
-// limitResult applies the statement's LIMIT (order is already
-// nondeterministic, so any prefix is valid) and wraps the rows.
-func (e *Engine) limitResult(plan *selectPlan, names []string, rows []storage.Tuple) *Result {
-	if st := plan.stmt; st.Limit >= 0 && st.Limit < len(rows) {
-		rows = rows[:st.Limit]
+// pairCol locates column col of scan in a match of ps.
+func (p *selectPlan) pairCol(ps probeStage, scan, col int) operators.PairCol {
+	if i := posIn(p, ps.build, scan, col); i >= 0 {
+		return operators.PairCol{Idx: i}
 	}
-	return &Result{Cols: names, Rows: rows, Plan: plan.Explain()}
+	return operators.PairCol{Probe: true, Idx: posIn(p, ps.probe, scan, col)}
 }
 
-// permuteRows restores declaration order (left, right) for join output
-// whose build side was `buildLeft`; build columns come first in each
-// joined tuple. The rotation is done in place through one shared
-// scratch buffer — probe output rows are arena-carved by this
-// executor, never aliased by anyone else, so mutating them is safe.
-func permuteRows(rows []storage.Tuple, buildLeft bool, leftW, rightW int) []storage.Tuple {
-	if buildLeft {
-		return rows
+// declCols maps every declaration-order column onto a match of ps,
+// whatever join order, build sides and replans produced it.
+func (p *selectPlan) declCols(ps probeStage) []operators.PairCol {
+	byDecl := make([]int, len(p.scans))
+	for ji, sp := range p.scans {
+		byDecl[sp.declPos] = ji
 	}
-	scratch := make(storage.Tuple, 0, rightW)
-	for _, t := range rows {
-		scratch = append(scratch[:0], t[:rightW]...)
-		copy(t, t[rightW:])
-		copy(t[leftW:], scratch)
+	m := make([]operators.PairCol, 0, len(p.sch))
+	for _, ji := range byDecl {
+		for k := range p.scans[ji].sch {
+			m = append(m, p.pairCol(ps, ji, k))
+		}
 	}
-	return rows
+	return m
+}
+
+// probeTail runs a statement's final probe straight into the sink its
+// tail selects, so the joined relation is never built: an aggregate
+// folds each match into worker-local state; anything else gets narrow
+// rows holding just tail.cols, already in select-list order.
+func (e *Engine) probeTail(plan *selectPlan, tail *selectTail, ps probeStage,
+	cfg operators.ParallelConfig) (*Result, error) {
+	st := plan.stmt
+	m := plan.declCols(ps)
+	if tail.agg != nil {
+		groups, err := ps.table.ProbeAggregate(ps.src, ps.col, cfg, ps.on, m, tail.agg.groupCol, tail.agg.specs)
+		if err != nil {
+			return nil, err
+		}
+		return e.finishAggregate(plan, tail, groups, cfg)
+	}
+	cols := make([]operators.PairCol, len(tail.cols))
+	for i, c := range tail.cols {
+		cols[i] = m[c]
+	}
+	probeCfg := cfg
+	if tail.order < 0 && st.Limit > 0 {
+		// Unordered LIMIT, as in scanTail: the quota stops the probe
+		// workers claiming batches.
+		probeCfg.Limit = st.Limit
+	}
+	rows, err := ps.table.ProbeProject(ps.src, ps.col, probeCfg, ps.on, cols)
+	if err != nil {
+		return nil, err
+	}
+	if tail.order >= 0 {
+		if rows, err = orderRowsParallel(rows, tail.order, st.Desc, st.Limit, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return e.finishProject(plan, tail, rows, identityOrder(len(tail.names)))
+}
+
+// scanTail is the zero-join pipeline: the scan's batch source feeds
+// the aggregate, the sort or the drain directly.
+func (e *Engine) scanTail(plan *selectPlan, tail *selectTail, src operators.BatchSource,
+	cfg operators.ParallelConfig) (*Result, error) {
+	st := plan.stmt
+	if tail.agg != nil {
+		groups, err := operators.ParallelHashAggregateBatches(src, tail.agg.groupCol, tail.agg.specs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return e.finishAggregate(plan, tail, groups, cfg)
+	}
+	var rows []storage.Tuple
+	var err error
+	if tail.order >= 0 {
+		// Bare ordered scan: runs (or Top-K heaps) form inside the scan
+		// workers themselves — pages are claimed, keys extracted and
+		// partial orders built without an intermediate unordered
+		// materialisation.
+		rows, err = orderSourceParallel(src, tail.cols[tail.order], st.Desc, st.Limit, cfg)
+	} else {
+		if st.Limit > 0 {
+			// Unordered LIMIT: any prefix is valid, so a satisfied quota
+			// stops the workers claiming pages (early termination).
+			cfg.Limit = st.Limit
+		}
+		rows, err = operators.DrainParallelBatches(src, cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e.finishProject(plan, tail, rows, tail.cols[:len(tail.names)])
 }
 
 // hasAggregate reports whether any select item aggregates.
@@ -490,18 +530,6 @@ func hasAggregate(st *SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// probeLimitCfg attaches the statement's LIMIT as a cooperative probe
-// quota when the shape allows it (the fused probe-projection path is
-// only taken with no aggregate, GROUP BY or ORDER BY, where any output
-// prefix is a valid answer): a satisfied LIMIT stops the probe workers
-// claiming batches instead of finishing the scan.
-func probeLimitCfg(st *SelectStmt, cfg operators.ParallelConfig) operators.ParallelConfig {
-	if st.Limit > 0 {
-		cfg.Limit = st.Limit
-	}
-	return cfg
 }
 
 // orderSourceParallel runs the parallel sort pipeline over src: a
@@ -528,81 +556,52 @@ func orderRowsParallel(rows []storage.Tuple, idx int, desc bool, limit int,
 	return orderSourceParallel(operators.NewSliceBatches(rows, cfg.MorselSize), idx, desc, limit, cfg)
 }
 
-// finishProjectTail is the non-aggregate projection/limit tail: rows
-// arrive either unordered (no ORDER BY — any prefix is valid) or
-// already globally ordered; the projection is resolved once and the
-// whole result mapped through a single arena.
-func (e *Engine) finishProjectTail(plan *selectPlan, rows []storage.Tuple) (*Result, error) {
-	st := plan.stmt
-	cols, names, err := projectionCols(st, plan.sch)
-	if err != nil {
-		return nil, err
-	}
-	if st.Limit >= 0 && st.Limit < len(rows) {
+// finishProject ends a non-aggregate SELECT once rows are in their
+// final order: LIMIT, then every row cut down to the select list, whose
+// items sit at positions pos of it.
+func (e *Engine) finishProject(plan *selectPlan, tail *selectTail, rows []storage.Tuple,
+	pos []int) (*Result, error) {
+	if st := plan.stmt; st.Limit >= 0 && st.Limit < len(rows) {
 		rows = rows[:st.Limit]
 	}
-	identity := len(cols) == len(plan.sch)
-	for i, c := range cols {
-		identity = identity && c == i
+	prefix := true
+	for i, c := range pos {
+		prefix = prefix && c == i
 	}
-	if identity { // SELECT * / full-width: nothing to copy
-		return &Result{Cols: names, Rows: rows, Plan: plan.Explain()}, nil
-	}
-	out, err := operators.ProjectTuples(nil, rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cols: names, Rows: out, Plan: plan.Explain()}, nil
-}
-
-// finishSelectParallel applies aggregation / ordering / projection /
-// limit to the materialised join or scan output. Aggregation runs
-// through the parallel partial-accumulator path; ordering through the
-// parallel sort/Top-K pipeline (worker runs + loser-tree merge over
-// the materialised rows), so plans with ORDER BY stay on the parallel
-// batch path end-to-end; plain projections take a batch fast path
-// that carves all output values from one arena.
-func (e *Engine) finishSelectParallel(plan *selectPlan, rows []storage.Tuple,
-	cfg operators.ParallelConfig) (*Result, error) {
-	st := plan.stmt
-	if !hasAggregate(st) && st.GroupBy == nil {
-		if st.OrderBy != nil {
-			idx, err := plan.sch.resolve(*st.OrderBy)
-			if err != nil {
-				return nil, err
-			}
-			if rows, err = orderRowsParallel(rows, idx, st.Desc, st.Limit, cfg); err != nil {
-				return nil, err
-			}
-		}
-		return e.finishProjectTail(plan, rows)
-	}
-	ap, err := compileAggregate(st, plan.sch)
-	if err != nil {
-		return nil, err
-	}
-	aggRows, err := operators.ParallelHashAggregateBatches(
-		operators.NewSliceBatches(rows, cfg.MorselSize), ap.groupCol, ap.specs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Re-project to select-item order through the arena path, then
-	// order the (already merged) groups on the same parallel pipeline.
-	out, err := operators.ProjectTuples(nil, aggRows, ap.perm)
-	if err != nil {
-		return nil, err
-	}
-	if st.OrderBy != nil {
-		idx, err := ap.outSch.resolve(*st.OrderBy)
+	if !prefix {
+		out, err := operators.ProjectTuples(nil, rows, pos)
 		if err != nil {
 			return nil, err
 		}
-		if out, err = orderRowsParallel(out, idx, st.Desc, st.Limit, cfg); err != nil {
+		return &Result{Cols: tail.names, Rows: out, Plan: plan.Explain()}, nil
+	}
+	// The select list leads every row (SELECT *; a narrow probe row with
+	// its ORDER BY column riding last): re-slice, nothing to copy.
+	if len(rows) > 0 && len(rows[0]) > len(pos) {
+		for i, t := range rows {
+			rows[i] = t[:len(pos)]
+		}
+	}
+	return &Result{Cols: tail.names, Rows: rows, Plan: plan.Explain()}, nil
+}
+
+// finishAggregate ends an aggregate SELECT: the merged groups are
+// re-projected to select-item order through the arena path, then
+// ordered on the same parallel pipeline and cut to LIMIT.
+func (e *Engine) finishAggregate(plan *selectPlan, tail *selectTail, groups []storage.Tuple,
+	cfg operators.ParallelConfig) (*Result, error) {
+	st := plan.stmt
+	out, err := operators.ProjectTuples(nil, groups, tail.agg.perm)
+	if err != nil {
+		return nil, err
+	}
+	if tail.order >= 0 {
+		if out, err = orderRowsParallel(out, tail.order, st.Desc, st.Limit, cfg); err != nil {
 			return nil, err
 		}
 	}
 	if st.Limit >= 0 && st.Limit < len(out) {
 		out = out[:st.Limit]
 	}
-	return &Result{Cols: ap.outCols, Rows: out, Plan: plan.Explain()}, nil
+	return &Result{Cols: tail.agg.outCols, Rows: out, Plan: plan.Explain()}, nil
 }

@@ -760,23 +760,6 @@ func (p *selectPlan) toDecl(it operators.Iterator) operators.Iterator {
 	return operators.NewProject(it, p.outPerm)
 }
 
-// permuteToDecl permutes materialised join-order rows to declaration
-// order in place (the parallel pipeline's rows are arena-carved by
-// this executor and aliased by no one else, so mutation is safe).
-func permuteToDecl(rows []storage.Tuple, perm []int) []storage.Tuple {
-	if perm == nil {
-		return rows
-	}
-	scratch := make(storage.Tuple, len(perm))
-	for _, t := range rows {
-		copy(scratch, t)
-		for i, p := range perm {
-			t[i] = scratch[p]
-		}
-	}
-	return rows
-}
-
 // stepFilterPred compiles residual ON equalities into a tuple
 // predicate (null-rejecting, like the hash condition).
 func stepFilterPred(fs []stepFilter) operators.Predicate {

@@ -28,15 +28,18 @@ import (
 // and hands back the consumed prefix, which is re-chained in front of
 // the untouched remainder of that scan's batch source — no tuple is
 // lost or read twice, whatever the worker count or batch size. Join
-// output is a set: routing order changes the column layout (undone by
-// one final permutation to declaration order) and the row order
-// (meaningless without ORDER BY, and ORDER BY has a total-order
-// tie-break), never the result multiset.
+// output is a set: routing order changes the column layout (the final
+// probe maps declared columns onto whatever it turned out to be) and
+// the row order (meaningless without ORDER BY, and ORDER BY has a
+// total-order tie-break), never the result multiset.
 
 // execStagedJoins executes a multi-join plan (all steps hash joins)
-// with continuous safe-point adaptation. rep.Adaptive is filled in;
-// the caller decides Parallel/Workers.
-func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecReport) (*Result, error) {
+// with continuous safe-point adaptation. Every step but the last
+// materialises its output — the router needs the exact cardinality to
+// pick the next one; the last probes straight into the tail's sink
+// (probeTail). rep.Adaptive is filled in; the caller decides
+// Parallel/Workers.
+func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOptions, rep *ExecReport) (*Result, error) {
 	workers := opts.workers()
 	batch := opts.batchSize()
 	acfg := opts.adaptive()
@@ -91,7 +94,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 	var cur []storage.Tuple // materialised joined prefix (nil before first join)
 	firstAttempt := true
 
-	for attached < n {
+	for {
 		curEst := est[seed]
 		if cur != nil {
 			curEst = float64(len(cur))
@@ -156,7 +159,8 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 			buildNext = !plan.steps[attached-1].buildLeft
 		}
 
-		var joined []storage.Tuple
+		// Build one side; the other becomes the probe stream.
+		var ps probeStage
 		if cur == nil {
 			// First join: both sides are base scans.
 			bScan, prScan, bCol, prCol := next, pScan, nextCol, pCol
@@ -196,14 +200,10 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 			if err != nil {
 				return nil, err
 			}
-			joined, err = bt.ParallelProbeBatches(psrc, prCol, cfg)
-			if err != nil {
-				return nil, err
-			}
 			rep.Adaptive.FinalBuild = plan.scans[bScan].ref.Binding()
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder,
 				plan.scans[bScan].ref.Binding(), plan.scans[prScan].ref.Binding())
-			layout = []int{bScan, prScan}
+			ps = probeStage{table: bt, src: psrc, col: prCol, build: []int{bScan}, probe: []int{prScan}}
 		} else if buildNext {
 			bsrc, err := src(next)
 			if err != nil {
@@ -218,13 +218,9 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 					operators.NewSliceBatches(prefix, buildBatch), srcs[next])
 				continue
 			}
-			joined, err = bt.ParallelProbeBatches(
-				operators.NewSliceBatches(cur, buildBatch), posIn(plan, layout, pScan, pCol), cfg)
-			if err != nil {
-				return nil, err
-			}
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, plan.scans[next].ref.Binding())
-			layout = append([]int{next}, layout...)
+			ps = probeStage{table: bt, src: operators.NewSliceBatches(cur, buildBatch),
+				col: posIn(plan, layout, pScan, pCol), build: []int{next}, probe: layout}
 		} else {
 			// The materialised prefix builds: its cardinality is exact,
 			// so no safe point is needed.
@@ -240,36 +236,38 @@ func (e *Engine) execStagedJoins(plan *selectPlan, opts ExecOptions, rep *ExecRe
 			if err != nil {
 				return nil, err
 			}
-			joined, err = bt.ParallelProbeBatches(psrc, nextCol, cfg)
-			if err != nil {
-				return nil, err
-			}
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, plan.scans[next].ref.Binding())
-			// Output = (prefix, next): prefix built, probe streamed —
-			// ParallelProbeBatches emits (build, probe).
-			layout = append(layout, next)
+			ps = probeStage{table: bt, src: psrc, col: nextCol, build: layout, probe: []int{next}}
 		}
 		usedEdge[he] = true
 		chosen[next] = true
 		attached++
-		cur = joined
 
-		// Residual ON equalities now fully covered by the prefix.
+		// Residual ON equalities now fully covered by the two sides are
+		// checked on each match before the sink sees it.
 		for ei, red := range plan.edges {
 			if usedEdge[ei] || !chosen[red.a] || !chosen[red.b] {
 				continue
 			}
 			usedEdge[ei] = true
-			cur = filterEqInPlace(cur,
-				posIn(plan, layout, red.a, red.aCol), posIn(plan, layout, red.b, red.bCol))
+			ps.on = append(ps.on, operators.PairEq{
+				A: plan.pairCol(ps, red.a, red.aCol), B: plan.pairCol(ps, red.b, red.bCol)})
 		}
+		if attached == n {
+			return e.probeTail(plan, tail, ps, cfg)
+		}
+		var err error
+		if cur, err = ps.table.ProbeProject(ps.src, ps.col, cfg, ps.on, nil); err != nil {
+			return nil, err
+		}
+		// A whole match is (build, probe).
+		layout = append(append([]int(nil), ps.build...), ps.probe...)
 		if len(cur) == 0 {
-			break // inner joins only: an empty prefix ends the query
+			// Inner joins only: an empty prefix ends the query. The tail
+			// still runs (a global aggregate emits its one row).
+			return e.scanTail(plan, tail, operators.NewSliceBatches(nil, 0), cfg)
 		}
 	}
-
-	rows := permuteToDecl(cur, permForLayout(plan, layout))
-	return e.finishSelectParallel(plan, rows, cfg)
 }
 
 // stagedBuild runs one safe-pointed hash build for scan b. On a
@@ -333,50 +331,4 @@ func posIn(plan *selectPlan, layout []int, scan, col int) int {
 		o += len(plan.scans[si].sch)
 	}
 	return -1
-}
-
-// permForLayout computes the layout → declaration-order permutation
-// (nil when they already agree, or when there are no rows to permute).
-func permForLayout(plan *selectPlan, layout []int) []int {
-	if len(layout) != len(plan.scans) {
-		return nil // early-exit on empty prefix: nothing to permute
-	}
-	offs := make([]int, len(plan.scans))
-	o := 0
-	for _, si := range layout {
-		offs[si] = o
-		o += len(plan.scans[si].sch)
-	}
-	byDecl := make([]int, len(plan.scans))
-	for ji, sp := range plan.scans {
-		byDecl[sp.declPos] = ji
-	}
-	perm := make([]int, 0, len(plan.sch))
-	identity := true
-	for d := 0; d < len(byDecl); d++ {
-		ji := byDecl[d]
-		for k := 0; k < len(plan.scans[ji].sch); k++ {
-			p := offs[ji] + k
-			identity = identity && p == len(perm)
-			perm = append(perm, p)
-		}
-	}
-	if identity {
-		return nil
-	}
-	return perm
-}
-
-// filterEqInPlace compacts rows to those where columns a and b are
-// non-null and equal (the residual ON predicate semantics). The rows
-// are owned by this executor, so in-place compaction is safe.
-func filterEqInPlace(rows []storage.Tuple, a, b int) []storage.Tuple {
-	out := rows[:0]
-	for _, t := range rows {
-		av, bv := t[a], t[b]
-		if !av.IsNull() && !bv.IsNull() && storage.Equal(av, bv) {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/adm-project/adm/internal/monitor"
+	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/query"
 	"github.com/adm-project/adm/internal/storage"
 )
@@ -222,6 +223,35 @@ func TestServerQuotaCode(t *testing.T) {
 	}
 	if _, err := c.Query("SELECT k FROM kv WHERE k = 1"); err != nil {
 		t.Fatalf("statement after quota trip: %v", err)
+	}
+}
+
+// TestServerQuotaMetersWhatASinkMaterialises: the quota bounds what a
+// statement holds, not what it looks at. Under one tight quota a join
+// that returns its 160,000 wide rows dies with the quota code, while
+// the same join folded into a COUNT(*) — whose probe materialises
+// nothing, so only the 400-row build side is charged — completes; and
+// neither leaves a pooled batch behind.
+func TestServerQuotaMetersWhatASinkMaterialises(t *testing.T) {
+	batchBase := operators.OutstandingBatches()
+	srv, _ := newServerFixture(t, Config{MemQuota: 256 << 10})
+	c := dialT(t, srv, "")
+	defer c.Close()
+
+	_, err := c.Query("SELECT * FROM j a JOIN j b ON a.g = b.g")
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != CodeQuota {
+		t.Fatalf("materialising join error = %v, want CodeQuota", err)
+	}
+	res, err := c.Query("SELECT a.g, COUNT(*) FROM j a JOIN j b ON a.g = b.g GROUP BY a.g")
+	if err != nil {
+		t.Fatalf("join-aggregate under the same quota: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][1].Int != 400*400 {
+		t.Fatalf("join-aggregate rows = %v, want one group of 160000", res.Rows)
+	}
+	if n := operators.OutstandingBatches(); n != batchBase {
+		t.Fatalf("%d pooled batches outstanding, want %d", n, batchBase)
 	}
 }
 

@@ -243,9 +243,10 @@ type (
 	QueryResult = query.Result
 	// AdaptiveConfig tunes mid-query re-optimisation.
 	AdaptiveConfig = query.AdaptiveConfig
-	// ExecOptions tunes the morsel-driven parallel executor.
+	// ExecOptions tunes Engine.ExecuteStmt: workers, batch size,
+	// adaptation, transaction, cancel hook, memory budget.
 	ExecOptions = query.ExecOptions
-	// ExecReport describes how a parallel execution ran.
+	// ExecReport describes how a statement ran.
 	ExecReport = query.ExecReport
 	// Tuple is a row of typed values.
 	Tuple = storage.Tuple

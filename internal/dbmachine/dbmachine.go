@@ -90,20 +90,13 @@ func New(bufferFrames int, log *trace.Log) (*Machine, error) {
 				return nil, fmt.Errorf("dbmachine: optimiser unavailable: %w", err)
 			}
 			strat := out.(Strategy)
-			if sel, ok := stmt.(*query.SelectStmt); ok && strat.Adaptive {
-				res, rep, err := eng.ExecSelectAdaptive(sel, query.AdaptiveConfig{
-					Theta: strat.Theta, CheckEvery: strat.CheckEvery, PreferIndex: strat.PreferIndex,
-				})
-				if err != nil {
-					return nil, err
-				}
-				return execOutcome{res: res, rep: rep, strat: strat}, nil
-			}
-			res, err := eng.ExecStmt(stmt)
+			res, rep, err := eng.ExecuteStmt(stmt, query.ExecOptions{Workers: 1, Adaptive: &query.AdaptiveConfig{
+				Disabled: !strat.Adaptive, Theta: strat.Theta, CheckEvery: strat.CheckEvery, PreferIndex: strat.PreferIndex,
+			}})
 			if err != nil {
 				return nil, err
 			}
-			return execOutcome{res: res, strat: strat}, nil
+			return execOutcome{res: res, rep: &rep.Adaptive, strat: strat}, nil
 		})
 
 	frontend := component.New(CompFrontend).

@@ -16,7 +16,6 @@
 package operators
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -90,76 +89,10 @@ type BatchIterator interface {
 	Close() error
 }
 
-// DrainBatches runs a BatchIterator to completion and returns all
-// tuples (test/verification convenience). Close errors are joined
-// with the drain error, not discarded.
-func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
-	if err := bi.Open(); err != nil {
-		return nil, err
-	}
-	defer func() { err = errors.Join(err, bi.Close()) }()
-	b := GetBatch()
-	defer PutBatch(b)
-	for {
-		n, nerr := bi.NextBatch(b)
-		if nerr != nil || n == 0 {
-			return out, nerr
-		}
-		out = append(out, b.Tuples...)
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Volcano <-> batch adapters. Every existing operator keeps working:
-// wrap a scalar iterator to feed a batch pipeline, or a batch pipeline
-// to feed a scalar consumer.
-
-// BatchFromIterator adapts a Volcano iterator to the batch interface,
-// pulling up to size tuples per NextBatch.
-type BatchFromIterator struct {
-	In   Iterator
-	size int
-	open bool
-}
-
-// NewBatchFromIterator wraps it; size <= 0 means DefaultBatchSize.
-func NewBatchFromIterator(it Iterator, size int) *BatchFromIterator {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &BatchFromIterator{In: it, size: size}
-}
-
-// Open implements BatchIterator.
-func (a *BatchFromIterator) Open() error {
-	if err := a.In.Open(); err != nil {
-		return err
-	}
-	a.open = true
-	return nil
-}
-
-// NextBatch implements BatchIterator.
-func (a *BatchFromIterator) NextBatch(b *Batch) (int, error) {
-	if !a.open {
-		return 0, ErrNotOpen
-	}
-	b.Reset()
-	for len(b.Tuples) < a.size {
-		t, ok, err := a.In.Next()
-		if err != nil {
-			return len(b.Tuples), err
-		}
-		if !ok {
-			break
-		}
-		b.Tuples = append(b.Tuples, t)
-	}
-	return len(b.Tuples), nil
-}
-
-// Close implements BatchIterator.
-func (a *BatchFromIterator) Close() error { a.open = false; return a.In.Close() }
+// Batch -> Volcano adapters: a batch pipeline (IteratorFromBatch) or a
+// shared batch source (SourceIterator) feeding a scalar consumer. The
+// other direction is IterBatches.
 
 // IteratorFromBatch adapts a batch pipeline back to the Volcano
 // interface. Tuples are handed out by header copy, so they survive the
@@ -218,6 +151,38 @@ func (a *IteratorFromBatch) Close() error {
 	}
 	return a.In.Close()
 }
+
+// SourceIterator drains a BatchSource as a Volcano iterator, from
+// wherever the source's cursor stands — how the remainder of an aborted
+// build scan streams through an IndexNLJoin. Its buffer is private, not
+// pooled, so an iterator abandoned mid-stream owes the pool nothing.
+type SourceIterator struct {
+	src BatchSource
+	buf Batch
+	pos int
+}
+
+// NewSourceIterator wraps src.
+func NewSourceIterator(src BatchSource) *SourceIterator { return &SourceIterator{src: src} }
+
+// Open implements Iterator; the source is already positioned.
+func (s *SourceIterator) Open() error { return nil }
+
+// Next implements Iterator.
+func (s *SourceIterator) Next() (storage.Tuple, bool, error) {
+	for s.pos >= len(s.buf.Tuples) {
+		n, err := s.src.NextBatch(&s.buf)
+		if err != nil || n == 0 {
+			return nil, false, err
+		}
+		s.pos = 0
+	}
+	s.pos++
+	return s.buf.Tuples[s.pos-1], true, nil
+}
+
+// Close implements Iterator.
+func (s *SourceIterator) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // Batch-native sources and transforms.
@@ -303,50 +268,6 @@ func (s *BatchHeapScan) NextBatch(b *Batch) (int, error) {
 // Close implements BatchIterator.
 func (s *BatchHeapScan) Close() error { s.open, s.pages, s.zones = false, nil, nil; return nil }
 
-// BatchFilter drops tuples failing Pred, compacting each batch in
-// place — no copy, no allocation.
-type BatchFilter struct {
-	In   BatchIterator
-	Pred Predicate
-	open bool
-}
-
-// NewBatchFilter wraps in with a predicate.
-func NewBatchFilter(in BatchIterator, pred Predicate) *BatchFilter {
-	return &BatchFilter{In: in, Pred: pred}
-}
-
-// Open implements BatchIterator.
-func (f *BatchFilter) Open() error {
-	if err := f.In.Open(); err != nil {
-		return err
-	}
-	f.open = true
-	return nil
-}
-
-// NextBatch implements BatchIterator.
-func (f *BatchFilter) NextBatch(b *Batch) (int, error) {
-	if !f.open {
-		return 0, ErrNotOpen
-	}
-	for {
-		n, err := f.In.NextBatch(b)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return 0, nil
-		}
-		if k := filterInPlace(b, f.Pred); k > 0 {
-			return k, nil
-		}
-	}
-}
-
-// Close implements BatchIterator.
-func (f *BatchFilter) Close() error { f.open = false; return f.In.Close() }
-
 // filterInPlace compacts b to the tuples satisfying pred.
 func filterInPlace(b *Batch, pred Predicate) int {
 	k := 0
@@ -358,64 +279,6 @@ func filterInPlace(b *Batch, pred Predicate) int {
 	}
 	b.Tuples = b.Tuples[:k]
 	return k
-}
-
-// BatchProject maps batches to the given column indexes. Output tuples
-// are carved from one arena per batch (two allocations per batch
-// instead of one per tuple).
-type BatchProject struct {
-	In      BatchIterator
-	Cols    []int
-	scratch *Batch
-	open    bool
-}
-
-// NewBatchProject keeps only cols (in order).
-func NewBatchProject(in BatchIterator, cols []int) *BatchProject {
-	return &BatchProject{In: in, Cols: cols}
-}
-
-// Open implements BatchIterator. Input first, pooled scratch second:
-// a failed In.Open() must not strand a pool batch (see
-// IteratorFromBatch.Open).
-func (p *BatchProject) Open() error {
-	if err := p.In.Open(); err != nil {
-		return err
-	}
-	p.scratch = GetBatch()
-	p.open = true
-	return nil
-}
-
-// NextBatch implements BatchIterator.
-func (p *BatchProject) NextBatch(b *Batch) (int, error) {
-	if !p.open {
-		return 0, ErrNotOpen
-	}
-	n, err := p.In.NextBatch(p.scratch)
-	if err != nil {
-		return 0, err
-	}
-	b.Reset()
-	if n == 0 {
-		return 0, nil
-	}
-	out, err := ProjectTuples(b.Tuples[:0], p.scratch.Tuples, p.Cols)
-	if err != nil {
-		return 0, err
-	}
-	b.Tuples = out
-	return len(out), nil
-}
-
-// Close implements BatchIterator.
-func (p *BatchProject) Close() error {
-	p.open = false
-	if p.scratch != nil {
-		PutBatch(p.scratch)
-		p.scratch = nil
-	}
-	return p.In.Close()
 }
 
 // ProjectTuples appends cols-projections of rows to dst, allocating
@@ -434,67 +297,4 @@ func ProjectTuples(dst []storage.Tuple, rows []storage.Tuple, cols []int) ([]sto
 		dst = append(dst, arena[start:len(arena):len(arena)])
 	}
 	return dst, nil
-}
-
-// BatchHashProbe streams probe batches against a partitioned
-// BuildTable (the batch-native hash-join probe). Each NextBatch pulls
-// one input batch and emits all of its matches, build columns first;
-// output values are carved from one arena per batch.
-type BatchHashProbe struct {
-	In       BatchIterator
-	Table    *BuildTable
-	ProbeCol int
-	scratch  *Batch
-	open     bool
-}
-
-// NewBatchHashProbe probes table with in's ProbeCol.
-func NewBatchHashProbe(in BatchIterator, table *BuildTable, probeCol int) *BatchHashProbe {
-	return &BatchHashProbe{In: in, Table: table, ProbeCol: probeCol}
-}
-
-// Open implements BatchIterator. Input first, pooled scratch second
-// (see IteratorFromBatch.Open).
-func (j *BatchHashProbe) Open() error {
-	if err := j.In.Open(); err != nil {
-		return err
-	}
-	j.scratch = GetBatch()
-	j.open = true
-	return nil
-}
-
-// NextBatch implements BatchIterator. Empty-output input batches are
-// skipped internally, so 0 still means exhausted.
-func (j *BatchHashProbe) NextBatch(b *Batch) (int, error) {
-	if !j.open {
-		return 0, ErrNotOpen
-	}
-	b.Reset()
-	var out probeOut
-	for {
-		n, err := j.In.NextBatch(j.scratch)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return 0, nil
-		}
-		out.reset()
-		j.Table.probe(j.scratch.Tuples, j.ProbeCol, nil, &out)
-		if len(out.ends) > 0 {
-			b.Tuples = out.materialize(b.Tuples[:0])
-			return len(b.Tuples), nil
-		}
-	}
-}
-
-// Close implements BatchIterator.
-func (j *BatchHashProbe) Close() error {
-	j.open = false
-	if j.scratch != nil {
-		PutBatch(j.scratch)
-		j.scratch = nil
-	}
-	return j.In.Close()
 }

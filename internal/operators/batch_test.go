@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -62,29 +63,31 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchAdapterRoundTrip: Volcano -> batch -> Volcano must be the
-// identity at any batch size, and the adapters must survive reopening.
+// TestBatchAdapterRoundTrip: a batch scan behind IteratorFromBatch must
+// equal the Volcano scan, and the adapter must survive reopening.
 func TestBatchAdapterRoundTrip(t *testing.T) {
-	src := rows(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
-	for _, size := range []int{1, 3, 64, 1024} {
-		it := NewIteratorFromBatch(NewBatchFromIterator(NewMemScan(src), size))
-		for pass := 0; pass < 2; pass++ { // second pass = reopened iterator
-			got, err := Drain(it)
-			if err != nil {
-				t.Fatalf("size=%d pass=%d: %v", size, pass, err)
-			}
-			if len(got) != len(src) {
-				t.Fatalf("size=%d pass=%d: %d rows, want %d", size, pass, len(got), len(src))
-			}
-			for j := range got {
-				if got[j][0].Int != src[j][0].Int {
-					t.Fatalf("size=%d pass=%d row %d: %v", size, pass, j, got[j])
-				}
+	hf := batchHeap(t, 300)
+	want, err := Drain(NewHeapScan(hf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := NewIteratorFromBatch(NewBatchHeapScan(hf))
+	if _, _, err := it.Next(); err != ErrNotOpen {
+		t.Fatalf("unopened Next: %v", err)
+	}
+	for pass := 0; pass < 2; pass++ { // second pass = reopened iterator
+		got, err := Drain(it)
+		if err != nil {
+			t.Fatalf("pass=%d: %v", pass, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("pass=%d: %d rows, want %d", pass, len(got), len(want))
+		}
+		for j := range got {
+			if got[j][0].Int != want[j][0].Int {
+				t.Fatalf("pass=%d row %d: %v", pass, j, got[j])
 			}
 		}
-	}
-	if _, _, err := NewIteratorFromBatch(NewBatchFromIterator(NewMemScan(src), 4)).Next(); err != ErrNotOpen {
-		t.Fatalf("unopened Next: %v", err)
 	}
 }
 
@@ -146,8 +149,8 @@ func TestBatchRetentionAcrossRecycle(t *testing.T) {
 	}
 }
 
-// TestBatchFilterProjectMatchSerial compares the vectorized
-// filter+project pipeline against the Volcano one.
+// TestBatchFilterProjectMatchSerial compares the in-place batch filter
+// and the arena projection against the Volcano operators.
 func TestBatchFilterProjectMatchSerial(t *testing.T) {
 	hf := batchHeap(t, 300)
 	pred := func(tp storage.Tuple) bool { return tp[0].Int%3 == 0 }
@@ -155,36 +158,19 @@ func TestBatchFilterProjectMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DrainBatches(NewBatchProject(NewBatchFilter(NewBatchHeapScan(hf), pred), []int{1, 0}))
+	kept, err := DrainParallelBatches(NewFilterBatches(NewHeapBatches(hf), pred), ParallelConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ProjectTuples(nil, kept, []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameMultiset(t, got, want)
 
-	if _, err := DrainBatches(NewBatchProject(NewBatchHeapScan(hf), []int{9})); err == nil {
+	if _, err := ProjectTuples(nil, kept, []int{9}); err == nil {
 		t.Fatal("out-of-range projection should error")
 	}
-}
-
-// TestBatchHashProbeMatchesHashJoin: the batch probe operator over a
-// parallel-built table must produce the serial HashJoin's multiset.
-func TestBatchHashProbeMatchesHashJoin(t *testing.T) {
-	build := rows(1, 2, 2, 3, 5, 8)
-	probe := batchHeap(t, 50) // ids 0..49 joined against small build side
-	want, err := Drain(NewHashJoin(NewMemScan(build), NewHeapScan(probe), 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, _, err := ParallelBuildBatches(NewSliceBatches(build, 2), 0,
-		ParallelConfig{Workers: 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DrainBatches(NewBatchHashProbe(NewBatchHeapScan(probe), bt, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, got, want)
 }
 
 // TestJoinKeyEdgeCases pins the struct-key semantics to the old
@@ -213,25 +199,20 @@ func TestJoinKeyEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBatchSourcesMatchScalarMorsels: the batch-native sources and
-// their scalar shims must cover identical tuple sets.
-func TestBatchSourcesMatchScalarMorsels(t *testing.T) {
-	hf := batchHeap(t, 400)
-	pred := func(tp storage.Tuple) bool { return tp[0].Int%2 == 1 }
-	cfg := ParallelConfig{Workers: 4}
-
-	fromBatches, err := DrainParallelBatches(
-		NewFilterBatches(NewHeapBatches(hf), pred), cfg)
-	if err != nil {
-		t.Fatal(err)
+// DrainBatches runs a BatchIterator to completion and returns all
+// tuples. Close errors are joined with the drain error, not discarded.
+func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
+	if err := bi.Open(); err != nil {
+		return nil, err
 	}
-	fromMorsels, err := DrainParallel(
-		NewFilterMorsels(NewHeapMorsels(hf), pred), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, fromBatches, fromMorsels)
-	if len(fromBatches) != 200 {
-		t.Fatalf("filtered %d rows, want 200", len(fromBatches))
+	defer func() { err = errors.Join(err, bi.Close()) }()
+	b := GetBatch()
+	defer PutBatch(b)
+	for {
+		n, nerr := bi.NextBatch(b)
+		if nerr != nil || n == 0 {
+			return out, nerr
+		}
+		out = append(out, b.Tuples...)
 	}
 }

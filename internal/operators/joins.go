@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -232,15 +233,17 @@ type IndexNLJoin struct {
 	Outer    Iterator
 	OuterCol int
 	Index    *storage.BTree
-	File     *storage.HeapFile
+	File     storage.HeapReader
 	pending  []storage.Tuple
 	open     bool
 	// Probes counts index lookups.
 	Probes uint64
 }
 
-// NewIndexNLJoin joins outer.col against the indexed inner file.
-func NewIndexNLJoin(outer Iterator, outerCol int, index *storage.BTree, file *storage.HeapFile) *IndexNLJoin {
+// NewIndexNLJoin joins outer.col against the indexed inner file, read
+// through file: a snapshot-bound reader hides the versions its
+// statement must not see (index entries cover every version).
+func NewIndexNLJoin(outer Iterator, outerCol int, index *storage.BTree, file storage.HeapReader) *IndexNLJoin {
 	return &IndexNLJoin{Outer: outer, OuterCol: outerCol, Index: index, File: file}
 }
 
@@ -273,8 +276,11 @@ func (j *IndexNLJoin) Next() (storage.Tuple, bool, error) {
 		j.Probes++
 		for _, rid := range j.Index.Search(v) {
 			inner, err := j.File.Get(rid)
+			if errors.Is(err, storage.ErrNotFound) {
+				continue // deleted under us, or outside the snapshot
+			}
 			if err != nil {
-				continue // deleted under us
+				return nil, false, err
 			}
 			j.pending = append(j.pending, concat(o, inner))
 		}

@@ -145,7 +145,7 @@ func auditRows(n int) []storage.Tuple {
 	return out
 }
 
-// TestOpenErrorLeavesNothingHeld drives every batch adapter's Open
+// TestOpenErrorLeavesNothingHeld drives the batch adapter's Open
 // through a failing input and asserts the operator holds no pooled
 // batch and did not latch itself open.
 func TestOpenErrorLeavesNothingHeld(t *testing.T) {
@@ -165,65 +165,10 @@ func TestOpenErrorLeavesNothingHeld(t *testing.T) {
 			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
 		}
 	})
-	t.Run("BatchProject", func(t *testing.T) {
-		src := &auditBatch{failOpen: true, failAfter: -1}
-		p := NewBatchProject(src, []int{0})
-		if err := p.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if p.scratch != nil {
-			t.Fatal("failed Open stranded a pooled batch")
-		}
-		if _, err := p.NextBatch(GetBatch()); !errors.Is(err, ErrNotOpen) {
-			t.Fatalf("NextBatch after failed Open = %v, want ErrNotOpen", err)
-		}
-	})
-	t.Run("BatchHashProbe", func(t *testing.T) {
-		build := &auditBatch{rows: auditRows(4), failAfter: -1}
-		if err := build.Open(); err != nil {
-			t.Fatalf("open build: %v", err)
-		}
-		table, _, err := ParallelBuildBatches(build, 0, ParallelConfig{Workers: 2}, nil)
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
-		build.Close()
-		src := &auditBatch{failOpen: true, failAfter: -1}
-		j := NewBatchHashProbe(src, table, 0)
-		if err := j.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if j.scratch != nil {
-			t.Fatal("failed Open stranded a pooled batch")
-		}
-	})
-	t.Run("BatchFilter", func(t *testing.T) {
-		src := &auditBatch{failOpen: true, failAfter: -1}
-		f := NewBatchFilter(src, func(storage.Tuple) bool { return true })
-		if err := f.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if f.open {
-			t.Fatal("operator latched open despite failed input Open")
-		}
-	})
-	t.Run("BatchFromIterator", func(t *testing.T) {
-		src := &auditIter{failOpen: true, failAfter: -1}
-		a := NewBatchFromIterator(src, 8)
-		if err := a.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if a.open {
-			t.Fatal("operator latched open despite failed input Open")
-		}
-		if !src.balanced() {
-			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
-		}
-	})
 }
 
 // TestMidStreamErrorClosesInput errors the input mid-stream under the
-// serial Sort/TopK materialisers and the batch drain helper, then
+// serial Sort/TopK materialisers and the batch adapter, then
 // asserts the input's Open/Close counts balance — the pattern the
 // pooled batches and pinned pages both ride on.
 func TestMidStreamErrorClosesInput(t *testing.T) {
@@ -242,19 +187,6 @@ func TestMidStreamErrorClosesInput(t *testing.T) {
 		k := NewTopK(src, 0, false, 3)
 		if err := k.Open(); !errors.Is(err, errBoom) {
 			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if !src.balanced() {
-			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
-		}
-	})
-	t.Run("DrainBatchesThroughStack", func(t *testing.T) {
-		src := &auditBatch{rows: auditRows(10), failAfter: 4, chunk: 2}
-		stack := NewBatchProject(
-			NewBatchFilter(src, func(storage.Tuple) bool { return true }),
-			[]int{0},
-		)
-		if _, err := DrainBatches(stack); !errors.Is(err, errBoom) {
-			t.Fatalf("DrainBatches = %v, want errBoom", err)
 		}
 		if !src.balanced() {
 			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
@@ -306,8 +238,7 @@ func TestPinnedFramesBalancedAfterErrors(t *testing.T) {
 
 	// Batch scan erroring mid-stream: abandon the iterator after the
 	// error without a cooperative drain, then Close.
-	bs := NewBatchHeapScan(hf)
-	proj := NewBatchProject(bs, []int{0})
+	proj := NewBatchHeapScan(hf)
 	if err := proj.Open(); err != nil {
 		t.Fatalf("batch open: %v", err)
 	}

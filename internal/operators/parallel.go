@@ -11,9 +11,10 @@
 // sync.Pool-recycled Batches, heap sources decode whole pinned pages
 // under one latch acquisition, join keys are comparable structs (no
 // per-tuple key formatting or allocation), and probe output is carved
-// from per-worker value arenas. The scalar MorselSource interface from
-// the first parallel executor is kept as a thin adapter so existing
-// callers and the index-scan path keep working.
+// from per-worker value arenas. Every phase runs its workers through
+// fanOut, the package's one goroutine launch: at one worker the phase
+// runs inline on the caller's goroutine, so a serial statement and a
+// parallel one are the same code.
 //
 // The build phase honours the Scenario 3 safe-point protocol: an
 // optional callback observes the cumulative build cardinality at
@@ -308,164 +309,7 @@ func (c *ChainBatches) NextBatch(b *Batch) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar morsel compatibility layer.
-
-// MorselSource hands out batches of tuples to concurrent workers.
-// NextMorsel must be safe for concurrent use; a nil batch with nil
-// error means the source is exhausted. Kept for callers predating the
-// batch path; the executor adapts it via Batches.
-type MorselSource interface {
-	NextMorsel() ([]storage.Tuple, error)
-}
-
-// Batches adapts a MorselSource to the BatchSource interface.
-func Batches(src MorselSource) BatchSource {
-	if bs, ok := src.(BatchSource); ok {
-		return bs
-	}
-	return &morselBatches{src: src}
-}
-
-type morselBatches struct{ src MorselSource }
-
-func (m *morselBatches) NextBatch(b *Batch) (int, error) {
-	morsel, err := m.src.NextMorsel()
-	if err != nil || morsel == nil {
-		b.Reset()
-		return 0, err
-	}
-	b.Tuples = append(b.Tuples[:0], morsel...)
-	return len(b.Tuples), nil
-}
-
-// SliceMorsels serves a tuple slice in fixed-size morsels claimed by
-// an atomic cursor.
-type SliceMorsels struct{ SliceBatches }
-
-// NewSliceMorsels wraps tuples; size <= 0 means DefaultMorselSize.
-func NewSliceMorsels(tuples []storage.Tuple, size int) *SliceMorsels {
-	return &SliceMorsels{*NewSliceBatches(tuples, size)}
-}
-
-// NextMorsel implements MorselSource.
-func (s *SliceMorsels) NextMorsel() ([]storage.Tuple, error) {
-	end := s.pos.Add(int64(s.size))
-	start := end - int64(s.size)
-	if start >= int64(len(s.tuples)) {
-		return nil, nil
-	}
-	if end > int64(len(s.tuples)) {
-		end = int64(len(s.tuples))
-	}
-	return s.tuples[start:end], nil
-}
-
-// HeapMorsels serves a heap file page-by-page (scalar shim over
-// HeapBatches).
-type HeapMorsels struct{ HeapBatches }
-
-// NewHeapMorsels snapshots file's pages for parallel consumption.
-func NewHeapMorsels(file storage.HeapReader) *HeapMorsels {
-	return &HeapMorsels{HeapBatches{file: file, pages: file.PageIDs()}}
-}
-
-// NextMorsel implements MorselSource; one morsel is one page.
-func (h *HeapMorsels) NextMorsel() ([]storage.Tuple, error) {
-	for {
-		i := h.next.Add(1) - 1
-		if i >= int64(len(h.pages)) {
-			return nil, nil
-		}
-		ts, err := h.file.PageTuples(h.pages[i])
-		if err != nil {
-			return nil, err
-		}
-		if len(ts) > 0 {
-			return ts, nil
-		}
-	}
-}
-
-// FilterMorsels applies a predicate inside the consuming worker, so
-// filtering parallelises with the scan.
-type FilterMorsels struct {
-	src  MorselSource
-	pred Predicate
-}
-
-// NewFilterMorsels wraps src with pred.
-func NewFilterMorsels(src MorselSource, pred Predicate) *FilterMorsels {
-	return &FilterMorsels{src: src, pred: pred}
-}
-
-// NextMorsel implements MorselSource.
-func (f *FilterMorsels) NextMorsel() ([]storage.Tuple, error) {
-	for {
-		m, err := f.src.NextMorsel()
-		if err != nil || m == nil {
-			return nil, err
-		}
-		out := make([]storage.Tuple, 0, len(m))
-		for _, t := range m {
-			if f.pred(t) {
-				out = append(out, t)
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-// IterMorsels adapts a serial Iterator to the morsel interface behind
-// a mutex (scalar shim over IterBatches).
-type IterMorsels struct{ IterBatches }
-
-// NewIterMorsels wraps it; size <= 0 means DefaultMorselSize.
-func NewIterMorsels(it Iterator, size int) *IterMorsels {
-	return &IterMorsels{*NewIterBatches(it, size)}
-}
-
-// NextMorsel implements MorselSource.
-func (m *IterMorsels) NextMorsel() ([]storage.Tuple, error) {
-	b := GetBatch()
-	defer PutBatch(b)
-	n, err := m.NextBatch(b)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	return append([]storage.Tuple(nil), b.Tuples...), nil
-}
-
-// ChainMorsels serves all of a, then all of b.
-type ChainMorsels struct {
-	a, b  MorselSource
-	aDone atomic.Bool
-}
-
-// NewChainMorsels concatenates two sources.
-func NewChainMorsels(a, b MorselSource) *ChainMorsels { return &ChainMorsels{a: a, b: b} }
-
-// NextMorsel implements MorselSource.
-func (c *ChainMorsels) NextMorsel() ([]storage.Tuple, error) {
-	if !c.aDone.Load() {
-		m, err := c.a.NextMorsel()
-		if err != nil || m != nil {
-			return m, err
-		}
-		c.aDone.Store(true)
-	}
-	return c.b.NextMorsel()
-}
-
-// ---------------------------------------------------------------------------
 // Parallel drain (scan/filter fan-out).
-
-// DrainParallel collects every tuple of src using cfg workers. The
-// result order is nondeterministic (a multiset).
-func DrainParallel(src MorselSource, cfg ParallelConfig) ([]storage.Tuple, error) {
-	return DrainParallelBatches(Batches(src), cfg)
-}
 
 // DrainParallelBatches collects every tuple of src using cfg workers,
 // each pulling into a pool-recycled batch. The result order is
@@ -476,45 +320,38 @@ func DrainParallelBatches(src BatchSource, cfg ParallelConfig) ([]storage.Tuple,
 	outs := make([][]storage.Tuple, w)
 	var produced atomic.Int64
 	var fail failFlag
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer containPanic(&fail, i, "scan")
-			b := GetBatch()
-			defer PutBatch(b)
-			rows := 0
-			for !fail.failed() {
-				if cfg.Limit > 0 && produced.Load() >= int64(cfg.Limit) {
-					break
-				}
-				if cfg.interrupted(&fail) {
-					break
-				}
-				n, err := src.NextBatch(b)
-				if err != nil {
-					fail.set(err)
-					return
-				}
-				if n == 0 {
-					break
-				}
-				if cfg.charge(&fail, b.Tuples) {
-					break
-				}
-				outs[i] = append(outs[i], b.Tuples...)
-				rows += n
-				if cfg.Limit > 0 {
-					produced.Add(int64(n))
-				}
+	fanOut(w, &fail, "scan", func(i int) {
+		b := GetBatch()
+		defer PutBatch(b)
+		rows := 0
+		for !fail.failed() {
+			if cfg.Limit > 0 && produced.Load() >= int64(cfg.Limit) {
+				break
 			}
-			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, "scan", rows)
+			if cfg.interrupted(&fail) {
+				break
 			}
-		}(i)
-	}
-	wg.Wait()
+			n, err := src.NextBatch(b)
+			if err != nil {
+				fail.set(err)
+				return
+			}
+			if n == 0 {
+				break
+			}
+			if cfg.charge(&fail, b.Tuples) {
+				break
+			}
+			outs[i] = append(outs[i], b.Tuples...)
+			rows += n
+			if cfg.Limit > 0 {
+				produced.Add(int64(n))
+			}
+		}
+		if cfg.OnWorker != nil {
+			cfg.OnWorker(i, "scan", rows)
+		}
+	})
 	if err := fail.err(); err != nil {
 		return nil, err
 	}
@@ -588,12 +425,12 @@ func (k joinK) hash() uint32 {
 // ---------------------------------------------------------------------------
 // Partitioned parallel hash join.
 
-// ErrBuildAborted is returned by ParallelBuild when the safe-point
+// ErrBuildAborted is returned by ParallelBuildBatches when the safe-point
 // callback vetoed continuing; the consumed prefix accompanies it.
 var ErrBuildAborted = errors.New("operators: parallel build aborted at safe point")
 
 // BuildTable is the immutable partitioned hash table produced by
-// ParallelBuild; once built it is probed lock-free by any number of
+// ParallelBuildBatches; once built it is probed lock-free by any number of
 // workers.
 type BuildTable struct {
 	parts []map[joinK][]storage.Tuple
@@ -611,21 +448,21 @@ type partBuf struct {
 	tups []storage.Tuple
 }
 
-// ParallelBuild consumes src with cfg workers and assembles the
-// partitioned hash table on col (scalar-source shim over
-// ParallelBuildBatches).
-func ParallelBuild(src MorselSource, col int, cfg ParallelConfig,
-	safePoint func(rows int) bool) (*BuildTable, []storage.Tuple, error) {
-	return ParallelBuildBatches(Batches(src), col, cfg, safePoint)
-}
+// constKey is the key every row shares when a build or probe column is
+// negative: the cartesian attach, run as a hash join on one bucket so
+// it feeds the same sinks as any other join. (The two loops test the
+// column themselves: handing the key back through a helper measured 10%
+// off the probe.)
+var constKey = joinK{class: keyNum}
 
 // ParallelBuildBatches consumes src with cfg workers and assembles the
-// partitioned hash table on col. safePoint, when non-nil, is called
-// (possibly concurrently) after every batch with the cumulative
-// build row count; returning false aborts the build: every claimed
-// batch is still fully absorbed, workers drain at the barrier, and
-// (nil, consumedPrefix, ErrBuildAborted) is returned. The caller can
-// then replan and replay the prefix, resuming src for the remainder.
+// partitioned hash table on col (col < 0: every row under one constant
+// key). safePoint, when non-nil, is called (possibly concurrently)
+// after every batch with the cumulative build row count; returning
+// false aborts the build: every claimed batch is still fully absorbed,
+// workers drain at the barrier, and (nil, consumedPrefix,
+// ErrBuildAborted) is returned. The caller can then replan and replay
+// the prefix, resuming src for the remainder.
 func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 	safePoint func(rows int) bool) (*BuildTable, []storage.Tuple, error) {
 	w := cfg.WorkerCount()
@@ -634,55 +471,51 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 	var consumed atomic.Int64
 	var aborted atomic.Bool
 	var fail failFlag
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer containPanic(&fail, i, "build")
-			b := GetBatch()
-			defer PutBatch(b)
-			local := make([]partBuf, w)
-			rows := 0
-			for !aborted.Load() && !fail.failed() {
-				if cfg.interrupted(&fail) {
-					break
-				}
-				n, err := src.NextBatch(b)
-				if err != nil {
-					fail.set(err)
-					break
-				}
-				if n == 0 {
-					break
-				}
-				if cfg.charge(&fail, b.Tuples) {
-					break
-				}
-				for _, t := range b.Tuples {
-					k, ok := joinKeyOf(t[col])
-					if !ok {
+	fanOut(w, &fail, "build", func(i int) {
+		b := GetBatch()
+		defer PutBatch(b)
+		local := make([]partBuf, w)
+		rows := 0
+		for !aborted.Load() && !fail.failed() {
+			if cfg.interrupted(&fail) {
+				break
+			}
+			n, err := src.NextBatch(b)
+			if err != nil {
+				fail.set(err)
+				break
+			}
+			if n == 0 {
+				break
+			}
+			if cfg.charge(&fail, b.Tuples) {
+				break
+			}
+			for _, t := range b.Tuples {
+				k := constKey
+				if col >= 0 {
+					var ok bool
+					if k, ok = joinKeyOf(t[col]); !ok {
 						nulls[i] = append(nulls[i], t)
 						continue
 					}
-					p := int(k.hash() % uint32(w))
-					local[p].keys = append(local[p].keys, k)
-					local[p].tups = append(local[p].tups, t)
 				}
-				rows += n
-				total := consumed.Add(int64(n))
-				if safePoint != nil && !safePoint(int(total)) {
-					aborted.Store(true)
-					break
-				}
+				p := int(k.hash() % uint32(w))
+				local[p].keys = append(local[p].keys, k)
+				local[p].tups = append(local[p].tups, t)
 			}
-			scatter[i] = local
-			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, "build", rows)
+			rows += n
+			total := consumed.Add(int64(n))
+			if safePoint != nil && !safePoint(int(total)) {
+				aborted.Store(true)
+				break
 			}
-		}(i)
-	}
-	wg.Wait() // the safe-point barrier: no worker is mid-tuple past here
+		}
+		scatter[i] = local
+		if cfg.OnWorker != nil {
+			cfg.OnWorker(i, "build", rows)
+		}
+	}) // the safe-point barrier: no worker is mid-tuple past here
 	if err := fail.err(); err != nil {
 		return nil, nil, err
 	}
@@ -699,26 +532,23 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 	// Assemble each partition's hash table; partitions are disjoint so
 	// this fans out without locks.
 	parts := make([]map[joinK][]storage.Tuple, w)
-	for p := 0; p < w; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer containPanic(&fail, p, "assemble")
-			n := 0
-			for i := 0; i < w; i++ {
-				n += len(scatter[i][p].keys)
+	fanOut(w, &fail, "assemble", func(p int) {
+		n := 0
+		for i := 0; i < w; i++ {
+			n += len(scatter[i][p].keys)
+		}
+		table := make(map[joinK][]storage.Tuple, n)
+		for i := 0; i < w; i++ {
+			pb := &scatter[i][p]
+			for j, k := range pb.keys {
+				table[k] = append(table[k], pb.tups[j])
 			}
-			table := make(map[joinK][]storage.Tuple, n)
-			for i := 0; i < w; i++ {
-				pb := &scatter[i][p]
-				for j, k := range pb.keys {
-					table[k] = append(table[k], pb.tups[j])
-				}
-			}
-			parts[p] = table
-		}(p)
+		}
+		parts[p] = table
+	})
+	if err := fail.err(); err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
 	return &BuildTable{parts: parts, rows: int(consumed.Load())}, nil, nil
 }
 
@@ -803,14 +633,18 @@ func (o *probeOut) materialize(dst []storage.Tuple) []storage.Tuple {
 }
 
 // probe is the one probe loop: every tuple of rows is looked up in the
-// table and each match that passes the residual equalities is handed
-// to sink as the pair (build tuple, probe tuple).
+// table on col (col < 0: the constant key, so it meets every build row)
+// and each match that passes the residual equalities is handed to sink
+// as the pair (build tuple, probe tuple).
 func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pairSink) {
 	np := uint32(len(t.parts))
 	for _, p := range rows {
-		k, ok := joinKeyOf(p[col])
-		if !ok {
-			continue
+		k := constKey
+		if col >= 0 {
+			var ok bool
+			if k, ok = joinKeyOf(p[col]); !ok {
+				continue
+			}
 		}
 	match:
 		for _, b := range t.parts[k.hash()%np][k] {
@@ -823,19 +657,6 @@ func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pair
 			sink.pair(b, p)
 		}
 	}
-}
-
-// ParallelProbe streams src through the table with cfg workers
-// (scalar-source shim over ParallelProbeBatches).
-func (t *BuildTable) ParallelProbe(src MorselSource, col int, cfg ParallelConfig) ([]storage.Tuple, error) {
-	return t.ParallelProbeBatches(Batches(src), col, cfg)
-}
-
-// ParallelProbeBatches streams src through the table with cfg workers
-// and returns the joined tuples whole (build side's columns first, as
-// HashJoin emits). The result order is nondeterministic.
-func (t *BuildTable) ParallelProbeBatches(src BatchSource, col int, cfg ParallelConfig) ([]storage.Tuple, error) {
-	return t.ProbeProject(src, col, cfg, nil, nil)
 }
 
 // ProbeProject streams src through the table with cfg workers into the
@@ -898,58 +719,44 @@ func feedSinks(src BatchSource, cfg ParallelConfig, phase string, sinks []pairSi
 	feed func(rows []storage.Tuple, sink pairSink)) error {
 	var produced atomic.Int64
 	var fail failFlag
-	var wg sync.WaitGroup
-	for i := range sinks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer containPanic(&fail, i, phase)
-			b := GetBatch()
-			defer PutBatch(b)
-			rows := 0
-			for !fail.failed() {
-				if cfg.Limit > 0 && produced.Load() >= int64(cfg.Limit) {
-					break
-				}
-				if cfg.interrupted(&fail) {
-					break
-				}
-				n, err := src.NextBatch(b)
-				if err != nil {
-					fail.set(err)
-					return
-				}
-				if n == 0 {
-					break
-				}
-				feed(b.Tuples, sinks[i])
-				out, vals := sinks[i].taken()
-				if cfg.chargeVals(&fail, vals) {
-					break
-				}
-				rows += n
-				if cfg.Limit > 0 {
-					produced.Add(int64(out))
-				}
+	fanOut(len(sinks), &fail, phase, func(i int) {
+		b := GetBatch()
+		defer PutBatch(b)
+		rows := 0
+		for !fail.failed() {
+			if cfg.Limit > 0 && produced.Load() >= int64(cfg.Limit) {
+				break
 			}
-			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, phase, rows)
+			if cfg.interrupted(&fail) {
+				break
 			}
-		}(i)
-	}
-	wg.Wait()
+			n, err := src.NextBatch(b)
+			if err != nil {
+				fail.set(err)
+				return
+			}
+			if n == 0 {
+				break
+			}
+			feed(b.Tuples, sinks[i])
+			out, vals := sinks[i].taken()
+			if cfg.chargeVals(&fail, vals) {
+				break
+			}
+			rows += n
+			if cfg.Limit > 0 {
+				produced.Add(int64(out))
+			}
+		}
+		if cfg.OnWorker != nil {
+			cfg.OnWorker(i, phase, rows)
+		}
+	})
 	return fail.err()
 }
 
 // ---------------------------------------------------------------------------
 // Parallel aggregation.
-
-// ParallelHashAggregate computes grouped aggregates over src (scalar
-// shim over ParallelHashAggregateBatches).
-func ParallelHashAggregate(src MorselSource, groupCol int, aggs []AggSpec,
-	cfg ParallelConfig) ([]storage.Tuple, error) {
-	return ParallelHashAggregateBatches(Batches(src), groupCol, aggs, cfg)
-}
 
 // ParallelHashAggregateBatches computes grouped aggregates over src
 // with cfg workers: the aggregate sink fed by a scan instead of a probe
@@ -996,7 +803,29 @@ func mergePartials(partials []*aggAccum) []storage.Tuple {
 // ---------------------------------------------------------------------------
 // Shared plumbing.
 
-// PanicError is a panic captured inside a parallel worker goroutine.
+// fanOut runs body(0) … body(workers-1) to completion, each under
+// containPanic: the one worker loop of the exchange layer, and its only
+// goroutine launch. At one worker the body runs on the calling
+// goroutine, so a serial statement pays no goroutine or barrier.
+func fanOut(workers int, fail *failFlag, phase string, body func(worker int)) {
+	if workers == 1 {
+		defer containPanic(fail, 0, phase)
+		body(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer containPanic(fail, i, phase)
+			body(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// PanicError is a panic captured inside a parallel worker.
 // Every worker defers containPanic, so a panicking worker latches one
 // of these in the shared failFlag and exits; its peers drain
 // cooperatively at the phase barrier and the parallel operator
@@ -1014,8 +843,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("operators: worker %d panicked in %s phase: %v", e.Worker, e.Phase, e.Value)
 }
 
-// containPanic is deferred first in every parallel worker goroutine:
-// it converts a panic into a latched PanicError, which cancels the
+// containPanic is deferred first around every worker body (fanOut): it
+// converts a panic into a latched PanicError, which cancels the
 // phase cooperatively instead of unwinding past the goroutine and
 // crashing the process.
 func containPanic(fail *failFlag, worker int, phase string) {

@@ -47,20 +47,20 @@ func sameMultiset(t *testing.T, got, want []storage.Tuple) {
 	}
 }
 
-func TestSliceMorselsCoverEverythingOnce(t *testing.T) {
+func TestSliceBatchesCoverEverythingOnce(t *testing.T) {
 	var in []storage.Tuple
 	for i := 0; i < 1000; i++ {
 		in = append(in, intTuple(int64(i)))
 	}
-	src := NewSliceMorsels(in, 7)
-	got, err := DrainParallel(src, ParallelConfig{Workers: 8})
+	src := NewSliceBatches(in, 7)
+	got, err := DrainParallelBatches(src, ParallelConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameMultiset(t, got, in)
 }
 
-func TestHeapMorselsMatchSerialScan(t *testing.T) {
+func TestHeapBatchesMatchSerialScan(t *testing.T) {
 	store := storage.NewStore()
 	bm := storage.NewBufferManager(store, 8, storage.NewLRU())
 	hf := storage.NewHeapFile("t", store, bm)
@@ -72,14 +72,14 @@ func TestHeapMorselsMatchSerialScan(t *testing.T) {
 		}
 		want = append(want, tp)
 	}
-	got, err := DrainParallel(NewHeapMorsels(hf), ParallelConfig{Workers: 4})
+	got, err := DrainParallelBatches(NewHeapBatches(hf), ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameMultiset(t, got, want)
 }
 
-func TestFilterMorsels(t *testing.T) {
+func TestFilterBatches(t *testing.T) {
 	var in, want []storage.Tuple
 	for i := 0; i < 500; i++ {
 		tp := intTuple(int64(i))
@@ -88,23 +88,23 @@ func TestFilterMorsels(t *testing.T) {
 			want = append(want, tp)
 		}
 	}
-	src := NewFilterMorsels(NewSliceMorsels(in, 16), func(t storage.Tuple) bool {
+	src := NewFilterBatches(NewSliceBatches(in, 16), func(t storage.Tuple) bool {
 		return t[0].Int%3 == 0
 	})
-	got, err := DrainParallel(src, ParallelConfig{Workers: 4})
+	got, err := DrainParallelBatches(src, ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameMultiset(t, got, want)
 }
 
-func TestIterMorselsMatchesDrain(t *testing.T) {
+func TestIterBatchesMatchesDrain(t *testing.T) {
 	var in []storage.Tuple
 	for i := 0; i < 333; i++ {
 		in = append(in, intTuple(int64(i)))
 	}
-	src := NewIterMorsels(NewMemScan(in), 10)
-	got, err := DrainParallel(src, ParallelConfig{Workers: 5})
+	src := NewIterBatches(NewMemScan(in), 10)
+	got, err := DrainParallelBatches(src, ParallelConfig{Workers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +131,14 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		cfg := ParallelConfig{Workers: workers, MorselSize: 64}
-		bt, _, err := ParallelBuild(NewSliceMorsels(build, 64), 0, cfg, nil)
+		bt, _, err := ParallelBuildBatches(NewSliceBatches(build, 64), 0, cfg, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if bt.Rows() != len(build) {
 			t.Fatalf("workers=%d: build rows %d want %d", workers, bt.Rows(), len(build))
 		}
-		got, err := bt.ParallelProbe(NewSliceMorsels(probe, 64), 0, cfg)
+		got, err := bt.ProbeProject(NewSliceBatches(probe, 64), 0, cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -214,9 +214,9 @@ func TestParallelBuildAbortReturnsExactPrefix(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		build = append(build, intTuple(int64(i)))
 	}
-	src := NewSliceMorsels(build, 32)
+	src := NewSliceBatches(build, 32)
 	cfg := ParallelConfig{Workers: 4, MorselSize: 32}
-	bt, prefix, err := ParallelBuild(src, 0, cfg, func(rows int) bool {
+	bt, prefix, err := ParallelBuildBatches(src, 0, cfg, func(rows int) bool {
 		return rows <= 200 // abort once more than 200 rows observed
 	})
 	if !errors.Is(err, ErrBuildAborted) {
@@ -230,22 +230,22 @@ func TestParallelBuildAbortReturnsExactPrefix(t *testing.T) {
 	}
 	// The prefix plus whatever the source still holds must be exactly
 	// the input multiset: nothing lost, nothing duplicated.
-	rest, err := DrainParallel(src, cfg)
+	rest, err := DrainParallelBatches(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameMultiset(t, append(append([]storage.Tuple{}, prefix...), rest...), build)
 }
 
-func TestChainMorselsReplaysPrefixThenRest(t *testing.T) {
+func TestChainBatchesReplaysPrefixThenRest(t *testing.T) {
 	var a, b, want []storage.Tuple
 	for i := 0; i < 100; i++ {
 		a = append(a, intTuple(int64(i)))
 		b = append(b, intTuple(int64(1000+i)))
 	}
 	want = append(append(want, a...), b...)
-	src := NewChainMorsels(NewSliceMorsels(a, 9), NewSliceMorsels(b, 9))
-	got, err := DrainParallel(src, ParallelConfig{Workers: 3})
+	src := NewChainBatches(NewSliceBatches(a, 9), NewSliceBatches(b, 9))
+	got, err := DrainParallelBatches(src, ParallelConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := ParallelHashAggregate(NewSliceMorsels(in, 128), groupCol, aggs,
+			got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 128), groupCol, aggs,
 				ParallelConfig{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -336,7 +336,7 @@ func TestGroupKeysFollowJoinKeySemantics(t *testing.T) {
 
 func TestParallelAggregateGlobalOverEmptyInput(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCount}}
-	got, err := ParallelHashAggregate(NewSliceMorsels(nil, 0), -1, aggs, ParallelConfig{Workers: 4})
+	got, err := ParallelHashAggregateBatches(NewSliceBatches(nil, 0), -1, aggs, ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestParallelAggregateGlobalOverEmptyInput(t *testing.T) {
 func TestDrainParallelPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	src := &erringSource{after: 5, err: boom}
-	_, err := DrainParallel(src, ParallelConfig{Workers: 4})
+	_, err := DrainParallelBatches(src, ParallelConfig{Workers: 4})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
@@ -360,12 +360,13 @@ type erringSource struct {
 	err   error
 }
 
-func (s *erringSource) NextMorsel() ([]storage.Tuple, error) {
+func (s *erringSource) NextBatch(b *Batch) (int, error) {
 	n := s.n.Add(1)
 	if n > s.after {
-		return nil, s.err
+		return 0, s.err
 	}
-	return []storage.Tuple{intTuple(n)}, nil
+	b.Tuples = append(b.Tuples[:0], intTuple(n))
+	return 1, nil
 }
 
 func TestOnWorkerRowCountsAddUp(t *testing.T) {
@@ -381,7 +382,7 @@ func TestOnWorkerRowCountsAddUp(t *testing.T) {
 			}
 			total.Add(int64(rows))
 		}}
-	if _, err := DrainParallel(NewSliceMorsels(in, 10), cfg); err != nil {
+	if _, err := DrainParallelBatches(NewSliceBatches(in, 10), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if total.Load() != int64(len(in)) {

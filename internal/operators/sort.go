@@ -36,7 +36,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/adm-project/adm/internal/storage"
 )
@@ -374,39 +373,32 @@ func ParallelSortBatches(src BatchSource, col int, desc bool, cfg ParallelConfig
 	w := cfg.WorkerCount()
 	runs := make([]sortRun, w)
 	var fail failFlag
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer containPanic(&fail, i, "sort")
-			b := GetBatch()
-			defer PutBatch(b)
-			r := &runs[i]
-			for !fail.failed() {
-				if cfg.interrupted(&fail) {
-					break
-				}
-				n, err := src.NextBatch(b)
-				if err != nil {
-					fail.set(err)
-					return
-				}
-				if n == 0 {
-					break
-				}
-				if cfg.charge(&fail, b.Tuples) {
-					break
-				}
-				r.absorb(b.Tuples, col)
+	fanOut(w, &fail, "sort", func(i int) {
+		b := GetBatch()
+		defer PutBatch(b)
+		r := &runs[i]
+		for !fail.failed() {
+			if cfg.interrupted(&fail) {
+				break
 			}
-			r.sort(desc)
-			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, "sort", len(r.tups))
+			n, err := src.NextBatch(b)
+			if err != nil {
+				fail.set(err)
+				return
 			}
-		}(i)
-	}
-	wg.Wait()
+			if n == 0 {
+				break
+			}
+			if cfg.charge(&fail, b.Tuples) {
+				break
+			}
+			r.absorb(b.Tuples, col)
+		}
+		r.sort(desc)
+		if cfg.OnWorker != nil {
+			cfg.OnWorker(i, "sort", len(r.tups))
+		}
+	})
 	if err := fail.err(); err != nil {
 		return nil, err
 	}
@@ -497,40 +489,33 @@ func ParallelTopKBatches(src BatchSource, col int, desc bool, k int, cfg Paralle
 	w := cfg.WorkerCount()
 	heaps := make([]*topKHeap, w)
 	var fail failFlag
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer containPanic(&fail, i, "topk")
-			b := GetBatch()
-			defer PutBatch(b)
-			h := &topKHeap{k: k, desc: desc}
-			rows := 0
-			for !fail.failed() {
-				if cfg.interrupted(&fail) {
-					break
-				}
-				n, err := src.NextBatch(b)
-				if err != nil {
-					fail.set(err)
-					break
-				}
-				if n == 0 {
-					break
-				}
-				for _, t := range b.Tuples {
-					h.offer(sortKeyOf(t[col]), t)
-				}
-				rows += n
+	fanOut(w, &fail, "topk", func(i int) {
+		b := GetBatch()
+		defer PutBatch(b)
+		h := &topKHeap{k: k, desc: desc}
+		rows := 0
+		for !fail.failed() {
+			if cfg.interrupted(&fail) {
+				break
 			}
-			heaps[i] = h
-			if cfg.OnWorker != nil {
-				cfg.OnWorker(i, "topk", rows)
+			n, err := src.NextBatch(b)
+			if err != nil {
+				fail.set(err)
+				break
 			}
-		}(i)
-	}
-	wg.Wait()
+			if n == 0 {
+				break
+			}
+			for _, t := range b.Tuples {
+				h.offer(sortKeyOf(t[col]), t)
+			}
+			rows += n
+		}
+		heaps[i] = h
+		if cfg.OnWorker != nil {
+			cfg.OnWorker(i, "topk", rows)
+		}
+	})
 	if err := fail.err(); err != nil {
 		return nil, err
 	}

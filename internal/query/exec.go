@@ -44,24 +44,11 @@ type Result struct {
 	Plan string
 }
 
-// Exec parses and executes one statement.
+// Exec parses and executes one statement with one worker, outside any
+// transaction.
 func (e *Engine) Exec(sql string) (*Result, error) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecStmt(st)
-}
-
-// ExecTxn parses and executes one statement inside txn: reads see the
-// transaction's snapshot, writes stamp its id and become visible only
-// at Commit. A nil txn is the legacy autocommit path.
-func (e *Engine) ExecTxn(sql string, txn *storage.Txn) (*Result, error) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecStmtTxn(st, txn)
+	res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: 1})
+	return res, err
 }
 
 // MustExec panics on error (fixtures/benches).
@@ -73,19 +60,50 @@ func (e *Engine) MustExec(sql string) *Result {
 	return r
 }
 
-// ExecStmt executes a parsed statement on the legacy autocommit path.
+// ExecStmt is Exec over a pre-parsed statement.
 func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
-	return e.ExecStmtTxn(st, nil)
+	res, _, err := e.ExecuteStmt(st, ExecOptions{Workers: 1})
+	return res, err
 }
 
-// ExecStmtTxn executes a parsed statement, inside txn when non-nil.
-// DDL (CREATE TABLE/INDEX, ANALYZE) is rejected inside an explicit
-// transaction: catalog changes are not versioned, so they cannot be
-// rolled back or hidden from concurrent snapshots.
-func (e *Engine) ExecStmtTxn(st Stmt, txn *storage.Txn) (*Result, error) {
+// ExecuteSQL parses sql and runs it through ExecuteStmt.
+func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport, error) {
+	st, err := Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.ExecuteStmt(st, opts)
+}
+
+// ExecuteStmt executes one parsed statement: the engine's single entry
+// point — Exec, MustExec, ExecStmt and ExecuteSQL only parse and fill in
+// options. With opts.Txn set the statement runs inside that transaction:
+// reads see its snapshot, writes stamp its id and become visible at
+// Commit; nil is the unversioned autocommit path. DDL (CREATE
+// TABLE/INDEX, ANALYZE) is rejected inside a transaction: catalog
+// changes are not versioned, so they could be neither rolled back nor
+// hidden from concurrent snapshots.
+//
+// The SELECT contract, whatever the caller and the options: every
+// SELECT runs on the one adaptive pipeline (routing.go) at opts.Workers
+// workers — inline on the calling goroutine at one. Scans read through
+// opts.Txn's snapshot. opts.Cancel is polled between batches and
+// opts.MemBudget meters what the statement materialises; either cancels
+// it cooperatively and surfaces as its error. The result is the same
+// multiset at every worker count, batch size and adaptation setting;
+// row order is unspecified without ORDER BY, and with ORDER BY it is
+// one total order (ties break on the output row's content).
+func (e *Engine) ExecuteStmt(st Stmt, opts ExecOptions) (*Result, *ExecReport, error) {
+	if sel, ok := st.(*SelectStmt); ok {
+		return e.runSelect(sel, opts)
+	}
+	res, err := e.execOther(st, opts.Txn)
+	return res, &ExecReport{}, err
+}
+
+// execOther executes every statement kind but SELECT.
+func (e *Engine) execOther(st Stmt, txn *storage.Txn) (*Result, error) {
 	switch s := st.(type) {
-	case *SelectStmt:
-		return e.execSelect(s, txn)
 	case *InsertStmt:
 		for _, row := range s.Rows {
 			tuple := make(storage.Tuple, len(row))
@@ -194,7 +212,13 @@ func (e *Engine) wherePred(table string, preds []Pred) (func(storage.Tuple) bool
 	return compilePreds(tableSchema(table, t), preds)
 }
 
-// execSelect plans, compiles and runs a SELECT.
+// execSelect is the reference executor: the SELECT compiled into a
+// static Volcano operator tree (buildJoinTree) and drained serially.
+// It shares no execution code with the adaptive pipeline, which is its
+// whole purpose — the differential tests take their expectations from
+// it, and runSelect re-executes a statement on it after a contained
+// worker panic, where re-running the same pipeline would hit the same
+// bug again. Nothing else may call it.
 func (e *Engine) execSelect(st *SelectStmt, txn *storage.Txn) (*Result, error) {
 	plan, err := e.planSelect(st, txn)
 	if err != nil {
@@ -204,14 +228,6 @@ func (e *Engine) execSelect(st *SelectStmt, txn *storage.Txn) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.finishSelect(plan, it)
-}
-
-// finishSelect applies aggregation/ordering/projection to the joined
-// stream and drains it. Split out so the adaptive executor can supply
-// its own join pipeline.
-func (e *Engine) finishSelect(plan *selectPlan, it operators.Iterator) (*Result, error) {
-	st := plan.stmt
 	sch := plan.sch
 
 	var outCols []string
@@ -250,8 +266,7 @@ func (e *Engine) finishSelect(plan *selectPlan, it operators.Iterator) (*Result,
 // buildOrderBy wraps it in the statement's ordering operator: a
 // bounded Top-K heap when a LIMIT accompanies the ORDER BY (memory
 // O(k), not O(input)), a full sort otherwise, nothing when the
-// statement has no ORDER BY. Shared by both serial finishSelect
-// branches and the resolution logic of the parallel planner.
+// statement has no ORDER BY.
 func buildOrderBy(st *SelectStmt, sch schema, it operators.Iterator) (operators.Iterator, error) {
 	if st.OrderBy == nil {
 		return it, nil
@@ -267,8 +282,8 @@ func buildOrderBy(st *SelectStmt, sch schema, it operators.Iterator) (operators.
 }
 
 // projectionCols resolves the select list of a non-aggregate SELECT to
-// column indexes and output names. Shared by the serial Project
-// operator and the parallel batch projection fast path.
+// column indexes and output names. Shared by the reference executor's
+// Project operator and the pipeline's compileTail.
 func projectionCols(st *SelectStmt, sch schema) ([]int, []string, error) {
 	var cols []int
 	var names []string
@@ -290,8 +305,8 @@ func projectionCols(st *SelectStmt, sch schema) ([]int, []string, error) {
 	return cols, names, nil
 }
 
-// aggPlan is the compiled aggregate clause, shared by the serial and
-// parallel executors: the grouping column, the aggregate specs, and
+// aggPlan is the compiled aggregate clause, shared by the reference
+// executor and the pipeline: the grouping column, the aggregate specs, and
 // the re-projection from the internal [group?, aggs...] layout back to
 // select-item order.
 type aggPlan struct {

@@ -89,8 +89,7 @@ func TestExplainGoldenPushdownAndIndex(t *testing.T) {
 
 func TestExplainGoldenAdaptationSummary(t *testing.T) {
 	e := scenario3Engine(t)
-	st := MustParse(scenario3SQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 3, CheckEvery: 32})
+	res, rep, err := execAdaptive(e, scenario3SQL, AdaptiveConfig{Theta: 3, CheckEvery: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +98,11 @@ func TestExplainGoldenAdaptationSummary(t *testing.T) {
 	}
 	// est(big) = 10 (stale), est(small) = 100: greedy seeds big, the
 	// join estimate is 10·100/max(V(big.k)=10, V(small.k)=100) = 10.
-	// θ·est = 30 with CheckEvery 32 → violation at row 32, swap to
+	// θ·est = 30 → violation at the first safe point, the end of big's
+	// first page (191 rows: heap batches are page-granular), swap to
 	// small, and the summary records the executed order.
-	want := "SeqScan(big est=10) -> HashJoin(build=left est=10) -> SeqScan(small est=100)" +
-		" | adapt: replans=1 trigger=32 build=big->small order=small,big"
+	want := "Parallel(workers=1) SeqScan(big est=10) -> HashJoin(build=left est=10) -> SeqScan(small est=100)" +
+		" | adapt: replans=1 trigger=191 build=big->small order=small,big"
 	if res.Plan != want {
 		t.Fatalf("plan =\n  %s\nwant\n  %s", res.Plan, want)
 	}

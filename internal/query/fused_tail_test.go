@@ -68,6 +68,11 @@ func TestFusedTailsMatchSerial(t *testing.T) {
 	const twoFlipped = "FROM dim d JOIN fact f ON f.k = d.k"
 	const three = "FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON d.name = t.name"
 	const threeFlipped = "FROM third t JOIN dim d ON d.name = t.name JOIN fact f ON f.k = d.k"
+	// No ON equality touches third, so it attaches cartesian (in the
+	// flipped clause, as the very first step) and the second equality is
+	// a residual checked on each f-d match; f.v and d.w both hold NULLs.
+	const cross = "FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON f.v = d.w"
+	const crossFlipped = "FROM third t JOIN dim d ON f.v = d.w JOIN fact f ON f.k = d.k"
 	cases := []struct {
 		name string
 		sql  string // %s = the FROM clause
@@ -102,6 +107,12 @@ func TestFusedTailsMatchSerial(t *testing.T) {
 			[]string{three, threeFlipped}, true},
 		{"three-table order by limit", "SELECT f.v, t.z, d.name %s ORDER BY f.v DESC LIMIT 30",
 			[]string{three, threeFlipped}, true},
+		{"cartesian attach, residual ON: projection", "SELECT f.v, d.name, t.name, t.z %s",
+			[]string{cross, crossFlipped}, true},
+		{"cartesian attach, residual ON: aggregate", "SELECT t.z, COUNT(*), SUM(f.v), MAX(d.w) %s GROUP BY t.z",
+			[]string{cross, crossFlipped}, true},
+		{"cartesian attach, residual ON: order by limit", "SELECT t.name, f.v %s ORDER BY f.v DESC LIMIT 5",
+			[]string{cross, crossFlipped}, true},
 	}
 	for _, tc := range cases {
 		for _, from := range tc.from {
@@ -110,7 +121,7 @@ func TestFusedTailsMatchSerial(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/lie=%v", tc.name, strings.Fields(from)[1], lie), func(t *testing.T) {
 					e := NewEngine(NewCatalog(256), trace.New(), nil)
 					seedFused(t, e)
-					want := rowsMultiset(e.MustExec(sql))
+					want := rowsMultiset(refSelect(t, e, sql, nil))
 					if lie {
 						lieAboutFact(t, e)
 					}
@@ -144,24 +155,28 @@ func TestFusedTailsMatchSerial(t *testing.T) {
 // TestFusedProbePanicDegradesToSerial blows up a worker inside the
 // final, sink-feeding probe of a staged multi-join (the single-join
 // probe is covered by TestWorkerPanicDegradesToSerial's phase
-// discovery) and requires the serial plan's rows back.
+// discovery), and inside the constant-key probe of a cartesian attach,
+// and requires the reference executor's rows back.
 func TestFusedProbePanicDegradesToSerial(t *testing.T) {
-	for _, sql := range []string{
-		"SELECT t.z, COUNT(*), SUM(f.v) FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON d.name = t.name GROUP BY t.z",
-		"SELECT f.v, t.z FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON d.name = t.name ORDER BY f.v DESC LIMIT 10",
+	for sql, nth := range map[string]int32{
+		// Two joins at two workers finish four probe phases; the last to
+		// finish belongs to the final probe.
+		"SELECT t.z, COUNT(*), SUM(f.v) FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON d.name = t.name GROUP BY t.z": 4,
+		"SELECT f.v, t.z FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON d.name = t.name ORDER BY f.v DESC LIMIT 10":  4,
+		// Nothing connects third, the smallest table: the router seeds it
+		// and the first probe to finish is the cartesian third × dim.
+		"SELECT t.z, COUNT(*), SUM(f.v) FROM fact f JOIN dim d ON f.k = d.k JOIN third t ON f.v = d.w GROUP BY t.z": 1,
 	} {
 		t.Run(sql, func(t *testing.T) {
 			log := trace.New()
 			e := NewEngine(NewCatalog(256), log, nil)
 			seedFused(t, e)
-			want := rowsMultiset(e.MustExec(sql))
-			// Two joins at two workers finish four probe phases; the last
-			// to finish belongs to the final probe.
+			want := rowsMultiset(refSelect(t, e, sql, nil))
 			var probes atomic.Int32
 			res, rep, err := e.ExecuteSQL(sql, ExecOptions{
 				Workers: 2,
 				panicInWorker: func(w int, phase string) {
-					if phase == "probe" && probes.Add(1) == 4 {
+					if phase == "probe" && probes.Add(1) == nth {
 						panic("injected failure in the fused probe")
 					}
 				},

@@ -154,12 +154,23 @@ func TestCrossJoinLastResort(t *testing.T) {
 	e.MustExec("INSERT INTO m VALUES (0), (1), (2)")
 	e.MustExec("INSERT INTO n VALUES (0), (1), (2)")
 	e.MustExec("INSERT INTO u VALUES (10), (20)")
-	res := e.MustExec("SELECT m.x, u.v FROM m JOIN n ON m.x = n.x JOIN u ON m.x = n.x")
-	if !strings.Contains(res.Plan, "CrossJoin") {
-		t.Fatalf("plan = %s", res.Plan)
+	const sql = "SELECT m.x, u.v FROM m JOIN n ON m.x = n.x JOIN u ON m.x = n.x"
+	want := rowsMultiset(refSelect(t, e, sql, nil))
+	if len(want) != 6 { // 3 matched pairs × 2 u rows
+		t.Fatalf("rows = %v", want)
 	}
-	if len(res.Rows) != 6 { // 3 matched pairs × 2 u rows
-		t.Fatalf("rows = %v", res.Rows)
+	// Routed, or following the static plan's cross step verbatim.
+	for _, disabled := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: workers, Adaptive: &AdaptiveConfig{Disabled: disabled}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(res.Plan, "CrossJoin") {
+				t.Fatalf("plan = %s", res.Plan)
+			}
+			requireSameOrdered(t, fmt.Sprintf("disabled=%v workers=%d", disabled, workers), rowsMultiset(res), want)
+		}
 	}
 }
 
@@ -210,7 +221,7 @@ func TestMultiJoinDeterminismMatrix(t *testing.T) {
 		t.Run(q.name, func(t *testing.T) {
 			e := NewEngine(NewCatalog(256), trace.New(), nil)
 			seedStar(t, e)
-			want := rowsMultiset(e.MustExec(q.sql))
+			want := rowsMultiset(refSelect(t, e, q.sql, nil))
 			// Stale statistics: orders claimed tiny → the router's first
 			// build blows through θ·est and must re-route.
 			if err := e.cat.SetStats("orders", TableStats{Rows: 2,
@@ -231,29 +242,15 @@ func TestMultiJoinDeterminismMatrix(t *testing.T) {
 					t.Fatalf("workers=%d batch=%d: expected forced re-routing, report %+v",
 						cc.workers, cc.batch, rep.Adaptive)
 				}
-				got := rowsMultiset(res)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d batch=%d: %d rows, want %d (plan %s)",
-						cc.workers, cc.batch, len(got), len(want), res.Plan)
+				// The whole executed order is reported, and summarised on the plan.
+				if len(rep.Adaptive.ExecutedOrder) != 4 || !strings.Contains(res.Plan, "adapt: replans=") {
+					t.Fatalf("workers=%d batch=%d: order %v, plan %s", cc.workers, cc.batch, rep.Adaptive.ExecutedOrder, res.Plan)
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d batch=%d: row %d = %q, want %q",
-							cc.workers, cc.batch, i, got[i], want[i])
-					}
-				}
+				label := fmt.Sprintf("workers=%d batch=%d", cc.workers, cc.batch)
+				requireSameOrdered(t, label, rowsMultiset(res), want)
 				if strings.Contains(q.sql, "ORDER BY") {
 					// Ordered output: compare positionally, byte for byte.
-					serial := e.MustExec(q.sql)
-					if len(serial.Rows) != len(res.Rows) {
-						t.Fatalf("ordered row count drift: %d vs %d", len(res.Rows), len(serial.Rows))
-					}
-					for i := range res.Rows {
-						if fmt.Sprint(res.Rows[i]) != fmt.Sprint(serial.Rows[i]) {
-							t.Fatalf("workers=%d batch=%d: ordered row %d = %v, want %v",
-								cc.workers, cc.batch, i, res.Rows[i], serial.Rows[i])
-						}
-					}
+					requireSameOrdered(t, label+" ordered", rowsOrdered(res), rowsOrdered(refSelect(t, e, q.sql, nil)))
 				}
 			}
 		})
@@ -267,7 +264,7 @@ func TestMultiJoinDeterminismMatrix(t *testing.T) {
 func TestMultiJoinDeclaredOrderKnob(t *testing.T) {
 	e := NewEngine(NewCatalog(256), trace.New(), nil)
 	seedStar(t, e)
-	want := rowsMultiset(e.MustExec(starSQL))
+	want := rowsMultiset(refSelect(t, e, starSQL, nil))
 	res, rep, err := e.ExecuteSQL(starSQL, ExecOptions{
 		Workers: 4, JoinOrder: JoinOrderDeclared, Adaptive: &AdaptiveConfig{Disabled: true}})
 	if err != nil {
@@ -294,38 +291,6 @@ func TestMultiJoinDeclaredOrderKnob(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMultiJoin drives the staged router through the serial
-// adaptive entry point: stale stats must produce at least one replan
-// and a complete executed order, and the answer must match the static
-// engine.
-func TestAdaptiveMultiJoin(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
-	seedStar(t, e)
-	want := rowsMultiset(e.MustExec(starSQL))
-	if err := e.cat.SetStats("orders", TableStats{Rows: 2,
-		Distinct: map[string]int{"id": 2, "c_id": 2}}); err != nil {
-		t.Fatal(err)
-	}
-	st := MustParse(starSQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Replanned || rep.Replans < 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.ExecutedOrder) != 4 {
-		t.Fatalf("executed order = %v", rep.ExecutedOrder)
-	}
-	if !strings.Contains(res.Plan, "adapt: replans=") {
-		t.Fatalf("plan missing adaptation summary: %s", res.Plan)
-	}
-	got := rowsMultiset(res)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("adaptive multi-join answer drifted")
-	}
-}
-
 // TestMultiJoinTxnSnapshot: a transaction begun before concurrent
 // committed inserts keeps its snapshot through the staged multi-join
 // router at every worker count — HeapView readers survive join
@@ -344,18 +309,18 @@ func TestMultiJoinTxnSnapshot(t *testing.T) {
 	seedStar(t, e)
 	sql := starSQL
 	old := db.Txns().Begin()
-	wantOld := rowsMultiset(e.MustExec(sql))
+	wantOld := rowsMultiset(refSelect(t, e, sql, nil))
 
 	// Concurrent committed writes after old's snapshot: more region-1
 	// customers and lineitems.
 	writer := db.Txns().Begin()
-	if _, err := e.ExecTxn("INSERT INTO customer VALUES (60, 1)", writer); err != nil {
+	if _, err := execTxn(e, "INSERT INTO customer VALUES (60, 1)", writer); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ExecTxn("INSERT INTO orders VALUES (300, 60)", writer); err != nil {
+	if _, err := execTxn(e, "INSERT INTO orders VALUES (300, 60)", writer); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ExecTxn("INSERT INTO lineitem VALUES (1200, 300, 5)", writer); err != nil {
+	if _, err := execTxn(e, "INSERT INTO lineitem VALUES (1200, 300, 5)", writer); err != nil {
 		t.Fatal(err)
 	}
 	if err := writer.Commit(); err != nil {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestWorkerPanicDegradesToSerial(t *testing.T) {
 			log := trace.New()
 			e := NewEngine(NewCatalog(256), log, nil)
 			seedParallel(t, e)
-			want := rowsMultiset(e.MustExec(sql))
+			want := rowsMultiset(refSelect(t, e, sql, nil))
 
 			// Discovery run: record every (worker, phase) the executor
 			// actually visits for this query shape.
@@ -69,16 +70,8 @@ func TestWorkerPanicDegradesToSerial(t *testing.T) {
 				if rep.Parallel {
 					t.Fatalf("panic at worker %d phase %s: report still claims parallel", target.worker, target.phase)
 				}
-				got := rowsMultiset(res)
-				if len(got) != len(want) {
-					t.Fatalf("panic at worker %d phase %s: %d rows, want %d", target.worker, target.phase, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("panic at worker %d phase %s: row %d = %q, want %q",
-							target.worker, target.phase, i, got[i], want[i])
-					}
-				}
+				requireSameOrdered(t, fmt.Sprintf("panic at worker %d phase %s", target.worker, target.phase),
+					rowsMultiset(res), want)
 				if log.Count(trace.KindPanic) != panics+1 {
 					t.Fatalf("panic at worker %d phase %s: no panic trace event emitted", target.worker, target.phase)
 				}
@@ -94,24 +87,20 @@ func TestAllWorkersPanic(t *testing.T) {
 	e := NewEngine(NewCatalog(256), log, nil)
 	seedParallel(t, e)
 	sql := "SELECT u.city, SUM(o.amount) FROM users u JOIN orders o ON u.id = o.user_id GROUP BY u.city"
-	want := rowsMultiset(e.MustExec(sql))
-	res, rep, err := e.ExecuteSQL(sql, ExecOptions{
-		Workers:       4,
-		panicInWorker: func(w int, phase string) { panic("every worker dies") },
-	})
-	if err != nil {
-		t.Fatalf("all-worker panic: %v", err)
-	}
-	if !rep.PanicContained {
-		t.Fatal("all-worker panic not contained")
-	}
-	got := rowsMultiset(res)
-	if len(got) != len(want) {
-		t.Fatalf("%d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d = %q, want %q", i, got[i], want[i])
+	want := rowsMultiset(refSelect(t, e, sql, nil))
+	// One worker is the inline case: the panic is on the caller's own
+	// goroutine and must still come back as a contained failure.
+	for _, workers := range []int{1, 4} {
+		res, rep, err := e.ExecuteSQL(sql, ExecOptions{
+			Workers:       workers,
+			panicInWorker: func(w int, phase string) { panic("every worker dies") },
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: all-worker panic: %v", workers, err)
 		}
+		if !rep.PanicContained || rep.Parallel {
+			t.Fatalf("workers=%d: all-worker panic not contained: %+v", workers, rep)
+		}
+		requireSameOrdered(t, fmt.Sprintf("workers=%d", workers), rowsMultiset(res), want)
 	}
 }

@@ -10,22 +10,18 @@ import (
 	"github.com/adm-project/adm/internal/trace"
 )
 
-// This file wires the morsel-driven exchange layer (operators
-// package) into the SQL engine: ExecuteSQL runs SPJ + aggregation
-// plans across a configurable worker pool while preserving the
-// Scenario 3 safe-point protocol. The data plane is the vectorized
-// batch path: heap scans decode whole pages into pooled batches,
-// filters compact in place inside the scanning worker, and joins
-// build/probe on struct keys. The parallel build observes the
-// cumulative cardinality from every worker; when any worker's
-// observation trips the misestimate check, all workers drain at the
-// phase barrier and the plan is revised exactly as in the serial
-// adaptive executor — the consumed build prefix replays as probe
-// input of the side-swapped join, so no tuple is lost or duplicated.
-// Safe points are checked at batch granularity, but the replayed
-// prefix counts tuples, so replay is exact regardless of batch size.
+// This file is the front and back of the one SELECT pipeline: the
+// options and report of ExecuteStmt, the plan → route → contain wrapper
+// (runSelect), the scans' batch sources, and the tail every statement's
+// last pipeline stage writes into. The middle — which scan joins next,
+// which side builds, what a safe-point abort changes — is the router in
+// routing.go. The data plane is the operators package's batch exchange:
+// heap scans decode whole pages into pooled batches, filters compact in
+// place inside the scanning worker, joins build/probe on struct keys,
+// and every phase fans out over ExecOptions.Workers workers (inline on
+// the calling goroutine at one).
 
-// ExecOptions tunes ExecuteSQL.
+// ExecOptions tunes ExecuteStmt.
 type ExecOptions struct {
 	// Workers is the worker count; <=0 means GOMAXPROCS.
 	Workers int
@@ -34,9 +30,6 @@ type ExecOptions struct {
 	// page-granular anyway). Results are identical at any batch size —
 	// only the amortisation changes.
 	BatchSize int
-	// MorselSize is the legacy name for BatchSize and is used when
-	// BatchSize is zero.
-	MorselSize int
 	// Adaptive tunes mid-query re-optimisation; nil means
 	// DefaultAdaptiveConfig() — the safe-point protocol is always on.
 	Adaptive *AdaptiveConfig
@@ -53,65 +46,36 @@ type ExecOptions struct {
 	// The boxed path is the reference semantics — benchmarks and
 	// differential tests flip this to compare against it.
 	NoVectorKernels bool
-	// Cancel, when non-nil, is polled by the parallel workers between
-	// batches: a non-nil return cancels the statement cooperatively
-	// and surfaces as its error. Per-statement deadlines and
-	// dead-client kills thread through here into the morsel
-	// pipelines. Must be safe for concurrent use and cheap.
+	// Cancel, when non-nil, is polled by the workers between batches: a
+	// non-nil return cancels the statement cooperatively and surfaces
+	// as its error. Per-statement deadlines and dead-client kills
+	// thread through here into the pipeline. Must be safe for
+	// concurrent use and cheap.
 	Cancel func() error
 	// MemBudget, when non-nil, meters the bytes the statement
-	// materialises across every parallel phase; overflow cancels it
-	// with operators.ErrMemBudget.
+	// materialises across every phase; overflow cancels it with
+	// operators.ErrMemBudget.
 	MemBudget *operators.MemBudget
 
-	// panicInWorker, when set (tests only), runs inside each worker
-	// goroutine as it finishes a phase — the injection point the
-	// panic-containment tests use to blow up a live worker.
+	// panicInWorker, when set (tests only), runs inside each worker as
+	// it finishes a phase — the injection point the panic-containment
+	// tests use to blow up a live worker.
 	panicInWorker func(worker int, phase string)
 }
 
-// ExecReport describes how ExecuteSQL ran.
+// ExecReport describes how ExecuteStmt ran.
 type ExecReport struct {
-	// Parallel is false when the statement took the serial path
-	// (non-SELECT, or an unsupported shape such as multi-join).
+	// Parallel is false only when the statement was not a SELECT or
+	// degraded to the reference executor.
 	Parallel bool
-	// Workers is the effective worker count of a parallel run.
+	// Workers is the effective worker count of a SELECT.
 	Workers int
 	// Adaptive reports what the mid-query re-optimiser did.
 	Adaptive AdaptiveReport
-	// PanicContained is true when a parallel worker panicked and the
-	// statement was transparently re-executed on the serial plan: one
-	// bad worker degrades the query instead of killing the process.
+	// PanicContained is true when a worker panicked and the statement
+	// was transparently re-executed on the reference executor: one bad
+	// worker degrades the query instead of killing the process.
 	PanicContained bool
-
-	// scans carries the executed plan's scan list out of the run so the
-	// outer wrapper can append each scan's filter summary (kernel vs
-	// boxed, pages pruned) to the plan rendering post-execution.
-	scans []*scanPlan
-}
-
-// ExecuteSQL parses and executes one statement with the parallel
-// executor. SELECTs over zero or one join run across workers;
-// everything else falls back to the serial engine (Report.Parallel
-// reports which happened). Result row order is nondeterministic
-// unless the statement has an ORDER BY.
-func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport, error) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.ExecuteStmt(st, opts)
-}
-
-// ExecuteStmt is ExecuteSQL over a pre-parsed statement (the server
-// front-end parses once to route transaction control before execution).
-func (e *Engine) ExecuteStmt(st Stmt, opts ExecOptions) (*Result, *ExecReport, error) {
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		res, err := e.ExecStmtTxn(st, opts.Txn)
-		return res, &ExecReport{}, err
-	}
-	return e.execSelectParallel(sel, opts)
 }
 
 func (o ExecOptions) workers() int {
@@ -119,15 +83,6 @@ func (o ExecOptions) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// batchSize resolves the effective batch granularity (0 = operator
-// default).
-func (o ExecOptions) batchSize() int {
-	if o.BatchSize > 0 {
-		return o.BatchSize
-	}
-	return o.MorselSize
 }
 
 func (o ExecOptions) adaptive() AdaptiveConfig {
@@ -175,53 +130,16 @@ func scanBatches(sp *scanPlan, size int) (operators.BatchSource, error) {
 	return src, nil
 }
 
-// execSelectParallel runs the parallel plan with panic containment:
-// a worker panic surfaces as *operators.PanicError after all its
-// peers have drained at the phase barrier (the failFlag protocol), at
-// which point no goroutine of the failed run is still touching shared
-// state — so the statement is transparently re-executed on the serial
-// plan. Errors other than contained panics pass through untouched.
-func (e *Engine) execSelectParallel(st *SelectStmt, opts ExecOptions) (*Result, *ExecReport, error) {
-	res, rep, err := e.execSelectParallelRun(st, opts)
-	var pe *operators.PanicError
-	if !errors.As(err, &pe) {
-		if err == nil && res != nil && rep != nil {
-			if rep.Adaptive.Replanned {
-				// Post-execution adaptation summary: where the router fired.
-				res.Plan += " | " + rep.Adaptive.Describe()
-			}
-			// Per-scan filter summaries: kernel vs boxed conjuncts and the
-			// zone-map prune counters observed during this execution.
-			for _, sp := range rep.scans {
-				if fs := sp.filterSummary(); fs != "" {
-					res.Plan += " | " + fs
-				}
-			}
-		}
-		return res, rep, err
-	}
-	e.log.Span("query.parallel").Emit(e.clock(), trace.KindPanic,
-		"worker %d panicked in %s phase (%v); degrading to serial plan", pe.Worker, pe.Phase, pe.Value)
-	res, serr := e.execSelect(st, opts.Txn)
-	if rep == nil {
-		rep = &ExecReport{}
-	}
-	rep.Parallel = false
-	rep.PanicContained = true
-	return res, rep, serr
-}
-
-func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Result, *ExecReport, error) {
+// runSelect plans a SELECT and runs it on the router, with panic
+// containment: a worker panic surfaces as *operators.PanicError after
+// all its peers have drained at the phase barrier (the failFlag
+// protocol), at which point nothing of the failed run is still touching
+// shared state — so the statement is transparently re-executed on the
+// independent reference executor. Other errors pass through untouched.
+func (e *Engine) runSelect(st *SelectStmt, opts ExecOptions) (*Result, *ExecReport, error) {
 	plan, err := e.planSelectOrder(st, opts.Txn, opts.JoinOrder)
 	if err != nil {
 		return nil, nil, err
-	}
-	rep := &ExecReport{}
-	if plan.hasCross() {
-		// Cartesian attaches (disconnected join graphs) stay on the
-		// serial executor.
-		res, err := e.execSelect(st, opts.Txn)
-		return res, rep, err
 	}
 	tail, err := compileTail(st, plan.sch)
 	if err != nil {
@@ -232,133 +150,33 @@ func (e *Engine) execSelectParallelRun(st *SelectStmt, opts ExecOptions) (*Resul
 			sp.noKernel = true
 		}
 	}
-	rep.scans = plan.scans
-	workers := opts.workers()
-	batch := opts.batchSize()
-	rep.Parallel = true
-	rep.Workers = workers
-	plan.explainTx = fmt.Sprintf("Parallel(workers=%d) ", workers) + plan.explainTx
+	rep := &ExecReport{Parallel: true, Workers: opts.workers()}
+	plan.explainTx = fmt.Sprintf("Parallel(workers=%d) ", rep.Workers) + plan.explainTx
 
-	if len(plan.steps) > 1 {
-		// Multi-join: the staged router executes the pipeline one hash
-		// join at a time, re-routing at safe points on cardinality
-		// feedback.
-		res, err := e.execStagedJoins(plan, &tail, opts, rep)
+	res, err := e.execStagedJoins(plan, &tail, opts, rep)
+	var pe *operators.PanicError
+	if errors.As(err, &pe) {
+		e.log.Span("query.parallel").Emit(e.clock(), trace.KindPanic,
+			"worker %d panicked in %s phase (%v); degrading to the reference executor", pe.Worker, pe.Phase, pe.Value)
+		rep.Parallel, rep.PanicContained = false, true
+		res, err = e.execSelect(st, opts.Txn)
 		return res, rep, err
 	}
-
-	span := e.log.Span("query.parallel")
-	cfg := operators.ParallelConfig{
-		Workers:    workers,
-		MorselSize: batch,
-		Cancel:     opts.Cancel,
-		Budget:     opts.MemBudget,
-		OnWorker: func(w int, phase string, rows int) {
-			if opts.panicInWorker != nil {
-				opts.panicInWorker(w, phase)
-			}
-			span.Sub(fmt.Sprintf("w%d", w)).Emit(e.clock(), trace.KindInfo,
-				"%s phase done: %d rows", phase, rows)
-		},
-	}
-
-	if len(plan.steps) == 0 {
-		src, err := scanBatches(plan.scans[0], batch)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := e.scanTail(plan, &tail, src, cfg)
-		return res, rep, err
-	}
-
-	// Single join: partitioned parallel hash join under the safe-point
-	// protocol.
-	acfg := opts.adaptive()
-	sides, err := plan.singleJoinSides()
 	if err != nil {
-		return nil, nil, err
+		return nil, rep, err
 	}
-	rep.Adaptive.InitialBuild = sides.build.ref.Binding()
-	rep.Adaptive.FinalBuild = sides.build.ref.Binding()
-	rep.Adaptive.EstimatedBuildRows = sides.build.estRows
-
-	// Build-side batches are capped at the safe-point cadence so every
-	// worker re-checks the misestimate bound at least every CheckEvery
-	// rows of its own progress.
-	buildBatch := acfg.CheckEvery
-	if batch > 0 && batch < buildBatch {
-		buildBatch = batch
+	if rep.Adaptive.Replanned {
+		// Post-execution adaptation summary: where the router fired.
+		res.Plan += " | " + rep.Adaptive.Describe()
 	}
-	buildSrc, err := scanBatches(sides.build, buildBatch)
-	if err != nil {
-		return nil, nil, err
-	}
-	limit := acfg.Theta * sides.build.estRows
-	safePoint := func(rows int) bool {
-		span.Emit(e.clock(), trace.KindSafePoint,
-			"build safe point at %d rows (est %.0f)", rows, sides.build.estRows)
-		return float64(rows) <= limit
-	}
-	if acfg.Disabled {
-		safePoint = nil
-	}
-	buildCfg := cfg
-	buildCfg.MorselSize = buildBatch
-
-	// b, p: the build and probe scans' join-order indexes.
-	b, p := 1, 0
-	if sides.buildIsLeft {
-		b, p = 0, 1
-	}
-	var stage probeStage
-	bt, prefix, err := operators.ParallelBuildBatches(buildSrc, sides.buildCol, buildCfg, safePoint)
-	switch {
-	case err == nil:
-		// Statistics held: probe straight through.
-		probeSrc, err := scanBatches(sides.probe, batch)
-		if err != nil {
-			return nil, nil, err
+	// Per-scan filter summaries: kernel vs boxed conjuncts and the
+	// zone-map prune counters observed during this execution.
+	for _, sp := range plan.scans {
+		if fs := sp.filterSummary(); fs != "" {
+			res.Plan += " | " + fs
 		}
-		rep.Adaptive.PeakHashRows = bt.Rows()
-		rep.Adaptive.ExecutedOrder = []string{sides.build.ref.Binding(), sides.probe.ref.Binding()}
-		stage = probeStage{table: bt, src: probeSrc, col: sides.probeCol, build: []int{b}, probe: []int{p}}
-
-	case errors.Is(err, operators.ErrBuildAborted):
-		// Violation: every worker has drained at the barrier; revise the
-		// plan by swapping sides. The consumed prefix plus the untouched
-		// remainder of the build source become the probe stream.
-		rep.Adaptive.Replanned = true
-		rep.Adaptive.Replans = 1
-		rep.Adaptive.TriggerRow = len(prefix)
-		span.Emit(e.clock(), trace.KindViolation,
-			"cardinality misestimate: %s build hit %d rows vs est %.0f (θ=%.1f); workers drained at barrier",
-			sides.build.ref.Binding(), len(prefix), sides.build.estRows, acfg.Theta)
-		newBuild := sides.probe
-		rep.Adaptive.FinalBuild = newBuild.ref.Binding()
-		span.Emit(e.clock(), trace.KindReoptimize,
-			"swapped join build side %s -> %s at row %d",
-			rep.Adaptive.InitialBuild, rep.Adaptive.FinalBuild, len(prefix))
-		newSrc, err := scanBatches(newBuild, batch)
-		if err != nil {
-			return nil, nil, err
-		}
-		nbt, _, err := operators.ParallelBuildBatches(newSrc, sides.probeCol, cfg, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		replay := operators.NewChainBatches(
-			operators.NewSliceBatches(prefix, buildBatch), buildSrc)
-		rep.Adaptive.PeakHashRows = maxInt(len(prefix), nbt.Rows())
-		rep.Adaptive.ExecutedOrder = []string{newBuild.ref.Binding(), sides.build.ref.Binding()}
-		// The roles flip: the old probe side is the table, the old build
-		// side streams through it.
-		stage = probeStage{table: nbt, src: replay, col: sides.buildCol, build: []int{p}, probe: []int{b}}
-
-	default:
-		return nil, nil, err
 	}
-	res, err := e.probeTail(plan, &tail, stage, cfg)
-	return res, rep, err
+	return res, rep, nil
 }
 
 // selectTail is everything a SELECT does after its last pipeline stage
@@ -489,7 +307,8 @@ func (e *Engine) probeTail(plan *selectPlan, tail *selectTail, ps probeStage,
 }
 
 // scanTail is the zero-join pipeline: the scan's batch source feeds
-// the aggregate, the sort or the drain directly.
+// the aggregate, the sort or the drain directly. It is also how the
+// router ends a statement whose joined prefix came out empty.
 func (e *Engine) scanTail(plan *selectPlan, tail *selectTail, src operators.BatchSource,
 	cfg operators.ParallelConfig) (*Result, error) {
 	st := plan.stmt

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
 
@@ -39,6 +40,35 @@ func seedParallel(t *testing.T, e *Engine) {
 	e.MustExec("ANALYZE small")
 }
 
+// refSelect runs sql on the reference executor — the static Volcano
+// tree, which shares no execution code with the pipeline under test. It
+// is the oracle of every differential test: Exec and MustExec run the
+// pipeline too, so an expectation taken from them would compare the
+// pipeline with itself.
+func refSelect(t *testing.T, e *Engine, sql string, txn *storage.Txn) *Result {
+	t.Helper()
+	res, err := e.execSelect(MustParse(sql).(*SelectStmt), txn)
+	if err != nil {
+		t.Fatalf("reference executor: %s: %v", sql, err)
+	}
+	return res
+}
+
+// execTxn runs one statement inside txn with one worker.
+func execTxn(e *Engine, sql string, txn *storage.Txn) (*Result, error) {
+	res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: 1, Txn: txn})
+	return res, err
+}
+
+// execAdaptive runs one SELECT with one worker under cfg.
+func execAdaptive(e *Engine, sql string, cfg AdaptiveConfig) (*Result, *AdaptiveReport, error) {
+	res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 1, Adaptive: &cfg})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, &rep.Adaptive, nil
+}
+
 // rowsMultiset renders result rows as a sorted multiset.
 func rowsMultiset(r *Result) []string {
 	out := make([]string, len(r.Rows))
@@ -53,10 +83,10 @@ func rowsMultiset(r *Result) []string {
 	return out
 }
 
-// TestParallelMatchesSerialDeterminism asserts the parallel executor
-// returns the exact same multiset of rows as the serial engine for a
-// battery of seeded scan/filter/aggregation queries, at 2 and 4
-// workers. Join tails — projection, aggregate, ORDER BY, with and
+// TestParallelMatchesSerialDeterminism asserts the pipeline returns the
+// exact same multiset of rows as the reference executor for a battery
+// of seeded scan/filter/aggregation queries, from every entry point,
+// inline (one worker) and at 2 and 4 workers. Join tails — projection, aggregate, ORDER BY, with and
 // without a mid-query replan — have their own, wider matrix in
 // TestFusedTailsMatchSerial.
 func TestParallelMatchesSerialDeterminism(t *testing.T) {
@@ -78,17 +108,20 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(NewCatalog(256), trace.New(), nil)
 			seedParallel(t, e)
-			want := rowsMultiset(e.MustExec(tc.sql))
+			want := rowsMultiset(refSelect(t, e, tc.sql, nil))
 			// Sweep worker counts at the default batch size, then batch
 			// sizes at 4 workers: results must be invariant to both —
 			// batch granularity changes amortisation, never answers
 			// (degenerate 1-tuple batches included).
 			configs := []struct{ workers, batch int }{
-				{2, 0}, {4, 0}, {4, 1}, {4, 64}, {4, 1024},
+				{1, 0}, {2, 0}, {4, 0}, {1, 1}, {4, 1}, {2, 64}, {4, 64}, {1, 1024}, {4, 1024},
 			}
-			for _, cc := range configs {
-				res, rep, err := e.ExecuteSQL(tc.sql,
-					ExecOptions{Workers: cc.workers, BatchSize: cc.batch})
+			for i, cc := range configs {
+				opts := ExecOptions{Workers: cc.workers, BatchSize: cc.batch}
+				res, rep, err := e.ExecuteSQL(tc.sql, opts)
+				if i%2 == 1 {
+					res, rep, err = e.ExecuteStmt(MustParse(tc.sql), opts)
+				}
 				if err != nil {
 					t.Fatalf("workers=%d batch=%d: %v", cc.workers, cc.batch, err)
 				}
@@ -102,17 +135,19 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 					t.Fatalf("workers=%d batch=%d: unexpected replan (report %+v)",
 						cc.workers, cc.batch, rep.Adaptive)
 				}
-				got := rowsMultiset(res)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d batch=%d: %d rows, want %d",
-						cc.workers, cc.batch, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d batch=%d: row %d = %q, want %q",
-							cc.workers, cc.batch, i, got[i], want[i])
-					}
-				}
+				requireSameOrdered(t, fmt.Sprintf("workers=%d batch=%d", cc.workers, cc.batch), rowsMultiset(res), want)
+			}
+			// The option-less entry points run the same pipeline.
+			viaExec, err := e.Exec(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaStmt, err := e.ExecStmt(MustParse(tc.sql))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, res := range map[string]*Result{"Exec": viaExec, "MustExec": e.MustExec(tc.sql), "ExecStmt": viaStmt} {
+				requireSameOrdered(t, name, rowsMultiset(res), want)
 			}
 		})
 	}
@@ -126,7 +161,7 @@ func TestParallelIndexPathMatchesSerial(t *testing.T) {
 	seedParallel(t, e)
 	e.MustExec("CREATE INDEX ON orders (user_id)")
 	sql := "SELECT id, amount FROM orders WHERE user_id = 7"
-	want := rowsMultiset(e.MustExec(sql))
+	want := rowsMultiset(refSelect(t, e, sql, nil))
 	res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -182,24 +217,5 @@ func TestParallelNonSelectFallsBack(t *testing.T) {
 	}
 	if rep.Parallel || res.Affected != 2 {
 		t.Fatalf("rep=%+v res=%+v", rep, res)
-	}
-}
-
-// TestParallelSingleWorker sanity-checks the degenerate pool.
-func TestParallelSingleWorker(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
-	seedParallel(t, e)
-	sql := "SELECT u.city, COUNT(*) FROM users u JOIN orders o ON u.id = o.user_id GROUP BY u.city"
-	want := rowsMultiset(e.MustExec(sql))
-	res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Parallel || rep.Workers != 1 {
-		t.Fatalf("rep = %+v", rep)
-	}
-	got := rowsMultiset(res)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("got %v want %v", got, want)
 	}
 }

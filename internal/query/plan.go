@@ -353,16 +353,6 @@ type selectPlan struct {
 // Explain returns the plan rendering (tests assert on it).
 func (p *selectPlan) Explain() string { return p.explainTx }
 
-// hasCross reports whether any step is a cartesian attach.
-func (p *selectPlan) hasCross() bool {
-	for _, st := range p.steps {
-		if st.cross {
-			return true
-		}
-	}
-	return false
-}
-
 // planSelect compiles and optimises a SELECT statement with greedy
 // join ordering. A non-nil txn binds every scan to that transaction's
 // snapshot.

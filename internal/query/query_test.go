@@ -3,12 +3,10 @@ package query
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
 
@@ -253,18 +251,19 @@ func TestBuildSideChoiceFollowsStats(t *testing.T) {
 	seedShop(t, e)
 	// users=50, orders=200 (analyzed): greedy seeds at users, and the
 	// seed (being the smaller side) hash-builds.
-	res := e.MustExec("SELECT u.id FROM users u JOIN orders o ON u.id = o.user_id")
-	if !strings.HasPrefix(res.Plan, "SeqScan(u ") || !strings.Contains(res.Plan, "HashJoin(build=left") {
-		t.Fatalf("plan = %s", res.Plan)
+	const sql = "SELECT u.id FROM users u JOIN orders o ON u.id = o.user_id"
+	plan := explainOf(t, e, sql)
+	if !strings.HasPrefix(plan, "SeqScan(u ") || !strings.Contains(plan, "HashJoin(build=left") {
+		t.Fatalf("plan = %s", plan)
 	}
 	// Lie about users being huge: greedy re-seeds at orders — the join
 	// order flips, and the new seed builds.
 	if err := e.cat.SetStats("users", TableStats{Rows: 1_000_000, Distinct: map[string]int{"id": 1_000_000}}); err != nil {
 		t.Fatal(err)
 	}
-	res = e.MustExec("SELECT u.id FROM users u JOIN orders o ON u.id = o.user_id")
-	if !strings.HasPrefix(res.Plan, "SeqScan(o ") || !strings.Contains(res.Plan, "HashJoin(build=left") {
-		t.Fatalf("plan = %s", res.Plan)
+	plan = explainOf(t, e, sql)
+	if !strings.HasPrefix(plan, "SeqScan(o ") || !strings.Contains(plan, "HashJoin(build=left") {
+		t.Fatalf("plan = %s", plan)
 	}
 }
 
@@ -348,15 +347,14 @@ const scenario3SQL = "SELECT big.k, small.v FROM big JOIN small ON big.k = small
 
 func TestAdaptiveExecDetectsMisestimateAndSwaps(t *testing.T) {
 	e := scenario3Engine(t)
-	st := MustParse(scenario3SQL).(*SelectStmt)
 
 	// Static plan builds on `big` (est 10 rows < 100).
-	static := e.MustExec(scenario3SQL)
+	static := refSelect(t, e, scenario3SQL, nil)
 	if !strings.Contains(static.Plan, "HashJoin(build=left") {
 		t.Fatalf("static plan = %s", static.Plan)
 	}
 
-	res, rep, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 3, CheckEvery: 32})
+	res, rep, err := execAdaptive(e, scenario3SQL, AdaptiveConfig{Theta: 3, CheckEvery: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,28 +364,13 @@ func TestAdaptiveExecDetectsMisestimateAndSwaps(t *testing.T) {
 	if rep.InitialBuild != "big" || rep.FinalBuild != "small" {
 		t.Fatalf("builds: %s -> %s", rep.InitialBuild, rep.FinalBuild)
 	}
-	if rep.TriggerRow > 64 { // θ·est = 30, CheckEvery 32 → trigger at 32
+	// θ·est = 30: the first safe point — the end of the first page of big,
+	// batches being page-granular on a heap scan — already violates it.
+	if rep.TriggerRow > 400 {
 		t.Fatalf("trigger row = %d, want early detection", rep.TriggerRow)
 	}
 	// Results identical to the static plan.
-	if len(res.Rows) != len(static.Rows) {
-		t.Fatalf("adaptive %d rows vs static %d", len(res.Rows), len(static.Rows))
-	}
-	key := func(r storage.Tuple) string { return r[0].String() + "|" + r[1].String() }
-	a, b := make([]string, 0), make([]string, 0)
-	for _, r := range res.Rows {
-		a = append(a, key(r))
-	}
-	for _, r := range static.Rows {
-		b = append(b, key(r))
-	}
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row mismatch at %d: %s vs %s", i, a[i], b[i])
-		}
-	}
+	requireSameOrdered(t, "adaptive vs static", rowsMultiset(res), rowsMultiset(static))
 	// Peak memory far below materialising all of big.
 	if rep.PeakHashRows >= 1000 {
 		t.Fatalf("peak hash rows = %d, adaptation saved nothing", rep.PeakHashRows)
@@ -403,8 +386,7 @@ func TestAdaptiveExecDetectsMisestimateAndSwaps(t *testing.T) {
 func TestAdaptiveExecNoViolationStaysPut(t *testing.T) {
 	e := scenario3Engine(t)
 	e.MustExec("ANALYZE big") // honest stats: no violation
-	st := MustParse(scenario3SQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, DefaultAdaptiveConfig())
+	res, rep, err := execAdaptive(e, scenario3SQL, DefaultAdaptiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,29 +401,38 @@ func TestAdaptiveExecNoViolationStaysPut(t *testing.T) {
 func TestAdaptiveExecIndexInjection(t *testing.T) {
 	e := scenario3Engine(t)
 	e.MustExec("CREATE INDEX ON small (k)")
-	st := MustParse(scenario3SQL).(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 3, CheckEvery: 32, PreferIndex: true})
-	if err != nil {
-		t.Fatal(err)
+	// Every tail over the index-NL stage, with the aborted build on either
+	// side of the FROM clause, at every worker count.
+	for _, sql := range []string{
+		scenario3SQL,
+		"SELECT small.v, big.k FROM small JOIN big ON big.k = small.k",
+		"SELECT small.v, COUNT(*), MAX(big.k) FROM big JOIN small ON big.k = small.k GROUP BY small.v",
+		"SELECT big.k, small.v FROM big JOIN small ON big.k = small.k ORDER BY small.v DESC LIMIT 30",
+	} {
+		want := rowsMultiset(refSelect(t, e, sql, nil))
+		for _, w := range []int{1, 2, 4} {
+			res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: w,
+				Adaptive: &AdaptiveConfig{Theta: 3, CheckEvery: 32, PreferIndex: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar := rep.Adaptive
+			if !ar.Replanned || !ar.UsedIndex || ar.InitialBuild != "big" || ar.FinalBuild != "small" ||
+				fmt.Sprint(ar.ExecutedOrder) != "[big small]" {
+				t.Fatalf("workers=%d %s: report = %+v", w, sql, ar)
+			}
+			if !strings.Contains(res.Plan, "index-nl") {
+				t.Fatalf("plan missing the index-nl summary: %s", res.Plan)
+			}
+			requireSameOrdered(t, fmt.Sprintf("workers=%d %s", w, sql), rowsMultiset(res), want)
+		}
 	}
-	if !rep.Replanned || !rep.UsedIndex {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(res.Rows) != 2000 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-}
-
-func TestAdaptiveExecFallsBackForNonJoins(t *testing.T) {
-	e := newEngine(t)
-	seedShop(t, e)
-	st := MustParse("SELECT id FROM users WHERE id < 5").(*SelectStmt)
-	res, rep, err := e.ExecSelectAdaptive(st, DefaultAdaptiveConfig())
-	if err != nil || rep.Replanned {
-		t.Fatalf("%v %+v", err, rep)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	// A pushed-down predicate on the indexed table rules the move out: the
+	// index would have to re-check it.
+	_, rep, err := execAdaptive(e, scenario3SQL+" WHERE small.v >= 0",
+		AdaptiveConfig{Theta: 3, CheckEvery: 32, PreferIndex: true})
+	if err != nil || !rep.Replanned || rep.UsedIndex {
+		t.Fatalf("filtered inner: err=%v report=%+v", err, rep)
 	}
 }
 
@@ -465,9 +456,11 @@ func TestAdaptiveMatchesStaticProperty(t *testing.T) {
 		lie := int(lieRaw)%50 + 1
 		_ = e.cat.SetStats("big", TableStats{Rows: lie, Distinct: map[string]int{"k": 20}})
 		sql := "SELECT big.k, small.k FROM big JOIN small ON big.k = small.k"
-		static := e.MustExec(sql)
-		st := MustParse(sql).(*SelectStmt)
-		adaptive, _, err := e.ExecSelectAdaptive(st, AdaptiveConfig{Theta: 2, CheckEvery: 8})
+		static, err := e.execSelect(MustParse(sql).(*SelectStmt), nil)
+		if err != nil {
+			return false
+		}
+		adaptive, _, err := execAdaptive(e, sql, AdaptiveConfig{Theta: 2, CheckEvery: 8})
 		if err != nil {
 			return false
 		}

@@ -9,12 +9,11 @@ import (
 	"github.com/adm-project/adm/internal/trace"
 )
 
-// This file is the eddies-style staged router: the generalisation of
-// the single-join safe-point swap to multi-join pipelines. The plan's
-// join tree is not compiled into a fixed operator chain; instead the
-// router materialises one hash join at a time and, before each one,
-// re-decides which remaining scan to attach and which side builds,
-// using live cardinality feedback:
+// This file is the eddies-style staged router, the one executor every
+// SELECT runs on. The plan's join tree is not compiled into a fixed
+// operator chain; instead the router materialises one hash join at a
+// time and, before each one, re-decides which remaining scan to attach
+// and which side builds, using live cardinality feedback:
 //
 //   - the joined prefix's cardinality is exact (it is materialised);
 //   - every base-scan estimate starts from the optimiser's guess and
@@ -23,6 +22,14 @@ import (
 //     decay geometrically and the loop must terminate;
 //   - candidate ranking reuses the planner's attachEst, so the router
 //     and the greedy planner agree whenever the statistics were right.
+//
+// A plan is a number of steps. Zero (a bare scan) goes straight to the
+// tail with no router state at all. One is the classic Scenario 3 case:
+// the first build aborts, its estimate is corrected, and re-routing
+// picks the other side to build — the inner↔outer swap — or, with
+// PreferIndex, links an index nested-loop join in. A scan no ON
+// equality connects to the prefix attaches cartesian, as a hash join on
+// a constant key, so it flows through the same build, probe and sinks.
 //
 // Determinism: a build abort drains every worker at the phase barrier
 // and hands back the consumed prefix, which is re-chained in front of
@@ -33,19 +40,16 @@ import (
 // the row order (meaningless without ORDER BY, and ORDER BY has a
 // total-order tie-break), never the result multiset.
 
-// execStagedJoins executes a multi-join plan (all steps hash joins)
-// with continuous safe-point adaptation. Every step but the last
-// materialises its output — the router needs the exact cardinality to
-// pick the next one; the last probes straight into the tail's sink
-// (probeTail). rep.Adaptive is filled in; the caller decides
-// Parallel/Workers.
+// execStagedJoins executes a planned SELECT with continuous safe-point
+// adaptation. Every step but the last materialises its output — the
+// router needs the exact cardinality to pick the next one; the last
+// probes straight into the tail's sink (probeTail). rep.Adaptive is
+// filled in.
 func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOptions, rep *ExecReport) (*Result, error) {
-	workers := opts.workers()
-	batch := opts.batchSize()
-	acfg := opts.adaptive()
-	span := e.log.Span("query.routing")
+	batch := opts.BatchSize
+	span := e.log.Span("query.parallel")
 	cfg := operators.ParallelConfig{
-		Workers:    workers,
+		Workers:    rep.Workers,
 		MorselSize: batch,
 		Cancel:     opts.Cancel,
 		Budget:     opts.MemBudget,
@@ -57,9 +61,20 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 				"%s phase done: %d rows", phase, rows)
 		},
 	}
-	// Build batches are capped at the safe-point cadence; every scan
-	// source uses that granularity so an aborted prefix re-chains onto
-	// its source exactly.
+	n := len(plan.scans)
+	if n == 1 {
+		src, err := scanBatches(plan.scans[0], batch)
+		if err != nil {
+			return nil, err
+		}
+		return e.scanTail(plan, tail, src, cfg)
+	}
+
+	acfg := opts.adaptive()
+	// Build batches are capped at the safe-point cadence, so every worker
+	// re-checks the misestimate bound at least every CheckEvery rows of
+	// its own progress; every scan source uses that granularity so an
+	// aborted prefix re-chains onto its source exactly.
 	buildBatch := acfg.CheckEvery
 	if batch > 0 && batch < buildBatch {
 		buildBatch = batch
@@ -67,7 +82,6 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 	buildCfg := cfg
 	buildCfg.MorselSize = buildBatch
 
-	n := len(plan.scans)
 	est := make([]float64, n) // live per-scan estimates, corrected on aborts
 	for i, sp := range plan.scans {
 		est[i] = sp.estRows
@@ -92,7 +106,6 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 	usedEdge := make([]bool, len(plan.edges))
 	var layout []int        // scan indices in the intermediate's column order
 	var cur []storage.Tuple // materialised joined prefix (nil before first join)
-	firstAttempt := true
 
 	for {
 		curEst := est[seed]
@@ -123,33 +136,34 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 				}
 			}
 			if next < 0 {
-				// Unreachable for plans without cross steps (the join
-				// graph is connected), kept as a hard failure rather
-				// than a silent cartesian product.
-				return nil, fmt.Errorf("query: staged router: no connected join candidate")
+				// Nothing left is connected: the smallest scan attaches
+				// cartesian, keeping the product cheap.
+				for c := 0; c < n; c++ {
+					if !chosen[c] && (next < 0 || est[c] < est[next]) {
+						next = c
+					}
+				}
 			}
 		}
 
 		// Hash condition: the first unused ON edge linking next to the
-		// prefix (clause order, matching deriveSteps).
+		// prefix (clause order, matching deriveSteps). None makes this a
+		// cartesian step: both sides key on the constant (column -1), and
+		// only a first join, whose prefix is the seed, needs pScan.
+		nextCol, pScan, pCol := -1, seed, -1
 		he := -1
 		for ei, ed := range plan.edges {
 			if usedEdge[ei] {
 				continue
 			}
-			if (ed.a == next && chosen[ed.b]) || (ed.b == next && chosen[ed.a]) {
-				he = ei
+			if ed.a == next && chosen[ed.b] {
+				he, nextCol, pScan, pCol = ei, ed.aCol, ed.b, ed.bCol
 				break
 			}
-		}
-		if he < 0 {
-			return nil, fmt.Errorf("query: staged router: no join edge for %s",
-				plan.scans[next].ref.Binding())
-		}
-		ed := plan.edges[he]
-		nextCol, pScan, pCol := ed.aCol, ed.b, ed.bCol
-		if ed.b == next {
-			nextCol, pScan, pCol = ed.bCol, ed.a, ed.aCol
+			if ed.b == next && chosen[ed.a] {
+				he, nextCol, pScan, pCol = ei, ed.bCol, ed.a, ed.aCol
+				break
+			}
 		}
 
 		// Side choice: the smaller (estimated, or exact for the
@@ -167,55 +181,57 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 			if !buildNext {
 				bScan, prScan, bCol, prCol = pScan, next, pCol, nextCol
 			}
-			if firstAttempt {
-				rep.Adaptive.InitialBuild = plan.scans[bScan].ref.Binding()
+			b, pr := plan.scans[bScan].ref.Binding(), plan.scans[prScan].ref.Binding()
+			if rep.Adaptive.InitialBuild == "" {
+				rep.Adaptive.InitialBuild = b
 				rep.Adaptive.EstimatedBuildRows = est[bScan]
-				firstAttempt = false
 			}
-			bsrc, err := src(bScan)
+			if _, err := src(bScan); err != nil {
+				return nil, err
+			}
+			bt, err := e.stagedBuild(plan, span, srcs, bCol, bScan, est, buildCfg, acfg, rep)
 			if err != nil {
 				return nil, err
 			}
-			bt, prefix, err := e.stagedBuild(plan, span, bsrc, bCol, bScan, est, buildCfg, acfg, rep)
-			if err != nil {
-				return nil, err
-			}
-			if bt == nil {
-				srcs[bScan] = operators.NewChainBatches(
-					operators.NewSliceBatches(prefix, buildBatch), srcs[bScan])
-				// Nothing is materialised yet, so even the seed can move:
-				// re-pick the cheapest scan under the corrected estimates.
-				// (The aborted prefix is chained back, so every scan is
-				// still fully replayable.)
-				for i := range est {
-					if est[i] < est[seed] {
-						chosen[seed] = false
-						seed = i
-						chosen[seed] = true
-					}
+			if bt != nil {
+				psrc, err := src(prScan)
+				if err != nil {
+					return nil, err
 				}
-				continue // re-route with the corrected estimate
+				rep.Adaptive.FinalBuild = b
+				ps = probeStage{table: bt, src: psrc, col: prCol, build: []int{bScan}, probe: []int{prScan}}
+			} else {
+				if ps, err = e.indexNLStage(plan, srcs[bScan], bScan, bCol, prScan, prCol, acfg, buildBatch); err != nil {
+					return nil, err
+				}
+				if ps.table == nil {
+					// Nothing is materialised yet, so even the seed can move:
+					// re-pick the cheapest scan under the corrected estimates.
+					// (stagedBuild chained the aborted prefix back, so every
+					// scan is still fully replayable.)
+					for i := range est {
+						if est[i] < est[seed] {
+							chosen[seed] = false
+							seed = i
+							chosen[seed] = true
+						}
+					}
+					continue // re-route with the corrected estimate
+				}
+				rep.Adaptive.UsedIndex = true
+				rep.Adaptive.FinalBuild = pr
+				span.Emit(e.clock(), trace.KindReoptimize, "linked IndexNLJoin(%s) into the pipeline", pr)
 			}
-			psrc, err := src(prScan)
-			if err != nil {
-				return nil, err
-			}
-			rep.Adaptive.FinalBuild = plan.scans[bScan].ref.Binding()
-			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder,
-				plan.scans[bScan].ref.Binding(), plan.scans[prScan].ref.Binding())
-			ps = probeStage{table: bt, src: psrc, col: prCol, build: []int{bScan}, probe: []int{prScan}}
+			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, b, pr)
 		} else if buildNext {
-			bsrc, err := src(next)
-			if err != nil {
+			if _, err := src(next); err != nil {
 				return nil, err
 			}
-			bt, prefix, err := e.stagedBuild(plan, span, bsrc, nextCol, next, est, buildCfg, acfg, rep)
+			bt, err := e.stagedBuild(plan, span, srcs, nextCol, next, est, buildCfg, acfg, rep)
 			if err != nil {
 				return nil, err
 			}
 			if bt == nil {
-				srcs[next] = operators.NewChainBatches(
-					operators.NewSliceBatches(prefix, buildBatch), srcs[next])
 				continue
 			}
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, plan.scans[next].ref.Binding())
@@ -229,9 +245,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 			if err != nil {
 				return nil, err
 			}
-			if bt.Rows() > rep.Adaptive.PeakHashRows {
-				rep.Adaptive.PeakHashRows = bt.Rows()
-			}
+			rep.Adaptive.PeakHashRows = max(rep.Adaptive.PeakHashRows, bt.Rows())
 			psrc, err := src(next)
 			if err != nil {
 				return nil, err
@@ -239,7 +253,9 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 			rep.Adaptive.ExecutedOrder = append(rep.Adaptive.ExecutedOrder, plan.scans[next].ref.Binding())
 			ps = probeStage{table: bt, src: psrc, col: nextCol, build: layout, probe: []int{next}}
 		}
-		usedEdge[he] = true
+		if he >= 0 {
+			usedEdge[he] = true
+		}
 		chosen[next] = true
 		attached++
 
@@ -270,14 +286,41 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 	}
 }
 
-// stagedBuild runs one safe-pointed hash build for scan b. On a
-// cardinality violation it corrects est[b], emits the violation /
-// re-route trace events and returns (nil, consumedPrefix, nil) — the
-// caller re-chains the prefix and re-routes. On success it returns the
-// build table.
-func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, bsrc operators.BatchSource,
+// indexNLStage is the PreferIndex move after the first join's build of
+// scan b aborted: when the other scan has an index on its join column
+// and no pushed-down predicate, replay — the consumed prefix chained onto
+// the remainder of b — streams through an index nested-loop join instead
+// of waiting for a hash build of the other side. The joined rows (b's
+// columns, then the indexed table's) reach the sinks as the probe side of
+// a one-row, zero-column build table, so the stage is a probeStage like
+// any other. A zero stage means the move does not apply.
+func (e *Engine) indexNLStage(plan *selectPlan, replay operators.BatchSource, b, bCol, inner, innerCol int,
+	acfg AdaptiveConfig, size int) (probeStage, error) {
+	in := plan.scans[inner]
+	if !acfg.PreferIndex || innerCol < 0 || len(in.preds) > 0 {
+		return probeStage{}, nil
+	}
+	idx, ok := in.table.Index(in.sch[innerCol].Name)
+	if !ok {
+		return probeStage{}, nil
+	}
+	unit, _, err := operators.ParallelBuildBatches(
+		operators.NewSliceBatches([]storage.Tuple{{}}, 1), -1, operators.ParallelConfig{Workers: 1}, nil)
+	if err != nil {
+		return probeStage{}, err
+	}
+	nl := operators.NewIndexNLJoin(operators.NewSourceIterator(replay), bCol, idx, in.reader)
+	return probeStage{table: unit, src: operators.NewIterBatches(nl, size), col: -1, probe: []int{b, inner}}, nil
+}
+
+// stagedBuild runs one safe-pointed hash build of scan b from srcs[b].
+// On a cardinality violation it corrects est[b], chains the consumed
+// prefix back in front of srcs[b], emits the violation / re-route trace
+// events and returns a nil table — the caller re-routes. On success it
+// returns the build table.
+func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, srcs []operators.BatchSource,
 	bCol, b int, est []float64, buildCfg operators.ParallelConfig, acfg AdaptiveConfig,
-	rep *ExecReport) (*operators.BuildTable, []storage.Tuple, error) {
+	rep *ExecReport) (*operators.BuildTable, error) {
 	var safePoint func(int) bool
 	if !acfg.Disabled {
 		limit := acfg.Theta * est[b]
@@ -287,42 +330,37 @@ func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, bsrc operators.
 			return float64(rows) <= limit
 		}
 	}
-	bt, prefix, err := operators.ParallelBuildBatches(bsrc, bCol, buildCfg, safePoint)
-	switch {
-	case err == nil:
-		if bt.Rows() > rep.Adaptive.PeakHashRows {
-			rep.Adaptive.PeakHashRows = bt.Rows()
-		}
-		return bt, prefix, nil
-	case errors.Is(err, operators.ErrBuildAborted):
-		if !rep.Adaptive.Replanned {
-			rep.Adaptive.Replanned = true
-			rep.Adaptive.TriggerRow = len(prefix)
-		}
-		rep.Adaptive.Replans++
-		if len(prefix) > rep.Adaptive.PeakHashRows {
-			rep.Adaptive.PeakHashRows = len(prefix)
-		}
-		span.Emit(e.clock(), trace.KindViolation,
-			"cardinality misestimate: %s build hit %d rows vs est %.0f (θ=%.1f); workers drained at barrier",
-			plan.scans[b].ref.Binding(), len(prefix), est[b], acfg.Theta)
-		corrected := est[b] * acfg.Theta
-		if float64(len(prefix)) > corrected {
-			corrected = float64(len(prefix))
-		}
-		est[b] = corrected
-		span.Emit(e.clock(), trace.KindReoptimize,
-			"re-routing remaining joins: %s estimate corrected to %.0f",
-			plan.scans[b].ref.Binding(), est[b])
-		return nil, prefix, nil
-	default:
-		return nil, nil, err
+	bt, prefix, err := operators.ParallelBuildBatches(srcs[b], bCol, buildCfg, safePoint)
+	if err == nil {
+		rep.Adaptive.PeakHashRows = max(rep.Adaptive.PeakHashRows, bt.Rows())
+		return bt, nil
 	}
+	if !errors.Is(err, operators.ErrBuildAborted) {
+		return nil, err
+	}
+	if !rep.Adaptive.Replanned {
+		rep.Adaptive.Replanned = true
+		rep.Adaptive.TriggerRow = len(prefix)
+	}
+	rep.Adaptive.Replans++
+	rep.Adaptive.PeakHashRows = max(rep.Adaptive.PeakHashRows, len(prefix))
+	span.Emit(e.clock(), trace.KindViolation,
+		"cardinality misestimate: %s build hit %d rows vs est %.0f (θ=%.1f); workers drained at barrier",
+		plan.scans[b].ref.Binding(), len(prefix), est[b], acfg.Theta)
+	est[b] = max(est[b]*acfg.Theta, float64(len(prefix)))
+	srcs[b] = operators.NewChainBatches(operators.NewSliceBatches(prefix, buildCfg.MorselSize), srcs[b])
+	span.Emit(e.clock(), trace.KindReoptimize,
+		"re-routing remaining joins: %s estimate corrected to %.0f",
+		plan.scans[b].ref.Binding(), est[b])
+	return nil, nil
 }
 
 // posIn locates scan-local column col of scan in the intermediate
-// tuple described by layout.
+// tuple described by layout; the constant key (col < 0) has no position.
 func posIn(plan *selectPlan, layout []int, scan, col int) int {
+	if col < 0 {
+		return -1
+	}
 	o := 0
 	for _, si := range layout {
 		if si == scan {

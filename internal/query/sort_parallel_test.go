@@ -95,7 +95,8 @@ func TestParallelOrderByMatchesSerial(t *testing.T) {
 	}
 	for _, sql := range queries {
 		t.Run(sql, func(t *testing.T) {
-			want := rowsOrdered(e.MustExec(sql))
+			want := rowsOrdered(refSelect(t, e, sql, nil))
+			requireSameOrdered(t, "MustExec", rowsOrdered(e.MustExec(sql)), want)
 			for _, w := range []int{1, 2, 4, 8} {
 				for _, batch := range []int{1, 64, 1024} {
 					res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: w, BatchSize: batch})
@@ -126,14 +127,14 @@ func TestParallelOrderByUnderReplan(t *testing.T) {
 		t.Run(sql, func(t *testing.T) {
 			e := NewEngine(NewCatalog(256), trace.New(), nil)
 			seedParallel(t, e)
-			want := rowsOrdered(e.MustExec(sql))
+			want := rowsOrdered(refSelect(t, e, sql, nil))
 			// Lie about big so it is picked as build side and blows the
 			// misestimate bound mid-build.
 			if err := e.cat.SetStats("big", TableStats{Rows: 3,
 				Distinct: map[string]int{"k": 3}}); err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{2, 4} {
+			for _, w := range []int{1, 2, 4} {
 				for _, batch := range []int{0, 64} {
 					res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: w, BatchSize: batch})
 					if err != nil {

@@ -66,11 +66,11 @@ func TestTxnSnapshotScanMatrix(t *testing.T) {
 
 			// A concurrent writer inserts 50 more rows and commits.
 			writer := db.Txns().Begin()
-			if _, err := eng.ExecTxn("INSERT INTO kv VALUES (900, 'new')", writer); err != nil {
+			if _, err := execTxn(eng, "INSERT INTO kv VALUES (900, 'new')", writer); err != nil {
 				t.Fatal(err)
 			}
 			for i := 1; i < 50; i++ {
-				if _, err := eng.ExecTxn(fmt.Sprintf("INSERT INTO kv VALUES (%d, 'new')", 900+i), writer); err != nil {
+				if _, err := execTxn(eng, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'new')", 900+i), writer); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -96,14 +96,14 @@ func TestTxnSnapshotScanMatrix(t *testing.T) {
 			// Index-path point reads inside the old snapshot: a post-
 			// snapshot row is invisible even though its index entry exists.
 			if withIndex {
-				res, err := eng.ExecTxn("SELECT v FROM kv WHERE k = 900", old)
+				res, err := execTxn(eng, "SELECT v FROM kv WHERE k = 900", old)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(res.Rows) != 0 {
 					t.Fatalf("old snapshot sees post-snapshot row via index: %v", res.Rows)
 				}
-				res, err = eng.ExecTxn("SELECT v FROM kv WHERE k = 900", fresh)
+				res, err = execTxn(eng, "SELECT v FROM kv WHERE k = 900", fresh)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,11 +130,11 @@ func TestTxnDMLVisibility(t *testing.T) {
 
 			// UPDATE inside a txn: self sees the new value, others the old.
 			t1 := db.Txns().Begin()
-			if _, err := eng.ExecTxn("UPDATE kv SET v = 'changed' WHERE k = 3", t1); err != nil {
+			if _, err := execTxn(eng, "UPDATE kv SET v = 'changed' WHERE k = 3", t1); err != nil {
 				t.Fatal(err)
 			}
 			get := func(txn *storage.Txn) string {
-				res, err := eng.ExecTxn("SELECT v FROM kv WHERE k = 3", txn)
+				res, err := execTxn(eng, "SELECT v FROM kv WHERE k = 3", txn)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestTxnDMLVisibility(t *testing.T) {
 
 			// DELETE then commit: gone for new snapshots.
 			t2 := db.Txns().Begin()
-			res, err := eng.ExecTxn("DELETE FROM kv WHERE k = 7", t2)
+			res, err := execTxn(eng, "DELETE FROM kv WHERE k = 7", t2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestTxnDMLVisibility(t *testing.T) {
 			}
 			t3 := db.Txns().Begin()
 			defer t3.Rollback()
-			sel, err := eng.ExecTxn("SELECT v FROM kv WHERE k = 7", t3)
+			sel, err := execTxn(eng, "SELECT v FROM kv WHERE k = 7", t3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,10 +195,10 @@ func TestTxnWriteConflictThroughEngine(t *testing.T) {
 	t1, t2 := db.Txns().Begin(), db.Txns().Begin()
 	defer t1.Rollback()
 	defer t2.Rollback()
-	if _, err := eng.ExecTxn("UPDATE kv SET v = 'a' WHERE k = 2", t1); err != nil {
+	if _, err := execTxn(eng, "UPDATE kv SET v = 'a' WHERE k = 2", t1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := eng.ExecTxn("UPDATE kv SET v = 'b' WHERE k = 2", t2)
+	_, err := execTxn(eng, "UPDATE kv SET v = 'b' WHERE k = 2", t2)
 	if !errors.Is(err, storage.ErrWriteConflict) {
 		t.Fatalf("concurrent update err = %v, want ErrWriteConflict", err)
 	}
@@ -215,7 +215,7 @@ func TestTxnDDLRejected(t *testing.T) {
 		"CREATE INDEX ON kv (k)",
 		"ANALYZE kv",
 	} {
-		if _, err := eng.ExecTxn(sql, txn); err == nil {
+		if _, err := execTxn(eng, sql, txn); err == nil {
 			t.Fatalf("%s inside txn succeeded, want error", sql)
 		}
 	}
@@ -229,6 +229,65 @@ func TestTxnControlNeedsSession(t *testing.T) {
 	for _, sql := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
 		if _, err := eng.Exec(sql); err == nil {
 			t.Fatalf("%s on bare engine succeeded, want error", sql)
+		}
+	}
+}
+
+// TestTxnIndexNLJoinReadsSnapshot: the index nested-loop join a
+// PreferIndex replan links in fetches its inner rows through the
+// statement's snapshot — index entries cover every version, so a row
+// committed after the snapshot (or deleted after it) must be filtered by
+// the reader, not trusted from the index.
+func TestTxnIndexNLJoinReadsSnapshot(t *testing.T) {
+	eng, db := newTxnEngine(t, 50, true)
+	eng.MustExec("CREATE TABLE big (k INT)")
+	for i := 0; i < 600; i++ {
+		eng.MustExec(fmt.Sprintf("INSERT INTO big VALUES (%d)", i%60))
+	}
+	eng.MustExec("ANALYZE kv")
+	// The optimiser believes big is tiny: it builds first and aborts.
+	if err := eng.cat.SetStats("big", TableStats{Rows: 2, Distinct: map[string]int{"k": 2}}); err != nil {
+		t.Fatal(err)
+	}
+	old := db.Txns().Begin()
+	defer old.Rollback()
+	writer := db.Txns().Begin()
+	for _, sql := range []string{
+		"INSERT INTO kv VALUES (55, 'late')", // big holds ten k=55 rows
+		"DELETE FROM kv WHERE k = 7",
+	} {
+		if _, err := execTxn(eng, sql, writer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := db.Txns().Begin()
+	defer fresh.Rollback()
+
+	const sql = "SELECT big.k, kv.v FROM big JOIN kv ON big.k = kv.k"
+	for _, workers := range []int{1, 4} {
+		for txn, want := range map[*storage.Txn]int{old: 500, fresh: 500 + 10 - 10} {
+			res, rep, err := eng.ExecuteSQL(sql, ExecOptions{Workers: workers, Txn: txn,
+				Adaptive: &AdaptiveConfig{PreferIndex: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Adaptive.UsedIndex {
+				t.Fatalf("workers=%d: no index-NL replan: %+v", workers, rep.Adaptive)
+			}
+			late := 0
+			for _, r := range res.Rows {
+				if r[1].Str == "late" {
+					late++
+				}
+			}
+			if wantLate := map[bool]int{true: 0, false: 10}[txn == old]; len(res.Rows) != want || late != wantLate {
+				t.Fatalf("workers=%d old=%v: %d rows (%d late), want %d (%d late)",
+					workers, txn == old, len(res.Rows), late, want, wantLate)
+			}
+			requireSameOrdered(t, "against the reference", rowsMultiset(res), rowsMultiset(refSelect(t, eng, sql, txn)))
 		}
 	}
 }

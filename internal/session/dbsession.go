@@ -129,27 +129,20 @@ func (s *DBSession) Close() error {
 	return nil
 }
 
-// Exec parses and executes one statement in this session's
-// transactional context. A statement that hits a write conflict
-// inside an explicit transaction aborts the whole transaction
-// (first-committer-wins leaves it doomed anyway); the conflict error
-// is returned and the session is back in autocommit.
+// Exec is ExecOpts with one worker and no per-statement controls.
 func (s *DBSession) Exec(sql string) (*query.Result, error) {
-	st, err := query.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.execStmtLocked(st, query.ExecOptions{}, false)
+	return s.ExecOpts(sql, query.ExecOptions{Workers: 1})
 }
 
-// ExecOpts is Exec through the parallel executor with per-statement
-// controls: transaction control is handled inline, SELECTs run across
-// the morsel pipelines under the session transaction with opts'
-// worker/batch tuning, Cancel hook and memory budget, and writes keep
-// the serial transactional path (autocommit outside an explicit
-// transaction). This is the server front-end's entry point — one
+// ExecOpts parses and executes one statement in this session's
+// transactional context (opts.Txn is the session's to set): transaction
+// control is handled inline; everything else runs through
+// Engine.ExecuteStmt under the open transaction, or in an implicit one
+// outside it, with opts' worker/batch tuning, Cancel hook and memory
+// budget. A statement that hits a write conflict inside an explicit
+// transaction aborts the whole transaction (first-committer-wins leaves
+// it doomed anyway); the conflict error is returned and the session is
+// back in autocommit. This is the server front-end's entry point — one
 // parse, one lock acquisition per statement.
 func (s *DBSession) ExecOpts(sql string, opts query.ExecOptions) (*query.Result, error) {
 	st, err := query.Parse(sql)
@@ -158,13 +151,6 @@ func (s *DBSession) ExecOpts(sql string, opts query.ExecOptions) (*query.Result,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.execStmtLocked(st, opts, true)
-}
-
-// execStmtLocked runs one parsed statement under the session lock.
-// parallel selects the executor for SELECTs; writes always take the
-// serial transactional path (DML is serial in both executors).
-func (s *DBSession) execStmtLocked(st query.Stmt, opts query.ExecOptions, parallel bool) (*query.Result, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
@@ -196,21 +182,8 @@ func (s *DBSession) execStmtLocked(st query.Stmt, opts query.ExecOptions, parall
 		return &query.Result{}, nil
 	}
 
-	if sel, ok := st.(*query.SelectStmt); ok && parallel {
-		opts.Txn = s.txn
-		if opts.Txn == nil && s.tm != nil {
-			// Autocommit read: give the parallel SELECT its own
-			// snapshot so it cannot see other sessions' uncommitted
-			// writes. Read-only, so rollback (no WAL traffic).
-			t := s.tm.Begin()
-			defer func() { _ = t.Rollback() }()
-			opts.Txn = t
-		}
-		res, _, err := s.eng.ExecuteStmt(sel, opts)
-		return res, err
-	}
-	if s.txn != nil {
-		res, err := s.eng.ExecStmtTxn(st, s.txn)
+	if opts.Txn = s.txn; opts.Txn != nil {
+		res, _, err := s.eng.ExecuteStmt(st, opts)
 		if errors.Is(err, storage.ErrWriteConflict) {
 			t := s.txn
 			s.txn = nil
@@ -220,51 +193,32 @@ func (s *DBSession) execStmtLocked(st query.Stmt, opts query.ExecOptions, parall
 		}
 		return res, err
 	}
-	return s.autocommit(st)
+	return s.autocommit(st, opts)
 }
 
 // autocommit runs one statement outside an explicit transaction: DDL
 // (and any statement on a non-durable engine) takes the legacy
-// unversioned path; reads and DML get an implicit transaction so a
-// multi-row statement is atomic and its commit can share an fsync
-// with concurrent sessions.
-func (s *DBSession) autocommit(st query.Stmt) (*query.Result, error) {
-	if s.tm == nil {
-		return s.eng.ExecStmtTxn(st, nil)
-	}
+// unversioned path; a read gets its own snapshot, so it cannot see other
+// sessions' uncommitted writes, and rolls it back (read-only: no WAL
+// traffic); DML gets an implicit transaction so a multi-row statement is
+// atomic and its commit can share an fsync with concurrent sessions.
+func (s *DBSession) autocommit(st query.Stmt, opts query.ExecOptions) (*query.Result, error) {
 	switch st.(type) {
 	case *query.CreateTableStmt, *query.CreateIndexStmt, *query.AnalyzeStmt:
-		return s.eng.ExecStmtTxn(st, nil)
+	default:
+		if s.tm != nil {
+			opts.Txn = s.tm.Begin()
+		}
 	}
-	t := s.tm.Begin()
-	res, err := s.eng.ExecStmtTxn(st, t)
-	if err != nil {
-		return nil, errors.Join(err, t.Rollback())
+	res, _, err := s.eng.ExecuteStmt(st, opts)
+	if opts.Txn == nil {
+		return res, err
 	}
-	if err := t.Commit(); err != nil {
+	if _, read := st.(*query.SelectStmt); read || err != nil {
+		return res, errors.Join(err, opts.Txn.Rollback())
+	}
+	if err := opts.Txn.Commit(); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// ExecParallel is Exec through the morsel-driven parallel executor:
-// opts.Txn is overridden with the session's open transaction (nil in
-// autocommit — parallel SELECTs outside a transaction read the raw
-// heap exactly as before).
-func (s *DBSession) ExecParallel(sql string, opts query.ExecOptions) (*query.Result, *query.ExecReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, ErrSessionClosed
-	}
-	opts.Txn = s.txn
-	res, rep, err := s.eng.ExecuteSQL(sql, opts)
-	if s.txn != nil && errors.Is(err, storage.ErrWriteConflict) {
-		t := s.txn
-		s.txn = nil
-		if rbErr := t.Rollback(); rbErr != nil {
-			return res, rep, errors.Join(err, rbErr)
-		}
-	}
-	return res, rep, err
 }

@@ -163,38 +163,43 @@ func TestDBSessionAutocommitConcurrent(t *testing.T) {
 	}
 }
 
-// TestDBSessionParallelExec: the morsel-driven executor inside an
-// explicit transaction reads the session's snapshot.
-func TestDBSessionParallelExec(t *testing.T) {
+// TestDBSessionSelectSnapshots: a SELECT inside an explicit transaction
+// reads the session's snapshot at any worker count, and an autocommit
+// SELECT reads under a snapshot it then rolls back — no WAL traffic —
+// whichever of Exec and ExecOpts issued it.
+func TestDBSessionSelectSnapshots(t *testing.T) {
 	eng, db := newSessionFixture(t)
 	a, b := NewDBSession(eng, db), NewDBSession(eng, db)
 	if _, err := a.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot taken by first read inside the txn... snapshots are
-	// taken at BEGIN; b's later commit must stay invisible.
+	// Snapshots are taken at BEGIN; b's later commit must stay invisible.
 	if _, err := b.Exec("INSERT INTO kv VALUES (500, 'late')"); err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := a.ExecParallel("SELECT k FROM kv", query.ExecOptions{Workers: 4, BatchSize: 64})
+	res, err := a.ExecOpts("SELECT k FROM kv", query.ExecOptions{Workers: 4, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Parallel {
-		t.Fatal("parallel path not taken")
-	}
 	if len(res.Rows) != 5 {
-		t.Fatalf("txn parallel scan sees %d rows, want 5 (snapshot at BEGIN)", len(res.Rows))
+		t.Fatalf("txn scan sees %d rows, want 5 (snapshot at BEGIN)", len(res.Rows))
 	}
 	if _, err := a.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = a.ExecParallel("SELECT k FROM kv", query.ExecOptions{Workers: 4})
+	wal := db.Stats().WALAppends
+	res, err = a.ExecOpts("SELECT k FROM kv", query.ExecOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("autocommit parallel scan sees %d rows, want 6", len(res.Rows))
+	if got := sessCount(t, a); len(res.Rows) != 6 || got != 6 {
+		t.Fatalf("autocommit scans see %d and %d rows, want 6", len(res.Rows), got)
+	}
+	if got := db.Stats().WALAppends; got != wal {
+		t.Fatalf("autocommit SELECTs appended %d WAL records, want none", got-wal)
+	}
+	if n := db.Txns().Active(); n != 0 {
+		t.Fatalf("%d transactions left open", n)
 	}
 }
 

@@ -596,28 +596,14 @@ func BenchmarkFigure7_PageComposition(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Morsel-driven parallel join: rows/sec across worker counts. On a
 // multicore box the 4-worker run should clear 2x the 1-worker rate;
-// ci.sh gates the same workload via cmd/admbench against
-// bench_baseline.json so single-core CI still catches regressions.
+// `admbench -bench` gates the 4w/1w ratio on the same fixture.
 
 func benchParallelJoin(b *testing.B, rowsPerSide, workers int) {
 	b.Helper()
-	e := query.NewEngine(query.NewCatalog(4096), nil, nil)
-	e.MustExec("CREATE TABLE l (k INT, v INT)")
-	e.MustExec("CREATE TABLE r (k INT, v INT)")
-	cat := e.Catalog()
-	for i := 0; i < rowsPerSide; i++ {
-		row := func(v int64) storage.Tuple {
-			return storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(v)}
-		}
-		if _, err := cat.Insert("l", row(int64(i*3))); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cat.Insert("r", row(int64(i*7))); err != nil {
-			b.Fatal(err)
-		}
+	e, err := experiments.ParallelJoinEngine(rowsPerSide)
+	if err != nil {
+		b.Fatal(err)
 	}
-	e.MustExec("ANALYZE l")
-	e.MustExec("ANALYZE r")
 	const sql = "SELECT l.v, r.v FROM l JOIN r ON l.k = r.k"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -727,25 +713,11 @@ func BenchmarkBatchHeapScan(b *testing.B) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
-// benchSortTuples builds the shared sort-bench input: three-column
-// rows, ~4 rows per key value.
-func benchSortTuples(rows int) []storage.Tuple {
-	out := make([]storage.Tuple, rows)
-	for i := 0; i < rows; i++ {
-		out[i] = storage.Tuple{
-			storage.IntValue(int64((i * 2654435761) % (rows / 4))),
-			storage.IntValue(int64(i % 97)),
-			storage.IntValue(int64(i)),
-		}
-	}
-	return out
-}
-
 // BenchmarkParallelSort measures the full parallel ORDER BY pipeline
 // over materialised rows: worker-local typed-key runs merged through
 // the loser tree and drained.
 func benchParallelSort(b *testing.B, rows, workers int) {
-	tuples := benchSortTuples(rows)
+	tuples := experiments.SortBenchTuples(rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -776,7 +748,7 @@ func BenchmarkParallelSort_100k_w4(b *testing.B) { benchParallelSort(b, 100_000,
 // even if it stayed within a few allocations.
 func BenchmarkTopK(b *testing.B) {
 	const rows, k = 100_000, 10
-	tuples := benchSortTuples(rows)
+	tuples := experiments.SortBenchTuples(rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

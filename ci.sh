@@ -46,62 +46,20 @@
 #   lint         admlint over every checked-in ADL model, rule file and
 #                assembly listing; the negative fixtures must keep
 #                producing diagnostics (exit != 0), the clean ones none.
-#   bench smoke  cmd/admbench -json on a small fixed workload, written
-#                to BENCH_parallel.json and gated against
-#                bench_baseline.json: the build fails if the 4-worker
-#                join, parallel-sort or top-k throughput drops below
-#                0.9x the checked-in baseline, if the join's 4w/1w
-#                scaling efficiency falls below scaling_floor, if
-#                the parallel sort's speedup over the serial
-#                boxed-Compare reference falls below
-#                sort_scaling_floor, if either crash-recovery
-#                smoke bench (RecoveryWAL, RecoveryCkpt) recovers
-#                fewer rows/sec than recovery_floor, or if the
-#                concurrent-commit bench's 16-session/1-session
-#                commits/sec ratio falls below commit_scaling_floor
-#                (group commit degenerating to fsync-per-commit), if
-#                the mis-ordered multi-join bench's recovery ratios
-#                (MultiJoinGreedy / MultiJoinAdapt vs the
-#                MultiJoinDecl..MultiJoinOracle throughput gap,
-#                paired per repeat) fall below greedy_recovery_floor
-#                / adaptation_recovery_floor — the greedy join order
-#                or the safe-point router no longer rescuing a bad
-#                declaration order — if PlanTime exceeds
-#                plan_time_ceiling_ns per 5-table plan, or if the
-#                vectorized scan-filter's paired kernel/boxed
-#                throughput ratio (ScanFilter vs ScanFilterBoxed,
-#                1%-selectivity clustered scan) falls below
-#                filter_kernel_floor, if the adaptive flash-crowd
-#                drive's served p99 exceeds flash_p99_ceiling_ms
-#                while the static witness run exceeds it (the
-#                degradation ladder no longer defending the SLO), or
-#                if its decay-phase shed recovery falls below
-#                shed_recovery_floor (the ladder failing to release).
-#                To refresh the baseline (after an
-#                intentional perf change, or on new CI hardware), see
-#                the update procedure in bench_baseline.json's
-#                _readme.
-#   alloc gate   BenchmarkBatchHeapScan, BenchmarkTopK,
-#                BenchmarkJoinAggregate and BenchmarkFilterBatch with
-#                -benchmem: fails if the batched scan's allocs/op
-#                exceeds SCAN_ALLOC_BUDGET, if the Top-K path exceeds
-#                TOPK_ALLOC_BUDGET allocs/op or TOPK_BYTE_BUDGET B/op —
-#                the bounded heaps started materialising the input
-#                they exist to avoid — if a join-aggregate exceeds
-#                JOINAGG_BYTE_BUDGET B/op — the final probe started
-#                building the joined rows its aggregate sink exists to
-#                avoid — or if steady-state kernel filtering of a
-#                1024-row batch exceeds FILTER_ALLOC_BUDGET allocs/op
-#                (the selection vector must be reused off the batch,
-#                never reallocated per batch).
+#   bench smoke  cmd/admbench -bench on a small fixed workload: ratios
+#                against a same-run witness, and exact counts; see
+#                internal/experiments/gates.go. Throughput itself is
+#                the wire benchmark's, paired against the parent commit.
+#   alloc gate   go test -benchmem allocs/op and B/op (counts: they
+#                repeat on any host) against the *_BUDGET constants.
 #
 # Every step prints its elapsed time when the next one starts; on any
 # failure the last line on stderr is "FAILED: <step>" so the culprit
 # is readable without scrolling.
 #
-# ADM_CI_QUICK=1 skips the race and crash matrices (the two
-# multi-schedule re-runs) for fast local iteration. CI runs the full
-# script.
+# ADM_CI_QUICK=1 skips the race, crash and connection-fault matrices
+# (the three multi-schedule re-runs) for fast local iteration. CI runs
+# the full script.
 set -eu
 
 # Non-test lines of internal/query + internal/operators: the 7895 that
@@ -126,6 +84,9 @@ JOINAGG_BYTE_BUDGET=1048576
 # the selection vector lives on the batch and is reused; headroom for
 # the occasional conjunct-reorder copy).
 FILTER_ALLOC_BUDGET=2
+# Greedy planning of a 5-table chain, parse excluded (measured 78, every
+# run): a candidate loop gone cubic or re-deriving statistics multiplies it.
+PLAN_ALLOC_BUDGET=96
 
 cd "$(dirname "$0")"
 
@@ -250,75 +211,33 @@ for f in cmd/admlint/testdata/dangling_bind.adl \
     fi
 done
 
-step "bench smoke (join/sort/top-k/commit/multijoin/flash-crowd regression gate)"
-go run ./cmd/admbench -json -rows 20000 -workers 1,2,4 -repeats 5 -flash \
-    -baseline bench_baseline.json > BENCH_parallel.json
-echo "   wrote BENCH_parallel.json"
+step "bench smoke (same-run ratio and exact-count gates)"
+go run ./cmd/admbench -bench -rows 20000 -workers 1,2,4 -repeats 5
 
-step "alloc gate (batched scan)"
-bench_out=$(go test -run '^$' -bench '^BenchmarkBatchHeapScan$' \
-    -benchmem -benchtime 20x .)
-allocs=$(echo "$bench_out" | awk '/^BenchmarkBatchHeapScan/ { print $(NF-1) }')
-if [ -z "$allocs" ]; then
-    echo "could not parse allocs/op from benchmark output:" >&2
-    echo "$bench_out" >&2
-    exit 1
-fi
-echo "   BatchHeapScan: $allocs allocs/op (budget $SCAN_ALLOC_BUDGET)"
-if [ "$allocs" -gt "$SCAN_ALLOC_BUDGET" ]; then
-    echo "ALLOC REGRESSION: batched scan at $allocs allocs/op, budget $SCAN_ALLOC_BUDGET" >&2
-    exit 1
-fi
-
-step "alloc gate (top-k)"
-topk_out=$(go test -run '^$' -bench '^BenchmarkTopK$' \
-    -benchmem -benchtime 20x .)
-topk_allocs=$(echo "$topk_out" | awk '/^BenchmarkTopK/ { print $(NF-1) }')
-topk_bytes=$(echo "$topk_out" | awk '/^BenchmarkTopK/ { print $(NF-3) }')
-if [ -z "$topk_allocs" ] || [ -z "$topk_bytes" ]; then
-    echo "could not parse allocs/B per op from benchmark output:" >&2
-    echo "$topk_out" >&2
-    exit 1
-fi
-echo "   TopK: $topk_allocs allocs/op (budget $TOPK_ALLOC_BUDGET), $topk_bytes B/op (budget $TOPK_BYTE_BUDGET)"
-if [ "$topk_allocs" -gt "$TOPK_ALLOC_BUDGET" ]; then
-    echo "ALLOC REGRESSION: top-k at $topk_allocs allocs/op, budget $TOPK_ALLOC_BUDGET" >&2
-    exit 1
-fi
-if [ "$topk_bytes" -gt "$TOPK_BYTE_BUDGET" ]; then
-    echo "MATERIALISATION REGRESSION: top-k at $topk_bytes B/op, budget $TOPK_BYTE_BUDGET" >&2
-    exit 1
-fi
-
-step "alloc gate (join-aggregate)"
-joinagg_out=$(go test -run '^$' -bench '^BenchmarkJoinAggregate$' \
-    -benchmem -benchtime 20x .)
-joinagg_bytes=$(echo "$joinagg_out" | awk '/^BenchmarkJoinAggregate/ { print $(NF-3) }')
-if [ -z "$joinagg_bytes" ]; then
-    echo "could not parse B/op from benchmark output:" >&2
-    echo "$joinagg_out" >&2
-    exit 1
-fi
-echo "   JoinAggregate: $joinagg_bytes B/op (budget $JOINAGG_BYTE_BUDGET)"
-if [ "$joinagg_bytes" -gt "$JOINAGG_BYTE_BUDGET" ]; then
-    echo "MATERIALISATION REGRESSION: join-aggregate at $joinagg_bytes B/op, budget $JOINAGG_BYTE_BUDGET" >&2
-    exit 1
-fi
-
-step "alloc gate (vectorized filter)"
-filter_out=$(go test -run '^$' -bench '^BenchmarkFilterBatch$' \
-    -benchmem -benchtime 100x ./internal/operators)
-filter_allocs=$(echo "$filter_out" | awk '/^BenchmarkFilterBatch/ { print $(NF-1) }')
-if [ -z "$filter_allocs" ]; then
-    echo "could not parse allocs/op from benchmark output:" >&2
-    echo "$filter_out" >&2
-    exit 1
-fi
-echo "   FilterBatch: $filter_allocs allocs/op (budget $FILTER_ALLOC_BUDGET)"
-if [ "$filter_allocs" -gt "$FILTER_ALLOC_BUDGET" ]; then
-    echo "ALLOC REGRESSION: kernel filter at $filter_allocs allocs/op, budget $FILTER_ALLOC_BUDGET" >&2
-    exit 1
-fi
+# alloc_gate <bench> <pkg> <benchtime> <allocs|bytes> <budget>...: fail when
+# a count on the -benchmem line ("<n> B/op <n> allocs/op") exceeds its budget.
+alloc_gate() {
+    bench=$1
+    step "alloc gate ($bench)"
+    out=$(go test -run '^$' -bench "^$bench\$" -benchmem -benchtime "$3" "$2")
+    shift 3
+    while [ $# -ge 2 ]; do
+        col=1
+        [ "$1" = bytes ] && col=3
+        got=$(echo "$out" | awk -v b="$bench" -v c="$col" '$1 ~ "^"b"(-[0-9]+)?$" { print $(NF-c) }')
+        echo "   $bench: ${got:-?} $1/op (budget $2)"
+        if [ -z "$got" ] || [ "$got" -gt "$2" ]; then
+            printf '%s\n' "ALLOC REGRESSION: $bench over its $1/op budget (or unparsed):" "$out" >&2
+            exit 1
+        fi
+        shift 2
+    done
+}
+alloc_gate BenchmarkBatchHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
+alloc_gate BenchmarkTopK . 20x allocs "$TOPK_ALLOC_BUDGET" bytes "$TOPK_BYTE_BUDGET"
+alloc_gate BenchmarkJoinAggregate . 20x bytes "$JOINAGG_BYTE_BUDGET"
+alloc_gate BenchmarkFilterBatch ./internal/operators 100x allocs "$FILTER_ALLOC_BUDGET"
+alloc_gate BenchmarkPlanMultiJoin ./internal/query 1000x allocs "$PLAN_ALLOC_BUDGET"
 
 step "done"
 echo "ok (total $(( $(date +%s) - CI_T0 ))s)"

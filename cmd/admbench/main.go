@@ -7,18 +7,18 @@
 //	admbench -exp table1          # run one experiment
 //	admbench -list                # list experiment ids
 //	admbench -markdown            # emit markdown (EXPERIMENTS.md body)
-//	admbench -bench               # join/sort/top-k benchmarks, human-readable
-//	admbench -json                # same, one JSON record per line
-//	admbench -json -baseline f    # also gate against a baseline file
+//	admbench -bench               # executor benchmarks + the perf gates
+//	                              # (internal/experiments/gates.go); exit 1
+//	                              # on a failed gate, 2 on an unreadable one
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,14 +30,11 @@ func main() {
 		exp      = flag.String("exp", "", "run a single experiment by id")
 		list     = flag.Bool("list", false, "list experiment ids")
 		markdown = flag.Bool("markdown", false, "emit markdown instead of text tables")
-		bench    = flag.Bool("bench", false, "run the parallel executor benchmarks (join, sort, top-k)")
-		jsonOut  = flag.Bool("json", false, "emit benchmark results as JSON lines (implies -bench)")
+		bench    = flag.Bool("bench", false, "run the executor benchmarks and check the perf gates (same-run ratios, exact counts)")
 		rows     = flag.Int("rows", 20000, "benchmark rows per join side")
 		workers  = flag.String("workers", "1,2,4,8", "comma-separated worker counts")
 		repeats  = flag.Int("repeats", 3, "benchmark repetitions (best run reported)")
 		batch    = flag.Int("batch", 0, "exchange batch size in tuples (0 = default)")
-		baseline = flag.String("baseline", "", "baseline JSON file to gate 4-worker throughput against")
-		flash    = flag.Bool("flash", false, "include the live-server flash-crowd benchmarks (multi-second)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the benchmark to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the benchmark to this file")
 	)
@@ -50,7 +47,7 @@ func main() {
 		return
 	}
 
-	if *bench || *jsonOut {
+	if *bench {
 		if *cpuProf != "" {
 			f, err := os.Create(*cpuProf)
 			if err != nil {
@@ -62,7 +59,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		code := runBench(*rows, *workers, *repeats, *batch, *jsonOut, *baseline, *flash)
+		code := runBench(*rows, *workers, *repeats, *batch)
 		if *cpuProf != "" {
 			pprof.StopCPUProfile()
 		}
@@ -111,7 +108,10 @@ func main() {
 	}
 }
 
-func runBench(rows int, workerList string, repeats, batch int, jsonOut bool, baselinePath string, flash bool) int {
+// runBench runs the executor benchmarks, prints every series' best
+// repeat, and evaluates the gate table over this run's measurements.
+// The exit status is the gates' verdict (experiments.CheckGates).
+func runBench(rows int, workerList string, repeats, batch int) int {
 	var workers []int
 	for _, f := range strings.Split(workerList, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(f))
@@ -121,418 +121,27 @@ func runBench(rows int, workerList string, repeats, batch int, jsonOut bool, bas
 		}
 		workers = append(workers, w)
 	}
-	results, err := experiments.RunParallelJoinBenchBatch(rows, workers, repeats, batch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
+	if repeats < 1 {
+		repeats = 1
 	}
-	sortResults, err := experiments.RunParallelSortBench(rows, workers, repeats, batch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, sortResults...)
-	topkResults, err := experiments.RunTopKBench(rows, workers, repeats, batch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, topkResults...)
-	recResults, err := experiments.RunRecoveryBench(rows, repeats)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, recResults...)
-	commitResults, err := experiments.RunCommitBench([]int{1, 4, 16}, 64, repeats)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, commitResults...)
-	mjResults, err := experiments.RunMultiJoinBench(rows, 1, repeats)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, mjResults...)
-	ptResults, err := experiments.RunPlanTimeBench(repeats)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, ptResults...)
-	sfResults, err := experiments.RunScanFilterBench(rows, 4, repeats)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
-		return 1
-	}
-	results = append(results, sfResults...)
-	if flash {
-		flashResults, err := experiments.RunFlashCrowdBench()
-		if err != nil {
+	var m experiments.Measurements
+	for _, run := range []func() error{
+		func() error { return experiments.RunParallelJoinBenchBatch(&m, rows, workers, repeats, batch) },
+		func() error { return experiments.RunParallelSortBench(&m, rows, workers, repeats, batch) },
+		func() error { return experiments.RunTopKBench(&m, rows, workers, repeats, batch) },
+		func() error { return experiments.RunRecoveryBench(&m, rows, repeats) },
+		func() error { return experiments.RunCommitBench(&m, []int{1, 4, 16}, 64, repeats) },
+		func() error { return experiments.RunMultiJoinBench(&m, rows, 1, repeats) },
+		func() error { return experiments.RunScanFilterBench(&m, rows, 4, repeats) },
+	} {
+		if err := run(); err != nil {
 			fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
 			return 1
 		}
-		results = append(results, flashResults...)
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, r := range results {
-			if err := enc.Encode(r); err != nil {
-				fmt.Fprintf(os.Stderr, "admbench: %v\n", err)
-				return 1
-			}
-		}
-	} else {
-		fmt.Printf("bench  rows=%d, best of %d\n", rows, repeats)
-		for _, r := range results {
-			fmt.Printf("  %-12s workers=%-2d  %12.0f rows/sec  %12d ns", r.Bench, r.Workers, r.RowsPerSec, r.Cycles)
-			if r.ScalingEfficiency > 0 {
-				fmt.Printf("  scaling=%.2f", r.ScalingEfficiency)
-			}
-			if r.AbortRate > 0 {
-				fmt.Printf("  aborts=%.1f%%", r.AbortRate*100)
-			}
-			if r.P99MS > 0 {
-				fmt.Printf("  p99=%.1fms", r.P99MS)
-			}
-			if r.ShedRecovery > 0 {
-				fmt.Printf("  shed-recovery=%.2f", r.ShedRecovery)
-			}
-			fmt.Println()
-		}
+	fmt.Printf("bench  rows=%d, best of %d (rows/sec; CommitTxn commits/sec; dotted names are counts and rates)\n", rows, repeats)
+	for _, s := range m {
+		fmt.Printf("  %-28s %14.2f\n", s.Name, slices.Max(s.Samples))
 	}
-	if baselinePath != "" {
-		return gateAgainstBaseline(results, baselinePath, rows)
-	}
-	return 0
-}
-
-// baselineFile is the checked-in bench_baseline.json shape.
-type baselineFile struct {
-	Readme  []string                          `json:"_readme"`
-	Rows    int                               `json:"rows"`
-	Benches []experiments.ParallelBenchResult `json:"benches"`
-	// ScalingFloor is the minimum accepted 4w/1w join rows_per_sec
-	// ratio (0 = no scaling gate). It is checked in alongside the
-	// throughput numbers because the attainable ratio is
-	// hardware-dependent: on a single-core CI host ~1.0 is the ceiling,
-	// on real multicore it should be well above 1.
-	ScalingFloor float64 `json:"scaling_floor,omitempty"`
-	// SortScalingFloor is the minimum accepted ParallelSort(4w) /
-	// SerialSort rows_per_sec ratio. Unlike ScalingFloor this holds even
-	// on one core: the numerator uses typed extracted keys where the
-	// denominator pays storage.Compare on boxed Values per comparison,
-	// so the ratio is mostly the comparator win.
-	SortScalingFloor float64 `json:"sort_scaling_floor,omitempty"`
-	// RecoveryFloor is the minimum accepted recovered rows/sec for the
-	// crash-recovery smoke benches (RecoveryWAL and RecoveryCkpt; 0 =
-	// no recovery gate). An absolute floor rather than a baseline
-	// ratio: the benches are sub-millisecond at smoke sizes, so a
-	// ratio would be all scheduler noise — what CI must catch is
-	// recovery going accidentally quadratic or re-reading the whole
-	// log per record.
-	RecoveryFloor float64 `json:"recovery_floor,omitempty"`
-	// CommitScalingFloor is the minimum accepted CommitTxn(16
-	// sessions) / CommitTxn(1 session) commits/sec ratio — the
-	// group-commit gate. The bench's WAL pays a fixed simulated fsync
-	// latency, so the ratio measures fsync batching, not CPU
-	// parallelism, and holds on a single-core host: one session pays
-	// one fsync per commit while sixteen share each barrier through
-	// the group-commit leader.
-	CommitScalingFloor float64 `json:"commit_scaling_floor,omitempty"`
-	// GreedyRecoveryFloor is the minimum accepted
-	// (MultiJoinGreedy − MultiJoinDecl) / (MultiJoinOracle − MultiJoinDecl)
-	// throughput ratio: how much of the gap between the mis-declared
-	// join order and the hand-ordered plan greedy ordering alone
-	// recovers, given honest statistics. A ratio, so it holds across
-	// hardware; both floors are computed from the measured run, the
-	// baseline only supplies the floor.
-	GreedyRecoveryFloor float64 `json:"greedy_recovery_floor,omitempty"`
-	// AdaptationRecoveryFloor is the same recovery ratio for
-	// MultiJoinAdapt — greedy seeded with deliberately stale
-	// statistics, so the safe-point router must discover the real
-	// cardinalities mid-query. It must still recover most of the gap.
-	AdaptationRecoveryFloor float64 `json:"adaptation_recovery_floor,omitempty"`
-	// PlanTimeCeilingNs is the maximum accepted nanoseconds per plan
-	// for the PlanTime bench (5-table greedy planning via a pre-parsed
-	// EXPLAIN; 0 = no gate). Catches the O(n²) greedy loop going
-	// accidentally cubic or allocation-heavy.
-	PlanTimeCeilingNs uint64 `json:"plan_time_ceiling_ns,omitempty"`
-	// FilterKernelFloor is the minimum accepted ScanFilter
-	// filter_kernel_ratio: kernel-path over boxed-path throughput on
-	// the 1%-selectivity clustered scan, paired within a repeat. A
-	// ratio, so it holds across hardware; it catches the vectorized
-	// path silently falling back to boxed execution or zone-map
-	// pruning stopping (the ratio collapses toward 1).
-	FilterKernelFloor float64 `json:"filter_kernel_floor,omitempty"`
-	// FlashP99CeilingMS is the maximum accepted FlashCrowdAdapt crowd
-	// p99 (ms; 0 = no gate) — the admission-control SLO gate. The
-	// paired FlashCrowdStatic record is the overload witness: its p99
-	// must EXCEED the ceiling, or the drive no longer overloads the
-	// server and the gate is vacuous (a configuration error, not a
-	// regression). Requires -flash.
-	FlashP99CeilingMS float64 `json:"flash_p99_ceiling_ms,omitempty"`
-	// ShedRecoveryFloor is the minimum accepted FlashCrowdAdapt
-	// shed-recovery: the served fraction of decay-phase traffic after
-	// the crowd leaves. A ladder that fails to release keeps shedding
-	// healthy traffic and this collapses toward 0.
-	ShedRecoveryFloor float64 `json:"shed_recovery_floor,omitempty"`
-}
-
-// gateAgainstBaseline fails (exit 1) when, for any bench family the
-// baseline records at 4 workers (ParallelJoin, ParallelSort, TopK),
-// the measured 4-worker throughput falls below 0.9× the baseline's —
-// the CI regression gate. Scaling floors gate the ratio fields:
-// scaling_floor the join's 4w/1w ratio, sort_scaling_floor the
-// parallel sort's speedup over the serial boxed-Compare reference.
-// Rows mismatch is a configuration error (exit 2): the numbers would
-// not be comparable.
-func gateAgainstBaseline(results []experiments.ParallelBenchResult, path string, rows int) int {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: baseline: %v\n", err)
-		return 2
-	}
-	var base baselineFile
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "admbench: baseline %s: %v\n", path, err)
-		return 2
-	}
-	if base.Rows != rows {
-		fmt.Fprintf(os.Stderr, "admbench: baseline rows=%d but measured rows=%d; rerun with -rows %d or refresh the baseline\n",
-			base.Rows, rows, base.Rows)
-		return 2
-	}
-	find := func(rs []experiments.ParallelBenchResult, bench string) (experiments.ParallelBenchResult, bool) {
-		for _, r := range rs {
-			if r.Bench == bench && r.Workers == 4 {
-				return r, true
-			}
-		}
-		return experiments.ParallelBenchResult{}, false
-	}
-	code := 0
-	for _, want := range base.Benches {
-		if want.Workers != 4 {
-			continue
-		}
-		// CommitTxn throughput is dominated by the bench's simulated
-		// fsync latency, not real work — absolute commits/sec is not a
-		// regression signal. Its gate is commit_scaling_floor below.
-		if want.Bench == "CommitTxn" {
-			continue
-		}
-		// The scan-filter pair is gated on its paired kernel/boxed
-		// ratio (filter_kernel_floor), which cancels host speed; the
-		// absolute records are informational.
-		if want.Bench == "ScanFilter" || want.Bench == "ScanFilterBoxed" {
-			continue
-		}
-		got, ok := find(results, want.Bench)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "admbench: measured results have no 4-worker %s record (include 4 in -workers)\n", want.Bench)
-			return 2
-		}
-		ratio := got.RowsPerSec / want.RowsPerSec
-		fmt.Fprintf(os.Stderr, "admbench: gate: 4-worker %s %.0f rows/sec vs baseline %.0f (ratio %.2f, floor 0.90)\n",
-			want.Bench, got.RowsPerSec, want.RowsPerSec, ratio)
-		if ratio < 0.9 {
-			fmt.Fprintf(os.Stderr, "admbench: REGRESSION: %s throughput below 0.9x baseline\n", want.Bench)
-			code = 1
-		}
-	}
-	checkScaling := func(bench string, floor float64, label string) {
-		if floor <= 0 {
-			return
-		}
-		got, ok := find(results, bench)
-		if !ok || got.ScalingEfficiency == 0 {
-			fmt.Fprintf(os.Stderr, "admbench: baseline sets %s but the reference run is missing (include 1 and 4 in -workers)\n", label)
-			code = 2
-			return
-		}
-		fmt.Fprintf(os.Stderr, "admbench: gate: %s scaling efficiency %.2f (floor %.2f)\n",
-			bench, got.ScalingEfficiency, floor)
-		if got.ScalingEfficiency < floor {
-			fmt.Fprintf(os.Stderr, "admbench: REGRESSION: %s scaling efficiency below floor\n", bench)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	checkScaling("ParallelJoin", base.ScalingFloor, "scaling_floor")
-	checkScaling("ParallelSort", base.SortScalingFloor, "sort_scaling_floor")
-	if base.CommitScalingFloor > 0 {
-		var got experiments.ParallelBenchResult
-		ok := false
-		for _, r := range results {
-			if r.Bench == "CommitTxn" && r.Workers == 16 {
-				got, ok = r, true
-				break
-			}
-		}
-		if !ok || got.ScalingEfficiency == 0 {
-			fmt.Fprintf(os.Stderr, "admbench: baseline sets commit_scaling_floor but the 16-session CommitTxn run is missing\n")
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "admbench: gate: CommitTxn 16-session group-commit scaling %.2f (floor %.2f, abort rate %.1f%%)\n",
-			got.ScalingEfficiency, base.CommitScalingFloor, got.AbortRate*100)
-		if got.ScalingEfficiency < base.CommitScalingFloor {
-			fmt.Fprintf(os.Stderr, "admbench: REGRESSION: group-commit fan-in below commit_scaling_floor — concurrent sessions are paying per-commit fsyncs\n")
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if base.GreedyRecoveryFloor > 0 || base.AdaptationRecoveryFloor > 0 {
-		get := func(bench string) (experiments.ParallelBenchResult, bool) {
-			for _, r := range results {
-				if r.Bench == bench {
-					return r, true
-				}
-			}
-			return experiments.ParallelBenchResult{}, false
-		}
-		decl, ok1 := get("MultiJoinDecl")
-		oracle, ok2 := get("MultiJoinOracle")
-		if !ok1 || !ok2 {
-			fmt.Fprintf(os.Stderr, "admbench: baseline sets a recovery floor but the MultiJoin reference runs are missing\n")
-			return 2
-		}
-		if oracle.RowsPerSec <= decl.RowsPerSec {
-			// The mis-ordered plan was not measurably slower than the
-			// hand-ordered one — the recovery ratio is meaningless, which
-			// means the bench is mis-sized, not that the optimizer broke.
-			fmt.Fprintf(os.Stderr, "admbench: MultiJoinOracle (%.0f rows/sec) is not faster than MultiJoinDecl (%.0f); increase -rows or refresh the baseline\n",
-				oracle.RowsPerSec, decl.RowsPerSec)
-			return 2
-		}
-		checkRecovery := func(bench string, floor float64, label string) {
-			if floor <= 0 {
-				return
-			}
-			got, ok := get(bench)
-			if !ok || got.RecoveryRatio == 0 {
-				fmt.Fprintf(os.Stderr, "admbench: baseline sets %s but %s was not measured\n", label, bench)
-				code = 2
-				return
-			}
-			fmt.Fprintf(os.Stderr, "admbench: gate: %s recovers %.2f of the declared->oracle gap (floor %.2f)\n",
-				bench, got.RecoveryRatio, floor)
-			if got.RecoveryRatio < floor {
-				fmt.Fprintf(os.Stderr, "admbench: REGRESSION: %s below %s\n", bench, label)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-		checkRecovery("MultiJoinGreedy", base.GreedyRecoveryFloor, "greedy_recovery_floor")
-		checkRecovery("MultiJoinAdapt", base.AdaptationRecoveryFloor, "adaptation_recovery_floor")
-	}
-	if base.PlanTimeCeilingNs > 0 {
-		found := false
-		for _, r := range results {
-			if r.Bench == "PlanTime" {
-				found = true
-				fmt.Fprintf(os.Stderr, "admbench: gate: PlanTime %d ns/plan (ceiling %d)\n",
-					r.Cycles, base.PlanTimeCeilingNs)
-				if r.Cycles > base.PlanTimeCeilingNs {
-					fmt.Fprintf(os.Stderr, "admbench: REGRESSION: planning above plan_time_ceiling_ns\n")
-					if code == 0 {
-						code = 1
-					}
-				}
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "admbench: baseline sets plan_time_ceiling_ns but PlanTime was not measured\n")
-			return 2
-		}
-	}
-	if base.FilterKernelFloor > 0 {
-		got, ok := find(results, "ScanFilter")
-		if !ok || got.FilterKernelRatio == 0 {
-			fmt.Fprintf(os.Stderr, "admbench: baseline sets filter_kernel_floor but the ScanFilter pair was not measured\n")
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "admbench: gate: ScanFilter kernel/boxed throughput ratio %.2f (floor %.2f)\n",
-			got.FilterKernelRatio, base.FilterKernelFloor)
-		if got.FilterKernelRatio < base.FilterKernelFloor {
-			fmt.Fprintf(os.Stderr, "admbench: REGRESSION: vectorized filter below filter_kernel_floor — the kernel path is no faster than boxed (kernels bypassed or zone pruning dead)\n")
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if base.FlashP99CeilingMS > 0 || base.ShedRecoveryFloor > 0 {
-		get := func(bench string) (experiments.ParallelBenchResult, bool) {
-			for _, r := range results {
-				if r.Bench == bench {
-					return r, true
-				}
-			}
-			return experiments.ParallelBenchResult{}, false
-		}
-		adapt, ok1 := get("FlashCrowdAdapt")
-		static, ok2 := get("FlashCrowdStatic")
-		if !ok1 || !ok2 {
-			fmt.Fprintf(os.Stderr, "admbench: baseline sets a flash-crowd gate but the FlashCrowd pair was not measured (run with -flash)\n")
-			return 2
-		}
-		if base.FlashP99CeilingMS > 0 {
-			if static.P99MS <= base.FlashP99CeilingMS {
-				// The un-adapted server stayed under the ceiling — the
-				// crowd no longer overloads it, so holding the ceiling
-				// proves nothing. Mis-sized drive, not a regression.
-				fmt.Fprintf(os.Stderr, "admbench: FlashCrowdStatic p99 %.1fms does not exceed the %.0fms ceiling; the drive no longer overloads the server — resize it or refresh the baseline\n",
-					static.P99MS, base.FlashP99CeilingMS)
-				return 2
-			}
-			fmt.Fprintf(os.Stderr, "admbench: gate: FlashCrowdAdapt p99 %.1fms (ceiling %.0fms; static witness %.1fms)\n",
-				adapt.P99MS, base.FlashP99CeilingMS, static.P99MS)
-			if adapt.P99MS > base.FlashP99CeilingMS {
-				fmt.Fprintf(os.Stderr, "admbench: REGRESSION: adaptive flash-crowd p99 above flash_p99_ceiling_ms — the degradation ladder is not defending the SLO\n")
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-		if base.ShedRecoveryFloor > 0 {
-			fmt.Fprintf(os.Stderr, "admbench: gate: FlashCrowdAdapt shed recovery %.2f (floor %.2f)\n",
-				adapt.ShedRecovery, base.ShedRecoveryFloor)
-			if adapt.ShedRecovery < base.ShedRecoveryFloor {
-				fmt.Fprintf(os.Stderr, "admbench: REGRESSION: ladder kept shedding after the crowd left — below shed_recovery_floor\n")
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-	}
-	if base.RecoveryFloor > 0 {
-		for _, bench := range []string{"RecoveryWAL", "RecoveryCkpt"} {
-			var got experiments.ParallelBenchResult
-			ok := false
-			for _, r := range results {
-				if r.Bench == bench {
-					got, ok = r, true
-					break
-				}
-			}
-			if !ok {
-				fmt.Fprintf(os.Stderr, "admbench: baseline sets recovery_floor but %s was not measured\n", bench)
-				return 2
-			}
-			fmt.Fprintf(os.Stderr, "admbench: gate: %s %.0f recovered rows/sec (floor %.0f)\n",
-				bench, got.RowsPerSec, base.RecoveryFloor)
-			if got.RowsPerSec < base.RecoveryFloor {
-				fmt.Fprintf(os.Stderr, "admbench: REGRESSION: %s below recovery_floor\n", bench)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-	}
-	return code
+	return experiments.CheckGates(os.Stdout, experiments.Gates, m)
 }

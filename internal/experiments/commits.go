@@ -4,7 +4,7 @@
 // that latency on every commit; sixteen sessions share it through the
 // group-commit leader, so commits/sec must scale well past the
 // single-session fsync-per-commit rate. The 16-session/1-session
-// ratio is the number ci.sh gates on (commit_scaling_floor).
+// ratio is the group-commit gate (gates.go).
 package experiments
 
 import (
@@ -47,15 +47,15 @@ func (d *syncDelayDisk) Sync() error {
 // committing txnsPerSession transactions (read a pool row, insert a
 // private row, update a contended pool row). Returns commits/sec and
 // the abort rate (aborts / attempts).
-func commitBenchRun(sessions, txnsPerSession int) (rate float64, abortRate float64, elapsed time.Duration, err error) {
+func commitBenchRun(sessions, txnsPerSession int) (rate, abortRate float64, err error) {
 	wal := &syncDelayDisk{DiskFile: storage.NewMemDisk(), delay: commitSyncDelay}
 	db, err := storage.Open(wal, storage.NewMemDisk(), storage.DBOptions{Sync: storage.SyncManual})
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	h, err := db.CreateFile("bench")
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 
 	// Seed the contention pool in one committed transaction and track
@@ -71,12 +71,12 @@ func commitBenchRun(sessions, txnsPerSession int) (rate float64, abortRate float
 			storage.StringValue(fmt.Sprintf("pool-%04d", i)),
 		})
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		pool[i] = rid
 	}
 	if err := seed.Commit(); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 
 	var (
@@ -159,53 +159,30 @@ func commitBenchRun(sessions, txnsPerSession int) (rate float64, abortRate float
 		}(s)
 	}
 	wg.Wait()
-	elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	if firstE != nil {
-		return 0, 0, 0, firstE
+		return 0, 0, firstE
 	}
 	commits := sessions * txnsPerSession
 	rate = float64(commits) / elapsed.Seconds()
 	abortRate = float64(aborts) / float64(aborts+commits)
-	return rate, abortRate, elapsed, nil
+	return rate, abortRate, nil
 }
 
-// RunCommitBench measures concurrent commit throughput at each
-// session count (commits/sec, best of repeats) plus the abort rate
-// from the best run. ScalingEfficiency on every multi-session record
-// is its ratio over the single-session rate — the 16-session value is
-// the group-commit fan-in the baseline's commit_scaling_floor gates.
-func RunCommitBench(sessions []int, txnsPerSession, repeats int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	if txnsPerSession < 1 {
-		txnsPerSession = 64
-	}
-	var out []ParallelBenchResult
-	var oneSession float64
-	for _, s := range sessions {
-		var best ParallelBenchResult
-		for r := 0; r < repeats; r++ {
-			rate, abortRate, elapsed, err := commitBenchRun(s, txnsPerSession)
+// RunCommitBench measures concurrent commit throughput (commits/sec)
+// and the abort rate at each session count, the counts interleaved
+// inside every repeat. The group-commit gate reads the 16-session
+// rate against the single-session one.
+func RunCommitBench(m *Measurements, sessions []int, txnsPerSession, repeats int) error {
+	for rep := 0; rep < repeats; rep++ {
+		for _, s := range sessions {
+			rate, abortRate, err := commitBenchRun(s, txnsPerSession)
 			if err != nil {
-				return nil, fmt.Errorf("commit bench (%d sessions): %w", s, err)
+				return fmt.Errorf("commit bench (%d sessions): %w", s, err)
 			}
-			if rate > best.RowsPerSec {
-				best = ParallelBenchResult{
-					Bench:      "CommitTxn",
-					Workers:    s,
-					RowsPerSec: rate,
-					Cycles:     uint64(elapsed.Nanoseconds()),
-					AbortRate:  abortRate,
-				}
-			}
+			m.Add(series("CommitTxn", s), rate)
+			m.Add(series("CommitTxn", s)+".abort_rate", abortRate)
 		}
-		if s == 1 {
-			oneSession = best.RowsPerSec
-		} else if oneSession > 0 {
-			best.ScalingEfficiency = best.RowsPerSec / oneSession
-		}
-		out = append(out, best)
 	}
-	return out, nil
+	return nil
 }

@@ -6,37 +6,24 @@ import "testing"
 // drive both ways and checks the acceptance shape: the adaptive
 // ladder keeps crowd-phase p99 strictly below the static server's
 // (which queues everything and lets latency explode), and it releases
-// after the crowd leaves. The absolute ceiling lives in
-// bench_baseline.json and is enforced by admbench in CI; this test
-// pins the relative contrast so `go test ./...` catches the ladder
-// dying outright.
+// after the crowd leaves. The static run is the same-process witness
+// — there is no absolute ceiling anywhere — and this test is the only
+// place the pair is gated.
 func TestFlashCrowdAdaptationHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live-server drive")
 	}
-	rs, err := RunFlashCrowdBench()
+	adapt, static, err := RunFlashCrowdBench()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]ParallelBenchResult{}
-	for _, r := range rs {
-		byName[r.Bench] = r
-	}
-	adapt, ok := byName["FlashCrowdAdapt"]
-	if !ok {
-		t.Fatal("no FlashCrowdAdapt record")
-	}
-	static, ok := byName["FlashCrowdStatic"]
-	if !ok {
-		t.Fatal("no FlashCrowdStatic record")
-	}
-	t.Logf("adaptive: p99=%.1fms served/sec=%.0f shed-recovery=%.2f", adapt.P99MS, adapt.RowsPerSec, adapt.ShedRecovery)
-	t.Logf("static:   p99=%.1fms served/sec=%.0f", static.P99MS, static.RowsPerSec)
-	if adapt.P99MS <= 0 || static.P99MS <= 0 {
+	t.Logf("adaptive: p99=%.1fms served=%d shed-recovery=%.2f", adapt.CrowdP99MS, adapt.CrowdServed, adapt.ShedRecovery)
+	t.Logf("static:   p99=%.1fms served=%d", static.CrowdP99MS, static.CrowdServed)
+	if adapt.CrowdP99MS <= 0 || static.CrowdP99MS <= 0 {
 		t.Fatal("drive produced no latency samples")
 	}
-	if adapt.P99MS >= static.P99MS {
-		t.Fatalf("adaptation did not help: adaptive p99 %.1fms >= static %.1fms", adapt.P99MS, static.P99MS)
+	if adapt.CrowdP99MS >= static.CrowdP99MS {
+		t.Fatalf("adaptation did not help: adaptive p99 %.1fms >= static %.1fms", adapt.CrowdP99MS, static.CrowdP99MS)
 	}
 	if adapt.ShedRecovery < 0.5 {
 		t.Fatalf("ladder failed to release after the crowd: shed recovery %.2f", adapt.ShedRecovery)

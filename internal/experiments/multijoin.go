@@ -17,9 +17,9 @@ import (
 //	MultiJoinAdapt   greedy order from stale statistics, adaptation on
 //	MultiJoinOracle  hand-ordered SQL, adaptation off — the ceiling
 //
-// The interesting numbers are the recovery ratios
-// (Greedy−Decl)/(Oracle−Decl) and (Adapt−Decl)/(Oracle−Decl), gated in
-// ci.sh via greedy_recovery_floor / adaptation_recovery_floor.
+// The gated numbers are the plain speed-ups of Greedy and Adapt over
+// Decl, the witness that executes the declaration order (gates.go);
+// Oracle shows how much of the gap is left.
 
 // misorderedSQL declares the biggest table first and the selective
 // region filter last — the worst left-deep declaration order.
@@ -83,17 +83,14 @@ func starEngine(rows int) (*query.Engine, error) {
 	return e, nil
 }
 
-// RunMultiJoinBench times the four variants at `workers` workers, best
-// of `repeats`. Throughput is lineitem (fact-table) rows per second so
-// the four records are directly comparable. Every variant must return
-// the same row count — a mismatch is a correctness bug, not noise.
-func RunMultiJoinBench(rows, workers, repeats int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
+// RunMultiJoinBench times the four variants at `workers` workers.
+// Throughput is lineitem (fact-table) rows per second so the four
+// series are directly comparable. Every variant must return the same
+// row count — a mismatch is a correctness bug, not noise.
+func RunMultiJoinBench(m *Measurements, rows, workers, repeats int) error {
 	e, err := starEngine(rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rows < 200 {
 		rows = 200
@@ -128,14 +125,12 @@ func RunMultiJoinBench(rows, workers, repeats int) ([]ParallelBenchResult, error
 	// variant runs first); the timed repeats interleave the variants so
 	// transient host load biases all four alike instead of whichever
 	// variant ran while the machine was busy.
-	best := make([]time.Duration, len(variants))
-	times := make([][]time.Duration, len(variants)) // per-variant, per-repeat
 	wantRows := -1
 	for rep := -1; rep < repeats; rep++ {
-		for vi, v := range variants {
+		for _, v := range variants {
 			if v.lie != nil {
 				if err := v.lie(e.Catalog()); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			opts := v.opts
@@ -148,102 +143,24 @@ func RunMultiJoinBench(rows, workers, repeats int) ([]ParallelBenchResult, error
 			res, _, err := e.ExecuteSQL(v.sql, opts)
 			elapsed := time.Since(start)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", v.bench, err)
+				return fmt.Errorf("%s: %w", v.bench, err)
 			}
 			if v.lie != nil {
 				// Restore honest statistics for the next repeat's
 				// non-adaptive variants.
 				if err := e.Catalog().Analyze("orders"); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if wantRows < 0 {
 				wantRows = len(res.Rows)
 			} else if len(res.Rows) != wantRows {
-				return nil, fmt.Errorf("%s produced %d rows, want %d", v.bench, len(res.Rows), wantRows)
+				return fmt.Errorf("%s produced %d rows, want %d", v.bench, len(res.Rows), wantRows)
 			}
 			if rep >= 0 {
-				times[vi] = append(times[vi], elapsed)
-				if best[vi] == 0 || elapsed < best[vi] {
-					best[vi] = elapsed
-				}
+				m.Add(series(v.bench, workers), float64(rows)/elapsed.Seconds())
 			}
 		}
 	}
-	// Recovery ratios are paired within a repeat: all four variants ran
-	// back-to-back there, so correlated host load cancels out of the
-	// ratio. The best repeat is reported — the gate asks whether the
-	// optimizer CAN recover the gap, and one quiet window proves it.
-	recovery := func(vi int) float64 {
-		bestRatio := 0.0
-		for rep := range times[vi] {
-			decl := 1 / times[0][rep].Seconds()
-			oracle := 1 / times[1][rep].Seconds()
-			got := 1 / times[vi][rep].Seconds()
-			if oracle <= decl {
-				continue
-			}
-			if r := (got - decl) / (oracle - decl); r > bestRatio {
-				bestRatio = r
-			}
-		}
-		return bestRatio
-	}
-	var out []ParallelBenchResult
-	for vi, v := range variants {
-		r := ParallelBenchResult{
-			Bench:      v.bench,
-			Workers:    workers,
-			RowsPerSec: float64(rows) / best[vi].Seconds(),
-			Cycles:     uint64(best[vi].Nanoseconds()),
-		}
-		if vi >= 2 { // MultiJoinGreedy, MultiJoinAdapt
-			r.RecoveryRatio = recovery(vi)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunPlanTimeBench times greedy planning of a 5-table chain via a
-// pre-parsed EXPLAIN (parse excluded, plan + render included).
-// RowsPerSec is plans per second; Cycles is nanoseconds per plan.
-func RunPlanTimeBench(repeats int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	e := query.NewEngine(query.NewCatalog(64), trace.New(), nil)
-	cat := e.Catalog()
-	for i := 0; i < 5; i++ {
-		if _, err := e.Exec(fmt.Sprintf("CREATE TABLE t%d (a INT, b INT)", i)); err != nil {
-			return nil, err
-		}
-		if err := cat.SetStats(fmt.Sprintf("t%d", i), query.TableStats{
-			Rows: 100 * (i + 1), Distinct: map[string]int{"a": 50, "b": 50}}); err != nil {
-			return nil, err
-		}
-	}
-	st := query.MustParse("EXPLAIN SELECT * FROM t0" +
-		" JOIN t1 ON t0.b = t1.a JOIN t2 ON t1.b = t2.a" +
-		" JOIN t3 ON t2.b = t3.a JOIN t4 ON t3.b = t4.a WHERE t0.a = 7")
-	const plans = 2000
-	best := time.Duration(0)
-	for rep := 0; rep < repeats; rep++ {
-		start := time.Now()
-		for i := 0; i < plans; i++ {
-			if _, err := e.ExecStmt(st); err != nil {
-				return nil, err
-			}
-		}
-		elapsed := time.Since(start)
-		if best == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	return []ParallelBenchResult{{
-		Bench:      "PlanTime",
-		Workers:    1,
-		RowsPerSec: plans / best.Seconds(),
-		Cycles:     uint64(best.Nanoseconds() / plans),
-	}}, nil
+	return nil
 }

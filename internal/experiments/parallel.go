@@ -17,53 +17,10 @@ func intRow(vs ...int64) storage.Tuple {
 	return t
 }
 
-// ParallelBenchResult is one machine-readable benchmark record, the
-// unit of BENCH_parallel.json and bench_baseline.json. Cycles is the
-// best-run wall time in nanoseconds (no cycle counter in pure Go;
-// nanoseconds are the stable proxy at fixed clock rate).
-type ParallelBenchResult struct {
-	Bench      string  `json:"bench"`
-	Workers    int     `json:"workers"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	Cycles     uint64  `json:"cycles"`
-	// ScalingEfficiency is the 4-worker/1-worker rows_per_sec ratio,
-	// recorded on the 4-worker record when both counts were measured
-	// (1.0 = no parallel speedup; on a single-core host values near 1.0
-	// are the physical ceiling).
-	ScalingEfficiency float64 `json:"scaling_efficiency,omitempty"`
-	// AbortRate is the fraction of transaction attempts that lost the
-	// first-claimer-wins race and rolled back (CommitTxn bench only).
-	AbortRate float64 `json:"abort_rate,omitempty"`
-	// RecoveryRatio is (this variant − MultiJoinDecl) /
-	// (MultiJoinOracle − MultiJoinDecl) on throughput, computed within a
-	// single repeat (all four variants run back-to-back, so correlated
-	// host load cancels) and reported as the best repeat's value
-	// (MultiJoinGreedy / MultiJoinAdapt records only).
-	RecoveryRatio float64 `json:"recovery_ratio,omitempty"`
-	// FilterKernelRatio is the kernel-path / boxed-path throughput
-	// ratio for the 1%-selectivity scan, paired within a repeat and
-	// reported as the best repeat (ScanFilter record only). The ratio
-	// folds in both mechanisms — zone-map page pruning and the typed
-	// selection-vector kernels — against the tuple-at-a-time boxed
-	// predicate on identical data.
-	FilterKernelRatio float64 `json:"filter_kernel_ratio,omitempty"`
-	// P99MS is the 99th-percentile client-observed latency in
-	// milliseconds of statements served during the overload window
-	// (FlashCrowd records only). An absolute ceiling gates it: the
-	// degradation ladder's whole job is to keep this bounded no matter
-	// what the offered load is, so a ratio against throughput would
-	// miss the point.
-	P99MS float64 `json:"p99_ms,omitempty"`
-	// ShedRecovery is the fraction of decay-phase statements served
-	// rather than shed after the crowd leaves (FlashCrowdAdapt only):
-	// a ladder that never releases keeps rejecting healthy traffic and
-	// this collapses toward 0.
-	ShedRecovery float64 `json:"shed_recovery,omitempty"`
-}
-
-// parallelJoinEngine seeds l(k,v) ⋈ r(k,v) with `rows` tuples per
-// side, unique keys, and fresh statistics.
-func parallelJoinEngine(rows int) (*query.Engine, error) {
+// ParallelJoinEngine seeds l(k,v) ⋈ r(k,v) with `rows` tuples per
+// side, unique keys, and fresh statistics: the fixture of `admbench
+// -bench` and of BenchmarkParallelJoin alike.
+func ParallelJoinEngine(rows int) (*query.Engine, error) {
 	e := query.NewEngine(query.NewCatalog(4096), trace.New(), nil)
 	for _, ddl := range []string{
 		"CREATE TABLE l (k INT, v INT)",
@@ -91,62 +48,30 @@ func parallelJoinEngine(rows int) (*query.Engine, error) {
 	return e, nil
 }
 
-// RunParallelJoinBench times the parallel equi-join l ⋈ r at each
-// worker count, best of `repeats` runs, at the default batch size.
-func RunParallelJoinBench(rows int, workers []int, repeats int) ([]ParallelBenchResult, error) {
-	return RunParallelJoinBenchBatch(rows, workers, repeats, 0)
-}
-
-// RunParallelJoinBenchBatch is RunParallelJoinBench with an explicit
-// exchange batch size (0 = operator default). Throughput is input rows
-// (both sides) per second — the batch pipeline's feed rate. When both
-// 1- and 4-worker counts are measured, the 4-worker record carries
-// their rows_per_sec ratio as ScalingEfficiency.
-func RunParallelJoinBenchBatch(rows int, workers []int, repeats, batch int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	e, err := parallelJoinEngine(rows)
+// RunParallelJoinBenchBatch times the parallel equi-join l ⋈ r at
+// each worker count with the given exchange batch size (0 = operator
+// default), the worker counts interleaved inside every repeat.
+// Throughput is input rows (both sides) per second — the batch
+// pipeline's feed rate.
+func RunParallelJoinBenchBatch(m *Measurements, rows int, workers []int, repeats, batch int) error {
+	e, err := ParallelJoinEngine(rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	const sql = "SELECT l.v, r.v FROM l JOIN r ON l.k = r.k"
-	var out []ParallelBenchResult
-	for _, w := range workers {
-		best := time.Duration(0)
-		for rep := 0; rep < repeats; rep++ {
+	for rep := 0; rep < repeats; rep++ {
+		for _, w := range workers {
 			start := time.Now()
 			res, _, err := e.ExecuteSQL(sql, query.ExecOptions{Workers: w, BatchSize: batch})
 			elapsed := time.Since(start)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(res.Rows) != rows {
-				return nil, fmt.Errorf("parallel join produced %d rows, want %d", len(res.Rows), rows)
+				return fmt.Errorf("parallel join produced %d rows, want %d", len(res.Rows), rows)
 			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		out = append(out, ParallelBenchResult{
-			Bench:      "ParallelJoin",
-			Workers:    w,
-			RowsPerSec: float64(2*rows) / best.Seconds(),
-			Cycles:     uint64(best.Nanoseconds()),
-		})
-	}
-	var oneW float64
-	for _, r := range out {
-		if r.Workers == 1 {
-			oneW = r.RowsPerSec
+			m.Add(series("ParallelJoin", w), float64(2*rows)/elapsed.Seconds())
 		}
 	}
-	if oneW > 0 {
-		for i := range out {
-			if out[i].Workers == 4 {
-				out[i].ScalingEfficiency = out[i].RowsPerSec / oneW
-			}
-		}
-	}
-	return out, nil
+	return nil
 }

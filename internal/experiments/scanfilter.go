@@ -48,78 +48,40 @@ func scanFilterEngine(rows int) (*query.Engine, error) {
 }
 
 // RunScanFilterBench measures the 1%-selectivity scan at `workers`
-// with the kernel path and with NoVectorKernels, best of `repeats`.
-// Emits two records: ScanFilterBoxed (the reference) and ScanFilter,
-// whose FilterKernelRatio is the best single-repeat kernel/boxed
-// throughput ratio — the field filter_kernel_floor gates. Throughput
-// is table rows per second (the scan's feed rate; output is ~1% of
-// it, so rows/sec measures how fast the filter disposes of input).
-func RunScanFilterBench(rows, workers, repeats int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
+// with the kernel path (ScanFilter) and with NoVectorKernels
+// (ScanFilterBoxed, the witness of the filter-kernels gate).
+// Throughput is table rows per second (the scan's feed rate; output
+// is ~1% of it, so rows/sec measures how fast the filter disposes of
+// input).
+func RunScanFilterBench(m *Measurements, rows, workers, repeats int) error {
 	e, err := scanFilterEngine(rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	want := rows / 100
 	sql := fmt.Sprintf("SELECT v FROM s WHERE k < %d", want)
-	run := func(boxed bool) (time.Duration, error) {
-		start := time.Now()
-		res, _, err := e.ExecuteSQL(sql, query.ExecOptions{
-			Workers: workers, NoVectorKernels: boxed,
-		})
-		elapsed := time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		if len(res.Rows) != want {
-			return 0, fmt.Errorf("scan filter (boxed=%v) produced %d rows, want %d", boxed, len(res.Rows), want)
-		}
-		return elapsed, nil
-	}
-	// One untimed round of each variant warms the buffer pool and the
-	// plan path so repeat 0 is not a cold outlier.
-	if _, err := run(false); err != nil {
-		return nil, err
-	}
-	if _, err := run(true); err != nil {
-		return nil, err
-	}
-	var bestKern, bestBoxed time.Duration
-	bestRatio := 0.0
-	for rep := 0; rep < repeats; rep++ {
-		kern, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		boxed, err := run(true)
-		if err != nil {
-			return nil, err
-		}
-		if bestKern == 0 || kern < bestKern {
-			bestKern = kern
-		}
-		if bestBoxed == 0 || boxed < bestBoxed {
-			bestBoxed = boxed
-		}
-		if r := boxed.Seconds() / kern.Seconds(); r > bestRatio {
-			bestRatio = r
+	// Repeat -1 is an untimed round of each variant: it warms the
+	// buffer pool and the plan path so repeat 0 is not a cold outlier.
+	for rep := -1; rep < repeats; rep++ {
+		for _, v := range []struct {
+			bench string
+			boxed bool
+		}{{"ScanFilter", false}, {"ScanFilterBoxed", true}} {
+			start := time.Now()
+			res, _, err := e.ExecuteSQL(sql, query.ExecOptions{
+				Workers: workers, NoVectorKernels: v.boxed,
+			})
+			elapsed := time.Since(start)
+			if err != nil {
+				return err
+			}
+			if len(res.Rows) != want {
+				return fmt.Errorf("%s produced %d rows, want %d", v.bench, len(res.Rows), want)
+			}
+			if rep >= 0 {
+				m.Add(series(v.bench, workers), float64(rows)/elapsed.Seconds())
+			}
 		}
 	}
-	return []ParallelBenchResult{
-		{
-			Bench:      "ScanFilterBoxed",
-			Workers:    workers,
-			RowsPerSec: float64(rows) / bestBoxed.Seconds(),
-			Cycles:     uint64(bestBoxed.Nanoseconds()),
-		},
-		{
-			Bench:             "ScanFilter",
-			Workers:           workers,
-			RowsPerSec:        float64(rows) / bestKern.Seconds(),
-			Cycles:            uint64(bestKern.Nanoseconds()),
-			FilterKernelRatio: bestRatio,
-		},
-	}, nil
+	return nil
 }

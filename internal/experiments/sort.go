@@ -9,10 +9,11 @@ import (
 	"github.com/adm-project/adm/internal/storage"
 )
 
-// sortBenchTuples builds `rows` three-column tuples whose key column
+// SortBenchTuples builds `rows` three-column tuples whose key column
 // mixes heavy duplicates with a long unique tail — the regime where
-// both the comparator cost and the tie-break cost are visible.
-func sortBenchTuples(rows int) []storage.Tuple {
+// both the comparator cost and the tie-break cost are visible. It is
+// the input of the sort and Top-K benches here and in bench_test.go.
+func SortBenchTuples(rows int) []storage.Tuple {
 	out := make([]storage.Tuple, rows)
 	for i := 0; i < rows; i++ {
 		key := int64((i * 2654435761) % (rows / 4)) // ~4 rows per key
@@ -22,7 +23,7 @@ func sortBenchTuples(rows int) []storage.Tuple {
 }
 
 // RunParallelSortBench times a full ORDER BY over materialised rows.
-// Three records come out of one run:
+// Two families come out of one run:
 //
 //   - SerialSort: the pre-pipeline reference — sort.SliceStable with
 //     storage.Compare called on boxed Values per comparison. This is
@@ -31,21 +32,14 @@ func sortBenchTuples(rows int) []storage.Tuple {
 //   - ParallelSort at each requested worker count: worker-local runs
 //     with typed keys, merged through the loser tree and drained.
 //
-// The 4-worker ParallelSort record carries its throughput ratio over
-// SerialSort as ScalingEfficiency; on a single-core host that ratio is
-// almost entirely the comparator win. Repeats are interleaved — every
-// round measures the serial reference and every worker count
-// back-to-back — so a transient load spike lands on both sides of the
-// ratio instead of skewing whichever bench happened to own that
-// window.
-func RunParallelSortBench(rows int, workers []int, repeats, batch int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	tuples := sortBenchTuples(rows)
-
-	serialBest := time.Duration(0)
-	parallelBest := make([]time.Duration, len(workers))
+// The sort-vs-serial gate reads ParallelSort/4 against SerialSort; on
+// a single-core host that ratio is almost entirely the comparator
+// win. Repeats are interleaved — every round measures the serial
+// reference and every worker count back-to-back — so a transient load
+// spike lands on both sides of the ratio instead of skewing whichever
+// bench happened to own that window.
+func RunParallelSortBench(m *Measurements, rows int, workers []int, repeats, batch int) error {
+	tuples := SortBenchTuples(rows)
 	for rep := 0; rep < repeats; rep++ {
 		buf := make([]storage.Tuple, len(tuples))
 		copy(buf, tuples)
@@ -53,101 +47,52 @@ func RunParallelSortBench(rows int, workers []int, repeats, batch int) ([]Parall
 		sort.SliceStable(buf, func(i, j int) bool {
 			return storage.Compare(buf[i][0], buf[j][0]) < 0
 		})
-		if elapsed := time.Since(start); serialBest == 0 || elapsed < serialBest {
-			serialBest = elapsed
-		}
-		for wi, w := range workers {
+		m.Add(series("SerialSort", 1), float64(rows)/time.Since(start).Seconds())
+		for _, w := range workers {
 			start := time.Now()
 			merge, err := operators.ParallelSortBatches(
 				operators.NewSliceBatches(tuples, batch), 0, false,
 				operators.ParallelConfig{Workers: w, MorselSize: batch})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			got, err := operators.Drain(merge)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			elapsed := time.Since(start)
 			if len(got) != rows {
-				return nil, fmt.Errorf("parallel sort produced %d rows, want %d", len(got), rows)
+				return fmt.Errorf("parallel sort produced %d rows, want %d", len(got), rows)
 			}
-			if parallelBest[wi] == 0 || elapsed < parallelBest[wi] {
-				parallelBest[wi] = elapsed
-			}
+			m.Add(series("ParallelSort", w), float64(rows)/elapsed.Seconds())
 		}
 	}
-
-	out := []ParallelBenchResult{{
-		Bench:      "SerialSort",
-		Workers:    1,
-		RowsPerSec: float64(rows) / serialBest.Seconds(),
-		Cycles:     uint64(serialBest.Nanoseconds()),
-	}}
-	for wi, w := range workers {
-		r := ParallelBenchResult{
-			Bench:      "ParallelSort",
-			Workers:    w,
-			RowsPerSec: float64(rows) / parallelBest[wi].Seconds(),
-			Cycles:     uint64(parallelBest[wi].Nanoseconds()),
-		}
-		if w == 4 {
-			r.ScalingEfficiency = r.RowsPerSec / out[0].RowsPerSec
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return nil
 }
 
 // RunTopKBench times ORDER BY ... LIMIT k (k=10) over the same rows:
 // per-worker bounded heaps, k·workers candidates merged at the
 // barrier. Throughput is input rows per second — the point of the
 // operator is that it scans everything but materialises almost
-// nothing.
-func RunTopKBench(rows int, workers []int, repeats, batch int) ([]ParallelBenchResult, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
+// nothing (ci.sh's TOPK_* budgets gate exactly that, as counts).
+func RunTopKBench(m *Measurements, rows int, workers []int, repeats, batch int) error {
 	const k = 10
-	tuples := sortBenchTuples(rows)
-	var out []ParallelBenchResult
-	for _, w := range workers {
-		best := time.Duration(0)
-		for rep := 0; rep < repeats; rep++ {
+	tuples := SortBenchTuples(rows)
+	for rep := 0; rep < repeats; rep++ {
+		for _, w := range workers {
 			start := time.Now()
 			got, err := operators.ParallelTopKBatches(
 				operators.NewSliceBatches(tuples, batch), 0, false, k,
 				operators.ParallelConfig{Workers: w, MorselSize: batch})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			elapsed := time.Since(start)
 			if len(got) != k {
-				return nil, fmt.Errorf("top-k produced %d rows, want %d", len(got), k)
+				return fmt.Errorf("top-k produced %d rows, want %d", len(got), k)
 			}
-			if best == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		out = append(out, ParallelBenchResult{
-			Bench:      "TopK",
-			Workers:    w,
-			RowsPerSec: float64(rows) / best.Seconds(),
-			Cycles:     uint64(best.Nanoseconds()),
-		})
-	}
-	var oneW float64
-	for _, r := range out {
-		if r.Workers == 1 {
-			oneW = r.RowsPerSec
+			m.Add(series("TopK", w), float64(rows)/elapsed.Seconds())
 		}
 	}
-	if oneW > 0 {
-		for i := range out {
-			if out[i].Workers == 4 {
-				out[i].ScalingEfficiency = out[i].RowsPerSec / oneW
-			}
-		}
-	}
-	return out, nil
+	return nil
 }

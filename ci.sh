@@ -21,7 +21,10 @@
 #   tests        go test -race ./...
 #   race matrix  go test -count=1 -race on the parallel-executor
 #                packages at GOMAXPROCS=2 and 4 (scheduling diversity
-#                beyond the default run)
+#                beyond the default run); the storage package's run
+#                carries the latch-free commit table's stress test
+#                (TestSnapshotStress: invariant sums under concurrent
+#                writers, committing and rolling back)
 #   crash matrix the deterministic fault-injection recovery suite
 #                (internal/fault) at GOMAXPROCS=2 and 4 under two
 #                ADM_FAULT_SEED schedules: crash at every WAL write
@@ -68,7 +71,10 @@ set -eu
 ENGINE_LINE_BUDGET=8053
 
 # Allocations per full batched heap-file scan (steady state is 1: the
-# page-list snapshot; headroom for pool warm-up noise).
+# page-list snapshot; headroom for pool warm-up noise). The snapshot
+# scan opens per op and adds the transaction, its view, the visibility
+# closure, the scan and its release closure (6): per scan, never per
+# row version.
 SCAN_ALLOC_BUDGET=8
 # Budgets for ORDER BY ... LIMIT 10 over 100k rows at 4 workers.
 # Measured ~30 allocs / ~3.4 KB per op: per-worker heaps, batch pool
@@ -234,6 +240,7 @@ alloc_gate() {
     done
 }
 alloc_gate BenchmarkBatchHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
+alloc_gate BenchmarkSnapshotHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
 alloc_gate BenchmarkTopK . 20x allocs "$TOPK_ALLOC_BUDGET" bytes "$TOPK_BYTE_BUDGET"
 alloc_gate BenchmarkJoinAggregate . 20x bytes "$JOINAGG_BYTE_BUDGET"
 alloc_gate BenchmarkFilterBatch ./internal/operators 100x allocs "$FILTER_ALLOC_BUDGET"

@@ -133,6 +133,7 @@ func runBench(rows int, workerList string, repeats, batch int) int {
 		func() error { return experiments.RunCommitBench(&m, []int{1, 4, 16}, 64, repeats) },
 		func() error { return experiments.RunMultiJoinBench(&m, rows, 1, repeats) },
 		func() error { return experiments.RunScanFilterBench(&m, rows, 4, repeats) },
+		func() error { return experiments.RunSnapshotScanBench(&m, rows, 4, repeats) },
 	} {
 		if err := run(); err != nil {
 			fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)

@@ -57,17 +57,17 @@ var latchLevels = map[[2]string]latchClass{
 	{"lockedPolicy", "mu"}:            {42, "replacement-policy"},
 	{"storeShard", "mu"}:              {45, "store-shard"},
 	{"Page", "mu"}:                    {50, "page"},
-	// The MVCC component's latches sit between the page latch and the
-	// DB/WAL latches: visibility checks take txn-manager (read-side)
-	// under a page latch, and the group-commit queue latch is never
-	// held across any other acquisition (the leader drains the queue,
-	// releases it, then appends/syncs/publishes).
-	{"TxnManager", "gcMu"}:   {53, "txn-commit"},
-	{"TxnManager", "mu"}:     {55, "txn-manager"},
-	{"TxnManager", "statMu"}: {56, "txn-stats"},
-	{"DB", "mu"}:             {60, "db"},
-	{"WAL", "mu"}:            {70, "wal"},
-	{"DB", "dirtyMu"}:        {80, "dirty-table"},
+	// The MVCC component has one latch, the group-commit queue's,
+	// between the page latch and the DB/WAL latches; it is never held
+	// across any other acquisition (the leader drains the queue,
+	// releases it, then appends/syncs/publishes). Its commit table,
+	// horizon, id clock and counters are atomics: visibility checks run
+	// under a page latch and take nothing, so nothing is declared for
+	// them (storage/txn.go carries the publication-order argument).
+	{"TxnManager", "gcMu"}: {53, "txn-commit"},
+	{"DB", "mu"}:           {60, "db"},
+	{"WAL", "mu"}:          {70, "wal"},
+	{"DB", "dirtyMu"}:      {80, "dirty-table"},
 }
 
 // classifyLatch resolves a Lock/Unlock receiver like `sh.mu` to its

@@ -20,6 +20,8 @@ func observed() Measurements {
 		{"CommitTxn/16", []float64{5400, 5628, 5100}},
 		{"ScanFilterBoxed/4", []float64{7.0e7, 7.4e7, 6.6e7}},
 		{"ScanFilter/4", []float64{2.9e8, 3.1e8, 2.5e8}},
+		{"PlainScan/4", []float64{1.9e8, 2.0e8, 1.8e8}},
+		{"SnapshotScan/4", []float64{1.3e8, 1.5e8, 1.4e8}},
 		{"MultiJoinDecl/1", []float64{3.6e5, 3.7e5, 3.5e5}},
 		{"MultiJoinGreedy/1", []float64{3.0e6, 3.4e6, 2.9e6}},
 		{"MultiJoinAdapt/1", []float64{2.8e6, 3.0e6, 2.6e6}},

@@ -139,7 +139,8 @@ func decodeErr(payload []byte) error {
 
 func decodeHeader(b []byte) (*ClientResult, uint64, error) {
 	ncols, b, err := readUvarint(b)
-	if err != nil || ncols > maxFrame {
+	// As in readRow: a column name occupies at least its length byte.
+	if err != nil || ncols > uint64(len(b)) {
 		return nil, 0, errTruncated
 	}
 	res := &ClientResult{Cols: make([]string, 0, ncols)}

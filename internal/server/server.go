@@ -352,9 +352,11 @@ func (s *Server) serve(nc net.Conn) (err error) {
 		}
 		switch typ {
 		case frameQuery:
+			start := time.Now()
 			if err := s.handleQuery(fc, sess, string(payload)); err != nil {
 				return err
 			}
+			yieldAfterStatement(time.Since(start)) // the reply is out: let a thread queued behind this one run
 		case frameGoodbye:
 			return nil
 		default:

@@ -3,8 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -378,8 +381,8 @@ func TestControllerLadder(t *testing.T) {
 // newControllerForTest builds a controller with a deterministic clock.
 func newControllerForTest(adm *Admission, base Tuning, sloMS, cooldownMS float64) *Controller {
 	c := newController(monitor.NewRegistry(), adm, base, sloMS, cooldownMS, nil)
-	var now float64
-	c.clock = func() float64 { now += 10; return now }
+	var now atomic.Int64 // Tick reads the clock outside the controller's lock
+	c.clock = func() float64 { return float64(now.Add(10)) }
 	return c
 }
 
@@ -436,5 +439,55 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		if _, _, err := readRow(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded cleanly", cut)
 		}
+	}
+}
+
+// TestClientBoundsWireLengths: a length that sizes an allocation comes
+// off the wire, so a torn or hostile reply must fail as truncated
+// before anything is allocated from it — a row width (or a column
+// count) of maxFrame used to request ~400 MB on a 3-byte frame.
+func TestClientBoundsWireLengths(t *testing.T) {
+	huge := appendUvarint(nil, maxFrame)
+	header := []byte{1, 1, 'c', 0, 1} // one column "c", 0 affected, 1 row
+	cases := []struct {
+		name   string
+		frames [][]byte // reply frames: a result header, then row chunks
+	}{
+		{"row width", [][]byte{header, append(append([]byte{1}, huge...), wireNull, wireNull)}},
+		{"column count", [][]byte{append(append([]byte(nil), huge...), 1, 'c')}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer cli.Close()
+			defer srv.Close()
+			go func() {
+				fc := newFrameConn(srv, 0)
+				if _, _, err := fc.ReadFrame(); err != nil {
+					return
+				}
+				for i, f := range tc.frames {
+					typ := byte(frameRows)
+					if i == 0 {
+						typ = frameResult
+					}
+					if fc.WriteFrame(typ, f) != nil {
+						return
+					}
+				}
+				_ = fc.Flush() // fails if the client has already hung up
+			}()
+			c := &Client{fc: newFrameConn(cli, 0), nc: cli}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := c.Query("SELECT c FROM t")
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, errTruncated) {
+				t.Fatalf("Query err = %v, want errTruncated", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("decoding a %d-byte reply allocated %d bytes", len(tc.frames[len(tc.frames)-1]), got)
+			}
+		})
 	}
 }

@@ -253,7 +253,9 @@ func readValue(b []byte) (storage.Value, []byte, error) {
 
 func readRow(b []byte) (storage.Tuple, []byte, error) {
 	w, b, err := readUvarint(b)
-	if err != nil || w > maxFrame {
+	// The width sizes an allocation and comes off the wire: every
+	// value occupies at least one byte of what is left of the payload.
+	if err != nil || w > uint64(len(b)) {
 		return nil, nil, errTruncated
 	}
 	t := make(storage.Tuple, 0, w)

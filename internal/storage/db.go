@@ -140,8 +140,8 @@ func Open(walDisk, dataDisk DiskFile, opts DBOptions) (*DB, error) {
 	if err := db.recover(recs); err != nil {
 		return nil, err
 	}
-	commits, aborted, maxID := recoverCommitTable(recs, &db.recovery)
-	db.txns = newTxnManager(db, commits, aborted, maxID)
+	db.txns = newTxnManager(db)
+	recoverCommitTable(db.txns, recs, &db.recovery)
 	return db, nil
 }
 
@@ -150,15 +150,16 @@ func Open(walDisk, dataDisk DiskFile, opts DBOptions) (*DB, error) {
 // single-writer behaviour untouched.
 func (db *DB) Txns() *TxnManager { return db.txns }
 
-// recoverCommitTable rebuilds the MVCC commit table from the FULL log
-// scan (the WAL is never truncated, so every commit record since
-// genesis is present regardless of the checkpoint's redo position)
-// and recovers the transaction-id clock from commit, abort and
-// versioned record images so ids are never reused.
-func recoverCommitTable(recs []Record, stats *RecoveryStats) (map[uint64]uint64, map[uint64]struct{}, uint64) {
-	commits := map[uint64]uint64{}
-	aborted := map[uint64]struct{}{}
-	var maxID uint64
+// recoverCommitTable refills tm's commit table, horizon and id clock
+// from the FULL log scan (the WAL is never truncated, so every commit
+// record since genesis is present regardless of the checkpoint's redo
+// position); the clock also covers versioned record images, so the
+// ids of undecided transactions are never reused. A Txn is done after
+// its first Commit or Rollback, so an id has one decision record; were
+// a log to hold two, the last settles the slot and the stats count
+// records, not ids.
+func recoverCommitTable(tm *TxnManager, recs []Record, stats *RecoveryStats) {
+	var maxID, high uint64
 	seen := func(id uint64) {
 		if id > maxID {
 			maxID = id
@@ -168,12 +169,15 @@ func recoverCommitTable(recs []Record, stats *RecoveryStats) (map[uint64]uint64,
 		switch r.Type {
 		case RecTxnCommit:
 			if id, err := decodeTxn(r.Payload); err == nil {
-				commits[id] = r.LSN
+				tm.decide(id, r.LSN)
+				high = max(high, r.LSN)
+				stats.TxnsCommitted++
 				seen(id)
 			}
 		case RecTxnAbort:
 			if id, err := decodeTxn(r.Payload); err == nil {
-				aborted[id] = struct{}{}
+				tm.decide(id, txnAborted)
+				stats.TxnsAborted++
 				seen(id)
 			}
 		case RecInsert:
@@ -192,9 +196,8 @@ func recoverCommitTable(recs []Record, stats *RecoveryStats) (map[uint64]uint64,
 			}
 		}
 	}
-	stats.TxnsCommitted = len(commits)
-	stats.TxnsAborted = len(aborted)
-	return commits, aborted, maxID
+	tm.high.Store(high)
+	tm.nextID.Store(maxID)
 }
 
 // Store returns the underlying page store.

@@ -519,9 +519,10 @@ func (p *Page) TuplesInto(dst []Tuple) ([]Tuple, error) {
 
 // TuplesVisibleInto is TuplesInto filtered through a snapshot: only
 // versions vis reports visible are appended. This is the MVCC read
-// path of the batch executor — the filter runs inside the (cached)
-// decode loop, so snapshot scans are lock-free against the version
-// store and cost nothing on pages with no versioned records.
+// path of the batch executor — the filter runs over the (cached)
+// decode image and each verdict is a few atomic loads from the commit
+// table (TxnManager.commitLSN), so snapshot scans take no latch after
+// the decode and cost nothing on pages with no versioned records.
 func (p *Page) TuplesVisibleInto(dst []Tuple, vis Visibility) ([]Tuple, error) {
 	d, err := p.decoded()
 	if err != nil {

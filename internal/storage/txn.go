@@ -24,6 +24,10 @@
 //     barrier. Publication order is what keeps snapshots
 //     prefix-consistent: a horizon can never include a later commit
 //     while excluding an earlier one.
+//   - The commit table is written once per transaction and read once
+//     per row version of every snapshot scan, so it is an append-only
+//     array of atomics indexed by transaction id (see TxnManager.dir):
+//     visibility, conflict checks and Begin take no latch at all.
 package storage
 
 import (
@@ -48,9 +52,18 @@ type Snapshot struct {
 	// at an LSN <= High existed at Begin.
 	High uint64
 	// Self is the owning transaction: its own writes are visible (and
-	// its own deletes are not).
+	// its own deletes are not). 0 until the transaction's first write.
 	Self uint64
 }
+
+// txnAborted is the commit-table slot of a rolled-back transaction.
+// It is above every LSN, so it fails `lsn <= High` by itself.
+const txnAborted = ^uint64(0)
+
+// A txnChunk is 4096 commit-table slots: 32 KiB, the unit of growth.
+const txnChunkBits = 12
+
+type txnChunk [1 << txnChunkBits]atomic.Uint64
 
 // TxnManager issues transactions and commit timestamps over one DB's
 // WAL LSN clock. It is the pluggable CC component: a DB without
@@ -59,15 +72,26 @@ type Snapshot struct {
 type TxnManager struct {
 	db *DB
 
-	// mu guards the commit table and the snapshot horizon. Level 55
-	// ("txn-manager") in the latch hierarchy: visibility checks take
-	// it (read-side) under page latches, publication takes it under
-	// the group-commit leader baton.
-	mu      sync.RWMutex
-	commits map[uint64]uint64 // txn id -> commit LSN
-	aborted map[uint64]struct{}
-	high    uint64 // last published commit LSN
-	nextID  uint64
+	// The commit table. Slot id holds 0 while transaction id is in
+	// flight, txnAborted once it rolled back, else its commit LSN. dir
+	// is the chunk directory; a decision landing in a chunk that does
+	// not exist yet republishes it (copy + CAS; chunks are shared, so
+	// no store is lost). Ids are drawn at a transaction's first write
+	// and chunks are allocated when first decided in, never pre-sized
+	// (a larger live heap re-paces the GC of the whole server): the
+	// table costs 8 bytes per WRITING transaction.
+	//
+	// Publication order: the leader stores a batch's slots in LSN
+	// order, then high. These are sequentially consistent atomics, so
+	// a snapshot that loaded high = h happens-after every slot store
+	// with LSN <= h and reads exactly those LSNs. A commit published
+	// later has LSN > h: whether its slot reads 0 or its LSN, the
+	// verdict is "not in the snapshot", as it is for txnAborted. So
+	// committedAt(id, snap) is an immutable function of its arguments
+	// and every horizon is a prefix of the commit order, latch-free.
+	dir    atomic.Pointer[[]*txnChunk]
+	high   atomic.Uint64 // last published commit LSN
+	nextID atomic.Uint64 // last id drawn
 
 	// gcMu guards the commit queue and the leader flag (level 53,
 	// "txn-commit"). The flag IS the leader election: the first
@@ -80,10 +104,7 @@ type TxnManager struct {
 	gcLeading bool
 	queue     []*commitReq
 
-	statMu  sync.Mutex
-	groups  uint64
-	batched uint64
-	aborts  uint64
+	groups, batched, aborts atomic.Uint64
 
 	// active counts Begin-without-finish transactions: the leak oracle
 	// the server's connection-fault matrix asserts returns to zero
@@ -107,68 +128,70 @@ type TxnStats struct {
 	Aborts uint64
 }
 
-// newTxnManager wires a manager over db with recovered state.
-func newTxnManager(db *DB, commits map[uint64]uint64, aborted map[uint64]struct{}, maxID uint64) *TxnManager {
-	if commits == nil {
-		commits = map[uint64]uint64{}
-	}
-	if aborted == nil {
-		aborted = map[uint64]struct{}{}
-	}
-	var high uint64
-	for _, lsn := range commits {
-		if lsn > high {
-			high = lsn
-		}
-	}
-	return &TxnManager{
-		db:      db,
-		commits: commits,
-		aborted: aborted,
-		high:    high,
-		nextID:  maxID,
-	}
+// newTxnManager wires a manager with an empty commit table over db;
+// recoverCommitTable fills it from the log.
+func newTxnManager(db *DB) *TxnManager {
+	tm := &TxnManager{db: db}
+	tm.dir.Store(new([]*txnChunk))
+	return tm
 }
 
-// Stats returns the manager's counters.
+// Stats returns the manager's counters. commitBatch bumps batched
+// before groups and this reads them in the opposite order, so
+// Groups <= Batched holds in every reading.
 func (tm *TxnManager) Stats() TxnStats {
-	tm.statMu.Lock()
-	defer tm.statMu.Unlock()
-	return TxnStats{Groups: tm.groups, Batched: tm.batched, Aborts: tm.aborts}
+	return TxnStats{Groups: tm.groups.Load(), Batched: tm.batched.Load(), Aborts: tm.aborts.Load()}
 }
 
 // Begin opens a transaction with a snapshot of the current commit
-// horizon. Read-only transactions are free: no WAL record is written
-// unless the transaction writes.
+// horizon. Read-only transactions are free: no id is drawn and no WAL
+// record is written unless the transaction writes.
 func (tm *TxnManager) Begin() *Txn {
-	tm.mu.Lock()
-	tm.nextID++
-	id := tm.nextID
-	snap := Snapshot{High: tm.high, Self: id}
-	tm.mu.Unlock()
 	tm.active.Add(1)
-	return &Txn{tm: tm, id: id, snap: snap}
+	return &Txn{tm: tm, high: tm.high.Load()}
 }
 
 // Active reports the number of transactions begun but not yet
 // committed or rolled back.
 func (tm *TxnManager) Active() int64 { return tm.active.Load() }
 
-// commitLSN looks up a transaction's commit timestamp.
-func (tm *TxnManager) commitLSN(id uint64) (uint64, bool) {
-	tm.mu.RLock()
-	lsn, ok := tm.commits[id]
-	tm.mu.RUnlock()
-	return lsn, ok
+// slot returns id's slot under directory d, nil when nobody in id's
+// chunk has decided yet and the chunk does not exist.
+func slot(d []*txnChunk, id uint64) *atomic.Uint64 {
+	if c := id >> txnChunkBits; c < uint64(len(d)) && d[c] != nil {
+		return &d[c][id&(1<<txnChunkBits-1)]
+	}
+	return nil
+}
+
+// commitLSN reads id's commit-table slot: its commit timestamp, 0
+// while it is in flight, txnAborted once it rolled back.
+func (tm *TxnManager) commitLSN(id uint64) uint64 {
+	if s := slot(*tm.dir.Load(), id); s != nil {
+		return s.Load()
+	}
+	return 0
+}
+
+// decide stores id's outcome (a commit LSN or txnAborted) in its slot,
+// publishing a grown directory first when id's chunk is new.
+func (tm *TxnManager) decide(id, state uint64) {
+	for {
+		old := tm.dir.Load()
+		if s := slot(*old, id); s != nil {
+			s.Store(state)
+			return
+		}
+		c := int(id >> txnChunkBits)
+		d := make([]*txnChunk, max(c+1, len(*old)))
+		copy(d, *old)
+		d[c] = new(txnChunk)
+		tm.dir.CompareAndSwap(old, &d) // lost the race: retry on the winner's directory
+	}
 }
 
 // isAborted reports whether id rolled back.
-func (tm *TxnManager) isAborted(id uint64) bool {
-	tm.mu.RLock()
-	_, ok := tm.aborted[id]
-	tm.mu.RUnlock()
-	return ok
-}
+func (tm *TxnManager) isAborted(id uint64) bool { return tm.commitLSN(id) == txnAborted }
 
 // committedAt reports whether id committed within snapshot s.
 func (tm *TxnManager) committedAt(id uint64, s Snapshot) bool {
@@ -178,8 +201,8 @@ func (tm *TxnManager) committedAt(id uint64, s Snapshot) bool {
 	if id == s.Self {
 		return true // own write
 	}
-	lsn, ok := tm.commitLSN(id)
-	return ok && lsn <= s.High
+	lsn := tm.commitLSN(id)
+	return lsn != 0 && lsn <= s.High
 }
 
 // visible implements snapshot visibility for one version.
@@ -201,24 +224,36 @@ func (tm *TxnManager) visible(v Version, s Snapshot) bool {
 // goroutines (parallel scan workers).
 type Txn struct {
 	tm     *TxnManager
-	id     uint64
-	snap   Snapshot
+	high   uint64        // the snapshot horizon
+	id     atomic.Uint64 // 0 until the first write draws it
 	writes int
 	undo   []func() error
 	done   bool
 }
 
-// ID returns the transaction id.
-func (t *Txn) ID() uint64 { return t.id }
+// ID returns the transaction id: 0 until the transaction has written.
+func (t *Txn) ID() uint64 { return t.id.Load() }
+
+// writeID returns the transaction id, drawing it at the first write,
+// so the commit table holds a slot per writer, not per statement.
+func (t *Txn) writeID() uint64 {
+	id := t.id.Load()
+	if id == 0 {
+		id = t.tm.nextID.Add(1)
+		t.id.Store(id)
+	}
+	return id
+}
 
 // Snapshot returns the transaction's read horizon.
-func (t *Txn) Snapshot() Snapshot { return t.snap }
+func (t *Txn) Snapshot() Snapshot { return Snapshot{High: t.high, Self: t.id.Load()} }
 
 // Visible returns the snapshot's visibility closure — safe for
-// concurrent use by parallel scan workers.
+// concurrent use by parallel scan workers. It reads the id through
+// the Txn, not a copy: a view opened before the transaction's first
+// write must still see the writes that follow.
 func (t *Txn) Visible() Visibility {
-	tm, snap := t.tm, t.snap
-	return func(v Version) bool { return tm.visible(v, snap) }
+	return func(v Version) bool { return t.tm.visible(v, t.Snapshot()) }
 }
 
 // View binds a heap file to this transaction's snapshot.
@@ -233,7 +268,7 @@ func (t *Txn) Insert(h *HeapFile, tu Tuple) (RID, error) {
 	if t.done {
 		return RID{}, ErrTxnDone
 	}
-	rid, err := h.InsertVersion(tu, Version{Xmin: t.id})
+	rid, err := h.InsertVersion(tu, Version{Xmin: t.writeID()})
 	if err != nil {
 		return RID{}, err
 	}
@@ -253,7 +288,7 @@ func (t *Txn) Delete(h *HeapFile, rid RID) (RID, error) {
 	if t.done {
 		return RID{}, ErrTxnDone
 	}
-	nrid, err := h.SetXmax(rid, t.id, t.claimable)
+	nrid, err := h.SetXmax(rid, t.writeID(), t.claimable)
 	if err != nil {
 		return RID{}, err
 	}
@@ -268,7 +303,7 @@ func (t *Txn) Delete(h *HeapFile, rid RID) (RID, error) {
 // claimable is the conflict decision, run under the page write latch
 // so it is atomic with the Xmax stamp.
 func (t *Txn) claimable(v Version) error {
-	if v.Xmin != 0 && !t.tm.committedAt(v.Xmin, t.snap) {
+	if v.Xmin != 0 && !t.tm.committedAt(v.Xmin, t.Snapshot()) {
 		// A version we cannot even see (uncommitted or post-snapshot
 		// creator): claiming it would write over a concurrent writer.
 		return fmt.Errorf("%w: version created by txn %d", ErrWriteConflict, v.Xmin)
@@ -276,7 +311,7 @@ func (t *Txn) claimable(v Version) error {
 	if v.Xmax == 0 {
 		return nil
 	}
-	if v.Xmax == t.id {
+	if v.Xmax == t.ID() {
 		return fmt.Errorf("%w: already deleted in this transaction", ErrWriteConflict)
 	}
 	if t.tm.isAborted(v.Xmax) {
@@ -316,7 +351,7 @@ func (t *Txn) Commit() error {
 	if t.writes == 0 {
 		return nil
 	}
-	return t.tm.commitTxn(t.id)
+	return t.tm.commitTxn(t.ID())
 }
 
 // Rollback undoes the transaction's writes physically (through the
@@ -341,7 +376,7 @@ func (t *Txn) Rollback() error {
 	if t.writes == 0 {
 		return nil
 	}
-	return t.tm.abortTxn(t.id)
+	return t.tm.abortTxn(t.ID())
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +430,8 @@ func (tm *TxnManager) commitTxn(id uint64) error {
 
 // commitBatch appends one RecTxnCommit per transaction, places a
 // single Sync barrier for all of them, then publishes the commits in
-// LSN order under the horizon lock. Runs under the leader baton.
+// LSN order and the horizon last (the order TxnManager.dir's comment
+// proves prefix-consistent). Runs under the leader baton.
 func (tm *TxnManager) commitBatch(batch []*commitReq) error {
 	if err := tm.db.Err(); err != nil {
 		return err
@@ -414,18 +450,12 @@ func (tm *TxnManager) commitBatch(batch []*commitReq) error {
 	if err := tm.db.wal.Sync(); err != nil {
 		return tm.db.fail(err)
 	}
-	tm.mu.Lock()
 	for _, p := range pubs {
-		tm.commits[p.id] = p.lsn
-		if p.lsn > tm.high {
-			tm.high = p.lsn
-		}
+		tm.decide(p.id, p.lsn)
 	}
-	tm.mu.Unlock()
-	tm.statMu.Lock()
-	tm.groups++
-	tm.batched += uint64(len(batch))
-	tm.statMu.Unlock()
+	tm.high.Store(pubs[len(pubs)-1].lsn)
+	tm.batched.Add(uint64(len(batch)))
+	tm.groups.Add(1)
 	return nil
 }
 
@@ -433,12 +463,8 @@ func (tm *TxnManager) commitBatch(batch []*commitReq) error {
 // stealable, and the (unsynced) abort record documents the decision
 // in the log.
 func (tm *TxnManager) abortTxn(id uint64) error {
-	tm.mu.Lock()
-	tm.aborted[id] = struct{}{}
-	tm.mu.Unlock()
-	tm.statMu.Lock()
-	tm.aborts++
-	tm.statMu.Unlock()
+	tm.decide(id, txnAborted)
+	tm.aborts.Add(1)
 	if err := tm.db.Err(); err != nil {
 		return err
 	}

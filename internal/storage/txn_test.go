@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -276,9 +277,22 @@ func TestSnapshotVisibilityMatrix(t *testing.T) {
 	}
 }
 
+// chunks counts the commit table's allocated chunks.
+func (tm *TxnManager) chunks() int {
+	n := 0
+	for _, c := range *tm.dir.Load() {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTxnRecoveryCommitTable crashes with a mix of committed, aborted
-// and in-flight transactions and checks the reopened DB reconstructs
-// exactly the committed state.
+// and in-flight transactions — dense ids in chunk 0, then sparse ids
+// straddling the edge of a far chunk — and checks the reopened DB
+// reconstructs exactly the committed state in a table of the same
+// shape.
 func TestTxnRecoveryCommitTable(t *testing.T) {
 	walMem, dataMem := NewMemDisk(), NewMemDisk()
 	db, err := Open(walMem, dataMem, DBOptions{Sync: SyncManual})
@@ -289,33 +303,66 @@ func TestTxnRecoveryCommitTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := db.Txns().Begin()
-	if _, err := committed.Insert(h, rowTuple(1, 0)); err != nil {
+	plain, err := h.Insert(rowTuple(0, 0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := committed.Commit(); err != nil {
+	// insert runs one single-row transaction and decides it.
+	insert := func(k int64, decide func(*Txn) error) *Txn {
+		t.Helper()
+		tx := db.Txns().Begin()
+		if _, err := tx.Insert(h, rowTuple(k, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if decide != nil {
+			if err := decide(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tx
+	}
+	insert(1, (*Txn).Commit)
+	insert(2, (*Txn).Rollback)
+	inflight := insert(3, nil)
+	// Sparse: jump the id clock to the last slot of chunk 4, so the
+	// next three writers land on 5<<12-1 (aborted: a claim on the plain
+	// row, which must stay visible), 5<<12 (committed) and 5<<12+1 (in
+	// flight), and chunks 1-3 never exist.
+	const edge = 5 << txnChunkBits
+	db.Txns().nextID.Store(edge - 2)
+	claimer := db.Txns().Begin()
+	if _, err := claimer.Delete(h, plain); err != nil {
 		t.Fatal(err)
 	}
-	aborted := db.Txns().Begin()
-	if _, err := aborted.Insert(h, rowTuple(2, 0)); err != nil {
+	if err := claimer.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if err := aborted.Rollback(); err != nil {
-		t.Fatal(err)
+	if got := insert(4, (*Txn).Commit).ID(); got != edge {
+		t.Fatalf("id past the jump = %d, want %d", got, edge)
 	}
-	inflight := db.Txns().Begin()
-	if _, err := inflight.Insert(h, rowTuple(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: reopen from the disks' surviving bytes, in-flight txn
+	late := insert(5, nil)
+	// Crash: reopen from the disks' surviving bytes, in-flight txns
 	// never decided. (MemDisk writes are durable immediately; only the
 	// missing commit record matters.)
 	db2, err := Open(NewMemDiskFrom(walMem.Bytes()), NewMemDiskFrom(dataMem.Bytes()), DBOptions{Sync: SyncManual})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if got := db2.Stats().Recovery; got.TxnsCommitted != 1 || got.TxnsAborted != 1 {
-		t.Fatalf("recovery txn counts = %+v, want 1 committed / 1 aborted", got)
+	if got := db2.Stats().Recovery; got.TxnsCommitted != 2 || got.TxnsAborted != 2 {
+		t.Fatalf("recovery txn counts = %+v, want 2 committed / 2 aborted", got)
+	}
+	for _, tm := range []*TxnManager{db.Txns(), db2.Txns()} {
+		if got := tm.chunks(); got != 3 {
+			t.Fatalf("table has %d chunks, want 3 (ids 1-3, %d, %d-%d)", got, edge-1, edge, edge+1)
+		}
+		for id, want := range map[uint64]bool{1: true, 2: false, 3: false, edge - 1: false, edge: true, edge + 1: false, edge + 2: false, 2 << txnChunkBits: false} {
+			if got := tm.committedAt(id, Snapshot{High: tm.high.Load()}); got != want {
+				t.Fatalf("committedAt(%d) = %v, want %v", id, got, want)
+			}
+		}
+		if !tm.isAborted(2) || !tm.isAborted(edge-1) || tm.isAborted(3) || tm.isAborted(edge+1) {
+			t.Fatal("abort marks wrong after recovery")
+		}
 	}
 	h2, ok := db2.File("rows")
 	if !ok {
@@ -323,11 +370,271 @@ func TestTxnRecoveryCommitTable(t *testing.T) {
 	}
 	tx := db2.Txns().Begin()
 	defer tx.Rollback()
-	wantKeys(t, tx.View(h2), 1) // only the committed row survives
-	// The recovered id clock must not reissue the in-flight id: a new
-	// txn gets a fresh id, and the orphan version stays invisible.
-	if tx.ID() <= inflight.ID() {
-		t.Fatalf("recovered id clock %d not past in-flight id %d", tx.ID(), inflight.ID())
+	wantKeys(t, tx.View(h2), 0, 1, 4) // only the committed rows survive
+	// The recovered id clock must not reissue an in-flight id: the next
+	// writer gets a fresh one, and the orphan versions stay invisible.
+	if _, err := tx.Insert(h2, rowTuple(6, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if tx.ID() <= late.ID() || late.ID() <= inflight.ID() {
+		t.Fatalf("recovered id clock %d not past in-flight ids %d, %d", tx.ID(), inflight.ID(), late.ID())
+	}
+	wantKeys(t, tx.View(h2), 0, 1, 4, 6)
+}
+
+// TestVerdictImmutable: whatever a transaction does after a snapshot
+// was taken — commit, abort, stay in flight, or not even have drawn
+// its id yet — the snapshot's verdict on its versions does not move.
+func TestVerdictImmutable(t *testing.T) {
+	db, h := newTxnDB(t)
+	tm := db.Txns()
+	writer := func() *Txn {
+		tx := tm.Begin()
+		if _, err := tx.Insert(h, rowTuple(int64(tm.nextID.Load()), 0)); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	before := writer()
+	if err := before.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	commits, aborts, stays := writer(), writer(), writer()
+	defer stays.Rollback()
+	snap := tm.Begin()
+	defer snap.Rollback()
+	future := tm.nextID.Load() + 1
+	ids := []uint64{0, before.ID(), commits.ID(), aborts.ID(), stays.ID(), future}
+	verdicts := func() (out []bool) {
+		for _, id := range ids {
+			out = append(out, tm.visible(Version{Xmin: id}, snap.Snapshot()), tm.visible(Version{Xmax: id}, snap.Snapshot()))
+		}
+		return out
+	}
+	want := verdicts()
+	if fmt.Sprint(want[:4]) != "[true true true false]" {
+		t.Fatalf("plain / committed-before verdicts = %v", want[:4])
+	}
+	if err := commits.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := aborts.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	late := writer()
+	if late.ID() != future {
+		t.Fatalf("late writer drew id %d, want %d", late.ID(), future)
+	}
+	if err := late.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := verdicts(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("verdicts moved after the snapshot:\n before %v\n after  %v", want, got)
+	}
+	wantKeys(t, snap.View(h), int64(before.ID())-1)
+}
+
+// TestCommitTableGrowth: the table is sized by writers. Read-only
+// transactions draw no id and allocate no chunk; nothing is allocated
+// at Open; writers straddling a chunk edge decide correctly; and the
+// table never exceeds 8 bytes x (highest writing id rounded up to a
+// chunk).
+func TestCommitTableGrowth(t *testing.T) {
+	db, h := newTxnDB(t)
+	tm := db.Txns()
+	if got := len(*tm.dir.Load()); got != 0 {
+		t.Fatalf("Open allocated a %d-entry directory", got)
+	}
+	for i := 0; i < 100_000; i++ {
+		if err := tm.Begin().Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, n := tm.nextID.Load(), tm.chunks(); id != 0 || n != 0 {
+		t.Fatalf("100000 read-only transactions moved the id clock to %d and allocated %d chunks", id, n)
+	}
+	const edge = 1 << txnChunkBits
+	tm.nextID.Store(edge - 3)
+	var txs []*Txn
+	for i := 0; i < 4; i++ { // ids edge-2 .. edge+1
+		tx := tm.Begin()
+		if _, err := tx.Insert(h, rowTuple(int64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
+	if tm.chunks() != 0 {
+		t.Fatal("an undecided writer allocated a chunk")
+	}
+	for i, decide := range []func(*Txn) error{(*Txn).Commit, (*Txn).Commit, (*Txn).Rollback} {
+		if err := decide(txs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer txs[3].Rollback()
+	rd := tm.Begin()
+	defer rd.Rollback()
+	wantKeys(t, rd.View(h), 0, 1) // edge-2 and edge-1: chunk 0's last slot and chunk 1's first
+	wantKeys(t, txs[3].View(h), 3)
+	if !tm.isAborted(edge) || tm.isAborted(edge+1) {
+		t.Fatal("abort mark across the chunk edge wrong")
+	}
+	highest := tm.nextID.Load()
+	if got, bound := tm.chunks()*(8<<txnChunkBits), 8*int((highest+edge-1)/edge*edge); got != 2*8*edge || got > bound {
+		t.Fatalf("table is %d bytes for highest id %d, want %d (bound %d)", got, highest, 2*8*edge, bound)
+	}
+	if tm.Active() != 2 {
+		t.Fatalf("Active() = %d, want 2", tm.Active())
+	}
+}
+
+// TestViewBeforeFirstWrite: ids are drawn at the first write, so a
+// view opened while the transaction was still read-only must pick the
+// id up — it sees the transaction's own insert and not the row it
+// deleted.
+func TestViewBeforeFirstWrite(t *testing.T) {
+	db, h := newTxnDB(t)
+	rid, err := h.Insert(rowTuple(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Txns().Begin()
+	defer tx.Rollback()
+	view := tx.View(h)
+	wantKeys(t, view, 1)
+	if tx.ID() != 0 {
+		t.Fatalf("a read drew id %d", tx.ID())
+	}
+	if _, err := tx.Insert(h, rowTuple(2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Delete(h, rid); err != nil {
+		t.Fatal(err)
+	}
+	wantKeys(t, view, 2)
+	other := db.Txns().Begin()
+	defer other.Rollback()
+	wantKeys(t, other.View(h), 1)
+}
+
+// TestSnapshotStress is the latch-free commit table under real
+// concurrency: writers move amounts between rows and commit or roll
+// back, while readers scan under their own snapshots. Every snapshot
+// must see the invariant sum, and see it again (repeatable read) —
+// once record by record, once through the executor's page-at-a-time
+// path — and no transaction may be left open. The rows are seeded by
+// a transaction, as every admsqld row is: claiming a PLAIN record
+// moves it within its page, which the record-by-record Scan (not the
+// page path) can see twice or miss.
+func TestSnapshotStress(t *testing.T) {
+	for _, readers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("readers=%d", readers), func(t *testing.T) {
+			db, h := newTxnDB(t)
+			const rows, amount, writers, moves = 8, 100, 4, 60
+			seed := db.Txns().Begin()
+			for k := int64(0); k < rows; k++ {
+				if _, err := seed.Insert(h, Tuple{IntValue(k), IntValue(amount)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := seed.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			var wg, writing sync.WaitGroup
+			var stop atomic.Bool
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				writing.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					defer writing.Done()
+					for i := 0; i < moves; i++ {
+						tx := db.Txns().Begin()
+						from, to := int64((w+i)%rows), int64((w+3*i+1)%rows)
+						at := map[int64]RID{}
+						have := map[int64]int64{}
+						if err := tx.View(h).Scan(func(rid RID, tu Tuple) bool {
+							at[tu[0].Int], have[tu[0].Int] = rid, tu[1].Int
+							return true
+						}); err != nil {
+							t.Error(err)
+						}
+						var err error
+						if len(at) != rows {
+							t.Errorf("writer snapshot saw %d rows, want %d", len(at), rows)
+						} else if from != to {
+							if _, _, err = tx.Update(h, at[from], Tuple{IntValue(from), IntValue(have[from] - 1)}); err == nil {
+								_, _, err = tx.Update(h, at[to], Tuple{IntValue(to), IntValue(have[to] + 1)})
+							}
+						}
+						// A conflict loser, and every third winner, rolls
+						// back — half-done transfers included.
+						if err != nil || i%3 == 0 {
+							if !errors.Is(err, ErrWriteConflict) && err != nil {
+								t.Error(err)
+							}
+							err = tx.Rollback()
+						} else {
+							err = tx.Commit()
+						}
+						if err != nil {
+							t.Error(err)
+						}
+					}
+				}(w)
+			}
+			sum := func(tx *Txn, byPage bool) (n, total int64) {
+				view := tx.View(h)
+				if !byPage {
+					if err := view.Scan(func(_ RID, tu Tuple) bool {
+						n, total = n+1, total+tu[1].Int
+						return true
+					}); err != nil {
+						t.Error(err)
+					}
+					return n, total
+				}
+				for _, id := range view.PageIDs() {
+					tuples, err := view.PageTuples(id)
+					if err != nil {
+						t.Error(err)
+					}
+					for _, tu := range tuples {
+						n, total = n+1, total+tu[1].Int
+					}
+				}
+				return n, total
+			}
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						tx := db.Txns().Begin()
+						for pass := 0; pass < 2; pass++ {
+							if n, total := sum(tx, pass == 1); n != rows || total != rows*amount {
+								t.Errorf("snapshot %d pass %d saw %d rows summing to %d, want %d / %d",
+									tx.Snapshot().High, pass, n, total, rows, rows*amount)
+								stop.Store(true)
+							}
+						}
+						if err := tx.Commit(); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			writing.Wait()
+			stop.Store(true)
+			wg.Wait()
+			if got := db.Txns().Active(); got != 0 {
+				t.Fatalf("Active() = %d after every transaction finished", got)
+			}
+			st := db.Txns().Stats()
+			if st.Batched == 0 || st.Aborts == 0 {
+				t.Fatalf("stress exercised no commits or no aborts: %+v", st)
+			}
+		})
 	}
 }
 

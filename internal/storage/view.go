@@ -21,7 +21,8 @@ type HeapReader interface {
 // HeapView is a snapshot-bound reader over a heap file: every read
 // primitive filters record versions through the visibility closure,
 // so scans are repeatable against concurrent writers without taking
-// any lock beyond the page read latch.
+// any lock beyond the page read latch: a verdict is a latch-free read
+// of the commit table and never changes once the snapshot is taken.
 type HeapView struct {
 	h   *HeapFile
 	vis Visibility

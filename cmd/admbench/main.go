@@ -134,13 +134,14 @@ func runBench(rows int, workerList string, repeats, batch int) int {
 		func() error { return experiments.RunMultiJoinBench(&m, rows, 1, repeats) },
 		func() error { return experiments.RunScanFilterBench(&m, rows, 4, repeats) },
 		func() error { return experiments.RunSnapshotScanBench(&m, rows, 4, repeats) },
+		func() error { return experiments.RunKeyedUpdateBench(&m, rows, repeats) },
 	} {
 		if err := run(); err != nil {
 			fmt.Fprintf(os.Stderr, "admbench: bench: %v\n", err)
 			return 1
 		}
 	}
-	fmt.Printf("bench  rows=%d, best of %d (rows/sec; CommitTxn commits/sec; dotted names are counts and rates)\n", rows, repeats)
+	fmt.Printf("bench  rows=%d, best of %d (rows/sec; CommitTxn commits/sec; KeyedUpdate statements/sec; dotted names are counts and rates)\n", rows, repeats)
 	for _, s := range m {
 		fmt.Printf("  %-28s %14.2f\n", s.Name, slices.Max(s.Samples))
 	}

@@ -78,6 +78,8 @@ var Gates = []Gate{
 		"kernel path no faster than boxed: kernels bypassed or zone-map pruning dead"},
 	{"snapshot-scan", "SnapshotScan/4", "PlainScan/4", 0.55,
 		"judging a row version costs as much as decoding it: a latch or a map is back on the visibility path (an RWMutex over a map reads 0.06-0.19 on two cores, 0.38-0.51 on one; the atomic table 0.62-1.30)"},
+	{"dml-by-key", "KeyedUpdateBig/1", "KeyedUpdate/1", 0.5,
+		"a keyed one-row UPDATE slows with the size of its table: it scans for its row, or the log device copies itself per append (either reads ~0.125 here)"},
 	{"greedy-order", "MultiJoinGreedy/1", "MultiJoinDecl/1", 3,
 		"greedy join ordering no longer rescues the mis-declared order"},
 	{"adaptive-reroute", "MultiJoinAdapt/1", "MultiJoinDecl/1", 3,

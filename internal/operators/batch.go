@@ -36,13 +36,18 @@ type Batch struct {
 	// batch purely so its capacity is reused across refills — between
 	// operator calls it is always empty.
 	Sel []int32
+	// RIDs is scratch for the one consumer that needs to know where its
+	// tuples live — a DML statement choosing its victims reads a page's
+	// RIDs here, parallel to Tuples. Like Sel it is on the batch so its
+	// capacity is reused, and is empty between operator calls.
+	RIDs []storage.RID
 }
 
 // Len returns the number of tuples in the batch.
 func (b *Batch) Len() int { return len(b.Tuples) }
 
 // Reset empties the batch, keeping capacity.
-func (b *Batch) Reset() { b.Tuples, b.Sel = b.Tuples[:0], b.Sel[:0] }
+func (b *Batch) Reset() { b.Tuples, b.Sel, b.RIDs = b.Tuples[:0], b.Sel[:0], b.RIDs[:0] }
 
 var batchPool = sync.Pool{
 	New: func() any { return &Batch{Tuples: make([]storage.Tuple, 0, DefaultBatchSize)} },

@@ -294,109 +294,95 @@ func (c *Catalog) InsertTxn(table string, row storage.Tuple, txn *storage.Txn) (
 		ci, _ := t.ColIndex(col)
 		idx.Insert(row[ci], rid)
 	}
-	if txn != nil && len(t.Indexes) > 0 {
-		keys := row.Clone()
-		txn.OnRollback(func() error {
-			t.mu.RLock()
-			defer t.mu.RUnlock()
-			for col, idx := range t.Indexes {
-				ci, _ := t.ColIndex(col)
-				idx.Delete(keys[ci], rid)
-			}
-			return nil
-		})
+	if txn != nil {
+		t.unindexOnRollback(txn, row, rid)
 	}
 	return rid, nil
 }
 
-// Delete removes rows matching pred; returns the count.
-func (c *Catalog) Delete(table string, pred func(storage.Tuple) bool) (int, error) {
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
+// unindexOnRollback registers the removal of the index entries of a new
+// row version (row, at rid) should txn roll back. The caller holds t.mu.
+func (t *Table) unindexOnRollback(txn *storage.Txn, row storage.Tuple, rid storage.RID) {
+	if len(t.Indexes) == 0 {
+		return
 	}
-	type victim struct {
-		rid storage.RID
-		row storage.Tuple
-	}
-	var victims []victim
-	err = t.Heap.Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			victims = append(victims, victim{rid, tu.Clone()})
+	keys := row.Clone()
+	txn.OnRollback(func() error {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		for col, idx := range t.Indexes {
+			ci, _ := t.ColIndex(col)
+			idx.Delete(keys[ci], rid)
 		}
-		return true
+		return nil
 	})
+}
+
+// repoint moves the index entries of the row version holding row from
+// rid to moved: claiming a plain record upgrades it to versioned form,
+// which can move it within its page, and older snapshots must still
+// reach the (to them still visible) version. The caller holds t.mu.
+func (t *Table) repoint(row storage.Tuple, rid, moved storage.RID) {
+	if moved == rid {
+		return
+	}
+	for col, idx := range t.Indexes {
+		ci, _ := t.ColIndex(col)
+		idx.Delete(row[ci], rid)
+		idx.Insert(row[ci], moved)
+	}
+}
+
+// Victim is one row a DML statement changes: where it is, and what it
+// holds (read-only: it may alias a page's shared decode image).
+type Victim struct {
+	RID storage.RID
+	Row storage.Tuple
+}
+
+// Delete removes the pre-selected victims and returns how many went:
+// choosing them is a read (Engine.execDML plans it as a SELECT would),
+// only the claim belongs here. Inside txn a victim is claimed by
+// stamping xmax — the claim IS the write lock, so a concurrent claimer
+// aborts with storage.ErrWriteConflict (first-committer-wins) — and its
+// index entries stay: older snapshots still reach the old version, and
+// readers filter invisible versions at fetch. With a nil txn the record
+// and its entries are removed outright.
+func (c *Catalog) Delete(table string, victims []Victim, txn *storage.Txn) (int, error) {
+	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, v := range victims {
-		if err := t.Heap.Delete(v.rid); err != nil {
-			return 0, err
+	for n, v := range victims {
+		if txn != nil {
+			moved, err := txn.Delete(t.Heap, v.RID)
+			if err != nil {
+				return n, err
+			}
+			t.repoint(v.Row, v.RID, moved)
+			continue
+		}
+		if err := t.Heap.Delete(v.RID); err != nil {
+			return n, err
 		}
 		for col, idx := range t.Indexes {
 			ci, _ := t.ColIndex(col)
-			idx.Delete(v.row[ci], v.rid)
+			idx.Delete(v.Row[ci], v.RID)
 		}
 	}
 	return len(victims), nil
 }
 
-// DeleteTxn is Delete inside txn: victims are chosen from the
-// transaction's snapshot and claimed by stamping xmax — the claim IS
-// the write lock, so a concurrent claimer aborts with
-// storage.ErrWriteConflict (first-committer-wins). Index entries stay:
-// the old version must remain reachable by older snapshots, and
-// readers filter invisible versions at fetch.
-func (c *Catalog) DeleteTxn(table string, pred func(storage.Tuple) bool, txn *storage.Txn) (int, error) {
-	if txn == nil {
-		return c.Delete(table, pred)
-	}
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	type victim struct {
-		rid storage.RID
-		row storage.Tuple
-	}
-	var victims []victim
-	err = txn.View(t.Heap).Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			victims = append(victims, victim{rid, tu.Clone()})
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	for _, v := range victims {
-		nrid, err := txn.Delete(t.Heap, v.rid)
-		if err != nil {
-			return n, err
-		}
-		if nrid != v.rid {
-			// Claiming a plain record upgrades it to versioned form,
-			// which can move it within its page: repoint the entries so
-			// older snapshots still reach the (still-visible) version.
-			for col, idx := range t.Indexes {
-				ci, _ := t.ColIndex(col)
-				idx.Delete(v.row[ci], v.rid)
-				idx.Insert(v.row[ci], nrid)
-			}
-		}
-		n++
-	}
-	return n, nil
-}
-
-// Update applies set to rows matching pred; returns the count.
-func (c *Catalog) Update(table string, pred func(storage.Tuple) bool,
-	set map[string]storage.Value) (int, error) {
+// Update applies set to the pre-selected victims and returns how many
+// it changed. Inside txn each victim's old version is claimed (xmax =
+// txn id) and a new version inserted with xmin = txn id; the new
+// version's index entries are inserted eagerly on every index and
+// removed on rollback, the old version's stay for older snapshots. With
+// a nil txn the record is rewritten and its entries follow it.
+func (c *Catalog) Update(table string, victims []Victim, set map[string]storage.Value,
+	txn *storage.Txn) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
@@ -415,122 +401,39 @@ func (c *Catalog) Update(table string, pred func(storage.Tuple) bool,
 		}
 		setIdx[ci] = v
 	}
-	type hit struct {
-		rid storage.RID
-		old storage.Tuple
-	}
-	var hits []hit
-	err = t.Heap.Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			hits = append(hits, hit{rid, tu.Clone()})
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for _, h := range hits {
-		nu := h.old.Clone()
-		for ci, v := range setIdx {
-			nu[ci] = v
+	for n, v := range victims {
+		nu := v.Row.Clone()
+		for ci, val := range setIdx {
+			nu[ci] = val
 		}
-		nrid, err := t.Heap.Update(h.rid, nu)
+		if txn != nil {
+			moved, nrid, err := txn.Update(t.Heap, v.RID, nu)
+			if err != nil {
+				return n, err
+			}
+			t.repoint(v.Row, v.RID, moved)
+			for col, idx := range t.Indexes {
+				ci, _ := t.ColIndex(col)
+				idx.Insert(nu[ci], nrid)
+			}
+			t.unindexOnRollback(txn, nu, nrid)
+			continue
+		}
+		nrid, err := t.Heap.Update(v.RID, nu)
 		if err != nil {
-			return 0, err
+			return n, err
 		}
 		for col, idx := range t.Indexes {
 			ci, _ := t.ColIndex(col)
-			if !storage.Equal(h.old[ci], nu[ci]) || nrid != h.rid {
-				idx.Delete(h.old[ci], h.rid)
+			if nrid != v.RID || !storage.Equal(v.Row[ci], nu[ci]) {
+				idx.Delete(v.Row[ci], v.RID)
 				idx.Insert(nu[ci], nrid)
 			}
 		}
 	}
-	return len(hits), nil
-}
-
-// UpdateTxn is Update inside txn: each snapshot-visible hit has its
-// old version claimed (xmax = txn id) and a new version inserted with
-// xmin = txn id. Index entries for the new version are inserted
-// eagerly on every index and removed on rollback; the old version's
-// entries stay for older snapshots.
-func (c *Catalog) UpdateTxn(table string, pred func(storage.Tuple) bool,
-	set map[string]storage.Value, txn *storage.Txn) (int, error) {
-	if txn == nil {
-		return c.Update(table, pred, set)
-	}
-	t, err := c.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	setIdx := map[int]storage.Value{}
-	for col, v := range set {
-		ci, ok := t.ColIndex(col)
-		if !ok {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoColumn, table, col)
-		}
-		if !checkType(v, t.Cols[ci].Type) {
-			return 0, fmt.Errorf("%w: column %s", ErrType, col)
-		}
-		if t.Cols[ci].Type == TFloat && v.Kind == storage.KindInt {
-			v = storage.FloatValue(float64(v.Int))
-		}
-		setIdx[ci] = v
-	}
-	type hit struct {
-		rid storage.RID
-		old storage.Tuple
-	}
-	var hits []hit
-	err = txn.View(t.Heap).Scan(func(rid storage.RID, tu storage.Tuple) bool {
-		if pred == nil || pred(tu) {
-			hits = append(hits, hit{rid, tu.Clone()})
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	for _, h := range hits {
-		nu := h.old.Clone()
-		for ci, v := range setIdx {
-			nu[ci] = v
-		}
-		orid, nrid, err := txn.Update(t.Heap, h.rid, nu)
-		if err != nil {
-			return n, err
-		}
-		for col, idx := range t.Indexes {
-			ci, _ := t.ColIndex(col)
-			if orid != h.rid {
-				// The claim moved the old version (plain→versioned
-				// upgrade): repoint its entries.
-				idx.Delete(h.old[ci], h.rid)
-				idx.Insert(h.old[ci], orid)
-			}
-			idx.Insert(nu[ci], nrid)
-		}
-		if len(t.Indexes) > 0 {
-			keys := nu.Clone()
-			newRID := nrid
-			txn.OnRollback(func() error {
-				t.mu.RLock()
-				defer t.mu.RUnlock()
-				for col, idx := range t.Indexes {
-					ci, _ := t.ColIndex(col)
-					idx.Delete(keys[ci], newRID)
-				}
-				return nil
-			})
-		}
-		n++
-	}
-	return n, nil
+	return len(victims), nil
 }
 
 // Analyze refreshes a table's statistics from its actual contents.

@@ -40,7 +40,8 @@ type Result struct {
 	Rows []storage.Tuple
 	// Affected counts DML rows.
 	Affected int
-	// Plan is the EXPLAIN rendering of SELECTs.
+	// Plan is the executed plan: a SELECT's EXPLAIN rendering, or the
+	// access path an UPDATE/DELETE chose its rows through.
 	Plan string
 }
 
@@ -82,7 +83,8 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 // Commit; nil is the unversioned autocommit path. DDL (CREATE
 // TABLE/INDEX, ANALYZE) is rejected inside a transaction: catalog
 // changes are not versioned, so they could be neither rolled back nor
-// hidden from concurrent snapshots.
+// hidden from concurrent snapshots. UPDATE and DELETE choose their rows
+// as a SELECT would (execDML) and honour opts.Cancel while they do.
 //
 // The SELECT contract, whatever the caller and the options: every
 // SELECT runs on the one adaptive pipeline (routing.go) at opts.Workers
@@ -97,12 +99,13 @@ func (e *Engine) ExecuteStmt(st Stmt, opts ExecOptions) (*Result, *ExecReport, e
 	if sel, ok := st.(*SelectStmt); ok {
 		return e.runSelect(sel, opts)
 	}
-	res, err := e.execOther(st, opts.Txn)
+	res, err := e.execOther(st, opts)
 	return res, &ExecReport{}, err
 }
 
 // execOther executes every statement kind but SELECT.
-func (e *Engine) execOther(st Stmt, txn *storage.Txn) (*Result, error) {
+func (e *Engine) execOther(st Stmt, opts ExecOptions) (*Result, error) {
+	txn := opts.Txn
 	switch s := st.(type) {
 	case *InsertStmt:
 		for _, row := range s.Rows {
@@ -114,25 +117,13 @@ func (e *Engine) execOther(st Stmt, txn *storage.Txn) (*Result, error) {
 		}
 		return &Result{Affected: len(s.Rows)}, nil
 	case *UpdateStmt:
-		pred, err := e.wherePred(s.Table, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		n, err := e.cat.UpdateTxn(s.Table, pred, s.Set, txn)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Affected: n}, nil
+		return e.execDML("Update", s.Table, s.Where, opts, func(vs []Victim) (int, error) {
+			return e.cat.Update(s.Table, vs, s.Set, txn)
+		})
 	case *DeleteStmt:
-		pred, err := e.wherePred(s.Table, s.Where)
-		if err != nil {
-			return nil, err
-		}
-		n, err := e.cat.DeleteTxn(s.Table, pred, txn)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Affected: n}, nil
+		return e.execDML("Delete", s.Table, s.Where, opts, func(vs []Victim) (int, error) {
+			return e.cat.Delete(s.Table, vs, txn)
+		})
 	case *CreateTableStmt:
 		if txn != nil {
 			return nil, fmt.Errorf("query: CREATE TABLE is not allowed inside a transaction")
@@ -200,16 +191,33 @@ func stmtKeyword(st Stmt) string {
 	return fmt.Sprintf("%T", st)
 }
 
-// wherePred compiles a single-table WHERE clause.
-func (e *Engine) wherePred(table string, preds []Pred) (func(storage.Tuple) bool, error) {
-	if len(preds) == 0 {
-		return nil, nil
-	}
-	t, err := e.cat.Table(table)
+// execDML runs an UPDATE or DELETE. Which rows it hits is a read under
+// the statement's snapshot, so it is planned as the single-table SELECT
+// over the same WHERE would be (DESIGN.md, "DML row selection") and
+// collected completely before apply claims the first row: the statement
+// never meets a version it wrote itself (the Halloween problem), and
+// opts.Cancel, polled during collection only, leaves nothing to undo.
+func (e *Engine) execDML(verb, table string, where []Pred, opts ExecOptions,
+	apply func([]Victim) (int, error)) (*Result, error) {
+	plan, err := e.planSelect(&SelectStmt{From: TableRef{Name: table}, Where: where, Limit: -1}, opts.Txn)
 	if err != nil {
 		return nil, err
 	}
-	return compilePreds(tableSchema(table, t), preds)
+	sp := plan.scans[0]
+	sp.noKernel = opts.NoVectorKernels
+	victims, err := sp.victims(opts.Cancel)
+	if err != nil {
+		return nil, err
+	}
+	n, err := apply(victims)
+	if err != nil {
+		return nil, err
+	}
+	text := fmt.Sprintf("%s(%s) <- %s", verb, table, sp.explain())
+	if fs := sp.filterSummary(); fs != "" {
+		text += " | " + fs
+	}
+	return &Result{Affected: n, Plan: text}, nil
 }
 
 // execSelect is the reference executor: the SELECT compiled into a

@@ -52,46 +52,51 @@ func seedHard(t *testing.T, e *Engine, rows int) {
 	t.Helper()
 	e.MustExec("CREATE TABLE hard (a INT, f FLOAT, s STRING)")
 	for i := 0; i < rows; i++ {
-		var a, f, s storage.Value
-		switch i % 7 {
-		case 0:
-			a = storage.IntValue(int64(i % 100))
-		case 1:
-			a = storage.IntValue(-int64(i % 50))
-		case 2:
-			a = storage.IntValue(1<<53 + int64(i%3))
-		default:
-			a = storage.IntValue(int64(i % 100))
-		}
-		switch i % 5 {
-		case 0:
-			f = storage.FloatValue(math.NaN())
-		case 1:
-			f = storage.FloatValue(math.Copysign(0, -1))
-		case 2:
-			f = storage.NullValue()
-		case 3:
-			f = storage.FloatValue(float64(i) / 4)
-		default:
-			f = storage.FloatValue(0)
-		}
-		switch i % 4 {
-		case 0:
-			s = storage.StringValue(fmt.Sprintf("row-%03d", i%60))
-		case 1:
-			s = storage.NullValue()
-		case 2:
-			s = storage.StringValue("")
-		default:
-			s = storage.StringValue("zz")
-		}
-		if _, err := e.cat.Insert("hard", storage.Tuple{a, f, s}); err != nil {
+		if _, err := e.cat.Insert("hard", hardRow(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.cat.Analyze("hard"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hardRow is row i of the `hard` table.
+func hardRow(i int) storage.Tuple {
+	var a, f, s storage.Value
+	switch i % 7 {
+	case 0:
+		a = storage.IntValue(int64(i % 100))
+	case 1:
+		a = storage.IntValue(-int64(i % 50))
+	case 2:
+		a = storage.IntValue(1<<53 + int64(i%3))
+	default:
+		a = storage.IntValue(int64(i % 100))
+	}
+	switch i % 5 {
+	case 0:
+		f = storage.FloatValue(math.NaN())
+	case 1:
+		f = storage.FloatValue(math.Copysign(0, -1))
+	case 2:
+		f = storage.NullValue()
+	case 3:
+		f = storage.FloatValue(float64(i) / 4)
+	default:
+		f = storage.FloatValue(0)
+	}
+	switch i % 4 {
+	case 0:
+		s = storage.StringValue(fmt.Sprintf("row-%03d", i%60))
+	case 1:
+		s = storage.NullValue()
+	case 2:
+		s = storage.StringValue("")
+	default:
+		s = storage.StringValue("zz")
+	}
+	return storage.Tuple{a, f, s}
 }
 
 // TestKernelBoxedDeterminismMatrix is the acceptance matrix: for every

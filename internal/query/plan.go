@@ -1,7 +1,9 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/adm-project/adm/internal/operators"
@@ -134,6 +136,89 @@ func (s *scanPlan) build() (operators.Iterator, error) {
 		it = operators.NewFilter(it, pred)
 	}
 	return it, nil
+}
+
+// victims reads the rows a DML statement over this scan will change,
+// with their RIDs, through the scan's access path. Index entries cover
+// every version of a row, so each RID is fetched through the reader (a
+// version outside the snapshot reads as not found) and every predicate
+// re-checked on it. The sequential path reads a page at a time, tuples
+// and RIDs from one image of the page, past the kernel's zone veto.
+// cancel, when non-nil, is polled between fetches and pages.
+func (s *scanPlan) victims(cancel func() error) ([]Victim, error) {
+	if cancel == nil {
+		cancel = func() error { return nil }
+	}
+	// One filter: the kernel's selection vector, else the boxed predicate.
+	var kern *operators.FilterKernel
+	var pred operators.Predicate
+	var err error
+	if s.indexCol != "" || s.noKernel || len(s.preds) == 0 {
+		pred, err = compilePreds(s.sch, s.preds)
+	} else {
+		kern, err = s.filterKernel()
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out []Victim
+	if s.indexCol != "" {
+		idx, _ := s.table.Index(s.indexCol)
+		var rids []storage.RID
+		idx.Range(s.indexLo, s.indexHi, func(_ storage.Value, rid storage.RID) bool {
+			rids = append(rids, rid)
+			return true
+		})
+		for _, rid := range rids {
+			if err := cancel(); err != nil {
+				return nil, err
+			}
+			t, err := s.reader.Get(rid)
+			if errors.Is(err, storage.ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			if pred(t) {
+				out = append(out, Victim{RID: rid, Row: t})
+			}
+		}
+		return out, nil
+	}
+	pages := s.reader.PageIDs()
+	var zones [][]storage.ColZone
+	if zr, ok := s.reader.(storage.ZoneReader); ok && kern != nil {
+		zones = zr.PageZones(pages)
+	}
+	b := operators.GetBatch() // page buffers whose capacity outlives the statement
+	defer operators.PutBatch(b)
+	for i, id := range pages {
+		if err := cancel(); err != nil {
+			return nil, err
+		}
+		if i < len(zones) && !kern.MayMatchPage(zones[i]) {
+			s.scanStats.Pruned.Add(1)
+			continue
+		}
+		if b.Tuples, b.RIDs, err = s.reader.PageRowsInto(id, b.Tuples[:0], b.RIDs[:0]); err != nil {
+			return nil, err
+		}
+		if kern == nil {
+			for j, t := range b.Tuples {
+				if pred(t) {
+					out = append(out, Victim{RID: b.RIDs[j], Row: t})
+				}
+			}
+			continue
+		}
+		s.scanStats.Scanned.Add(1)
+		b.Sel = kern.Select(b.Tuples, b.Sel)
+		for _, j := range b.Sel {
+			out = append(out, Victim{RID: b.RIDs[j], Row: b.Tuples[j]})
+		}
+	}
+	return out, nil
 }
 
 // filterKernel lazily compiles the scan's pushed-down conjunction into
@@ -429,6 +514,9 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 		for _, pred := range sp.preds {
 			if _, ok := sp.table.Index(pred.Col.Col); !ok {
 				continue
+			}
+			if f, ok := pred.Lit.AsFloat(); ok && math.IsNaN(f) {
+				continue // NaN compares equal to every number: no key range holds it
 			}
 			switch pred.Op {
 			case OpEQ:

@@ -6,6 +6,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -288,6 +289,133 @@ func TestTxnIndexNLJoinReadsSnapshot(t *testing.T) {
 					workers, txn == old, len(res.Rows), late, want, wantLate)
 			}
 			requireSameOrdered(t, "against the reference", rowsMultiset(res), rowsMultiset(refSelect(t, eng, sql, txn)))
+		}
+	}
+}
+
+// TestPlainRecordClaimsBesideSequentialUpdate is the regression test
+// for the victim scan's read primitive. The table is loaded through the
+// nil-txn path, so its records are plain and the first claim on each
+// one upgrades it to versioned form and moves it within its page.
+// Three sessions run key-disjoint `UPDATE … WHERE id = ?` (index path)
+// while a fourth repeatedly runs `UPDATE … WHERE grp = 0` (sequential
+// path) over the same pages; no two sessions ever want the same row, so
+// every statement must succeed with Affected equal to the rows it owns,
+// and at the end every row must exist once, carrying its owner's last
+// write, by heap and by index. What a record-by-record walk does to a
+// page under these claims is pinned where it can be shown step by step:
+// storage's TestPageRowsReadOneImage.
+func TestPlainRecordClaimsBesideSequentialUpdate(t *testing.T) {
+	const (
+		keep    = 480 // rows left after the load's deletes
+		writers = 3   // keyed sessions; group 0 is the sequential session's
+		groups  = writers + 1
+		rounds  = 4
+		filler  = 300 // unowned rows closing the heap (grp = groups)
+	)
+	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
+		storage.DBOptions{Sync: storage.SyncManual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := NewDurableCatalog(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(cat, nil, nil)
+	eng.MustExec("CREATE TABLE t (id INT, grp INT, v INT, junk INT)")
+	eng.MustExec("CREATE INDEX ON t (id)")
+	// A plain record needs room on its page to grow a version header,
+	// which nearly triples these small rows (a full page of plain
+	// records cannot be claimed at all — an engine limit of its own). So
+	// three rows in four are deleted again, and rows nobody updates
+	// close the heap: the sessions' new versions, which go to the last
+	// page, then never compete with a claim for that room.
+	for i := 0; i < 4*keep; i++ {
+		eng.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 0, %d)", i/4, (i/4)%groups, i%4))
+	}
+	for i := 0; i < filler; i++ {
+		eng.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 0, 0)", keep+i, groups))
+	}
+	if n := eng.MustExec("DELETE FROM t WHERE junk > 0").Affected; n != 3*keep {
+		t.Fatalf("load deleted %d rows, want %d", n, 3*keep)
+	}
+
+	// update runs one autocommit UPDATE and reports what went wrong.
+	update := func(sql string, want int) error {
+		txn := db.Txns().Begin()
+		res, err := execTxn(eng, sql, txn)
+		if err != nil {
+			txn.Rollback()
+			return fmt.Errorf("%s: %w", sql, err)
+		}
+		if res.Affected != want {
+			txn.Rollback()
+			return fmt.Errorf("%s: Affected = %d, want %d (plan %s)", sql, res.Affected, want, res.Plan)
+		}
+		return txn.Commit()
+	}
+	var keyed sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		keyed.Add(1)
+		go func(w int) {
+			defer keyed.Done()
+			for r := 1; r <= rounds; r++ {
+				for id := w; id < keep; id += groups {
+					if err := update(fmt.Sprintf("UPDATE t SET v = %d WHERE id = %d", r, id), 1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	keyedDone := make(chan struct{})
+	go func() { keyed.Wait(); close(keyedDone) }()
+	seqRounds := 0
+	for running := true; running && !t.Failed(); {
+		select {
+		case <-keyedDone:
+			running = false // one more pass, over settled pages
+		default:
+		}
+		seqRounds++
+		if err := update(fmt.Sprintf("UPDATE t SET v = %d WHERE grp = 0", seqRounds), keep/groups); err != nil {
+			t.Error(err)
+		}
+	}
+	<-keyedDone
+	if t.Failed() {
+		return
+	}
+
+	reader := db.Txns().Begin()
+	defer reader.Rollback()
+	for _, q := range []string{"SELECT id, grp, v FROM t", "SELECT id, grp, v FROM t WHERE id >= 0"} {
+		res, err := execTxn(eng, q, reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]bool{}
+		for _, row := range res.Rows {
+			id, grp, v := row[0].Int, row[1].Int, row[2].Int
+			if seen[id] {
+				t.Fatalf("%s: id %d appears twice", q, id)
+			}
+			seen[id] = true
+			want := int64(rounds)
+			switch grp {
+			case 0:
+				want = int64(seqRounds)
+			case groups:
+				want = 0
+			}
+			if v != want {
+				t.Fatalf("%s: id %d (grp %d) has v = %d, want %d", q, id, grp, v, want)
+			}
+		}
+		if len(seen) != keep+filler {
+			t.Fatalf("%s: %d rows, want %d", q, len(seen), keep+filler)
 		}
 	}
 }

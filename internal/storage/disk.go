@@ -38,10 +38,27 @@ var ErrShortWrite = errors.New("storage: short write")
 // MemDisk is an in-memory DiskFile: the simulated stable storage the
 // crash tests snapshot and reopen. Sync is a no-op (memory is always
 // "durable" until the harness says otherwise); the fault layer is
-// where sync barriers gain meaning.
+// where sync barriers gain meaning. The device is len(buf) bytes long;
+// capacity beyond that is spare room, never content.
 type MemDisk struct {
 	mu  sync.Mutex
 	buf []byte
+}
+
+// grow extends the device to n bytes, zero-filled past the old length.
+// Capacity doubles, so a run of appends copies O(final size) bytes in
+// total instead of the whole device per append; spare capacity may hold
+// a tail that Truncate cut off, so it is cleared as it is re-exposed.
+func (d *MemDisk) grow(n int64) {
+	old := len(d.buf)
+	if n <= int64(cap(d.buf)) {
+		d.buf = d.buf[:n]
+		clear(d.buf[old:])
+		return
+	}
+	grown := make([]byte, n, max(n, 2*int64(cap(d.buf))))
+	copy(grown, d.buf)
+	d.buf = grown
 }
 
 // NewMemDisk returns an empty in-memory disk.
@@ -75,9 +92,7 @@ func (d *MemDisk) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("storage: negative write offset %d", off)
 	}
 	if need := off + int64(len(p)); need > int64(len(d.buf)) {
-		grown := make([]byte, need)
-		copy(grown, d.buf)
-		d.buf = grown
+		d.grow(need)
 	}
 	copy(d.buf[off:], p)
 	return len(p), nil
@@ -104,9 +119,7 @@ func (d *MemDisk) Truncate(size int64) error {
 		d.buf = d.buf[:size]
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, d.buf)
-	d.buf = grown
+	d.grow(size)
 	return nil
 }
 

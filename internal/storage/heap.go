@@ -355,49 +355,20 @@ func (h *HeapFile) PageTuplesVisibleInto(id PageID, dst []Tuple, vis Visibility)
 	return p.TuplesVisibleInto(dst, vis)
 }
 
-// ScanVersions calls fn for every live record in file order with its
-// MVCC version (zero for plain records); returning false stops the
-// scan. The transaction layer's DML scans run through here so the
-// victim set is computed against the statement's snapshot.
-func (h *HeapFile) ScanVersions(fn func(rid RID, t Tuple, v Version) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, id := range pages {
-		stop, err := h.scanPageVersions(id, fn)
-		if err != nil || stop {
-			return err
-		}
-	}
-	return nil
+// PageRowsInto is PageTuplesInto that also appends each tuple's RID:
+// the read a writer selects its victims through. See Page.rowsInto for
+// why tuples and RIDs must come from one image of the page.
+func (h *HeapFile) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
+	return h.pageRows(id, ts, rids, nil)
 }
 
-func (h *HeapFile) scanPageVersions(id PageID, fn func(rid RID, t Tuple, v Version) bool) (stop bool, err error) {
+func (h *HeapFile) pageRows(id PageID, ts []Tuple, rids []RID, vis Visibility) ([]Tuple, []RID, error) {
 	p, err := h.bm.GetPage(id)
 	if err != nil {
-		return false, err
+		return ts, rids, err
 	}
 	defer h.bm.Unpin(id)
-	for s := 0; s < p.Slots(); s++ {
-		if !p.Live(s) {
-			continue
-		}
-		rec, err := p.Get(s)
-		if errors.Is(err, ErrSlotDeleted) {
-			continue // deleted between Live and Get by a concurrent writer
-		}
-		if err != nil {
-			return false, err
-		}
-		t, v, err := DecodeRecord(rec)
-		if err != nil {
-			return false, err
-		}
-		if !fn(RID{Page: id, Slot: s}, t, v) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return p.rowsInto(id, ts, rids, vis)
 }
 
 // ScanPartition calls fn for every live record on the pages of one
@@ -414,57 +385,33 @@ func (h *HeapFile) ScanPartition(part, parts int, fn func(rid RID, t Tuple) bool
 	for i := part; i < len(all); i += parts {
 		pages = append(pages, all[i])
 	}
-	return h.scanPages(pages, fn)
+	return h.scanPages(pages, nil, fn)
 }
 
 // Scan calls fn for every live record in file order; returning false
-// stops the scan early.
+// stops the scan early. The tuples are the pages' shared decode images:
+// fn must not modify them.
 func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	return h.scanPages(pages, fn)
+	return h.scanPages(h.PageIDs(), nil, fn)
 }
 
-func (h *HeapFile) scanPages(pages []PageID, fn func(rid RID, t Tuple) bool) error {
+// scanPages reads page-at-a-time (pageRows) and calls fn outside every
+// latch and pin, so fn may panic or take its time.
+func (h *HeapFile) scanPages(pages []PageID, vis Visibility, fn func(rid RID, t Tuple) bool) error {
+	var ts []Tuple
+	var rids []RID
 	for _, id := range pages {
-		stop, err := h.scanPage(id, fn)
-		if err != nil || stop {
+		var err error
+		if ts, rids, err = h.pageRows(id, ts[:0], rids[:0], vis); err != nil {
 			return err
+		}
+		for i, t := range ts {
+			if !fn(rids[i], t) {
+				return nil
+			}
 		}
 	}
 	return nil
-}
-
-// scanPage visits one page's live records with the pin released by
-// defer: fn is caller code, and a panic there (contained at the
-// morsel boundary by the parallel executor) must not leak the pin.
-func (h *HeapFile) scanPage(id PageID, fn func(rid RID, t Tuple) bool) (stop bool, err error) {
-	p, err := h.bm.GetPage(id)
-	if err != nil {
-		return false, err
-	}
-	defer h.bm.Unpin(id)
-	for s := 0; s < p.Slots(); s++ {
-		if !p.Live(s) {
-			continue
-		}
-		rec, err := p.Get(s)
-		if errors.Is(err, ErrSlotDeleted) {
-			continue // deleted between Live and Get by a concurrent writer
-		}
-		if err != nil {
-			return false, err
-		}
-		t, err := DecodeTuple(rec)
-		if err != nil {
-			return false, err
-		}
-		if !fn(RID{Page: id, Slot: s}, t) {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // All collects every live tuple (test/bench convenience).

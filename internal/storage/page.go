@@ -52,11 +52,13 @@ type Page struct {
 }
 
 // decodedPage is the page's cached decode image: the live tuples in
-// slot order and, when any record on the page carries an MVCC header,
-// a parallel version slice (nil means every record is plain, which
-// lets visibility-filtered scans skip per-tuple checks entirely).
+// slot order, the slot each one sits in, and, when any record on the
+// page carries an MVCC header, a parallel version slice (nil means
+// every record is plain, which lets visibility-filtered scans skip
+// per-tuple checks entirely).
 type decodedPage struct {
 	tuples []Tuple
+	slots  []uint16
 	vers   []Version
 }
 
@@ -540,6 +542,25 @@ func (p *Page) TuplesVisibleInto(dst []Tuple, vis Visibility) ([]Tuple, error) {
 	return dst, nil
 }
 
+// rowsInto is TuplesVisibleInto that also appends each tuple's RID
+// (id is the page's own id). Tuples and slots come from one decode
+// image — one latch hold — so a record that a concurrent claim moves
+// within the page is reported once, wherever that image has it; a
+// record-by-record walk can meet it at both slots.
+func (p *Page) rowsInto(id PageID, ts []Tuple, rids []RID, vis Visibility) ([]Tuple, []RID, error) {
+	d, err := p.decoded()
+	if err != nil {
+		return ts, rids, err
+	}
+	for i, t := range d.tuples {
+		if d.vers == nil || vis == nil || vis(d.vers[i]) {
+			ts = append(ts, t)
+			rids = append(rids, RID{Page: id, Slot: int(d.slots[i])})
+		}
+	}
+	return ts, rids, nil
+}
+
 // decoded returns the page's decode image, producing and publishing
 // it under the read latch on a cache miss.
 func (p *Page) decoded() (*decodedPage, error) {
@@ -571,7 +592,7 @@ func (p *Page) decoded() (*decodedPage, error) {
 	// The arena never reallocates (capacity is exact), so the tuple
 	// slices carved below remain valid.
 	arena := make(Tuple, 0, total)
-	d := &decodedPage{tuples: make([]Tuple, 0, live)}
+	d := &decodedPage{tuples: make([]Tuple, 0, live), slots: make([]uint16, 0, live)}
 	if versioned {
 		d.vers = make([]Version, 0, live)
 	}
@@ -595,6 +616,7 @@ func (p *Page) decoded() (*decodedPage, error) {
 			return nil, err
 		}
 		d.tuples = append(d.tuples, arena[start:len(arena):len(arena)])
+		d.slots = append(d.slots, uint16(s))
 	}
 	// Publish under the read latch: any mutator's invalidation is
 	// either already visible (we decoded its write) or will run after

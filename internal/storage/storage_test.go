@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -632,5 +633,78 @@ func TestBTreeInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemDiskExtendsGeometrically: an append costs its record, not the
+// device. 10,000 small appends change capacity O(log n) times and
+// allocate O(final size) bytes in all; length, not capacity, is what
+// Size and Bytes report; a tail cut off by Truncate reads as zeros when
+// a later write or Truncate exposes it again; NewMemDiskFrom copies.
+func TestMemDiskExtendsGeometrically(t *testing.T) {
+	d := NewMemDisk()
+	rec := bytes.Repeat([]byte{0xAB}, 48)
+	grows, allocated, lastCap := 0, 0, 0
+	for i := 0; i < 10000; i++ {
+		if _, err := d.WriteAt(rec, int64(i*len(rec))); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(d.buf); c != lastCap {
+			grows, allocated, lastCap = grows+1, allocated+c, c
+		}
+	}
+	final := 10000 * len(rec)
+	if sz, _ := d.Size(); sz != int64(final) || len(d.Bytes()) != final {
+		t.Fatalf("Size = %d, len(Bytes) = %d, want %d (length, not capacity %d)", sz, len(d.Bytes()), final, lastCap)
+	}
+	if grows > 24 || allocated > 4*final {
+		t.Fatalf("10000 appends grew the device %d times and allocated %d bytes for a %d-byte device", grows, allocated, final)
+	}
+
+	// Shrink, then extend two ways: the old tail must not come back.
+	if err := d.Truncate(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.WriteAt([]byte{1}, 299); err != nil { // leaves a gap at [100,299)
+		t.Fatal(err)
+	}
+	if err := d.Truncate(1000); err != nil {
+		t.Fatal(err)
+	}
+	got := d.Bytes()
+	if len(got) != 1000 || got[99] != 0xAB || got[299] != 1 {
+		t.Fatalf("after shrink+extend: len %d, [99]=%#x, [299]=%#x", len(got), got[99], got[299])
+	}
+	for i := 100; i < 1000; i++ {
+		if i != 299 && got[i] != 0 {
+			t.Fatalf("byte %d = %#x after shrink-then-extend, want 0", i, got[i])
+		}
+	}
+	buf := make([]byte, 8)
+	if n, _ := d.ReadAt(buf, 996); n != 4 {
+		t.Fatalf("ReadAt at the tail read %d bytes, want 4 (reads stop at the length)", n)
+	}
+
+	src := []byte{1, 2, 3}
+	c := NewMemDiskFrom(src)
+	src[0] = 9
+	if b := c.Bytes(); b[0] != 1 {
+		t.Fatal("NewMemDiskFrom aliases its argument")
+	}
+}
+
+// BenchmarkMemDiskAppend appends 64-byte records to one device, as the
+// WAL does: bytes/op must stay a small multiple of the record (ci.sh
+// gates it) — a device that re-allocates itself per append costs its
+// whole size each time.
+func BenchmarkMemDiskAppend(b *testing.B) {
+	d := NewMemDisk()
+	rec := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.WriteAt(rec, int64(i)*64); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -786,3 +786,113 @@ func TestGroupCommitConflictStress(t *testing.T) {
 	t.Logf("conflict stress: %d commits in %d groups, %d aborts",
 		st.Batched, st.Groups, st.Aborts)
 }
+
+// TestPageRowsReadOneImage: claiming a plain record upgrades it to
+// versioned form, which moves it to a fresh slot at the end of its
+// page. A reader that walks the slots one latch hold at a time can
+// therefore meet the record at both slots (shown first, step by step);
+// PageRowsInto reads tuples and RIDs from one image of the page, so
+// every record appears exactly once however the claims interleave
+// (shown second, under the race detector).
+func TestPageRowsReadOneImage(t *testing.T) {
+	db, h := newTxnDB(t)
+	const n = 40
+	rids := make([]RID, n)
+	for k := range rids {
+		var err error
+		if rids[k], err = h.Insert(rowTuple(int64(k), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.Pages() != 1 {
+		t.Fatalf("fixture spans %d pages, want 1", h.Pages())
+	}
+	page := rids[0].Page
+	old := db.Txns().Begin() // sees every record, whatever is claimed below
+	defer old.Rollback()
+	claim := func(rid RID, decide func(*Txn) error) {
+		tx := db.Txns().Begin()
+		if _, err := tx.Delete(h, rid); err != nil {
+			t.Error(err)
+		}
+		if err := decide(tx); err != nil {
+			t.Error(err)
+		}
+	}
+
+	// The hazard: walk half the slots, let a claim move record 0, walk on.
+	p, err := h.bm.GetPage(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := map[int64]int{}
+	walk := func(from, to int) {
+		for s := from; s < to; s++ {
+			if rec, err := p.Get(s); err == nil {
+				tu, _, _ := DecodeRecord(rec)
+				met[tu[0].Int]++
+			}
+		}
+	}
+	walk(0, n/2)
+	claim(rids[0], (*Txn).Rollback)
+	walk(n/2, p.Slots())
+	h.bm.Unpin(page)
+	if met[0] != 2 {
+		t.Fatalf("slot walk met the moved record %d times; the fixture no longer moves it", met[0])
+	}
+
+	// once checks one page read: n rows, each key once, and (when no
+	// claim can be in flight) every RID leading to the row it came with.
+	once := func(quiescent bool) {
+		ts, got, err := old.View(h).PageRowsInto(page, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		keys := map[int64]bool{}
+		for i, tu := range ts {
+			if keys[tu[0].Int] {
+				t.Errorf("key %d read twice in one page read", tu[0].Int)
+			}
+			keys[tu[0].Int] = true
+			if quiescent {
+				if at, err := h.Get(got[i]); err != nil || at[0].Int != tu[0].Int {
+					t.Errorf("RID %s came with key %d but holds %v (%v)", got[i], tu[0].Int, at, err)
+				}
+			}
+		}
+		if len(keys) != n {
+			t.Errorf("one page read returned %d distinct keys, want %d", len(keys), n)
+		}
+	}
+	once(true)
+	var claimers, readers sync.WaitGroup
+	var done atomic.Bool
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !done.Load() {
+				once(false)
+			}
+		}()
+	}
+	for w := 0; w < 3; w++ {
+		claimers.Add(1)
+		go func(w int) {
+			defer claimers.Done()
+			for k := 1 + w; k < n; k += 3 {
+				decide := (*Txn).Commit
+				if k%2 == 0 {
+					decide = (*Txn).Rollback
+				}
+				claim(rids[k], decide)
+			}
+		}(w)
+	}
+	claimers.Wait()
+	done.Store(true)
+	readers.Wait()
+	once(true)
+}

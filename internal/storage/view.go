@@ -14,6 +14,7 @@ type HeapReader interface {
 	PageIDs() []PageID
 	PageTuples(id PageID) ([]Tuple, error)
 	PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error)
+	PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error)
 	Get(rid RID) (Tuple, error)
 	All() ([]Tuple, error)
 }
@@ -65,14 +66,15 @@ func (v *HeapView) Get(rid RID) (Tuple, error) {
 	return t, nil
 }
 
+// PageRowsInto appends one page's visible tuples and their RIDs, read
+// from a single image of the page.
+func (v *HeapView) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
+	return v.h.pageRows(id, ts, rids, v.vis)
+}
+
 // Scan calls fn for every visible record in file order.
 func (v *HeapView) Scan(fn func(rid RID, t Tuple) bool) error {
-	return v.h.ScanVersions(func(rid RID, t Tuple, ver Version) bool {
-		if v.vis != nil && !v.vis(ver) {
-			return true
-		}
-		return fn(rid, t)
-	})
+	return v.h.scanPages(v.h.PageIDs(), v.vis, fn)
 }
 
 // All collects every visible tuple.

@@ -36,10 +36,8 @@ type Batch struct {
 	// batch purely so its capacity is reused across refills — between
 	// operator calls it is always empty.
 	Sel []int32
-	// RIDs is scratch for the one consumer that needs to know where its
-	// tuples live — a DML statement choosing its victims reads a page's
-	// RIDs here, parallel to Tuples. Like Sel it is on the batch so its
-	// capacity is reused, and is empty between operator calls.
+	// RIDs is where each of Tuples lives, index for index, when the scan
+	// was asked for that (BatchHeapScan.WithRIDs: DML); empty otherwise.
 	RIDs []storage.RID
 }
 
@@ -209,10 +207,13 @@ type BatchHeapScan struct {
 	// Kernel, when non-nil, fuses predicate evaluation and zone-map
 	// page pruning into the scan.
 	Kernel *FilterKernel
-	pages  []storage.PageID
-	zones  [][]storage.ColZone
-	idx    int
-	open   bool
+	// WithRIDs makes every batch carry its tuples' RIDs (Batch.RIDs),
+	// read from the same image of the page as the tuples.
+	WithRIDs bool
+	pages    []storage.PageID
+	zones    [][]storage.ColZone
+	idx      int
+	open     bool
 }
 
 // NewBatchHeapScan scans file.
@@ -250,11 +251,15 @@ func (s *BatchHeapScan) NextBatch(b *Batch) (int, error) {
 			}
 		}
 		s.idx++
-		ts, err := s.File.PageTuplesInto(id, b.Tuples[:0])
+		var err error
+		if s.WithRIDs {
+			b.Tuples, b.RIDs, err = s.File.PageRowsInto(id, b.Tuples[:0], b.RIDs[:0])
+		} else {
+			b.Tuples, err = s.File.PageTuplesInto(id, b.Tuples[:0])
+		}
 		if err != nil {
 			return 0, err
 		}
-		b.Tuples = ts
 		if s.Kernel != nil {
 			s.Kernel.countPage(false)
 			if s.Kernel.Apply(b) > 0 {
@@ -262,8 +267,8 @@ func (s *BatchHeapScan) NextBatch(b *Batch) (int, error) {
 			}
 			continue
 		}
-		if len(ts) > 0 {
-			return len(ts), nil
+		if len(b.Tuples) > 0 {
+			return len(b.Tuples), nil
 		}
 	}
 	b.Reset()

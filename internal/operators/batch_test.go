@@ -216,3 +216,76 @@ func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
 		out = append(out, b.Tuples...)
 	}
 }
+
+// TestBatchHeapScanWithRIDs: a scan asked for RIDs hands out, beside
+// every tuple, the place Get finds that tuple — with no kernel, and
+// with one compacting both columns (conjunct and boxed residual), and
+// over slot directories with holes. Without the ask the column is empty.
+func TestBatchHeapScanWithRIDs(t *testing.T) {
+	hf := batchHeap(t, 500)
+	var kill []storage.RID
+	hf.Scan(func(rid storage.RID, tu storage.Tuple) bool {
+		if tu[0].Int%5 == 0 {
+			kill = append(kill, rid)
+		}
+		return true
+	})
+	for _, rid := range kill {
+		if err := hf.Delete(rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	odd := func(tu storage.Tuple) bool { return tu[0].Int%2 == 1 }
+	for _, tc := range []struct {
+		name   string
+		kernel *FilterKernel
+		want   int
+	}{
+		{"no kernel", nil, 400},
+		{"kernel", NewFilterKernel([]ColPred{{Col: 0, Op: KernGE, Lit: storage.IntValue(250)}}, odd, nil), 100},
+	} {
+		bs := NewBatchHeapScan(hf)
+		bs.Kernel, bs.WithRIDs = tc.kernel, true
+		if err := bs.Open(); err != nil {
+			t.Fatal(err)
+		}
+		b := GetBatch()
+		got := 0
+		for {
+			n, err := bs.NextBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			if len(b.RIDs) != n {
+				t.Fatalf("%s: %d RIDs beside %d tuples", tc.name, len(b.RIDs), n)
+			}
+			for i, tu := range b.Tuples {
+				at, err := hf.Get(b.RIDs[i])
+				if err != nil || at[0].Int != tu[0].Int {
+					t.Fatalf("%s: tuple %v paired with %v, which holds %v (%v)", tc.name, tu, b.RIDs[i], at, err)
+				}
+				if tc.kernel != nil && (tu[0].Int < 250 || !odd(tu)) {
+					t.Fatalf("%s: %v passed the filter", tc.name, tu)
+				}
+			}
+			got += n
+		}
+		PutBatch(b)
+		bs.Close()
+		if got != tc.want {
+			t.Fatalf("%s: %d rows, want %d", tc.name, got, tc.want)
+		}
+	}
+	bs := NewBatchHeapScan(hf)
+	if err := bs.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := GetBatch()
+	defer PutBatch(b)
+	if n, err := bs.NextBatch(b); err != nil || n == 0 || len(b.RIDs) != 0 {
+		t.Fatalf("unasked scan: n=%d err=%v RIDs=%d", n, err, len(b.RIDs))
+	}
+}

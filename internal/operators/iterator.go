@@ -182,6 +182,9 @@ func (s *IndexScan) Next() (storage.Tuple, bool, error) {
 	return nil, false, nil
 }
 
+// RID reports where the tuple Next last returned lives.
+func (s *IndexScan) RID() storage.RID { return s.rids[s.pos-1] }
+
 // Close implements Iterator.
 func (s *IndexScan) Close() error { s.open = false; return nil }
 

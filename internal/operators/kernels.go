@@ -353,57 +353,53 @@ func NewFilterKernel(preds []ColPred, boxed Predicate, stats *ScanStats) *Filter
 // NumPreds returns the compiled conjunct count.
 func (k *FilterKernel) NumPreds() int { return len(k.preds) }
 
-// Select returns the selection vector of tuples: the ascending indexes
-// of the rows passing every compiled conjunct and the boxed residual.
-// The vector is built in sel's storage by the first conjunct and
-// narrowed by each subsequent one; the tuples are not touched, so a
-// caller holding a column parallel to them (a writer's RIDs) indexes
-// both with the result.
-func (k *FilterKernel) Select(tuples []storage.Tuple, sel []int32) []int32 {
-	sel = sel[:0]
-	for i := range tuples {
+// Apply filters b in place and returns the surviving row count: the
+// selection vector is built by the first conjunct, narrowed by each
+// subsequent one and the boxed residual, and the survivors (b.RIDs with
+// them, when the scan filled it) compacted to the batch head. Steady
+// state allocates nothing: the selection vector stays on the batch.
+func (k *FilterKernel) Apply(b *Batch) int {
+	n := len(b.Tuples)
+	if n == 0 {
+		return 0
+	}
+	sel := b.Sel[:0]
+	if cap(sel) < n {
+		sel = make([]int32, 0, cap(b.Tuples))
+	}
+	for i := 0; i < n; i++ {
 		sel = append(sel, int32(i))
 	}
 	for _, p := range *k.order.Load() {
 		if len(sel) == 0 {
 			break
 		}
-		sel = p.filterSel(tuples, sel)
+		sel = p.filterSel(b.Tuples, sel)
 	}
 	if k.Boxed != nil {
 		kept := sel[:0]
 		for _, i := range sel {
-			if k.Boxed(tuples[i]) {
+			if k.Boxed(b.Tuples[i]) {
 				kept = append(kept, i)
 			}
 		}
 		sel = kept
 	}
-	if len(k.preds) > 1 && k.batches.Add(1)%reorderEvery == 0 {
-		k.reorder()
-	}
-	return sel
-}
-
-// Apply filters b in place: Select, then the surviving rows compacted
-// to the batch head. Steady-state it allocates nothing (the selection
-// vector is retained on the batch). Returns the surviving row count.
-func (k *FilterKernel) Apply(b *Batch) int {
-	n := len(b.Tuples)
-	if n == 0 {
-		return 0
-	}
-	sel := b.Sel
-	if cap(sel) < n {
-		sel = make([]int32, 0, cap(b.Tuples))
-	}
-	sel = k.Select(b.Tuples, sel)
 	// Compact survivors to the head; sel is ascending so j <= sel[j].
 	for j, i := range sel {
 		b.Tuples[j] = b.Tuples[i]
 	}
 	b.Tuples = b.Tuples[:len(sel)]
+	if len(b.RIDs) == n {
+		for j, i := range sel {
+			b.RIDs[j] = b.RIDs[i]
+		}
+		b.RIDs = b.RIDs[:len(sel)]
+	}
 	b.Sel = sel[:0] // retain capacity on the batch
+	if len(k.preds) > 1 && k.batches.Add(1)%reorderEvery == 0 {
+		k.reorder()
+	}
 	return len(sel)
 }
 

@@ -333,14 +333,16 @@ func (t *Table) repoint(row storage.Tuple, rid, moved storage.RID) {
 	}
 }
 
-// Victim is one row a DML statement changes: where it is, and what it
-// holds (read-only: it may alias a page's shared decode image).
-type Victim struct {
-	RID storage.RID
-	Row storage.Tuple
+// victim is one row a DML statement changes: where it is, and what it
+// holds (read-only: it may alias a page's shared decode image). Only
+// scanPlan.victims makes them — the list must be read whole under the
+// statement's snapshot before the first claim.
+type victim struct {
+	rid storage.RID
+	row storage.Tuple
 }
 
-// Delete removes the pre-selected victims and returns how many went:
+// delete removes the pre-selected victims and returns how many went:
 // choosing them is a read (Engine.execDML plans it as a SELECT would),
 // only the claim belongs here. Inside txn a victim is claimed by
 // stamping xmax — the claim IS the write lock, so a concurrent claimer
@@ -348,7 +350,7 @@ type Victim struct {
 // index entries stay: older snapshots still reach the old version, and
 // readers filter invisible versions at fetch. With a nil txn the record
 // and its entries are removed outright.
-func (c *Catalog) Delete(table string, victims []Victim, txn *storage.Txn) (int, error) {
+func (c *Catalog) delete(table string, victims []victim, txn *storage.Txn) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
@@ -357,31 +359,31 @@ func (c *Catalog) Delete(table string, victims []Victim, txn *storage.Txn) (int,
 	defer t.mu.RUnlock()
 	for n, v := range victims {
 		if txn != nil {
-			moved, err := txn.Delete(t.Heap, v.RID)
+			moved, err := txn.Delete(t.Heap, v.rid)
 			if err != nil {
 				return n, err
 			}
-			t.repoint(v.Row, v.RID, moved)
+			t.repoint(v.row, v.rid, moved)
 			continue
 		}
-		if err := t.Heap.Delete(v.RID); err != nil {
+		if err := t.Heap.Delete(v.rid); err != nil {
 			return n, err
 		}
 		for col, idx := range t.Indexes {
 			ci, _ := t.ColIndex(col)
-			idx.Delete(v.Row[ci], v.RID)
+			idx.Delete(v.row[ci], v.rid)
 		}
 	}
 	return len(victims), nil
 }
 
-// Update applies set to the pre-selected victims and returns how many
+// update applies set to the pre-selected victims and returns how many
 // it changed. Inside txn each victim's old version is claimed (xmax =
 // txn id) and a new version inserted with xmin = txn id; the new
 // version's index entries are inserted eagerly on every index and
 // removed on rollback, the old version's stay for older snapshots. With
 // a nil txn the record is rewritten and its entries follow it.
-func (c *Catalog) Update(table string, victims []Victim, set map[string]storage.Value,
+func (c *Catalog) update(table string, victims []victim, set map[string]storage.Value,
 	txn *storage.Txn) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
@@ -404,16 +406,16 @@ func (c *Catalog) Update(table string, victims []Victim, set map[string]storage.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for n, v := range victims {
-		nu := v.Row.Clone()
+		nu := v.row.Clone()
 		for ci, val := range setIdx {
 			nu[ci] = val
 		}
 		if txn != nil {
-			moved, nrid, err := txn.Update(t.Heap, v.RID, nu)
+			moved, nrid, err := txn.Update(t.Heap, v.rid, nu)
 			if err != nil {
 				return n, err
 			}
-			t.repoint(v.Row, v.RID, moved)
+			t.repoint(v.row, v.rid, moved)
 			for col, idx := range t.Indexes {
 				ci, _ := t.ColIndex(col)
 				idx.Insert(nu[ci], nrid)
@@ -421,14 +423,14 @@ func (c *Catalog) Update(table string, victims []Victim, set map[string]storage.
 			t.unindexOnRollback(txn, nu, nrid)
 			continue
 		}
-		nrid, err := t.Heap.Update(v.RID, nu)
+		nrid, err := t.Heap.Update(v.rid, nu)
 		if err != nil {
 			return n, err
 		}
 		for col, idx := range t.Indexes {
 			ci, _ := t.ColIndex(col)
-			if nrid != v.RID || !storage.Equal(v.Row[ci], nu[ci]) {
-				idx.Delete(v.Row[ci], v.RID)
+			if nrid != v.rid || !storage.Equal(v.row[ci], nu[ci]) {
+				idx.Delete(v.row[ci], v.rid)
 				idx.Insert(nu[ci], nrid)
 			}
 		}

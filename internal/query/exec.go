@@ -117,12 +117,12 @@ func (e *Engine) execOther(st Stmt, opts ExecOptions) (*Result, error) {
 		}
 		return &Result{Affected: len(s.Rows)}, nil
 	case *UpdateStmt:
-		return e.execDML("Update", s.Table, s.Where, opts, func(vs []Victim) (int, error) {
-			return e.cat.Update(s.Table, vs, s.Set, txn)
+		return e.execDML("Update", s.Table, s.Where, opts, func(vs []victim) (int, error) {
+			return e.cat.update(s.Table, vs, s.Set, txn)
 		})
 	case *DeleteStmt:
-		return e.execDML("Delete", s.Table, s.Where, opts, func(vs []Victim) (int, error) {
-			return e.cat.Delete(s.Table, vs, txn)
+		return e.execDML("Delete", s.Table, s.Where, opts, func(vs []victim) (int, error) {
+			return e.cat.delete(s.Table, vs, txn)
 		})
 	case *CreateTableStmt:
 		if txn != nil {
@@ -198,7 +198,7 @@ func stmtKeyword(st Stmt) string {
 // never meets a version it wrote itself (the Halloween problem), and
 // opts.Cancel, polled during collection only, leaves nothing to undo.
 func (e *Engine) execDML(verb, table string, where []Pred, opts ExecOptions,
-	apply func([]Victim) (int, error)) (*Result, error) {
+	apply func([]victim) (int, error)) (*Result, error) {
 	plan, err := e.planSelect(&SelectStmt{From: TableRef{Name: table}, Where: where, Limit: -1}, opts.Txn)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -115,15 +114,12 @@ func (s *scanPlan) distinctOn(col int) int {
 func (s *scanPlan) build() (operators.Iterator, error) {
 	var it operators.Iterator
 	if s.indexCol != "" {
-		idx, _ := s.table.Index(s.indexCol)
-		it = operators.NewIndexScan(s.reader, idx, s.indexLo, s.indexHi)
+		it = s.indexScan()
 	} else if len(s.preds) > 0 && !s.noKernel {
-		k, err := s.filterKernel()
+		bs, err := s.heapScan()
 		if err != nil {
 			return nil, err
 		}
-		bs := operators.NewBatchHeapScan(s.reader)
-		bs.Kernel = k
 		return operators.NewIteratorFromBatch(bs), nil
 	} else {
 		it = operators.NewHeapScan(s.reader)
@@ -138,87 +134,85 @@ func (s *scanPlan) build() (operators.Iterator, error) {
 	return it, nil
 }
 
-// victims reads the rows a DML statement over this scan will change,
-// with their RIDs, through the scan's access path. Index entries cover
-// every version of a row, so each RID is fetched through the reader (a
-// version outside the snapshot reads as not found) and every predicate
-// re-checked on it. The sequential path reads a page at a time, tuples
-// and RIDs from one image of the page, past the kernel's zone veto.
-// cancel, when non-nil, is polled between fetches and pages.
-func (s *scanPlan) victims(cancel func() error) ([]Victim, error) {
+// indexScan is the chosen index path's operator.
+func (s *scanPlan) indexScan() *operators.IndexScan {
+	idx, _ := s.table.Index(s.indexCol)
+	return operators.NewIndexScan(s.reader, idx, s.indexLo, s.indexHi)
+}
+
+// heapScan is the page-at-a-time heap scan, with the filter kernel
+// fused (zone veto and all) when there is one to fuse.
+func (s *scanPlan) heapScan() (*operators.BatchHeapScan, error) {
+	bs := operators.NewBatchHeapScan(s.reader)
+	if len(s.preds) > 0 && !s.noKernel {
+		k, err := s.filterKernel()
+		if err != nil {
+			return nil, err
+		}
+		bs.Kernel = k
+	}
+	return bs, nil
+}
+
+// victims drains the scan's operator for the rows a DML statement will
+// change, with their RIDs. Index entries cover every version of a row:
+// the index scan fetches each through the reader (one outside the
+// snapshot reads as not found) and every predicate is re-checked on the
+// result. The heap scan hands over a page's tuples and RIDs from one
+// image of it. cancel, when non-nil, is polled per fetch and per batch.
+func (s *scanPlan) victims(cancel func() error) ([]victim, error) {
 	if cancel == nil {
 		cancel = func() error { return nil }
 	}
-	// One filter: the kernel's selection vector, else the boxed predicate.
-	var kern *operators.FilterKernel
-	var pred operators.Predicate
-	var err error
-	if s.indexCol != "" || s.noKernel || len(s.preds) == 0 {
-		pred, err = compilePreds(s.sch, s.preds)
-	} else {
-		kern, err = s.filterKernel()
-	}
+	pred, err := compilePreds(s.sch, s.preds)
 	if err != nil {
 		return nil, err
 	}
-	var out []Victim
+	var out []victim
 	if s.indexCol != "" {
-		idx, _ := s.table.Index(s.indexCol)
-		var rids []storage.RID
-		idx.Range(s.indexLo, s.indexHi, func(_ storage.Value, rid storage.RID) bool {
-			rids = append(rids, rid)
-			return true
-		})
-		for _, rid := range rids {
+		is := s.indexScan()
+		if err := is.Open(); err != nil {
+			return nil, err
+		}
+		defer is.Close()
+		for {
 			if err := cancel(); err != nil {
 				return nil, err
 			}
-			t, err := s.reader.Get(rid)
-			if errors.Is(err, storage.ErrNotFound) {
-				continue
-			}
-			if err != nil {
-				return nil, err
+			t, ok, err := is.Next()
+			if err != nil || !ok {
+				return out, err
 			}
 			if pred(t) {
-				out = append(out, Victim{RID: rid, Row: t})
+				out = append(out, victim{rid: is.RID(), row: t})
 			}
 		}
-		return out, nil
 	}
-	pages := s.reader.PageIDs()
-	var zones [][]storage.ColZone
-	if zr, ok := s.reader.(storage.ZoneReader); ok && kern != nil {
-		zones = zr.PageZones(pages)
+	bs, err := s.heapScan()
+	if err != nil {
+		return nil, err
 	}
+	bs.WithRIDs = true
+	if err := bs.Open(); err != nil {
+		return nil, err
+	}
+	defer bs.Close()
 	b := operators.GetBatch() // page buffers whose capacity outlives the statement
 	defer operators.PutBatch(b)
-	for i, id := range pages {
+	for {
 		if err := cancel(); err != nil {
 			return nil, err
 		}
-		if i < len(zones) && !kern.MayMatchPage(zones[i]) {
-			s.scanStats.Pruned.Add(1)
-			continue
+		n, err := bs.NextBatch(b)
+		if err != nil || n == 0 {
+			return out, err
 		}
-		if b.Tuples, b.RIDs, err = s.reader.PageRowsInto(id, b.Tuples[:0], b.RIDs[:0]); err != nil {
-			return nil, err
-		}
-		if kern == nil {
-			for j, t := range b.Tuples {
-				if pred(t) {
-					out = append(out, Victim{RID: b.RIDs[j], Row: t})
-				}
+		for i, t := range b.Tuples {
+			if bs.Kernel != nil || pred(t) { // the kernel has filtered already
+				out = append(out, victim{rid: b.RIDs[i], row: t})
 			}
-			continue
-		}
-		s.scanStats.Scanned.Add(1)
-		b.Sel = kern.Select(b.Tuples, b.Sel)
-		for _, j := range b.Sel {
-			out = append(out, Victim{RID: b.RIDs[j], Row: b.Tuples[j]})
 		}
 	}
-	return out, nil
 }
 
 // filterKernel lazily compiles the scan's pushed-down conjunction into

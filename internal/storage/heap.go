@@ -334,12 +334,7 @@ func (h *HeapFile) PageTuples(id PageID) ([]Tuple, error) {
 // after dst is recycled (they own their arena), so both retaining and
 // streaming consumers are safe.
 func (h *HeapFile) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
-	p, err := h.bm.GetPage(id)
-	if err != nil {
-		return dst, err
-	}
-	defer h.bm.Unpin(id)
-	return p.TuplesInto(dst)
+	return h.pageRows(id, dst, nil, nil)
 }
 
 // PageTuplesVisibleInto is PageTuplesInto filtered through a
@@ -347,28 +342,25 @@ func (h *HeapFile) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
 // page-granular MVCC read primitive HeapView threads through the
 // batch executor.
 func (h *HeapFile) PageTuplesVisibleInto(id PageID, dst []Tuple, vis Visibility) ([]Tuple, error) {
-	p, err := h.bm.GetPage(id)
-	if err != nil {
-		return dst, err
-	}
-	defer h.bm.Unpin(id)
-	return p.TuplesVisibleInto(dst, vis)
+	return h.pageRows(id, dst, nil, vis)
 }
 
 // PageRowsInto is PageTuplesInto that also appends each tuple's RID:
 // the read a writer selects its victims through. See Page.rowsInto for
 // why tuples and RIDs must come from one image of the page.
 func (h *HeapFile) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
-	return h.pageRows(id, ts, rids, nil)
+	ts, err := h.pageRows(id, ts, &rids, nil)
+	return ts, rids, err
 }
 
-func (h *HeapFile) pageRows(id PageID, ts []Tuple, rids []RID, vis Visibility) ([]Tuple, []RID, error) {
+// pageRows is the one pinned page read behind the three above.
+func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]Tuple, error) {
 	p, err := h.bm.GetPage(id)
 	if err != nil {
-		return ts, rids, err
+		return dst, err
 	}
 	defer h.bm.Unpin(id)
-	return p.rowsInto(id, ts, rids, vis)
+	return p.rowsInto(id, dst, rids, vis)
 }
 
 // ScanPartition calls fn for every live record on the pages of one
@@ -402,7 +394,8 @@ func (h *HeapFile) scanPages(pages []PageID, vis Visibility, fn func(rid RID, t 
 	var rids []RID
 	for _, id := range pages {
 		var err error
-		if ts, rids, err = h.pageRows(id, ts[:0], rids[:0], vis); err != nil {
+		rids = rids[:0]
+		if ts, err = h.pageRows(id, ts[:0], &rids, vis); err != nil {
 			return err
 		}
 		for i, t := range ts {

@@ -69,7 +69,8 @@ func (v *HeapView) Get(rid RID) (Tuple, error) {
 // PageRowsInto appends one page's visible tuples and their RIDs, read
 // from a single image of the page.
 func (v *HeapView) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
-	return v.h.pageRows(id, ts, rids, v.vis)
+	ts, err := v.h.pageRows(id, ts, &rids, v.vis)
+	return ts, rids, err
 }
 
 // Scan calls fn for every visible record in file order.

@@ -69,10 +69,11 @@
 # the full script.
 set -eu
 
-# Non-test lines of internal/query + internal/operators: exactly what
-# PR 19 (one WHERE planner) left. Raise it in the PR that needs the
-# lines, with the reason in that PR's CHANGES.md entry.
-ENGINE_LINE_BUDGET=7914
+# Non-test lines of internal/query + internal/operators: 7914 after the
+# one WHERE planner, plus 30 for the flat hash-join build table. Raise
+# it in the change that needs the lines, with the reason in its
+# CHANGES.md entry.
+ENGINE_LINE_BUDGET=7944
 
 # Allocations per full batched heap-file scan (steady state is 1: the
 # page-list snapshot; headroom for pool warm-up noise). The snapshot
@@ -86,10 +87,14 @@ SCAN_ALLOC_BUDGET=8
 # non-materialisation gate — 100k tuples would be megabytes.
 TOPK_ALLOC_BUDGET=64
 TOPK_BYTE_BUDGET=16384
-# Budget for a 12k x 1k join grouped into 10 rows at 2 workers.
-# Measured ~350 KB per op, nearly all of it the 1k-row build table;
-# the 12k joined rows the probe no longer materialises were ~21 MB.
-JOINAGG_BYTE_BUDGET=1048576
+# Budgets for a 12k x 1k join grouped into 10 rows at 2 workers.
+# Measured ~156 KB and 412 allocs per op with the flat build table
+# (rows stored once, chained by hash); the per-key map it replaced was
+# ~350,582 B and 1,414 allocs — one slice per distinct build key, which
+# the alloc budget now catches. The 12k joined rows the probe no longer
+# materialises were ~21 MB.
+JOINAGG_BYTE_BUDGET=262144
+JOINAGG_ALLOC_BUDGET=512
 # Steady-state vectorized filtering of a 1024-row batch (measured 0:
 # the selection vector lives on the batch and is reused; headroom for
 # the occasional conjunct-reorder copy).
@@ -251,7 +256,7 @@ alloc_gate() {
 alloc_gate BenchmarkBatchHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
 alloc_gate BenchmarkSnapshotHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
 alloc_gate BenchmarkTopK . 20x allocs "$TOPK_ALLOC_BUDGET" bytes "$TOPK_BYTE_BUDGET"
-alloc_gate BenchmarkJoinAggregate . 20x bytes "$JOINAGG_BYTE_BUDGET"
+alloc_gate BenchmarkJoinAggregate . 20x allocs "$JOINAGG_ALLOC_BUDGET" bytes "$JOINAGG_BYTE_BUDGET"
 alloc_gate BenchmarkFilterBatch ./internal/operators 100x allocs "$FILTER_ALLOC_BUDGET"
 alloc_gate BenchmarkPlanMultiJoin ./internal/query 1000x allocs "$PLAN_ALLOC_BUDGET"
 alloc_gate BenchmarkMemDiskAppend ./internal/storage 20000x bytes "$MEMDISK_APPEND_BYTE_BUDGET"

@@ -4,8 +4,8 @@
 // ("morsels") to whichever worker is free, so skewed partitions never
 // stall the pipeline; the hash join runs as a partitioned build (each
 // worker scatters its morsels into W radix partitions, then each
-// partition's hash table is assembled independently) followed by a
-// partitioned probe against the immutable tables.
+// partition's rows are stored once and chained by hash, independently)
+// followed by a partitioned probe against the immutable partitions.
 //
 // The data plane is batch-native (see batch.go): workers pull into
 // sync.Pool-recycled Batches, heap sources decode whole pinned pages
@@ -368,8 +368,9 @@ func DrainParallelBatches(src BatchSource, cfg ParallelConfig) ([]storage.Tuple,
 // a float image keys by that image (-0 folded into +0), strings key by
 // content. NaN and NULL get classes of their own — a float NaN can
 // never be found again in a map, and NULL groups (but never joins) —
-// so neither can collide with a user string. It keys the join hash
-// tables and the aggregate group maps alike.
+// so neither can collide with a user string. It is what "equal" means
+// to the join (compared on every hash hit in the build table) and the
+// key of the aggregate group maps.
 type joinK struct {
 	f     float64
 	s     string
@@ -433,7 +434,8 @@ var ErrBuildAborted = errors.New("operators: parallel build aborted at safe poin
 // ParallelBuildBatches; once built it is probed lock-free by any number of
 // workers.
 type BuildTable struct {
-	parts []map[joinK][]storage.Tuple
+	parts []buildPart
+	col   int // the build key column (< 0: constKey)
 	rows  int
 }
 
@@ -441,10 +443,23 @@ type BuildTable struct {
 // proxy the adaptive report tracks).
 func (t *BuildTable) Rows() int { return t.rows }
 
+// buildPart is one partition: its rows stored once beside the hashes
+// that partitioned them, chained by bucket (the top bits of a
+// multiplicative mix; len(heads) is a power of two ≥ the row count).
+// heads[b] and next[r] hold 1 + a row index, 0 ending the chain.
+type buildPart struct {
+	rows        []storage.Tuple
+	hash        []uint32
+	heads, next []int32
+	shift       uint32
+}
+
+func (p *buildPart) bucket(h uint32) uint32 { return (h * 0x9e3779b1) >> p.shift }
+
 // partBuf is one worker's scatter output for one partition. Tuples
 // are aliased, not copied: batch sources guarantee stable values.
 type partBuf struct {
-	keys []joinK
+	hash []uint32
 	tups []storage.Tuple
 }
 
@@ -500,8 +515,9 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 						continue
 					}
 				}
-				p := int(k.hash() % uint32(w))
-				local[p].keys = append(local[p].keys, k)
+				h := k.hash()
+				p := int(h % uint32(w))
+				local[p].hash = append(local[p].hash, h)
 				local[p].tups = append(local[p].tups, t)
 			}
 			rows += n
@@ -529,27 +545,34 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 		}
 		return nil, prefix, ErrBuildAborted
 	}
-	// Assemble each partition's hash table; partitions are disjoint so
-	// this fans out without locks.
-	parts := make([]map[joinK][]storage.Tuple, w)
+	// Assemble each partition (disjoint, so without locks): concatenate
+	// the workers' rows, then link the chains back to front so each runs
+	// in arrival order.
+	parts := make([]buildPart, w)
 	fanOut(w, &fail, "assemble", func(p int) {
 		n := 0
 		for i := 0; i < w; i++ {
-			n += len(scatter[i][p].keys)
+			n += len(scatter[i][p].tups)
 		}
-		table := make(map[joinK][]storage.Tuple, n)
+		bp := buildPart{rows: make([]storage.Tuple, 0, n), hash: make([]uint32, 0, n), shift: 32}
 		for i := 0; i < w; i++ {
-			pb := &scatter[i][p]
-			for j, k := range pb.keys {
-				table[k] = append(table[k], pb.tups[j])
-			}
+			bp.rows = append(bp.rows, scatter[i][p].tups...)
+			bp.hash = append(bp.hash, scatter[i][p].hash...)
 		}
-		parts[p] = table
+		for 1<<(32-bp.shift) < n {
+			bp.shift--
+		}
+		bp.heads, bp.next = make([]int32, 1<<(32-bp.shift)), make([]int32, n)
+		for r := n - 1; r >= 0; r-- {
+			b := bp.bucket(bp.hash[r])
+			bp.next[r], bp.heads[b] = bp.heads[b], int32(r+1)
+		}
+		parts[p] = bp
 	})
 	if err := fail.err(); err != nil {
 		return nil, nil, err
 	}
-	return &BuildTable{parts: parts, rows: int(consumed.Load())}, nil, nil
+	return &BuildTable{parts: parts, col: col, rows: int(consumed.Load())}, nil, nil
 }
 
 // Probe sinks. A probe match is never concatenated into a joined row:
@@ -635,7 +658,8 @@ func (o *probeOut) materialize(dst []storage.Tuple) []storage.Tuple {
 // probe is the one probe loop: every tuple of rows is looked up in the
 // table on col (col < 0: the constant key, so it meets every build row)
 // and each match that passes the residual equalities is handed to sink
-// as the pair (build tuple, probe tuple).
+// as the pair (build tuple, probe tuple). A chain entry matches when
+// its stored hash, then its joinK, equals the probe key's.
 func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pairSink) {
 	np := uint32(len(t.parts))
 	for _, p := range rows {
@@ -646,8 +670,14 @@ func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pair
 				continue
 			}
 		}
+		h := k.hash()
+		part := &t.parts[h%np]
 	match:
-		for _, b := range t.parts[k.hash()%np][k] {
+		for r := part.heads[part.bucket(h)]; r != 0; r = part.next[r-1] {
+			b := part.rows[r-1]
+			if part.hash[r-1] != h || (t.col >= 0 && keyOf(b[t.col]) != k) || (t.col < 0 && k != constKey) {
+				continue
+			}
 			for _, eq := range on {
 				av, bv := eq.A.of(b, p), eq.B.of(b, p)
 				if av.IsNull() || bv.IsNull() || !storage.Equal(av, bv) {

@@ -375,8 +375,10 @@ func (s *Server) serve(nc net.Conn) (err error) {
 func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, sql string) error {
 	// The latency window starts before admission so the controller
 	// sees queue wait — that is exactly the latency a backlog inflates
-	// and the ladder exists to cut. Shed statements are not recorded;
-	// shedding is its own signal (queue-depth, shed counter).
+	// and the ladder exists to cut — and closes once the reply has been
+	// encoded and flushed (or failed), so a slow encode or a stalled
+	// reader counts too. Shed statements are not recorded; shedding is
+	// its own signal (queue-depth, shed counter).
 	start := time.Now()
 	if !sess.InTxn() {
 		if err := s.adm.Acquire(s.cfg.StatementTimeout); err != nil {
@@ -384,6 +386,7 @@ func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, sql string)
 		}
 		defer s.adm.Release()
 	}
+	defer func() { s.ctl.RecordLatency(float64(time.Since(start).Nanoseconds()) / 1e6) }()
 
 	tun := s.ctl.Tuning()
 	var expired atomic.Bool
@@ -402,7 +405,6 @@ func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, sql string)
 	}
 
 	res, err := sess.ExecOpts(sql, opts)
-	s.ctl.RecordLatency(float64(time.Since(start).Nanoseconds()) / 1e6)
 	if err != nil {
 		code := classify(err)
 		switch code {

@@ -378,6 +378,54 @@ func TestControllerLadder(t *testing.T) {
 	}
 }
 
+// TestLatencySampleCoversReplyFlush: the controller's latency sample
+// closes once the reply is flushed, not when execution ends, so a
+// reader that stalls a large reply shows in the ladder's p99 gauge.
+func TestLatencySampleCoversReplyFlush(t *testing.T) {
+	srv, _ := newServerFixture(t, Config{MemQuota: 256 << 20, WriteTimeout: 10 * time.Second})
+	ctl := srv.Controller()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	rc := &rawClient{nc: nc, fc: newFrameConn(nc, 10*time.Second)}
+	rc.send(t, frameHello, nil)
+	if typ, _, err := rc.fc.ReadFrame(); err != nil || typ != frameHelloOK {
+		t.Fatalf("handshake: frame %q err %v", typ, err)
+	}
+	// The ~20MB reply is larger than the kernel's socket buffers, so the
+	// server's flush waits for this reader.
+	const stall = 600 * time.Millisecond
+	rc.send(t, frameQuery, []byte("SELECT a.p, b.p FROM j a JOIN j b ON a.g = b.g"))
+	time.Sleep(stall)
+	for {
+		typ, _, err := rc.fc.ReadFrame()
+		if err != nil {
+			t.Fatalf("read response: %v", err)
+		}
+		if typ == frameDone {
+			break
+		}
+	}
+	// The sample lands when handleQuery returns, just after the last
+	// frame leaves: tick until the gauge has it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ctl.Tick(nil)
+		if ms, ok := ctl.Registry().Metric(MetricP99Latency, ""); ok {
+			if ms < float64(stall.Milliseconds()) {
+				t.Fatalf("p99 gauge %.1f ms after a reply its reader stalled for %v", ms, stall)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the statement's latency never reached the p99 gauge")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // newControllerForTest builds a controller with a deterministic clock.
 func newControllerForTest(adm *Admission, base Tuning, sloMS, cooldownMS float64) *Controller {
 	c := newController(monitor.NewRegistry(), adm, base, sloMS, cooldownMS, nil)

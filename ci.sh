@@ -107,6 +107,16 @@ MEMDISK_APPEND_BYTE_BUDGET=512
 # Greedy planning of a 5-table chain, parse excluded (measured 78, every
 # run): a candidate loop gone cubic or re-deriving statistics multiplies it.
 PLAN_ALLOC_BUDGET=96
+# Budgets for one point read through the whole server path — query
+# frame, admission, parse, plan, index fetch, encode, flush and the
+# client's decode, both ends in one process, at 2 workers. Measured
+# 6,488 B and 100 allocs per op before the fixed-cost cuts (a trace
+# event per worker per statement, a 2-worker fan-out over a serialised
+# index cursor, a token slice grown by doubling, a fresh buffer per
+# frame, a timer per statement); 3,170-3,250 B and 47 allocs after, at
+# GOMAXPROCS 1, 2 and 4.
+POINT_BYTE_BUDGET=3584
+POINT_ALLOC_BUDGET=52
 
 cd "$(dirname "$0")"
 
@@ -260,6 +270,7 @@ alloc_gate BenchmarkJoinAggregate . 20x allocs "$JOINAGG_ALLOC_BUDGET" bytes "$J
 alloc_gate BenchmarkFilterBatch ./internal/operators 100x allocs "$FILTER_ALLOC_BUDGET"
 alloc_gate BenchmarkPlanMultiJoin ./internal/query 1000x allocs "$PLAN_ALLOC_BUDGET"
 alloc_gate BenchmarkMemDiskAppend ./internal/storage 20000x bytes "$MEMDISK_APPEND_BYTE_BUDGET"
+alloc_gate BenchmarkServerStatement/point ./internal/server 2000x allocs "$POINT_ALLOC_BUDGET" bytes "$POINT_BYTE_BUDGET"
 
 step "done"
 echo "ok (total $(( $(date +%s) - CI_T0 ))s)"

@@ -45,7 +45,7 @@ var spineReceivers = map[string]map[string]bool{
 	// stalled connection keeps being served as if healthy. Session
 	// close rolls back any open transaction; dropping its error leaks
 	// the rollback failure.
-	"frameConn": {"ReadFrame": true, "WriteFrame": true, "Flush": true},
+	"frameConn": {"ReadFrame": true, "WriteFrame": true, "WriteFrameString": true, "writeHeader": true, "Flush": true},
 	"DBSession": {"Close": true},
 }
 

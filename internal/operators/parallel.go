@@ -38,20 +38,18 @@ import (
 	"github.com/adm-project/adm/internal/storage"
 )
 
-// DefaultMorselSize is the tuples-per-morsel default.
-const DefaultMorselSize = 1024
-
 // ParallelConfig tunes the exchange layer.
 type ParallelConfig struct {
 	// Workers is the worker-goroutine count; <=0 means GOMAXPROCS.
 	Workers int
 	// MorselSize is the batch granularity for sources that cut their
-	// own morsels; <=0 means DefaultMorselSize. Heap sources use page
+	// own morsels; <=0 means DefaultBatchSize. Heap sources use page
 	// granularity regardless.
 	MorselSize int
 	// OnWorker, when non-nil, is invoked from each worker goroutine as
-	// it finishes a phase with the number of tuples it processed (trace
-	// span threading). It must be safe for concurrent use.
+	// it finishes a phase with the number of tuples it processed (the
+	// query engine's panic-injection test hook). It must be safe for
+	// concurrent use.
 	OnWorker func(worker int, phase string, rows int)
 	// Limit, when > 0, is a cooperative output quota: workers stop
 	// claiming batches as soon as the combined output reaches Limit
@@ -81,13 +79,6 @@ func (c ParallelConfig) WorkerCount() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c ParallelConfig) morselSize() int {
-	if c.MorselSize > 0 {
-		return c.MorselSize
-	}
-	return DefaultMorselSize
 }
 
 // ---------------------------------------------------------------------------

@@ -88,7 +88,8 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 //
 // The SELECT contract, whatever the caller and the options: every
 // SELECT runs on the one adaptive pipeline (routing.go) at opts.Workers
-// workers — inline on the calling goroutine at one. Scans read through
+// workers — inline on the calling goroutine at one, and always inline
+// for a bare index scan with no aggregate or ORDER BY. Scans read through
 // opts.Txn's snapshot. opts.Cancel is polled between batches and
 // opts.MemBudget meters what the statement materialises; either cancels
 // it cooperatively and surfaces as its error. The result is the same
@@ -293,8 +294,8 @@ func buildOrderBy(st *SelectStmt, sch schema, it operators.Iterator) (operators.
 // column indexes and output names. Shared by the reference executor's
 // Project operator and the pipeline's compileTail.
 func projectionCols(st *SelectStmt, sch schema) ([]int, []string, error) {
-	var cols []int
-	var names []string
+	cols := make([]int, 0, len(st.Items))
+	names := make([]string, 0, len(st.Items))
 	for _, item := range st.Items {
 		if item.Star {
 			for i := range sch {

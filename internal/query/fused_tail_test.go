@@ -175,7 +175,7 @@ func TestFusedProbePanicDegradesToSerial(t *testing.T) {
 			var probes atomic.Int32
 			res, rep, err := e.ExecuteSQL(sql, ExecOptions{
 				Workers: 2,
-				panicInWorker: func(w int, phase string) {
+				panicInWorker: func(w int, phase string, _ int) {
 					if phase == "probe" && probes.Add(1) == nth {
 						panic("injected failure in the fused probe")
 					}

@@ -38,7 +38,7 @@ func TestWorkerPanicDegradesToSerial(t *testing.T) {
 			seen := map[site]bool{}
 			_, _, err := e.ExecuteSQL(sql, ExecOptions{
 				Workers: 4,
-				panicInWorker: func(w int, phase string) {
+				panicInWorker: func(w int, phase string, _ int) {
 					mu.Lock()
 					seen[site{w, phase}] = true
 					mu.Unlock()
@@ -55,7 +55,7 @@ func TestWorkerPanicDegradesToSerial(t *testing.T) {
 				panics := log.Count(trace.KindPanic)
 				res, rep, err := e.ExecuteSQL(sql, ExecOptions{
 					Workers: 4,
-					panicInWorker: func(w int, phase string) {
+					panicInWorker: func(w int, phase string, _ int) {
 						if w == target.worker && phase == target.phase {
 							panic("injected worker failure")
 						}
@@ -93,7 +93,7 @@ func TestAllWorkersPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		res, rep, err := e.ExecuteSQL(sql, ExecOptions{
 			Workers:       workers,
-			panicInWorker: func(w int, phase string) { panic("every worker dies") },
+			panicInWorker: func(w int, phase string, _ int) { panic("every worker dies") },
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: all-worker panic: %v", workers, err)

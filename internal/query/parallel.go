@@ -2,8 +2,8 @@ package query
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
+	"strconv"
 
 	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/storage"
@@ -57,10 +57,11 @@ type ExecOptions struct {
 	// operators.ErrMemBudget.
 	MemBudget *operators.MemBudget
 
-	// panicInWorker, when set (tests only), runs inside each worker as
-	// it finishes a phase — the injection point the panic-containment
-	// tests use to blow up a live worker.
-	panicInWorker func(worker int, phase string)
+	// panicInWorker, when set (tests only), is the pipeline's
+	// ParallelConfig.OnWorker: it runs inside each worker as it finishes
+	// a phase — the injection point the panic-containment tests use to
+	// blow up a live worker. Unset, no worker reports anything.
+	panicInWorker func(worker int, phase string, rows int)
 }
 
 // ExecReport describes how ExecuteStmt ran.
@@ -151,7 +152,12 @@ func (e *Engine) runSelect(st *SelectStmt, opts ExecOptions) (*Result, *ExecRepo
 		}
 	}
 	rep := &ExecReport{Parallel: true, Workers: opts.workers()}
-	plan.explainTx = fmt.Sprintf("Parallel(workers=%d) ", rep.Workers) + plan.explainTx
+	if sp := plan.scans[0]; len(plan.scans) == 1 && sp.indexCol != "" && tail.agg == nil && tail.order < 0 {
+		// A zero-step index drain runs inline: its source serialises the
+		// index cursor, so a second worker could only contend for it.
+		rep.Workers = 1
+	}
+	plan.explainTx = "Parallel(workers=" + strconv.Itoa(rep.Workers) + ") " + plan.explainTx
 
 	res, err := e.execStagedJoins(plan, &tail, opts, rep)
 	var pe *operators.PanicError

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -204,6 +205,70 @@ func TestParallelSafePointTrace(t *testing.T) {
 	}
 	if log.Count(trace.KindViolation) != 1 || log.Count(trace.KindReoptimize) != 1 {
 		t.Fatalf("violation/reoptimize counts: %s", log.Summary())
+	}
+	// Only the safe points that tripped are traced (one per worker at
+	// most), each before the violation and the re-route it caused.
+	var seq []string
+	for _, ev := range log.Events() {
+		seq = append(seq, string(ev.Kind))
+	}
+	if got := strings.Join(seq, " "); !regexp.MustCompile(`^(safepoint ){1,4}violation reoptimize$`).MatchString(got) {
+		t.Fatalf("trace sequence %q, want tripped safe points, then violation, then reoptimize", got)
+	}
+}
+
+// TestTraceStaysFlatWithoutAdaptation: the engine's trace records
+// decisions, not progress. A serving engine keeps its log for its whole
+// life, so statements that do not adapt — point, scan and join SELECTs
+// at several workers — must add nothing to it.
+func TestTraceStaysFlatWithoutAdaptation(t *testing.T) {
+	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	seedParallel(t, e)
+	e.MustExec("CREATE INDEX ON users (id)")
+	before := e.Trace().Len()
+	for i := 0; i < 1000; i++ {
+		for _, sql := range []string{
+			fmt.Sprintf("SELECT city, age FROM users WHERE id = %d", i%120),
+			fmt.Sprintf("SELECT id, amount FROM orders WHERE amount > %d", i%500),
+			"SELECT u.city, COUNT(*) FROM users u JOIN orders o ON u.id = o.user_id GROUP BY u.city",
+		} {
+			_, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 4})
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if rep.Adaptive.Replanned {
+				t.Fatalf("%s: unexpected replan %+v", sql, rep.Adaptive)
+			}
+		}
+	}
+	if n := e.Trace().Len(); n != before {
+		t.Fatalf("trace grew by %d events over 3000 statements without a replan: %s", n-before, e.Trace().Summary())
+	}
+}
+
+// TestIndexDrainRunsInline: a bare index scan runs at one worker
+// whatever Workers asks — its source serialises the index cursor — and
+// the report and the executed plan say so; anything more than a drain
+// keeps the requested workers.
+func TestIndexDrainRunsInline(t *testing.T) {
+	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	seedParallel(t, e)
+	e.MustExec("CREATE INDEX ON orders (user_id)")
+	for sql, want := range map[string]int{
+		"SELECT id, amount FROM orders WHERE user_id = 7":                                1,
+		"SELECT id, amount FROM orders WHERE user_id = 7 ORDER BY amount":                4,
+		"SELECT COUNT(*) FROM orders WHERE user_id = 7":                                  4,
+		"SELECT id, amount FROM orders WHERE amount = 7":                                 4,
+		"SELECT o.id FROM orders o JOIN users u ON o.user_id = u.id WHERE o.user_id = 7": 4,
+	} {
+		res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if rep.Workers != want || !strings.HasPrefix(res.Plan, fmt.Sprintf("Parallel(workers=%d) ", want)) {
+			t.Fatalf("%s: report workers %d, plan %q; want %d", sql, rep.Workers, res.Plan, want)
+		}
+		requireSameOrdered(t, sql, rowsMultiset(res), rowsMultiset(refSelect(t, e, sql, nil)))
 	}
 }
 

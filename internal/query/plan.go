@@ -42,14 +42,6 @@ func (s schema) resolve(c ColRef) (int, error) {
 	return found, nil
 }
 
-func (s schema) names() []string {
-	out := make([]string, len(s))
-	for i, bc := range s {
-		out[i] = bc.Name
-	}
-	return out
-}
-
 // tableSchema builds the schema of one bound table.
 func tableSchema(binding string, t *Table) schema {
 	out := make(schema, len(t.Cols))
@@ -446,14 +438,13 @@ func (e *Engine) planSelect(st *SelectStmt, txn *storage.Txn) (*selectPlan, erro
 // predicates cover an indexed column; joins are ordered per mode and
 // each picks its hash-build side by estimated cardinality.
 func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrder) (*selectPlan, error) {
-	refs := []TableRef{st.From}
-	for _, j := range st.Joins {
-		refs = append(refs, j.Table)
-	}
 	p := &selectPlan{stmt: st}
-	var full schema
-	scans := make([]*scanPlan, 0, len(refs))
-	for i, ref := range refs {
+	scans := make([]*scanPlan, 0, 1+len(st.Joins))
+	for i := 0; i <= len(st.Joins); i++ {
+		ref := st.From
+		if i > 0 {
+			ref = st.Joins[i-1].Table
+		}
 		for _, prev := range scans {
 			if strings.EqualFold(prev.ref.Binding(), ref.Binding()) {
 				return nil, fmt.Errorf("query: duplicate table binding %q (alias each occurrence)", ref.Binding())
@@ -469,23 +460,20 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 		}
 		sp := &scanPlan{ref: ref, table: t, sch: tableSchema(ref.Binding(), t), reader: reader, declPos: i}
 		scans = append(scans, sp)
-		full = append(full, sp.sch...)
-	}
-	p.sch = full
-
-	// Declaration-order column offsets, for mapping full-schema
-	// positions back to their owning scan.
-	declOff := make([]int, len(scans))
-	for i := 1; i < len(scans); i++ {
-		declOff[i] = declOff[i-1] + len(scans[i-1].sch)
-	}
-	owner := func(global int) (int, int) {
-		for i := len(scans) - 1; i >= 0; i-- {
-			if global >= declOff[i] {
-				return i, global - declOff[i]
-			}
+		if i == 0 {
+			p.sch = sp.sch // aliased: a single scan's plan needs no copy
+		} else {
+			p.sch = append(p.sch[:len(p.sch):len(p.sch)], sp.sch...)
 		}
-		return 0, global
+	}
+
+	// owner maps a full-schema position back to its scan and column.
+	owner := func(global int) (int, int) {
+		i := 0
+		for ; global >= len(scans[i].sch); i++ {
+			global -= len(scans[i].sch)
+		}
+		return i, global
 	}
 
 	// Predicate pushdown: each WHERE conjunct references one column,
@@ -493,7 +481,7 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 	// schema first, so a name present in two joined tables reports
 	// ambiguity instead of silently binding to the first scan.
 	for _, pred := range st.Where {
-		global, err := full.resolve(pred.Col)
+		global, err := p.sch.resolve(pred.Col)
 		if err != nil {
 			return nil, err
 		}
@@ -532,11 +520,11 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 	// ambiguity is caught here.
 	edges := make([]joinEdge, 0, len(st.Joins))
 	for _, j := range st.Joins {
-		gl, err := full.resolve(j.LCol)
+		gl, err := p.sch.resolve(j.LCol)
 		if err != nil {
 			return nil, err
 		}
-		gr, err := full.resolve(j.RCol)
+		gr, err := p.sch.resolve(j.RCol)
 		if err != nil {
 			return nil, err
 		}
@@ -546,6 +534,12 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 			return nil, fmt.Errorf("query: join %s = %s does not span two tables", j.LCol, j.RCol)
 		}
 		edges = append(edges, joinEdge{a: sa, b: sb, aCol: ca, bCol: cb})
+	}
+
+	p.scans, p.edges = scans, edges
+	if len(scans) == 1 {
+		p.explainTx = scans[0].explain()
+		return p, nil // no join order, steps or output permutation
 	}
 
 	// Join ordering (declaration-order index space), then re-index the
@@ -562,7 +556,6 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 		p.scans[ji] = scans[di]
 		joinIdx[di] = ji
 	}
-	p.edges = edges
 	for i := range p.edges {
 		p.edges[i].a = joinIdx[p.edges[i].a]
 		p.edges[i].b = joinIdx[p.edges[i].b]

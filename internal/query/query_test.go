@@ -502,3 +502,14 @@ func TestExplainStatement(t *testing.T) {
 		t.Fatal("explain of bad query must error")
 	}
 }
+
+// TestParsePointReadAllocatesOnlyTheStatement: parsing a point read
+// allocates the statement, its select list and its WHERE list and
+// nothing else — the tokens stay in the parser's stack buffer, and a
+// select item is case-folded for the aggregate table only when a call
+// follows it.
+func TestParsePointReadAllocatesOnlyTheStatement(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { MustParse("SELECT id, price, name FROM item WHERE id = 5") }); n != 3 {
+		t.Fatalf("parse allocates %.0f times, want 3", n)
+	}
+}

@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/storage"
@@ -47,19 +46,12 @@ import (
 // filled in.
 func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOptions, rep *ExecReport) (*Result, error) {
 	batch := opts.BatchSize
-	span := e.log.Span("query.parallel")
 	cfg := operators.ParallelConfig{
 		Workers:    rep.Workers,
 		MorselSize: batch,
 		Cancel:     opts.Cancel,
 		Budget:     opts.MemBudget,
-		OnWorker: func(w int, phase string, rows int) {
-			if opts.panicInWorker != nil {
-				opts.panicInWorker(w, phase)
-			}
-			span.Sub(fmt.Sprintf("w%d", w)).Emit(e.clock(), trace.KindInfo,
-				"%s phase done: %d rows", phase, rows)
-		},
+		OnWorker:   opts.panicInWorker,
 	}
 	n := len(plan.scans)
 	if n == 1 {
@@ -70,6 +62,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 		return e.scanTail(plan, tail, src, cfg)
 	}
 
+	span := e.log.Span("query.parallel")
 	acfg := opts.adaptive()
 	// Build batches are capped at the safe-point cadence, so every worker
 	// re-checks the misestimate bound at least every CheckEvery rows of
@@ -315,9 +308,10 @@ func (e *Engine) indexNLStage(plan *selectPlan, replay operators.BatchSource, b,
 
 // stagedBuild runs one safe-pointed hash build of scan b from srcs[b].
 // On a cardinality violation it corrects est[b], chains the consumed
-// prefix back in front of srcs[b], emits the violation / re-route trace
-// events and returns a nil table — the caller re-routes. On success it
-// returns the build table.
+// prefix back in front of srcs[b], emits the safe point that tripped,
+// the violation and the re-route as trace events and returns a nil
+// table — the caller re-routes. On success it returns the build table
+// and traces nothing: the log records decisions, not progress.
 func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, srcs []operators.BatchSource,
 	bCol, b int, est []float64, buildCfg operators.ParallelConfig, acfg AdaptiveConfig,
 	rep *ExecReport) (*operators.BuildTable, error) {
@@ -325,9 +319,12 @@ func (e *Engine) stagedBuild(plan *selectPlan, span *trace.Span, srcs []operator
 	if !acfg.Disabled {
 		limit := acfg.Theta * est[b]
 		safePoint = func(rows int) bool {
+			if float64(rows) <= limit {
+				return true
+			}
 			span.Emit(e.clock(), trace.KindSafePoint,
 				"build safe point at %d rows (est %.0f)", rows, est[b])
-			return float64(rows) <= limit
+			return false
 		}
 	}
 	bt, prefix, err := operators.ParallelBuildBatches(srcs[b], bCol, buildCfg, safePoint)

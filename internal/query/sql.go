@@ -262,8 +262,8 @@ type sqlTok struct {
 	pos  int
 }
 
-func sqlLex(src string) ([]sqlTok, error) {
-	var toks []sqlTok
+// sqlLex appends src's tokens to toks.
+func sqlLex(src string, toks []sqlTok) ([]sqlTok, error) {
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -406,7 +406,8 @@ func (p *sqlParser) ident(what string) (string, error) {
 
 // Parse compiles one SQL statement.
 func Parse(src string) (Stmt, error) {
-	toks, err := sqlLex(src)
+	var buf [48]sqlTok // a typical statement's tokens: the parser keeps it on the stack
+	toks, err := sqlLex(src, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -493,6 +494,15 @@ func (p *sqlParser) colRef() (ColRef, error) {
 
 func (p *sqlParser) selectStmt() (*SelectStmt, error) {
 	st := &SelectStmt{Limit: -1}
+	n := 1 // select items: one more than the commas before FROM
+	for _, t := range p.toks[p.pos:] {
+		if t.kind == sComma {
+			n++
+		} else if t.kind == sEOF || t.kind == sIdent && strings.EqualFold(t.text, "FROM") {
+			break
+		}
+	}
+	st.Items = make([]SelectItem, 0, n)
 	for {
 		item, err := p.selectItem()
 		if err != nil {
@@ -586,8 +596,8 @@ func (p *sqlParser) selectItem() (SelectItem, error) {
 		return SelectItem{Star: true}, nil
 	}
 	t := p.peek()
-	if t.kind == sIdent {
-		if agg, ok := aggNames[strings.ToUpper(t.text)]; ok && p.toks[p.pos+1].kind == sLParen {
+	if t.kind == sIdent && p.toks[p.pos+1].kind == sLParen { // only a call can be an aggregate
+		if agg, ok := aggNames[strings.ToUpper(t.text)]; ok {
 			p.next() // agg name
 			p.next() // (
 			if p.peek().kind == sStar {

@@ -1,0 +1,139 @@
+package server
+
+import (
+	"fmt"
+	"net"
+	"strings"
+	"testing"
+
+	"github.com/adm-project/adm/internal/query"
+	"github.com/adm-project/adm/internal/session"
+	"github.com/adm-project/adm/internal/storage"
+)
+
+// Server-path benchmark dataset: the wire benchmark's tables (item with
+// an index on id, grp, acct, ord) at a sixth of its size.
+const (
+	benchItems  = 2000
+	benchGroups = benchItems / 12
+	benchAccts  = 64
+)
+
+// benchPrice is item id's price in whole cents, below 10,000.
+func benchPrice(id int) string { return fmt.Sprintf("%d.%02d", id*7919%10000, id%100) }
+
+// newBenchServer builds a server over a durable catalog the way
+// admsqld's -init replay builds one: two MemDisks, one session
+// replaying the load, no checkpoint. Workers is pinned at 2, the wire
+// benchmark's reference box, so the counts do not depend on the host's
+// GOMAXPROCS; write deadlines are off because net.Pipe arms a timer
+// per deadline where a TCP socket does not.
+func newBenchServer(b *testing.B) *Server {
+	b.Helper()
+	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(), storage.DBOptions{Sync: storage.SyncManual})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat, err := query.NewDurableCatalog(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := query.NewEngine(cat, nil, nil)
+	load := []string{
+		"CREATE TABLE item (id INT, seq INT, grp INT, price FLOAT, name STRING)",
+		"CREATE TABLE grp (g INT, region STRING)",
+		"CREATE TABLE acct (id INT, bal INT)",
+		"CREATE TABLE ord (id INT, acct INT, amt INT)",
+	}
+	rows := func(table string, n int, row func(i int) string) {
+		for lo := 0; lo < n; lo += 500 {
+			var vals []string
+			for i := lo; i < min(lo+500, n); i++ {
+				vals = append(vals, row(i))
+			}
+			load = append(load, "INSERT INTO "+table+" VALUES "+strings.Join(vals, ","))
+		}
+	}
+	rows("item", benchItems, func(i int) string {
+		return fmt.Sprintf("(%d,%d,%d,%s,'item-%06d-%s')", i, i, i%benchGroups, benchPrice(i), i, strings.Repeat("n", 24))
+	})
+	rows("grp", benchGroups, func(g int) string { return fmt.Sprintf("(%d,'region-%d')", g, g%10) })
+	rows("acct", benchAccts, func(i int) string { return fmt.Sprintf("(%d,%d)", i, 1000*i) })
+	load = append(load, "CREATE INDEX ON item (id)", "ANALYZE item", "ANALYZE grp", "ANALYZE acct")
+	sess := session.NewDBSession(eng, db)
+	for _, sql := range load {
+		if _, err := sess.Exec(sql); err != nil {
+			b.Fatalf("%.40s: %v", sql, err)
+		}
+	}
+	if err := sess.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return New(eng, db, Config{Workers: 2, WriteTimeout: -1}, nil)
+}
+
+// BenchmarkServerStatement measures what one statement costs from the
+// client's query frame to its last decoded reply frame — frame decode,
+// admission, parse, plan, execute, encode, flush and the client's
+// decode — by driving Server.serve over net.Pipe with the real Client.
+// Client and server share the process, so -benchmem counts both, as
+// the wire benchmark's alloc_kb_per_op does. An op of write is the wire
+// benchmark's write_txn: BEGIN, INSERT, UPDATE, COMMIT. The statement
+// texts are generated before the timer starts.
+func BenchmarkServerStatement(b *testing.B) {
+	srv := newBenchServer(b)
+	ops := []struct {
+		name string
+		gen  func(i int) []string
+	}{
+		{"point", func(i int) []string {
+			return []string{fmt.Sprintf("SELECT id, price, name FROM item WHERE id = %d", i*7%benchItems)}
+		}},
+		{"scan", func(i int) []string {
+			lo := i * 37 % 9900
+			return []string{fmt.Sprintf("SELECT id, price FROM item WHERE price >= %d AND price < %d", lo, lo+100)}
+		}},
+		{"join_agg", func(i int) []string {
+			return []string{fmt.Sprintf("SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g "+
+				"ON i.grp = g.g WHERE i.price < %d GROUP BY g.region", 2000+i*61%6000)}
+		}},
+		{"write", func(i int) []string {
+			acct := i % benchAccts
+			return []string{"BEGIN",
+				fmt.Sprintf("INSERT INTO ord VALUES (%d,%d,%d)", i, acct, 1+i%1000),
+				fmt.Sprintf("UPDATE acct SET bal = %d WHERE id = %d", i, acct),
+				"COMMIT"}
+		}},
+	}
+	for _, op := range ops {
+		b.Run(op.name, func(b *testing.B) {
+			stmts := make([][]string, 512)
+			for i := range stmts {
+				stmts[i] = op.gen(i)
+			}
+			cli, conn := net.Pipe()
+			served := make(chan error, 1)
+			go func() { served <- srv.serve(conn) }()
+			c := &Client{fc: newFrameConn(cli, 0), nc: cli}
+			if err := c.hello(""); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, sql := range stmts[i%len(stmts)] {
+					if _, err := c.Query(sql); err != nil {
+						b.Fatalf("%s: %v", sql, err)
+					}
+				}
+			}
+			b.StopTimer()
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if err := <-served; err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

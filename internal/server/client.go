@@ -47,23 +47,31 @@ func Dial(addr, token string) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{fc: newFrameConn(nc, 10*time.Second), nc: nc}
-	if err := c.fc.WriteFrame(frameHello, []byte(token)); err != nil {
+	if err := c.hello(token); err != nil {
 		return nil, closeJoin(nc, err)
 	}
+	return c, nil
+}
+
+// hello authenticates a fresh connection with token.
+func (c *Client) hello(token string) error {
+	if err := c.fc.WriteFrameString(frameHello, token); err != nil {
+		return err
+	}
 	if err := c.fc.Flush(); err != nil {
-		return nil, closeJoin(nc, err)
+		return err
 	}
 	typ, payload, err := c.fc.ReadFrame()
 	if err != nil {
-		return nil, closeJoin(nc, err)
+		return err
 	}
 	if typ == frameError {
-		return nil, closeJoin(nc, decodeErr(payload))
+		return decodeErr(payload)
 	}
 	if typ != frameHelloOK {
-		return nil, closeJoin(nc, fmt.Errorf("server: unexpected hello reply %q", typ))
+		return fmt.Errorf("server: unexpected hello reply %q", typ)
 	}
-	return c, nil
+	return nil
 }
 
 func closeJoin(nc net.Conn, err error) error {
@@ -75,7 +83,7 @@ func closeJoin(nc net.Conn, err error) error {
 // A *RemoteError means the server is healthy and reported a
 // statement-level failure; any other error poisons the connection.
 func (c *Client) Query(sql string) (*ClientResult, error) {
-	if err := c.fc.WriteFrame(frameQuery, []byte(sql)); err != nil {
+	if err := c.fc.WriteFrameString(frameQuery, sql); err != nil {
 		return nil, err
 	}
 	if err := c.fc.Flush(); err != nil {

@@ -321,6 +321,7 @@ func (s *Server) tickLoop() {
 func (s *Server) serve(nc net.Conn) (err error) {
 	fc := newFrameConn(nc, s.cfg.WriteTimeout)
 	sess := session.NewDBSession(s.eng, s.db)
+	dl := newDeadline()
 	defer func() {
 		err = errors.Join(err, sess.Close(), nc.Close())
 	}()
@@ -353,7 +354,7 @@ func (s *Server) serve(nc net.Conn) (err error) {
 		switch typ {
 		case frameQuery:
 			start := time.Now()
-			if err := s.handleQuery(fc, sess, string(payload)); err != nil {
+			if err := s.handleQuery(fc, sess, dl, string(payload)); err != nil {
 				return err
 			}
 			yieldAfterStatement(time.Since(start)) // the reply is out: let a thread queued behind this one run
@@ -367,12 +368,32 @@ func (s *Server) serve(nc net.Conn) (err error) {
 	}
 }
 
+// deadline is one connection's statement deadline: at is set before
+// each statement starts its workers (they have all finished before the
+// next one sets it), and cancel, the Cancel hook bound once per
+// connection, compares it with the clock between batches.
+type deadline struct {
+	at     time.Time
+	cancel func() error
+}
+
+func newDeadline() *deadline {
+	d := &deadline{}
+	d.cancel = func() error {
+		if time.Now().After(d.at) {
+			return ErrDeadline
+		}
+		return nil
+	}
+	return d
+}
+
 // handleQuery runs one statement: admission (bypassed inside an
 // explicit transaction — the client already holds row claims, and
 // stalling it would hold them longer), the controller's current
-// tuning, a deadline hook and memory budget threaded into the morsel
-// pipelines, then the streamed response.
-func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, sql string) error {
+// tuning, the connection's deadline hook and a memory budget threaded
+// into the morsel pipelines, then the streamed response.
+func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, dl *deadline, sql string) error {
 	// The latency window starts before admission so the controller
 	// sees queue wait — that is exactly the latency a backlog inflates
 	// and the ladder exists to cut — and closes once the reply has been
@@ -389,18 +410,11 @@ func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, sql string)
 	defer func() { s.ctl.RecordLatency(float64(time.Since(start).Nanoseconds()) / 1e6) }()
 
 	tun := s.ctl.Tuning()
-	var expired atomic.Bool
-	timer := time.AfterFunc(s.cfg.StatementTimeout, func() { expired.Store(true) })
-	defer timer.Stop()
+	dl.at = time.Now().Add(s.cfg.StatementTimeout)
 	opts := query.ExecOptions{
 		Workers:   tun.Workers,
 		BatchSize: tun.Batch,
-		Cancel: func() error {
-			if expired.Load() {
-				return ErrDeadline
-			}
-			return nil
-		},
+		Cancel:    dl.cancel,
 		MemBudget: operators.NewMemBudget(s.cfg.MemQuota),
 	}
 
@@ -444,7 +458,7 @@ func (s *Server) writeResult(fc *frameConn, res *query.Result) error {
 	if res == nil {
 		res = &query.Result{}
 	}
-	buf := appendUvarint(nil, uint64(len(res.Cols)))
+	buf := appendUvarint(fc.enc[:0], uint64(len(res.Cols)))
 	for _, c := range res.Cols {
 		buf = appendUvarint(buf, uint64(len(c)))
 		buf = append(buf, c...)
@@ -456,15 +470,15 @@ func (s *Server) writeResult(fc *frameConn, res *query.Result) error {
 	}
 	for lo := 0; lo < len(res.Rows); lo += rowChunk {
 		hi := min(lo+rowChunk, len(res.Rows))
-		chunk := appendUvarint(buf[:0], uint64(hi-lo))
+		buf = appendUvarint(buf[:0], uint64(hi-lo))
 		for _, t := range res.Rows[lo:hi] {
-			chunk = appendRow(chunk, t)
+			buf = appendRow(buf, t)
 		}
-		if err := fc.WriteFrame(frameRows, chunk); err != nil {
+		if err := fc.WriteFrame(frameRows, buf); err != nil {
 			return err
 		}
-		buf = chunk
 	}
+	fc.keepEnc(buf)
 	if err := fc.WriteFrame(frameDone, nil); err != nil {
 		return err
 	}
@@ -472,7 +486,9 @@ func (s *Server) writeResult(fc *frameConn, res *query.Result) error {
 }
 
 func (s *Server) writeErr(fc *frameConn, code byte, msg string) error {
-	if err := fc.WriteFrame(frameError, append([]byte{code}, msg...)); err != nil {
+	buf := append(append(fc.enc[:0], code), msg...)
+	fc.keepEnc(buf)
+	if err := fc.WriteFrame(frameError, buf); err != nil {
 		return err
 	}
 	return fc.Flush()

@@ -539,3 +539,63 @@ func TestClientBoundsWireLengths(t *testing.T) {
 		})
 	}
 }
+
+// TestFrameBuffersKeptUpToCap: a connection encodes every reply in one
+// reused buffer and reads every frame into another, keeping each only
+// up to maxKeptBuf — a 77 KiB row chunk gets one-off buffers on both
+// sides — and every reply decodes intact, before and after the
+// oversized one: a kept buffer never holds a frame still in use.
+func TestFrameBuffersKeptUpToCap(t *testing.T) {
+	rows := func(n int, s string) []storage.Tuple {
+		out := make([]storage.Tuple, n)
+		for i := range out {
+			out[i] = storage.Tuple{storage.IntValue(int64(i)), storage.StringValue(s)}
+		}
+		return out
+	}
+	results := []*query.Result{
+		{Cols: []string{"i", "s"}, Rows: rows(300, "small")},
+		{Cols: []string{"i", "s"}, Rows: rows(300, strings.Repeat("x", 300))},
+		{Cols: []string{"i", "s"}, Rows: rows(3, "again")},
+	}
+	cli, conn := net.Pipe()
+	defer cli.Close()
+	defer conn.Close()
+	encCaps := make(chan int, len(results))
+	go func() {
+		fc := newFrameConn(conn, 0)
+		for _, res := range results {
+			if _, _, err := fc.ReadFrame(); err != nil {
+				return
+			}
+			if (&Server{}).writeResult(fc, res) != nil {
+				return
+			}
+			encCaps <- cap(fc.enc)
+		}
+	}()
+	c := &Client{fc: newFrameConn(cli, 0), nc: cli}
+	kept := 0
+	for i, want := range results {
+		got, err := c.Query("SELECT i, s FROM t")
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("reply %d: %d rows, want %d", i, len(got.Rows), len(want.Rows))
+		}
+		for r, row := range got.Rows {
+			if row[0].Int != int64(r) || row[1].Str != want.Rows[r][1].Str {
+				t.Fatalf("reply %d row %d = %v, want %v", i, r, row, want.Rows[r])
+			}
+		}
+		if rc := cap(c.fc.rbuf); rc == 0 || rc > maxKeptBuf {
+			t.Fatalf("reply %d: client keeps a %d-byte read buffer, want 1..%d", i, rc, maxKeptBuf)
+		}
+		ec := <-encCaps
+		if ec == 0 || ec > maxKeptBuf || i > 0 && ec != kept {
+			t.Fatalf("reply %d: server keeps a %d-byte encode buffer (before: %d), want it kept and <= %d", i, ec, kept, maxKeptBuf)
+		}
+		kept = ec
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -90,16 +91,30 @@ const maxFrame = 8 << 20
 // rowChunk is the rows-per-'D'-frame granularity.
 const rowChunk = 256
 
+// maxKeptBuf caps the read and encode buffers a connection keeps
+// between frames. A larger frame gets a one-off buffer, so one huge
+// statement or row chunk does not pin its size for the connection's
+// life.
+const maxKeptBuf = 64 << 10
+
 // frameConn frames a net.Conn. Reads are buffered; writes are
 // buffered and covered by an optional write deadline per flush, so a
 // stalled reader (client that stopped draining) fails the write
 // instead of wedging the serving goroutine forever.
+//
+// The connection owns two reused buffers, each kept up to maxKeptBuf:
+// rbuf, which every ReadFrame payload aliases — valid only until the
+// next ReadFrame, so callers copy what they keep — and enc, the
+// encoding buffer a reply borrows (see keepEnc). WriteFrame copies its
+// payload into the bufio writer or the socket before it returns, so
+// reusing enc for the next frame never aliases one still being written.
 type frameConn struct {
 	c            net.Conn
 	r            *bufio.Reader
 	w            *bufio.Writer
 	writeTimeout time.Duration
 	hdr          [5]byte
+	rbuf, enc    []byte
 }
 
 func newFrameConn(c net.Conn, writeTimeout time.Duration) *frameConn {
@@ -108,7 +123,8 @@ func newFrameConn(c net.Conn, writeTimeout time.Duration) *frameConn {
 
 // ReadFrame reads one frame. A stream that ends cleanly between
 // frames returns io.EOF; one torn mid-frame returns
-// io.ErrUnexpectedEOF.
+// io.ErrUnexpectedEOF. The payload aliases the connection's read
+// buffer and is overwritten by the next ReadFrame.
 func (fc *frameConn) ReadFrame() (byte, []byte, error) {
 	if _, err := io.ReadFull(fc.r, fc.hdr[:4]); err != nil {
 		return 0, nil, err
@@ -117,7 +133,13 @@ func (fc *frameConn) ReadFrame() (byte, []byte, error) {
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("server: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
+	var buf []byte
+	if n <= maxKeptBuf {
+		fc.rbuf = slices.Grow(fc.rbuf[:0], int(n))
+		buf = fc.rbuf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(fc.r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -131,21 +153,46 @@ func (fc *frameConn) ReadFrame() (byte, []byte, error) {
 // response. The write deadline is armed here so a response to a
 // stalled reader fails once the kernel buffer is full.
 func (fc *frameConn) WriteFrame(typ byte, payload []byte) error {
-	if len(payload)+1 > maxFrame {
-		return fmt.Errorf("server: frame too large (%d bytes)", len(payload)+1)
+	if err := fc.writeHeader(typ, len(payload)); err != nil {
+		return err
+	}
+	_, err := fc.w.Write(payload)
+	return err
+}
+
+// WriteFrameString is WriteFrame for a string payload, with no []byte
+// copy of it.
+func (fc *frameConn) WriteFrameString(typ byte, payload string) error {
+	if err := fc.writeHeader(typ, len(payload)); err != nil {
+		return err
+	}
+	_, err := fc.w.WriteString(payload)
+	return err
+}
+
+// writeHeader arms the write deadline and buffers a frame's length
+// prefix and type byte for an n-byte payload.
+func (fc *frameConn) writeHeader(typ byte, n int) error {
+	if n+1 > maxFrame {
+		return fmt.Errorf("server: frame too large (%d bytes)", n+1)
 	}
 	if fc.writeTimeout > 0 {
 		if err := fc.c.SetWriteDeadline(time.Now().Add(fc.writeTimeout)); err != nil {
 			return err
 		}
 	}
-	binary.BigEndian.PutUint32(fc.hdr[:4], uint32(len(payload)+1))
+	binary.BigEndian.PutUint32(fc.hdr[:4], uint32(n+1))
 	fc.hdr[4] = typ
-	if _, err := fc.w.Write(fc.hdr[:5]); err != nil {
-		return err
-	}
-	_, err := fc.w.Write(payload)
+	_, err := fc.w.Write(fc.hdr[:5])
 	return err
+}
+
+// keepEnc hands an encoding buffer back for the next reply, unless it
+// outgrew maxKeptBuf. A reply starts from fc.enc[:0].
+func (fc *frameConn) keepEnc(buf []byte) {
+	if cap(buf) <= maxKeptBuf {
+		fc.enc = buf
+	}
 }
 
 // Flush pushes buffered frames to the socket.

@@ -148,38 +148,21 @@ func (h *HeapFile) insertPage(p *Page, id PageID, rec []byte) (int, error) {
 }
 
 // Get fetches the tuple at rid.
-func (h *HeapFile) Get(rid RID) (Tuple, error) {
-	p, err := h.bm.GetPage(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.bm.Unpin(rid.Page)
-	rec, err := p.Get(rid.Slot)
-	if err != nil {
-		if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, rid)
-		}
-		return nil, err
-	}
-	return DecodeTuple(rec)
-}
+func (h *HeapFile) Get(rid RID) (Tuple, error) { return h.getVisible(rid, nil) }
 
-// GetVersion fetches the tuple and MVCC version at rid (zero version
-// for plain records).
-func (h *HeapFile) GetVersion(rid RID) (Tuple, Version, error) {
+// getVisible fetches the tuple at rid if vis (nil: every version)
+// admits its version; one it does not reads as errNotVisible.
+func (h *HeapFile) getVisible(rid RID, vis Visibility) (Tuple, error) {
 	p, err := h.bm.GetPage(rid.Page)
 	if err != nil {
-		return nil, Version{}, err
+		return nil, err
 	}
 	defer h.bm.Unpin(rid.Page)
-	rec, err := p.Get(rid.Slot)
-	if err != nil {
-		if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
-			return nil, Version{}, fmt.Errorf("%w: %s", ErrNotFound, rid)
-		}
-		return nil, Version{}, err
+	t, err := p.getVisible(rid.Slot, vis)
+	if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, rid)
 	}
-	return DecodeRecord(rec)
+	return t, err
 }
 
 // SetXmax stamps the deleting transaction on the record at rid — the

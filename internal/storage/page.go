@@ -202,6 +202,33 @@ func (p *Page) Get(slot int) ([]byte, error) {
 	return append([]byte(nil), p.buf[off:off+length]...), nil
 }
 
+// getVisible decodes the record in slot if vis (nil: every version)
+// admits its version, and returns errNotVisible without decoding it
+// otherwise. Header, verdict and decode all read the page buffer under
+// one read-latch hold, so the record is never copied out first: decoding
+// copies what it keeps (string payloads).
+func (p *Page) getVisible(slot int, vis Visibility) (Tuple, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if slot < 0 || slot >= p.slotCount() {
+		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, p.slotCount())
+	}
+	off, length := p.slotAt(slot)
+	if length == 0 {
+		return nil, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
+	}
+	body, ver, err := recordParts(p.buf[off : off+length])
+	if err != nil {
+		return nil, err
+	}
+	//admvet:allow latchorder a visibility verdict is latch-free loads of the commit table (txn.go), which takes nothing
+	if vis != nil && !vis(ver) {
+		return nil, errNotVisible
+	}
+	n := int(binary.BigEndian.Uint16(body))
+	return decodeFields(make(Tuple, 0, n), body[2:], n)
+}
+
 // Delete tombstones a slot (directory entry kept, space reclaimable
 // by Compact).
 func (p *Page) Delete(slot int) error {

@@ -896,3 +896,75 @@ func TestPageRowsReadOneImage(t *testing.T) {
 	readers.Wait()
 	once(true)
 }
+
+// TestIndexLookupSkipsDeadVersionsForFree: index entries cover every
+// version, so a lookup of a row updated ten times meets ten dead
+// versions before (or after) its live one. Get judges each from its
+// version header and returns a preallocated error without decoding
+// it, so the lookup allocates exactly what a lookup of a never-updated
+// row does: the one live tuple.
+func TestIndexLookupSkipsDeadVersionsForFree(t *testing.T) {
+	db, h := newTxnDB(t)
+	idx := NewBTree("k")
+	write := func(fn func(tx *Txn) error) {
+		t.Helper()
+		tx := db.Txns().Begin()
+		if err := fn(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rid RID
+	write(func(tx *Txn) error {
+		for k := int64(1); k <= 2; k++ {
+			r, err := tx.Insert(h, rowTuple(k, 0))
+			if err != nil {
+				return err
+			}
+			idx.Insert(IntValue(k), r)
+			rid = r
+		}
+		return nil
+	})
+	for rev := 1; rev <= 10; rev++ {
+		write(func(tx *Txn) error {
+			_, nrid, err := tx.Update(h, rid, rowTuple(2, rev))
+			idx.Insert(IntValue(2), nrid)
+			rid = nrid
+			return err
+		})
+	}
+	tx := db.Txns().Begin()
+	defer tx.Rollback()
+	view := tx.View(h)
+	lookup := func(k int64) float64 {
+		rids := idx.Search(IntValue(k))
+		return testing.AllocsPerRun(100, func() {
+			live := 0
+			for _, r := range rids {
+				row, err := view.Get(r)
+				if errors.Is(err, ErrNotFound) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row[0].Int != k {
+					t.Fatalf("key %d read row %v", k, row)
+				}
+				live++
+			}
+			if live != 1 {
+				t.Fatalf("key %d: %d live versions through %d entries, want 1", k, live, len(rids))
+			}
+		})
+	}
+	if n := len(idx.Search(IntValue(2))); n != 11 {
+		t.Fatalf("key 2 has %d index entries, want 11", n)
+	}
+	if fresh, churned := lookup(1), lookup(2); churned != fresh {
+		t.Fatalf("lookup through 10 dead versions allocates %.0f, a fresh row %.0f", churned, fresh)
+	}
+}

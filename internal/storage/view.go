@@ -51,20 +51,17 @@ func (v *HeapView) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
 	return v.h.PageTuplesVisibleInto(id, dst, v.vis)
 }
 
+// errNotVisible is how Get reports a version outside the snapshot:
+// preallocated, because index entries cover every version, so an index
+// scan meets one per dead version of each row it looks up.
+var errNotVisible = fmt.Errorf("%w: version not visible", ErrNotFound)
+
 // Get fetches the tuple at rid if its version is visible; an
 // invisible version reads as ErrNotFound, which is how index scans
 // (whose entries cover every version) skip the ones outside the
-// snapshot.
-func (v *HeapView) Get(rid RID) (Tuple, error) {
-	t, ver, err := v.h.GetVersion(rid)
-	if err != nil {
-		return nil, err
-	}
-	if v.vis != nil && !v.vis(ver) {
-		return nil, fmt.Errorf("%w: %s not visible", ErrNotFound, rid)
-	}
-	return t, nil
-}
+// snapshot. Visibility is judged from the version header alone, so a
+// dead version is never decoded.
+func (v *HeapView) Get(rid RID) (Tuple, error) { return v.h.getVisible(rid, v.vis) }
 
 // PageRowsInto appends one page's visible tuples and their RIDs, read
 // from a single image of the page.

@@ -17,6 +17,7 @@ package operators
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/adm-project/adm/internal/storage"
 )
@@ -158,6 +159,10 @@ func (s *IndexScan) Open() error {
 		s.rids = append(s.rids, rid)
 		return true
 	})
+	if f, ok := s.Hi.AsFloat(); ok && !math.IsNaN(f) && s.Index.HasNaN() {
+		// NaN equals every number to a predicate, but the index files it last.
+		s.rids = append(s.rids, s.Index.Search(storage.FloatValue(math.NaN()))...)
+	}
 	s.pos, s.open = 0, true
 	return nil
 }

@@ -332,13 +332,19 @@ func NewHashAggregate(in Iterator, groupCol int, aggs []AggSpec) *HashAggregate 
 	return &HashAggregate{In: in, GroupCol: groupCol, Aggs: aggs}
 }
 
-type aggState struct {
-	group storage.Value
-	count int64
-	sum   []float64
-	min   []storage.Value
-	max   []storage.Value
-	n     []int64
+// aggCell is one aggregate of one group: its rows (COUNT) or non-NULL
+// inputs counted, summed (SUM, AVG) or folded to the least or greatest.
+type aggCell struct {
+	n   int64
+	sum float64
+	v   storage.Value
+}
+
+// fold folds v into c's MIN or MAX.
+func (c *aggCell) fold(kind AggKind, v storage.Value) {
+	if c.n == 0 || kind == AggMin && storage.Compare(v, c.v) < 0 || kind == AggMax && storage.Compare(v, c.v) > 0 {
+		c.v = v
+	}
 }
 
 // aggAccum accumulates grouped aggregate state. It is the shared core
@@ -347,14 +353,17 @@ type aggState struct {
 // (count/sum/n add, min/max fold), which is exact for every supported
 // aggregate. It is also the aggregate probe sink (see pairSink): input
 // arrives as a (build, probe) pair, and a plain tuple is the pair with
-// no build side.
+// no build side. State is flat, in first-seen order: group s of idx
+// shows shown[s] (keyed keyOf(shown[s])) and its aggregate i is
+// cells[s*len(aggs)+i], so a new group allocates nothing of its own.
 type aggAccum struct {
 	grouped bool
 	group   PairCol // the grouping column, when grouped
 	aggs    []AggSpec
 	args    []PairCol // aggs[i]'s argument column
-	groups  map[joinK]*aggState
-	order   []joinK // first-seen group order
+	idx     hashIndex
+	shown   []storage.Value
+	cells   []aggCell
 }
 
 // newAggAccum builds an accumulator grouping on groupCol (< 0 = one
@@ -367,8 +376,9 @@ func newAggAccum(groupCol int, aggs []AggSpec, m []PairCol) *aggAccum {
 		}
 		return m[c]
 	}
-	a := &aggAccum{grouped: groupCol >= 0, aggs: aggs,
-		args: make([]PairCol, len(aggs)), groups: map[joinK]*aggState{}}
+	const room = 8 // groups made room for up front; more double it
+	a := &aggAccum{grouped: groupCol >= 0, aggs: aggs, args: make([]PairCol, len(aggs)),
+		shown: make([]storage.Value, 0, room), cells: make([]aggCell, 0, room*len(aggs))}
 	if a.grouped {
 		a.group = at(groupCol)
 	}
@@ -377,66 +387,53 @@ func newAggAccum(groupCol int, aggs []AggSpec, m []PairCol) *aggAccum {
 			a.args[i] = at(sp.Col)
 		}
 	}
+	a.idx.hash, a.idx.next = make([]uint32, 0, room), make([]int32, 0, room)
+	a.idx.link(room)
 	return a
 }
 
-// state finds or creates the group keyed k. Values with one key need
-// not be identical (2 and 2.0, -0 and +0, NaN payloads): the group
+// slot finds or adds the group keyed k, hashed h. Values with one key
+// need not be identical (2 and 2.0, -0 and +0, NaN payloads): the group
 // shows the least of them under totalValueCompare, so the output does
 // not depend on which worker saw which first.
-func (a *aggAccum) state(k joinK, gv storage.Value) *aggState {
-	st, ok := a.groups[k]
-	if !ok {
-		st = &aggState{
-			group: gv,
-			sum:   make([]float64, len(a.aggs)),
-			min:   make([]storage.Value, len(a.aggs)),
-			max:   make([]storage.Value, len(a.aggs)),
-			n:     make([]int64, len(a.aggs)),
+func (a *aggAccum) slot(k joinK, h uint32, gv storage.Value) int {
+	for r := a.idx.chain(h); r != 0; r = a.idx.next[r-1] {
+		if s := int(r - 1); a.idx.hash[s] == h && keyOf(a.shown[s]) == k {
+			if k.class != keyStr && totalValueCompare(gv, a.shown[s]) < 0 {
+				a.shown[s] = gv
+			}
+			return s
 		}
-		a.groups[k] = st
-		a.order = append(a.order, k)
-	} else if k.class != keyStr && totalValueCompare(gv, st.group) < 0 {
-		st.group = gv
 	}
-	return st
+	a.shown = append(a.shown, gv)
+	a.cells = append(a.cells, make([]aggCell, len(a.aggs))...)
+	return a.idx.add(h)
 }
-
-// absorb folds one input tuple into the accumulator.
-func (a *aggAccum) absorb(t storage.Tuple) { a.pair(nil, t) }
 
 // pair folds one probe match into the accumulator.
 func (a *aggAccum) pair(b, p storage.Tuple) {
-	var k joinK
-	var gv storage.Value
+	var gv storage.Value // NULL: the global group's key
 	if a.grouped {
 		gv = a.group.of(b, p)
-		k = keyOf(gv)
 	}
-	st := a.state(k, gv)
-	st.count++
+	k := keyOf(gv)
+	s := a.slot(k, k.hash(), gv) // before reading a.cells: slot may grow it
+	cells := a.cells[s*len(a.aggs):]
 	for i, sp := range a.aggs {
-		if sp.Kind == AggCount {
-			continue
-		}
-		v := a.args[i].of(b, p)
-		if v.IsNull() {
-			continue
-		}
-		switch sp.Kind {
-		case AggMin:
-			if st.n[i] == 0 || storage.Compare(v, st.min[i]) < 0 {
-				st.min[i] = v
+		c := &cells[i]
+		if sp.Kind != AggCount {
+			v := a.args[i].of(b, p)
+			if v.IsNull() {
+				continue
 			}
-		case AggMax:
-			if st.n[i] == 0 || storage.Compare(v, st.max[i]) > 0 {
-				st.max[i] = v
+			if sp.Kind == AggMin || sp.Kind == AggMax {
+				c.fold(sp.Kind, v)
+			} else {
+				f, _ := v.AsFloat()
+				c.sum += f
 			}
-		default: // AggSum, AggAvg
-			f, _ := v.AsFloat()
-			st.sum[i] += f
 		}
-		st.n[i]++
+		c.n++
 	}
 }
 
@@ -446,73 +443,68 @@ func (a *aggAccum) taken() (int, []storage.Value) { return 0, nil }
 
 // merge folds another accumulator's partial state into this one.
 func (a *aggAccum) merge(b *aggAccum) {
-	for _, gk := range b.order {
-		bs := b.groups[gk]
-		st := a.state(gk, bs.group)
-		st.count += bs.count
-		for i := range a.aggs {
-			if bs.n[i] == 0 {
-				continue
+	for bs, gv := range b.shown {
+		s := a.slot(keyOf(gv), b.idx.hash[bs], gv)
+		cells := a.cells[s*len(a.aggs):]
+		for i, bc := range b.cells[bs*len(b.aggs) : (bs+1)*len(b.aggs)] {
+			c := &cells[i]
+			if kind := a.aggs[i].Kind; bc.n > 0 && (kind == AggMin || kind == AggMax) {
+				c.fold(kind, bc.v)
 			}
-			if st.n[i] == 0 {
-				st.min[i], st.max[i] = bs.min[i], bs.max[i]
-			} else {
-				if storage.Compare(bs.min[i], st.min[i]) < 0 {
-					st.min[i] = bs.min[i]
-				}
-				if storage.Compare(bs.max[i], st.max[i]) > 0 {
-					st.max[i] = bs.max[i]
-				}
-			}
-			st.sum[i] += bs.sum[i]
-			st.n[i] += bs.n[i]
+			c.sum += bc.sum
+			c.n += bc.n
 		}
 	}
 }
 
-// rows renders the final output tuples ([group?, agg1, agg2, ...]) in
-// first-seen group order.
-func (a *aggAccum) rows() []storage.Tuple {
-	if !a.grouped && len(a.order) == 0 {
+// rows renders one tuple per group in first-seen order, carved from one
+// arena: column j is position out[j] of [group?, agg1, ...] (nil: that).
+func (a *aggAccum) rows(out []int) []storage.Tuple {
+	if !a.grouped && len(a.shown) == 0 {
 		// Global aggregate over empty input still emits one row.
-		a.state(joinK{}, storage.Value{})
+		k := keyOf(storage.Value{})
+		a.slot(k, k.hash(), storage.Value{})
 	}
-	var out []storage.Tuple
-	for _, gk := range a.order {
-		st := a.groups[gk]
-		var t storage.Tuple
-		if a.grouped {
-			t = append(t, st.group)
-		}
-		for i, sp := range a.aggs {
-			switch sp.Kind {
-			case AggCount:
-				t = append(t, storage.IntValue(st.count))
-			case AggSum:
-				t = append(t, storage.FloatValue(st.sum[i]))
-			case AggAvg:
-				if st.n[i] == 0 {
-					t = append(t, storage.NullValue())
-				} else {
-					t = append(t, storage.FloatValue(st.sum[i]/float64(st.n[i])))
-				}
-			case AggMin:
-				if st.n[i] == 0 {
-					t = append(t, storage.NullValue())
-				} else {
-					t = append(t, st.min[i])
-				}
-			case AggMax:
-				if st.n[i] == 0 {
-					t = append(t, storage.NullValue())
-				} else {
-					t = append(t, st.max[i])
-				}
-			}
-		}
-		out = append(out, t)
+	base := 0
+	if a.grouped {
+		base = 1
 	}
-	return out
+	if out == nil {
+		out = make([]int, base+len(a.aggs))
+		for j := range out {
+			out[j] = j
+		}
+	}
+	w := len(out)
+	arena := make(storage.Tuple, len(a.shown)*w)
+	res := make([]storage.Tuple, len(a.shown))
+	for s := range a.shown {
+		t := arena[s*w : (s+1)*w : (s+1)*w]
+		for j, pos := range out {
+			t[j] = a.value(s, pos-base)
+		}
+		res[s] = t
+	}
+	return res
+}
+
+// value renders aggregate i of group s; i < 0 is the group's value.
+func (a *aggAccum) value(s, i int) storage.Value {
+	if i < 0 {
+		return a.shown[s]
+	}
+	c := a.cells[s*len(a.aggs)+i]
+	switch kind := a.aggs[i].Kind; {
+	case kind == AggCount:
+		return storage.IntValue(c.n)
+	case kind == AggSum:
+		return storage.FloatValue(c.sum)
+	case c.n == 0:
+		return storage.NullValue()
+	case kind == AggAvg:
+		return storage.FloatValue(c.sum / float64(c.n))
+	}
+	return c.v // AggMin, AggMax
 }
 
 // Open implements Iterator.
@@ -523,11 +515,9 @@ func (a *HashAggregate) Open() error {
 	}
 	acc := newAggAccum(a.GroupCol, a.Aggs, nil)
 	for _, t := range rows {
-		acc.absorb(t)
+		acc.pair(nil, t)
 	}
-	a.out = acc.rows()
-	a.pos = 0
-	a.open = true
+	a.out, a.pos, a.open = acc.rows(nil), 0, true
 	return nil
 }
 

@@ -360,8 +360,8 @@ func DrainParallelBatches(src BatchSource, cfg ParallelConfig) ([]storage.Tuple,
 // content. NaN and NULL get classes of their own — a float NaN can
 // never be found again in a map, and NULL groups (but never joins) —
 // so neither can collide with a user string. It is what "equal" means
-// to the join (compared on every hash hit in the build table) and the
-// key of the aggregate group maps.
+// to the join and to GROUP BY, compared on every hash hit in a
+// hashIndex.
 type joinK struct {
 	f     float64
 	s     string
@@ -400,16 +400,12 @@ func joinKeyOf(v storage.Value) (joinK, bool) {
 	return k, k.class != keyNull
 }
 
-// hash radix-partitions a key (FNV-1a).
+// hash radix-partitions a key: a number by one multiply-xorshift over
+// its bits, a string by FNV-1a. In-process only, never persisted.
 func (k joinK) hash() uint32 {
 	if k.class == keyNum {
-		b := math.Float64bits(k.f)
-		h := uint32(2166136261)
-		for i := 0; i < 64; i += 8 {
-			h ^= uint32(b>>i) & 0xff
-			h *= 16777619
-		}
-		return h
+		b := math.Float64bits(k.f) * 0x9e3779b97f4a7c15
+		return uint32(b ^ b>>32)
 	}
 	return fnv32(k.s)
 }
@@ -434,24 +430,80 @@ type BuildTable struct {
 // proxy the adaptive report tracks).
 func (t *BuildTable) Rows() int { return t.rows }
 
-// buildPart is one partition: its rows stored once beside the hashes
-// that partitioned them, chained by bucket (the top bits of a
-// multiplicative mix; len(heads) is a power of two ≥ the row count).
-// heads[b] and next[r] hold 1 + a row index, 0 ending the chain.
-type buildPart struct {
-	rows        []storage.Tuple
+// hashIndex is the flat hash index joins and GROUP BY share: slots (build
+// rows, groups) and their hashes, chained by bucket (the top bits of a
+// multiplicative mix over len(heads), a power of two ≥ the slots); heads
+// and next hold 1 + a slot, 0 ending a chain. Keys are the owner's.
+type hashIndex struct {
 	hash        []uint32
 	heads, next []int32
 	shift       uint32
 }
 
-func (p *buildPart) bucket(h uint32) uint32 { return (h * 0x9e3779b1) >> p.shift }
+func (x *hashIndex) bucket(h uint32) uint32 { return (h * 0x9e3779b1) >> x.shift }
+
+// chain returns 1 + the first slot on h's chain (0: none).
+func (x *hashIndex) chain(h uint32) int32 { return x.heads[x.bucket(h)] }
+
+// link makes a power of two ≥ max(slots, atLeast) buckets and chains
+// every slot, back to front so each chain runs in slot order.
+func (x *hashIndex) link(atLeast int) {
+	for x.shift = 32; 1<<(32-x.shift) < max(len(x.hash), atLeast); x.shift-- {
+	}
+	x.heads = make([]int32, 1<<(32-x.shift))
+	for s := len(x.hash) - 1; s >= 0; s-- {
+		b := x.bucket(x.hash[s])
+		x.next[s], x.heads[b] = x.heads[b], int32(s+1)
+	}
+}
+
+// add appends a slot hashed h, doubling the buckets when they fill.
+func (x *hashIndex) add(h uint32) int {
+	s := len(x.hash)
+	x.hash, x.next = append(x.hash, h), append(x.next, 0)
+	if s == len(x.heads) {
+		x.link(2 * s)
+	} else {
+		b := x.bucket(h)
+		x.next[s], x.heads[b] = x.heads[b], int32(s+1)
+	}
+	return s
+}
+
+// buildPart is one partition: slot r of its index is rows[r].
+type buildPart struct {
+	rows []storage.Tuple
+	hashIndex
+}
 
 // partBuf is one worker's scatter output for one partition. Tuples
 // are aliased, not copied: batch sources guarantee stable values.
 type partBuf struct {
 	hash []uint32
 	tups []storage.Tuple
+}
+
+// scatterPool recycles the build's per-worker scatter buffers (a partBuf
+// per partition) across statements. One of over maxKeptScatter row slots
+// (28 bytes each) is dropped, so a huge build cannot pin its size.
+var scatterPool = sync.Pool{New: func() any { return new([]partBuf) }}
+
+const maxKeptScatter = 8 << 10
+
+// putScatters empties the buffers of tuple references and pools them.
+func putScatters(bufs []*[]partBuf) {
+	for _, s := range bufs {
+		kept := 0
+		for i := range *s {
+			p := &(*s)[i]
+			clear(p.tups)
+			p.hash, p.tups = p.hash[:0], p.tups[:0]
+			kept += cap(p.tups)
+		}
+		if kept <= maxKeptScatter {
+			scatterPool.Put(s)
+		}
+	}
 }
 
 // constKey is the key every row shares when a build or probe column is
@@ -472,15 +524,22 @@ var constKey = joinK{class: keyNum}
 func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 	safePoint func(rows int) bool) (*BuildTable, []storage.Tuple, error) {
 	w := cfg.WorkerCount()
-	scatter := make([][]partBuf, w)     // [worker][partition]
+	scatter := make([]*[]partBuf, w)    // [worker][partition], pooled
 	nulls := make([][]storage.Tuple, w) // null keys never join but must replay
+	for i := range scatter {
+		scatter[i] = scatterPool.Get().(*[]partBuf)
+		if len(*scatter[i]) < w {
+			*scatter[i] = make([]partBuf, w)
+		}
+	}
+	defer putScatters(scatter) // on every path: the table and the prefix are copies
 	var consumed atomic.Int64
 	var aborted atomic.Bool
 	var fail failFlag
 	fanOut(w, &fail, "build", func(i int) {
 		b := GetBatch()
 		defer PutBatch(b)
-		local := make([]partBuf, w)
+		local := (*scatter[i])[:w]
 		rows := 0
 		for !aborted.Load() && !fail.failed() {
 			if cfg.interrupted(&fail) {
@@ -518,7 +577,6 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 				break
 			}
 		}
-		scatter[i] = local
 		if cfg.OnWorker != nil {
 			cfg.OnWorker(i, "build", rows)
 		}
@@ -529,7 +587,7 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 	if aborted.Load() {
 		var prefix []storage.Tuple
 		for i := 0; i < w; i++ {
-			for _, part := range scatter[i] {
+			for _, part := range (*scatter[i])[:w] {
 				prefix = append(prefix, part.tups...)
 			}
 			prefix = append(prefix, nulls[i]...)
@@ -537,28 +595,20 @@ func ParallelBuildBatches(src BatchSource, col int, cfg ParallelConfig,
 		return nil, prefix, ErrBuildAborted
 	}
 	// Assemble each partition (disjoint, so without locks): concatenate
-	// the workers' rows, then link the chains back to front so each runs
-	// in arrival order.
+	// the workers' rows in arrival order, then chain them.
 	parts := make([]buildPart, w)
 	fanOut(w, &fail, "assemble", func(p int) {
 		n := 0
 		for i := 0; i < w; i++ {
-			n += len(scatter[i][p].tups)
+			n += len((*scatter[i])[p].tups)
 		}
-		bp := buildPart{rows: make([]storage.Tuple, 0, n), hash: make([]uint32, 0, n), shift: 32}
+		bp := &parts[p]
+		bp.rows, bp.hash, bp.next = make([]storage.Tuple, 0, n), make([]uint32, 0, n), make([]int32, n)
 		for i := 0; i < w; i++ {
-			bp.rows = append(bp.rows, scatter[i][p].tups...)
-			bp.hash = append(bp.hash, scatter[i][p].hash...)
+			bp.rows = append(bp.rows, (*scatter[i])[p].tups...)
+			bp.hash = append(bp.hash, (*scatter[i])[p].hash...)
 		}
-		for 1<<(32-bp.shift) < n {
-			bp.shift--
-		}
-		bp.heads, bp.next = make([]int32, 1<<(32-bp.shift)), make([]int32, n)
-		for r := n - 1; r >= 0; r-- {
-			b := bp.bucket(bp.hash[r])
-			bp.next[r], bp.heads[b] = bp.heads[b], int32(r+1)
-		}
-		parts[p] = bp
+		bp.link(0)
 	})
 	if err := fail.err(); err != nil {
 		return nil, nil, err
@@ -664,7 +714,7 @@ func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pair
 		h := k.hash()
 		part := &t.parts[h%np]
 	match:
-		for r := part.heads[part.bucket(h)]; r != 0; r = part.next[r-1] {
+		for r := part.chain(h); r != 0; r = part.next[r-1] {
 			b := part.rows[r-1]
 			if part.hash[r-1] != h || (t.col >= 0 && keyOf(b[t.col]) != k) || (t.col < 0 && k != constKey) {
 				continue
@@ -713,15 +763,15 @@ func (t *BuildTable) ProbeProject(src BatchSource, col int, cfg ParallelConfig,
 // partial accumulator and the partials merge at the barrier, so the
 // joined relation is never built. groupCol and aggs index a conceptual
 // row that m maps onto the pair (m[i] locates position i). Output is
-// ParallelHashAggregateBatches's: [group?, agg1, ...] per group, in
+// ParallelHashAggregateBatches's: one row per group, laid out by out, in
 // nondeterministic group order.
 func (t *BuildTable) ProbeAggregate(src BatchSource, col int, cfg ParallelConfig,
-	on []PairEq, m []PairCol, groupCol int, aggs []AggSpec) ([]storage.Tuple, error) {
+	on []PairEq, m []PairCol, groupCol int, aggs []AggSpec, out []int) ([]storage.Tuple, error) {
 	partials, sinks := aggSinks(cfg.WorkerCount(), groupCol, aggs, m)
 	if err := t.parallelProbe(src, col, cfg, on, sinks); err != nil {
 		return nil, err
 	}
-	return mergePartials(partials), nil
+	return mergePartials(partials, out), nil
 }
 
 // parallelProbe runs one probe worker per sink.
@@ -784,9 +834,9 @@ func feedSinks(src BatchSource, cfg ParallelConfig, phase string, sinks []pairSi
 // — worker-local partial accumulators, merged at the barrier. Merging
 // is exact for COUNT/SUM/AVG/MIN/MAX (integer sums stay exact in
 // float64 below 2^53; float SUM/AVG may differ from the serial result
-// in the last ulps because addition order varies). Group order in the
-// output is nondeterministic.
-func ParallelHashAggregateBatches(src BatchSource, groupCol int, aggs []AggSpec,
+// in the last ulps because addition order varies). Output rows are laid
+// out by out (see aggAccum.rows), in nondeterministic group order.
+func ParallelHashAggregateBatches(src BatchSource, groupCol int, aggs []AggSpec, out []int,
 	cfg ParallelConfig) ([]storage.Tuple, error) {
 	partials, sinks := aggSinks(cfg.WorkerCount(), groupCol, aggs, nil)
 	err := feedSinks(src, cfg, "aggregate", sinks, func(rows []storage.Tuple, sink pairSink) {
@@ -797,7 +847,7 @@ func ParallelHashAggregateBatches(src BatchSource, groupCol int, aggs []AggSpec,
 	if err != nil {
 		return nil, err
 	}
-	return mergePartials(partials), nil
+	return mergePartials(partials, out), nil
 }
 
 // aggSinks builds one partial accumulator per worker.
@@ -812,13 +862,13 @@ func aggSinks(workers, groupCol int, aggs []AggSpec, m []PairCol) ([]*aggAccum, 
 }
 
 // mergePartials folds the workers' partial accumulators into the first
-// and renders its rows.
-func mergePartials(partials []*aggAccum) []storage.Tuple {
+// and renders its rows laid out by out.
+func mergePartials(partials []*aggAccum, out []int) []storage.Tuple {
 	final := partials[0]
 	for _, p := range partials[1:] {
 		final.merge(p)
 	}
-	return final.rows()
+	return final.rows(out)
 }
 
 // ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ func TestProbeSinksMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := bt.ProbeAggregate(NewSliceBatches(probe, 64), 0, cfg, on, rowMap, groupCol, aggs)
+			got, err := bt.ProbeAggregate(NewSliceBatches(probe, 64), 0, cfg, on, rowMap, groupCol, aggs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 128), groupCol, aggs,
+			got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 128), groupCol, aggs, nil,
 				ParallelConfig{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -326,7 +326,7 @@ func TestGroupKeysFollowJoinKeySemantics(t *testing.T) {
 		check(label, got)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 1), 0, aggs, ParallelConfig{Workers: workers})
+		got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 1), 0, aggs, nil, ParallelConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestGroupKeysFollowJoinKeySemantics(t *testing.T) {
 
 func TestParallelAggregateGlobalOverEmptyInput(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCount}}
-	got, err := ParallelHashAggregateBatches(NewSliceBatches(nil, 0), -1, aggs, ParallelConfig{Workers: 4})
+	got, err := ParallelHashAggregateBatches(NewSliceBatches(nil, 0), -1, aggs, nil, ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +412,126 @@ func joinOracle(build, probe []storage.Tuple, col int) []storage.Tuple {
 	return out
 }
 
+// groupOracle is the nested-loop reference for a grouped aggregate:
+// each row joins the first group whose value it equals — storage.Equal,
+// except that NULL equals only NULL and NaN only NaN — and a group
+// shows the totalValueCompare-least of its values. Rows are [group?,
+// agg1, ...] in first-seen group order; groupCol < 0 is one global group.
+func groupOracle(rows []storage.Tuple, groupCol int, aggs []AggSpec) []storage.Tuple {
+	nan := func(v storage.Value) bool { return v.Kind == storage.KindFloat && math.IsNaN(v.Float) }
+	same := func(a, b storage.Value) bool {
+		if a.IsNull() || b.IsNull() || nan(a) || nan(b) {
+			return a.IsNull() == b.IsNull() && nan(a) == nan(b)
+		}
+		return storage.Equal(a, b)
+	}
+	type group struct {
+		shown   storage.Value
+		members []storage.Tuple
+	}
+	var groups []*group
+	for _, r := range rows {
+		var gv storage.Value
+		if groupCol >= 0 {
+			gv = r[groupCol]
+		}
+		var g *group
+		for _, c := range groups {
+			if same(c.shown, gv) {
+				g = c
+				break
+			}
+		}
+		if g == nil {
+			g = &group{shown: gv}
+			groups = append(groups, g)
+		} else if totalValueCompare(gv, g.shown) < 0 {
+			g.shown = gv
+		}
+		g.members = append(g.members, r)
+	}
+	if groupCol < 0 && len(groups) == 0 {
+		groups = append(groups, &group{})
+	}
+	var out []storage.Tuple
+	for _, g := range groups {
+		var t storage.Tuple
+		if groupCol >= 0 {
+			t = append(t, g.shown)
+		}
+		for _, sp := range aggs {
+			var n int
+			var sum float64
+			var best storage.Value
+			for _, r := range g.members {
+				if v := r[sp.Col]; !v.IsNull() {
+					c := storage.Compare(v, best)
+					if n == 0 || sp.Kind == AggMin && c < 0 || sp.Kind == AggMax && c > 0 {
+						best = v
+					}
+					f, _ := v.AsFloat()
+					sum += f
+					n++
+				}
+			}
+			switch {
+			case sp.Kind == AggCount:
+				t = append(t, storage.IntValue(int64(len(g.members))))
+			case sp.Kind == AggSum:
+				t = append(t, storage.FloatValue(sum))
+			case n == 0:
+				t = append(t, storage.NullValue())
+			case sp.Kind == AggAvg:
+				t = append(t, storage.FloatValue(sum/float64(n)))
+			default:
+				t = append(t, best)
+			}
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// sameGroups compares aggregate output as a multiset of rows whose
+// values are rendered with their kind, so a group showing 2.0 where the
+// oracle shows 2, or -0 for +0, fails.
+func sameGroups(t *testing.T, label string, got, want []storage.Tuple) {
+	t.Helper()
+	render := func(rows []storage.Tuple) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			for _, v := range r {
+				out[i] += fmt.Sprintf("%d:%s|", v.Kind, v)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	if g, w := render(got), render(want); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("%s: groups\n got %v\nwant %v", label, g, w)
+	}
+}
+
+// project lays rows out by out, as the aggregate's out argument does.
+func project(rows []storage.Tuple, out []int) []storage.Tuple {
+	res := make([]storage.Tuple, len(rows))
+	for i, r := range rows {
+		for _, c := range out {
+			res[i] = append(res[i], r[c])
+		}
+	}
+	return res
+}
+
 // TestBuildTableMatchesNestedLoop diffs the flat build table against
 // joinOracle over the key corners (NULL, NaN, -0/+0, 2 vs 2.0, bools,
 // "", numeric-looking strings, two strings whose hashes collide), heavy
 // duplicates, one key, 10,000 keys, a two-row table whose two keys
 // share a bucket, and the constant key — through both probe sinks at 1,
 // 2, 4 and 8 workers. At one worker the projection must equal the
-// oracle in order: duplicate keys come out in build arrival order.
+// oracle in order: duplicate keys come out in build arrival order. The
+// aggregate sink is diffed against groupOracle over the oracle's joined
+// rows, in its own layout and in a permuted one.
 func TestBuildTableMatchesNestedLoop(t *testing.T) {
 	collideA, collideB := storage.StringValue("k32728"), storage.StringValue("k261234")
 	if keyOf(collideA).hash() != keyOf(collideB).hash() {
@@ -463,7 +576,8 @@ func TestBuildTableMatchesNestedLoop(t *testing.T) {
 		{"constant key", keyed(2*len(corners), corner), keyed(len(corners), corner), -1},
 	}
 	rowMap := []PairCol{{Idx: 0}, {Idx: 1}, {Probe: true, Idx: 0}, {Probe: true, Idx: 1}}
-	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggMin, Col: 3}, {Kind: AggMax, Col: 1}}
+	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggMin, Col: 3},
+		{Kind: AggMax, Col: 1}, {Kind: AggAvg, Col: 3}}
 	for _, tc := range cases {
 		want := joinOracle(tc.build, tc.probe, tc.col)
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -476,8 +590,8 @@ func TestBuildTableMatchesNestedLoop(t *testing.T) {
 			if bt.Rows() != len(tc.build) {
 				t.Fatalf("%s: %d build rows, want %d", label, bt.Rows(), len(tc.build))
 			}
-			if tc.name == "two rows one bucket" && workers == 1 && len(bt.parts[0].heads) != 2 {
-				t.Fatalf("%s: %d buckets, want 2", label, len(bt.parts[0].heads))
+			if idx := bt.parts[0].hashIndex; tc.name == "two rows one bucket" && workers == 1 && len(idx.heads) != 2 {
+				t.Fatalf("%s: %d buckets, want 2", label, len(idx.heads))
 			}
 			got, err := bt.ProbeProject(NewSliceBatches(tc.probe, 7), tc.col, cfg, nil, nil)
 			if err != nil {
@@ -490,16 +604,49 @@ func TestBuildTableMatchesNestedLoop(t *testing.T) {
 			}
 			sameMultiset(t, got, want)
 			for _, groupCol := range []int{0, 2, -1} { // build key, probe key, global
-				wantAgg, err := Drain(NewHashAggregate(NewMemScan(want), groupCol, aggs))
-				if err != nil {
-					t.Fatal(err)
+				wantAgg := groupOracle(want, groupCol, aggs)
+				width := len(wantAgg[0])
+				perm := []int{width - 1, 0, width - 1} // reordered, one column twice, one dropped
+				for _, out := range [][]int{nil, perm} {
+					gotAgg, err := bt.ProbeAggregate(NewSliceBatches(tc.probe, 7), tc.col, cfg, nil, rowMap, groupCol, aggs, out)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					w := wantAgg
+					if out != nil {
+						w = project(wantAgg, out)
+					}
+					sameGroups(t, fmt.Sprintf("%s, group=%d, out=%v", label, groupCol, out), gotAgg, w)
 				}
-				gotAgg, err := bt.ProbeAggregate(NewSliceBatches(tc.probe, 7), tc.col, cfg, nil, rowMap, groupCol, aggs)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sameMultiset(t, gotAgg, wantAgg)
 			}
 		}
+	}
+}
+
+// TestAggregatePartialsMergeInAnyOrder: the key corners dealt round
+// robin to four partial accumulators merge to the same groups — the
+// same shown values included — whichever partial the others fold into,
+// and those groups are groupOracle's.
+func TestAggregatePartialsMergeInAnyOrder(t *testing.T) {
+	vals := []storage.Value{storage.FloatValue(math.NaN()), storage.FloatValue(math.Copysign(0, -1)),
+		storage.IntValue(2), storage.NullValue(), storage.FloatValue(0), storage.FloatValue(-math.NaN()),
+		storage.FloatValue(2), storage.StringValue("2"), storage.IntValue(0), storage.BoolValue(true),
+		storage.IntValue(1), storage.NullValue(), storage.StringValue("")}
+	var in []storage.Tuple
+	for i := 0; i < 5*len(vals); i++ {
+		in = append(in, storage.Tuple{vals[i%len(vals)], storage.IntValue(int64(i))})
+	}
+	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 1}}
+	const parts = 4
+	for first := 0; first < parts; first++ {
+		partials := make([]*aggAccum, parts)
+		for p := range partials {
+			partials[p] = newAggAccum(0, aggs, nil)
+		}
+		for i, r := range in {
+			partials[i%parts].pair(nil, r)
+		}
+		partials[0], partials[first] = partials[first], partials[0]
+		sameGroups(t, fmt.Sprintf("partial %d merged into", first), mergePartials(partials, nil), groupOracle(in, 0, aggs))
 	}
 }

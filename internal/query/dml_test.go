@@ -36,12 +36,13 @@ func newDMLEngine(t *testing.T, rows int, withIndex, viaTxn bool) (*Engine, *sto
 	e.MustExec("CREATE TABLE hard (a INT, f FLOAT, s STRING)")
 	if withIndex {
 		e.MustExec("CREATE INDEX ON hard (a)")
+		e.MustExec("CREATE INDEX ON hard (f)") // NaN keys beside numbers
 	}
 	var load *storage.Txn
 	if viaTxn {
 		load = db.Txns().Begin()
 	}
-	for i := 0; i < rows; i++ {
+	for i := rows - 1; i >= 0; i-- { // last first: f's index meets numbers before a NaN
 		if _, err := cat.InsertTxn("hard", hardRow(i), load); err != nil {
 			t.Fatal(err)
 		}
@@ -143,13 +144,23 @@ var dmlCases = []struct {
 	{"update-set-nan", map[string]storage.Value{"f": storage.FloatValue(math.NaN())},
 		[]Pred{pred("a", OpEQ, storage.IntValue(3))}},
 	{"delete-past-2^53", nil, []Pred{pred("a", OpGE, storage.IntValue(1<<53+1))}},
+	// Every NaN row of f equals 7 and is <= 2 under Compare; an index
+	// that files NaN under some number's key loses them.
+	{"update-f-eq-indexed", map[string]storage.Value{"s": storage.StringValue("seven")},
+		[]Pred{pred("f", OpEQ, storage.FloatValue(7))}},
+	{"delete-f-le-indexed", nil, []Pred{pred("f", OpLE, storage.IntValue(2))}},
+	{"update-f-range-indexed", map[string]storage.Value{"s": storage.StringValue("r")},
+		[]Pred{pred("f", OpGE, storage.IntValue(50)), pred("f", OpLT, storage.FloatValue(60))}},
+	{"delete-f-lt-indexed", nil, []Pred{pred("f", OpLT, storage.IntValue(1))}},
 }
 
 // TestDMLDifferential: every statement of dmlCases leaves the same
 // table contents and reports the same Affected whether or not the
 // planner has an index to drive it from, whether the filter is the
 // kernel or the boxed predicate, and inside a transaction or outside
-// one — and what it leaves is what refPred over Catalog.Scan says.
+// one — and what it leaves is what refPred over Catalog.Scan says. A
+// SELECT with the statement's WHERE, run first, returns exactly the
+// rows refPred picks.
 func TestDMLDifferential(t *testing.T) {
 	const rows = 420
 	for _, tc := range dmlCases {
@@ -187,13 +198,30 @@ func TestDMLDifferential(t *testing.T) {
 						want = append(want, row)
 					}
 
-					var st Stmt = &DeleteStmt{Table: "hard", Where: tc.where}
-					if tc.set != nil {
-						st = &UpdateStmt{Table: "hard", Set: tc.set, Where: tc.where}
+					var picked []storage.Tuple
+					for _, row := range before {
+						if match(row) {
+							picked = append(picked, row)
+						}
 					}
+					sel := &SelectStmt{Items: []SelectItem{{Star: true}}, From: TableRef{Name: "hard"},
+						Where: tc.where, Limit: -1}
 					opts := ExecOptions{Workers: 1, NoVectorKernels: noKernel}
 					if inTxn {
 						opts.Txn = db.Txns().Begin()
+					}
+					got, _, err := e.ExecuteStmt(sel, opts)
+					if err != nil {
+						t.Fatalf("%s: SELECT: %v", name, err)
+					}
+					if g, w := rowsMultiset(got), tupleLines(picked); fmt.Sprint(g) != fmt.Sprint(w) {
+						t.Fatalf("%s: SELECT (plan %s):\n got %d rows %v\nwant %d rows %v",
+							name, got.Plan, len(g), firstDiff(g, w), len(w), firstDiff(w, g))
+					}
+
+					var st Stmt = &DeleteStmt{Table: "hard", Where: tc.where}
+					if tc.set != nil {
+						st = &UpdateStmt{Table: "hard", Set: tc.set, Where: tc.where}
 					}
 					res, _, err := e.ExecuteStmt(st, opts)
 					if err != nil {

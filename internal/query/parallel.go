@@ -208,7 +208,7 @@ func compileTail(st *SelectStmt, sch schema) (selectTail, error) {
 		if err != nil {
 			return t, err
 		}
-		t.agg = ap
+		t.agg, t.names = ap, ap.outCols
 		if st.OrderBy != nil {
 			if t.order, err = ap.outSch.resolve(*st.OrderBy); err != nil {
 				return t, err
@@ -281,21 +281,20 @@ func (p *selectPlan) declCols(ps probeStage) []operators.PairCol {
 // rows holding just tail.cols, already in select-list order.
 func (e *Engine) probeTail(plan *selectPlan, tail *selectTail, ps probeStage,
 	cfg operators.ParallelConfig) (*Result, error) {
-	st := plan.stmt
 	m := plan.declCols(ps)
 	if tail.agg != nil {
-		groups, err := ps.table.ProbeAggregate(ps.src, ps.col, cfg, ps.on, m, tail.agg.groupCol, tail.agg.specs)
+		rows, err := ps.table.ProbeAggregate(ps.src, ps.col, cfg, ps.on, m, tail.agg.groupCol, tail.agg.specs, tail.agg.perm)
 		if err != nil {
 			return nil, err
 		}
-		return e.finishAggregate(plan, tail, groups, cfg)
+		return e.finishRows(plan, tail, rows, cfg)
 	}
 	cols := make([]operators.PairCol, len(tail.cols))
 	for i, c := range tail.cols {
 		cols[i] = m[c]
 	}
 	probeCfg := cfg
-	if tail.order < 0 && st.Limit > 0 {
+	if st := plan.stmt; tail.order < 0 && st.Limit > 0 {
 		// Unordered LIMIT, as in scanTail: the quota stops the probe
 		// workers claiming batches.
 		probeCfg.Limit = st.Limit
@@ -304,12 +303,7 @@ func (e *Engine) probeTail(plan *selectPlan, tail *selectTail, ps probeStage,
 	if err != nil {
 		return nil, err
 	}
-	if tail.order >= 0 {
-		if rows, err = orderRowsParallel(rows, tail.order, st.Desc, st.Limit, cfg); err != nil {
-			return nil, err
-		}
-	}
-	return e.finishProject(plan, tail, rows, identityOrder(len(tail.names)))
+	return e.finishRows(plan, tail, rows, cfg)
 }
 
 // scanTail is the zero-join pipeline: the scan's batch source feeds
@@ -319,11 +313,11 @@ func (e *Engine) scanTail(plan *selectPlan, tail *selectTail, src operators.Batc
 	cfg operators.ParallelConfig) (*Result, error) {
 	st := plan.stmt
 	if tail.agg != nil {
-		groups, err := operators.ParallelHashAggregateBatches(src, tail.agg.groupCol, tail.agg.specs, cfg)
+		rows, err := operators.ParallelHashAggregateBatches(src, tail.agg.groupCol, tail.agg.specs, tail.agg.perm, cfg)
 		if err != nil {
 			return nil, err
 		}
-		return e.finishAggregate(plan, tail, groups, cfg)
+		return e.finishRows(plan, tail, rows, cfg)
 	}
 	var rows []storage.Tuple
 	var err error
@@ -381,9 +375,9 @@ func orderRowsParallel(rows []storage.Tuple, idx int, desc bool, limit int,
 	return orderSourceParallel(operators.NewSliceBatches(rows, cfg.MorselSize), idx, desc, limit, cfg)
 }
 
-// finishProject ends a non-aggregate SELECT once rows are in their
-// final order: LIMIT, then every row cut down to the select list, whose
-// items sit at positions pos of it.
+// finishProject ends a SELECT once rows are in their final order:
+// LIMIT, then every row cut down to the select list, whose items sit at
+// positions pos of it.
 func (e *Engine) finishProject(plan *selectPlan, tail *selectTail, rows []storage.Tuple,
 	pos []int) (*Result, error) {
 	if st := plan.stmt; st.Limit >= 0 && st.Limit < len(rows) {
@@ -410,23 +404,16 @@ func (e *Engine) finishProject(plan *selectPlan, tail *selectTail, rows []storag
 	return &Result{Cols: tail.names, Rows: rows, Plan: plan.Explain()}, nil
 }
 
-// finishAggregate ends an aggregate SELECT: the merged groups are
-// re-projected to select-item order through the arena path, then
-// ordered on the same parallel pipeline and cut to LIMIT.
-func (e *Engine) finishAggregate(plan *selectPlan, tail *selectTail, groups []storage.Tuple,
+// finishRows ends a SELECT whose rows lead with its select list (an
+// aggregate's groups; narrow probe rows, the ORDER BY column riding
+// last): ordered on the parallel pipeline, then finishProject.
+func (e *Engine) finishRows(plan *selectPlan, tail *selectTail, rows []storage.Tuple,
 	cfg operators.ParallelConfig) (*Result, error) {
-	st := plan.stmt
-	out, err := operators.ProjectTuples(nil, groups, tail.agg.perm)
-	if err != nil {
-		return nil, err
-	}
-	if tail.order >= 0 {
-		if out, err = orderRowsParallel(out, tail.order, st.Desc, st.Limit, cfg); err != nil {
+	if st := plan.stmt; tail.order >= 0 {
+		var err error
+		if rows, err = orderRowsParallel(rows, tail.order, st.Desc, st.Limit, cfg); err != nil {
 			return nil, err
 		}
 	}
-	if st.Limit >= 0 && st.Limit < len(out) {
-		out = out[:st.Limit]
-	}
-	return &Result{Cols: tail.agg.outCols, Rows: out, Plan: plan.Explain()}, nil
+	return e.finishProject(plan, tail, rows, identityOrder(len(tail.names)))
 }

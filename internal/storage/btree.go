@@ -2,23 +2,26 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // btreeOrder is the max children per internal node / max entries per
 // leaf.
 const btreeOrder = 64
 
-// BTree is an in-memory B+-tree index mapping Values to RID postings.
-// Deletion is lazy (postings are removed; structural underflow is
-// tolerated), the common choice for main-memory indexes where
-// rebalancing buys little.
+// BTree is an in-memory B+-tree index mapping Values to RID postings,
+// ordered by keyCompare. Deletion is lazy (postings are removed;
+// structural underflow is tolerated), the common choice for
+// main-memory indexes where rebalancing buys little.
 type BTree struct {
 	mu    sync.RWMutex
 	name  string
 	root  *btNode
 	size  int // live (key,rid) postings
 	depth int
+	nans  atomic.Int64 // postings under the NaN key
 }
 
 type btNode struct {
@@ -64,13 +67,16 @@ func (t *BTree) Insert(key Value, rid RID) {
 		t.depth++
 	}
 	t.size++
+	if isNaNKey(key) {
+		t.nans.Add(1)
+	}
 }
 
 // insert returns a promoted (key, rightSibling) when node splits.
 func (t *BTree) insert(n *btNode, key Value, rid RID) (Value, *btNode) {
 	if n.leaf {
 		i := lowerBound(n.keys, key)
-		if i < len(n.keys) && Equal(n.keys[i], key) {
+		if i < len(n.keys) && keyCompare(n.keys[i], key) == 0 {
 			n.rids[i] = append(n.rids[i], rid)
 			return Value{}, nil
 		}
@@ -128,12 +134,38 @@ func (t *BTree) splitInternal(n *btNode) (Value, *btNode) {
 	return midKey, right
 }
 
+// keyCompare is the tree's key order: Compare's, except that NaN sorts
+// after every number and equals only NaN. (Compare calls NaN equal to
+// every number, under which one tree would file NaN, 5 and 7 as one key.)
+func keyCompare(a, b Value) int {
+	an, bn := isNaNKey(a), isNaNKey(b)
+	if an || bn {
+		_, aNum := a.AsFloat()
+		_, bNum := b.AsFloat()
+		switch {
+		case an && bn:
+			return 0
+		case an && bNum:
+			return 1
+		case bn && aNum:
+			return -1
+		}
+	}
+	return Compare(a, b)
+}
+
+func isNaNKey(v Value) bool { return v.Kind == KindFloat && math.IsNaN(v.Float) }
+
+// HasNaN reports whether any posting is filed under the NaN key, which
+// no range bounded above by a number reaches.
+func (t *BTree) HasNaN() bool { return t.nans.Load() > 0 }
+
 // lowerBound returns the first index with keys[i] >= key.
 func lowerBound(keys []Value, key Value) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if Compare(keys[mid], key) < 0 {
+		if keyCompare(keys[mid], key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -147,7 +179,7 @@ func upperBound(keys []Value, key Value) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if Compare(keys[mid], key) <= 0 {
+		if keyCompare(keys[mid], key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -165,7 +197,7 @@ func (t *BTree) Search(key Value) []RID {
 		n = n.children[upperBound(n.keys, key)]
 	}
 	i := lowerBound(n.keys, key)
-	if i < len(n.keys) && Equal(n.keys[i], key) {
+	if i < len(n.keys) && keyCompare(n.keys[i], key) == 0 {
 		return append([]RID(nil), n.rids[i]...)
 	}
 	return nil
@@ -183,10 +215,10 @@ func (t *BTree) Range(lo, hi Value, fn func(key Value, rid RID) bool) {
 	// lowerBound may land us mid-leaf; walk the leaf chain.
 	for n != nil {
 		for i := range n.keys {
-			if Compare(n.keys[i], lo) < 0 {
+			if keyCompare(n.keys[i], lo) < 0 {
 				continue
 			}
-			if Compare(n.keys[i], hi) > 0 {
+			if keyCompare(n.keys[i], hi) > 0 {
 				return
 			}
 			for _, rid := range n.rids[i] {
@@ -208,13 +240,16 @@ func (t *BTree) Delete(key Value, rid RID) bool {
 		n = n.children[upperBound(n.keys, key)]
 	}
 	i := lowerBound(n.keys, key)
-	if i >= len(n.keys) || !Equal(n.keys[i], key) {
+	if i >= len(n.keys) || keyCompare(n.keys[i], key) != 0 {
 		return false
 	}
 	for j, r := range n.rids[i] {
 		if r == rid {
 			n.rids[i] = append(n.rids[i][:j], n.rids[i][j+1:]...)
 			t.size--
+			if isNaNKey(key) {
+				t.nans.Add(-1)
+			}
 			if len(n.rids[i]) == 0 {
 				n.keys = append(n.keys[:i], n.keys[i+1:]...)
 				n.rids = append(n.rids[:i], n.rids[i+1:]...)
@@ -263,7 +298,7 @@ func (t *BTree) Validate() error {
 		n = n.next
 	}
 	for i := 1; i < len(keys); i++ {
-		if Compare(keys[i-1], keys[i]) >= 0 {
+		if keyCompare(keys[i-1], keys[i]) >= 0 {
 			return fmt.Errorf("btree %s: keys out of order at %d", t.name, i)
 		}
 	}

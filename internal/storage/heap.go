@@ -294,11 +294,15 @@ func (h *HeapFile) Update(rid RID, t Tuple) (RID, error) {
 
 // PageIDs returns a snapshot of the file's page list. The snapshot is
 // the unit of work distribution for parallel scans: each page id can
-// be handed to a different worker and read via PageTuples.
+// be handed to a different worker and read via PageTuples. It aliases
+// the file's own list, capped at its current length, and is read-only:
+// the list is only ever appended to (which never writes below the
+// cap) or replaced whole by recovery, so no copy is needed.
 func (h *HeapFile) PageIDs() []PageID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]PageID(nil), h.pages...)
+	n := len(h.pages)
+	return h.pages[:n:n]
 }
 
 // PageTuples decodes every live tuple on one page under the page read

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -591,6 +592,85 @@ func TestBTreeStringKeys(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v", got)
 		}
+	}
+}
+
+// TestBTreeNaNKeys: NaN is one key of its own, after every number and
+// before every string, whatever order the keys arrive in — Compare
+// calls NaN equal to every number, so a tree ordered by it filed NaN,
+// 5 and 7 under one key and answered Search(5) with all three. 2 and
+// 2.0 stay one key, as do NaN payloads.
+func TestBTreeNaNKeys(t *testing.T) {
+	nan, five, seven := FloatValue(math.NaN()), IntValue(5), FloatValue(7)
+	orders := [][]Value{{nan, five, seven}, {five, seven, nan}, {seven, nan, five}}
+	for _, keys := range orders {
+		bt := NewBTree("f")
+		for i, k := range keys {
+			bt.Insert(k, RID{Page: PageID(i)})
+		}
+		bt.Insert(FloatValue(-math.NaN()), RID{Page: 10})
+		bt.Insert(FloatValue(5), RID{Page: 11})
+		bt.Insert(StringValue("5"), RID{Page: 12})
+		ridOf := map[string][]RID{}
+		for i, k := range keys {
+			ridOf[k.String()] = append(ridOf[k.String()], RID{Page: PageID(i)})
+		}
+		want := map[string][]RID{
+			"5":   append(ridOf["5"], RID{Page: 11}),
+			"7":   ridOf["7"],
+			"NaN": append(ridOf["NaN"], RID{Page: 10}),
+		}
+		for _, k := range []Value{five, seven, nan} {
+			if got := bt.Search(k); fmt.Sprint(got) != fmt.Sprint(want[k.String()]) {
+				t.Fatalf("order %v: Search(%v) = %v, want %v", keys, k, got, want[k.String()])
+			}
+		}
+		var inRange []RID
+		bt.Range(IntValue(6), IntValue(8), func(_ Value, rid RID) bool {
+			inRange = append(inRange, rid)
+			return true
+		})
+		if fmt.Sprint(inRange) != fmt.Sprint(want["7"]) {
+			t.Fatalf("order %v: Range(6, 8) = %v, want %v", keys, inRange, want["7"])
+		}
+		if got := fmt.Sprint(bt.Keys()); got != "[5 7 NaN 5]" {
+			t.Fatalf("order %v: keys %s, want [5 7 NaN 5]", keys, got)
+		}
+		if !bt.HasNaN() {
+			t.Fatalf("order %v: HasNaN false with two NaN postings", keys)
+		}
+		for _, rid := range want["NaN"] {
+			if !bt.Delete(nan, rid) {
+				t.Fatalf("order %v: Delete(NaN, %v) found nothing", keys, rid)
+			}
+		}
+		if bt.HasNaN() || bt.Search(nan) != nil || len(bt.Search(five)) != 2 {
+			t.Fatalf("order %v: after deleting the NaNs: HasNaN %v, NaN %v, 5 %v",
+				keys, bt.HasNaN(), bt.Search(nan), bt.Search(five))
+		}
+		if err := bt.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A split tree with NaN arriving between numbers: every number finds
+	// exactly its own posting.
+	bt := NewBTree("f")
+	for i := 0; i < 1000; i++ {
+		bt.Insert(FloatValue(float64(i)), RID{Page: PageID(i)})
+		if i%97 == 0 {
+			bt.Insert(nan, RID{Page: PageID(5000 + i)})
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		if got := bt.Search(IntValue(int64(i))); len(got) != 1 || got[0].Page != PageID(i) {
+			t.Fatalf("Search(%d) = %v", i, got)
+		}
+	}
+	if got := len(bt.Search(nan)); got != 11 {
+		t.Fatalf("Search(NaN) = %d postings, want 11", got)
+	}
+	if err := bt.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -37,7 +37,7 @@ func (h *HeapFile) View(vis Visibility) *HeapView {
 // Name returns the underlying file name.
 func (v *HeapView) Name() string { return v.h.Name() }
 
-// PageIDs returns a snapshot of the file's page list.
+// PageIDs returns a read-only snapshot of the file's page list.
 func (v *HeapView) PageIDs() []PageID { return v.h.PageIDs() }
 
 // PageTuples decodes one page's visible tuples.

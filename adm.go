@@ -254,7 +254,10 @@ type (
 	Value = storage.Value
 )
 
-// NewEngine builds a SQL engine with the given buffer-pool frames.
+// NewEngine builds a SQL engine over a fresh in-memory DB (WAL and
+// page file on MemDisks, SyncManual) with the given buffer-pool frames:
+// the storage NewDurableEngine runs over, minus the caller's disks.
+// Every statement runs in a transaction — Exec autocommits.
 func NewEngine(bufferFrames int) *Engine {
 	return query.NewEngine(query.NewCatalog(bufferFrames), trace.New(), nil)
 }
@@ -296,7 +299,7 @@ type (
 	// aborts).
 	TxnStats = storage.TxnStats
 	// DBSession is a client's transactional connection: BEGIN / COMMIT
-	// / ROLLBACK as SQL, implicit per-statement transactions otherwise.
+	// / ROLLBACK as SQL, the engine's autocommit otherwise.
 	DBSession = session.DBSession
 	// SyncPolicy controls where the WAL places fsync barriers.
 	SyncPolicy = storage.SyncPolicy

@@ -471,15 +471,45 @@ func BenchmarkStorage_BTreeInsert(b *testing.B) {
 }
 
 func BenchmarkStorage_HeapInsertScan(b *testing.B) {
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 256, storage.NewLRU())
-	hf := storage.NewHeapFile("bench", store, bm)
+	db, hf := benchFile(b, 256)
 	row := storage.Tuple{storage.IntValue(1), storage.StringValue("payload")}
+	tx := db.Txns().Begin()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hf.Insert(row); err != nil {
+		if _, err := tx.Insert(hf, row); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchFile creates a heap file in a DB of its own over fresh MemDisks
+// with a pool of `frames` buffer frames.
+func benchFile(b *testing.B, frames int) (*storage.DB, *storage.HeapFile) {
+	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
+		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: frames})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hf, err := db.CreateFile("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db, hf
+}
+
+// benchLoad inserts row(0..n-1) into table in one committed transaction.
+func benchLoad(b *testing.B, cat *query.Catalog, table string, n int, row func(i int) storage.Tuple) {
+	txn := cat.DB().Txns().Begin()
+	for i := 0; i < n; i++ {
+		if _, err := cat.InsertTxn(table, row(i), txn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -635,19 +665,13 @@ func BenchmarkJoinAggregate(b *testing.B) {
 	e.MustExec("CREATE TABLE grp (g INT, region STRING)")
 	cat := e.Catalog()
 	const items, groups, regions = 12_000, 1_000, 10
-	for i := 0; i < items; i++ {
-		if _, err := cat.Insert("item", storage.Tuple{storage.IntValue(int64(i)),
-			storage.IntValue(int64(i % groups)), storage.FloatValue(float64(i%997) / 4),
-			storage.StringValue(fmt.Sprintf("item-%032d", i))}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for g := 0; g < groups; g++ {
-		if _, err := cat.Insert("grp", storage.Tuple{storage.IntValue(int64(g)),
-			storage.StringValue(fmt.Sprintf("region-%d", g%regions))}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLoad(b, cat, "item", items, func(i int) storage.Tuple {
+		return storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i % groups)),
+			storage.FloatValue(float64(i%997) / 4), storage.StringValue(fmt.Sprintf("item-%032d", i))}
+	})
+	benchLoad(b, cat, "grp", groups, func(g int) storage.Tuple {
+		return storage.Tuple{storage.IntValue(int64(g)), storage.StringValue(fmt.Sprintf("region-%d", g%regions))}
+	})
 	e.MustExec("ANALYZE item")
 	e.MustExec("ANALYZE grp")
 	const sql = "SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g ON i.grp = g.g GROUP BY g.region"
@@ -667,57 +691,46 @@ func BenchmarkJoinAggregate(b *testing.B) {
 
 // BenchmarkBatchHeapScan is the allocation gate of the vectorized scan
 // path: one op = one full batched scan of a 50k-row heap file through
-// a reused Batch. Steady state must stay O(1) allocs per scan (the
-// page-list snapshot plus pool noise) — ci.sh fails if allocs/op
-// regresses above its budget, which would mean per-tuple or per-page
-// allocation crept back into the hot path.
+// a reused Batch, version-blind (the HeapFile reader). Steady state
+// must stay O(1) allocs per scan (the page-list snapshot plus pool
+// noise) — ci.sh fails if allocs/op regresses above its budget, which
+// would mean per-tuple or per-page allocation crept back into the hot
+// path.
 func BenchmarkBatchHeapScan(b *testing.B) {
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 4096, storage.NewLRU())
-	hf := storage.NewHeapFile("scan", store, bm)
 	const rows = 50_000
-	for i := 0; i < rows; i++ {
-		if _, err := hf.Insert(scanBenchRow(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	_, hf := scanBenchFile(b, rows)
 	scan := operators.NewBatchHeapScan(hf)
 	benchBatchHeapScan(b, rows, func() (*operators.BatchHeapScan, func()) { return scan, func() {} })
 }
 
 // BenchmarkSnapshotHeapScan is the same scan, under the same budget,
-// over versioned records read through a snapshot opened per op: Begin,
-// the view and its closure are O(1) per scan, and judging a row
-// version (TxnManager.visible) must allocate nothing. (10k rows: the
-// logged load is quadratic in the MemDisk WAL, and runs once per b.N.)
+// read through a snapshot opened per op: Begin, the view and its
+// closure are O(1) per scan, and judging a row version
+// (TxnManager.visible) must allocate nothing. (10k rows: the load runs
+// once per b.N.)
 func BenchmarkSnapshotHeapScan(b *testing.B) {
-	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
-		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hf, err := db.CreateFile("scan")
-	if err != nil {
-		b.Fatal(err)
-	}
 	const rows = 10_000
-	load := db.Txns().Begin()
-	for i := 0; i < rows; i++ {
-		if _, err := load.Insert(hf, scanBenchRow(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := load.Commit(); err != nil {
-		b.Fatal(err)
-	}
+	db, hf := scanBenchFile(b, rows)
 	benchBatchHeapScan(b, rows, func() (*operators.BatchHeapScan, func()) {
 		tx := db.Txns().Begin()
 		return operators.NewBatchHeapScan(tx.View(hf)), func() { _ = tx.Rollback() } // read-only: nothing to undo, nothing to fail
 	})
 }
 
-func scanBenchRow(i int) storage.Tuple {
-	return storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i * 3))}
+// scanBenchFile loads `rows` two-int rows into a fresh DB's file in one
+// committed transaction.
+func scanBenchFile(b *testing.B, rows int) (*storage.DB, *storage.HeapFile) {
+	db, hf := benchFile(b, 4096)
+	load := db.Txns().Begin()
+	for i := 0; i < rows; i++ {
+		if _, err := load.Insert(hf, storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i * 3))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := load.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return db, hf
 }
 
 // benchBatchHeapScan times full batched scans of rows rows; open hands

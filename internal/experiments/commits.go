@@ -129,7 +129,7 @@ func commitBenchRun(sessions, txnsPerSession int) (rate, abortRate float64, err 
 					urid = pool[idx]
 					poolMu.Unlock()
 					var err error
-					_, nrid, err = tx.Update(h, urid, storage.Tuple{
+					nrid, err = tx.Update(h, urid, storage.Tuple{
 						storage.IntValue(int64(idx)),
 						storage.StringValue("pool-updated"),
 					})

@@ -20,19 +20,19 @@ func observed() Measurements {
 		{"CommitTxn/16", []float64{5400, 5628, 5100}},
 		{"ScanFilterBoxed/4", []float64{7.0e7, 7.4e7, 6.6e7}},
 		{"ScanFilter/4", []float64{2.9e8, 3.1e8, 2.5e8}},
-		{"PlainScan/4", []float64{1.9e8, 2.0e8, 1.8e8}},
-		{"SnapshotScan/4", []float64{1.3e8, 1.5e8, 1.4e8}},
+		{"BlindScan/4", []float64{1.56e8, 1.49e8, 1.55e8}},
+		{"SnapshotScan/4", []float64{7.1e7, 7.7e7, 6.9e7}},
 		{"KeyedUpdate/1", []float64{9.1e4, 9.6e4, 8.8e4}},
 		{"KeyedUpdateBig/1", []float64{8.0e4, 8.9e4, 7.7e4}},
 		{"MultiJoinDecl/1", []float64{3.6e5, 3.7e5, 3.5e5}},
 		{"MultiJoinGreedy/1", []float64{3.0e6, 3.4e6, 2.9e6}},
 		{"MultiJoinAdapt/1", []float64{2.8e6, 3.0e6, 2.6e6}},
-		{"RecoveryWAL.scanned", []float64{20164, 20164, 20164}},
-		{"RecoveryWAL.appends", []float64{20164, 20164, 20164}},
-		{"RecoveryWAL.replayed", []float64{20164, 20164, 20164}},
-		{"RecoveryWAL.tail", []float64{20164, 20164, 20164}},
-		{"RecoveryCkpt.scanned", []float64{20165, 20165, 20165}},
-		{"RecoveryCkpt.appends", []float64{20165, 20165, 20165}},
+		{"RecoveryWAL.scanned", []float64{20254, 20254, 20254}},
+		{"RecoveryWAL.appends", []float64{20254, 20254, 20254}},
+		{"RecoveryWAL.replayed", []float64{20254, 20254, 20254}},
+		{"RecoveryWAL.tail", []float64{20254, 20254, 20254}},
+		{"RecoveryCkpt.scanned", []float64{20255, 20255, 20255}},
+		{"RecoveryCkpt.appends", []float64{20255, 20255, 20255}},
 		{"RecoveryCkpt.replayed", []float64{0, 0, 0}},
 		{"RecoveryCkpt.tail", []float64{0, 0, 0}},
 	}

@@ -10,11 +10,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/adm-project/adm/internal/session"
+	"github.com/adm-project/adm/internal/query"
 )
 
-// RunKeyedUpdateBench times autocommit keyed UPDATEs through one
-// session over versioned records, on a table of `rows` rows
+// RunKeyedUpdateBench times autocommit keyed UPDATEs on a table of `rows` rows
 // (KeyedUpdateBig) and one of rows/8 (KeyedUpdate, the witness),
 // interleaved inside every repeat. Throughput is statements per second.
 func RunKeyedUpdateBench(m *Measurements, rows, repeats int) error {
@@ -22,25 +21,25 @@ func RunKeyedUpdateBench(m *Measurements, rows, repeats int) error {
 	type fixture struct {
 		bench string
 		rows  int
-		sess  *session.DBSession
+		eng   *query.Engine
 	}
 	fixtures := []fixture{{bench: "KeyedUpdateBig", rows: rows}, {bench: "KeyedUpdate", rows: rows / 8}}
 	for i := range fixtures {
-		e, db, err := scanFilterDB(fixtures[i].rows, true)
+		e, err := scanFilterEngine(fixtures[i].rows)
 		if err != nil {
 			return err
 		}
 		if _, err := e.Exec("CREATE INDEX ON s (k)"); err != nil {
 			return err
 		}
-		fixtures[i].sess = session.NewDBSession(e, db)
+		fixtures[i].eng = e
 	}
 	for rep := -1; rep < repeats; rep++ { // repeat -1 warms up, as above
 		for _, f := range fixtures {
 			start := time.Now()
 			for i := 0; i < updates; i++ {
 				k := (i*7919 + (rep+1)*31) % f.rows
-				res, err := f.sess.Exec(fmt.Sprintf("UPDATE s SET v = %d WHERE k = %d", i, k))
+				res, err := f.eng.Exec(fmt.Sprintf("UPDATE s SET v = %d WHERE k = %d", i, k))
 				if err == nil && res.Affected != 1 {
 					err = fmt.Errorf("UPDATE of key %d affected %d rows", k, res.Affected)
 				}

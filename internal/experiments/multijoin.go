@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/adm-project/adm/internal/query"
+	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
 
@@ -55,23 +56,17 @@ func starEngine(rows int) (*query.Engine, error) {
 		}
 	}
 	cat := e.Catalog()
-	for i := 0; i < nations; i++ {
-		if _, err := cat.Insert("nation", intRow(int64(i), int64(i%3))); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < customers; i++ {
-		if _, err := cat.Insert("customer", intRow(int64(i), int64(i%nations))); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < orders; i++ {
-		if _, err := cat.Insert("orders", intRow(int64(i), int64(i%customers))); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < rows; i++ {
-		if _, err := cat.Insert("lineitem", intRow(int64(i), int64(i%orders), int64((i*7)%13))); err != nil {
+	for _, l := range []struct {
+		table string
+		n     int
+		row   func(i int) storage.Tuple
+	}{
+		{"nation", nations, func(i int) storage.Tuple { return intRow(int64(i), int64(i%3)) }},
+		{"customer", customers, func(i int) storage.Tuple { return intRow(int64(i), int64(i%nations)) }},
+		{"orders", orders, func(i int) storage.Tuple { return intRow(int64(i), int64(i%customers)) }},
+		{"lineitem", rows, func(i int) storage.Tuple { return intRow(int64(i), int64(i%orders), int64((i*7)%13)) }},
+	} {
+		if err := load(cat, l.table, l.n, l.row); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -17,6 +18,18 @@ func intRow(vs ...int64) storage.Tuple {
 	return t
 }
 
+// load inserts n rows, row(0..n-1), into table in one committed
+// transaction: the fixtures' bulk loader.
+func load(cat *query.Catalog, table string, n int, row func(i int) storage.Tuple) error {
+	txn := cat.DB().Txns().Begin()
+	for i := 0; i < n; i++ {
+		if _, err := cat.InsertTxn(table, row(i), txn); err != nil {
+			return errors.Join(err, txn.Rollback())
+		}
+	}
+	return txn.Commit()
+}
+
 // ParallelJoinEngine seeds l(k,v) ⋈ r(k,v) with `rows` tuples per
 // side, unique keys, and fresh statistics: the fixture of `admbench
 // -bench` and of BenchmarkParallelJoin alike.
@@ -31,13 +44,11 @@ func ParallelJoinEngine(rows int) (*query.Engine, error) {
 		}
 	}
 	cat := e.Catalog()
-	for i := 0; i < rows; i++ {
-		if _, err := cat.Insert("l", intRow(int64(i), int64(i*3))); err != nil {
-			return nil, err
-		}
-		if _, err := cat.Insert("r", intRow(int64(i), int64(i*7))); err != nil {
-			return nil, err
-		}
+	if err := load(cat, "l", rows, func(i int) storage.Tuple { return intRow(int64(i), int64(i*3)) }); err != nil {
+		return nil, err
+	}
+	if err := load(cat, "r", rows, func(i int) storage.Tuple { return intRow(int64(i), int64(i*7)) }); err != nil {
+		return nil, err
 	}
 	if err := cat.Analyze("l"); err != nil {
 		return nil, err

@@ -28,15 +28,19 @@ func recoveryFixture(rows int, checkpoint bool) (walBytes, dataBytes []byte, app
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	txn := db.Txns().Begin()
 	for i := 0; i < rows; i++ {
 		t := storage.Tuple{
 			storage.IntValue(int64(i)),
 			storage.StringValue(fmt.Sprintf("payload-%08d", i)),
 			storage.IntValue(int64(i % 97)),
 		}
-		if _, err := h.Insert(t); err != nil {
+		if _, err := txn.Insert(h, t); err != nil {
 			return nil, nil, 0, 0, err
 		}
+	}
+	if err := txn.Commit(); err != nil {
+		return nil, nil, 0, 0, err
 	}
 	if err := db.LogIndex(storage.IndexDef{Name: "bench_k", File: "bench", Col: 0}); err != nil {
 		return nil, nil, 0, 0, err

@@ -5,12 +5,11 @@
 // checkpointed multi-page table. Both variants run back-to-back in
 // each repeat so correlated host load cancels out of the ratio.
 //
-// SnapshotScan benchmark: what the CC layer's boundary costs. Every
-// other fixture here loads through Catalog.Insert — plain records,
-// which a snapshot scan passes without one visibility check — while a
-// server only ever writes versioned records, so no in-process bench
-// could see a slow Visibility call. This one loads the same rows
-// through a session and reads them against the plain load.
+// SnapshotScan benchmark: what the CC layer's boundary costs. A
+// snapshot scan judges every row version it decodes; its witness reads
+// the same table's pages version-blind — the HeapFile reader recovery
+// and CREATE INDEX use — with the same workers and the same filter
+// kernel, so the ratio prices the visibility verdicts.
 package experiments
 
 import (
@@ -18,89 +17,50 @@ import (
 	"sync"
 	"time"
 
+	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/query"
-	"github.com/adm-project/adm/internal/session"
 	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
 
 // scanFilterEngine seeds s(k INT, v INT) with k = 0..rows-1 in insert
-// order (clustered, so zone maps carry disjoint k ranges per page),
-// analyzes, and checkpoints — the durable build point that installs
-// the zone maps the kernel path prunes with.
+// order (clustered, so zone maps carry disjoint k ranges per page) in
+// one committed transaction, analyzes, and checkpoints — the durable
+// build point that installs the zone maps the kernel path prunes with.
 func scanFilterEngine(rows int) (*query.Engine, error) {
-	e, _, err := scanFilterDB(rows, false)
-	return e, err
-}
-
-// scanFilterDB is scanFilterEngine with its DB, loading either plain
-// records (Catalog.Insert) or, versioned, through one session's
-// transaction — the records a server writes.
-func scanFilterDB(rows int, versioned bool) (*query.Engine, *storage.DB, error) {
-	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
-		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: 4096})
-	if err != nil {
-		return nil, nil, err
-	}
-	cat, err := query.NewDurableCatalog(db)
-	if err != nil {
-		return nil, nil, err
-	}
+	cat := query.NewCatalog(4096)
 	e := query.NewEngine(cat, trace.New(), nil)
 	if _, err := e.Exec("CREATE TABLE s (k INT, v INT)"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if versioned {
-		w := session.NewDBSession(e, db)
-		if err := w.Begin(); err != nil {
-			return nil, nil, err
-		}
-		for i := 0; i < rows; i++ {
-			if _, err := w.Exec(fmt.Sprintf("INSERT INTO s VALUES (%d, %d)", i, i*13%1000)); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := w.Commit(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for i := 0; i < rows; i++ {
-			if _, err := cat.Insert("s", intRow(int64(i), int64(i*13%1000))); err != nil {
-				return nil, nil, err
-			}
-		}
+	if err := load(cat, "s", rows, func(i int) storage.Tuple { return intRow(int64(i), int64(i*13%1000)) }); err != nil {
+		return nil, err
 	}
 	if err := cat.Analyze("s"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := db.Checkpoint(); err != nil {
-		return nil, nil, err
+	if err := cat.Checkpoint(); err != nil {
+		return nil, err
 	}
-	return e, db, nil
+	return e, nil
 }
 
 // RunSnapshotScanBench measures a 1%-selective filter on the
 // unclustered column — no page is pruned, every row version is judged
-// — run under its own snapshot by two concurrent callers, each at
-// `workers`: over versioned records (SnapshotScan) and over the same
-// rows as plain records (PlainScan, the witness of the snapshot-scan
-// gate). Throughput is table rows per second over both callers.
+// — run by two concurrent callers, each at `workers`: as SQL, under
+// its own snapshot (SnapshotScan), and as the same
+// kernel over the same pages read version-blind (BlindScan, the
+// witness of the snapshot-scan gate). Throughput is table rows per
+// second over both callers.
 func RunSnapshotScanBench(m *Measurements, rows, workers, repeats int) error {
 	const callers, scans = 2, 50
-	sql := "SELECT k FROM s WHERE v < 10"
-	type fixture struct {
-		bench string
-		sess  [callers]*session.DBSession
+	e, err := scanFilterEngine(rows)
+	if err != nil {
+		return err
 	}
-	fixtures := []fixture{{bench: "SnapshotScan"}, {bench: "PlainScan"}}
-	for i := range fixtures {
-		e, db, err := scanFilterDB(rows, i == 0)
-		if err != nil {
-			return err
-		}
-		for c := range fixtures[i].sess {
-			fixtures[i].sess[c] = session.NewDBSession(e, db)
-		}
+	t, err := e.Catalog().Table("s")
+	if err != nil {
+		return err
 	}
 	want := 0
 	for i := 0; i < rows; i++ {
@@ -108,19 +68,36 @@ func RunSnapshotScanBench(m *Measurements, rows, workers, repeats int) error {
 			want++
 		}
 	}
+	snapshot := func() (int, error) {
+		res, _, err := e.ExecuteSQL("SELECT k FROM s WHERE v < 10", query.ExecOptions{Workers: workers})
+		if err != nil {
+			return 0, err
+		}
+		return len(res.Rows), nil
+	}
+	blind := func() (int, error) {
+		k := operators.NewFilterKernel([]operators.ColPred{{Col: 1, Op: operators.KernLT, Lit: storage.IntValue(10)}}, nil, nil)
+		rows, err := operators.DrainParallelBatches(operators.NewHeapBatchesKernel(t.Heap, k),
+			operators.ParallelConfig{Workers: workers})
+		return len(rows), err
+	}
+	variants := []struct {
+		bench string
+		scan  func() (int, error)
+	}{{"SnapshotScan", snapshot}, {"BlindScan", blind}}
 	for rep := -1; rep < repeats; rep++ { // repeat -1 warms up, as above
-		for _, f := range fixtures {
+		for _, v := range variants {
 			var wg sync.WaitGroup
 			errs := make([]error, callers)
 			start := time.Now()
-			for c, sess := range f.sess {
+			for c := range errs {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					for i := 0; i < scans && errs[c] == nil; i++ {
-						res, err := sess.ExecOpts(sql, query.ExecOptions{Workers: workers})
-						if err == nil && len(res.Rows) != want {
-							err = fmt.Errorf("%s produced %d rows, want %d", f.bench, len(res.Rows), want)
+						n, err := v.scan()
+						if err == nil && n != want {
+							err = fmt.Errorf("%s produced %d rows, want %d", v.bench, n, want)
 						}
 						errs[c] = err
 					}
@@ -134,7 +111,7 @@ func RunSnapshotScanBench(m *Measurements, rows, workers, repeats int) error {
 				}
 			}
 			if rep >= 0 {
-				m.Add(series(f.bench, workers), float64(callers*scans*rows)/elapsed.Seconds())
+				m.Add(series(v.bench, workers), float64(callers*scans*rows)/elapsed.Seconds())
 			}
 		}
 	}

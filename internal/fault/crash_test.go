@@ -3,7 +3,8 @@
 // failed sync barriers, and injected I/O errors, then reopens from the
 // frozen bytes and checks the durability contract:
 //
-//   - every acknowledged operation survives recovery byte-identically;
+//   - every acknowledged operation (a row write is a committed
+//     transaction) survives recovery byte-identically;
 //   - at most the single in-flight operation may differ, and only
 //     between its before/after/absent versions;
 //   - recovery itself never fails on a crash-consistent image.
@@ -81,35 +82,49 @@ func newModel() *model {
 	return &model{rows: map[int64][]byte{}, rids: map[int64]storage.RID{}}
 }
 
+// commit runs fn in a transaction of its own and commits it.
+func commit(db *storage.DB, fn func(tx *storage.Txn) error) error {
+	tx := db.Txns().Begin()
+	if err := fn(tx); err != nil {
+		return errors.Join(err, tx.Rollback())
+	}
+	return tx.Commit()
+}
+
 // run executes ops until the first error (the crash), returning the
 // acked model and the index of the op that was in flight (len(ops) if
-// the workload completed).
+// the workload completed). Every row write is a transaction of its
+// own; it is acked when its commit returns.
 func run(db *storage.DB, ops []op) (*model, int) {
 	m := newModel()
 	for i, o := range ops {
 		var err error
+		h, _ := db.File("t")
 		switch o.kind {
 		case "create":
 			_, err = db.CreateFile("t")
 		case "insert":
-			h, _ := db.File("t")
 			var rid storage.RID
-			rid, err = h.Insert(o.tup)
+			err = commit(db, func(tx *storage.Txn) (err error) {
+				rid, err = tx.Insert(h, o.tup)
+				return err
+			})
 			if err == nil {
 				m.rows[o.key] = storage.EncodeTuple(o.tup)
 				m.rids[o.key] = rid
 			}
 		case "delete":
-			h, _ := db.File("t")
-			err = h.Delete(m.rids[o.key])
+			err = commit(db, func(tx *storage.Txn) error { return tx.Delete(h, m.rids[o.key]) })
 			if err == nil {
 				delete(m.rows, o.key)
 				delete(m.rids, o.key)
 			}
 		case "update":
-			h, _ := db.File("t")
 			var rid storage.RID
-			rid, err = h.Update(m.rids[o.key], o.tup)
+			err = commit(db, func(tx *storage.Txn) (err error) {
+				rid, err = tx.Update(h, m.rids[o.key], o.tup)
+				return err
+			})
 			if err == nil {
 				m.rows[o.key] = storage.EncodeTuple(o.tup)
 				m.rids[o.key] = rid
@@ -126,6 +141,7 @@ func run(db *storage.DB, ops []op) (*model, int) {
 	return m, len(ops)
 }
 
+// scanRows reads the rows a fresh snapshot of the recovered table sees.
 func scanRows(t *testing.T, db *storage.DB) map[int64][]byte {
 	t.Helper()
 	h, ok := db.File("t")
@@ -133,7 +149,9 @@ func scanRows(t *testing.T, db *storage.DB) map[int64][]byte {
 		return map[int64][]byte{}
 	}
 	out := map[int64][]byte{}
-	err := h.Scan(func(rid storage.RID, tu storage.Tuple) bool {
+	snap := db.Txns().Begin()
+	defer snap.Rollback()
+	err := snap.View(h).Scan(func(rid storage.RID, tu storage.Tuple) bool {
 		k := tu[0].Int
 		if _, dup := out[k]; dup {
 			t.Fatalf("key %d recovered twice", k)
@@ -370,7 +388,10 @@ func TestInjectedWALWriteErrorPoisonsDB(t *testing.T) {
 		t.Fatalf("Err() = %v, want ErrDBFailed", err)
 	}
 	h, _ := db.File("t")
-	if _, err := h.Insert(mkTuple(99, 0)); !errors.Is(err, storage.ErrDBFailed) {
+	if err := commit(db, func(tx *storage.Txn) error {
+		_, err := tx.Insert(h, mkTuple(99, 0))
+		return err
+	}); !errors.Is(err, storage.ErrDBFailed) {
 		t.Fatalf("post-poison insert = %v, want ErrDBFailed", err)
 	}
 	db2, err := storage.Open(storage.NewMemDiskFrom(walMem.Bytes()), storage.NewMemDiskFrom(dataMem.Bytes()), storage.DBOptions{})

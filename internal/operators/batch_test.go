@@ -9,26 +9,57 @@ import (
 	"github.com/adm-project/adm/internal/storage"
 )
 
-// batchHeap builds a heap file with n sequential rows (id, "v<id>").
-func batchHeap(t *testing.T, n int) *storage.HeapFile {
+// newHeap creates the heap file name in a DB of its own, over fresh
+// MemDisks with a pool of `frames` buffer frames.
+func newHeap(t testing.TB, name string, frames int) (*storage.DB, *storage.HeapFile) {
 	t.Helper()
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 64, storage.NewLRU())
-	hf := storage.NewHeapFile("t", store, bm)
-	for i := int64(0); i < int64(n); i++ {
-		if _, err := hf.Insert(storage.Tuple{
-			storage.IntValue(i), storage.StringValue(fmt.Sprintf("v%d", i))}); err != nil {
+	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
+		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf, err := db.CreateFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, hf
+}
+
+// load inserts rows into hf in one committed transaction and returns
+// their RIDs.
+func load(t testing.TB, db *storage.DB, hf *storage.HeapFile, rows ...storage.Tuple) []storage.RID {
+	t.Helper()
+	tx := db.Txns().Begin()
+	rids := make([]storage.RID, len(rows))
+	for i, tu := range rows {
+		var err error
+		if rids[i], err = tx.Insert(hf, tu); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return hf
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return rids
+}
+
+// batchHeap builds a heap file with n sequential rows (id, "v<id>").
+func batchHeap(t *testing.T, n int) (*storage.DB, *storage.HeapFile) {
+	t.Helper()
+	db, hf := newHeap(t, "t", 64)
+	rows := make([]storage.Tuple, n)
+	for i := range rows {
+		rows[i] = storage.Tuple{storage.IntValue(int64(i)), storage.StringValue(fmt.Sprintf("v%d", i))}
+	}
+	load(t, db, hf, rows...)
+	return db, hf
 }
 
 // TestBatchHeapScanMatchesSerial: draining the batch-native page scan
 // must equal the Volcano heap scan exactly — including after deletes
 // punch holes in the slot directories.
 func TestBatchHeapScanMatchesSerial(t *testing.T) {
-	hf := batchHeap(t, 500)
+	_, hf := batchHeap(t, 500)
 	// Tombstone a spread of slots, including page boundaries.
 	i := 0
 	var kill []storage.RID
@@ -66,7 +97,7 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 // TestBatchAdapterRoundTrip: a batch scan behind IteratorFromBatch must
 // equal the Volcano scan, and the adapter must survive reopening.
 func TestBatchAdapterRoundTrip(t *testing.T) {
-	hf := batchHeap(t, 300)
+	_, hf := batchHeap(t, 300)
 	want, err := Drain(NewHeapScan(hf))
 	if err != nil {
 		t.Fatal(err)
@@ -94,17 +125,17 @@ func TestBatchAdapterRoundTrip(t *testing.T) {
 // TestBatchHeapScanReopen: Open re-snapshots the page list, so a
 // reopened scan sees rows inserted after the first drain.
 func TestBatchHeapScanReopen(t *testing.T) {
-	hf := batchHeap(t, 100)
+	db, hf := batchHeap(t, 100)
 	scan := NewBatchHeapScan(hf)
 	first, err := DrainBatches(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var more []storage.Tuple
 	for i := int64(100); i < 700; i++ { // forces new pages
-		if _, err := hf.Insert(storage.Tuple{storage.IntValue(i), storage.StringValue("x")}); err != nil {
-			t.Fatal(err)
-		}
+		more = append(more, storage.Tuple{storage.IntValue(i), storage.StringValue("x")})
 	}
+	load(t, db, hf, more...)
 	second, err := DrainBatches(scan)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +149,7 @@ func TestBatchHeapScanReopen(t *testing.T) {
 // must stay valid after their batch is recycled and refilled (the
 // arena-ownership contract consumers like hash-join builds rely on).
 func TestBatchRetentionAcrossRecycle(t *testing.T) {
-	hf := batchHeap(t, 600)
+	_, hf := batchHeap(t, 600)
 	scan := NewBatchHeapScan(hf)
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
@@ -152,7 +183,7 @@ func TestBatchRetentionAcrossRecycle(t *testing.T) {
 // TestBatchFilterProjectMatchSerial compares the in-place batch filter
 // and the arena projection against the Volcano operators.
 func TestBatchFilterProjectMatchSerial(t *testing.T) {
-	hf := batchHeap(t, 300)
+	_, hf := batchHeap(t, 300)
 	pred := func(tp storage.Tuple) bool { return tp[0].Int%3 == 0 }
 	want, err := Drain(NewProject(NewFilter(NewHeapScan(hf), pred), []int{1, 0}))
 	if err != nil {
@@ -222,7 +253,7 @@ func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
 // with one compacting both columns (conjunct and boxed residual), and
 // over slot directories with holes. Without the ask the column is empty.
 func TestBatchHeapScanWithRIDs(t *testing.T) {
-	hf := batchHeap(t, 500)
+	_, hf := batchHeap(t, 500)
 	var kill []storage.RID
 	hf.Scan(func(rid storage.RID, tu storage.Tuple) bool {
 		if tu[0].Int%5 == 0 {

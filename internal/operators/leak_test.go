@@ -210,15 +210,13 @@ func TestMidStreamErrorClosesInput(t *testing.T) {
 // asserts the pool's pin gauge returns to zero, i.e. no scan path
 // holds a frame across an error.
 func TestPinnedFramesBalancedAfterErrors(t *testing.T) {
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 64, storage.NewLRU())
-	hf := storage.NewHeapFile("leak", store, bm)
+	db, hf := newHeap(t, "leak", 64)
+	bm := db.Buffer()
+	var rows []storage.Tuple
 	for i := 0; i < 500; i++ {
-		tu := storage.Tuple{storage.IntValue(int64(i)), storage.StringValue("payload")}
-		if _, err := hf.Insert(tu); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
+		rows = append(rows, storage.Tuple{storage.IntValue(int64(i)), storage.StringValue("payload")})
 	}
+	load(t, db, hf, rows...)
 	if got := bm.PinnedFrames(); got != 0 {
 		t.Fatalf("baseline pins = %d, want 0", got)
 	}

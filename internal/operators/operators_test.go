@@ -70,16 +70,14 @@ func TestSortAscDesc(t *testing.T) {
 }
 
 func TestHeapAndIndexScan(t *testing.T) {
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 16, storage.NewLRU())
-	hf := storage.NewHeapFile("t", store, bm)
+	db, hf := newHeap(t, "t", 16)
 	idx := storage.NewBTree("t_a")
+	var seed []storage.Tuple
 	for i := int64(0); i < 100; i++ {
-		rid, err := hf.Insert(storage.Tuple{storage.IntValue(i), storage.StringValue("x")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx.Insert(storage.IntValue(i), rid)
+		seed = append(seed, storage.Tuple{storage.IntValue(i), storage.StringValue("x")})
+	}
+	for i, rid := range load(t, db, hf, seed...) {
+		idx.Insert(storage.IntValue(int64(i)), rid)
 	}
 	n, err := Count(NewHeapScan(hf))
 	if err != nil || n != 100 {
@@ -162,13 +160,14 @@ func TestHashJoinRespectsColumnsAndNulls(t *testing.T) {
 }
 
 func TestIndexNLJoin(t *testing.T) {
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 16, storage.NewLRU())
-	inner := storage.NewHeapFile("inner", store, bm)
+	db, inner := newHeap(t, "inner", 16)
 	idx := storage.NewBTree("inner_k")
+	var seed []storage.Tuple
 	for i := int64(0); i < 50; i++ {
-		rid, _ := inner.Insert(storage.Tuple{storage.IntValue(i % 10), storage.IntValue(i)})
-		idx.Insert(storage.IntValue(i%10), rid)
+		seed = append(seed, storage.Tuple{storage.IntValue(i % 10), storage.IntValue(i)})
+	}
+	for i, rid := range load(t, db, inner, seed...) {
+		idx.Insert(storage.IntValue(int64(i%10)), rid)
 	}
 	outer := rows(3, 7, 3)
 	j := NewIndexNLJoin(NewMemScan(outer), 0, idx, inner)

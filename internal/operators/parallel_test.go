@@ -61,17 +61,12 @@ func TestSliceBatchesCoverEverythingOnce(t *testing.T) {
 }
 
 func TestHeapBatchesMatchSerialScan(t *testing.T) {
-	store := storage.NewStore()
-	bm := storage.NewBufferManager(store, 8, storage.NewLRU())
-	hf := storage.NewHeapFile("t", store, bm)
+	db, hf := newHeap(t, "t", 8)
 	var want []storage.Tuple
 	for i := 0; i < 2500; i++ {
-		tp := intTuple(int64(i), int64(i%13))
-		if _, err := hf.Insert(tp); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, tp)
+		want = append(want, intTuple(int64(i), int64(i%13)))
 	}
+	load(t, db, hf, want...)
 	got, err := DrainParallelBatches(NewHeapBatches(hf), ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

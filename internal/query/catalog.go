@@ -84,15 +84,14 @@ func (t *Table) ColIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// Catalog owns tables over one storage instance. When db is non-nil
-// the catalog is durable: DDL is redo-logged (files, schemas, index
-// definitions) so NewDurableCatalog can rebuild it after a crash.
+// Catalog owns tables over one storage.DB. DDL is redo-logged (files,
+// schemas, index definitions) so NewDurableCatalog can rebuild the
+// catalog after a crash; rows are written through the DB's
+// transactions.
 type Catalog struct {
 	mu     sync.RWMutex
-	store  *storage.Store
-	bm     *storage.BufferManager
 	tables map[string]*Table
-	db     *storage.DB // nil for a volatile catalog
+	db     *storage.DB
 }
 
 // Catalog errors.
@@ -104,22 +103,27 @@ var (
 	ErrType        = errors.New("query: type mismatch")
 )
 
-// NewCatalog builds a catalog over fresh storage with the given
-// buffer-pool size in frames.
+// NewCatalog builds a catalog over a fresh in-memory DB (both disks
+// MemDisks, WAL barriers only on commit) with the given buffer-pool
+// size in frames.
 func NewCatalog(bufferFrames int) *Catalog {
-	store := storage.NewStore()
-	return &Catalog{
-		store:  store,
-		bm:     storage.NewBufferManager(store, bufferFrames, storage.NewLRU()),
-		tables: map[string]*Table{},
+	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
+		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: bufferFrames})
+	if err != nil {
+		panic(fmt.Sprintf("query: opening an empty in-memory DB: %v", err))
 	}
+	c, err := NewDurableCatalog(db)
+	if err != nil {
+		panic(fmt.Sprintf("query: catalog over an empty DB: %v", err))
+	}
+	return c
 }
 
 // Buffer exposes the buffer manager (grain ablation, policy swaps).
-func (c *Catalog) Buffer() *storage.BufferManager { return c.bm }
+func (c *Catalog) Buffer() *storage.BufferManager { return c.db.Buffer() }
 
-// CreateTable registers a new table. On a durable catalog the heap
-// file and schema are redo-logged before the table is visible.
+// CreateTable registers a new table: the heap file and schema are
+// redo-logged before the table is visible.
 func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,18 +131,12 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	if _, ok := c.tables[key]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrTableExists, name)
 	}
-	var heap *storage.HeapFile
-	if c.db != nil {
-		h, err := c.db.CreateFile(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.db.SetMeta(schemaMetaPrefix+key, encodeSchema(cols)); err != nil {
-			return nil, err
-		}
-		heap = h
-	} else {
-		heap = storage.NewHeapFile(name, c.store, c.bm)
+	heap, err := c.db.CreateFile(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.db.SetMeta(schemaMetaPrefix+key, encodeSchema(cols)); err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Name:    name,
@@ -195,6 +193,8 @@ func (c *Catalog) CreateIndex(table, col string) (*storage.BTree, error) {
 	if idx, ok := t.Indexes[key]; ok {
 		return idx, nil // idempotent
 	}
+	// Index entries cover every version (readers filter at fetch), so
+	// the backfill reads version-blind.
 	idx := storage.NewBTree(t.Name + "_" + key)
 	err = t.Heap.Scan(func(rid storage.RID, tu storage.Tuple) bool {
 		idx.Insert(tu[ci], rid)
@@ -203,14 +203,12 @@ func (c *Catalog) CreateIndex(table, col string) (*storage.BTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.db != nil {
-		// Log the definition, not the tree: recovery rebuilds by
-		// backfilling the recovered heap.
-		if err := c.db.LogIndex(storage.IndexDef{
-			Name: t.Name + "_" + key, File: t.Heap.Name(), Col: ci,
-		}); err != nil {
-			return nil, err
-		}
+	// Log the definition, not the tree: recovery rebuilds by
+	// backfilling the recovered heap.
+	if err := c.db.LogIndex(storage.IndexDef{
+		Name: t.Name + "_" + key, File: t.Heap.Name(), Col: ci,
+	}); err != nil {
+		return nil, err
 	}
 	next := make(map[string]*storage.BTree, len(t.Indexes)+1)
 	for k, v := range t.Indexes {
@@ -247,17 +245,12 @@ func checkType(v storage.Value, ct ColumnType) bool {
 	return false
 }
 
-// Insert adds a row, maintaining indexes. Statistics are NOT updated
-// (run Analyze) — deliberate, per the package comment.
-func (c *Catalog) Insert(table string, row storage.Tuple) (storage.RID, error) {
-	return c.InsertTxn(table, row, nil)
-}
-
-// InsertTxn is Insert inside txn: the row lands immediately but
+// InsertTxn adds a row inside txn: the row lands immediately but
 // carries the transaction's id as xmin, so only the writer sees it
 // until Commit. Index entries are inserted eagerly (index entries
 // cover every version; readers filter at fetch) and removed again on
-// rollback.
+// rollback. Statistics are NOT updated (run Analyze) — deliberate, per
+// the package comment.
 func (c *Catalog) InsertTxn(table string, row storage.Tuple, txn *storage.Txn) (storage.RID, error) {
 	t, err := c.Table(table)
 	if err != nil {
@@ -276,35 +269,24 @@ func (c *Catalog) InsertTxn(table string, row storage.Tuple, txn *storage.Txn) (
 			row[i] = storage.FloatValue(float64(v.Int))
 		}
 	}
-	// Read lock pairs heap insert + index maintenance against
-	// CreateIndex's backfill (which holds the write lock): a row lands
-	// either before the backfill scan or after the new index installs.
+	return t.insert(txn, row)
+}
+
+// insert adds row as a new version inside txn and indexes it. The read
+// lock pairs heap insert + index maintenance against CreateIndex's
+// backfill (which holds the write lock): a row lands either before the
+// backfill scan or after the new index installs. Should txn roll back,
+// the entries go again.
+func (t *Table) insert(txn *storage.Txn, row storage.Tuple) (storage.RID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var rid storage.RID
-	if txn != nil {
-		rid, err = txn.Insert(t.Heap, row)
-	} else {
-		rid, err = t.Heap.Insert(row)
-	}
-	if err != nil {
-		return storage.RID{}, err
+	rid, err := txn.Insert(t.Heap, row)
+	if err != nil || len(t.Indexes) == 0 {
+		return rid, err
 	}
 	for col, idx := range t.Indexes {
 		ci, _ := t.ColIndex(col)
 		idx.Insert(row[ci], rid)
-	}
-	if txn != nil {
-		t.unindexOnRollback(txn, row, rid)
-	}
-	return rid, nil
-}
-
-// unindexOnRollback registers the removal of the index entries of a new
-// row version (row, at rid) should txn roll back. The caller holds t.mu.
-func (t *Table) unindexOnRollback(txn *storage.Txn, row storage.Tuple, rid storage.RID) {
-	if len(t.Indexes) == 0 {
-		return
 	}
 	keys := row.Clone()
 	txn.OnRollback(func() error {
@@ -316,21 +298,7 @@ func (t *Table) unindexOnRollback(txn *storage.Txn, row storage.Tuple, rid stora
 		}
 		return nil
 	})
-}
-
-// repoint moves the index entries of the row version holding row from
-// rid to moved: claiming a plain record upgrades it to versioned form,
-// which can move it within its page, and older snapshots must still
-// reach the (to them still visible) version. The caller holds t.mu.
-func (t *Table) repoint(row storage.Tuple, rid, moved storage.RID) {
-	if moved == rid {
-		return
-	}
-	for col, idx := range t.Indexes {
-		ci, _ := t.ColIndex(col)
-		idx.Delete(row[ci], rid)
-		idx.Insert(row[ci], moved)
-	}
+	return rid, nil
 }
 
 // victim is one row a DML statement changes: where it is, and what it
@@ -342,49 +310,39 @@ type victim struct {
 	row storage.Tuple
 }
 
-// delete removes the pre-selected victims and returns how many went:
-// choosing them is a read (Engine.execDML plans it as a SELECT would),
-// only the claim belongs here. Inside txn a victim is claimed by
+// delete claims the pre-selected victims inside txn and returns how
+// many went: choosing them is a read (Engine.execDML plans it as a
+// SELECT would), only the claim belongs here. A victim is claimed by
 // stamping xmax — the claim IS the write lock, so a concurrent claimer
 // aborts with storage.ErrWriteConflict (first-committer-wins) — and its
 // index entries stay: older snapshots still reach the old version, and
-// readers filter invisible versions at fetch. With a nil txn the record
-// and its entries are removed outright.
-func (c *Catalog) delete(table string, victims []victim, txn *storage.Txn) (int, error) {
+// readers filter invisible versions at fetch (a claim changes no index,
+// so it needs no table lock). cancel is polled before every claim; on
+// an error the caller undoes the claims already made (Engine.execOther's
+// savepoint).
+func (c *Catalog) delete(table string, victims []victim, txn *storage.Txn, cancel func() error) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	for n, v := range victims {
-		if txn != nil {
-			moved, err := txn.Delete(t.Heap, v.rid)
-			if err != nil {
-				return n, err
-			}
-			t.repoint(v.row, v.rid, moved)
-			continue
-		}
-		if err := t.Heap.Delete(v.rid); err != nil {
+		if err := cancel(); err != nil {
 			return n, err
 		}
-		for col, idx := range t.Indexes {
-			ci, _ := t.ColIndex(col)
-			idx.Delete(v.row[ci], v.rid)
+		if err := txn.Delete(t.Heap, v.rid); err != nil {
+			return n, err
 		}
 	}
 	return len(victims), nil
 }
 
-// update applies set to the pre-selected victims and returns how many
-// it changed. Inside txn each victim's old version is claimed (xmax =
-// txn id) and a new version inserted with xmin = txn id; the new
-// version's index entries are inserted eagerly on every index and
-// removed on rollback, the old version's stay for older snapshots. With
-// a nil txn the record is rewritten and its entries follow it.
+// update applies set to the pre-selected victims inside txn and
+// returns how many it changed: each victim's old version is claimed
+// (xmax = txn id) and a new version inserted with xmin = txn id
+// (Table.insert); the old version's index entries stay for older
+// snapshots. cancel is polled as in delete.
 func (c *Catalog) update(table string, victims []victim, set map[string]storage.Value,
-	txn *storage.Txn) (int, error) {
+	txn *storage.Txn, cancel func() error) (int, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return 0, err
@@ -403,42 +361,26 @@ func (c *Catalog) update(table string, victims []victim, set map[string]storage.
 		}
 		setIdx[ci] = v
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	for n, v := range victims {
+		if err := cancel(); err != nil {
+			return n, err
+		}
 		nu := v.row.Clone()
 		for ci, val := range setIdx {
 			nu[ci] = val
 		}
-		if txn != nil {
-			moved, nrid, err := txn.Update(t.Heap, v.rid, nu)
-			if err != nil {
-				return n, err
-			}
-			t.repoint(v.row, v.rid, moved)
-			for col, idx := range t.Indexes {
-				ci, _ := t.ColIndex(col)
-				idx.Insert(nu[ci], nrid)
-			}
-			t.unindexOnRollback(txn, nu, nrid)
-			continue
-		}
-		nrid, err := t.Heap.Update(v.rid, nu)
-		if err != nil {
+		if err := txn.Delete(t.Heap, v.rid); err != nil {
 			return n, err
 		}
-		for col, idx := range t.Indexes {
-			ci, _ := t.ColIndex(col)
-			if nrid != v.rid || !storage.Equal(v.row[ci], nu[ci]) {
-				idx.Delete(v.row[ci], v.rid)
-				idx.Insert(nu[ci], nrid)
-			}
+		if _, err := t.insert(txn, nu); err != nil {
+			return n, err
 		}
 	}
 	return len(victims), nil
 }
 
-// Analyze refreshes a table's statistics from its actual contents.
+// Analyze refreshes a table's statistics from the rows a fresh
+// snapshot sees.
 func (c *Catalog) Analyze(table string) error {
 	t, err := c.Table(table)
 	if err != nil {
@@ -449,13 +391,17 @@ func (c *Catalog) Analyze(table string) error {
 		distinct[i] = map[string]struct{}{}
 	}
 	rows := 0
-	err = t.Heap.Scan(func(_ storage.RID, tu storage.Tuple) bool {
+	snap := c.db.Txns().Begin()
+	err = snap.View(t.Heap).Scan(func(_ storage.RID, tu storage.Tuple) bool {
 		rows++
 		for i, v := range tu {
 			distinct[i][v.String()] = struct{}{}
 		}
 		return true
 	})
+	if rbErr := snap.Rollback(); err == nil {
+		err = rbErr
+	}
 	if err != nil {
 		return err
 	}
@@ -466,8 +412,9 @@ func (c *Catalog) Analyze(table string) error {
 	t.mu.Lock()
 	t.Stats = fresh // installed wholesale, never mutated in place
 	t.mu.Unlock()
-	// Statistics refresh doubles as the in-memory engines' zone-map
-	// build point (durable engines also rebuild at every checkpoint).
+	// Statistics refresh doubles as a zone-map build point (every
+	// checkpoint is another). Zones summarise every version, so they
+	// stay a superset of what any snapshot reads.
 	return t.Heap.BuildZoneMaps()
 }
 
@@ -483,7 +430,9 @@ func (c *Catalog) SetStats(table string, stats TableStats) error {
 	return nil
 }
 
-// Scan returns an iterator over a table's rows.
+// Scan returns a raw iterator over a table's records, every version
+// (live or dead, committed or not): a measurement of the heap, not a
+// query — queries read through a transaction's snapshot.
 func (c *Catalog) Scan(table string) (operators.Iterator, error) {
 	t, err := c.Table(table)
 	if err != nil {

@@ -2,8 +2,8 @@
 // (Engine.execDML): these tests pin what must hold whichever access
 // path it picks — the Halloween guarantee, agreement with an
 // independent boxed predicate across {index, no index} × {kernel,
-// boxed} × {transaction, none}, the access path rendered on
-// Result.Plan, and cancellation during victim collection.
+// boxed} × {explicit transaction, autocommit}, the access path rendered
+// on Result.Plan, and cancellation while choosing and while claiming.
 package query
 
 import (
@@ -17,11 +17,9 @@ import (
 	"github.com/adm-project/adm/internal/storage"
 )
 
-// newDMLEngine builds a durable engine over `hard` (seedHard's rows).
-// With viaTxn the rows are loaded by a committed transaction, so they
-// are versioned records a later transaction claims in place; otherwise
-// they are plain records, as every nil-txn fixture stores them.
-func newDMLEngine(t *testing.T, rows int, withIndex, viaTxn bool) (*Engine, *storage.DB) {
+// newDMLEngine builds a durable engine over `hard` (seedHard's rows),
+// loaded by one committed transaction.
+func newDMLEngine(t *testing.T, rows int, withIndex bool) (*Engine, *storage.DB) {
 	t.Helper()
 	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
 		storage.DBOptions{Sync: storage.SyncManual})
@@ -38,20 +36,11 @@ func newDMLEngine(t *testing.T, rows int, withIndex, viaTxn bool) (*Engine, *sto
 		e.MustExec("CREATE INDEX ON hard (a)")
 		e.MustExec("CREATE INDEX ON hard (f)") // NaN keys beside numbers
 	}
-	var load *storage.Txn
-	if viaTxn {
-		load = db.Txns().Begin()
-	}
+	var load []storage.Tuple
 	for i := rows - 1; i >= 0; i-- { // last first: f's index meets numbers before a NaN
-		if _, err := cat.InsertTxn("hard", hardRow(i), load); err != nil {
-			t.Fatal(err)
-		}
+		load = append(load, hardRow(i))
 	}
-	if load != nil {
-		if err := load.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadRows(t, cat, "hard", load...)
 	if err := cat.Analyze("hard"); err != nil { // statistics + zone maps
 		t.Fatal(err)
 	}
@@ -157,8 +146,9 @@ var dmlCases = []struct {
 // TestDMLDifferential: every statement of dmlCases leaves the same
 // table contents and reports the same Affected whether or not the
 // planner has an index to drive it from, whether the filter is the
-// kernel or the boxed predicate, and inside a transaction or outside
-// one — and what it leaves is what refPred over Catalog.Scan says. A
+// kernel or the boxed predicate, and inside an explicit transaction or
+// in autocommit — and what it leaves is what refPred over the loaded
+// table says. A
 // SELECT with the statement's WHERE, run first, returns exactly the
 // rows refPred picks.
 func TestDMLDifferential(t *testing.T) {
@@ -168,7 +158,7 @@ func TestDMLDifferential(t *testing.T) {
 			for _, noKernel := range []bool{false, true} {
 				for _, inTxn := range []bool{true, false} {
 					name := fmt.Sprintf("%s/index=%v/boxed=%v/txn=%v", tc.name, withIndex, noKernel, inTxn)
-					e, db := newDMLEngine(t, rows, withIndex, inTxn)
+					e, db := newDMLEngine(t, rows, withIndex)
 					tbl, _ := e.cat.Table("hard")
 
 					// The expectation, from the table as loaded.
@@ -295,7 +285,7 @@ func TestDMLHalloween(t *testing.T) {
 	for _, withIndex := range []bool{true, false} {
 		for _, inTxn := range []bool{true, false} {
 			name := fmt.Sprintf("index=%v/txn=%v", withIndex, inTxn)
-			e, db := newDMLEngine(t, rows, withIndex, inTxn)
+			e, db := newDMLEngine(t, rows, withIndex)
 			var txn *storage.Txn
 			if inTxn {
 				txn = db.Txns().Begin()
@@ -353,7 +343,7 @@ func TestDMLPlanGolden(t *testing.T) {
 	e.MustExec("ANALYZE item")
 	for _, tc := range []struct{ sql, want string }{
 		{"DELETE FROM item WHERE grp = 3",
-			"Delete(item) <- SeqScan(item est=100) | filter(item): pruned=9/10 kernel[grp = 3]"},
+			"Delete(item) <- SeqScan(item est=100) | filter(item): pruned=17/19 kernel[grp = 3]"},
 		{"UPDATE item SET price = 2.0 WHERE id = 5",
 			"Update(item) <- IndexScan(item.id est=1)"},
 		{"UPDATE item SET price = 3.0 WHERE id >= 1990 AND grp = 19",
@@ -390,7 +380,7 @@ func TestDMLCancelDuringCollection(t *testing.T) {
 		{"sequential", "UPDATE hard SET s = 'c' WHERE f IS NOT NULL", "SELECT a FROM hard WHERE f IS NOT NULL"},
 		{"delete", "DELETE FROM hard", "SELECT a FROM hard"},
 	} {
-		e, db := newDMLEngine(t, rows, true, true)
+		e, db := newDMLEngine(t, rows, true)
 		txn := db.Txns().Begin()
 		polls := 0
 		_, _, err := e.ExecuteSQL(tc.sql, ExecOptions{Workers: 1, Txn: txn, Cancel: func() error {

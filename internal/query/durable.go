@@ -1,4 +1,4 @@
-// Durable catalog: a Catalog whose DDL rides the storage.DB redo log.
+// Durable catalog: every Catalog's DDL rides the storage.DB redo log.
 // Table heaps are logged files, schemas are WAL metadata records, and
 // index definitions are logged for rebuild-by-backfill, so reopening
 // the same disks reconstructs the full catalog — tables, rows, and
@@ -21,29 +21,18 @@ const schemaMetaPrefix = "table:"
 // restoring any tables and indexes the DB recovered. The caller owns
 // db (checkpointing, stats, closing its disks).
 func NewDurableCatalog(db *storage.DB) (*Catalog, error) {
-	c := &Catalog{
-		store:  db.Store(),
-		bm:     db.Buffer(),
-		tables: map[string]*Table{},
-		db:     db,
-	}
+	c := &Catalog{tables: map[string]*Table{}, db: db}
 	if err := c.restoreDurable(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// DB returns the durability layer, or nil for a volatile catalog.
+// DB returns the storage the catalog lives in.
 func (c *Catalog) DB() *storage.DB { return c.db }
 
-// Checkpoint flushes dirty pages and logs a checkpoint record; no-op
-// error on a volatile catalog.
-func (c *Catalog) Checkpoint() error {
-	if c.db == nil {
-		return fmt.Errorf("query: checkpoint on volatile catalog")
-	}
-	return c.db.Checkpoint()
-}
+// Checkpoint flushes dirty pages and logs a checkpoint record.
+func (c *Catalog) Checkpoint() error { return c.db.Checkpoint() }
 
 // restoreDurable rebuilds tables from recovered files + schema meta
 // and adopts the recovery-backfilled index trees.

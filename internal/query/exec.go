@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -45,8 +46,8 @@ type Result struct {
 	Plan string
 }
 
-// Exec parses and executes one statement with one worker, outside any
-// transaction.
+// Exec parses and executes one statement with one worker, in a
+// transaction of its own (see ExecuteStmt).
 func (e *Engine) Exec(sql string) (*Result, error) {
 	res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: 1})
 	return res, err
@@ -78,13 +79,16 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 
 // ExecuteStmt executes one parsed statement: the engine's single entry
 // point — Exec, MustExec, ExecStmt and ExecuteSQL only parse and fill in
-// options. With opts.Txn set the statement runs inside that transaction:
-// reads see its snapshot, writes stamp its id and become visible at
-// Commit; nil is the unversioned autocommit path. DDL (CREATE
-// TABLE/INDEX, ANALYZE) is rejected inside a transaction: catalog
-// changes are not versioned, so they could be neither rolled back nor
-// hidden from concurrent snapshots. UPDATE and DELETE choose their rows
-// as a SELECT would (execDML) and honour opts.Cancel while they do.
+// options. Every statement but DDL runs in a transaction: opts.Txn when
+// set (reads see its snapshot, writes stamp its id and become visible
+// at its Commit), else one of its own (autocommit). DDL (CREATE
+// TABLE/INDEX, ANALYZE) runs outside every transaction and is rejected
+// inside one: catalog changes are not versioned, so they could be
+// neither rolled back nor hidden from concurrent snapshots. UPDATE and
+// DELETE choose their rows as a SELECT would (execDML) and honour
+// opts.Cancel while they choose and while they claim. A DML statement
+// that fails undoes its own writes and no others, so a failure inside
+// opts.Txn leaves that transaction as the statement found it.
 //
 // The SELECT contract, whatever the caller and the options: every
 // SELECT runs on the one adaptive pipeline (routing.go) at opts.Workers
@@ -97,6 +101,9 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 // row order is unspecified without ORDER BY, and with ORDER BY it is
 // one total order (ties break on the output row's content).
 func (e *Engine) ExecuteStmt(st Stmt, opts ExecOptions) (*Result, *ExecReport, error) {
+	if opts.Txn == nil && transactional(st) {
+		return e.autocommit(st, opts)
+	}
 	if sel, ok := st.(*SelectStmt); ok {
 		return e.runSelect(sel, opts)
 	}
@@ -104,27 +111,46 @@ func (e *Engine) ExecuteStmt(st Stmt, opts ExecOptions) (*Result, *ExecReport, e
 	return res, &ExecReport{}, err
 }
 
+// transactional reports whether st runs inside a transaction: all but
+// DDL and transaction control (which a session handles).
+func transactional(st Stmt) bool {
+	switch st.(type) {
+	case *CreateTableStmt, *CreateIndexStmt, *AnalyzeStmt, *BeginStmt, *CommitStmt, *RollbackStmt:
+		return false
+	}
+	return true
+}
+
+// autocommit runs st in a transaction of its own: a read (SELECT,
+// EXPLAIN) under its own snapshot, so it cannot see other sessions'
+// uncommitted writes, and committed for free (a transaction that wrote
+// nothing draws no id and logs nothing); DML committed through the
+// group-commit path, so concurrent autocommit sessions share fsyncs. A
+// failed statement rolls back.
+func (e *Engine) autocommit(st Stmt, opts ExecOptions) (*Result, *ExecReport, error) {
+	txn := e.cat.db.Txns().Begin()
+	opts.Txn = txn
+	res, rep, err := e.ExecuteStmt(st, opts)
+	if err != nil {
+		return nil, rep, errors.Join(err, txn.Rollback())
+	}
+	return res, rep, txn.Commit()
+}
+
 // execOther executes every statement kind but SELECT.
 func (e *Engine) execOther(st Stmt, opts ExecOptions) (*Result, error) {
 	txn := opts.Txn
 	switch s := st.(type) {
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			tuple := make(storage.Tuple, len(row))
-			copy(tuple, row)
-			if _, err := e.cat.InsertTxn(s.Table, tuple, txn); err != nil {
-				return nil, err
-			}
+	case *InsertStmt, *UpdateStmt, *DeleteStmt:
+		// A statement-level savepoint: a failure undoes this statement's
+		// writes only. A write conflict dooms the whole transaction, but
+		// that is the session's to abort.
+		sp := txn.Savepoint()
+		res, err := e.execWrite(s, opts)
+		if err != nil {
+			return nil, errors.Join(err, txn.RollbackTo(sp))
 		}
-		return &Result{Affected: len(s.Rows)}, nil
-	case *UpdateStmt:
-		return e.execDML("Update", s.Table, s.Where, opts, func(vs []victim) (int, error) {
-			return e.cat.update(s.Table, vs, s.Set, txn)
-		})
-	case *DeleteStmt:
-		return e.execDML("Delete", s.Table, s.Where, opts, func(vs []victim) (int, error) {
-			return e.cat.delete(s.Table, vs, txn)
-		})
+		return res, nil
 	case *CreateTableStmt:
 		if txn != nil {
 			return nil, fmt.Errorf("query: CREATE TABLE is not allowed inside a transaction")
@@ -179,6 +205,37 @@ func (e *Engine) execOther(st Stmt, opts ExecOptions) (*Result, error) {
 	return nil, fmt.Errorf("query: unsupported statement %T", st)
 }
 
+// execWrite executes one INSERT, UPDATE or DELETE inside opts.Txn.
+func (e *Engine) execWrite(st Stmt, opts ExecOptions) (*Result, error) {
+	txn := opts.Txn
+	if opts.Cancel == nil {
+		opts.Cancel = noCancel
+	}
+	switch s := st.(type) {
+	case *InsertStmt:
+		for _, row := range s.Rows {
+			tuple := make(storage.Tuple, len(row))
+			copy(tuple, row)
+			if _, err := e.cat.InsertTxn(s.Table, tuple, txn); err != nil {
+				return nil, err
+			}
+		}
+		return &Result{Affected: len(s.Rows)}, nil
+	case *UpdateStmt:
+		return e.execDML("Update", s.Table, s.Where, opts, func(vs []victim) (int, error) {
+			return e.cat.update(s.Table, vs, s.Set, txn, opts.Cancel)
+		})
+	case *DeleteStmt:
+		return e.execDML("Delete", s.Table, s.Where, opts, func(vs []victim) (int, error) {
+			return e.cat.delete(s.Table, vs, txn, opts.Cancel)
+		})
+	}
+	return nil, fmt.Errorf("query: %T is not a write", st)
+}
+
+// noCancel is the Cancel hook of a statement that has none.
+func noCancel() error { return nil }
+
 // stmtKeyword names a transaction-control statement for errors.
 func stmtKeyword(st Stmt) string {
 	switch st.(type) {
@@ -196,8 +253,8 @@ func stmtKeyword(st Stmt) string {
 // the statement's snapshot, so it is planned as the single-table SELECT
 // over the same WHERE would be (DESIGN.md, "DML row selection") and
 // collected completely before apply claims the first row: the statement
-// never meets a version it wrote itself (the Halloween problem), and
-// opts.Cancel, polled during collection only, leaves nothing to undo.
+// never meets a version it wrote itself (the Halloween problem).
+// opts.Cancel is polled while collecting and between claims.
 func (e *Engine) execDML(verb, table string, where []Pred, opts ExecOptions,
 	apply func([]victim) (int, error)) (*Result, error) {
 	plan, err := e.planSelect(&SelectStmt{From: TableRef{Name: table}, Where: where, Limit: -1}, opts.Txn)

@@ -99,10 +99,10 @@ func TestExplainGoldenAdaptationSummary(t *testing.T) {
 	// est(big) = 10 (stale), est(small) = 100: greedy seeds big, the
 	// join estimate is 10·100/max(V(big.k)=10, V(small.k)=100) = 10.
 	// θ·est = 30 → violation at the first safe point, the end of big's
-	// first page (191 rows: heap batches are page-granular), swap to
+	// first page (104 rows: heap batches are page-granular), swap to
 	// small, and the summary records the executed order.
 	want := "Parallel(workers=1) SeqScan(big est=10) -> HashJoin(build=left est=10) -> SeqScan(small est=100)" +
-		" | adapt: replans=1 trigger=191 build=big->small order=small,big"
+		" | adapt: replans=1 trigger=104 build=big->small order=small,big"
 	if res.Plan != want {
 		t.Fatalf("plan =\n  %s\nwant\n  %s", res.Plan, want)
 	}

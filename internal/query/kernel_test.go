@@ -52,9 +52,7 @@ func seedHard(t *testing.T, e *Engine, rows int) {
 	t.Helper()
 	e.MustExec("CREATE TABLE hard (a INT, f FLOAT, s STRING)")
 	for i := 0; i < rows; i++ {
-		if _, err := e.cat.Insert("hard", hardRow(i)); err != nil {
-			t.Fatal(err)
-		}
+		loadRows(t, e.cat, "hard", hardRow(i))
 	}
 	if err := e.cat.Analyze("hard"); err != nil {
 		t.Fatal(err)
@@ -142,9 +140,7 @@ func TestThreeValuedLogicMatrix(t *testing.T) {
 		if i%3 == 0 {
 			v = storage.NullValue()
 		}
-		if _, err := e.cat.Insert("n", storage.Tuple{storage.IntValue(int64(i)), v}); err != nil {
-			t.Fatal(err)
-		}
+		loadRows(t, e.cat, "n", storage.Tuple{storage.IntValue(int64(i)), v})
 	}
 	cases := []struct {
 		where string
@@ -239,11 +235,8 @@ func TestKernelUnderTxnSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Update rows the writer itself inserted: stamping xmax on an
-	// already-versioned record rewrites the header in place, so this
-	// works regardless of how tightly the seed pages are packed (plain
-	// records on a full page cannot grow a version header in place — a
-	// pre-existing engine limit unrelated to zone maps).
+	// Update rows the writer itself inserted: stamping xmax rewrites
+	// the version header in place.
 	if _, err := execTxn(eng, "UPDATE kv SET v = 'moved' WHERE k >= 930", writer); err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,13 @@ func seedParallel(t *testing.T, e *Engine) {
 // tree, which shares no execution code with the pipeline under test. It
 // is the oracle of every differential test: Exec and MustExec run the
 // pipeline too, so an expectation taken from them would compare the
-// pipeline with itself.
+// pipeline with itself. A nil txn reads under a snapshot of its own.
 func refSelect(t *testing.T, e *Engine, sql string, txn *storage.Txn) *Result {
 	t.Helper()
+	if txn == nil {
+		txn = e.cat.db.Txns().Begin()
+		defer txn.Rollback()
+	}
 	res, err := e.execSelect(MustParse(sql).(*SelectStmt), txn)
 	if err != nil {
 		t.Fatalf("reference executor: %s: %v", sql, err)

@@ -151,11 +151,8 @@ func (s *scanPlan) heapScan() (*operators.BatchHeapScan, error) {
 // the index scan fetches each through the reader (one outside the
 // snapshot reads as not found) and every predicate is re-checked on the
 // result. The heap scan hands over a page's tuples and RIDs from one
-// image of it. cancel, when non-nil, is polled per fetch and per batch.
+// image of it. cancel is polled per fetch and per batch.
 func (s *scanPlan) victims(cancel func() error) ([]victim, error) {
-	if cancel == nil {
-		cancel = func() error { return nil }
-	}
 	pred, err := compilePreds(s.sch, s.preds)
 	if err != nil {
 		return nil, err
@@ -425,8 +422,7 @@ type selectPlan struct {
 func (p *selectPlan) Explain() string { return p.explainTx }
 
 // planSelect compiles and optimises a SELECT statement with greedy
-// join ordering. A non-nil txn binds every scan to that transaction's
-// snapshot.
+// join ordering, every scan bound to txn's snapshot.
 func (e *Engine) planSelect(st *SelectStmt, txn *storage.Txn) (*selectPlan, error) {
 	return e.planSelectOrder(st, txn, JoinOrderGreedy)
 }
@@ -454,11 +450,7 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 		if err != nil {
 			return nil, err
 		}
-		var reader storage.HeapReader = t.Heap
-		if txn != nil {
-			reader = txn.View(t.Heap)
-		}
-		sp := &scanPlan{ref: ref, table: t, sch: tableSchema(ref.Binding(), t), reader: reader, declPos: i}
+		sp := &scanPlan{ref: ref, table: t, sch: tableSchema(ref.Binding(), t), reader: txn.View(t.Heap), declPos: i}
 		scans = append(scans, sp)
 		if i == 0 {
 			p.sch = sp.sch // aliased: a single scan's plan needs no copy

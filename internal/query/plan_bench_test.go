@@ -24,10 +24,12 @@ func BenchmarkPlanMultiJoin(b *testing.B) {
 	sql := "SELECT * FROM t0 JOIN t1 ON t0.b = t1.a JOIN t2 ON t1.b = t2.a" +
 		" JOIN t3 ON t2.b = t3.a JOIN t4 ON t3.b = t4.a WHERE t0.a = 7"
 	st := MustParse(sql).(*SelectStmt)
+	txn := e.cat.db.Txns().Begin()
+	defer txn.Rollback()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.planSelect(st, nil); err != nil {
+		if _, err := e.planSelect(st, txn); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/adm-project/adm/internal/storage"
 	"github.com/adm-project/adm/internal/trace"
 )
+
+// loadRows inserts rows into table in one committed transaction.
+func loadRows(t testing.TB, cat *Catalog, table string, rows ...storage.Tuple) {
+	t.Helper()
+	txn := cat.db.Txns().Begin()
+	for _, row := range rows {
+		if _, err := cat.InsertTxn(table, row, txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
@@ -456,8 +471,9 @@ func TestAdaptiveMatchesStaticProperty(t *testing.T) {
 		lie := int(lieRaw)%50 + 1
 		_ = e.cat.SetStats("big", TableStats{Rows: lie, Distinct: map[string]int{"k": 20}})
 		sql := "SELECT big.k, small.k FROM big JOIN small ON big.k = small.k"
-		static, err := e.execSelect(MustParse(sql).(*SelectStmt), nil)
-		if err != nil {
+		snap := e.cat.db.Txns().Begin()
+		static, err := e.execSelect(MustParse(sql).(*SelectStmt), snap)
+		if snap.Rollback() != nil || err != nil {
 			return false
 		}
 		adaptive, _, err := execAdaptive(e, sql, AdaptiveConfig{Theta: 2, CheckEvery: 8})

@@ -57,7 +57,13 @@ func NewResumableAgg(cat *Catalog, table, col string, where []Pred) (*ResumableA
 			return nil, err
 		}
 	}
-	rows, err := t.Heap.All()
+	// The rows one snapshot sees; reading them is all the transaction
+	// does, so it rolls back.
+	snap := cat.db.Txns().Begin()
+	rows, err := snap.View(t.Heap).All()
+	if rbErr := snap.Rollback(); err == nil {
+		err = rbErr
+	}
 	if err != nil {
 		return nil, err
 	}

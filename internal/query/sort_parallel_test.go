@@ -34,10 +34,7 @@ func seedMessy(t *testing.T, e *Engine) int {
 		storage.NullValue(),
 	}
 	for i, k := range odd {
-		if _, err := e.cat.Insert("m", storage.Tuple{k,
-			storage.IntValue(int64(i % 7)), storage.IntValue(int64(1000 + i))}); err != nil {
-			t.Fatal(err)
-		}
+		loadRows(t, e.cat, "m", storage.Tuple{k, storage.IntValue(int64(i % 7)), storage.IntValue(int64(1000 + i))})
 		n++
 	}
 	e.MustExec("ANALYZE m")

@@ -293,53 +293,34 @@ func TestTxnIndexNLJoinReadsSnapshot(t *testing.T) {
 	}
 }
 
-// TestPlainRecordClaimsBesideSequentialUpdate is the regression test
-// for the victim scan's read primitive. The table is loaded through the
-// nil-txn path, so its records are plain and the first claim on each
-// one upgrades it to versioned form and moves it within its page.
-// Three sessions run key-disjoint `UPDATE … WHERE id = ?` (index path)
-// while a fourth repeatedly runs `UPDATE … WHERE grp = 0` (sequential
-// path) over the same pages; no two sessions ever want the same row, so
-// every statement must succeed with Affected equal to the rows it owns,
-// and at the end every row must exist once, carrying its owner's last
-// write, by heap and by index. What a record-by-record walk does to a
-// page under these claims is pinned where it can be shown step by step:
-// storage's TestPageRowsReadOneImage.
-func TestPlainRecordClaimsBesideSequentialUpdate(t *testing.T) {
+// TestKeyedClaimsBesideSequentialUpdate: three sessions run
+// key-disjoint `UPDATE … WHERE id = ?` (index path) while a fourth
+// repeatedly runs `UPDATE … WHERE grp = 0` (sequential path) over the
+// same pages; no two sessions ever want the same row, so every
+// statement must succeed with Affected equal to the rows it owns, and
+// at the end every row must exist once, carrying its owner's last
+// write, by heap and by index. How one page read meets concurrent
+// claims is pinned in storage's TestPageRowsReadOneImage.
+func TestKeyedClaimsBesideSequentialUpdate(t *testing.T) {
 	const (
-		keep    = 480 // rows left after the load's deletes
+		keep    = 480 // rows the sessions own
 		writers = 3   // keyed sessions; group 0 is the sequential session's
 		groups  = writers + 1
 		rounds  = 4
 		filler  = 300 // unowned rows closing the heap (grp = groups)
 	)
-	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
-		storage.DBOptions{Sync: storage.SyncManual})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := NewDurableCatalog(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(cat, nil, nil)
-	eng.MustExec("CREATE TABLE t (id INT, grp INT, v INT, junk INT)")
+	eng, db := newTxnEngine(t, 0, false)
+	eng.MustExec("CREATE TABLE t (id INT, grp INT, v INT)")
 	eng.MustExec("CREATE INDEX ON t (id)")
-	// A plain record needs room on its page to grow a version header,
-	// which nearly triples these small rows (a full page of plain
-	// records cannot be claimed at all — an engine limit of its own). So
-	// three rows in four are deleted again, and rows nobody updates
-	// close the heap: the sessions' new versions, which go to the last
-	// page, then never compete with a claim for that room.
-	for i := 0; i < 4*keep; i++ {
-		eng.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 0, %d)", i/4, (i/4)%groups, i%4))
+	var load []storage.Tuple
+	for i := 0; i < keep+filler; i++ {
+		grp := i % groups
+		if i >= keep {
+			grp = groups
+		}
+		load = append(load, storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(grp)), storage.IntValue(0)})
 	}
-	for i := 0; i < filler; i++ {
-		eng.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, 0, 0)", keep+i, groups))
-	}
-	if n := eng.MustExec("DELETE FROM t WHERE junk > 0").Affected; n != 3*keep {
-		t.Fatalf("load deleted %d rows, want %d", n, 3*keep)
-	}
+	loadRows(t, eng.cat, "t", load...)
 
 	// update runs one autocommit UPDATE and reports what went wrong.
 	update := func(sql string, want int) error {

@@ -9,14 +9,12 @@ import (
 	"github.com/adm-project/adm/internal/storage"
 )
 
-// DBSession is one client's transactional connection to a durable
-// engine: it owns at most one open transaction and routes statements
-// through it. BEGIN/COMMIT/ROLLBACK arrive as SQL; outside an
-// explicit transaction each statement runs in its own implicit
-// transaction (begun, executed, committed — commit rides the
-// group-commit path, so concurrent autocommit sessions share fsyncs).
-// DDL keeps the legacy non-versioned path and is rejected inside an
-// explicit transaction.
+// DBSession is one client's transactional connection to an engine: it
+// owns at most one open transaction and routes statements through it.
+// BEGIN/COMMIT/ROLLBACK arrive as SQL; outside an explicit transaction
+// each statement autocommits in the engine (Engine.ExecuteStmt). DDL
+// runs outside every transaction and is rejected inside an explicit
+// one.
 //
 // A session is safe for concurrent use, but it is one transaction
 // stream: concurrent callers serialise on the session mutex.
@@ -35,16 +33,10 @@ var ErrNoTxn = errors.New("session: no transaction is open")
 // ErrSessionClosed reports statement execution on a closed session.
 var ErrSessionClosed = errors.New("session: session is closed")
 
-// NewDBSession binds a session to an engine and the DB whose
-// transaction manager issues its snapshots. A nil db (volatile
-// catalog) degrades to the legacy non-transactional path for every
-// statement.
+// NewDBSession binds a session to an engine and the DB (the engine's
+// catalog's) whose transaction manager issues its snapshots.
 func NewDBSession(eng *query.Engine, db *storage.DB) *DBSession {
-	s := &DBSession{eng: eng}
-	if db != nil {
-		s.tm = db.Txns()
-	}
-	return s
+	return &DBSession{eng: eng, tm: db.Txns()}
 }
 
 // Engine returns the underlying engine.
@@ -67,9 +59,6 @@ func (s *DBSession) Begin() error {
 func (s *DBSession) beginLocked() error {
 	if s.closed {
 		return ErrSessionClosed
-	}
-	if s.tm == nil {
-		return fmt.Errorf("session: transactions need a durable DB")
 	}
 	if s.txn != nil {
 		return fmt.Errorf("session: a transaction is already open")
@@ -137,13 +126,14 @@ func (s *DBSession) Exec(sql string) (*query.Result, error) {
 // ExecOpts parses and executes one statement in this session's
 // transactional context (opts.Txn is the session's to set): transaction
 // control is handled inline; everything else runs through
-// Engine.ExecuteStmt under the open transaction, or in an implicit one
-// outside it, with opts' worker/batch tuning, Cancel hook and memory
-// budget. A statement that hits a write conflict inside an explicit
-// transaction aborts the whole transaction (first-committer-wins leaves
-// it doomed anyway); the conflict error is returned and the session is
-// back in autocommit. This is the server front-end's entry point — one
-// parse, one lock acquisition per statement.
+// Engine.ExecuteStmt under the open transaction, or autocommits outside
+// it, with opts' worker/batch tuning, Cancel hook and memory budget. A
+// statement that fails inside an explicit transaction undoes only its
+// own writes; one that hits a write conflict aborts the whole
+// transaction (first-committer-wins leaves it doomed anyway), returns
+// the conflict error and leaves the session in autocommit. This is the
+// server front-end's entry point — one parse, one lock acquisition per
+// statement.
 func (s *DBSession) ExecOpts(sql string, opts query.ExecOptions) (*query.Result, error) {
 	st, err := query.Parse(sql)
 	if err != nil {
@@ -182,43 +172,13 @@ func (s *DBSession) ExecOpts(sql string, opts query.ExecOptions) (*query.Result,
 		return &query.Result{}, nil
 	}
 
-	if opts.Txn = s.txn; opts.Txn != nil {
-		res, _, err := s.eng.ExecuteStmt(st, opts)
-		if errors.Is(err, storage.ErrWriteConflict) {
-			t := s.txn
-			s.txn = nil
-			if rbErr := t.Rollback(); rbErr != nil {
-				return nil, errors.Join(err, rbErr)
-			}
-		}
-		return res, err
-	}
-	return s.autocommit(st, opts)
-}
-
-// autocommit runs one statement outside an explicit transaction: DDL
-// (and any statement on a non-durable engine) takes the legacy
-// unversioned path; a read gets its own snapshot, so it cannot see other
-// sessions' uncommitted writes, and rolls it back (read-only: no WAL
-// traffic); DML gets an implicit transaction so a multi-row statement is
-// atomic and its commit can share an fsync with concurrent sessions.
-func (s *DBSession) autocommit(st query.Stmt, opts query.ExecOptions) (*query.Result, error) {
-	switch st.(type) {
-	case *query.CreateTableStmt, *query.CreateIndexStmt, *query.AnalyzeStmt:
-	default:
-		if s.tm != nil {
-			opts.Txn = s.tm.Begin()
-		}
-	}
+	opts.Txn = s.txn
 	res, _, err := s.eng.ExecuteStmt(st, opts)
-	if opts.Txn == nil {
-		return res, err
+	if t := s.txn; t != nil && errors.Is(err, storage.ErrWriteConflict) {
+		s.txn = nil
+		if rbErr := t.Rollback(); rbErr != nil {
+			return nil, errors.Join(err, rbErr)
+		}
 	}
-	if _, read := st.(*query.SelectStmt); read || err != nil {
-		return res, errors.Join(err, opts.Txn.Rollback())
-	}
-	if err := opts.Txn.Commit(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }

@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -220,4 +221,97 @@ func TestDBSessionDDLPaths(t *testing.T) {
 	if _, err := s.Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// cancelAfterClaims is a Cancel hook that fires once the DB has logged
+// n records past the moment it was made: a multi-row UPDATE is past
+// choosing its rows and n claims into applying them.
+func cancelAfterClaims(db *storage.DB, n uint64, err error) func() error {
+	start := db.Stats().WALAppends
+	return func() error {
+		if db.Stats().WALAppends >= start+n {
+			return err
+		}
+		return nil
+	}
+}
+
+// TestDBSessionCancelledDMLUndoesItself: a statement cancelled while it
+// claims rows undoes its own writes and nothing else. Inside BEGIN the
+// transaction stays open, keeps its earlier write, and a following
+// UPDATE plus COMMIT succeed; in autocommit no transaction and no claim
+// outlives the statement.
+func TestDBSessionCancelledDMLUndoesItself(t *testing.T) {
+	eng, db := newSessionFixture(t)
+	errStop := errors.New("statement deadline")
+	s, other := NewDBSession(eng, db), NewDBSession(eng, db)
+	values := func(sess *DBSession) []string {
+		t.Helper()
+		res, err := sess.Exec("SELECT k, v FROM kv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedRows(res)
+	}
+	seeded := values(s)
+
+	if _, err := s.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("INSERT INTO kv VALUES (50, 'kept')"); err != nil {
+		t.Fatal(err)
+	}
+	before := values(s)
+	_, err := s.ExecOpts("UPDATE kv SET v = 'cancelled'", query.ExecOptions{Workers: 1, Cancel: cancelAfterClaims(db, 3, errStop)})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("cancelled UPDATE err = %v, want the cancel error", err)
+	}
+	if !s.InTxn() {
+		t.Fatal("a cancelled statement ended the transaction")
+	}
+	if got := values(s); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("the cancelled UPDATE left writes behind:\n got %v\nwant %v", got, before)
+	}
+	if res, err := s.Exec("UPDATE kv SET v = 'done' WHERE k < 2"); err != nil || res.Affected != 2 {
+		t.Fatalf("UPDATE after the cancel: %v, %v", res, err)
+	}
+	if _, err := s.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	if got := values(other); len(got) != len(seeded)+1 || got[0] != "0|done" || got[len(got)-1] != "50|kept" {
+		t.Fatalf("after COMMIT another session sees %v", got)
+	}
+
+	committed := values(other)
+	_, err = s.ExecOpts("UPDATE kv SET v = 'cancelled'", query.ExecOptions{Workers: 1, Cancel: cancelAfterClaims(db, 3, errStop)})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("cancelled autocommit UPDATE err = %v, want the cancel error", err)
+	}
+	if n := db.Txns().Active(); n != 0 {
+		t.Fatalf("%d transactions outlive a cancelled autocommit statement", n)
+	}
+	if got := values(other); fmt.Sprint(got) != fmt.Sprint(committed) {
+		t.Fatalf("the cancelled autocommit UPDATE left writes behind: %v", got)
+	}
+	// No claim survives either: another session updates every row.
+	if res, err := other.Exec("UPDATE kv SET v = 'free'"); err != nil || res.Affected != len(committed) {
+		t.Fatalf("UPDATE of every row after the cancel: %v, %v", res, err)
+	}
+}
+
+// sortedRows renders a result's rows as sorted "a|b" lines.
+func sortedRows(res *query.Result) []string {
+	out := make([]string, 0, len(res.Rows))
+	for _, row := range res.Rows {
+		line := ""
+		for i, v := range row {
+			if i > 0 {
+				line += "|"
+			}
+			line += v.String()
+		}
+		out = append(out, line)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -40,7 +40,7 @@ func TestBufferShardedEvictionCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Insert(EncodeTuple(Tuple{IntValue(int64(i))})); err != nil {
+		if _, err := pageInsert(p, EncodeRecord(Tuple{IntValue(int64(i))}, Version{Xmin: 1})); err != nil {
 			t.Fatal(err)
 		}
 		bm.Unpin(id)
@@ -53,7 +53,7 @@ func TestBufferShardedEvictionCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := p.Tuples()
+		ts, err := p.rowsInto(id, nil, nil, nil)
 		if err != nil || len(ts) != 1 || ts[0][0].Int != int64(i) {
 			t.Fatalf("page %d round-trip: %v %v", id, ts, err)
 		}

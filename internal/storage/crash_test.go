@@ -1,10 +1,12 @@
 // Crash-recovery tests: a deterministic workload is run against a DB
 // over in-memory disks, the disks are snapshotted and truncated at
 // every WAL record boundary (and at mid-record byte offsets), and the
-// engine is reopened from the surviving bytes. The oracle is the
-// workload's own shadow model: at op boundaries the recovered state
-// must be byte-identical to the model; inside an op only the op's own
-// key may differ, and only between its before/after versions.
+// engine is reopened from the surviving bytes. Every row write is a
+// transaction of its own, committed, and the oracle is the workload's
+// own shadow model of the committed state: wherever the log is cut,
+// the rows a fresh snapshot of the recovered DB sees must be
+// byte-identical to the model after the last op whose commit survived
+// — an op cut before its commit record is wholly absent.
 package storage
 
 import (
@@ -75,15 +77,32 @@ func (s *wlState) clone() *wlState {
 	return c
 }
 
+// commitOne runs fn in a transaction of its own and commits it.
+func commitOne(db *DB, fn func(tx *Txn) error) error {
+	tx := db.Txns().Begin()
+	if err := fn(tx); err != nil {
+		return errors.Join(err, tx.Rollback())
+	}
+	return tx.Commit()
+}
+
 // applyOp runs one op against db, updating the model only on success.
 func applyOp(db *DB, op wlOp, s *wlState) error {
+	h, _ := db.File("t")
 	switch op.kind {
 	case "create":
 		_, err := db.CreateFile("t")
 		return err
-	case "insert":
-		h, _ := db.File("t")
-		rid, err := h.Insert(op.tup)
+	case "insert", "update":
+		var rid RID
+		err := commitOne(db, func(tx *Txn) (err error) {
+			if op.kind == "insert" {
+				rid, err = tx.Insert(h, op.tup)
+			} else {
+				rid, err = tx.Update(h, s.rids[op.key], op.tup)
+			}
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -91,21 +110,11 @@ func applyOp(db *DB, op wlOp, s *wlState) error {
 		s.rids[op.key] = rid
 		return nil
 	case "delete":
-		h, _ := db.File("t")
-		if err := h.Delete(s.rids[op.key]); err != nil {
+		if err := commitOne(db, func(tx *Txn) error { return tx.Delete(h, s.rids[op.key]) }); err != nil {
 			return err
 		}
 		delete(s.rows, op.key)
 		delete(s.rids, op.key)
-		return nil
-	case "update":
-		h, _ := db.File("t")
-		rid, err := h.Update(s.rids[op.key], op.tup)
-		if err != nil {
-			return err
-		}
-		s.rows[op.key] = EncodeTuple(op.tup)
-		s.rids[op.key] = rid
 		return nil
 	case "index":
 		return db.LogIndex(IndexDef{Name: "t_k0", File: "t", Col: 0})
@@ -151,7 +160,8 @@ func runWorkloadSnapshotting(db *DB, ops []wlOp, dataDisk *MemDisk) (states []*w
 	return states, tails, dataSnaps, nil
 }
 
-// scanState reads the recovered table into the model's representation.
+// scanState reads the rows a fresh snapshot of the recovered table
+// sees into the model's representation.
 func scanState(t *testing.T, db *DB) map[int64][]byte {
 	t.Helper()
 	h, ok := db.File("t")
@@ -159,7 +169,9 @@ func scanState(t *testing.T, db *DB) map[int64][]byte {
 		return map[int64][]byte{}
 	}
 	out := map[int64][]byte{}
-	err := h.Scan(func(rid RID, tu Tuple) bool {
+	snap := db.Txns().Begin()
+	defer snap.Rollback()
+	err := snap.View(h).Scan(func(rid RID, tu Tuple) bool {
 		k := tu[0].Int
 		if _, dup := out[k]; dup {
 			t.Fatalf("key %d recovered twice", k)
@@ -186,7 +198,8 @@ func sameState(a, b map[int64][]byte) bool {
 }
 
 // verifyIndex checks the recovered B-tree (if its definition was
-// durable) enumerates exactly the recovered rows, byte-identically.
+// durable): its entries cover every version, and the ones a fresh
+// snapshot sees are exactly the recovered rows, byte-identically.
 func verifyIndex(t *testing.T, db *DB, rows map[int64][]byte) {
 	t.Helper()
 	tree, ok := db.Index("t_k0")
@@ -194,24 +207,33 @@ func verifyIndex(t *testing.T, db *DB, rows map[int64][]byte) {
 		return
 	}
 	h, _ := db.File("t")
-	seen := 0
+	snap := db.Txns().Begin()
+	defer snap.Rollback()
+	view := snap.View(h)
+	seen := map[int64]bool{}
 	tree.Range(Value{Kind: KindNull}, Value{Kind: KindString, Str: "\xff"}, func(key Value, rid RID) bool {
-		tu, err := h.Get(rid)
+		if _, err := h.Get(rid); err != nil {
+			t.Fatalf("index rid %v: %v", rid, err)
+		}
+		tu, err := view.Get(rid)
+		if errors.Is(err, ErrNotFound) {
+			return true // a version outside the snapshot
+		}
 		if err != nil {
 			t.Fatalf("index rid %v: %v", rid, err)
 		}
 		want, ok := rows[tu[0].Int]
-		if !ok {
-			t.Fatalf("index enumerates key %d not in recovered heap", tu[0].Int)
+		if !ok || seen[tu[0].Int] {
+			t.Fatalf("index enumerates key %d not in recovered heap, or twice", tu[0].Int)
 		}
 		if !bytes.Equal(want, EncodeTuple(tu)) {
 			t.Fatalf("index row for key %d differs from heap scan", tu[0].Int)
 		}
-		seen++
+		seen[tu[0].Int] = true
 		return true
 	})
-	if seen != len(rows) {
-		t.Fatalf("index enumerates %d rows, heap has %d", seen, len(rows))
+	if len(seen) != len(rows) {
+		t.Fatalf("index enumerates %d rows, heap has %d", len(seen), len(rows))
 	}
 }
 
@@ -239,7 +261,7 @@ func TestWALAppendScanRoundtrip(t *testing.T) {
 	payloads := [][]byte{
 		encodeCreateFile("t"),
 		encodeAllocPage("t", 7),
-		encodeInsert(7, 0, []byte("hello")),
+		encodeSlotRecord(7, 0, []byte("hello")),
 		encodeDelete(7, 0),
 		encodeMeta("k", "v"),
 	}
@@ -418,8 +440,8 @@ func TestRecoverCleanLog(t *testing.T) {
 		t.Fatalf("meta not recovered: %q %v", v, ok)
 	}
 	h, _ := db2.File("t")
-	if h.Count() != len(want.rows) {
-		t.Fatalf("recovered Count() = %d, want %d", h.Count(), len(want.rows))
+	if all, err := h.All(); err != nil || h.Count() != len(all) {
+		t.Fatalf("recovered Count() = %d, a version-blind scan reads %d (%v)", h.Count(), len(all), err)
 	}
 	st := db2.Stats()
 	if !st.Recovery.CheckpointFound {
@@ -430,15 +452,15 @@ func TestRecoverCleanLog(t *testing.T) {
 	}
 
 	// The recovered DB must keep working: another workload step.
-	if _, err := h.Insert(wlTuple(99, 0)); err != nil {
+	if err := commitOne(db2, func(tx *Txn) error { _, err := tx.Insert(h, wlTuple(99, 0)); return err }); err != nil {
 		t.Fatalf("post-recovery insert: %v", err)
 	}
 }
 
 // TestCrashAtEveryRecordBoundary truncates the WAL at every record
-// boundary. At op boundaries the recovered state must equal the shadow
-// model exactly; between an op's records only that op's key may
-// diverge, and only to its before/after/absent versions. This is the
+// boundary. The recovered committed state must equal the shadow model
+// after the last op wholly inside the cut: an op cut between its
+// records (before its commit record) is all-or-nothing. This is the
 // acceptance criterion: byte-identical heap and index scans at every
 // WAL barrier.
 func TestCrashAtEveryRecordBoundary(t *testing.T) {
@@ -485,71 +507,11 @@ func TestCrashAtEveryRecordBoundary(t *testing.T) {
 		if i >= 0 {
 			acked = states[i]
 		}
-		if i >= 0 && tails[i] == cut {
-			// Clean op boundary: exact byte-identical reconstruction.
-			if !sameState(got, acked.rows) {
-				t.Fatalf("cut %d (op %d boundary): recovered %d rows, want %d (or bytes differ)",
-					cut, i, len(got), len(acked.rows))
-			}
-		} else {
-			// Mid-op: only the in-flight op's key may diverge.
-			verifyRelaxed(t, cut, got, acked, ops, i)
+		if !sameState(got, acked.rows) {
+			t.Fatalf("cut %d (after op %d): recovered %d rows, want %d (or bytes differ)",
+				cut, i, len(got), len(acked.rows))
 		}
 		verifyIndex(t, db2, got)
-	}
-}
-
-// verifyRelaxed checks recovered state against the acked model with
-// the in-flight op (ops[i+1]) allowed to be partially applied.
-func verifyRelaxed(t *testing.T, cut int64, got map[int64][]byte, acked *wlState, ops []wlOp, i int) {
-	t.Helper()
-	var inflight *wlOp
-	if i+1 < len(ops) {
-		inflight = &ops[i+1]
-	}
-	touched := int64(-1)
-	var allowed [][]byte
-	if inflight != nil {
-		switch inflight.kind {
-		case "insert", "update":
-			touched = inflight.key
-			allowed = append(allowed, EncodeTuple(inflight.tup))
-		case "delete":
-			touched = inflight.key
-		}
-		if prev, ok := acked.rows[touched]; ok {
-			allowed = append(allowed, prev)
-		}
-	}
-	for k, v := range acked.rows {
-		if k == touched {
-			continue
-		}
-		if !bytes.Equal(got[k], v) {
-			t.Fatalf("cut %d: acked key %d lost or altered after recovery", cut, k)
-		}
-	}
-	for k, v := range got {
-		if k == touched {
-			okv := false
-			for _, a := range allowed {
-				if bytes.Equal(a, v) {
-					okv = true
-					break
-				}
-			}
-			if !okv {
-				t.Fatalf("cut %d: in-flight key %d recovered with phantom bytes", cut, k)
-			}
-			continue
-		}
-		want, ok := acked.rows[k]
-		if !ok {
-			t.Fatalf("cut %d: phantom key %d recovered", cut, k)
-		}
-		if !bytes.Equal(want, v) {
-			t.Fatalf("cut %d: key %d bytes differ", cut, k)
-		}
 	}
 }
 
@@ -628,6 +590,8 @@ func TestRecoveryQuarantinesCorruptPage(t *testing.T) {
 	// Every page other than the victim must serve its rows
 	// byte-identically; the redo suffix still applied to them.
 	got := map[int64][]byte{}
+	snap := db2.Txns().Begin()
+	defer snap.Rollback()
 	for _, id := range h2.PageIDs() {
 		if id == victim {
 			if _, err := h2.PageTuples(id); !errors.Is(err, ErrQuarantined) {
@@ -635,7 +599,7 @@ func TestRecoveryQuarantinesCorruptPage(t *testing.T) {
 			}
 			continue
 		}
-		tus, err := h2.PageTuples(id)
+		tus, err := snap.View(h2).PageTuples(id)
 		if err != nil {
 			t.Fatalf("surviving page %d: %v", id, err)
 		}
@@ -672,10 +636,15 @@ func TestFetchTimeChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 60; i++ { // several pages at ~200 B/row
-		if _, err := h.Insert(wlTuple(i, 0)); err != nil {
-			t.Fatal(err)
+	if err := commitOne(db, func(tx *Txn) error {
+		for i := int64(0); i < 60; i++ { // several pages at ~200 B/row
+			if _, err := tx.Insert(h, wlTuple(i, 0)); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -738,10 +707,15 @@ func TestCheckpointCutsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 100; i++ {
-		if _, err := h.Insert(wlTuple(i, 0)); err != nil {
-			t.Fatal(err)
+	if err := commitOne(db, func(tx *Txn) error {
+		for i := int64(0); i < 100; i++ {
+			if _, err := tx.Insert(h, wlTuple(i, 0)); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -772,20 +746,22 @@ func TestStickyFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Insert(wlTuple(1, 0)); err != nil {
+	tx := db.Txns().Begin()
+	defer tx.Rollback()
+	if _, err := tx.Insert(h, wlTuple(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Fail the log by swapping in a broken disk under the WAL.
 	db.wal.mu.Lock()
 	db.wal.disk = brokenDisk{}
 	db.wal.mu.Unlock()
-	if _, err := h.Insert(wlTuple(2, 0)); err == nil {
+	if _, err := tx.Insert(h, wlTuple(2, 0)); err == nil {
 		t.Fatal("insert with broken WAL succeeded")
 	}
 	if err := db.Err(); !errors.Is(err, ErrDBFailed) {
 		t.Fatalf("Err() = %v, want ErrDBFailed", err)
 	}
-	if _, err := h.Insert(wlTuple(3, 0)); !errors.Is(err, ErrDBFailed) {
+	if _, err := tx.Insert(h, wlTuple(3, 0)); !errors.Is(err, ErrDBFailed) {
 		t.Fatalf("post-failure insert = %v, want ErrDBFailed", err)
 	}
 	if err := db.Checkpoint(); !errors.Is(err, ErrDBFailed) {

@@ -5,9 +5,10 @@
 //
 // The protocol, end to end:
 //
-//   - Mutations log inside the page latch (Page.InsertWith et al call
-//     back into logInsert/logDelete/logUpdate), so per-page WAL order
-//     equals apply order and redo in LSN order is exact.
+//   - Mutations log inside the page latch (Page.InsertWith, DeleteWith
+//     and MutateWith call back into logInsert/logDelete/logUpdate), so
+//     per-page WAL order equals apply order and redo in LSN order is
+//     exact.
 //   - Checkpoints are fuzzy: capture redoPos = WAL tail, flush every
 //     dirty page (image + LSN + CRC32-C) to the page file, sync, then
 //     append a checkpoint record carrying the metadata snapshot and
@@ -145,9 +146,8 @@ func Open(walDisk, dataDisk DiskFile, opts DBOptions) (*DB, error) {
 	return db, nil
 }
 
-// Txns returns the DB's transaction manager — the pluggable CC
-// component. Callers that never Begin a transaction get the legacy
-// single-writer behaviour untouched.
+// Txns returns the DB's transaction manager: every record is written
+// through one of its transactions.
 func (db *DB) Txns() *TxnManager { return db.txns }
 
 // recoverCommitTable refills tm's commit table, horizon and id clock
@@ -180,15 +180,8 @@ func recoverCommitTable(tm *TxnManager, recs []Record, stats *RecoveryStats) {
 				stats.TxnsAborted++
 				seen(id)
 			}
-		case RecInsert:
-			if _, _, rec, err := decodeInsert(r.Payload); err == nil {
-				if v, err := RecordVersion(rec); err == nil {
-					seen(v.Xmin)
-					seen(v.Xmax)
-				}
-			}
-		case RecUpdate:
-			if _, _, _, rec, err := decodeUpdate(r.Payload); err == nil {
+		case RecInsert, RecUpdate:
+			if _, _, rec, err := decodeSlotRecord(r.Payload); err == nil {
 				if v, err := RecordVersion(rec); err == nil {
 					seen(v.Xmin)
 					seen(v.Xmax)
@@ -199,9 +192,6 @@ func recoverCommitTable(tm *TxnManager, recs []Record, stats *RecoveryStats) {
 	tm.high.Store(high)
 	tm.nextID.Store(maxID)
 }
-
-// Store returns the underlying page store.
-func (db *DB) Store() *Store { return db.store }
 
 // Buffer returns the buffer manager.
 func (db *DB) Buffer() *BufferManager { return db.bm }
@@ -278,7 +268,7 @@ func (db *DB) CreateFile(name string) (*HeapFile, error) {
 	if _, err := db.wal.Append(RecCreateFile, encodeCreateFile(name)); err != nil {
 		return nil, db.failLocked(err)
 	}
-	h := newHeapFile(name, db.store, db.bm, db)
+	h := newHeapFile(name, db)
 	db.files[name] = h
 	db.fileOrder = append(db.fileOrder, name)
 	return h, nil
@@ -381,7 +371,7 @@ func (db *DB) logInsert(id PageID, slot int, rec []byte) (uint64, error) {
 	if err := db.Err(); err != nil {
 		return 0, err
 	}
-	lsn, err := db.wal.Append(RecInsert, encodeInsert(id, slot, rec))
+	lsn, err := db.wal.Append(RecInsert, encodeSlotRecord(id, slot, rec))
 	if err != nil {
 		return 0, db.fail(err)
 	}
@@ -401,11 +391,11 @@ func (db *DB) logDelete(id PageID, slot int) (uint64, error) {
 	return lsn, nil
 }
 
-func (db *DB) logUpdate(id PageID, oldSlot, newSlot int, rec []byte) (uint64, error) {
+func (db *DB) logUpdate(id PageID, slot int, rec []byte) (uint64, error) {
 	if err := db.Err(); err != nil {
 		return 0, err
 	}
-	lsn, err := db.wal.Append(RecUpdate, encodeUpdate(id, oldSlot, newSlot, rec))
+	lsn, err := db.wal.Append(RecUpdate, encodeSlotRecord(id, slot, rec))
 	if err != nil {
 		return 0, db.fail(err)
 	}
@@ -593,7 +583,7 @@ func (db *DB) recover(recs []Record) error {
 	filePages := map[string][]PageID{}
 	pageSeen := map[PageID]bool{}
 	for _, f := range ck.files {
-		db.files[f.name] = newHeapFile(f.name, db.store, db.bm, db)
+		db.files[f.name] = newHeapFile(f.name, db)
 		db.fileOrder = append(db.fileOrder, f.name)
 		filePages[f.name] = append([]PageID(nil), f.pages...)
 		for _, id := range f.pages {
@@ -649,7 +639,7 @@ func (db *DB) recover(recs []Record) error {
 				return err
 			}
 			if _, ok := db.files[name]; !ok {
-				db.files[name] = newHeapFile(name, db.store, db.bm, db)
+				db.files[name] = newHeapFile(name, db)
 				db.fileOrder = append(db.fileOrder, name)
 			}
 			stats.RecordsReplayed++
@@ -669,7 +659,7 @@ func (db *DB) recover(recs []Record) error {
 			}
 			stats.RecordsReplayed++
 		case RecInsert:
-			id, slot, rec, err := decodeInsert(r.Payload)
+			id, slot, rec, err := decodeSlotRecord(r.Payload)
 			if err != nil {
 				return err
 			}
@@ -701,7 +691,7 @@ func (db *DB) recover(recs []Record) error {
 			}
 			stats.RecordsReplayed++
 		case RecUpdate:
-			id, oldSlot, newSlot, rec, err := decodeUpdate(r.Payload)
+			id, slot, rec, err := decodeSlotRecord(r.Payload)
 			if err != nil {
 				return err
 			}
@@ -712,7 +702,7 @@ func (db *DB) recover(recs []Record) error {
 			if err != nil {
 				return err
 			}
-			if err := p.redoUpdate(oldSlot, newSlot, rec, r.LSN); err != nil {
+			if err := p.redoUpdate(slot, rec, r.LSN); err != nil {
 				return err
 			}
 			stats.RecordsReplayed++
@@ -811,7 +801,7 @@ func (db *DB) backfillIndex(def IndexDef, h *HeapFile, quarantined map[PageID]bo
 				db.bm.Unpin(id)
 				return nil, err
 			}
-			tu, err := DecodeTuple(rec)
+			tu, _, err := DecodeRecord(rec)
 			if err != nil {
 				db.bm.Unpin(id)
 				return nil, err

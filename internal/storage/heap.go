@@ -18,20 +18,22 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 // ErrNotFound is returned for missing records.
 var ErrNotFound = errors.New("storage: record not found")
 
-// HeapFile is an unordered record file over the buffer manager. When
-// attached to a DB (db != nil) every mutation is redo-logged to the
-// WAL before it is acknowledged; detached heap files keep the original
-// in-memory-only behaviour.
+// HeapFile is an unordered record file over the buffer manager of the
+// DB that owns it: every mutation is redo-logged to the WAL before it
+// is acknowledged. Every record is a row version (version.go), written
+// through a transaction (Txn.Insert/Delete/Update). HeapFile's own
+// reads are version-blind — every version, live or dead — which is
+// what recovery, index backfill and zone-map builds want; queries read
+// through a snapshot-bound HeapView.
 type HeapFile struct {
 	mu    sync.Mutex
 	name  string
-	bm    *BufferManager
-	store *Store
 	db    *DB
+	bm    *BufferManager
 	pages []PageID
 	live  int
-	// zm holds the file's per-page zone maps. Mutation paths that can
-	// change page VALUES (insert, update) invalidate the page's entry
+	// zm holds the file's per-page zone maps. Inserts, the only
+	// mutation that can change page VALUES, invalidate the page's entry
 	// both before touching it and again once the mutation lands — the
 	// second bump is what keeps a concurrent BuildZoneMaps from keeping
 	// a summary of the pre-write image (see zonemap.go). Delete and
@@ -40,29 +42,23 @@ type HeapFile struct {
 	zm ZoneMaps
 }
 
-// NewHeapFile creates an empty heap file.
-func NewHeapFile(name string, store *Store, bm *BufferManager) *HeapFile {
-	return newHeapFile(name, store, bm, nil)
-}
-
-// newHeapFile is the shared constructor (recovery builds files with
-// the owning DB attached). Registering the zone invalidation with the
-// buffer manager keeps quarantine and pruning consistent: a page
-// pulled from service after its entry was built loses the entry, so
-// every later scan attempts the read and reports ErrQuarantined
-// instead of silently pruning past corruption.
-func newHeapFile(name string, store *Store, bm *BufferManager, db *DB) *HeapFile {
-	h := &HeapFile{name: name, bm: bm, store: store, db: db}
-	if bm != nil {
-		bm.OnQuarantine(h.zm.invalidate)
-	}
+// newHeapFile builds one of db's files (CreateFile and recovery).
+// Registering the zone invalidation with the buffer manager keeps
+// quarantine and pruning consistent: a page pulled from service after
+// its entry was built loses the entry, so every later scan attempts the
+// read and reports ErrQuarantined instead of silently pruning past
+// corruption.
+func newHeapFile(name string, db *DB) *HeapFile {
+	h := &HeapFile{name: name, db: db, bm: db.bm}
+	h.bm.OnQuarantine(h.zm.invalidate)
 	return h
 }
 
 // Name returns the file name.
 func (h *HeapFile) Name() string { return h.name }
 
-// Count returns the number of live records.
+// Count returns the number of records on the file's pages, every
+// version.
 func (h *HeapFile) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -76,19 +72,8 @@ func (h *HeapFile) Pages() int {
 	return len(h.pages)
 }
 
-// Insert appends a tuple and returns its RID.
-func (h *HeapFile) Insert(t Tuple) (RID, error) {
-	return h.insertRec(EncodeTuple(t))
-}
-
-// InsertVersion appends a tuple carrying an MVCC header — the
-// transaction layer's insert: the version is born with Xmin set to
-// the writing transaction and becomes globally visible only when that
-// transaction's commit record is durable.
-func (h *HeapFile) InsertVersion(t Tuple, v Version) (RID, error) {
-	return h.insertRec(EncodeVersionedTuple(t, v))
-}
-
+// insertRec appends one record image (Txn.Insert's) and returns its
+// RID.
 func (h *HeapFile) insertRec(rec []byte) (RID, error) {
 	if len(rec) > PageSize-pageHeaderSize-2*slotSize {
 		return RID{}, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
@@ -114,11 +99,9 @@ func (h *HeapFile) insertRec(rec []byte) (RID, error) {
 			return RID{}, err
 		}
 	}
-	id := h.store.Allocate()
-	if h.db != nil {
-		if err := h.db.logAlloc(h.name, id); err != nil {
-			return RID{}, err
-		}
+	id := h.db.store.Allocate()
+	if err := h.db.logAlloc(h.name, id); err != nil {
+		return RID{}, err
 	}
 	h.pages = append(h.pages, id)
 	p, err := h.bm.GetPage(id)
@@ -136,12 +119,8 @@ func (h *HeapFile) insertRec(rec []byte) (RID, error) {
 	return RID{Page: id, Slot: slot}, nil
 }
 
-// insertPage applies one insert, logging it inside the page latch
-// when the file is durable.
+// insertPage applies one insert, logging it inside the page latch.
 func (h *HeapFile) insertPage(p *Page, id PageID, rec []byte) (int, error) {
-	if h.db == nil {
-		return p.Insert(rec)
-	}
 	return p.InsertWith(rec, func(slot int) (uint64, error) {
 		return h.db.logInsert(id, slot, rec)
 	})
@@ -170,51 +149,15 @@ func (h *HeapFile) getVisible(rid RID, vis Visibility) (Tuple, error) {
 // the page write latch and may refuse (write conflict); decision and
 // stamp being one critical section is what makes first-claimer-wins
 // sound. A nil decide stamps unconditionally (rollback's un-claim).
-// Stamping a versioned record is an in-place same-length rewrite;
-// upgrading a plain record grows it by the header and may move it, so
-// the record's resulting RID is returned.
-func (h *HeapFile) SetXmax(rid RID, xmax uint64, decide func(Version) error) (RID, error) {
-	slot, err := h.setXmaxOnce(rid, xmax, decide)
-	if errors.Is(err, ErrPageFull) {
-		// A plain-record upgrade did not fit: reclaim tombstoned space
-		// and retry once (decide re-runs — the record may have changed
-		// between the latch holds).
-		if p, perr := h.bm.GetPage(rid.Page); perr == nil {
-			p.Compact()
-			h.bm.Unpin(rid.Page)
-			slot, err = h.setXmaxOnce(rid, xmax, decide)
-		}
-	}
-	if err != nil {
-		if errors.Is(err, ErrSlotDeleted) && decide != nil {
-			// A guarded claim found the slot tombstoned: a concurrent
-			// claimer's plain→versioned upgrade moved the record (or a
-			// physical delete removed it) between the claimant reading
-			// the RID and reaching the page latch. To the loser that is
-			// a write conflict — retryable — not a missing row.
-			return RID{}, fmt.Errorf("%w: record at %s concurrently moved or removed", ErrWriteConflict, rid)
-		}
-		if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
-			return RID{}, fmt.Errorf("%w: %s", ErrNotFound, rid)
-		}
-		return RID{}, err
-	}
-	return RID{Page: rid.Page, Slot: slot}, nil
-}
-
-func (h *HeapFile) setXmaxOnce(rid RID, xmax uint64, decide func(Version) error) (int, error) {
+// The stamp is a same-length rewrite in place: the record keeps its
+// RID.
+func (h *HeapFile) SetXmax(rid RID, xmax uint64, decide func(Version) error) error {
 	p, err := h.bm.GetPage(rid.Page)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer h.bm.Unpin(rid.Page)
-	var after func(newSlot int, rec []byte) (uint64, error)
-	if h.db != nil {
-		after = func(newSlot int, rec []byte) (uint64, error) {
-			return h.db.logUpdate(rid.Page, rid.Slot, newSlot, rec)
-		}
-	}
-	return p.MutateWith(rid.Slot, func(old []byte) ([]byte, error) {
+	err = p.MutateWith(rid.Slot, func(old []byte) ([]byte, error) {
 		if decide != nil {
 			v, err := RecordVersion(old)
 			if err != nil {
@@ -225,71 +168,36 @@ func (h *HeapFile) setXmaxOnce(rid RID, xmax uint64, decide func(Version) error)
 			}
 		}
 		return stampXmax(old, xmax), nil
-	}, after)
+	}, func(rec []byte) (uint64, error) {
+		return h.db.logUpdate(rid.Page, rid.Slot, rec)
+	})
+	if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
+		return fmt.Errorf("%w: %s", ErrNotFound, rid)
+	}
+	return err
 }
 
-// Delete removes the record at rid.
+// Delete tombstones the record at rid: how rollback removes its own
+// inserts.
 func (h *HeapFile) Delete(rid RID) error {
 	p, err := h.bm.GetPage(rid.Page)
 	if err != nil {
 		return err
 	}
 	defer h.bm.Unpin(rid.Page)
-	var derr error
-	if h.db == nil {
-		derr = p.Delete(rid.Slot)
-	} else {
-		derr = p.DeleteWith(rid.Slot, func() (uint64, error) {
-			return h.db.logDelete(rid.Page, rid.Slot)
-		})
-	}
-	if derr != nil {
-		if errors.Is(derr, ErrSlotDeleted) || errors.Is(derr, ErrBadSlot) {
+	err = p.DeleteWith(rid.Slot, func() (uint64, error) {
+		return h.db.logDelete(rid.Page, rid.Slot)
+	})
+	if err != nil {
+		if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
 			return fmt.Errorf("%w: %s", ErrNotFound, rid)
 		}
-		return derr
+		return err
 	}
 	h.mu.Lock()
 	h.live--
 	h.mu.Unlock()
 	return nil
-}
-
-// Update rewrites the record at rid in place when it fits; otherwise
-// the record moves within its page (RID slot may change) or, if the
-// page cannot hold it, is deleted and re-inserted elsewhere. The
-// record's current RID is returned.
-func (h *HeapFile) Update(rid RID, t Tuple) (RID, error) {
-	rec := EncodeTuple(t)
-	p, err := h.bm.GetPage(rid.Page)
-	if err != nil {
-		return RID{}, err
-	}
-	h.zm.invalidate(rid.Page) // before the mutation is observable
-	var slot int
-	if h.db == nil {
-		slot, err = p.Update(rid.Slot, rec)
-	} else {
-		slot, err = p.UpdateWith(rid.Slot, rec, func(newSlot int) (uint64, error) {
-			return h.db.logUpdate(rid.Page, rid.Slot, newSlot, rec)
-		})
-	}
-	h.zm.invalidate(rid.Page) // and after: outdate any mid-write build
-	h.bm.Unpin(rid.Page)
-	if err == nil {
-		return RID{Page: rid.Page, Slot: slot}, nil
-	}
-	if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
-		return RID{}, fmt.Errorf("%w: %s", ErrNotFound, rid)
-	}
-	if !errors.Is(err, ErrPageFull) {
-		return RID{}, err
-	}
-	// Record no longer fits its page: move it.
-	if err := h.Delete(rid); err != nil {
-		return RID{}, err
-	}
-	return h.Insert(t)
 }
 
 // PageIDs returns a snapshot of the file's page list. The snapshot is
@@ -305,42 +213,30 @@ func (h *HeapFile) PageIDs() []PageID {
 	return h.pages[:n:n]
 }
 
-// PageTuples decodes every live tuple on one page under the page read
-// latch. It is safe to call from many goroutines at once — this is
-// the per-partition cursor primitive of the parallel executor.
+// PageTuples decodes every record on one page, every version.
 func (h *HeapFile) PageTuples(id PageID) ([]Tuple, error) {
 	return h.PageTuplesInto(id, nil)
 }
 
 // PageTuplesInto is PageTuples with a caller-owned batch: the page's
-// live tuples are appended to dst (usually dst[:0] of a recycled
-// batch) under a single latch acquisition, decoded arena-style with no
-// per-tuple allocation. It replaces the copy-per-Get discipline on hot
-// paths — hash-join builds and probes read whole pages through here
-// instead of RID-at-a-time Get calls. The returned tuples stay valid
-// after dst is recycled (they own their arena), so both retaining and
-// streaming consumers are safe.
+// tuples are appended to dst (usually dst[:0] of a recycled batch)
+// under a single latch acquisition, decoded arena-style with no
+// per-tuple allocation. It is safe to call from many goroutines at
+// once — the per-partition cursor primitive of the parallel executor.
+// The returned tuples stay valid after dst is recycled (they own their
+// arena), so both retaining and streaming consumers are safe.
 func (h *HeapFile) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
 	return h.pageRows(id, dst, nil, nil)
 }
 
-// PageTuplesVisibleInto is PageTuplesInto filtered through a
-// snapshot: only versions vis reports visible are appended — the
-// page-granular MVCC read primitive HeapView threads through the
-// batch executor.
-func (h *HeapFile) PageTuplesVisibleInto(id PageID, dst []Tuple, vis Visibility) ([]Tuple, error) {
-	return h.pageRows(id, dst, nil, vis)
-}
-
 // PageRowsInto is PageTuplesInto that also appends each tuple's RID:
-// the read a writer selects its victims through. See Page.rowsInto for
-// why tuples and RIDs must come from one image of the page.
+// tuples and RIDs come from one image of the page (Page.rowsInto).
 func (h *HeapFile) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
 	ts, err := h.pageRows(id, ts, &rids, nil)
 	return ts, rids, err
 }
 
-// pageRows is the one pinned page read behind the three above.
+// pageRows is the one pinned page read behind every page-granular read.
 func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]Tuple, error) {
 	p, err := h.bm.GetPage(id)
 	if err != nil {
@@ -350,26 +246,9 @@ func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, vis Visibility)
 	return p.rowsInto(id, dst, rids, vis)
 }
 
-// ScanPartition calls fn for every live record on the pages of one
-// partition (pages whose index i satisfies i % parts == part, over a
-// snapshot of the page list). Distinct partitions cover disjoint page
-// sets, so `parts` goroutines each scanning one partition together
-// visit every record exactly once.
-func (h *HeapFile) ScanPartition(part, parts int, fn func(rid RID, t Tuple) bool) error {
-	if parts < 1 {
-		return fmt.Errorf("storage: ScanPartition parts = %d", parts)
-	}
-	all := h.PageIDs()
-	var pages []PageID
-	for i := part; i < len(all); i += parts {
-		pages = append(pages, all[i])
-	}
-	return h.scanPages(pages, nil, fn)
-}
-
-// Scan calls fn for every live record in file order; returning false
-// stops the scan early. The tuples are the pages' shared decode images:
-// fn must not modify them.
+// Scan calls fn for every record in file order, every version;
+// returning false stops the scan early. The tuples are the pages'
+// shared decode images: fn must not modify them.
 func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
 	return h.scanPages(h.PageIDs(), nil, fn)
 }
@@ -394,7 +273,7 @@ func (h *HeapFile) scanPages(pages []PageID, vis Visibility, fn func(rid RID, t 
 	return nil
 }
 
-// All collects every live tuple (test/bench convenience).
+// All collects every record's tuple, every version.
 func (h *HeapFile) All() ([]Tuple, error) {
 	var out []Tuple
 	err := h.Scan(func(_ RID, t Tuple) bool {

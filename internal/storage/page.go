@@ -34,7 +34,7 @@ var (
 // the shared-scan requirement of the parallel executor.
 //
 // dec caches the page's decoded live tuples (the arena produced by
-// TuplesInto): scans of a page that hasn't changed since its last
+// decoded): scans of a page that hasn't changed since its last
 // decode skip record parsing entirely. Mutators clear it under the
 // write latch; readers publish it under the read latch, so a cached
 // image can never be stale. Cached tuples are shared across readers —
@@ -52,10 +52,7 @@ type Page struct {
 }
 
 // decodedPage is the page's cached decode image: the live tuples in
-// slot order, the slot each one sits in, and, when any record on the
-// page carries an MVCC header, a parallel version slice (nil means
-// every record is plain, which lets visibility-filtered scans skip
-// per-tuple checks entirely).
+// slot order, the slot each one sits in, and each one's version.
 type decodedPage struct {
 	tuples []Tuple
 	slots  []uint16
@@ -137,20 +134,13 @@ func (p *Page) CopyBytes() ([]byte, uint64) {
 	return img, p.lsn
 }
 
-// Insert stores a record and returns its slot number.
-func (p *Page) Insert(rec []byte) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dec.Store(nil)
-	return p.insertLocked(rec)
-}
-
-// InsertWith is Insert with a logging hook that runs inside the latch
-// critical section: after the record is applied, `after` appends the
-// WAL record for the chosen slot and returns the LSN to stamp. Running
-// the append under the latch is what guarantees per-page WAL order
-// matches apply order — two writers racing on one page cannot log in
-// the reverse of the order they applied. If `after` fails the
+// InsertWith stores a record and returns its slot number. The logging
+// hook runs inside the latch critical section: after the record is
+// applied, `after` appends the WAL record for the chosen slot and
+// returns the LSN to stamp. Running the append under the latch is what
+// guarantees per-page WAL order matches apply order — two writers
+// racing on one page cannot log in the reverse of the order they
+// applied. If `after` fails the
 // mutation is rolled back and the page is unchanged.
 func (p *Page) InsertWith(rec []byte, after func(slot int) (uint64, error)) (int, error) {
 	p.mu.Lock()
@@ -186,18 +176,27 @@ func (p *Page) insertLocked(rec []byte) (int, error) {
 	return n, nil
 }
 
+// liveSlot locates a live slot's record; the caller holds the latch.
+func (p *Page) liveSlot(slot int) (off, length int, err error) {
+	if slot < 0 || slot >= p.slotCount() {
+		return 0, 0, fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, p.slotCount())
+	}
+	off, length = p.slotAt(slot)
+	if length == 0 {
+		return 0, 0, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
+	}
+	return off, length, nil
+}
+
 // Get returns a copy of the record in a slot. (A copy, not an alias:
 // the caller decodes outside the page latch, so an alias would race
 // with concurrent writers.)
 func (p *Page) Get(slot int) ([]byte, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if slot < 0 || slot >= p.slotCount() {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, p.slotCount())
-	}
-	off, length := p.slotAt(slot)
-	if length == 0 {
-		return nil, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
+	off, length, err := p.liveSlot(slot)
+	if err != nil {
+		return nil, err
 	}
 	return append([]byte(nil), p.buf[off:off+length]...), nil
 }
@@ -210,12 +209,9 @@ func (p *Page) Get(slot int) ([]byte, error) {
 func (p *Page) getVisible(slot int, vis Visibility) (Tuple, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if slot < 0 || slot >= p.slotCount() {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, slot, p.slotCount())
-	}
-	off, length := p.slotAt(slot)
-	if length == 0 {
-		return nil, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
+	off, length, err := p.liveSlot(slot)
+	if err != nil {
+		return nil, err
 	}
 	body, ver, err := recordParts(p.buf[off : off+length])
 	if err != nil {
@@ -229,29 +225,19 @@ func (p *Page) getVisible(slot int, vis Visibility) (Tuple, error) {
 	return decodeFields(make(Tuple, 0, n), body[2:], n)
 }
 
-// Delete tombstones a slot (directory entry kept, space reclaimable
-// by Compact).
-func (p *Page) Delete(slot int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dec.Store(nil)
-	return p.deleteLocked(slot)
-}
-
-// DeleteWith is Delete with a latch-scoped logging hook (see
+// DeleteWith tombstones a slot (directory entry kept, space
+// reclaimable by Compact) with a latch-scoped logging hook (see
 // InsertWith). Tombstoning is reversible, so a failed append restores
 // the slot.
 func (p *Page) DeleteWith(slot int, after func() (uint64, error)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.dec.Store(nil)
-	off, length := 0, 0
-	if slot >= 0 && slot < p.slotCount() {
-		off, length = p.slotAt(slot)
-	}
-	if err := p.deleteLocked(slot); err != nil {
+	off, length, err := p.liveSlot(slot)
+	if err != nil {
 		return err
 	}
+	p.dec.Store(nil)
+	p.setSlot(slot, off, 0)
 	//admvet:allow latchorder per-page WAL order must equal apply order, so the log callback runs under the page latch by design
 	lsn, err := after()
 	if err != nil {
@@ -262,139 +248,40 @@ func (p *Page) DeleteWith(slot int, after func() (uint64, error)) error {
 	return nil
 }
 
-func (p *Page) deleteLocked(slot int) error {
-	if slot < 0 || slot >= p.slotCount() {
-		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	if _, length := p.slotAt(slot); length == 0 {
-		return fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
-	}
-	off, _ := p.slotAt(slot)
-	p.setSlot(slot, off, 0)
-	return nil
-}
-
-// Update rewrites a slot in place when the new record fits the old
-// space, otherwise deletes and reinserts (same-page only; returns the
-// possibly-new slot).
-func (p *Page) Update(slot int, rec []byte) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dec.Store(nil)
-	return p.updateLocked(slot, rec)
-}
-
-func (p *Page) updateLocked(slot int, rec []byte) (int, error) {
-	if slot < 0 || slot >= p.slotCount() {
-		return 0, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	off, length := p.slotAt(slot)
-	if length == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
-	}
-	if len(rec) <= length {
-		copy(p.buf[off:], rec)
-		p.setSlot(slot, off, len(rec))
-		return slot, nil
-	}
-	if err := p.deleteLocked(slot); err != nil {
-		return 0, err
-	}
-	newSlot, err := p.insertLocked(rec)
-	if err != nil {
-		// The move failed (page full): resurrect the old record — its
-		// bytes are untouched, only the slot length was zeroed — so a
-		// failed update never loses the row.
-		p.setSlot(slot, off, length)
-		return 0, err
-	}
-	return newSlot, nil
-}
-
-// MutateWith rewrites one record through `mutate` under a single
-// write-latch hold: the callback receives the current image and
-// returns the replacement, so a read-decide-write sequence (the MVCC
-// claim: inspect the version, then stamp Xmax) is atomic with respect
-// to every other writer of the page. `after` is the latch-scoped
-// logging hook (see InsertWith); nil skips logging (detached files).
-// Returns the record's resulting slot — same-length rewrites never
-// move.
+// MutateWith rewrites one record in place through `mutate` under a
+// single write-latch hold: the callback receives the current image
+// (read-only, valid only during the call) and returns the replacement,
+// so a read-decide-write sequence (the MVCC claim: inspect the
+// version, then stamp Xmax) is atomic with respect to every other
+// writer of the page. The replacement must keep the record's length —
+// a claim rewrites the header only — so a record never moves. `after`
+// is the latch-scoped logging hook (see InsertWith); it runs before
+// the rewrite lands, so a failed append leaves the page unchanged.
 func (p *Page) MutateWith(slot int, mutate func(old []byte) ([]byte, error),
-	after func(newSlot int, rec []byte) (uint64, error)) (int, error) {
+	after func(rec []byte) (uint64, error)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if slot < 0 || slot >= p.slotCount() {
-		return 0, fmt.Errorf("%w: %d", ErrBadSlot, slot)
+	off, length, err := p.liveSlot(slot)
+	if err != nil {
+		return err
 	}
-	off, length := p.slotAt(slot)
-	if length == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
-	}
-	old := append([]byte(nil), p.buf[off:off+length]...)
 	//admvet:allow latchorder the claim decision must be atomic with the rewrite, so the mutate callback runs under the page latch by design
-	rec, err := mutate(old)
+	rec, err := mutate(p.buf[off : off+length])
 	if err != nil {
-		return 0, err
+		return err
 	}
-	p.dec.Store(nil)
-	newSlot, err := p.updateLocked(slot, rec)
-	if err != nil {
-		return 0, err
-	}
-	if after == nil {
-		return newSlot, nil
+	if len(rec) != length {
+		return fmt.Errorf("storage: rewrite of slot %d changes its length %d to %d", slot, length, len(rec))
 	}
 	//admvet:allow latchorder per-page WAL order must equal apply order, so the log callback runs under the page latch by design
-	lsn, err := after(newSlot, rec)
+	lsn, err := after(rec)
 	if err != nil {
-		if newSlot != slot {
-			// Move path: drop the appended slot, then resurrect the old.
-			insOff, insLen := p.slotAt(newSlot)
-			p.setSlotCount(newSlot)
-			p.setFreeEnd(insOff + insLen)
-		}
-		copy(p.buf[off:], old)
-		p.setSlot(slot, off, len(old))
-		return 0, err
+		return err
 	}
-	p.lsn = lsn
-	return newSlot, nil
-}
-
-// UpdateWith is Update with a latch-scoped logging hook (see
-// InsertWith): `after` logs the update given the resulting slot. On a
-// failed append the old record image and directory state are restored.
-func (p *Page) UpdateWith(slot int, rec []byte, after func(newSlot int) (uint64, error)) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.dec.Store(nil)
-	if slot < 0 || slot >= p.slotCount() {
-		return 0, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	off, length := p.slotAt(slot)
-	if length == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrSlotDeleted, slot)
-	}
-	old := append([]byte(nil), p.buf[off:off+length]...)
-	newSlot, err := p.updateLocked(slot, rec)
-	if err != nil {
-		return 0, err
-	}
-	//admvet:allow latchorder per-page WAL order must equal apply order, so the log callback runs under the page latch by design
-	lsn, err := after(newSlot)
-	if err != nil {
-		if newSlot != slot {
-			// Move path: drop the appended slot, then resurrect the old.
-			insOff, insLen := p.slotAt(newSlot)
-			p.setSlotCount(newSlot)
-			p.setFreeEnd(insOff + insLen)
-		}
-		copy(p.buf[off:], old)
-		p.setSlot(slot, off, len(old))
-		return 0, err
-	}
+	copy(p.buf[off:], rec)
 	p.lsn = lsn
-	return newSlot, nil
+	return nil
 }
 
 // Live reports whether the slot holds a record.
@@ -490,28 +377,31 @@ func (p *Page) redoDelete(slot int, lsn uint64) error {
 	if p.lsn >= lsn {
 		return nil
 	}
-	p.dec.Store(nil)
-	if err := p.deleteLocked(slot); err != nil {
+	off, _, err := p.liveSlot(slot)
+	if err != nil {
 		return fmt.Errorf("storage: redo delete lsn %d: %w", lsn, err)
 	}
+	p.dec.Store(nil)
+	p.setSlot(slot, off, 0)
 	p.lsn = lsn
 	return nil
 }
 
-func (p *Page) redoUpdate(oldSlot, newSlot int, rec []byte, lsn uint64) error {
+func (p *Page) redoUpdate(slot int, rec []byte, lsn uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.lsn >= lsn {
 		return nil
 	}
-	p.dec.Store(nil)
-	got, err := p.updateLocked(oldSlot, rec)
+	off, length, err := p.liveSlot(slot)
+	if err == nil && length != len(rec) {
+		err = fmt.Errorf("record of %d bytes, logged %d", length, len(rec))
+	}
 	if err != nil {
 		return fmt.Errorf("storage: redo update lsn %d: %w", lsn, err)
 	}
-	if got != newSlot {
-		return fmt.Errorf("storage: redo update lsn %d landed in slot %d, logged %d", lsn, got, newSlot)
-	}
+	p.dec.Store(nil)
+	copy(p.buf[off:], rec)
 	p.lsn = lsn
 	return nil
 }
@@ -523,56 +413,24 @@ func (p *Page) setLSN(lsn uint64) {
 	p.mu.Unlock()
 }
 
-// Tuples decodes every live record in the page in slot order. It is
-// the page-granular read path of the parallel executor: one latch
-// acquisition per page, tuples copied out so workers never hold page
-// state.
-func (p *Page) Tuples() ([]Tuple, error) { return p.TuplesInto(nil) }
-
-// TuplesInto appends every live tuple of the page (slot order) to dst
-// and returns the extended slice — the batch decode of the vectorized
-// scan path. The whole page is decoded under one read-latch
-// acquisition, and all values are carved from a single arena sized by
-// a header-only pre-pass, so the per-tuple allocation of the scalar
-// path disappears (two allocations per page, amortised to near zero
-// per tuple). The returned tuples own their memory: they stay valid
-// after dst is reused, so retaining consumers (hash-join builds,
-// drains) alias them without copying.
-func (p *Page) TuplesInto(dst []Tuple) ([]Tuple, error) {
-	d, err := p.decoded()
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, d.tuples...), nil
-}
-
-// TuplesVisibleInto is TuplesInto filtered through a snapshot: only
-// versions vis reports visible are appended. This is the MVCC read
-// path of the batch executor — the filter runs over the (cached)
-// decode image and each verdict is a few atomic loads from the commit
-// table (TxnManager.commitLSN), so snapshot scans take no latch after
-// the decode and cost nothing on pages with no versioned records.
-func (p *Page) TuplesVisibleInto(dst []Tuple, vis Visibility) ([]Tuple, error) {
-	return p.rowsInto(0, dst, nil, vis)
-}
-
-// rowsInto is the visibility filter over the decode image. With rids
-// non-nil it also appends each admitted tuple's RID there (id is the
-// page's own id): tuples and slots come from one image — one latch
-// hold — so a record that a concurrent claim moves within the page is
-// reported once, wherever that image has it; a record-by-record walk
-// can meet it at both slots. The tuples-only loop is every snapshot
-// scan's inner loop and stays free of the RID branches: sharing one
-// loop cost BenchmarkSnapshotHeapScan 15%.
+// rowsInto appends the page's live tuples whose version vis admits
+// (nil: every version) to dst, read from the page's decode image. Each
+// verdict is a few atomic loads from the commit table
+// (TxnManager.commitLSN), so a snapshot scan takes no latch after the
+// decode. With rids non-nil it also appends each admitted tuple's RID
+// there (id is the page's own id): tuples and slots come from one
+// image. The appended tuples own their memory (the image's arena): they
+// stay valid after dst is reused, so retaining consumers (hash-join
+// builds, drains) alias them without copying. The tuples-only loop is
+// every snapshot scan's inner loop and stays free of the RID branches:
+// sharing one loop cost BenchmarkSnapshotHeapScan 15%.
 func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]Tuple, error) {
 	d, err := p.decoded()
 	if err != nil {
 		return dst, err
 	}
-	// All-plain page: the zero Version is visible to every snapshot.
-	all := d.vers == nil || vis == nil
 	if rids == nil {
-		if all {
+		if vis == nil {
 			return append(dst, d.tuples...), nil
 		}
 		for i, t := range d.tuples {
@@ -583,7 +441,7 @@ func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]
 		return dst, nil
 	}
 	for i, t := range d.tuples {
-		if all || vis(d.vers[i]) {
+		if vis == nil || vis(d.vers[i]) {
 			dst = append(dst, t)
 			*rids = append(*rids, RID{Page: id, Slot: int(d.slots[i])})
 		}
@@ -592,61 +450,54 @@ func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]
 }
 
 // decoded returns the page's decode image, producing and publishing
-// it under the read latch on a cache miss.
+// it under the read latch on a cache miss. The whole page is decoded
+// under one read-latch acquisition, and all values are carved from a
+// single arena sized by a header-only pre-pass, so there is no
+// per-tuple allocation.
 func (p *Page) decoded() (*decodedPage, error) {
 	if c := p.dec.Load(); c != nil {
 		return c, nil
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	// Pre-pass: size the value arena from the record headers alone,
-	// count live slots for the cache image, and note whether any
-	// record carries an MVCC header (the common all-plain page skips
-	// the version slice entirely).
-	total, live, versioned := 0, 0, false
+	// Pre-pass: validate every record header, size the value arena and
+	// count live slots for the cache image.
+	total, live := 0, 0
 	for s := 0; s < p.slotCount(); s++ {
 		off, length := p.slotAt(s)
 		if length == 0 {
 			continue
 		}
-		n, err := RecordFields(p.buf[off : off+length])
+		body, _, err := recordParts(p.buf[off : off+length])
 		if err != nil {
 			return nil, err
 		}
-		if length >= 2 && binary.BigEndian.Uint16(p.buf[off:off+2]) == versionMarker {
-			versioned = true
-		}
-		total += n
+		total += int(binary.BigEndian.Uint16(body))
 		live++
 	}
 	// The arena never reallocates (capacity is exact), so the tuple
 	// slices carved below remain valid.
 	arena := make(Tuple, 0, total)
-	d := &decodedPage{tuples: make([]Tuple, 0, live), slots: make([]uint16, 0, live)}
-	if versioned {
-		d.vers = make([]Version, 0, live)
+	d := &decodedPage{
+		tuples: make([]Tuple, 0, live),
+		slots:  make([]uint16, 0, live),
+		vers:   make([]Version, 0, live),
 	}
 	for s := 0; s < p.slotCount(); s++ {
 		off, length := p.slotAt(s)
 		if length == 0 {
 			continue
 		}
-		rec := p.buf[off : off+length]
-		if versioned {
-			v, err := RecordVersion(rec)
-			if err != nil {
-				return nil, err
-			}
-			d.vers = append(d.vers, v)
-		}
+		body, v, _ := recordParts(p.buf[off : off+length]) // validated above
 		start := len(arena)
 		var err error
-		arena, err = DecodeTupleInto(arena, rec)
+		arena, err = decodeFields(arena, body[2:], int(binary.BigEndian.Uint16(body)))
 		if err != nil {
 			return nil, err
 		}
 		d.tuples = append(d.tuples, arena[start:len(arena):len(arena)])
 		d.slots = append(d.slots, uint16(s))
+		d.vers = append(d.vers, v)
 	}
 	// Publish under the read latch: any mutator's invalidation is
 	// either already visible (we decoded its write) or will run after

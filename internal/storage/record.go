@@ -169,43 +169,19 @@ func EncodeTuple(t Tuple) []byte {
 	return buf
 }
 
-// DecodeTuple parses a stored record image into its tuple. Versioned
-// records decode version-blind: the MVCC header is skipped and the
-// payload tuple returned (DecodeRecord surfaces the version).
+// DecodeTuple parses a tuple encoding (EncodeTuple's output; a stored
+// record decodes through DecodeRecord).
 func DecodeTuple(b []byte) (Tuple, error) {
-	b, _, err := recordParts(b)
-	if err != nil {
-		return nil, err
+	if len(b) < 2 {
+		return nil, fmt.Errorf("%w: short header", ErrCorruptRecord)
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	return decodeFields(make(Tuple, 0, n), b[2:], n)
 }
 
-// RecordFields returns the field count of an encoded record (plain or
-// versioned) without decoding it — how batch decoders size their
-// value arenas.
-func RecordFields(b []byte) (int, error) {
-	b, _, err := recordParts(b)
-	if err != nil {
-		return 0, err
-	}
-	return int(binary.BigEndian.Uint16(b)), nil
-}
-
-// DecodeTupleInto appends the record's values to dst and returns the
-// extended slice. When dst has capacity for the record's fields the
-// decode allocates nothing beyond string payloads — the zero-alloc
-// fast path of the vectorized scan. The appended region is the decoded
-// tuple; callers typically slice it back out of the returned arena.
-func DecodeTupleInto(dst Tuple, b []byte) (Tuple, error) {
-	b, _, err := recordParts(b)
-	if err != nil {
-		return dst, err
-	}
-	return decodeFields(dst, b[2:], int(binary.BigEndian.Uint16(b)))
-}
-
-// decodeFields appends n values parsed from b to out.
+// decodeFields appends n values parsed from b to out. When out has
+// capacity for them it allocates nothing beyond string payloads — the
+// zero-alloc fast path of the page decode.
 func decodeFields(out Tuple, b []byte, n int) (Tuple, error) {
 	for i := 0; i < n; i++ {
 		if len(b) < 1 {

@@ -121,11 +121,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 
 func TestPageInsertGetDelete(t *testing.T) {
 	p := NewPage()
-	s1, err := p.Insert([]byte("alpha"))
+	s1, err := pageInsert(p, []byte("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _ := p.Insert([]byte("beta"))
+	s2, _ := pageInsert(p, []byte("beta"))
 	if s1 == s2 {
 		t.Fatal("slot reuse")
 	}
@@ -133,13 +133,13 @@ func TestPageInsertGetDelete(t *testing.T) {
 	if err != nil || string(b) != "alpha" {
 		t.Fatalf("get = %q %v", b, err)
 	}
-	if err := p.Delete(s1); err != nil {
+	if err := pageDelete(p, s1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Get(s1); !errors.Is(err, ErrSlotDeleted) {
 		t.Fatalf("deleted get: %v", err)
 	}
-	if err := p.Delete(s1); !errors.Is(err, ErrSlotDeleted) {
+	if err := pageDelete(p, s1); !errors.Is(err, ErrSlotDeleted) {
 		t.Fatalf("double delete: %v", err)
 	}
 	if _, err := p.Get(99); !errors.Is(err, ErrBadSlot) {
@@ -156,7 +156,7 @@ func TestPageFull(t *testing.T) {
 	rec := make([]byte, 100)
 	inserted := 0
 	for {
-		if _, err := p.Insert(rec); err != nil {
+		if _, err := pageInsert(p, rec); err != nil {
 			if !errors.Is(err, ErrPageFull) {
 				t.Fatal(err)
 			}
@@ -174,11 +174,11 @@ func TestPageCompactPreservesSlots(t *testing.T) {
 	p := NewPage()
 	var slots []int
 	for i := 0; i < 10; i++ {
-		s, _ := p.Insert([]byte(fmt.Sprintf("rec-%d", i)))
+		s, _ := pageInsert(p, []byte(fmt.Sprintf("rec-%d", i)))
 		slots = append(slots, s)
 	}
 	for i := 0; i < 10; i += 2 {
-		_ = p.Delete(slots[i])
+		_ = pageDelete(p, slots[i])
 	}
 	liveBefore := p.LiveBytes()
 	freeBefore := p.FreeSpace()
@@ -202,22 +202,31 @@ func TestPageCompactPreservesSlots(t *testing.T) {
 	}
 }
 
-func TestPageUpdateInPlaceAndGrow(t *testing.T) {
+// TestPageMutateInPlace: MutateWith rewrites a record in place, logs
+// before it lands (a failed append leaves the page as it was), and
+// refuses a replacement of another length — a claim never moves a
+// record.
+func TestPageMutateInPlace(t *testing.T) {
 	p := NewPage()
-	s, _ := p.Insert([]byte("aaaa"))
-	ns, err := p.Update(s, []byte("bb"))
-	if err != nil || ns != s {
-		t.Fatalf("shrink update: %d %v", ns, err)
+	s, _ := pageInsert(p, []byte("aaaa"))
+	to := func(rec string) func([]byte) ([]byte, error) {
+		return func([]byte) ([]byte, error) { return []byte(rec), nil }
 	}
-	if b, _ := p.Get(s); string(b) != "bb" {
-		t.Fatalf("got %q", b)
-	}
-	ns, err = p.Update(s, []byte("cccccccccc"))
-	if err != nil {
+	if err := p.MutateWith(s, to("bbbb"), noLog[[]byte]); err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := p.Get(ns); string(b) != "cccccccccc" {
+	if b, _ := p.Get(s); string(b) != "bbbb" {
 		t.Fatalf("got %q", b)
+	}
+	failLog := func([]byte) (uint64, error) { return 0, errors.New("log down") }
+	if err := p.MutateWith(s, to("cccc"), failLog); err == nil {
+		t.Fatal("a rewrite whose log append failed succeeded")
+	}
+	if err := p.MutateWith(s, to("cc"), noLog[[]byte]); err == nil {
+		t.Fatal("a rewrite that shrinks the record succeeded")
+	}
+	if b, _ := p.Get(s); string(b) != "bbbb" {
+		t.Fatalf("failed rewrites changed the record to %q", b)
 	}
 }
 
@@ -335,16 +344,44 @@ func TestSwapPolicyMidFlight(t *testing.T) {
 // --------------------------------------------------------------------------
 // Heap file.
 
-func newHeap(t *testing.T, frames int) *HeapFile {
+// newHeap opens a DB over fresh MemDisks with a pool of `frames`
+// buffer frames and creates one heap file in it.
+func newHeap(t testing.TB, frames int) *HeapFile {
 	t.Helper()
-	store := NewStore()
-	bm := NewBufferManager(store, frames, NewLRU())
-	return NewHeapFile("t", store, bm)
+	db, err := Open(NewMemDisk(), NewMemDisk(), DBOptions{Sync: SyncManual, BufferFrames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := db.CreateFile("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
-func TestHeapInsertGetDeleteUpdate(t *testing.T) {
+// insertRow inserts tu into h in a transaction of its own and commits
+// it.
+func insertRow(h *HeapFile, tu Tuple) (RID, error) {
+	tx := h.db.Txns().Begin()
+	rid, err := tx.Insert(h, tu)
+	if err != nil {
+		return RID{}, errors.Join(err, tx.Rollback())
+	}
+	return rid, tx.Commit()
+}
+
+// noLog is the logging hook of a page mutated outside any file.
+func noLog[T any](T) (uint64, error) { return 0, nil }
+
+// pageInsert and pageDelete mutate a page on its own, unlogged.
+func pageInsert(p *Page, rec []byte) (int, error) { return p.InsertWith(rec, noLog[int]) }
+func pageDelete(p *Page, slot int) error {
+	return p.DeleteWith(slot, func() (uint64, error) { return 0, nil })
+}
+
+func TestHeapInsertGetDelete(t *testing.T) {
 	h := newHeap(t, 16)
-	rid, err := h.Insert(Tuple{IntValue(1), StringValue("x")})
+	rid, err := insertRow(h, Tuple{IntValue(1), StringValue("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,21 +389,13 @@ func TestHeapInsertGetDeleteUpdate(t *testing.T) {
 	if err != nil || tu[0].Int != 1 || tu[1].Str != "x" {
 		t.Fatalf("get = %v %v", tu, err)
 	}
-	nrid, err := h.Update(rid, Tuple{IntValue(2), StringValue("y")})
-	if err != nil {
+	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	tu, _ = h.Get(nrid)
-	if tu[0].Int != 2 {
-		t.Fatalf("after update: %v", tu)
-	}
-	if err := h.Delete(nrid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get(nrid); !errors.Is(err, ErrNotFound) {
+	if _, err := h.Get(rid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get deleted: %v", err)
 	}
-	if err := h.Delete(nrid); !errors.Is(err, ErrNotFound) {
+	if err := h.Delete(rid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: %v", err)
 	}
 	if h.Count() != 0 {
@@ -378,7 +407,7 @@ func TestHeapSpansPages(t *testing.T) {
 	h := newHeap(t, 64)
 	long := StringValue(string(make([]byte, 500)))
 	for i := 0; i < 50; i++ {
-		if _, err := h.Insert(Tuple{IntValue(int64(i)), long}); err != nil {
+		if _, err := insertRow(h, Tuple{IntValue(int64(i)), long}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,7 +430,7 @@ func TestHeapSpansPages(t *testing.T) {
 func TestHeapScanEarlyStop(t *testing.T) {
 	h := newHeap(t, 16)
 	for i := 0; i < 10; i++ {
-		_, _ = h.Insert(Tuple{IntValue(int64(i))})
+		_, _ = insertRow(h, Tuple{IntValue(int64(i))})
 	}
 	n := 0
 	_ = h.Scan(func(RID, Tuple) bool {
@@ -415,7 +444,7 @@ func TestHeapScanEarlyStop(t *testing.T) {
 
 func TestHeapOversizeRecord(t *testing.T) {
 	h := newHeap(t, 4)
-	if _, err := h.Insert(Tuple{StringValue(string(make([]byte, PageSize)))}); err == nil {
+	if _, err := insertRow(h, Tuple{StringValue(string(make([]byte, PageSize)))}); err == nil {
 		t.Fatal("oversize insert must fail")
 	}
 }
@@ -424,7 +453,7 @@ func TestHeapVacuum(t *testing.T) {
 	h := newHeap(t, 16)
 	var rids []RID
 	for i := 0; i < 20; i++ {
-		rid, _ := h.Insert(Tuple{IntValue(int64(i)), StringValue("payload")})
+		rid, _ := insertRow(h, Tuple{IntValue(int64(i)), StringValue("payload")})
 		rids = append(rids, rid)
 	}
 	for i := 0; i < 20; i += 2 {
@@ -445,15 +474,14 @@ func TestHeapVacuum(t *testing.T) {
 // deleted tuples, under any interleaving.
 func TestHeapContentsProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		store := NewStore()
-		h := NewHeapFile("p", store, NewBufferManager(store, 32, NewLRU()))
+		h := newHeap(t, 32)
 		want := map[int64]int{}
 		var live []RID
 		var liveKeys []int64
 		for i, op := range ops {
 			if op%3 != 0 || len(live) == 0 { // insert
 				k := int64(i)
-				rid, err := h.Insert(Tuple{IntValue(k)})
+				rid, err := insertRow(h, Tuple{IntValue(k)})
 				if err != nil {
 					return false
 				}

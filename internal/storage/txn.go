@@ -66,9 +66,8 @@ const txnChunkBits = 12
 type txnChunk [1 << txnChunkBits]atomic.Uint64
 
 // TxnManager issues transactions and commit timestamps over one DB's
-// WAL LSN clock. It is the pluggable CC component: a DB without
-// transactions never touches it, and readers opt in per scan by
-// binding a HeapView to a snapshot.
+// WAL LSN clock. Every write goes through one of its transactions, and
+// every query reads through one's snapshot (a HeapView).
 type TxnManager struct {
 	db *DB
 
@@ -195,9 +194,6 @@ func (tm *TxnManager) isAborted(id uint64) bool { return tm.commitLSN(id) == txn
 
 // committedAt reports whether id committed within snapshot s.
 func (tm *TxnManager) committedAt(id uint64, s Snapshot) bool {
-	if id == 0 {
-		return true // plain record: committed before every snapshot
-	}
 	if id == s.Self {
 		return true // own write
 	}
@@ -207,7 +203,7 @@ func (tm *TxnManager) committedAt(id uint64, s Snapshot) bool {
 
 // visible implements snapshot visibility for one version.
 func (tm *TxnManager) visible(v Version, s Snapshot) bool {
-	if v.Xmin != 0 && !tm.committedAt(v.Xmin, s) {
+	if !tm.committedAt(v.Xmin, s) {
 		return false // creator not committed in this snapshot
 	}
 	if v.Xmax == 0 {
@@ -263,12 +259,48 @@ func (t *Txn) View(h *HeapFile) *HeapView { return h.View(t.Visible()) }
 // order). Higher layers hang index fix-ups here.
 func (t *Txn) OnRollback(fn func() error) { t.undo = append(t.undo, fn) }
 
-// Insert adds a row version owned by this transaction.
+// Savepoint marks how far the transaction has written; RollbackTo
+// undoes what was written after the mark.
+type Savepoint struct{ undo, writes int }
+
+// Savepoint marks the transaction's current write set.
+func (t *Txn) Savepoint() Savepoint { return Savepoint{undo: len(t.undo), writes: t.writes} }
+
+// RollbackTo undoes, newest first, every write (and OnRollback action)
+// registered since sp — a failed statement's writes — and leaves the
+// transaction open, as the statement found it.
+func (t *Txn) RollbackTo(sp Savepoint) error {
+	if t.done {
+		return ErrTxnDone
+	}
+	t.writes = sp.writes
+	return t.undoTo(sp.undo)
+}
+
+// undoTo runs the undo actions past the first n, newest first.
+func (t *Txn) undoTo(n int) error {
+	for len(t.undo) > n {
+		fn := t.undo[len(t.undo)-1]
+		t.undo = t.undo[:len(t.undo)-1]
+		if err := fn(); err != nil {
+			// The undo path appends WAL records; a failure there has
+			// already poisoned the DB (ErrDBFailed) — nothing more to
+			// unwind.
+			t.undo = nil
+			return err
+		}
+	}
+	return nil
+}
+
+// Insert adds a row version owned by this transaction: born with Xmin
+// set to the writer, it becomes visible to others only once this
+// transaction's commit record is durable.
 func (t *Txn) Insert(h *HeapFile, tu Tuple) (RID, error) {
 	if t.done {
 		return RID{}, ErrTxnDone
 	}
-	rid, err := h.InsertVersion(tu, Version{Xmin: t.writeID()})
+	rid, err := h.insertRec(EncodeRecord(tu, Version{Xmin: t.writeID()}))
 	if err != nil {
 		return RID{}, err
 	}
@@ -280,30 +312,25 @@ func (t *Txn) Insert(h *HeapFile, tu Tuple) (RID, error) {
 // Delete claims the row version at rid for deletion
 // (first-claimer-wins: a version already claimed by a live
 // transaction, or committed over since this snapshot, returns
-// ErrWriteConflict). The version stays on the page — invisible to
+// ErrWriteConflict). The version stays where it is — invisible to
 // later snapshots once this transaction commits — so concurrent
-// readers are never blocked. Returns the version's (possibly moved)
-// RID.
-func (t *Txn) Delete(h *HeapFile, rid RID) (RID, error) {
+// readers are never blocked.
+func (t *Txn) Delete(h *HeapFile, rid RID) error {
 	if t.done {
-		return RID{}, ErrTxnDone
+		return ErrTxnDone
 	}
-	nrid, err := h.SetXmax(rid, t.writeID(), t.claimable)
-	if err != nil {
-		return RID{}, err
+	if err := h.SetXmax(rid, t.writeID(), t.claimable); err != nil {
+		return err
 	}
 	t.writes++
-	t.undo = append(t.undo, func() error {
-		_, err := h.SetXmax(nrid, 0, nil)
-		return err
-	})
-	return nrid, nil
+	t.undo = append(t.undo, func() error { return h.SetXmax(rid, 0, nil) })
+	return nil
 }
 
 // claimable is the conflict decision, run under the page write latch
 // so it is atomic with the Xmax stamp.
 func (t *Txn) claimable(v Version) error {
-	if v.Xmin != 0 && !t.tm.committedAt(v.Xmin, t.Snapshot()) {
+	if !t.tm.committedAt(v.Xmin, t.Snapshot()) {
 		// A version we cannot even see (uncommitted or post-snapshot
 		// creator): claiming it would write over a concurrent writer.
 		return fmt.Errorf("%w: version created by txn %d", ErrWriteConflict, v.Xmin)
@@ -323,18 +350,13 @@ func (t *Txn) claimable(v Version) error {
 }
 
 // Update replaces the version at rid: claim the old version, insert
-// the new one owned by this transaction. Returns the old version's
-// (possibly moved) RID and the new version's RID.
-func (t *Txn) Update(h *HeapFile, rid RID, tu Tuple) (oldRID, newRID RID, err error) {
-	oldRID, err = t.Delete(h, rid)
-	if err != nil {
-		return RID{}, RID{}, err
+// the new one owned by this transaction. Returns the new version's
+// RID.
+func (t *Txn) Update(h *HeapFile, rid RID, tu Tuple) (RID, error) {
+	if err := t.Delete(h, rid); err != nil {
+		return RID{}, err
 	}
-	newRID, err = t.Insert(h, tu)
-	if err != nil {
-		return RID{}, RID{}, err
-	}
-	return oldRID, newRID, nil
+	return t.Insert(h, tu)
 }
 
 // Commit makes the transaction's writes durable and visible. Writing
@@ -363,16 +385,9 @@ func (t *Txn) Rollback() error {
 	}
 	t.done = true
 	t.tm.active.Add(-1)
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		if err := t.undo[i](); err != nil {
-			// The undo path appends WAL records; a failure there has
-			// already poisoned the DB (ErrDBFailed) — nothing more to
-			// unwind.
-			t.undo = nil
-			return err
-		}
+	if err := t.undoTo(0); err != nil {
+		return err
 	}
-	t.undo = nil
 	if t.writes == 0 {
 		return nil
 	}

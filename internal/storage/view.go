@@ -2,13 +2,10 @@ package storage
 
 import "fmt"
 
-// HeapReader is the read surface scan operators consume: *HeapFile
-// implements it directly (every version visible — the legacy,
-// version-blind behaviour), and *HeapView implements it bound to a
-// snapshot. Retyping the operators to this interface is the CC-layer
-// plug-in boundary: the same serial, batch and morsel scan pipelines
-// run transactional or non-transactional depending only on which
-// reader the planner hands them.
+// HeapReader is the read surface scan operators consume: *HeapView
+// implements it bound to a snapshot — what every query reads through —
+// and *HeapFile implements it version-blind (every version, live or
+// dead), the reader of index backfill and of raw-scan measurements.
 type HeapReader interface {
 	Name() string
 	PageIDs() []PageID
@@ -48,7 +45,7 @@ func (v *HeapView) PageTuples(id PageID) ([]Tuple, error) {
 // PageTuplesInto appends one page's visible tuples to dst under a
 // single latch acquisition.
 func (v *HeapView) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
-	return v.h.PageTuplesVisibleInto(id, dst, v.vis)
+	return v.h.pageRows(id, dst, nil, v.vis)
 }
 
 // errNotVisible is how Get reports a version outside the snapshot:

@@ -48,8 +48,8 @@ const (
 	RecInsert
 	// RecDelete logs a tombstone: payload = pageID, slot.
 	RecDelete
-	// RecUpdate logs an in-page rewrite: payload = pageID, oldSlot,
-	// newSlot, record image.
+	// RecUpdate logs an in-place rewrite of a record (a claim's version
+	// header): payload as RecInsert's.
 	RecUpdate
 	// RecCreateIndex registers a B-tree: payload = index name, file
 	// name, column.
@@ -344,21 +344,23 @@ func decodeAllocPage(p []byte) (string, PageID, error) {
 	return name, PageID(binary.BigEndian.Uint32(rest)), nil
 }
 
-func encodeInsert(id PageID, slot int, rec []byte) []byte {
+// encodeSlotRecord is the payload of RecInsert and RecUpdate: the page,
+// the slot and the record image that lands there.
+func encodeSlotRecord(id PageID, slot int, rec []byte) []byte {
 	b := binary.BigEndian.AppendUint32(nil, uint32(id))
 	b = binary.BigEndian.AppendUint16(b, uint16(slot))
 	return putBytes(b, rec)
 }
 
-func decodeInsert(p []byte) (PageID, int, []byte, error) {
+func decodeSlotRecord(p []byte) (PageID, int, []byte, error) {
 	if len(p) < 6 {
-		return 0, 0, nil, fmt.Errorf("%w: insert payload", ErrWALCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: record payload", ErrWALCorrupt)
 	}
 	id := PageID(binary.BigEndian.Uint32(p))
 	slot := int(binary.BigEndian.Uint16(p[4:]))
 	rec, rest, err := getBytes(p[6:])
 	if err != nil || len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: insert payload", ErrWALCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: record payload", ErrWALCorrupt)
 	}
 	return id, slot, rec, nil
 }
@@ -373,27 +375,6 @@ func decodeDelete(p []byte) (PageID, int, error) {
 		return 0, 0, fmt.Errorf("%w: delete payload", ErrWALCorrupt)
 	}
 	return PageID(binary.BigEndian.Uint32(p)), int(binary.BigEndian.Uint16(p[4:])), nil
-}
-
-func encodeUpdate(id PageID, oldSlot, newSlot int, rec []byte) []byte {
-	b := binary.BigEndian.AppendUint32(nil, uint32(id))
-	b = binary.BigEndian.AppendUint16(b, uint16(oldSlot))
-	b = binary.BigEndian.AppendUint16(b, uint16(newSlot))
-	return putBytes(b, rec)
-}
-
-func decodeUpdate(p []byte) (id PageID, oldSlot, newSlot int, rec []byte, err error) {
-	if len(p) < 8 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: update payload", ErrWALCorrupt)
-	}
-	id = PageID(binary.BigEndian.Uint32(p))
-	oldSlot = int(binary.BigEndian.Uint16(p[4:]))
-	newSlot = int(binary.BigEndian.Uint16(p[6:]))
-	rec, rest, err := getBytes(p[8:])
-	if err != nil || len(rest) != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: update payload", ErrWALCorrupt)
-	}
-	return id, oldSlot, newSlot, rec, nil
 }
 
 func encodeCreateIndex(name, file string, col int) []byte {

@@ -76,14 +76,14 @@ func TestZoneMapsGenerationGuardsInstall(t *testing.T) {
 	}
 }
 
-// TestHeapFileZoneInvalidation: insert/update invalidate the touched
-// page's entry before the mutation; delete leaves the (superset) entry
-// in place.
+// TestHeapFileZoneInvalidation: an insert invalidates the entry of the
+// page it lands on; claims and deletes leave entries in place (a
+// version-header rewrite or a removal keeps the summary a superset).
 func TestHeapFileZoneInvalidation(t *testing.T) {
 	h := newHeap(t, 256)
 	var rids []RID
-	for i := 0; i < 64; i++ {
-		rid, err := h.Insert(Tuple{IntValue(int64(i))})
+	for i := 0; i < 400; i++ {
+		rid, err := insertRow(h, Tuple{IntValue(int64(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,23 +93,30 @@ func TestHeapFileZoneInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := h.PageIDs()
+	if len(ids) < 3 {
+		t.Fatalf("fixture spans %d pages, want >= 3", len(ids))
+	}
 	for i, z := range h.PageZones(ids) {
 		if z == nil {
 			t.Fatalf("page %d has no zone after build", ids[i])
 		}
 	}
 
-	// Update invalidates its page; others keep their entries.
-	victim := rids[0]
-	if _, err := h.Update(victim, Tuple{IntValue(9999)}); err != nil {
+	// An update claims the old version in place (page 0 keeps its
+	// entry) and appends the new one (the last page loses its entry).
+	tx := h.db.Txns().Begin()
+	if _, err := tx.Update(h, rids[0], Tuple{IntValue(9999)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	zs := h.PageZones(ids)
-	if zs[0] != nil {
-		t.Fatal("updated page kept a stale zone entry")
+	if zs[len(zs)-1] != nil {
+		t.Fatal("the page the new version landed on kept a stale zone entry")
 	}
-	if len(ids) > 1 && zs[1] == nil {
-		t.Fatal("untouched page lost its zone entry")
+	if zs[0] == nil || zs[1] == nil {
+		t.Fatal("a claim or an untouched page lost its zone entry")
 	}
 
 	// Rebuild, then delete: the entry stays (conservative superset).
@@ -133,24 +140,17 @@ func TestHeapFileZoneInvalidation(t *testing.T) {
 // new value.
 func TestWriteInvalidatesAroundMutation(t *testing.T) {
 	h := newHeap(t, 16)
-	rid, err := h.Insert(Tuple{IntValue(1)})
+	rid, err := insertRow(h, Tuple{IntValue(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := rid.Page
 	g := h.zm.generation(id)
-	if _, err := h.Insert(Tuple{IntValue(2)}); err != nil {
+	if _, err := insertRow(h, Tuple{IntValue(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.zm.generation(id); got < g+2 {
 		t.Fatalf("insert moved generation %d -> %d, want pre- AND post-mutation invalidation", g, got)
-	}
-	g = h.zm.generation(id)
-	if _, err := h.Update(rid, Tuple{IntValue(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.zm.generation(id); got < g+2 {
-		t.Fatalf("update moved generation %d -> %d, want pre- AND post-mutation invalidation", g, got)
 	}
 }
 
@@ -205,14 +205,14 @@ func assertZonesCoverPages(t *testing.T, h *HeapFile) {
 func TestZoneBuildConcurrentWriterNeverStale(t *testing.T) {
 	h := newHeap(t, 512)
 	for i := 0; i < 200; i++ {
-		if _, err := h.Insert(Tuple{IntValue(int64(i % 50))}); err != nil {
+		if _, err := insertRow(h, Tuple{IntValue(int64(i % 50))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 500; i++ {
-			if _, err := h.Insert(Tuple{IntValue(int64(100000 + i))}); err != nil {
+			if _, err := insertRow(h, Tuple{IntValue(int64(100000 + i))}); err != nil {
 				done <- err
 				return
 			}
@@ -241,7 +241,7 @@ func TestZoneMapsPruneSoundnessRandom(t *testing.T) {
 		StringValue(""), StringValue("zz"), BoolValue(false), NullValue(),
 	}
 	for i := 0; i < 300; i++ {
-		if _, err := h.Insert(Tuple{vals[i%len(vals)], vals[(i*7+3)%len(vals)]}); err != nil {
+		if _, err := insertRow(h, Tuple{vals[i%len(vals)], vals[(i*7+3)%len(vals)]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
 	}
 	pad := strings.Repeat("x", 200) // force the table across several pages
 	for i := 0; i < 200; i++ {
-		if _, err := h.Insert(Tuple{IntValue(int64(i)), StringValue(fmt.Sprintf("r%d-%s", i, pad))}); err != nil {
+		if _, err := insertRow(h, Tuple{IntValue(int64(i)), StringValue(fmt.Sprintf("r%d-%s", i, pad))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,11 +344,10 @@ func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
 // every subsequent scan touches the page and reports ErrQuarantined
 // instead of pruning past the corruption.
 func TestQuarantineDropsZoneEntry(t *testing.T) {
-	store := NewStore()
-	bm := NewBufferManager(store, 16, NewLRU())
-	h := NewHeapFile("t", store, bm)
+	h := newHeap(t, 16)
+	bm := h.bm
 	for i := 0; i < 8; i++ {
-		if _, err := h.Insert(Tuple{IntValue(int64(i))}); err != nil {
+		if _, err := insertRow(h, Tuple{IntValue(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,10 +383,10 @@ func TestBuildColZonesZeroWidth(t *testing.T) {
 		t.Fatalf("zero-width summary = %v, want nil", z)
 	}
 	h := newHeap(t, 16)
-	if _, err := h.Insert(Tuple{IntValue(1)}); err != nil {
+	if _, err := insertRow(h, Tuple{IntValue(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Insert(Tuple{}); err != nil {
+	if _, err := insertRow(h, Tuple{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.BuildZoneMaps(); err != nil {
@@ -409,7 +408,7 @@ func TestCheckpointBuildsZones(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := h.Insert(Tuple{IntValue(int64(i))}); err != nil {
+		if _, err := insertRow(h, Tuple{IntValue(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -699,7 +699,7 @@ func BenchmarkJoinAggregate(b *testing.B) {
 func BenchmarkBatchHeapScan(b *testing.B) {
 	const rows = 50_000
 	_, hf := scanBenchFile(b, rows)
-	scan := operators.NewBatchHeapScan(hf)
+	scan := operators.NewBatchHeapScan(hf.Blind())
 	benchBatchHeapScan(b, rows, func() (*operators.BatchHeapScan, func()) { return scan, func() {} })
 }
 

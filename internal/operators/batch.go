@@ -192,18 +192,18 @@ func (s *SourceIterator) Close() error { return nil }
 
 // BatchHeapScan reads a heap file page-at-a-time: each NextBatch
 // decodes one pinned page into the caller's batch under a single latch
-// acquisition (storage.HeapFile.PageTuplesInto) — the batch-native
+// acquisition (storage.HeapView.PageTuplesInto) — the batch-native
 // scan. The page list is snapshotted at Open, matching HeapScan's
 // semantics; reopening re-snapshots.
 //
 // With a Kernel attached the scan fuses filtering: each page's zone
-// map (snapshotted at Open alongside the page list, when the file
-// exposes storage.ZoneReader) is consulted BEFORE the page is pinned
-// or decoded, and surviving pages are compacted through the kernel in
-// place — the scan+filter pipeline the paper's database machines
-// pushed to the disk head, here pushed below the batch boundary.
+// map (snapshotted at Open alongside the page list) is consulted
+// BEFORE the page is pinned or decoded, and surviving pages are
+// compacted through the kernel in place — the scan+filter pipeline the
+// paper's database machines pushed to the disk head, here pushed below
+// the batch boundary.
 type BatchHeapScan struct {
-	File storage.HeapReader
+	File *storage.HeapView
 	// Kernel, when non-nil, fuses predicate evaluation and zone-map
 	// page pruning into the scan.
 	Kernel *FilterKernel
@@ -217,7 +217,7 @@ type BatchHeapScan struct {
 }
 
 // NewBatchHeapScan scans file.
-func NewBatchHeapScan(file storage.HeapReader) *BatchHeapScan {
+func NewBatchHeapScan(file *storage.HeapView) *BatchHeapScan {
 	return &BatchHeapScan{File: file}
 }
 
@@ -226,9 +226,7 @@ func (s *BatchHeapScan) Open() error {
 	s.pages = s.File.PageIDs()
 	s.zones = nil
 	if s.Kernel != nil {
-		if zr, ok := s.File.(storage.ZoneReader); ok {
-			s.zones = zr.PageZones(s.pages)
-		}
+		s.zones = s.File.PageZones(s.pages)
 	}
 	s.idx = 0
 	s.open = true

@@ -63,7 +63,7 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 	// Tombstone a spread of slots, including page boundaries.
 	i := 0
 	var kill []storage.RID
-	hf.Scan(func(rid storage.RID, _ storage.Tuple) bool {
+	hf.Blind().Scan(func(rid storage.RID, _ storage.Tuple) bool {
 		if i%7 == 0 || i == 499 {
 			kill = append(kill, rid)
 		}
@@ -75,11 +75,11 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := Drain(NewHeapScan(hf))
+	want, err := Drain(NewHeapScan(hf.Blind()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DrainBatches(NewBatchHeapScan(hf))
+	got, err := DrainBatches(NewBatchHeapScan(hf.Blind()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 // equal the Volcano scan, and the adapter must survive reopening.
 func TestBatchAdapterRoundTrip(t *testing.T) {
 	_, hf := batchHeap(t, 300)
-	want, err := Drain(NewHeapScan(hf))
+	want, err := Drain(NewHeapScan(hf.Blind()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewIteratorFromBatch(NewBatchHeapScan(hf))
+	it := NewIteratorFromBatch(NewBatchHeapScan(hf.Blind()))
 	if _, _, err := it.Next(); err != ErrNotOpen {
 		t.Fatalf("unopened Next: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestBatchAdapterRoundTrip(t *testing.T) {
 // reopened scan sees rows inserted after the first drain.
 func TestBatchHeapScanReopen(t *testing.T) {
 	db, hf := batchHeap(t, 100)
-	scan := NewBatchHeapScan(hf)
+	scan := NewBatchHeapScan(hf.Blind())
 	first, err := DrainBatches(scan)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestBatchHeapScanReopen(t *testing.T) {
 // arena-ownership contract consumers like hash-join builds rely on).
 func TestBatchRetentionAcrossRecycle(t *testing.T) {
 	_, hf := batchHeap(t, 600)
-	scan := NewBatchHeapScan(hf)
+	scan := NewBatchHeapScan(hf.Blind())
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestBatchRetentionAcrossRecycle(t *testing.T) {
 func TestBatchFilterProjectMatchSerial(t *testing.T) {
 	_, hf := batchHeap(t, 300)
 	pred := func(tp storage.Tuple) bool { return tp[0].Int%3 == 0 }
-	want, err := Drain(NewProject(NewFilter(NewHeapScan(hf), pred), []int{1, 0}))
+	want, err := Drain(NewProject(NewFilter(NewHeapScan(hf.Blind()), pred), []int{1, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := DrainParallelBatches(NewFilterBatches(NewHeapBatches(hf), pred), ParallelConfig{Workers: 4})
+	kept, err := DrainParallelBatches(NewFilterBatches(NewHeapBatches(hf.Blind()), pred), ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
 func TestBatchHeapScanWithRIDs(t *testing.T) {
 	_, hf := batchHeap(t, 500)
 	var kill []storage.RID
-	hf.Scan(func(rid storage.RID, tu storage.Tuple) bool {
+	hf.Blind().Scan(func(rid storage.RID, tu storage.Tuple) bool {
 		if tu[0].Int%5 == 0 {
 			kill = append(kill, rid)
 		}
@@ -275,7 +275,7 @@ func TestBatchHeapScanWithRIDs(t *testing.T) {
 		{"no kernel", nil, 400},
 		{"kernel", NewFilterKernel([]ColPred{{Col: 0, Op: KernGE, Lit: storage.IntValue(250)}}, odd, nil), 100},
 	} {
-		bs := NewBatchHeapScan(hf)
+		bs := NewBatchHeapScan(hf.Blind())
 		bs.Kernel, bs.WithRIDs = tc.kernel, true
 		if err := bs.Open(); err != nil {
 			t.Fatal(err)
@@ -294,7 +294,7 @@ func TestBatchHeapScanWithRIDs(t *testing.T) {
 				t.Fatalf("%s: %d RIDs beside %d tuples", tc.name, len(b.RIDs), n)
 			}
 			for i, tu := range b.Tuples {
-				at, err := hf.Get(b.RIDs[i])
+				at, err := hf.Blind().Get(b.RIDs[i])
 				if err != nil || at[0].Int != tu[0].Int {
 					t.Fatalf("%s: tuple %v paired with %v, which holds %v (%v)", tc.name, tu, b.RIDs[i], at, err)
 				}
@@ -310,7 +310,7 @@ func TestBatchHeapScanWithRIDs(t *testing.T) {
 			t.Fatalf("%s: %d rows, want %d", tc.name, got, tc.want)
 		}
 	}
-	bs := NewBatchHeapScan(hf)
+	bs := NewBatchHeapScan(hf.Blind())
 	if err := bs.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -101,14 +101,14 @@ func (m *MemScan) Close() error { m.open = false; return nil }
 
 // HeapScan iterates a heap file (snapshot of pages at Open).
 type HeapScan struct {
-	File storage.HeapReader
+	File *storage.HeapView
 	buf  []storage.Tuple
 	pos  int
 	open bool
 }
 
 // NewHeapScan scans file.
-func NewHeapScan(file storage.HeapReader) *HeapScan { return &HeapScan{File: file} }
+func NewHeapScan(file *storage.HeapView) *HeapScan { return &HeapScan{File: file} }
 
 // Open implements Iterator.
 func (h *HeapScan) Open() error {
@@ -139,7 +139,7 @@ func (h *HeapScan) Close() error { h.open, h.buf = false, nil; return nil }
 // IndexScan iterates tuples whose indexed column lies in [Lo,Hi],
 // fetching through the heap file.
 type IndexScan struct {
-	File   storage.HeapReader
+	File   *storage.HeapView
 	Index  *storage.BTree
 	Lo, Hi storage.Value
 	rids   []storage.RID
@@ -148,7 +148,7 @@ type IndexScan struct {
 }
 
 // NewIndexScan builds a range scan over index into file.
-func NewIndexScan(file storage.HeapReader, index *storage.BTree, lo, hi storage.Value) *IndexScan {
+func NewIndexScan(file *storage.HeapView, index *storage.BTree, lo, hi storage.Value) *IndexScan {
 	return &IndexScan{File: file, Index: index, Lo: lo, Hi: hi}
 }
 

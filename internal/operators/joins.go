@@ -233,7 +233,7 @@ type IndexNLJoin struct {
 	Outer    Iterator
 	OuterCol int
 	Index    *storage.BTree
-	File     storage.HeapReader
+	File     *storage.HeapView
 	pending  []storage.Tuple
 	open     bool
 	// Probes counts index lookups.
@@ -243,7 +243,7 @@ type IndexNLJoin struct {
 // NewIndexNLJoin joins outer.col against the indexed inner file, read
 // through file: a snapshot-bound reader hides the versions its
 // statement must not see (index entries cover every version).
-func NewIndexNLJoin(outer Iterator, outerCol int, index *storage.BTree, file storage.HeapReader) *IndexNLJoin {
+func NewIndexNLJoin(outer Iterator, outerCol int, index *storage.BTree, file *storage.HeapView) *IndexNLJoin {
 	return &IndexNLJoin{Outer: outer, OuterCol: outerCol, Index: index, File: file}
 }
 

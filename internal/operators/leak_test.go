@@ -222,7 +222,7 @@ func TestPinnedFramesBalancedAfterErrors(t *testing.T) {
 	}
 
 	// Serial sort over a heap scan.
-	scan := NewHeapScan(hf)
+	scan := NewHeapScan(hf.Blind())
 	s := NewSort(NewFilter(scan, func(tu storage.Tuple) bool { return true }), 0, false)
 	if err := s.Open(); err != nil {
 		t.Fatalf("sort open: %v", err)
@@ -236,7 +236,7 @@ func TestPinnedFramesBalancedAfterErrors(t *testing.T) {
 
 	// Batch scan erroring mid-stream: abandon the iterator after the
 	// error without a cooperative drain, then Close.
-	proj := NewBatchHeapScan(hf)
+	proj := NewBatchHeapScan(hf.Blind())
 	if err := proj.Open(); err != nil {
 		t.Fatalf("batch open: %v", err)
 	}

@@ -79,11 +79,11 @@ func TestHeapAndIndexScan(t *testing.T) {
 	for i, rid := range load(t, db, hf, seed...) {
 		idx.Insert(storage.IntValue(int64(i)), rid)
 	}
-	n, err := Count(NewHeapScan(hf))
+	n, err := Count(NewHeapScan(hf.Blind()))
 	if err != nil || n != 100 {
 		t.Fatalf("heap count = %d %v", n, err)
 	}
-	got, err := Drain(NewIndexScan(hf, idx, storage.IntValue(10), storage.IntValue(19)))
+	got, err := Drain(NewIndexScan(hf.Blind(), idx, storage.IntValue(10), storage.IntValue(19)))
 	if err != nil || len(got) != 10 {
 		t.Fatalf("index scan = %d %v", len(got), err)
 	}
@@ -170,7 +170,7 @@ func TestIndexNLJoin(t *testing.T) {
 		idx.Insert(storage.IntValue(int64(i%10)), rid)
 	}
 	outer := rows(3, 7, 3)
-	j := NewIndexNLJoin(NewMemScan(outer), 0, idx, inner)
+	j := NewIndexNLJoin(NewMemScan(outer), 0, idx, inner.Blind())
 	got, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestIndexNLJoin(t *testing.T) {
 		t.Fatalf("probes = %d", j.Probes)
 	}
 	// Agreement with hash join.
-	all, _ := inner.All()
+	all, _ := inner.Blind().All()
 	hj, _ := Drain(NewHashJoin(NewMemScan(outer), NewMemScan(all), 0, 0))
 	if len(hj) != len(got) {
 		t.Fatalf("hash=%d indexnl=%d", len(hj), len(got))

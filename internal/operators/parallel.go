@@ -105,7 +105,7 @@ type BatchSource interface {
 // atomic increment instead of a pin+decode — and survivors are
 // filtered through the kernel inside the claiming worker.
 type HeapBatches struct {
-	file   storage.HeapReader
+	file   *storage.HeapView
 	kernel *FilterKernel
 	pages  []storage.PageID
 	zones  [][]storage.ColZone
@@ -113,19 +113,17 @@ type HeapBatches struct {
 }
 
 // NewHeapBatches snapshots file's pages for parallel consumption.
-func NewHeapBatches(file storage.HeapReader) *HeapBatches {
+func NewHeapBatches(file *storage.HeapView) *HeapBatches {
 	return &HeapBatches{file: file, pages: file.PageIDs()}
 }
 
 // NewHeapBatchesKernel snapshots file's pages and zone maps for
 // parallel consumption with kernel-fused filtering. The kernel (shared
 // by all workers) may be nil, giving plain NewHeapBatches behaviour.
-func NewHeapBatchesKernel(file storage.HeapReader, kernel *FilterKernel) *HeapBatches {
+func NewHeapBatchesKernel(file *storage.HeapView, kernel *FilterKernel) *HeapBatches {
 	h := &HeapBatches{file: file, kernel: kernel, pages: file.PageIDs()}
 	if kernel != nil {
-		if zr, ok := file.(storage.ZoneReader); ok {
-			h.zones = zr.PageZones(h.pages)
-		}
+		h.zones = file.PageZones(h.pages)
 	}
 	return h
 }

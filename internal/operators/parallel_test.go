@@ -67,7 +67,7 @@ func TestHeapBatchesMatchSerialScan(t *testing.T) {
 		want = append(want, intTuple(int64(i), int64(i%13)))
 	}
 	load(t, db, hf, want...)
-	got, err := DrainParallelBatches(NewHeapBatches(hf), ParallelConfig{Workers: 4})
+	got, err := DrainParallelBatches(NewHeapBatches(hf.Blind()), ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

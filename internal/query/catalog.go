@@ -196,7 +196,7 @@ func (c *Catalog) CreateIndex(table, col string) (*storage.BTree, error) {
 	// Index entries cover every version (readers filter at fetch), so
 	// the backfill reads version-blind.
 	idx := storage.NewBTree(t.Name + "_" + key)
-	err = t.Heap.Scan(func(rid storage.RID, tu storage.Tuple) bool {
+	err = t.Heap.Blind().Scan(func(rid storage.RID, tu storage.Tuple) bool {
 		idx.Insert(tu[ci], rid)
 		return true
 	})
@@ -438,5 +438,5 @@ func (c *Catalog) Scan(table string) (operators.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return operators.NewHeapScan(t.Heap), nil
+	return operators.NewHeapScan(t.Heap.Blind()), nil
 }

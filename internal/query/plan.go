@@ -58,11 +58,11 @@ type scanPlan struct {
 	table *Table
 	sch   schema
 	// reader is the heap surface every scan operator of this plan
-	// consumes: the raw heap for non-transactional statements, a
-	// snapshot-bound HeapView inside a transaction. Selecting it at
-	// plan time is the whole of MVCC's read-side integration — the
-	// serial, batch and morsel pipelines downstream are unchanged.
-	reader   storage.HeapReader
+	// consumes: the statement's transaction's view, which judges each
+	// version against its snapshot. Binding it at plan time is the
+	// whole of MVCC's read-side integration — the serial, batch and
+	// morsel pipelines downstream are unchanged.
+	reader   *storage.HeapView
 	preds    []Pred // pushed-down single-table predicates
 	indexCol string // non-empty when an index path was chosen
 	indexLo  storage.Value

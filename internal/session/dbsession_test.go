@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -127,6 +128,52 @@ func TestDBSessionConflictAutoRollback(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Str != "a" {
 		t.Fatalf("winner's update lost: %v", res.Rows)
+	}
+}
+
+// TestCreateIndexBesideOpenTxn builds an index while another session's
+// transaction holds an uncommitted insert and an uncommitted update.
+// The backfill reads every version, in flight or not, so once the
+// writer commits or rolls back, index lookups return exactly the
+// committed state: an index built from one snapshot would lack the
+// writer's versions and lose them at COMMIT.
+func TestCreateIndexBesideOpenTxn(t *testing.T) {
+	for _, end := range []string{"COMMIT", "ROLLBACK"} {
+		t.Run(end, func(t *testing.T) {
+			eng, db := newSessionFixture(t)
+			w, ddl := NewDBSession(eng, db), NewDBSession(eng, db)
+			for _, sql := range []string{
+				"BEGIN",
+				"INSERT INTO kv VALUES (77, 'new')",
+				"UPDATE kv SET v = 'changed' WHERE k = 3",
+			} {
+				if _, err := w.Exec(sql); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			if _, err := ddl.Exec("CREATE INDEX ON kv (k)"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Exec(end); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int][]string{77: {"77|new"}, 3: {"3|changed"}}
+			if end == "ROLLBACK" {
+				want = map[int][]string{77: {}, 3: {"3|seed-3"}}
+			}
+			for k, rows := range want {
+				res, err := ddl.Exec(fmt.Sprintf("SELECT k, v FROM kv WHERE k = %d", k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(res.Plan, "IndexScan(kv.k") {
+					t.Fatalf("k = %d: plan %s does not read the index", k, res.Plan)
+				}
+				if got := sortedRows(res); fmt.Sprint(got) != fmt.Sprint(rows) {
+					t.Errorf("k = %d after %s: %v, want %v", k, end, got, rows)
+				}
+			}
+		})
 	}
 }
 

@@ -212,7 +212,7 @@ func verifyIndex(t *testing.T, db *DB, rows map[int64][]byte) {
 	view := snap.View(h)
 	seen := map[int64]bool{}
 	tree.Range(Value{Kind: KindNull}, Value{Kind: KindString, Str: "\xff"}, func(key Value, rid RID) bool {
-		if _, err := h.Get(rid); err != nil {
+		if _, err := h.Blind().Get(rid); err != nil {
 			t.Fatalf("index rid %v: %v", rid, err)
 		}
 		tu, err := view.Get(rid)
@@ -440,7 +440,7 @@ func TestRecoverCleanLog(t *testing.T) {
 		t.Fatalf("meta not recovered: %q %v", v, ok)
 	}
 	h, _ := db2.File("t")
-	if all, err := h.All(); err != nil || h.Count() != len(all) {
+	if all, err := h.Blind().All(); err != nil || h.Count() != len(all) {
 		t.Fatalf("recovered Count() = %d, a version-blind scan reads %d (%v)", h.Count(), len(all), err)
 	}
 	st := db2.Stats()
@@ -583,7 +583,7 @@ func TestRecoveryQuarantinesCorruptPage(t *testing.T) {
 	// A full scan must REPORT the quarantined page, not silently skip
 	// it — that is the whole point of quarantine.
 	h2, _ := db2.File("t")
-	if err := h2.Scan(func(RID, Tuple) bool { return true }); !errors.Is(err, ErrQuarantined) {
+	if err := h2.Blind().Scan(func(RID, Tuple) bool { return true }); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("scan over quarantined page = %v, want ErrQuarantined", err)
 	}
 
@@ -594,12 +594,12 @@ func TestRecoveryQuarantinesCorruptPage(t *testing.T) {
 	defer snap.Rollback()
 	for _, id := range h2.PageIDs() {
 		if id == victim {
-			if _, err := h2.PageTuples(id); !errors.Is(err, ErrQuarantined) {
+			if _, err := h2.Blind().PageTuplesInto(id, nil); !errors.Is(err, ErrQuarantined) {
 				t.Fatalf("victim page read = %v, want ErrQuarantined", err)
 			}
 			continue
 		}
-		tus, err := snap.View(h2).PageTuples(id)
+		tus, err := snap.View(h2).PageTuplesInto(id, nil)
 		if err != nil {
 			t.Fatalf("surviving page %d: %v", id, err)
 		}

@@ -21,10 +21,10 @@ var ErrNotFound = errors.New("storage: record not found")
 // HeapFile is an unordered record file over the buffer manager of the
 // DB that owns it: every mutation is redo-logged to the WAL before it
 // is acknowledged. Every record is a row version (version.go), written
-// through a transaction (Txn.Insert/Delete/Update). HeapFile's own
-// reads are version-blind — every version, live or dead — which is
-// what recovery, index backfill and zone-map builds want; queries read
-// through a snapshot-bound HeapView.
+// through a transaction (Txn.Insert/Delete/Update). Every read goes
+// through a HeapView: a transaction's (Txn.View) sees its snapshot, a
+// blind one (Blind) every version, live or dead — what index backfill
+// wants.
 type HeapFile struct {
 	mu    sync.Mutex
 	name  string
@@ -126,24 +126,6 @@ func (h *HeapFile) insertPage(p *Page, id PageID, rec []byte) (int, error) {
 	})
 }
 
-// Get fetches the tuple at rid.
-func (h *HeapFile) Get(rid RID) (Tuple, error) { return h.getVisible(rid, nil) }
-
-// getVisible fetches the tuple at rid if vis (nil: every version)
-// admits its version; one it does not reads as errNotVisible.
-func (h *HeapFile) getVisible(rid RID, vis Visibility) (Tuple, error) {
-	p, err := h.bm.GetPage(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.bm.Unpin(rid.Page)
-	t, err := p.getVisible(rid.Slot, vis)
-	if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, rid)
-	}
-	return t, err
-}
-
 // SetXmax stamps the deleting transaction on the record at rid — the
 // MVCC claim. `decide` inspects the record's current version under
 // the page write latch and may refuse (write conflict); decision and
@@ -202,10 +184,11 @@ func (h *HeapFile) Delete(rid RID) error {
 
 // PageIDs returns a snapshot of the file's page list. The snapshot is
 // the unit of work distribution for parallel scans: each page id can
-// be handed to a different worker and read via PageTuples. It aliases
-// the file's own list, capped at its current length, and is read-only:
-// the list is only ever appended to (which never writes below the
-// cap) or replaced whole by recovery, so no copy is needed.
+// be handed to a different worker and read via a view's
+// PageTuplesInto. It aliases the file's own list, capped at its
+// current length, and is read-only: the list is only ever appended to
+// (which never writes below the cap) or replaced whole by recovery, so
+// no copy is needed.
 func (h *HeapFile) PageIDs() []PageID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -213,74 +196,16 @@ func (h *HeapFile) PageIDs() []PageID {
 	return h.pages[:n:n]
 }
 
-// PageTuples decodes every record on one page, every version.
-func (h *HeapFile) PageTuples(id PageID) ([]Tuple, error) {
-	return h.PageTuplesInto(id, nil)
-}
-
-// PageTuplesInto is PageTuples with a caller-owned batch: the page's
-// tuples are appended to dst (usually dst[:0] of a recycled batch)
-// under a single latch acquisition, decoded arena-style with no
-// per-tuple allocation. It is safe to call from many goroutines at
-// once — the per-partition cursor primitive of the parallel executor.
-// The returned tuples stay valid after dst is recycled (they own their
-// arena), so both retaining and streaming consumers are safe.
-func (h *HeapFile) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
-	return h.pageRows(id, dst, nil, nil)
-}
-
-// PageRowsInto is PageTuplesInto that also appends each tuple's RID:
-// tuples and RIDs come from one image of the page (Page.rowsInto).
-func (h *HeapFile) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
-	ts, err := h.pageRows(id, ts, &rids, nil)
-	return ts, rids, err
-}
-
-// pageRows is the one pinned page read behind every page-granular read.
-func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]Tuple, error) {
+// pageRows is the one pinned page read behind every page-granular read
+// (Page.rowsInto): txn's snapshot judges each version, a nil txn
+// admits every version.
+func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple, error) {
 	p, err := h.bm.GetPage(id)
 	if err != nil {
 		return dst, err
 	}
 	defer h.bm.Unpin(id)
-	return p.rowsInto(id, dst, rids, vis)
-}
-
-// Scan calls fn for every record in file order, every version;
-// returning false stops the scan early. The tuples are the pages'
-// shared decode images: fn must not modify them.
-func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
-	return h.scanPages(h.PageIDs(), nil, fn)
-}
-
-// scanPages reads page-at-a-time (pageRows) and calls fn outside every
-// latch and pin, so fn may panic or take its time.
-func (h *HeapFile) scanPages(pages []PageID, vis Visibility, fn func(rid RID, t Tuple) bool) error {
-	var ts []Tuple
-	var rids []RID
-	for _, id := range pages {
-		var err error
-		rids = rids[:0]
-		if ts, err = h.pageRows(id, ts[:0], &rids, vis); err != nil {
-			return err
-		}
-		for i, t := range ts {
-			if !fn(rids[i], t) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// All collects every record's tuple, every version.
-func (h *HeapFile) All() ([]Tuple, error) {
-	var out []Tuple
-	err := h.Scan(func(_ RID, t Tuple) bool {
-		out = append(out, t.Clone())
-		return true
-	})
-	return out, err
+	return p.rowsInto(id, dst, rids, txn)
 }
 
 // restore installs the recovered page list and recounts live records

@@ -201,12 +201,16 @@ func (p *Page) Get(slot int) ([]byte, error) {
 	return append([]byte(nil), p.buf[off:off+length]...), nil
 }
 
-// getVisible decodes the record in slot if vis (nil: every version)
-// admits its version, and returns errNotVisible without decoding it
-// otherwise. Header, verdict and decode all read the page buffer under
-// one read-latch hold, so the record is never copied out first: decoding
-// copies what it keeps (string payloads).
-func (p *Page) getVisible(slot int, vis Visibility) (Tuple, error) {
+// getVisible decodes the record in slot if txn's snapshot (nil txn:
+// every version) admits its version, and returns errNotVisible without
+// decoding it otherwise. Header, verdict and decode all read the page
+// buffer under one read-latch hold, so the record is never copied out
+// first: decoding copies what it keeps (string payloads).
+func (p *Page) getVisible(slot int, txn *Txn) (Tuple, error) {
+	var s Snapshot
+	if txn != nil {
+		s = txn.Snapshot()
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	off, length, err := p.liveSlot(slot)
@@ -217,8 +221,7 @@ func (p *Page) getVisible(slot int, vis Visibility) (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	//admvet:allow latchorder a visibility verdict is latch-free loads of the commit table (txn.go), which takes nothing
-	if vis != nil && !vis(ver) {
+	if txn != nil && !txn.tm.visible(ver, s) {
 		return nil, errNotVisible
 	}
 	n := int(binary.BigEndian.Uint16(body))
@@ -413,35 +416,41 @@ func (p *Page) setLSN(lsn uint64) {
 	p.mu.Unlock()
 }
 
-// rowsInto appends the page's live tuples whose version vis admits
-// (nil: every version) to dst, read from the page's decode image. Each
-// verdict is a few atomic loads from the commit table
-// (TxnManager.commitLSN), so a snapshot scan takes no latch after the
-// decode. With rids non-nil it also appends each admitted tuple's RID
-// there (id is the page's own id): tuples and slots come from one
-// image. The appended tuples own their memory (the image's arena): they
-// stay valid after dst is reused, so retaining consumers (hash-join
-// builds, drains) alias them without copying. The tuples-only loop is
-// every snapshot scan's inner loop and stays free of the RID branches:
-// sharing one loop cost BenchmarkSnapshotHeapScan 15%.
-func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, vis Visibility) ([]Tuple, error) {
+// rowsInto appends the page's live tuples whose version txn's snapshot
+// admits (nil txn: every version) to dst, read from the page's decode
+// image. The snapshot is read once per call and each verdict is a few
+// atomic loads from the commit table (TxnManager.commitLSN), so a
+// snapshot scan takes no latch after the decode. With rids non-nil it
+// also appends each admitted tuple's RID there (id is the page's own
+// id): tuples and slots come from one image. The appended tuples own
+// their memory (the image's arena): they stay valid after dst is
+// reused, so retaining consumers (hash-join builds, drains) alias them
+// without copying. The tuples-only loop is every snapshot scan's inner
+// loop and stays free of the RID branches: sharing one loop cost
+// BenchmarkSnapshotHeapScan 15%.
+func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple, error) {
 	d, err := p.decoded()
 	if err != nil {
 		return dst, err
 	}
 	if rids == nil {
-		if vis == nil {
+		if txn == nil {
 			return append(dst, d.tuples...), nil
 		}
+		tm, s := txn.tm, txn.Snapshot()
 		for i, t := range d.tuples {
-			if vis(d.vers[i]) {
+			if tm.visible(d.vers[i], s) {
 				dst = append(dst, t)
 			}
 		}
 		return dst, nil
 	}
+	var s Snapshot
+	if txn != nil {
+		s = txn.Snapshot()
+	}
 	for i, t := range d.tuples {
-		if vis == nil || vis(d.vers[i]) {
+		if txn == nil || txn.tm.visible(d.vers[i], s) {
 			dst = append(dst, t)
 			*rids = append(*rids, RID{Page: id, Slot: int(d.slots[i])})
 		}

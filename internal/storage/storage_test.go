@@ -385,14 +385,14 @@ func TestHeapInsertGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, err := h.Get(rid)
+	tu, err := h.Blind().Get(rid)
 	if err != nil || tu[0].Int != 1 || tu[1].Str != "x" {
 		t.Fatalf("get = %v %v", tu, err)
 	}
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid); !errors.Is(err, ErrNotFound) {
+	if _, err := h.Blind().Get(rid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get deleted: %v", err)
 	}
 	if err := h.Delete(rid); !errors.Is(err, ErrNotFound) {
@@ -414,7 +414,7 @@ func TestHeapSpansPages(t *testing.T) {
 	if h.Pages() < 2 {
 		t.Fatalf("pages = %d, want multi-page file", h.Pages())
 	}
-	all, err := h.All()
+	all, err := h.Blind().All()
 	if err != nil || len(all) != 50 {
 		t.Fatalf("all = %d %v", len(all), err)
 	}
@@ -433,7 +433,7 @@ func TestHeapScanEarlyStop(t *testing.T) {
 		_, _ = insertRow(h, Tuple{IntValue(int64(i))})
 	}
 	n := 0
-	_ = h.Scan(func(RID, Tuple) bool {
+	_ = h.Blind().Scan(func(RID, Tuple) bool {
 		n++
 		return n < 3
 	})
@@ -463,7 +463,7 @@ func TestHeapVacuum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < 20; i += 2 {
-		tu, err := h.Get(rids[i])
+		tu, err := h.Blind().Get(rids[i])
 		if err != nil || tu[0].Int != int64(i) {
 			t.Fatalf("rid %v after vacuum: %v %v", rids[i], tu, err)
 		}
@@ -499,7 +499,7 @@ func TestHeapContentsProperty(t *testing.T) {
 			}
 		}
 		got := map[int64]int{}
-		all, err := h.All()
+		all, err := h.Blind().All()
 		if err != nil {
 			return false
 		}

@@ -216,8 +216,8 @@ func (tm *TxnManager) visible(v Version, s Snapshot) bool {
 // Txn.
 
 // Txn is one transaction. A Txn is owned by a single session
-// goroutine; only its snapshot closure (Visible) may be shared across
-// goroutines (parallel scan workers).
+// goroutine; only its views (View), which read nothing of it but the
+// snapshot, may be shared across goroutines (parallel scan workers).
 type Txn struct {
 	tm     *TxnManager
 	high   uint64        // the snapshot horizon
@@ -244,16 +244,9 @@ func (t *Txn) writeID() uint64 {
 // Snapshot returns the transaction's read horizon.
 func (t *Txn) Snapshot() Snapshot { return Snapshot{High: t.high, Self: t.id.Load()} }
 
-// Visible returns the snapshot's visibility closure — safe for
-// concurrent use by parallel scan workers. It reads the id through
-// the Txn, not a copy: a view opened before the transaction's first
-// write must still see the writes that follow.
-func (t *Txn) Visible() Visibility {
-	return func(v Version) bool { return t.tm.visible(v, t.Snapshot()) }
-}
-
-// View binds a heap file to this transaction's snapshot.
-func (t *Txn) View(h *HeapFile) *HeapView { return h.View(t.Visible()) }
+// View binds a heap file to this transaction: the view reads the
+// snapshot through the Txn at every call.
+func (t *Txn) View(h *HeapFile) *HeapView { return &HeapView{h: h, txn: t} }
 
 // OnRollback registers an undo action (run in reverse registration
 // order). Higher layers hang index fix-ups here.

@@ -7,6 +7,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,6 +244,86 @@ func TestSnapshotVisibilityMatrix(t *testing.T) {
 			after := db.Txns().Stats()
 			if after.Groups != before.Groups || after.Batched != before.Batched {
 				t.Fatalf("read-only commit flushed a group: %+v -> %+v", before, after)
+			}
+		}},
+		{"blind view reads every version but a rolled-back insert", func(t *testing.T, db *DB, h *HeapFile) {
+			committed, err := insertRow(h, rowTuple(1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			claimed, err := insertRow(h, rowTuple(2, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1, t2, t3 := db.Txns().Begin(), db.Txns().Begin(), db.Txns().Begin()
+			defer t1.Rollback()
+			defer t2.Rollback()
+			own, err := t1.Update(h, claimed, rowTuple(2, 1)) // claims k2-rev0
+			if err != nil {
+				t.Fatal(err)
+			}
+			inFlight, err := t2.Insert(h, rowTuple(3, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone, err := t3.Insert(h, rowTuple(4, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := t3.Rollback(); err != nil { // tombstones k4-rev0
+				t.Fatal(err)
+			}
+			want := map[RID]string{committed: "k1-rev0", claimed: "k2-rev0", own: "k2-rev1", inFlight: "k3-rev0"}
+			labels := func(ts []Tuple) string {
+				var out []string
+				for _, tu := range ts {
+					out = append(out, tu[1].Str)
+				}
+				slices.Sort(out)
+				return fmt.Sprint(out)
+			}
+			wantLabels := "[k1-rev0 k2-rev0 k2-rev1 k3-rev0]"
+			b := h.Blind()
+			for rid, label := range want {
+				if tu, err := b.Get(rid); err != nil || tu[1].Str != label {
+					t.Fatalf("Get(%s) = %v, %v; want %s", rid, tu, err, label)
+				}
+			}
+			if tu, err := b.Get(gone); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get of the rolled-back insert = %v, %v; want ErrNotFound", tu, err)
+			}
+			var tuples []Tuple
+			rows, scanned := map[RID]string{}, map[RID]string{}
+			for _, id := range h.PageIDs() {
+				if tuples, err = b.PageTuplesInto(id, tuples); err != nil {
+					t.Fatal(err)
+				}
+				ts, rids, err := b.PageRowsInto(id, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, tu := range ts {
+					rows[rids[i]] = tu[1].Str
+				}
+			}
+			if err := b.Scan(func(rid RID, tu Tuple) bool { scanned[rid] = tu[1].Str; return true }); err != nil {
+				t.Fatal(err)
+			}
+			all, err := b.All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := labels(tuples); got != wantLabels {
+				t.Errorf("PageTuplesInto = %s, want %s", got, wantLabels)
+			}
+			if got := labels(all); got != wantLabels {
+				t.Errorf("All = %s, want %s", got, wantLabels)
+			}
+			if !maps.Equal(rows, want) {
+				t.Errorf("PageRowsInto = %v, want %v", rows, want)
+			}
+			if !maps.Equal(scanned, want) {
+				t.Errorf("Scan = %v, want %v", scanned, want)
 			}
 		}},
 		{"finished txn refuses further writes", func(t *testing.T, db *DB, h *HeapFile) {
@@ -584,7 +666,7 @@ func TestSnapshotStress(t *testing.T) {
 					return n, total
 				}
 				for _, id := range view.PageIDs() {
-					tuples, err := view.PageTuples(id)
+					tuples, err := view.PageTuplesInto(id, nil)
 					if err != nil {
 						t.Error(err)
 					}
@@ -826,7 +908,7 @@ func TestPageRowsReadOneImage(t *testing.T) {
 			}
 			keys[tu[0].Int] = true
 			if quiescent {
-				if at, err := h.Get(got[i]); err != nil || at[0].Int != tu[0].Int {
+				if at, err := h.Blind().Get(got[i]); err != nil || at[0].Int != tu[0].Int {
 					t.Errorf("RID %s came with key %d but holds %v (%v)", got[i], tu[0].Int, at, err)
 				}
 			}

@@ -26,12 +26,6 @@ type Version struct {
 	Xmin, Xmax uint64
 }
 
-// Visibility decides whether a record version is visible to a reader
-// — the snapshot closure the transaction layer threads through scans.
-// It must be safe for concurrent use (parallel scan workers share
-// one).
-type Visibility func(Version) bool
-
 // EncodeRecord serialises a tuple with its MVCC header: the image a
 // page stores.
 func EncodeRecord(t Tuple, v Version) []byte {

@@ -1,51 +1,49 @@
 package storage
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// HeapReader is the read surface scan operators consume: *HeapView
-// implements it bound to a snapshot — what every query reads through —
-// and *HeapFile implements it version-blind (every version, live or
-// dead), the reader of index backfill and of raw-scan measurements.
-type HeapReader interface {
-	Name() string
-	PageIDs() []PageID
-	PageTuples(id PageID) ([]Tuple, error)
-	PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error)
-	PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error)
-	Get(rid RID) (Tuple, error)
-	All() ([]Tuple, error)
-}
-
-// HeapView is a snapshot-bound reader over a heap file: every read
-// primitive filters record versions through the visibility closure,
-// so scans are repeatable against concurrent writers without taking
-// any lock beyond the page read latch: a verdict is a latch-free read
-// of the commit table and never changes once the snapshot is taken.
+// HeapView is the one reader of a heap file. It holds the transaction
+// it reads for: each page-granular call reads that transaction's
+// snapshot once and judges every row version against it
+// (TxnManager.visible), so scans are repeatable against concurrent
+// writers without taking any lock beyond the page read latch: a
+// verdict is a latch-free read of the commit table and never changes
+// once the snapshot is taken. The snapshot is read per call, not fixed
+// when the view is made, because a transaction's id is drawn at its
+// first write: a view opened before that write must still see it. A
+// view with no transaction (HeapFile.Blind) reads every version, live
+// or dead.
 type HeapView struct {
 	h   *HeapFile
-	vis Visibility
+	txn *Txn
 }
 
-// View binds a heap file to a snapshot's visibility.
-func (h *HeapFile) View(vis Visibility) *HeapView {
-	return &HeapView{h: h, vis: vis}
-}
-
-// Name returns the underlying file name.
-func (v *HeapView) Name() string { return v.h.Name() }
+// Blind returns a view of every version, live or dead: the reader of
+// index backfill and raw-scan measurements.
+func (h *HeapFile) Blind() *HeapView { return &HeapView{h: h} }
 
 // PageIDs returns a read-only snapshot of the file's page list.
 func (v *HeapView) PageIDs() []PageID { return v.h.PageIDs() }
 
-// PageTuples decodes one page's visible tuples.
-func (v *HeapView) PageTuples(id PageID) ([]Tuple, error) {
-	return v.PageTuplesInto(id, nil)
-}
+// PageZones returns the file's zone entry for each id (nil = no entry:
+// never built or invalidated — the page must be scanned). Zones cover
+// every version, a superset of what any snapshot can see, so they
+// prune soundly for every view. Installed entries are immutable: safe
+// to read without locks.
+func (v *HeapView) PageZones(ids []PageID) [][]ColZone { return v.h.zm.snapshot(ids) }
 
-// PageTuplesInto appends one page's visible tuples to dst under a
-// single latch acquisition.
+// PageTuplesInto appends one page's visible tuples to dst (usually
+// dst[:0] of a recycled batch) under a single latch acquisition,
+// decoded arena-style with no per-tuple allocation. It is safe to call
+// from many goroutines at once — the per-partition cursor primitive of
+// the parallel executor. The returned tuples stay valid after dst is
+// recycled (they own their arena), so both retaining and streaming
+// consumers are safe.
 func (v *HeapView) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
-	return v.h.pageRows(id, dst, nil, v.vis)
+	return v.h.pageRows(id, dst, nil, v.txn)
 }
 
 // errNotVisible is how Get reports a version outside the snapshot:
@@ -58,18 +56,46 @@ var errNotVisible = fmt.Errorf("%w: version not visible", ErrNotFound)
 // (whose entries cover every version) skip the ones outside the
 // snapshot. Visibility is judged from the version header alone, so a
 // dead version is never decoded.
-func (v *HeapView) Get(rid RID) (Tuple, error) { return v.h.getVisible(rid, v.vis) }
+func (v *HeapView) Get(rid RID) (Tuple, error) {
+	p, err := v.h.bm.GetPage(rid.Page)
+	if err != nil {
+		return nil, err
+	}
+	defer v.h.bm.Unpin(rid.Page)
+	t, err := p.getVisible(rid.Slot, v.txn)
+	if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, rid)
+	}
+	return t, err
+}
 
 // PageRowsInto appends one page's visible tuples and their RIDs, read
-// from a single image of the page.
+// from a single image of the page (Page.rowsInto).
 func (v *HeapView) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
-	ts, err := v.h.pageRows(id, ts, &rids, v.vis)
+	ts, err := v.h.pageRows(id, ts, &rids, v.txn)
 	return ts, rids, err
 }
 
-// Scan calls fn for every visible record in file order.
+// Scan calls fn for every visible record in file order; returning
+// false stops the scan early. It reads page-at-a-time and calls fn
+// outside every latch and pin, so fn may panic or take its time. The
+// tuples are the pages' shared decode images: fn must not modify
+// them.
 func (v *HeapView) Scan(fn func(rid RID, t Tuple) bool) error {
-	return v.h.scanPages(v.h.PageIDs(), v.vis, fn)
+	var ts []Tuple
+	var rids []RID
+	for _, id := range v.h.PageIDs() {
+		var err error
+		if ts, rids, err = v.PageRowsInto(id, ts[:0], rids[:0]); err != nil {
+			return err
+		}
+		for i, t := range ts {
+			if !fn(rids[i], t) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // All collects every visible tuple.

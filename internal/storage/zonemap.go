@@ -133,16 +133,6 @@ func BuildColZones(ts []Tuple) []ColZone {
 	return zones
 }
 
-// ZoneReader is the optional zone-map surface of a heap reader: scan
-// operators type-assert their HeapReader to it and, when present,
-// snapshot the zones of their page list in one call. Returned zone
-// slices are immutable once installed — safe to read without locks.
-type ZoneReader interface {
-	// PageZones returns the zone entry for each id (nil = no entry:
-	// never built or invalidated — the page must be scanned).
-	PageZones(ids []PageID) [][]ColZone
-}
-
 // ZoneMaps holds a heap file's per-page zone entries. The zero value
 // is ready to use.
 type ZoneMaps struct {
@@ -205,18 +195,6 @@ func (z *ZoneMaps) reset() {
 	z.mu.Unlock()
 }
 
-// PageZones implements ZoneReader for the raw (version-blind) file.
-func (h *HeapFile) PageZones(ids []PageID) [][]ColZone {
-	return h.zm.snapshot(ids)
-}
-
-// PageZones implements ZoneReader for a snapshot-bound view. Zones
-// cover every version, a superset of what any snapshot can see, so the
-// underlying file's entries prune soundly for every view.
-func (v *HeapView) PageZones(ids []PageID) [][]ColZone {
-	return v.h.PageZones(ids)
-}
-
 // BuildZoneMaps (re)builds the file's zone entries from its current
 // pages. Safe to run concurrently with readers and writers: each page
 // is decoded under its read latch only (never the zone latch), and the
@@ -229,7 +207,7 @@ func (h *HeapFile) BuildZoneMaps() error {
 	var buf []Tuple
 	for _, id := range h.PageIDs() {
 		gen := h.zm.generation(id)
-		ts, err := h.PageTuplesInto(id, buf[:0])
+		ts, err := h.pageRows(id, buf[:0], nil, nil)
 		if errors.Is(err, ErrQuarantined) {
 			continue
 		}

@@ -96,7 +96,7 @@ func TestHeapFileZoneInvalidation(t *testing.T) {
 	if len(ids) < 3 {
 		t.Fatalf("fixture spans %d pages, want >= 3", len(ids))
 	}
-	for i, z := range h.PageZones(ids) {
+	for i, z := range h.Blind().PageZones(ids) {
 		if z == nil {
 			t.Fatalf("page %d has no zone after build", ids[i])
 		}
@@ -111,7 +111,7 @@ func TestHeapFileZoneInvalidation(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	zs := h.PageZones(ids)
+	zs := h.Blind().PageZones(ids)
 	if zs[len(zs)-1] != nil {
 		t.Fatal("the page the new version landed on kept a stale zone entry")
 	}
@@ -126,7 +126,7 @@ func TestHeapFileZoneInvalidation(t *testing.T) {
 	if err := h.Delete(rids[1]); err != nil {
 		t.Fatal(err)
 	}
-	if zs := h.PageZones(ids[:1]); zs[0] == nil {
+	if zs := h.Blind().PageZones(ids[:1]); zs[0] == nil {
 		t.Fatal("delete invalidated a zone entry; removal keeps the summary a superset")
 	}
 }
@@ -160,11 +160,11 @@ func TestWriteInvalidatesAroundMutation(t *testing.T) {
 func assertZonesCoverPages(t *testing.T, h *HeapFile) {
 	t.Helper()
 	ids := h.PageIDs()
-	for pi, zones := range h.PageZones(ids) {
+	for pi, zones := range h.Blind().PageZones(ids) {
 		if zones == nil {
 			continue
 		}
-		ts, err := h.PageTuples(ids[pi])
+		ts, err := h.Blind().PageTuplesInto(ids[pi], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +249,8 @@ func TestZoneMapsPruneSoundnessRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := h.PageIDs()
-	for pi, zones := range h.PageZones(ids) {
-		ts, err := h.PageTuples(ids[pi])
+	for pi, zones := range h.Blind().PageZones(ids) {
+		ts, err := h.Blind().PageTuplesInto(ids[pi], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
 	}
 	h2, _ := db2.File("t")
 	ids := h2.PageIDs()
-	zones := h2.PageZones(ids)
+	zones := h2.Blind().PageZones(ids)
 	healthy := 0
 	for i, id := range ids {
 		if id == victim {
@@ -334,7 +334,7 @@ func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
 		t.Fatal("recovery built no zone entries for healthy pages")
 	}
 	// And the quarantined page still reports on read, as always.
-	if _, err := h2.PageTuples(victim); !errors.Is(err, ErrQuarantined) {
+	if _, err := h2.Blind().PageTuplesInto(victim, nil); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("victim read = %v, want ErrQuarantined", err)
 	}
 }
@@ -355,22 +355,22 @@ func TestQuarantineDropsZoneEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := h.PageIDs()[0]
-	if h.PageZones([]PageID{id})[0] == nil {
+	if h.Blind().PageZones([]PageID{id})[0] == nil {
 		t.Fatal("no zone entry after build")
 	}
 	bm.Quarantine(id, ErrChecksum)
-	if h.PageZones([]PageID{id})[0] != nil {
+	if h.Blind().PageZones([]PageID{id})[0] != nil {
 		t.Fatal("quarantined page kept its zone entry — a scan could prune it instead of reporting")
 	}
 	// Rebuilding leaves it zone-less (builder skips quarantined pages)…
 	if err := h.BuildZoneMaps(); err != nil {
 		t.Fatal(err)
 	}
-	if h.PageZones([]PageID{id})[0] != nil {
+	if h.Blind().PageZones([]PageID{id})[0] != nil {
 		t.Fatal("rebuild installed an entry for a quarantined page")
 	}
 	// …and touching it still reports.
-	if _, err := h.PageTuples(id); !errors.Is(err, ErrQuarantined) {
+	if _, err := h.Blind().PageTuplesInto(id, nil); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("quarantined page read = %v, want ErrQuarantined", err)
 	}
 }
@@ -392,7 +392,7 @@ func TestBuildColZonesZeroWidth(t *testing.T) {
 	if err := h.BuildZoneMaps(); err != nil {
 		t.Fatal(err)
 	}
-	if zs := h.PageZones(h.PageIDs()); zs[0] != nil {
+	if zs := h.Blind().PageZones(h.PageIDs()); zs[0] != nil {
 		t.Fatal("page holding a zero-width tuple must stay zone-less (always scanned)")
 	}
 }
@@ -413,7 +413,7 @@ func TestCheckpointBuildsZones(t *testing.T) {
 		}
 	}
 	ids := h.PageIDs()
-	for _, z := range h.PageZones(ids) {
+	for _, z := range h.Blind().PageZones(ids) {
 		if z != nil {
 			t.Fatal("zone entry exists before any build point")
 		}
@@ -421,7 +421,7 @@ func TestCheckpointBuildsZones(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for i, z := range h.PageZones(ids) {
+	for i, z := range h.Blind().PageZones(ids) {
 		if z == nil {
 			t.Fatalf("page %d has no zone after checkpoint", ids[i])
 		}

@@ -487,29 +487,29 @@ func BenchmarkStorage_HeapInsertScan(b *testing.B) {
 
 // benchFile creates a heap file in a DB of its own over fresh MemDisks
 // with a pool of `frames` buffer frames.
-func benchFile(b *testing.B, frames int) (*storage.DB, *storage.HeapFile) {
+func benchFile(tb testing.TB, frames int) (*storage.DB, *storage.HeapFile) {
 	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
 		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: frames})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	hf, err := db.CreateFile("bench")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db, hf
 }
 
 // benchLoad inserts row(0..n-1) into table in one committed transaction.
-func benchLoad(b *testing.B, cat *query.Catalog, table string, n int, row func(i int) storage.Tuple) {
+func benchLoad(tb testing.TB, cat *query.Catalog, table string, n int, row func(i int) storage.Tuple) {
 	txn := cat.DB().Txns().Begin()
 	for i := 0; i < n; i++ {
 		if _, err := cat.InsertTxn(table, row(i), txn); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := txn.Commit(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
@@ -656,62 +656,99 @@ func BenchmarkParallelJoin_100k_w8(b *testing.B) { benchParallelJoin(b, 100_000,
 // BenchmarkJoinAggregate is the materialisation gate of the probe
 // sinks: one op = a 12k × 1k hash join grouped into 10 rows, at 2
 // workers. The final probe folds each match into the aggregate, so an
-// op allocates the build table and little else; ci.sh gates B/op — a
-// probe that went back to building the 12k wide joined rows first would
-// cost megabytes.
+// op allocates the build table and little else; TestAllocBudgets gates
+// B/op — a probe that went back to building the 12k wide joined rows
+// first would cost megabytes.
 func BenchmarkJoinAggregate(b *testing.B) {
+	benchOp(b, joinAggItems+joinAggGroups, joinAggregateOp(b))
+}
+
+const joinAggItems, joinAggGroups = 12_000, 1_000
+
+// joinAggregateOp loads BenchmarkJoinAggregate's tables and returns its
+// op.
+func joinAggregateOp(tb testing.TB) func() {
 	e := query.NewEngine(query.NewCatalog(4096), nil, nil)
 	e.MustExec("CREATE TABLE item (id INT, grp INT, price FLOAT, name STRING)")
 	e.MustExec("CREATE TABLE grp (g INT, region STRING)")
 	cat := e.Catalog()
-	const items, groups, regions = 12_000, 1_000, 10
-	benchLoad(b, cat, "item", items, func(i int) storage.Tuple {
-		return storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i % groups)),
+	const regions = 10
+	benchLoad(tb, cat, "item", joinAggItems, func(i int) storage.Tuple {
+		return storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i % joinAggGroups)),
 			storage.FloatValue(float64(i%997) / 4), storage.StringValue(fmt.Sprintf("item-%032d", i))}
 	})
-	benchLoad(b, cat, "grp", groups, func(g int) storage.Tuple {
+	benchLoad(tb, cat, "grp", joinAggGroups, func(g int) storage.Tuple {
 		return storage.Tuple{storage.IntValue(int64(g)), storage.StringValue(fmt.Sprintf("region-%d", g%regions))}
 	})
 	e.MustExec("ANALYZE item")
 	e.MustExec("ANALYZE grp")
 	const sql = "SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g ON i.grp = g.g GROUP BY g.region"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		res, _, err := e.ExecuteSQL(sql, query.ExecOptions{Workers: 2})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(res.Rows) != regions {
-			b.Fatalf("join-aggregate produced %d rows, want %d", len(res.Rows), regions)
+			tb.Fatalf("join-aggregate produced %d rows, want %d", len(res.Rows), regions)
 		}
 	}
-	b.ReportMetric(float64(items+groups)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
 // BenchmarkBatchHeapScan is the allocation gate of the vectorized scan
 // path: one op = one full batched scan of a 50k-row heap file through
-// a reused Batch, version-blind (the HeapFile reader). Steady state
-// must stay O(1) allocs per scan (the page-list snapshot plus pool
-// noise) — ci.sh fails if allocs/op regresses above its budget, which
+// a reused Batch, version-blind (HeapFile.Blind). Steady state must
+// stay O(1) allocs per scan (the page-list snapshot plus pool noise) —
+// TestAllocBudgets fails if allocs/op regresses above its budget, which
 // would mean per-tuple or per-page allocation crept back into the hot
 // path.
 func BenchmarkBatchHeapScan(b *testing.B) {
 	const rows = 50_000
-	_, hf := scanBenchFile(b, rows)
+	benchOp(b, rows, blindScanOp(b, rows))
+}
+
+// blindScanOp loads rows rows and returns one version-blind scan of
+// them, reusing one scan operator.
+func blindScanOp(tb testing.TB, rows int) func() {
+	_, hf := scanBenchFile(tb, rows)
 	scan := operators.NewBatchHeapScan(hf.Blind())
-	benchBatchHeapScan(b, rows, func() (*operators.BatchHeapScan, func()) { return scan, func() {} })
+	return scanOp(tb, rows, func() (*operators.BatchHeapScan, func()) { return scan, func() {} })
 }
 
 // BenchmarkSnapshotHeapScan is the same scan, under the same budget,
-// read through a snapshot opened per op: Begin, the view and its
-// closure are O(1) per scan, and judging a row version
-// (TxnManager.visible) must allocate nothing. (10k rows: the load runs
-// once per b.N.)
+// read through a snapshot opened per op: Begin, the view and the scan
+// are O(1) per scan, and judging the versions must allocate nothing.
+// Every page holds one committed loader's versions, so each is
+// admitted whole by one page verdict (Page.rowsInto). (10k rows: the
+// load runs once per b.N.)
 func BenchmarkSnapshotHeapScan(b *testing.B) {
 	const rows = 10_000
 	db, hf := scanBenchFile(b, rows)
-	benchBatchHeapScan(b, rows, func() (*operators.BatchHeapScan, func()) {
+	benchOp(b, rows, snapshotScanOp(b, db, hf, rows))
+}
+
+// BenchmarkChurnedSnapshotScan is BenchmarkSnapshotHeapScan after one
+// committed DELETE per page: every page carries a claim, so no page is
+// admitted whole and each is judged version by version.
+func BenchmarkChurnedSnapshotScan(b *testing.B) {
+	const rows = 10_000
+	db, hf := scanBenchFile(b, rows)
+	claim := db.Txns().Begin()
+	for _, id := range hf.PageIDs() {
+		if err := claim.Delete(hf, storage.RID{Page: id}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := claim.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	live := rows - len(hf.PageIDs())
+	benchOp(b, live, snapshotScanOp(b, db, hf, live))
+}
+
+// snapshotScanOp returns one full scan of hf through a snapshot opened
+// per op, which must admit rows rows.
+func snapshotScanOp(tb testing.TB, db *storage.DB, hf *storage.HeapFile, rows int) func() {
+	return scanOp(tb, rows, func() (*operators.BatchHeapScan, func()) {
 		tx := db.Txns().Begin()
 		return operators.NewBatchHeapScan(tx.View(hf)), func() { _ = tx.Rollback() } // read-only: nothing to undo, nothing to fail
 	})
@@ -719,37 +756,39 @@ func BenchmarkSnapshotHeapScan(b *testing.B) {
 
 // scanBenchFile loads `rows` two-int rows into a fresh DB's file in one
 // committed transaction.
-func scanBenchFile(b *testing.B, rows int) (*storage.DB, *storage.HeapFile) {
-	db, hf := benchFile(b, 4096)
+func scanBenchFile(tb testing.TB, rows int) (*storage.DB, *storage.HeapFile) {
+	db, hf := benchFile(tb, 4096)
 	load := db.Txns().Begin()
 	for i := 0; i < rows; i++ {
 		if _, err := load.Insert(hf, storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i * 3))}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := load.Commit(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db, hf
 }
 
-// benchBatchHeapScan times full batched scans of rows rows; open hands
-// out the scan of each op (done releases what it reads through).
-func benchBatchHeapScan(b *testing.B, rows int, open func() (scan *operators.BatchHeapScan, done func())) {
+// scanOp returns one full batched scan, which must yield rows rows,
+// through a Batch held until tb ends; open hands out the scan of each
+// op (done releases what it reads through). It scans once before
+// returning, to warm the page decode caches.
+func scanOp(tb testing.TB, rows int, open func() (scan *operators.BatchHeapScan, done func())) func() {
 	batch := operators.GetBatch()
-	defer operators.PutBatch(batch)
+	tb.Cleanup(func() { operators.PutBatch(batch) })
 	drain := func() int {
 		scan, done := open()
 		defer done()
 		if err := scan.Open(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		defer scan.Close()
 		total := 0
 		for {
 			n, err := scan.NextBatch(batch)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if n == 0 {
 				return total
@@ -757,13 +796,21 @@ func benchBatchHeapScan(b *testing.B, rows int, open func() (scan *operators.Bat
 			total += n
 		}
 	}
-	drain() // warm the page decode caches
+	op := func() {
+		if got := drain(); got != rows {
+			tb.Fatalf("scanned %d rows, want %d", got, rows)
+		}
+	}
+	op()
+	return op
+}
+
+// benchOp times op, one run of a benchmark body that reads rows rows.
+func benchOp(b *testing.B, rows int, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := drain(); got != rows {
-			b.Fatalf("scanned %d rows, want %d", got, rows)
-		}
+		op()
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
@@ -798,24 +845,27 @@ func BenchmarkParallelSort_100k_w4(b *testing.B) { benchParallelSort(b, 100_000,
 
 // BenchmarkTopK is the materialisation gate of the bounded Top-K path:
 // one op = ORDER BY ... LIMIT 10 over 100k materialised rows through
-// the per-worker heaps. ci.sh gates both allocs/op and B/op — a heap
-// that silently re-materialised the input would blow the byte budget
-// even if it stayed within a few allocations.
+// the per-worker heaps. TestAllocBudgets gates both allocs/op and B/op
+// — a heap that silently re-materialised the input would blow the byte
+// budget even if it stayed within a few allocations.
 func BenchmarkTopK(b *testing.B) {
-	const rows, k = 100_000, 10
+	const rows = 100_000
+	benchOp(b, rows, topKOp(b, rows))
+}
+
+// topKOp returns BenchmarkTopK's op over rows generated rows.
+func topKOp(tb testing.TB, rows int) func() {
+	const k = 10
 	tuples := experiments.SortBenchTuples(rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		got, err := operators.ParallelTopKBatches(
 			operators.NewSliceBatches(tuples, 0), 0, false, k,
 			operators.ParallelConfig{Workers: 4})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if len(got) != k {
-			b.Fatalf("top-k produced %d rows, want %d", len(got), k)
+			tb.Fatalf("top-k produced %d rows, want %d", len(got), k)
 		}
 	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }

@@ -54,8 +54,10 @@
 #                against a same-run witness, and exact counts; see
 #                internal/experiments/gates.go. Throughput itself is
 #                the wire benchmark's, paired against the parent commit.
-#   alloc gate   go test -benchmem allocs/op and B/op (counts: they
-#                repeat on any host) against the *_BUDGET constants.
+#   alloc budgets go test -run TestAllocBudgets without -race: each
+#                package's benchmark bodies counted (allocs/op, B/op:
+#                they repeat on any host) against its budget constants.
+#                go test ./... runs them too; the -race runs skip them.
 #
 # Every step prints its elapsed time when the next one starts; on any
 # failure the last line on stderr is "FAILED: <step>" so the culprit
@@ -65,66 +67,6 @@
 # (the three multi-schedule re-runs) for fast local iteration. CI runs
 # the full script.
 set -eu
-
-# Allocations per full batched heap-file scan (steady state is 0: the
-# page-list snapshot aliases the file's own list; it was 1 while it was
-# copied; headroom for pool warm-up noise). The snapshot scan opens per
-# op and adds the transaction, its view, the scan and its release
-# closure: per scan, never per row version. 5 → 4 once the view holds
-# its transaction instead of a visibility closure.
-SCAN_ALLOC_BUDGET=8
-# Budgets for ORDER BY ... LIMIT 10 over 100k rows at 4 workers.
-# Measured ~30 allocs / ~3.4 KB per op: per-worker heaps, batch pool
-# noise and the final k-row merge. The byte budget is the real
-# non-materialisation gate — 100k tuples would be megabytes.
-TOPK_ALLOC_BUDGET=64
-TOPK_BYTE_BUDGET=16384
-# Budgets for a 12k x 1k join grouped into 10 rows at 2 workers.
-# Measured 149,064 B and 340 allocs per op with the flat build table
-# (rows stored once, chained by hash), 66,700-67,800 B and 147 with the
-# build's scatter buffers pooled across statements and the groups in
-# flat slot arrays instead of a map of per-group slices; 68,600 B and
-# 153 once the fixture's catalog is a DB (the statement's transaction,
-# and a snapshot view and its closure per scanned table); 151-154 →
-# 149-152 over a dozen runs each once the view holds its transaction
-# and the closure is gone. Earlier: the
-# per-key map build table was ~350,582 B and 1,414 allocs; the 12k
-# joined rows the probe no longer materialises were ~21 MB.
-JOINAGG_BYTE_BUDGET=83968
-JOINAGG_ALLOC_BUDGET=184
-# Steady-state vectorized filtering of a 1024-row batch (measured 0:
-# the selection vector lives on the batch and is reused; headroom for
-# the occasional conjunct-reorder copy).
-FILTER_ALLOC_BUDGET=2
-# Appending 64-byte records to one MemDisk, as the WAL does (measured
-# 209 B/op at 20000 appends; doubling capacity bounds it at 4x the
-# record). A device that re-allocates itself per append reads its own
-# size here: ~640,000.
-MEMDISK_APPEND_BYTE_BUDGET=512
-# Greedy planning of a 5-table chain, parse excluded (measured 74, every
-# run, over a volatile catalog; 84 over a DB, where each of the 5 scans
-# binds a snapshot view and its visibility closure; 84 → 79 once the
-# view holds its transaction and the closure is gone): a candidate loop
-# gone cubic or re-deriving statistics multiplies it.
-PLAN_ALLOC_BUDGET=96
-# Budgets for one point read through the whole server path — query
-# frame, admission, parse, plan, index fetch, encode, flush and the
-# client's decode, both ends in one process, at 2 workers. Measured
-# 6,488 B and 100 allocs per op before the fixed-cost cuts (a trace
-# event per worker per statement, a 2-worker fan-out over a serialised
-# index cursor, a token slice grown by doubling, a fresh buffer per
-# frame, a timer per statement); 3,170-3,250 B and 47 allocs after, at
-# GOMAXPROCS 1, 2 and 4; 47 → 46 (3,140-3,230 B) once the statement's
-# view holds its transaction instead of a visibility closure.
-POINT_BYTE_BUDGET=3584
-POINT_ALLOC_BUDGET=52
-# The same for the join-aggregate (the wire benchmark's join_agg at a
-# sixth of its size): 48,800-48,900 B and 377-383 allocs per op while
-# every build regrew its scatter buffers and groups lived in a map;
-# 29,400-30,300 B and 204-205 allocs at GOMAXPROCS 1, 2 and 4 after;
-# 204 → 202-203 (29,300-30,500 B) with no visibility closure per view.
-JOINAGG_SERVER_BYTE_BUDGET=36864
-JOINAGG_SERVER_ALLOC_BUDGET=250
 
 cd "$(dirname "$0")"
 
@@ -179,6 +121,9 @@ rm -rf "$bindir"
 
 step "go test -race"
 go test -race ./...
+
+step "alloc budgets (go test, no -race)"
+go test -count=1 -run '^TestAllocBudgets$' ./...
 
 if [ "${ADM_CI_QUICK:-0}" = "1" ]; then
     step "race matrix (skipped: ADM_CI_QUICK=1)"
@@ -243,35 +188,6 @@ done
 
 step "bench smoke (same-run ratio and exact-count gates)"
 go run ./cmd/admbench -bench -rows 20000 -workers 1,2,4 -repeats 5
-
-# alloc_gate <bench> <pkg> <benchtime> <allocs|bytes> <budget>...: fail when
-# a count on the -benchmem line ("<n> B/op <n> allocs/op") exceeds its budget.
-alloc_gate() {
-    bench=$1
-    step "alloc gate ($bench)"
-    out=$(go test -run '^$' -bench "^$bench\$" -benchmem -benchtime "$3" "$2")
-    shift 3
-    while [ $# -ge 2 ]; do
-        col=1
-        [ "$1" = bytes ] && col=3
-        got=$(echo "$out" | awk -v b="$bench" -v c="$col" '$1 ~ "^"b"(-[0-9]+)?$" { print $(NF-c) }')
-        echo "   $bench: ${got:-?} $1/op (budget $2)"
-        if [ -z "$got" ] || [ "$got" -gt "$2" ]; then
-            printf '%s\n' "ALLOC REGRESSION: $bench over its $1/op budget (or unparsed):" "$out" >&2
-            exit 1
-        fi
-        shift 2
-    done
-}
-alloc_gate BenchmarkBatchHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
-alloc_gate BenchmarkSnapshotHeapScan . 20x allocs "$SCAN_ALLOC_BUDGET"
-alloc_gate BenchmarkTopK . 20x allocs "$TOPK_ALLOC_BUDGET" bytes "$TOPK_BYTE_BUDGET"
-alloc_gate BenchmarkJoinAggregate . 20x allocs "$JOINAGG_ALLOC_BUDGET" bytes "$JOINAGG_BYTE_BUDGET"
-alloc_gate BenchmarkFilterBatch ./internal/operators 100x allocs "$FILTER_ALLOC_BUDGET"
-alloc_gate BenchmarkPlanMultiJoin ./internal/query 1000x allocs "$PLAN_ALLOC_BUDGET"
-alloc_gate BenchmarkMemDiskAppend ./internal/storage 20000x bytes "$MEMDISK_APPEND_BYTE_BUDGET"
-alloc_gate BenchmarkServerStatement/point ./internal/server 2000x allocs "$POINT_ALLOC_BUDGET" bytes "$POINT_BYTE_BUDGET"
-alloc_gate BenchmarkServerStatement/join_agg ./internal/server 2000x allocs "$JOINAGG_SERVER_ALLOC_BUDGET" bytes "$JOINAGG_SERVER_BYTE_BUDGET"
 
 step "done"
 echo "ok (total $(( $(date +%s) - CI_T0 ))s)"

@@ -11,7 +11,8 @@ import (
 // Close method releases, sent to a consumer). A batch that simply
 // goes out of scope is a pool leak — invisible to correctness tests
 // but a steady allocation regression, which is exactly what the
-// alloc gates of ci.sh would eventually catch the slow way.
+// TestAllocBudgets allocation budgets would eventually catch the slow
+// way.
 var Batchrelease = &Analyzer{
 	Name: "batchrelease",
 	Doc:  "pooled batches are released or ownership-transferred on every path",

@@ -76,8 +76,8 @@ var Gates = []Gate{
 		"16 sessions no longer share fsync barriers: group commit degenerated to fsync per commit"},
 	{"filter-kernels", "ScanFilter/4", "ScanFilterBoxed/4", 2,
 		"kernel path no faster than boxed: kernels bypassed or zone-map pruning dead"},
-	{"snapshot-scan", "SnapshotScan/4", "BlindScan/4", 0.40,
-		"judging a row version costs as much as decoding it: a latch or a map is back on the visibility path (an RWMutex over a map reads 0.11-0.14 on two cores, 0.27-0.42 on one; the atomic table 0.46-1.31 on two, 0.50-0.63 on one)"},
+	{"snapshot-scan", "SnapshotScan/4", "BlindScan/4", 0.79,
+		"a snapshot scan costs more than a blind one: the page verdict no longer admits a one-loader page whole (judged row by row it reads 0.54-1.32 on two cores), or a latch or a map is back on the visibility path (an RWMutex over a map reads 0.11-0.14 on two cores); with the verdict it reads 0.94-1.86 on two cores"},
 	{"dml-by-key", "KeyedUpdateBig/1", "KeyedUpdate/1", 0.5,
 		"a keyed one-row UPDATE slows with the size of its table: it scans for its row, or the log device copies itself per append (either reads ~0.125 here)"},
 	{"greedy-order", "MultiJoinGreedy/1", "MultiJoinDecl/1", 3,

@@ -21,7 +21,7 @@ func observed() Measurements {
 		{"ScanFilterBoxed/4", []float64{7.0e7, 7.4e7, 6.6e7}},
 		{"ScanFilter/4", []float64{2.9e8, 3.1e8, 2.5e8}},
 		{"BlindScan/4", []float64{1.56e8, 1.49e8, 1.55e8}},
-		{"SnapshotScan/4", []float64{7.1e7, 7.7e7, 6.9e7}},
+		{"SnapshotScan/4", []float64{1.63e8, 1.52e8, 1.60e8}},
 		{"KeyedUpdate/1", []float64{9.1e4, 9.6e4, 8.8e4}},
 		{"KeyedUpdateBig/1", []float64{8.0e4, 8.9e4, 7.7e4}},
 		{"MultiJoinDecl/1", []float64{3.6e5, 3.7e5, 3.5e5}},

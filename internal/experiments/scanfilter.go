@@ -46,8 +46,8 @@ func scanFilterEngine(rows int) (*query.Engine, error) {
 }
 
 // RunSnapshotScanBench measures a 1%-selective filter on the
-// unclustered column — no page is pruned, every row version is judged
-// — run by two concurrent callers, each at `workers`: as SQL, under
+// unclustered column — no page is pruned, every page is judged by the
+// snapshot — run by two concurrent callers, each at `workers`: as SQL, under
 // its own snapshot (SnapshotScan), and as the same
 // kernel over the same pages read version-blind (BlindScan, the
 // witness of the snapshot-scan gate). Throughput is table rows per

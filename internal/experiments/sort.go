@@ -74,7 +74,8 @@ func RunParallelSortBench(m *Measurements, rows int, workers []int, repeats, bat
 // per-worker bounded heaps, k·workers candidates merged at the
 // barrier. Throughput is input rows per second — the point of the
 // operator is that it scans everything but materialises almost
-// nothing (ci.sh's TOPK_* budgets gate exactly that, as counts).
+// nothing (the root TestAllocBudgets's topK budgets gate exactly that,
+// as counts).
 func RunTopKBench(m *Measurements, rows int, workers []int, repeats, batch int) error {
 	const k = 10
 	tuples := SortBenchTuples(rows)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/adm-project/adm/internal/allocbudget"
 	"github.com/adm-project/adm/internal/query"
 	"github.com/adm-project/adm/internal/session"
 	"github.com/adm-project/adm/internal/storage"
@@ -28,15 +29,15 @@ func benchPrice(id int) string { return fmt.Sprintf("%d.%02d", id*7919%10000, id
 // benchmark's reference box, so the counts do not depend on the host's
 // GOMAXPROCS; write deadlines are off because net.Pipe arms a timer
 // per deadline where a TCP socket does not.
-func newBenchServer(b *testing.B) *Server {
-	b.Helper()
+func newBenchServer(tb testing.TB) *Server {
+	tb.Helper()
 	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(), storage.DBOptions{Sync: storage.SyncManual})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cat, err := query.NewDurableCatalog(db)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng := query.NewEngine(cat, nil, nil)
 	load := []string{
@@ -63,11 +64,11 @@ func newBenchServer(b *testing.B) *Server {
 	sess := session.NewDBSession(eng, db)
 	for _, sql := range load {
 		if _, err := sess.Exec(sql); err != nil {
-			b.Fatalf("%.40s: %v", sql, err)
+			tb.Fatalf("%.40s: %v", sql, err)
 		}
 	}
 	if err := sess.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return New(eng, db, Config{Workers: 2, WriteTimeout: -1}, nil)
 }
@@ -82,58 +83,110 @@ func newBenchServer(b *testing.B) *Server {
 // texts are generated before the timer starts.
 func BenchmarkServerStatement(b *testing.B) {
 	srv := newBenchServer(b)
-	ops := []struct {
-		name string
-		gen  func(i int) []string
-	}{
-		{"point", func(i int) []string {
-			return []string{fmt.Sprintf("SELECT id, price, name FROM item WHERE id = %d", i*7%benchItems)}
-		}},
-		{"scan", func(i int) []string {
-			lo := i * 37 % 9900
-			return []string{fmt.Sprintf("SELECT id, price FROM item WHERE price >= %d AND price < %d", lo, lo+100)}
-		}},
-		{"join_agg", func(i int) []string {
-			return []string{fmt.Sprintf("SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g "+
-				"ON i.grp = g.g WHERE i.price < %d GROUP BY g.region", 2000+i*61%6000)}
-		}},
-		{"write", func(i int) []string {
-			acct := i % benchAccts
-			return []string{"BEGIN",
-				fmt.Sprintf("INSERT INTO ord VALUES (%d,%d,%d)", i, acct, 1+i%1000),
-				fmt.Sprintf("UPDATE acct SET bal = %d WHERE id = %d", i, acct),
-				"COMMIT"}
-		}},
-	}
-	for _, op := range ops {
-		b.Run(op.name, func(b *testing.B) {
-			stmts := make([][]string, 512)
-			for i := range stmts {
-				stmts[i] = op.gen(i)
-			}
-			cli, conn := net.Pipe()
-			served := make(chan error, 1)
-			go func() { served <- srv.serve(conn) }()
-			c := &Client{fc: newFrameConn(cli, 0), nc: cli}
-			if err := c.hello(""); err != nil {
-				b.Fatal(err)
-			}
+	for _, name := range []string{"point", "scan", "join_agg", "write"} {
+		b.Run(name, func(b *testing.B) {
+			op := statementOp(b, srv, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, sql := range stmts[i%len(stmts)] {
-					if _, err := c.Query(sql); err != nil {
-						b.Fatalf("%s: %v", sql, err)
-					}
-				}
+				op()
 			}
 			b.StopTimer()
-			if err := c.Close(); err != nil {
-				b.Fatal(err)
-			}
-			if err := <-served; err != nil {
-				b.Fatal(err)
-			}
 		})
 	}
+}
+
+// benchStatements generates statement i of each BenchmarkServerStatement
+// op, by name.
+var benchStatements = map[string]func(i int) []string{
+	"point": func(i int) []string {
+		return []string{fmt.Sprintf("SELECT id, price, name FROM item WHERE id = %d", i*7%benchItems)}
+	},
+	"scan": func(i int) []string {
+		lo := i * 37 % 9900
+		return []string{fmt.Sprintf("SELECT id, price FROM item WHERE price >= %d AND price < %d", lo, lo+100)}
+	},
+	"join_agg": func(i int) []string {
+		return []string{fmt.Sprintf("SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g "+
+			"ON i.grp = g.g WHERE i.price < %d GROUP BY g.region", 2000+i*61%6000)}
+	},
+	"write": func(i int) []string {
+		acct := i % benchAccts
+		return []string{"BEGIN",
+			fmt.Sprintf("INSERT INTO ord VALUES (%d,%d,%d)", i, acct, 1+i%1000),
+			fmt.Sprintf("UPDATE acct SET bal = %d WHERE id = %d", i, acct),
+			"COMMIT"}
+	},
+}
+
+// statementOp connects a Client to srv over net.Pipe and returns one op
+// of the named statement stream, cycling through 512 generated texts.
+// The connection closes, and its serve loop must end cleanly, when tb
+// ends.
+func statementOp(tb testing.TB, srv *Server, name string) func() {
+	stmts := make([][]string, 512)
+	for i := range stmts {
+		stmts[i] = benchStatements[name](i)
+	}
+	cli, conn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- srv.serve(conn) }()
+	c := &Client{fc: newFrameConn(cli, 0), nc: cli}
+	tb.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			tb.Error(err)
+		}
+		if err := <-served; err != nil {
+			tb.Error(err)
+		}
+	})
+	if err := c.hello(""); err != nil {
+		tb.Fatal(err)
+	}
+	i := 0
+	return func() {
+		for _, sql := range stmts[i%len(stmts)] {
+			if _, err := c.Query(sql); err != nil {
+				tb.Fatalf("%s: %v", sql, err)
+			}
+		}
+		i++
+	}
+}
+
+// Budgets for one point read through the whole server path — query
+// frame, admission, parse, plan, index fetch, encode, flush and the
+// client's decode, both ends in one process, at 2 workers. Measured
+// 6,488 B and 100 allocs per op before the fixed-cost cuts (a trace
+// event per worker per statement, a 2-worker fan-out over a serialised
+// index cursor, a token slice grown by doubling, a fresh buffer per
+// frame, a timer per statement); 3,170-3,250 B and 47 allocs after, at
+// GOMAXPROCS 1, 2 and 4; 47 → 46 (3,140-3,230 B) once the statement's
+// view holds its transaction instead of a visibility closure.
+const (
+	pointByteBudget  = 3584
+	pointAllocBudget = 52
+)
+
+// The same for the join-aggregate (the wire benchmark's join_agg at a
+// sixth of its size): 48,800-48,900 B and 377-383 allocs per op while
+// every build regrew its scatter buffers and groups lived in a map;
+// 29,400-30,300 B and 204-205 allocs at GOMAXPROCS 1, 2 and 4 after;
+// 204 → 202-203 (29,300-30,500 B) with no visibility closure per view.
+const (
+	joinAggServerByteBudget  = 36864
+	joinAggServerAllocBudget = 250
+)
+
+// TestAllocBudgets holds BenchmarkServerStatement's point and join_agg
+// ops to their allocation budgets.
+func TestAllocBudgets(t *testing.T) {
+	allocbudget.Skip(t)
+	srv := newBenchServer(t)
+	point := allocbudget.Measure(t, "ServerStatement/point", 2000, statementOp(t, srv, "point"))
+	point.Allocs(pointAllocBudget)
+	point.Bytes(pointByteBudget)
+	joinAgg := allocbudget.Measure(t, "ServerStatement/join_agg", 2000, statementOp(t, srv, "join_agg"))
+	joinAgg.Allocs(joinAggServerAllocBudget)
+	joinAgg.Bytes(joinAggServerByteBudget)
 }

@@ -197,8 +197,8 @@ func (h *HeapFile) PageIDs() []PageID {
 }
 
 // pageRows is the one pinned page read behind every page-granular read
-// (Page.rowsInto): txn's snapshot judges each version, a nil txn
-// admits every version.
+// (Page.rowsInto): txn's snapshot judges the page, or each version on
+// it, and a nil txn admits every version.
 func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple, error) {
 	p, err := h.bm.GetPage(id)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -52,11 +53,35 @@ type Page struct {
 }
 
 // decodedPage is the page's cached decode image: the live tuples in
-// slot order, the slot each one sits in, and each one's version.
+// slot order, the slot each one sits in, and each one's version, plus
+// the version summary admitsAll judges: allLive (no Xmax) and the
+// distinct Xmins, nxmin > len(xmins) marking overflow. Two fit the
+// measured pages (EXPERIMENTS.md snapshot-scan): a read-only wire
+// workload scans only pages of one or two creators. Every mutator drops
+// the image, so the summary is never stale; a copy-on-write image must
+// maintain it.
 type decodedPage struct {
-	tuples []Tuple
-	slots  []uint16
-	vers   []Version
+	tuples  []Tuple
+	slots   []uint16
+	vers    []Version
+	allLive bool
+	nxmin   uint8
+	xmins   [2]uint64
+}
+
+// admitsAll is the page verdict: with no Xmax, visible(v, s) ==
+// committedAt(v.Xmin, s), so s admits the page whole iff every creator
+// committed in s.
+func (d *decodedPage) admitsAll(tm *TxnManager, s Snapshot) bool {
+	if !d.allLive || int(d.nxmin) > len(d.xmins) {
+		return false
+	}
+	for _, x := range d.xmins[:d.nxmin] {
+		if !tm.committedAt(x, s) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewPage returns an initialised empty page.
@@ -418,39 +443,45 @@ func (p *Page) setLSN(lsn uint64) {
 
 // rowsInto appends the page's live tuples whose version txn's snapshot
 // admits (nil txn: every version) to dst, read from the page's decode
-// image. The snapshot is read once per call and each verdict is a few
-// atomic loads from the commit table (TxnManager.commitLSN), so a
-// snapshot scan takes no latch after the decode. With rids non-nil it
-// also appends each admitted tuple's RID there (id is the page's own
-// id): tuples and slots come from one image. The appended tuples own
-// their memory (the image's arena): they stay valid after dst is
-// reused, so retaining consumers (hash-join builds, drains) alias them
-// without copying. The tuples-only loop is every snapshot scan's inner
-// loop and stays free of the RID branches: sharing one loop cost
-// BenchmarkSnapshotHeapScan 15%.
+// image. The snapshot, read once, judges the page once (admitsAll): a
+// page it admits is appended whole, as a blind read is; else each
+// version is judged, the tuples-only loop remembering the last
+// creator's verdict (fixed per (id, snapshot), see TxnManager.dir). No
+// latch is taken after the decode. With rids non-nil each admitted
+// tuple's RID is appended too; tuples and slots come from one image.
+// Appended tuples own their memory (the image's arena), so retaining
+// consumers alias them without copying. The two loops stay apart:
+// sharing one cost the tuples-only scan 15%.
 func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple, error) {
 	d, err := p.decoded()
 	if err != nil {
 		return dst, err
 	}
+	var tm *TxnManager
+	var s Snapshot
+	all := txn == nil
+	if !all {
+		tm, s = txn.tm, txn.Snapshot()
+		all = d.admitsAll(tm, s)
+	}
 	if rids == nil {
-		if txn == nil {
+		if all {
 			return append(dst, d.tuples...), nil
 		}
-		tm, s := txn.tm, txn.Snapshot()
+		x, xok := s.Self, true // the last creator judged: committedAt(s.Self, s) holds
 		for i, t := range d.tuples {
-			if tm.visible(d.vers[i], s) {
+			v := d.vers[i]
+			if v.Xmin != x {
+				x, xok = v.Xmin, tm.committedAt(v.Xmin, s)
+			}
+			if tm.visibleFrom(xok, v, s) {
 				dst = append(dst, t)
 			}
 		}
 		return dst, nil
 	}
-	var s Snapshot
-	if txn != nil {
-		s = txn.Snapshot()
-	}
 	for i, t := range d.tuples {
-		if txn == nil || txn.tm.visible(d.vers[i], s) {
+		if all || tm.visible(d.vers[i], s) {
 			dst = append(dst, t)
 			*rids = append(*rids, RID{Page: id, Slot: int(d.slots[i])})
 		}
@@ -488,9 +519,10 @@ func (p *Page) decoded() (*decodedPage, error) {
 	// slices carved below remain valid.
 	arena := make(Tuple, 0, total)
 	d := &decodedPage{
-		tuples: make([]Tuple, 0, live),
-		slots:  make([]uint16, 0, live),
-		vers:   make([]Version, 0, live),
+		tuples:  make([]Tuple, 0, live),
+		slots:   make([]uint16, 0, live),
+		vers:    make([]Version, 0, live),
+		allLive: true,
 	}
 	for s := 0; s < p.slotCount(); s++ {
 		off, length := p.slotAt(s)
@@ -507,6 +539,13 @@ func (p *Page) decoded() (*decodedPage, error) {
 		d.tuples = append(d.tuples, arena[start:len(arena):len(arena)])
 		d.slots = append(d.slots, uint16(s))
 		d.vers = append(d.vers, v)
+		d.allLive = d.allLive && v.Xmax == 0
+		if n := int(d.nxmin); n <= len(d.xmins) && !slices.Contains(d.xmins[:n], v.Xmin) {
+			if n < len(d.xmins) {
+				d.xmins[n] = v.Xmin
+			}
+			d.nxmin++ // past len(xmins): overflow
+		}
 	}
 	// Publish under the read latch: any mutator's invalidation is
 	// either already visible (we decoded its write) or will run after

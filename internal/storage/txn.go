@@ -24,10 +24,10 @@
 //     barrier. Publication order is what keeps snapshots
 //     prefix-consistent: a horizon can never include a later commit
 //     while excluding an earlier one.
-//   - The commit table is written once per transaction and read once
-//     per row version of every snapshot scan, so it is an append-only
-//     array of atomics indexed by transaction id (see TxnManager.dir):
-//     visibility, conflict checks and Begin take no latch at all.
+//   - The commit table is written once per transaction and read per
+//     distinct creator of each scanned page (per row on claimed pages),
+//     so it is an append-only array of atomics indexed by id (see
+//     TxnManager.dir): visibility, conflicts and Begin take no latch.
 package storage
 
 import (
@@ -201,15 +201,16 @@ func (tm *TxnManager) committedAt(id uint64, s Snapshot) bool {
 	return lsn != 0 && lsn <= s.High
 }
 
-// visible implements snapshot visibility for one version.
+// visible implements snapshot visibility for one version: its creator
+// committed in s (or is s.Self), and no deleter did.
 func (tm *TxnManager) visible(v Version, s Snapshot) bool {
-	if !tm.committedAt(v.Xmin, s) {
-		return false // creator not committed in this snapshot
-	}
-	if v.Xmax == 0 {
-		return true // never deleted
-	}
-	return !tm.committedAt(v.Xmax, s) // deleted iff the deleter committed in-snapshot (or is self)
+	return tm.visibleFrom(tm.committedAt(v.Xmin, s), v, s)
+}
+
+// visibleFrom is visible given created = committedAt(v.Xmin, s),
+// which a page scan remembers across one creator's rows (rowsInto).
+func (tm *TxnManager) visibleFrom(created bool, v Version, s Snapshot) bool {
+	return created && (v.Xmax == 0 || !tm.committedAt(v.Xmax, s))
 }
 
 // ---------------------------------------------------------------------------

@@ -1019,3 +1019,102 @@ func TestIndexLookupSkipsDeadVersionsForFree(t *testing.T) {
 		t.Fatalf("lookup through 10 dead versions allocates %.0f, a fresh row %.0f", churned, fresh)
 	}
 }
+
+// TestPageVerdictSummary is the white-box case of the page verdict:
+// the summary the decode pass records (allLive, the distinct creators
+// and their overflow mark) and decodedPage.admitsAll on either side of
+// each decision. The differential check over generated pages is
+// TestPageVerdictMatchesPerRowFilter.
+func TestPageVerdictSummary(t *testing.T) {
+	db, h := newTxnDB(t)
+	tm := db.Txns()
+	image := func(h *HeapFile) *decodedPage {
+		t.Helper()
+		id := h.PageIDs()[0]
+		p, err := h.bm.GetPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.bm.Unpin(id)
+		d, err := p.decoded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	insert := func(tx *Txn, h *HeapFile, k int64) RID {
+		t.Helper()
+		rid, err := tx.Insert(h, rowTuple(k, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rid
+	}
+	commit := func(tx *Txn) {
+		t.Helper()
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admits := func(h *HeapFile, tx *Txn, want bool) {
+		t.Helper()
+		if got := image(h).admitsAll(tm, tx.Snapshot()); got != want {
+			t.Fatalf("admitsAll(%+v) = %v, want %v", tx.Snapshot(), got, want)
+		}
+	}
+
+	// k-1 committed creators and the reader itself fill the array, in
+	// slot order.
+	k := len(decodedPage{}.xmins)
+	var ids []uint64
+	for i := 0; i < k-1; i++ {
+		w := tm.Begin()
+		insert(w, h, int64(i))
+		insert(w, h, int64(10+i))
+		ids = append(ids, w.ID())
+		commit(w)
+	}
+	before := tm.Begin() // sees the committed creators, not the reader
+	self := tm.Begin()
+	victim := insert(self, h, 100)
+	ids = append(ids, self.ID())
+	if d := image(h); !d.allLive || int(d.nxmin) != k || !slices.Equal(d.xmins[:], ids) {
+		t.Fatalf("summary = allLive %v, %d creators %v; want true, %d %v", d.allLive, d.nxmin, d.xmins, k, ids)
+	}
+	admits(h, self, true)    // own insert: Self
+	admits(h, before, false) // the last creator is in flight
+	commit(self)
+	after := tm.Begin()
+	admits(h, after, true)
+	admits(h, before, false) // a verdict never moves
+
+	// A committed claim: no longer all live, so no snapshot admits the
+	// page whole, though the claim is outside after's snapshot.
+	claim := tm.Begin()
+	if err := claim.Delete(h, victim); err != nil {
+		t.Fatal(err)
+	}
+	commit(claim)
+	if image(h).allLive {
+		t.Fatal("summary reads allLive over a claimed version")
+	}
+	admits(h, after, false)
+
+	// k+1 committed creators overflow the array: judged per row.
+	over, err := db.CreateFile("over")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= k; i++ {
+		w := tm.Begin()
+		insert(w, over, int64(i))
+		commit(w)
+	}
+	if d := image(over); int(d.nxmin) <= k {
+		t.Fatalf("%d creators read as %d: overflow not marked", k+1, d.nxmin)
+	}
+	admits(over, tm.Begin(), false)
+	if got := keysOf(t, tm.Begin().View(over)); len(got) != k+1 {
+		t.Fatalf("per-row read of the overflowed page = %v, want %d keys", got, k+1)
+	}
+}

@@ -7,15 +7,15 @@ import (
 
 // HeapView is the one reader of a heap file. It holds the transaction
 // it reads for: each page-granular call reads that transaction's
-// snapshot once and judges every row version against it
-// (TxnManager.visible), so scans are repeatable against concurrent
-// writers without taking any lock beyond the page read latch: a
-// verdict is a latch-free read of the commit table and never changes
-// once the snapshot is taken. The snapshot is read per call, not fixed
-// when the view is made, because a transaction's id is drawn at its
-// first write: a view opened before that write must still see it. A
-// view with no transaction (HeapFile.Blind) reads every version, live
-// or dead.
+// snapshot once and judges the page against it, whole when its version
+// summary allows, else row by row (Page.rowsInto), so scans are
+// repeatable against concurrent writers with no lock beyond the page
+// read latch: a verdict is a latch-free read of the commit table and
+// never changes once the snapshot is taken. The snapshot is read per
+// call, not fixed when the view is made, because a transaction's id is
+// drawn at its first write: a view opened before that write must still
+// see it. A view with no transaction (HeapFile.Blind) reads every
+// version, live or dead.
 type HeapView struct {
 	h   *HeapFile
 	txn *Txn

@@ -26,8 +26,10 @@ const engineLineBudget = 7963
 // heap file in a DB). The same rule as the engine's.
 //
 // 4476 with one heap reader (a view holds its transaction; HeapFile's
-// blind reads, the Visibility closure and ZoneReader out).
-const storageLineBudget = 4476
+// blind reads, the Visibility closure and ZoneReader out). 4516 with the
+// page verdict (the decode image's version summary and a snapshot
+// scan's remembered creator verdict).
+const storageLineBudget = 4516
 
 // TestLineBudgets counts the non-test lines (newlines in every .go file
 // that is not a _test.go file) of the engine and of storage, and fails

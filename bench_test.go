@@ -824,7 +824,7 @@ func benchParallelSort(b *testing.B, rows, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		merge, err := operators.ParallelSortBatches(
-			operators.NewSliceBatches(tuples, 0), 0, false,
+			operators.NewSliceBatches(tuples, 0), 0, false, nil,
 			operators.ParallelConfig{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
@@ -859,7 +859,7 @@ func topKOp(tb testing.TB, rows int) func() {
 	tuples := experiments.SortBenchTuples(rows)
 	return func() {
 		got, err := operators.ParallelTopKBatches(
-			operators.NewSliceBatches(tuples, 0), 0, false, k,
+			operators.NewSliceBatches(tuples, 0), 0, false, nil, k,
 			operators.ParallelConfig{Workers: 4})
 		if err != nil {
 			tb.Fatal(err)

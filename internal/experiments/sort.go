@@ -51,7 +51,7 @@ func RunParallelSortBench(m *Measurements, rows int, workers []int, repeats, bat
 		for _, w := range workers {
 			start := time.Now()
 			merge, err := operators.ParallelSortBatches(
-				operators.NewSliceBatches(tuples, batch), 0, false,
+				operators.NewSliceBatches(tuples, batch), 0, false, nil,
 				operators.ParallelConfig{Workers: w, MorselSize: batch})
 			if err != nil {
 				return err
@@ -83,7 +83,7 @@ func RunTopKBench(m *Measurements, rows int, workers []int, repeats, batch int) 
 		for _, w := range workers {
 			start := time.Now()
 			got, err := operators.ParallelTopKBatches(
-				operators.NewSliceBatches(tuples, batch), 0, false, k,
+				operators.NewSliceBatches(tuples, batch), 0, false, nil, k,
 				operators.ParallelConfig{Workers: w, MorselSize: batch})
 			if err != nil {
 				return err

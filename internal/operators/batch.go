@@ -93,67 +93,8 @@ type BatchIterator interface {
 }
 
 // ---------------------------------------------------------------------------
-// Batch -> Volcano adapters: a batch pipeline (IteratorFromBatch) or a
-// shared batch source (SourceIterator) feeding a scalar consumer. The
-// other direction is IterBatches.
-
-// IteratorFromBatch adapts a batch pipeline back to the Volcano
-// interface. Tuples are handed out by header copy, so they survive the
-// internal batch's next refill.
-type IteratorFromBatch struct {
-	In   BatchIterator
-	buf  *Batch
-	pos  int
-	open bool
-}
-
-// NewIteratorFromBatch wraps bi.
-func NewIteratorFromBatch(bi BatchIterator) *IteratorFromBatch {
-	return &IteratorFromBatch{In: bi}
-}
-
-// Open implements Iterator. The pooled buffer is taken only after the
-// input opens: a failed In.Open() returns before the caller owes a
-// Close, so anything acquired first would leak from the pool.
-func (a *IteratorFromBatch) Open() error {
-	if err := a.In.Open(); err != nil {
-		return err
-	}
-	a.buf = GetBatch()
-	a.pos = 0
-	a.open = true
-	return nil
-}
-
-// Next implements Iterator.
-func (a *IteratorFromBatch) Next() (storage.Tuple, bool, error) {
-	if !a.open {
-		return nil, false, ErrNotOpen
-	}
-	for a.pos >= a.buf.Len() {
-		n, err := a.In.NextBatch(a.buf)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return nil, false, nil
-		}
-		a.pos = 0
-	}
-	t := a.buf.Tuples[a.pos]
-	a.pos++
-	return t, true, nil
-}
-
-// Close implements Iterator.
-func (a *IteratorFromBatch) Close() error {
-	a.open = false
-	if a.buf != nil {
-		PutBatch(a.buf)
-		a.buf = nil
-	}
-	return a.In.Close()
-}
+// Batch -> Volcano: a shared batch source feeding a scalar consumer
+// (SourceIterator). The other direction is IterBatches.
 
 // SourceIterator drains a BatchSource as a Volcano iterator, from
 // wherever the source's cursor stands — how the remainder of an aborted

@@ -94,29 +94,46 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchAdapterRoundTrip: a batch scan behind IteratorFromBatch must
-// equal the Volcano scan, and the adapter must survive reopening.
+// TestBatchAdapterRoundTrip: a Volcano heap scan behind IterBatches
+// must serve the batch-native scan's rows in its order at any batch
+// size, close its input at exhaustion, and stay exhausted.
 func TestBatchAdapterRoundTrip(t *testing.T) {
 	_, hf := batchHeap(t, 300)
-	want, err := Drain(NewHeapScan(hf.Blind()))
+	want, err := DrainBatches(NewBatchHeapScan(hf.Blind()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewIteratorFromBatch(NewBatchHeapScan(hf.Blind()))
-	if _, _, err := it.Next(); err != ErrNotOpen {
-		t.Fatalf("unopened Next: %v", err)
-	}
-	for pass := 0; pass < 2; pass++ { // second pass = reopened iterator
-		got, err := Drain(it)
-		if err != nil {
-			t.Fatalf("pass=%d: %v", pass, err)
+	for _, size := range []int{1, 7, 0} {
+		scan := NewHeapScan(hf.Blind())
+		ib := NewIterBatches(scan, size)
+		b := GetBatch()
+		var got []storage.Tuple
+		for {
+			n, err := ib.NextBatch(b)
+			if err != nil {
+				t.Fatalf("size=%d: %v", size, err)
+			}
+			if n == 0 {
+				break
+			}
+			if size > 0 && n > size {
+				t.Fatalf("size=%d: batch of %d rows", size, n)
+			}
+			got = append(got, b.Tuples...)
+		}
+		if n, err := ib.NextBatch(b); n != 0 || err != nil {
+			t.Fatalf("size=%d: claim after exhaustion = %d, %v", size, n, err)
+		}
+		PutBatch(b)
+		if scan.open || scan.buf != nil {
+			t.Fatalf("size=%d: input left open at exhaustion", size)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("pass=%d: %d rows, want %d", pass, len(got), len(want))
+			t.Fatalf("size=%d: %d rows, want %d", size, len(got), len(want))
 		}
 		for j := range got {
-			if got[j][0].Int != want[j][0].Int {
-				t.Fatalf("pass=%d row %d: %v", pass, j, got[j])
+			if got[j][0].Int != want[j][0].Int || got[j][1].Str != want[j][1].Str {
+				t.Fatalf("size=%d row %d: %v want %v", size, j, got[j], want[j])
 			}
 		}
 	}
@@ -181,13 +198,19 @@ func TestBatchRetentionAcrossRecycle(t *testing.T) {
 }
 
 // TestBatchFilterProjectMatchSerial compares the in-place batch filter
-// and the arena projection against the Volcano operators.
+// and the arena projection against a row-at-a-time loop over the scan.
 func TestBatchFilterProjectMatchSerial(t *testing.T) {
 	_, hf := batchHeap(t, 300)
 	pred := func(tp storage.Tuple) bool { return tp[0].Int%3 == 0 }
-	want, err := Drain(NewProject(NewFilter(NewHeapScan(hf.Blind()), pred), []int{1, 0}))
+	all, err := Drain(NewHeapScan(hf.Blind()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var want []storage.Tuple
+	for _, tp := range all {
+		if pred(tp) {
+			want = append(want, storage.Tuple{tp[1], tp[0]})
+		}
 	}
 	kept, err := DrainParallelBatches(NewFilterBatches(NewHeapBatches(hf.Blind()), pred), ParallelConfig{Workers: 4})
 	if err != nil {

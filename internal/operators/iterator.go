@@ -1,9 +1,12 @@
 // Package operators implements the data-operator layer of the
 // architecture in two halves:
 //
-//   - Volcano-style pull iterators (scan, filter, project, sort,
-//     aggregate, nested-loop/index/hash joins) used by the query
-//     engine, each a fine-grained component in the paper's sense; and
+//   - the batch pipeline the query engine runs every SELECT on (heap
+//     and index scans, vectorized filter kernels, partitioned hash
+//     build/probe, grouped aggregation, parallel sort and Top-K), fanned
+//     out over worker goroutines, plus the few Volcano-style pull
+//     iterators it still composes (index scans, the index nested-loop
+//     join), each a fine-grained component in the paper's sense; and
 //
 //   - the *adaptive* operators the paper names as required substrate
 //     (§2, §6): the symmetric pipelined hash join [31], the ripple
@@ -16,7 +19,6 @@ package operators
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -193,111 +195,5 @@ func (s *IndexScan) RID() storage.RID { return s.rids[s.pos-1] }
 // Close implements Iterator.
 func (s *IndexScan) Close() error { s.open = false; return nil }
 
-// ---------------------------------------------------------------------------
-// Row transforms.
-
 // Predicate tests a tuple.
 type Predicate func(storage.Tuple) bool
-
-// Filter passes tuples satisfying Pred.
-type Filter struct {
-	In   Iterator
-	Pred Predicate
-	open bool
-}
-
-// NewFilter wraps in with a predicate.
-func NewFilter(in Iterator, pred Predicate) *Filter { return &Filter{In: in, Pred: pred} }
-
-// Open implements Iterator.
-func (f *Filter) Open() error { f.open = true; return f.In.Open() }
-
-// Next implements Iterator.
-func (f *Filter) Next() (storage.Tuple, bool, error) {
-	if !f.open {
-		return nil, false, ErrNotOpen
-	}
-	for {
-		t, ok, err := f.In.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.Pred(t) {
-			return t, true, nil
-		}
-	}
-}
-
-// Close implements Iterator.
-func (f *Filter) Close() error { f.open = false; return f.In.Close() }
-
-// Project maps tuples to the given column indexes.
-type Project struct {
-	In   Iterator
-	Cols []int
-	open bool
-}
-
-// NewProject keeps only cols (in order).
-func NewProject(in Iterator, cols []int) *Project { return &Project{In: in, Cols: cols} }
-
-// Open implements Iterator.
-func (p *Project) Open() error { p.open = true; return p.In.Open() }
-
-// Next implements Iterator.
-func (p *Project) Next() (storage.Tuple, bool, error) {
-	if !p.open {
-		return nil, false, ErrNotOpen
-	}
-	t, ok, err := p.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	out := make(storage.Tuple, len(p.Cols))
-	for i, c := range p.Cols {
-		if c < 0 || c >= len(t) {
-			return nil, false, fmt.Errorf("operators: project column %d out of range (%d)", c, len(t))
-		}
-		out[i] = t[c]
-	}
-	return out, true, nil
-}
-
-// Close implements Iterator.
-func (p *Project) Close() error { p.open = false; return p.In.Close() }
-
-// Sort and TopK (the ordering operators) live in sort.go, on the same
-// typed-key machinery as the parallel sort pipeline.
-
-// Limit passes at most N tuples.
-type Limit struct {
-	In   Iterator
-	N    int
-	seen int
-	open bool
-}
-
-// NewLimit caps in at n tuples.
-func NewLimit(in Iterator, n int) *Limit { return &Limit{In: in, N: n} }
-
-// Open implements Iterator.
-func (l *Limit) Open() error { l.seen, l.open = 0, true; return l.In.Open() }
-
-// Next implements Iterator.
-func (l *Limit) Next() (storage.Tuple, bool, error) {
-	if !l.open {
-		return nil, false, ErrNotOpen
-	}
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	t, ok, err := l.In.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
-// Close implements Iterator.
-func (l *Limit) Close() error { l.open = false; return l.In.Close() }

@@ -26,206 +26,6 @@ func concat(l, r storage.Tuple) storage.Tuple {
 	return out
 }
 
-// NestedLoopJoin is the naive O(|L|·|R|) equality join on LCol=RCol.
-// The right input is materialised at Open.
-type NestedLoopJoin struct {
-	L, R       Iterator
-	LCol, RCol int
-	right      []storage.Tuple
-	cur        storage.Tuple
-	rpos       int
-	open       bool
-	// Comparisons counts predicate evaluations (cost accounting for
-	// the Scenario 3 replanning decision).
-	Comparisons uint64
-}
-
-// NewNestedLoopJoin joins l.lcol = r.rcol.
-func NewNestedLoopJoin(l, r Iterator, lcol, rcol int) *NestedLoopJoin {
-	return &NestedLoopJoin{L: l, R: r, LCol: lcol, RCol: rcol}
-}
-
-// Open implements Iterator.
-func (j *NestedLoopJoin) Open() error {
-	right, err := Drain(j.R)
-	if err != nil {
-		return err
-	}
-	j.right = right
-	j.cur = nil
-	j.rpos = 0
-	j.open = true
-	return j.L.Open()
-}
-
-// Next implements Iterator.
-func (j *NestedLoopJoin) Next() (storage.Tuple, bool, error) {
-	if !j.open {
-		return nil, false, ErrNotOpen
-	}
-	for {
-		if j.cur == nil {
-			t, ok, err := j.L.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur = t
-			j.rpos = 0
-		}
-		for j.rpos < len(j.right) {
-			r := j.right[j.rpos]
-			j.rpos++
-			j.Comparisons++
-			lv, rv := j.cur[j.LCol], r[j.RCol]
-			if lv.IsNull() || rv.IsNull() {
-				continue
-			}
-			if storage.Equal(lv, rv) {
-				return concat(j.cur, r), true, nil
-			}
-		}
-		j.cur = nil
-	}
-}
-
-// Close implements Iterator.
-func (j *NestedLoopJoin) Close() error {
-	j.open = false
-	j.right = nil
-	return j.L.Close()
-}
-
-// CrossJoin is the cartesian product — the planner's last resort for
-// disconnected join graphs. The right input is materialised at Open;
-// the left is streamed.
-type CrossJoin struct {
-	L, R  Iterator
-	right []storage.Tuple
-	cur   storage.Tuple
-	rpos  int
-	open  bool
-}
-
-// NewCrossJoin builds l × r.
-func NewCrossJoin(l, r Iterator) *CrossJoin {
-	return &CrossJoin{L: l, R: r}
-}
-
-// Open implements Iterator.
-func (j *CrossJoin) Open() error {
-	right, err := Drain(j.R)
-	if err != nil {
-		return err
-	}
-	j.right = right
-	j.cur = nil
-	j.rpos = 0
-	j.open = true
-	return j.L.Open()
-}
-
-// Next implements Iterator.
-func (j *CrossJoin) Next() (storage.Tuple, bool, error) {
-	if !j.open {
-		return nil, false, ErrNotOpen
-	}
-	for {
-		if j.cur == nil {
-			t, ok, err := j.L.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			j.cur = t
-			j.rpos = 0
-		}
-		if j.rpos < len(j.right) {
-			r := j.right[j.rpos]
-			j.rpos++
-			return concat(j.cur, r), true, nil
-		}
-		j.cur = nil
-	}
-}
-
-// Close implements Iterator.
-func (j *CrossJoin) Close() error {
-	j.open = false
-	j.right = nil
-	return j.L.Close()
-}
-
-// HashJoin is the classic blocking hash join: build the left input
-// fully, then stream the right. First output cannot appear before the
-// entire build side has arrived — the blocking behaviour the adaptive
-// joins exist to fix.
-type HashJoin struct {
-	Build, Probe       Iterator
-	BuildCol, ProbeCol int
-	table              map[string][]storage.Tuple
-	pending            []storage.Tuple
-	open               bool
-	// BuildRows counts the materialised build side.
-	BuildRows int
-}
-
-// NewHashJoin joins build.bcol = probe.pcol.
-func NewHashJoin(build, probe Iterator, bcol, pcol int) *HashJoin {
-	return &HashJoin{Build: build, Probe: probe, BuildCol: bcol, ProbeCol: pcol}
-}
-
-// Open implements Iterator.
-func (j *HashJoin) Open() error {
-	rows, err := Drain(j.Build)
-	if err != nil {
-		return err
-	}
-	j.table = make(map[string][]storage.Tuple, len(rows))
-	for _, t := range rows {
-		v := t[j.BuildCol]
-		if v.IsNull() {
-			continue
-		}
-		k := joinKey(v)
-		j.table[k] = append(j.table[k], t)
-	}
-	j.BuildRows = len(rows)
-	j.pending = nil
-	j.open = true
-	return j.Probe.Open()
-}
-
-// Next implements Iterator.
-func (j *HashJoin) Next() (storage.Tuple, bool, error) {
-	if !j.open {
-		return nil, false, ErrNotOpen
-	}
-	for {
-		if len(j.pending) > 0 {
-			t := j.pending[0]
-			j.pending = j.pending[1:]
-			return t, true, nil
-		}
-		p, ok, err := j.Probe.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v := p[j.ProbeCol]
-		if v.IsNull() {
-			continue
-		}
-		for _, b := range j.table[joinKey(v)] {
-			j.pending = append(j.pending, concat(b, p))
-		}
-	}
-}
-
-// Close implements Iterator.
-func (j *HashJoin) Close() error {
-	j.open = false
-	j.table = nil
-	return j.Probe.Close()
-}
-
 // IndexNLJoin probes a B-tree index for each outer tuple — the
 // operator Scenario 3's re-optimiser injects when it "adds an index
 // to one of the tables".
@@ -315,23 +115,6 @@ type AggSpec struct {
 	Col  int
 }
 
-// HashAggregate groups by GroupCol (or globally when GroupCol < 0)
-// and computes the aggregates. Output tuples are [group, agg1, agg2,
-// ...] (no group column when global), in first-seen group order.
-type HashAggregate struct {
-	In       Iterator
-	GroupCol int
-	Aggs     []AggSpec
-	out      []storage.Tuple
-	pos      int
-	open     bool
-}
-
-// NewHashAggregate builds a grouping aggregate.
-func NewHashAggregate(in Iterator, groupCol int, aggs []AggSpec) *HashAggregate {
-	return &HashAggregate{In: in, GroupCol: groupCol, Aggs: aggs}
-}
-
 // aggCell is one aggregate of one group: its rows (COUNT) or non-NULL
 // inputs counted, summed (SUM, AVG) or folded to the least or greatest.
 type aggCell struct {
@@ -347,9 +130,8 @@ func (c *aggCell) fold(kind AggKind, v storage.Value) {
 	}
 }
 
-// aggAccum accumulates grouped aggregate state. It is the shared core
-// of the serial HashAggregate and the parallel paths: workers each fill
-// a local accumulator, then the partials are merged at the barrier
+// aggAccum accumulates grouped aggregate state: workers each fill a
+// local accumulator, then the partials are merged at the barrier
 // (count/sum/n add, min/max fold), which is exact for every supported
 // aggregate. It is also the aggregate probe sink (see pairSink): input
 // arrives as a (build, probe) pair, and a plain tuple is the pair with
@@ -506,33 +288,3 @@ func (a *aggAccum) value(s, i int) storage.Value {
 	}
 	return c.v // AggMin, AggMax
 }
-
-// Open implements Iterator.
-func (a *HashAggregate) Open() error {
-	rows, err := Drain(a.In)
-	if err != nil {
-		return err
-	}
-	acc := newAggAccum(a.GroupCol, a.Aggs, nil)
-	for _, t := range rows {
-		acc.pair(nil, t)
-	}
-	a.out, a.pos, a.open = acc.rows(nil), 0, true
-	return nil
-}
-
-// Next implements Iterator.
-func (a *HashAggregate) Next() (storage.Tuple, bool, error) {
-	if !a.open {
-		return nil, false, ErrNotOpen
-	}
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	t := a.out[a.pos]
-	a.pos++
-	return t, true, nil
-}
-
-// Close implements Iterator.
-func (a *HashAggregate) Close() error { a.open, a.out = false, nil; return nil }

@@ -1,20 +1,19 @@
 // Leak audit for operator error paths. Two invariants:
 //
-//  1. An Open() that returns an error hands NOTHING to the caller —
-//     no pooled batch may be held by the operator, and the input must
-//     not be left open (the caller does not Close after a failed
-//     Open, so anything acquired before the failure leaks).
+//  1. An input that fails — at Open or mid-stream — is closed exactly
+//     as often as it was opened, and the operator above it returns
+//     the error with no pooled batch still checked out.
 //  2. A pipeline that errors mid-stream still releases every pinned
 //     buffer-pool frame once the root is closed: after Close on any
 //     error path, BufferManager.PinnedFrames() returns to baseline.
 //
-// The audit instrument is a pair of test iterators that count
-// Open/Close calls and fail on demand at any point in the stream.
+// The audit instrument is a Volcano test iterator that counts
+// Open/Close calls and fails on demand at any point in the stream;
+// the batch operators reach it through IterBatches.
 package operators
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -71,72 +70,6 @@ func (a *auditIter) balanced() bool {
 	return a.closes == owed
 }
 
-// auditBatch is the batch-native counterpart of auditIter. Unlike
-// auditIter it is handed directly to the parallel exchange as a
-// BatchSource, so — like the real morsel sources — it must serialise
-// itself against concurrent worker claims.
-type auditBatch struct {
-	mu        sync.Mutex
-	rows      []storage.Tuple
-	failOpen  bool
-	failAfter int // error once this many rows were served; <0 = never
-	pos       int
-	opens     int
-	closes    int
-	open      bool
-	chunk     int
-}
-
-func (a *auditBatch) Open() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.opens++
-	if a.failOpen {
-		return errBoom
-	}
-	a.pos, a.open = 0, true
-	return nil
-}
-
-func (a *auditBatch) NextBatch(b *Batch) (int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.open {
-		return 0, ErrNotOpen
-	}
-	if a.failAfter >= 0 && a.pos >= a.failAfter {
-		return 0, errBoom
-	}
-	b.Reset()
-	n := a.chunk
-	if n <= 0 {
-		n = 2
-	}
-	for i := 0; i < n && a.pos < len(a.rows); i++ {
-		b.Tuples = append(b.Tuples, a.rows[a.pos])
-		a.pos++
-	}
-	return b.Len(), nil
-}
-
-func (a *auditBatch) Close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.closes++
-	a.open = false
-	return nil
-}
-
-func (a *auditBatch) balanced() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	owed := a.opens
-	if a.failOpen {
-		owed = 0
-	}
-	return a.closes == owed
-}
-
 func auditRows(n int) []storage.Tuple {
 	out := make([]storage.Tuple, n)
 	for i := range out {
@@ -145,63 +78,85 @@ func auditRows(n int) []storage.Tuple {
 	return out
 }
 
-// TestOpenErrorLeavesNothingHeld drives the batch adapter's Open
-// through a failing input and asserts the operator holds no pooled
-// batch and did not latch itself open.
+// auditOps are the batch operators that consume a source to the end
+// before returning, each run at two workers over src.
+var auditOps = []struct {
+	name string
+	run  func(src BatchSource) error
+}{
+	{"Sort", func(src BatchSource) error {
+		m, err := ParallelSortBatches(src, 0, false, nil, ParallelConfig{Workers: 2})
+		if m != nil {
+			return errors.New("failed sort returned an iterator")
+		}
+		return err
+	}},
+	{"TopK", func(src BatchSource) error {
+		_, err := ParallelTopKBatches(src, 0, false, nil, 3, ParallelConfig{Workers: 2})
+		return err
+	}},
+}
+
+// requireAudit checks invariant 1 after an operator ran over src.
+func requireAudit(t *testing.T, err error, src *auditIter, batches int64) {
+	t.Helper()
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want errBoom", err)
+	}
+	if !src.balanced() {
+		t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
+	}
+	if got := OutstandingBatches(); got != batches {
+		t.Fatalf("outstanding batches = %d, want %d", got, batches)
+	}
+}
+
+// TestOpenErrorLeavesNothingHeld fails the input's Open under the
+// Volcano-to-batch adapter and the materialisers above it: the error
+// surfaces, no batch stays checked out, and the adapter does not
+// retry the Open on the next claim.
 func TestOpenErrorLeavesNothingHeld(t *testing.T) {
-	t.Run("IteratorFromBatch", func(t *testing.T) {
-		src := &auditBatch{failOpen: true, failAfter: -1}
-		it := NewIteratorFromBatch(src)
-		if err := it.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
+	t.Run("IterBatches", func(t *testing.T) {
+		base := OutstandingBatches()
+		src := &auditIter{failOpen: true, failAfter: -1}
+		ib := NewIterBatches(src, 4)
+		b := GetBatch()
+		n, err := ib.NextBatch(b)
+		if n != 0 || b.Len() != 0 {
+			t.Fatalf("failed Open served %d rows", b.Len())
 		}
-		if it.buf != nil {
-			t.Fatal("failed Open stranded a pooled batch")
+		if n, nerr := ib.NextBatch(b); n != 0 || nerr != nil || src.opens != 1 {
+			t.Fatalf("claim after failed Open = %d, %v with %d opens; want 0, nil, 1", n, nerr, src.opens)
 		}
-		if _, _, err := it.Next(); !errors.Is(err, ErrNotOpen) {
-			t.Fatalf("Next after failed Open = %v, want ErrNotOpen", err)
-		}
-		if !src.balanced() {
-			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
-		}
+		PutBatch(b)
+		requireAudit(t, err, src, base)
 	})
+	for _, op := range auditOps {
+		t.Run(op.name, func(t *testing.T) {
+			base := OutstandingBatches()
+			src := &auditIter{failOpen: true, failAfter: -1}
+			requireAudit(t, op.run(NewIterBatches(src, 2)), src, base)
+		})
+	}
 }
 
 // TestMidStreamErrorClosesInput errors the input mid-stream under the
-// serial Sort/TopK materialisers and the batch adapter, then
-// asserts the input's Open/Close counts balance — the pattern the
-// pooled batches and pinned pages both ride on.
+// parallel Sort/Top-K materialisers and a parallel drain of the
+// adapter, then asserts the input's Open/Close counts balance — the
+// pattern the pooled batches and pinned pages both ride on.
 func TestMidStreamErrorClosesInput(t *testing.T) {
-	t.Run("Sort", func(t *testing.T) {
+	for _, op := range auditOps {
+		t.Run(op.name, func(t *testing.T) {
+			base := OutstandingBatches()
+			src := &auditIter{rows: auditRows(10), failAfter: 4}
+			requireAudit(t, op.run(NewIterBatches(src, 2)), src, base)
+		})
+	}
+	t.Run("IterBatchesMidStream", func(t *testing.T) {
+		base := OutstandingBatches()
 		src := &auditIter{rows: auditRows(10), failAfter: 4}
-		s := NewSort(src, 0, false)
-		if err := s.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if !src.balanced() {
-			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
-		}
-	})
-	t.Run("TopK", func(t *testing.T) {
-		src := &auditIter{rows: auditRows(10), failAfter: 4}
-		k := NewTopK(src, 0, false, 3)
-		if err := k.Open(); !errors.Is(err, errBoom) {
-			t.Fatalf("Open = %v, want errBoom", err)
-		}
-		if !src.balanced() {
-			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
-		}
-	})
-	t.Run("IteratorFromBatchMidStream", func(t *testing.T) {
-		src := &auditBatch{rows: auditRows(10), failAfter: 4, chunk: 2}
-		it := NewIteratorFromBatch(src)
-		_, err := Drain(it)
-		if !errors.Is(err, errBoom) {
-			t.Fatalf("Drain = %v, want errBoom", err)
-		}
-		if !src.balanced() {
-			t.Fatalf("input opens=%d closes=%d not balanced", src.opens, src.closes)
-		}
+		_, err := DrainParallelBatches(NewIterBatches(src, 2), ParallelConfig{Workers: 2})
+		requireAudit(t, err, src, base)
 	})
 }
 
@@ -221,17 +176,16 @@ func TestPinnedFramesBalancedAfterErrors(t *testing.T) {
 		t.Fatalf("baseline pins = %d, want 0", got)
 	}
 
-	// Serial sort over a heap scan.
-	scan := NewHeapScan(hf.Blind())
-	s := NewSort(NewFilter(scan, func(tu storage.Tuple) bool { return true }), 0, false)
-	if err := s.Open(); err != nil {
-		t.Fatalf("sort open: %v", err)
+	// Sort over a heap scan.
+	m, err := ParallelSortBatches(NewHeapBatches(hf.Blind()), 0, false, nil, ParallelConfig{Workers: 2})
+	if err != nil {
+		t.Fatalf("sort: %v", err)
 	}
-	if err := s.Close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatalf("sort close: %v", err)
 	}
 	if got := bm.PinnedFrames(); got != 0 {
-		t.Fatalf("pins after serial sort = %d, want 0", got)
+		t.Fatalf("pins after sort = %d, want 0", got)
 	}
 
 	// Batch scan erroring mid-stream: abandon the iterator after the

@@ -3,7 +3,6 @@ package operators
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -36,12 +35,18 @@ func TestMemScanAndDrain(t *testing.T) {
 	}
 }
 
+// TestFilterProjectLimit runs filter, projection and a row limit the
+// way a bare scan's tail does: the limit stops claiming once covered,
+// so one-row batches at one worker stop at exactly the limit.
 func TestFilterProjectLimit(t *testing.T) {
-	src := NewMemScan(rows(1, 2, 3, 4, 5, 6))
-	it := NewLimit(NewProject(NewFilter(src, func(t storage.Tuple) bool {
+	src := NewFilterBatches(NewSliceBatches(rows(1, 2, 3, 4, 5, 6), 1), func(t storage.Tuple) bool {
 		return t[0].Int%2 == 0
-	}), []int{0}), 2)
-	got, err := Drain(it)
+	})
+	kept, err := DrainParallelBatches(src, ParallelConfig{Workers: 1, Limit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ProjectTuples(nil, kept, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,20 +56,28 @@ func TestFilterProjectLimit(t *testing.T) {
 }
 
 func TestProjectOutOfRange(t *testing.T) {
-	it := NewProject(NewMemScan(rows(1)), []int{5})
-	if _, err := Drain(it); err == nil {
+	if _, err := ProjectTuples(nil, rows(1), []int{5}); err == nil {
 		t.Fatal("want error")
 	}
 }
 
 func TestSortAscDesc(t *testing.T) {
 	src := rows(3, 1, 2)
-	asc, _ := Drain(NewSort(NewMemScan(src), 0, false))
-	if got := intsOf(asc, 0); got[0] != 1 || got[2] != 3 {
+	sorted := func(desc bool) []int64 {
+		m, err := ParallelSortBatches(NewSliceBatches(src, 0), 0, desc, nil, ParallelConfig{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Drain(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return intsOf(got, 0)
+	}
+	if got := sorted(false); got[0] != 1 || got[2] != 3 {
 		t.Fatalf("asc = %v", got)
 	}
-	desc, _ := Drain(NewSort(NewMemScan(src), 0, true))
-	if got := intsOf(desc, 0); got[0] != 3 || got[2] != 1 {
+	if got := sorted(true); got[0] != 3 || got[2] != 1 {
 		t.Fatalf("desc = %v", got)
 	}
 }
@@ -105,39 +118,27 @@ func joinInputs() ([]storage.Tuple, []storage.Tuple) {
 	return l, r
 }
 
-func canonical(ts []storage.Tuple) []string {
-	var out []string
-	for _, t := range ts {
-		s := ""
-		for _, v := range t {
-			s += v.String() + "|"
-		}
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
+// TestJoinsAgree checks the hash join (build, then probe) against the
+// nested-loop oracle at one and several workers.
 func TestJoinsAgree(t *testing.T) {
 	l, r := joinInputs()
-	nl, err := Drain(NewNestedLoopJoin(NewMemScan(l), NewMemScan(r), 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := Drain(NewHashJoin(NewMemScan(l), NewMemScan(r), 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := joinOracle(l, r, 0)
 	// 30 L tuples: keys 0..9 3× each. 20 R tuples: keys 0..4 4× each.
 	// Matches: keys 0..4: 3*4 = 12 each → 60.
 	if len(nl) != 60 {
 		t.Fatalf("NL join = %d rows", len(nl))
 	}
-	a, b := canonical(nl), canonical(hj)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("join disagreement at %d", i)
+	for _, w := range []int{1, 4} {
+		cfg := ParallelConfig{Workers: w}
+		bt, _, err := ParallelBuildBatches(NewSliceBatches(l, 4), 0, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		hj, err := bt.ProbeProject(NewSliceBatches(r, 4), 0, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMultiset(t, hj, nl)
 	}
 }
 
@@ -150,7 +151,12 @@ func TestHashJoinRespectsColumnsAndNulls(t *testing.T) {
 		{storage.StringValue("x"), storage.IntValue(1)},
 		{storage.StringValue("y"), storage.NullValue()},
 	}
-	got, err := Drain(NewHashJoin(NewMemScan(l), NewMemScan(r), 0, 1))
+	cfg := ParallelConfig{Workers: 1}
+	bt, _, err := ParallelBuildBatches(NewSliceBatches(l, 0), 0, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bt.ProbeProject(NewSliceBatches(r, 0), 1, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +187,13 @@ func TestIndexNLJoin(t *testing.T) {
 	if j.Probes != 3 {
 		t.Fatalf("probes = %d", j.Probes)
 	}
-	// Agreement with hash join.
+	// Agreement with the nested-loop oracle: outer rows, then inner.
 	all, _ := inner.Blind().All()
-	hj, _ := Drain(NewHashJoin(NewMemScan(outer), NewMemScan(all), 0, 0))
-	if len(hj) != len(got) {
-		t.Fatalf("hash=%d indexnl=%d", len(hj), len(got))
+	var want []storage.Tuple
+	for _, m := range joinOracle(all, outer, 0) {
+		want = append(want, append(m[2:4:4], m[:2]...))
 	}
+	sameMultiset(t, got, want)
 }
 
 func TestHashAggregate(t *testing.T) {
@@ -196,11 +203,10 @@ func TestHashAggregate(t *testing.T) {
 		{storage.StringValue("a"), storage.IntValue(20)},
 		{storage.StringValue("a"), storage.NullValue()},
 	}
-	it := NewHashAggregate(NewMemScan(src), 0, []AggSpec{
+	got, err := ParallelHashAggregateBatches(NewSliceBatches(src, 0), 0, []AggSpec{
 		{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggAvg, Col: 1},
 		{Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 1},
-	})
-	got, err := Drain(it)
+	}, nil, ParallelConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +221,8 @@ func TestHashAggregate(t *testing.T) {
 }
 
 func TestGlobalAggregateEmptyInput(t *testing.T) {
-	it := NewHashAggregate(NewMemScan(nil), -1, []AggSpec{{Kind: AggCount}, {Kind: AggAvg, Col: 0}})
-	got, err := Drain(it)
+	got, err := ParallelHashAggregateBatches(NewSliceBatches(nil, 0), -1,
+		[]AggSpec{{Kind: AggCount}, {Kind: AggAvg, Col: 0}}, nil, ParallelConfig{Workers: 1})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("%v %v", got, err)
 	}

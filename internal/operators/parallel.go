@@ -637,7 +637,8 @@ func (c PairCol) of(b, p storage.Tuple) storage.Value {
 }
 
 // PairEq is a residual join equality checked on the pair before the
-// sink sees it (null-rejecting, like the hash condition).
+// sink sees it, on join keys like the hash condition: NULL matches
+// nothing, NaN only NaN.
 type PairEq struct{ A, B PairCol }
 
 // pairSink is one worker's consumer of probe matches.
@@ -718,8 +719,7 @@ func (t *BuildTable) probe(rows []storage.Tuple, col int, on []PairEq, sink pair
 				continue
 			}
 			for _, eq := range on {
-				av, bv := eq.A.of(b, p), eq.B.of(b, p)
-				if av.IsNull() || bv.IsNull() || !storage.Equal(av, bv) {
+				if ak, ok := joinKeyOf(eq.A.of(b, p)); !ok || ak != keyOf(eq.B.of(b, p)) {
 					continue match
 				}
 			}
@@ -831,8 +831,8 @@ func feedSinks(src BatchSource, cfg ParallelConfig, phase string, sinks []pairSi
 // with cfg workers: the aggregate sink fed by a scan instead of a probe
 // — worker-local partial accumulators, merged at the barrier. Merging
 // is exact for COUNT/SUM/AVG/MIN/MAX (integer sums stay exact in
-// float64 below 2^53; float SUM/AVG may differ from the serial result
-// in the last ulps because addition order varies). Output rows are laid
+// float64 below 2^53; float SUM/AVG may differ between runs in the
+// last ulps because addition order varies). Output rows are laid
 // out by out (see aggAccum.rows), in nondeterministic group order.
 func ParallelHashAggregateBatches(src BatchSource, groupCol int, aggs []AggSpec, out []int,
 	cfg ParallelConfig) ([]storage.Tuple, error) {
@@ -899,7 +899,7 @@ func fanOut(workers int, fail *failFlag, phase string, body func(worker int)) {
 // of these in the shared failFlag and exits; its peers drain
 // cooperatively at the phase barrier and the parallel operator
 // returns this error instead of killing the process. The query layer
-// recognises it and degrades the query to the serial plan.
+// recognises it and re-runs the query once at one worker.
 type PanicError struct {
 	Worker int
 	Phase  string

@@ -118,11 +118,7 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 	build = append(build, storage.Tuple{storage.NullValue(), storage.IntValue(1)})
 	probe = append(probe, storage.Tuple{storage.NullValue(), storage.IntValue(2)})
 
-	serial := NewHashJoin(NewMemScan(build), NewMemScan(probe), 0, 0)
-	want, err := Drain(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := joinOracle(build, probe, 0)
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		cfg := ParallelConfig{Workers: workers, MorselSize: 64}
@@ -142,9 +138,9 @@ func TestParallelJoinMatchesSerial(t *testing.T) {
 }
 
 // TestProbeSinksMatchSerial checks both probe sinks against the
-// materialising reference — serial HashJoin, then the residual
-// equality as a filter, then Project or HashAggregate over the joined
-// rows — with the sinks reading the same columns through a pair map.
+// materialising oracles — joinOracle, then the residual equality as a
+// filter, then a projection or groupOracle over the joined rows — with
+// the sinks reading the same columns through a pair map.
 func TestProbeSinksMatchSerial(t *testing.T) {
 	var build, probe []storage.Tuple
 	for i := 0; i < 300; i++ {
@@ -161,17 +157,14 @@ func TestProbeSinksMatchSerial(t *testing.T) {
 	// The conceptual joined row is build ++ probe: positions 0-2, 3-5.
 	rowMap := []PairCol{{Idx: 0}, {Idx: 1}, {Idx: 2}, {Probe: true, Idx: 0}, {Probe: true, Idx: 1}, {Probe: true, Idx: 2}}
 	on := []PairEq{{A: rowMap[1], B: rowMap[4]}} // build.1 = probe.1, null-rejecting
-	joined := func() Iterator {
-		return NewFilter(NewHashJoin(NewMemScan(build), NewMemScan(probe), 0, 0),
-			func(r storage.Tuple) bool {
-				return !r[1].IsNull() && !r[4].IsNull() && storage.Equal(r[1], r[4])
-			})
+	var joined []storage.Tuple
+	for _, r := range joinOracle(build, probe, 0) {
+		if !r[1].IsNull() && !r[4].IsNull() && storage.Equal(r[1], r[4]) {
+			joined = append(joined, r)
+		}
 	}
 	proj := []int{5, 2, 0}
-	wantProj, err := Drain(NewProject(joined(), proj))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantProj := project(joined, proj)
 	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 5}, {Kind: AggMin, Col: 2}, {Kind: AggMax, Col: 5}}
 
 	for _, workers := range []int{1, 2, 4} {
@@ -191,10 +184,7 @@ func TestProbeSinksMatchSerial(t *testing.T) {
 		sameMultiset(t, got, wantProj)
 
 		for _, groupCol := range []int{1, 3, -1} { // build side, probe side, global
-			want, err := Drain(NewHashAggregate(joined(), groupCol, aggs))
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := groupOracle(joined, groupCol, aggs)
 			got, err := bt.ProbeAggregate(NewSliceBatches(probe, 64), 0, cfg, on, rowMap, groupCol, aggs, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -255,10 +245,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggMin, Col: 1},
 		{Kind: AggMax, Col: 1}, {Kind: AggAvg, Col: 2}}
 	for _, groupCol := range []int{0, -1} {
-		want, err := Drain(NewHashAggregate(NewMemScan(in), groupCol, aggs))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := groupOracle(in, groupCol, aggs)
 		for _, workers := range []int{1, 2, 4, 8} {
 			got, err := ParallelHashAggregateBatches(NewSliceBatches(in, 128), groupCol, aggs, nil,
 				ParallelConfig{Workers: workers})
@@ -274,7 +261,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 // hash join keys its matches — -0 with +0, every NaN together, numeric
 // kinds by float image, strings apart from numbers — plus one group for
 // all NULLs; and the value a group shows does not depend on arrival
-// order, in the serial operator or across workers.
+// order, at one worker or across several.
 func TestGroupKeysFollowJoinKeySemantics(t *testing.T) {
 	negZero := storage.FloatValue(math.Copysign(0, -1))
 	in := []storage.Tuple{
@@ -314,7 +301,7 @@ func TestGroupKeysFollowJoinKeySemantics(t *testing.T) {
 		reversed[len(in)-1-i] = tp
 	}
 	for label, rows := range map[string][]storage.Tuple{"serial": in, "serial reversed": reversed} {
-		got, err := Drain(NewHashAggregate(NewMemScan(rows), 0, aggs))
+		got, err := ParallelHashAggregateBatches(NewSliceBatches(rows, 0), 0, aggs, nil, ParallelConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-// Sorting and Top-K selection, serial and parallel. ORDER BY was the
+// Sorting and Top-K selection across workers. ORDER BY was the
 // last operator that collapsed the morsel-parallel pipeline back into
 // one thread: the old Sort drained its whole input and ran
 // sort.SliceStable with a storage.Compare closure — two Value structs
@@ -23,17 +23,16 @@
 //
 // Determinism: sort keys compare like storage.Compare (NaN placement
 // aside, see compareKeys), and ties break by a strict total order
-// over the entire tuple
-// (totalTupleCompare), not by input position. Worker runs form from
-// dynamically claimed morsels, so positional (stable-sort) tie-breaks
-// cannot be reproduced across worker counts; a content tie-break can —
-// rows that still tie under it are byte-identical, so every schedule,
-// batch size and worker count (including the serial operators, which
-// share the comparator) emits the same sequence.
+// over the contents of the tie columns — the whole tuple, or the ones
+// the caller keeps (sortOrder) — not by input position. Worker runs
+// form from dynamically claimed morsels, so positional (stable-sort)
+// tie-breaks cannot be reproduced across worker counts; a content
+// tie-break can — rows that still tie under it are byte-identical in
+// every column the caller keeps, so every schedule, batch size and
+// worker count emits the same sequence.
 package operators
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -179,8 +178,7 @@ func totalValueCompare(a, b storage.Value) int {
 }
 
 // totalTupleCompare extends totalValueCompare left-to-right across the
-// whole row: the deterministic tie-break shared by the serial and
-// parallel sort paths.
+// whole row: the tie-break when the caller names no tie columns.
 func totalTupleCompare(a, b storage.Tuple) int {
 	n := len(a)
 	if len(b) < n {
@@ -200,17 +198,34 @@ func totalTupleCompare(a, b storage.Tuple) int {
 	return 0
 }
 
+// sortOrder is one ORDER BY: the direction, and the columns whose
+// contents break key ties, in order (nil: the whole tuple). A caller
+// that keeps only some columns of the sorted tuples names those, so a
+// column it drops never orders its output.
+type sortOrder struct {
+	desc bool
+	tie  []int
+}
+
 // sortLess is the full ORDER BY ordering: key order (inverted for
-// DESC), then the total-order tuple tie-break (always ascending — any
-// fixed rule works, it only has to be the same everywhere).
-func sortLess(ka, kb sortKey, ta, tb storage.Tuple, desc bool) bool {
+// DESC), then the total-order tie-break over o.tie (always ascending —
+// any fixed rule works, it only has to be the same everywhere).
+func sortLess(ka, kb sortKey, ta, tb storage.Tuple, o sortOrder) bool {
 	if c := compareKeys(ka, kb); c != 0 {
-		if desc {
+		if o.desc {
 			return c > 0
 		}
 		return c < 0
 	}
-	return totalTupleCompare(ta, tb) < 0
+	if o.tie == nil {
+		return totalTupleCompare(ta, tb) < 0
+	}
+	for _, c := range o.tie {
+		if r := totalValueCompare(ta[c], tb[c]); r != 0 {
+			return r < 0
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +253,7 @@ func (r *sortRun) absorb(tups []storage.Tuple, col int) {
 // runSorter adapts a run to sort.Interface under sortLess.
 type runSorter struct {
 	*sortRun
-	desc bool
+	o sortOrder
 }
 
 func (s runSorter) Len() int { return len(s.keys) }
@@ -247,10 +262,10 @@ func (s runSorter) Swap(i, j int) {
 	s.tups[i], s.tups[j] = s.tups[j], s.tups[i]
 }
 func (s runSorter) Less(i, j int) bool {
-	return sortLess(s.keys[i], s.keys[j], s.tups[i], s.tups[j], s.desc)
+	return sortLess(s.keys[i], s.keys[j], s.tups[i], s.tups[j], s.o)
 }
 
-func (r *sortRun) sort(desc bool) { sort.Sort(runSorter{r, desc}) }
+func (r *sortRun) sort(o sortOrder) { sort.Sort(runSorter{r, o}) }
 
 // ---------------------------------------------------------------------------
 // Loser-tree merge.
@@ -259,22 +274,22 @@ func (r *sortRun) sort(desc bool) { sort.Sort(runSorter{r, desc}) }
 // hold the *losers* of each internal match; node[0] is the overall
 // winner, so emitting a tuple replays only the ⌈log₂ k⌉ matches on the
 // winner's leaf-to-root path instead of re-scanning all k heads.
-// Exhausted runs lose every match; equal heads (possible only for
-// byte-identical rows, given the total tie-break) fall to the lower
-// run index, keeping the merge fully deterministic.
+// Exhausted runs lose every match; equal heads (possible only for rows
+// identical in every tie column) fall to the lower run index, keeping
+// the merge fully deterministic.
 type loserTree struct {
 	runs []sortRun
 	pos  []int
 	node []int
 	k    int
-	desc bool
+	o    sortOrder
 }
 
 // newLoserTree builds the initial tournament over runs (empty runs are
 // fine; they simply lose every match).
-func newLoserTree(runs []sortRun, desc bool) *loserTree {
+func newLoserTree(runs []sortRun, o sortOrder) *loserTree {
 	k := len(runs)
-	lt := &loserTree{runs: runs, pos: make([]int, k), k: k, desc: desc}
+	lt := &loserTree{runs: runs, pos: make([]int, k), k: k, o: o}
 	if k == 0 {
 		return lt
 	}
@@ -307,10 +322,10 @@ func (lt *loserTree) beats(a, b int) bool {
 	if pb >= len(rb.tups) {
 		return true
 	}
-	if sortLess(ra.keys[pa], rb.keys[pb], ra.tups[pa], rb.tups[pb], lt.desc) {
+	if sortLess(ra.keys[pa], rb.keys[pb], ra.tups[pa], rb.tups[pb], lt.o) {
 		return true
 	}
-	if sortLess(rb.keys[pb], ra.keys[pa], rb.tups[pb], ra.tups[pa], lt.desc) {
+	if sortLess(rb.keys[pb], ra.keys[pa], rb.tups[pb], ra.tups[pa], lt.o) {
 		return false
 	}
 	return a < b
@@ -366,10 +381,12 @@ func (m *MergedRuns) Close() error { m.open = false; m.lt = nil; return nil }
 // ParallelSortBatches sorts src by col across cfg workers: each worker
 // claims batches, extracts the typed key column, and accumulates one
 // local run, sorted at source exhaustion; the returned iterator
-// streams the loser-tree merge of the runs. Output order is fully
-// deterministic (see package comment) — identical to the serial Sort
-// operator at any worker count and batch size.
-func ParallelSortBatches(src BatchSource, col int, desc bool, cfg ParallelConfig) (*MergedRuns, error) {
+// streams the loser-tree merge of the runs. Key ties break on the
+// contents of the tie columns (nil: the whole tuple). Output order is
+// fully deterministic (see package comment): identical at any worker
+// count and batch size.
+func ParallelSortBatches(src BatchSource, col int, desc bool, tie []int, cfg ParallelConfig) (*MergedRuns, error) {
+	o := sortOrder{desc: desc, tie: tie}
 	w := cfg.WorkerCount()
 	runs := make([]sortRun, w)
 	var fail failFlag
@@ -394,7 +411,7 @@ func ParallelSortBatches(src BatchSource, col int, desc bool, cfg ParallelConfig
 			}
 			r.absorb(b.Tuples, col)
 		}
-		r.sort(desc)
+		r.sort(o)
 		if cfg.OnWorker != nil {
 			cfg.OnWorker(i, "sort", len(r.tups))
 		}
@@ -409,7 +426,7 @@ func ParallelSortBatches(src BatchSource, col int, desc bool, cfg ParallelConfig
 			live = append(live, r)
 		}
 	}
-	return &MergedRuns{lt: newLoserTree(live, desc)}, nil
+	return &MergedRuns{lt: newLoserTree(live, o)}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -423,12 +440,12 @@ type topKHeap struct {
 	keys []sortKey
 	tups []storage.Tuple
 	k    int
-	desc bool
+	o    sortOrder
 }
 
 // after reports whether entry i sorts after entry j (i is worse).
 func (h *topKHeap) after(i, j int) bool {
-	return sortLess(h.keys[j], h.keys[i], h.tups[j], h.tups[i], h.desc)
+	return sortLess(h.keys[j], h.keys[i], h.tups[j], h.tups[i], h.o)
 }
 
 // offer considers one candidate row.
@@ -448,7 +465,7 @@ func (h *topKHeap) offer(k sortKey, t storage.Tuple) {
 		return
 	}
 	// Full: the candidate must beat the current worst (the root).
-	if !sortLess(k, h.keys[0], t, h.tups[0], h.desc) {
+	if !sortLess(k, h.keys[0], t, h.tups[0], h.o) {
 		return
 	}
 	h.keys[0], h.tups[0] = k, t
@@ -482,17 +499,18 @@ func (h *topKHeap) swap(i, j int) {
 // survivors — memory is O(k·W) no matter how large the input, and the
 // source is consumed exactly once. The result is sorted and fully
 // deterministic (same ordering contract as ParallelSortBatches).
-func ParallelTopKBatches(src BatchSource, col int, desc bool, k int, cfg ParallelConfig) ([]storage.Tuple, error) {
+func ParallelTopKBatches(src BatchSource, col int, desc bool, tie []int, k int, cfg ParallelConfig) ([]storage.Tuple, error) {
 	if k <= 0 {
 		return nil, nil
 	}
+	o := sortOrder{desc: desc, tie: tie}
 	w := cfg.WorkerCount()
 	heaps := make([]*topKHeap, w)
 	var fail failFlag
 	fanOut(w, &fail, "topk", func(i int) {
 		b := GetBatch()
 		defer PutBatch(b)
-		h := &topKHeap{k: k, desc: desc}
+		h := &topKHeap{k: k, o: o}
 		rows := 0
 		for !fail.failed() {
 			if cfg.interrupted(&fail) {
@@ -524,124 +542,9 @@ func ParallelTopKBatches(src BatchSource, col int, desc bool, k int, cfg Paralle
 		merged.keys = append(merged.keys, h.keys...)
 		merged.tups = append(merged.tups, h.tups...)
 	}
-	merged.sort(desc)
+	merged.sort(o)
 	if len(merged.tups) > k {
 		merged.tups = merged.tups[:k]
 	}
 	return merged.tups, nil
 }
-
-// ---------------------------------------------------------------------------
-// Serial operators on the same machinery.
-
-// Sort materialises and orders its input by column Col (ascending, or
-// descending when Desc). It shares the typed-key comparator and
-// tie-break with the parallel sort path, so serial and parallel ORDER
-// BY emit identical sequences. The sorted buffer is released as soon
-// as the iterator is exhausted or closed.
-type Sort struct {
-	In   Iterator
-	Col  int
-	Desc bool
-	buf  []storage.Tuple
-	pos  int
-	open bool
-}
-
-// NewSort orders in by column col.
-func NewSort(in Iterator, col int, desc bool) *Sort { return &Sort{In: in, Col: col, Desc: desc} }
-
-// Open implements Iterator.
-func (s *Sort) Open() error {
-	all, err := Drain(s.In)
-	if err != nil {
-		return err
-	}
-	r := sortRun{keys: make([]sortKey, 0, len(all))}
-	r.absorb(all, s.Col)
-	r.sort(s.Desc)
-	s.buf, s.pos, s.open = r.tups, 0, true
-	return nil
-}
-
-// Next implements Iterator.
-func (s *Sort) Next() (storage.Tuple, bool, error) {
-	if !s.open {
-		return nil, false, ErrNotOpen
-	}
-	if s.pos >= len(s.buf) {
-		s.buf = nil // exhausted: stop pinning the materialised result
-		return nil, false, nil
-	}
-	t := s.buf[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-// Close implements Iterator.
-func (s *Sort) Close() error { s.open, s.buf = false, nil; return nil }
-
-// TopK is the bounded serial counterpart of Sort for ORDER BY ...
-// LIMIT k: it drains its input through a k-bounded heap, so memory is
-// O(k) rather than O(input). Ordering and tie-breaks match Sort (and
-// the parallel paths) exactly.
-type TopK struct {
-	In   Iterator
-	Col  int
-	Desc bool
-	K    int
-	buf  []storage.Tuple
-	pos  int
-	open bool
-}
-
-// NewTopK keeps the first k rows of ORDER BY col [desc] over in.
-func NewTopK(in Iterator, col int, desc bool, k int) *TopK {
-	return &TopK{In: in, Col: col, Desc: desc, K: k}
-}
-
-// Open implements Iterator. K <= 0 short-circuits without consuming
-// the input (LIMIT 0 does no work).
-func (t *TopK) Open() (err error) {
-	t.buf, t.pos, t.open = nil, 0, true
-	if t.K <= 0 {
-		return nil
-	}
-	if err := t.In.Open(); err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, t.In.Close()) }()
-	h := &topKHeap{k: t.K, desc: t.Desc}
-	for {
-		tu, ok, err := t.In.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h.offer(sortKeyOf(tu[t.Col]), tu)
-	}
-	r := sortRun{keys: h.keys, tups: h.tups}
-	r.sort(t.Desc)
-	t.buf = r.tups
-	return nil
-}
-
-// Next implements Iterator.
-func (t *TopK) Next() (storage.Tuple, bool, error) {
-	if !t.open {
-		return nil, false, ErrNotOpen
-	}
-	if t.pos >= len(t.buf) {
-		t.buf = nil
-		return nil, false, nil
-	}
-	tu := t.buf[t.pos]
-	t.pos++
-	return tu, true, nil
-}
-
-// Close implements Iterator. The input was already closed by Open
-// (TopK consumes it whole); Close only releases the candidate buffer.
-func (t *TopK) Close() error { t.open, t.buf = false, nil; return nil }

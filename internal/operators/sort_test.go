@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -119,14 +120,71 @@ func TestTotalTupleCompareIsTotal(t *testing.T) {
 	}
 }
 
-// sortedRef sorts tuples with the shared comparator via the serial
-// Sort operator — the reference every parallel path must match.
-func sortedRef(t *testing.T, tuples []storage.Tuple, col int, desc bool) []storage.Tuple {
-	t.Helper()
-	out, err := Drain(NewSort(NewMemScan(tuples), col, desc))
-	if err != nil {
-		t.Fatal(err)
+// sortedRef orders tuples by column col with a comparator written
+// from the documented ORDER BY order, not with the package's: the key
+// compares as storage.Compare does, except that NaN sorts after every
+// other number and equals only NaN; DESC inverts that; ties break on
+// the tie columns (nil: the whole row) value by value, kind tag first,
+// then the payload, floats by their bit image.
+func sortedRef(tuples []storage.Tuple, col int, desc bool, tie []int) []storage.Tuple {
+	nan := func(v storage.Value) bool { f, ok := v.AsFloat(); return ok && math.IsNaN(f) }
+	key := func(a, b storage.Value) int {
+		_, an := a.AsFloat()
+		_, bn := b.AsFloat()
+		if an && bn && (nan(a) || nan(b)) {
+			switch {
+			case nan(a) && nan(b):
+				return 0
+			case nan(a):
+				return 1
+			}
+			return -1
+		}
+		return storage.Compare(a, b)
 	}
+	content := func(a, b storage.Value) int {
+		if a.Kind != b.Kind {
+			return int(a.Kind) - int(b.Kind)
+		}
+		var less, greater bool
+		switch a.Kind {
+		case storage.KindInt:
+			less, greater = a.Int < b.Int, a.Int > b.Int
+		case storage.KindFloat:
+			x, y := math.Float64bits(a.Float), math.Float64bits(b.Float)
+			less, greater = x < y, x > y
+		case storage.KindString:
+			less, greater = a.Str < b.Str, a.Str > b.Str
+		case storage.KindBool:
+			less, greater = !a.Bool && b.Bool, a.Bool && !b.Bool
+		}
+		switch {
+		case less:
+			return -1
+		case greater:
+			return 1
+		}
+		return 0
+	}
+	if tie == nil && len(tuples) > 0 {
+		tie = make([]int, len(tuples[0]))
+		for k := range tie {
+			tie[k] = k
+		}
+	}
+	out := append([]storage.Tuple(nil), tuples...)
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if c := key(a[col], b[col]); c != 0 {
+			return c < 0 != desc
+		}
+		for _, k := range tie {
+			if c := content(a[k], b[k]); c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
 	return out
 }
 
@@ -179,23 +237,33 @@ func messyTuples(n int) []storage.Tuple {
 
 // TestParallelSortMatchesSerial sweeps worker counts and batch sizes:
 // the loser-tree merge of worker runs must emit byte-for-byte the
-// serial Sort sequence, duplicates and NaN/-0/NULL keys included.
+// documented order, duplicates and NaN/-0/NULL keys included — and,
+// with tie columns named, that order in the columns it breaks ties on.
 func TestParallelSortMatchesSerial(t *testing.T) {
 	tuples := messyTuples(3000)
-	for _, desc := range []bool{false, true} {
-		want := sortedRef(t, tuples, 0, desc)
-		for _, w := range []int{1, 2, 4, 8} {
-			for _, batch := range []int{1, 64, 1024} {
-				m, err := ParallelSortBatches(NewSliceBatches(tuples, batch), 0, desc,
-					ParallelConfig{Workers: w})
-				if err != nil {
-					t.Fatal(err)
+	for _, tie := range [][]int{nil, {1}} {
+		for _, desc := range []bool{false, true} {
+			want := sortedRef(tuples, 0, desc, tie)
+			for _, w := range []int{1, 2, 4, 8} {
+				for _, batch := range []int{1, 64, 1024} {
+					m, err := ParallelSortBatches(NewSliceBatches(tuples, batch), 0, desc, tie,
+						ParallelConfig{Workers: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Drain(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("tie=%v desc=%v w=%d batch=%d", tie, desc, w, batch)
+					if tie != nil {
+						// Rows tied on key and payload may come in any order of
+						// their other columns: compare the tie column's sequence.
+						requireSameRows(t, label, project(got, tie), project(want, tie))
+						continue
+					}
+					requireSameRows(t, label, got, want)
 				}
-				got, err := Drain(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRows(t, fmt.Sprintf("desc=%v w=%d batch=%d", desc, w, batch), got, want)
 			}
 		}
 	}
@@ -207,14 +275,14 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 func TestParallelTopKMatchesSortPrefix(t *testing.T) {
 	tuples := messyTuples(500)
 	for _, desc := range []bool{false, true} {
-		full := sortedRef(t, tuples, 0, desc)
+		full := sortedRef(tuples, 0, desc, nil)
 		for _, k := range []int{1, 7, 100, len(tuples), len(tuples) + 50} {
 			want := full
 			if k < len(want) {
 				want = want[:k]
 			}
 			for _, w := range []int{1, 3, 8} {
-				got, err := ParallelTopKBatches(NewSliceBatches(tuples, 64), 0, desc, k,
+				got, err := ParallelTopKBatches(NewSliceBatches(tuples, 64), 0, desc, nil, k,
 					ParallelConfig{Workers: w})
 				if err != nil {
 					t.Fatal(err)
@@ -224,7 +292,7 @@ func TestParallelTopKMatchesSortPrefix(t *testing.T) {
 		}
 	}
 	src := &countingBatches{src: NewSliceBatches(tuples, 64)}
-	got, err := ParallelTopKBatches(src, 0, false, 0, ParallelConfig{Workers: 4})
+	got, err := ParallelTopKBatches(src, 0, false, nil, 0, ParallelConfig{Workers: 4})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("k=0: got %d rows, err %v", len(got), err)
 	}
@@ -233,13 +301,23 @@ func TestParallelTopKMatchesSortPrefix(t *testing.T) {
 	}
 }
 
-// TestSerialTopKMatchesSortLimit checks the serial TopK operator
-// against Sort+prefix, including the k=0 short-circuit.
+// TestSerialTopKMatchesSortLimit checks Top-K at one worker against
+// the prefix of the sort at one worker, and that sort against the
+// documented order, including the k=0 short-circuit.
 func TestSerialTopKMatchesSortLimit(t *testing.T) {
 	tuples := messyTuples(400)
-	full := sortedRef(t, tuples, 0, false)
+	serial := ParallelConfig{Workers: 1}
+	m, err := ParallelSortBatches(NewSliceBatches(tuples, 0), 0, false, nil, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Drain(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows(t, "sort", full, sortedRef(tuples, 0, false, nil))
 	for _, k := range []int{0, 1, 13, 400, 999} {
-		got, err := Drain(NewTopK(NewMemScan(tuples), 0, false, k))
+		got, err := ParallelTopKBatches(NewSliceBatches(tuples, 0), 0, false, nil, k, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,13 +342,13 @@ func TestLoserTreeMergesRandomRuns(t *testing.T) {
 			tuples[j] = storage.Tuple{storage.IntValue(int64(rng.Intn(9))), storage.IntValue(int64(i*1000 + j))}
 		}
 		r.absorb(tuples, 0)
-		r.sort(false)
+		r.sort(sortOrder{})
 		runs = append(runs, r)
 		all = append(all, tuples...)
 	}
-	want := sortedRef(t, all, 0, false)
+	want := sortedRef(all, 0, false, nil)
 	var got []storage.Tuple
-	lt := newLoserTree(runs, false)
+	lt := newLoserTree(runs, sortOrder{})
 	for {
 		tu, ok := lt.next()
 		if !ok {
@@ -279,43 +357,6 @@ func TestLoserTreeMergesRandomRuns(t *testing.T) {
 		got = append(got, tu)
 	}
 	requireSameRows(t, "loser tree", got, want)
-}
-
-// TestSortReleasesBuffer checks the satellite fix: the materialised
-// buffer is dropped at exhaustion and on Close, not pinned for the
-// iterator's lifetime.
-func TestSortReleasesBuffer(t *testing.T) {
-	s := NewSort(NewMemScan(messyTuples(50)), 0, false)
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-	}
-	if s.buf != nil {
-		t.Fatal("Sort retained buf after exhaustion")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.buf != nil {
-		t.Fatal("Sort retained buf after Close")
-	}
-	// Close-before-exhaustion must release too.
-	s2 := NewSort(NewMemScan(messyTuples(50)), 0, false)
-	if err := s2.Open(); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	if s2.buf != nil {
-		t.Fatal("Sort retained buf after early Close")
-	}
 }
 
 // countingBatches counts claims on an underlying source.
@@ -327,6 +368,45 @@ type countingBatches struct {
 func (c *countingBatches) NextBatch(b *Batch) (int, error) {
 	c.claims.Add(1)
 	return c.src.NextBatch(b)
+}
+
+// TestSortReleasesBuffer checks that the merged runs are dropped on
+// Close, whether the merge was drained or abandoned early, so a closed
+// sort pins none of its input.
+func TestSortReleasesBuffer(t *testing.T) {
+	sorted := func() *MergedRuns {
+		m, err := ParallelSortBatches(NewSliceBatches(messyTuples(50), 8), 0, false, nil,
+			ParallelConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	s := sorted()
+	got, err := Drain(s)
+	if err != nil || len(got) != 50 {
+		t.Fatalf("drain = %d rows, %v", len(got), err)
+	}
+	if s.lt != nil {
+		t.Fatal("sort retained its runs after Close")
+	}
+	// Close-before-exhaustion must release too.
+	s2 := sorted()
+	if err := s2.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s2.Next(); !ok || err != nil {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s2.lt != nil {
+		t.Fatal("sort retained its runs after early Close")
+	}
+	if _, _, err := s2.Next(); err != ErrNotOpen {
+		t.Fatalf("Next after Close = %v, want ErrNotOpen", err)
+	}
 }
 
 // TestDrainParallelLimitStopsClaiming checks the cooperative LIMIT

@@ -36,7 +36,8 @@ type AdaptiveConfig struct {
 	PreferIndex bool
 	// Disabled turns safe-point adaptation off entirely: the executor
 	// follows the static plan verbatim (no feedback, no replans). Used
-	// by benchmarks to isolate plan-time ordering from runtime routing.
+	// by benchmarks to isolate plan-time ordering from runtime routing,
+	// and by the one-worker re-run after a contained worker panic.
 	Disabled bool
 }
 

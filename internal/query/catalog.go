@@ -1,9 +1,9 @@
 // Package query implements the relational query engine that runs on
 // the storage substrate: a SQL subset (SELECT-PROJECT-JOIN with
 // aggregation and DML), a cost-based optimiser driven by catalog
-// statistics, a Volcano executor over the operators package, and the
-// Scenario 3 machinery — mid-query re-optimisation at safe points
-// when the statistics the pre-optimiser trusted turn out wrong
+// statistics, one staged batch pipeline over the operators package,
+// and the Scenario 3 machinery — mid-query re-optimisation at safe
+// points when the statistics the pre-optimiser trusted turn out wrong
 // ("the statistics provided by the metadata are not quite accurate
 // enough for the pre-optimisor to build the optimal plan").
 package query

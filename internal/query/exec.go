@@ -96,7 +96,9 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 // for a bare index scan with no aggregate or ORDER BY. Scans read through
 // opts.Txn's snapshot. opts.Cancel is polled between batches and
 // opts.MemBudget meters what the statement materialises; either cancels
-// it cooperatively and surfaces as its error. The result is the same
+// it cooperatively and surfaces as its error. A worker panic is
+// contained: the statement re-runs once at one worker with adaptation
+// off, and a second panic is its error (runSelect). The result is the same
 // multiset at every worker count, batch size and adaptation setting;
 // row order is unspecified without ORDER BY, and with ORDER BY it is
 // one total order (ties break on the output row's content).
@@ -278,78 +280,8 @@ func (e *Engine) execDML(verb, table string, where []Pred, opts ExecOptions,
 	return &Result{Affected: n, Plan: text}, nil
 }
 
-// execSelect is the reference executor: the SELECT compiled into a
-// static Volcano operator tree (buildJoinTree) and drained serially.
-// It shares no execution code with the adaptive pipeline, which is its
-// whole purpose — the differential tests take their expectations from
-// it, and runSelect re-executes a statement on it after a contained
-// worker panic, where re-running the same pipeline would hit the same
-// bug again. Nothing else may call it.
-func (e *Engine) execSelect(st *SelectStmt, txn *storage.Txn) (*Result, error) {
-	plan, err := e.planSelect(st, txn)
-	if err != nil {
-		return nil, err
-	}
-	it, err := plan.buildJoinTree()
-	if err != nil {
-		return nil, err
-	}
-	sch := plan.sch
-
-	var outCols []string
-	if hasAggregate(st) || st.GroupBy != nil {
-		it2, cols, osch, err := e.buildAggregate(st, sch, it)
-		if err != nil {
-			return nil, err
-		}
-		it, outCols, sch = it2, cols, osch
-		if it, err = buildOrderBy(st, sch, it); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if it, err = buildOrderBy(st, sch, it); err != nil {
-			return nil, err
-		}
-		cols, names, err := projectionCols(st, sch)
-		if err != nil {
-			return nil, err
-		}
-		outCols = names
-		it = operators.NewProject(it, cols)
-	}
-
-	if st.Limit >= 0 {
-		it = operators.NewLimit(it, st.Limit)
-	}
-	rows, err := operators.Drain(it)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cols: outCols, Rows: rows, Plan: plan.Explain()}, nil
-}
-
-// buildOrderBy wraps it in the statement's ordering operator: a
-// bounded Top-K heap when a LIMIT accompanies the ORDER BY (memory
-// O(k), not O(input)), a full sort otherwise, nothing when the
-// statement has no ORDER BY.
-func buildOrderBy(st *SelectStmt, sch schema, it operators.Iterator) (operators.Iterator, error) {
-	if st.OrderBy == nil {
-		return it, nil
-	}
-	idx, err := sch.resolve(*st.OrderBy)
-	if err != nil {
-		return nil, err
-	}
-	if st.Limit >= 0 {
-		return operators.NewTopK(it, idx, st.Desc, st.Limit), nil
-	}
-	return operators.NewSort(it, idx, st.Desc), nil
-}
-
 // projectionCols resolves the select list of a non-aggregate SELECT to
-// column indexes and output names. Shared by the reference executor's
-// Project operator and the pipeline's compileTail.
+// column indexes and output names, for compileTail.
 func projectionCols(st *SelectStmt, sch schema) ([]int, []string, error) {
 	cols := make([]int, 0, len(st.Items))
 	names := make([]string, 0, len(st.Items))
@@ -371,10 +303,9 @@ func projectionCols(st *SelectStmt, sch schema) ([]int, []string, error) {
 	return cols, names, nil
 }
 
-// aggPlan is the compiled aggregate clause, shared by the reference
-// executor and the pipeline: the grouping column, the aggregate specs, and
-// the re-projection from the internal [group?, aggs...] layout back to
-// select-item order.
+// aggPlan is the compiled aggregate clause: the grouping column, the
+// aggregate specs, and the re-projection from the internal [group?,
+// aggs...] layout back to select-item order.
 type aggPlan struct {
 	groupCol int
 	specs    []operators.AggSpec
@@ -458,16 +389,4 @@ func compileAggregate(st *SelectStmt, sch schema) (*aggPlan, error) {
 		p.outSch = append(p.outSch, boundCol{Name: s.name})
 	}
 	return p, nil
-}
-
-// buildAggregate compiles the aggregate clause over an input iterator.
-// Output schema is the select-item order.
-func (e *Engine) buildAggregate(st *SelectStmt, sch schema, in operators.Iterator) (operators.Iterator, []string, schema, error) {
-	ap, err := compileAggregate(st, sch)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	agg := operators.NewHashAggregate(in, ap.groupCol, ap.specs)
-	e.log.Emit(e.clock(), trace.KindInfo, "query", "aggregate over %d specs", len(ap.specs))
-	return operators.NewProject(agg, ap.perm), ap.outCols, ap.outSch, nil
 }

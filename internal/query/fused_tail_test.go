@@ -59,7 +59,7 @@ func lieAboutFact(t *testing.T, e *Engine) {
 // TestFusedTailsMatchSerial is the differential test of the probe
 // sinks: every tail that fuses into the final probe (aggregate, ORDER
 // BY … LIMIT, plain projection, global aggregate over an empty join,
-// multi-join aggregate) must return the serial executor's rows in every
+// multi-join aggregate) must return the naive evaluator's rows in every
 // execution configuration — worker counts, batch sizes, either build
 // side, with and without a mid-query replan, and with the group column
 // on either side of the match.
@@ -156,7 +156,8 @@ func TestFusedTailsMatchSerial(t *testing.T) {
 // final, sink-feeding probe of a staged multi-join (the single-join
 // probe is covered by TestWorkerPanicDegradesToSerial's phase
 // discovery), and inside the constant-key probe of a cartesian attach,
-// and requires the reference executor's rows back.
+// and requires the naive evaluator's rows back from the one-worker
+// re-run.
 func TestFusedProbePanicDegradesToSerial(t *testing.T) {
 	for sql, nth := range map[string]int32{
 		// Two joins at two workers finish four probe phases; the last to
@@ -184,9 +185,7 @@ func TestFusedProbePanicDegradesToSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.PanicContained || rep.Parallel {
-				t.Fatalf("panic not contained: %+v", rep)
-			}
+			requireDegraded(t, "fused probe", res, rep)
 			if log.Count(trace.KindPanic) != 1 {
 				t.Fatalf("panic trace events = %d, want 1", log.Count(trace.KindPanic))
 			}

@@ -99,8 +99,8 @@ func hardRow(i int) storage.Tuple {
 
 // TestKernelBoxedDeterminismMatrix is the acceptance matrix: for every
 // query, the kernel and boxed paths must agree row-for-row at workers
-// {1,4} × batch {1,64,1024}, and both must agree with the serial
-// executor.
+// {1,4} × batch {1,64,1024}, and both must agree with the naive
+// evaluator.
 func TestKernelBoxedDeterminismMatrix(t *testing.T) {
 	e := newEngine(t)
 	seedHard(t, e, 700)
@@ -130,8 +130,8 @@ func TestKernelBoxedDeterminismMatrix(t *testing.T) {
 
 // TestThreeValuedLogicMatrix: WHERE over NULL columns follows SQL 3VL
 // (NULL fails every comparison, even !=; IS NULL is the only way to
-// select it) identically on the reference iterator, the kernel
-// pipeline and the boxed batch filter.
+// select it) identically in the naive evaluator, the kernel pipeline
+// and the boxed batch filter.
 func TestThreeValuedLogicMatrix(t *testing.T) {
 	e := newEngine(t)
 	e.MustExec("CREATE TABLE n (k INT, v INT)")

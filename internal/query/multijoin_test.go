@@ -7,6 +7,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func seedChain(t *testing.T, e *Engine) {
 }
 
 // TestJoinChains runs 3-, 4- and 5-way chains through parser, greedy
-// planner and serial executor, with ON clauses referencing earlier
+// planner and pipeline, with ON clauses referencing earlier
 // (not just adjacent) bindings.
 func TestJoinChains(t *testing.T) {
 	e := newEngine(t)
@@ -174,6 +175,36 @@ func TestCrossJoinLastResort(t *testing.T) {
 	}
 }
 
+// TestResidualEqualityKeysLikeTheHashCondition: an ON equality left
+// residual (checked on each match) compares as join keys do, as it
+// would as the hash condition — NULL matches nothing, and NaN matches
+// only NaN, although storage.Compare calls it equal to every number.
+func TestResidualEqualityKeysLikeTheHashCondition(t *testing.T) {
+	e := newEngine(t)
+	e.MustExec("CREATE TABLE m (x INT, y FLOAT)")
+	e.MustExec("CREATE TABLE n (x INT, y FLOAT)")
+	e.MustExec("CREATE TABLE u (v INT)")
+	nan := storage.FloatValue(math.NaN())
+	loadRows(t, e.cat, "m", storage.Tuple{storage.IntValue(1), nan}, storage.Tuple{storage.IntValue(2), storage.FloatValue(5)},
+		storage.Tuple{storage.IntValue(3), nan}, storage.Tuple{storage.IntValue(4), storage.NullValue()})
+	loadRows(t, e.cat, "n", storage.Tuple{storage.IntValue(1), storage.FloatValue(5)}, storage.Tuple{storage.IntValue(2), nan},
+		storage.Tuple{storage.IntValue(3), nan}, storage.Tuple{storage.IntValue(4), storage.NullValue()})
+	e.MustExec("INSERT INTO u VALUES (10), (20)")
+	const sql = "SELECT m.x, u.v FROM m JOIN n ON m.x = n.x JOIN u ON m.y = n.y"
+	want := []string{"3|10", "3|20"} // only the NaN-NaN pair survives
+	requireSameOrdered(t, "naive", rowsMultiset(refSelect(t, e, sql, nil)), want)
+	for _, workers := range []int{1, 4} {
+		res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan, "filters=1") {
+			t.Fatalf("the y equality is not residual: %s", res.Plan)
+		}
+		requireSameOrdered(t, fmt.Sprintf("workers=%d", workers), rowsMultiset(res), want)
+	}
+}
+
 // seedStar builds the 4-table star-chain used by the determinism
 // matrix: nation(6) ← customer(60) ← orders(300) ← lineitem(1200).
 func seedStar(t *testing.T, e *Engine) {
@@ -205,8 +236,8 @@ const starSQL = "SELECT c.id, l.qty FROM lineitem l JOIN orders o ON l.o_id = o.
 
 // TestMultiJoinDeterminismMatrix runs the 4-table join across
 // workers 1/4 × batch 1/64/1024 with stale statistics forcing
-// mid-query re-routing; the result multiset must match the serial
-// engine everywhere, and the ORDER BY variant must be byte-identical.
+// mid-query re-routing; the result multiset must match the naive
+// evaluator everywhere, and the ORDER BY variant must be byte-identical.
 func TestMultiJoinDeterminismMatrix(t *testing.T) {
 	queries := []struct {
 		name string

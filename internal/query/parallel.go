@@ -66,16 +66,17 @@ type ExecOptions struct {
 
 // ExecReport describes how ExecuteStmt ran.
 type ExecReport struct {
-	// Parallel is false only when the statement was not a SELECT or
-	// degraded to the reference executor.
+	// Parallel is false when the statement was not a SELECT, or when a
+	// contained worker panic re-ran it at one worker (PanicContained).
 	Parallel bool
 	// Workers is the effective worker count of a SELECT.
 	Workers int
 	// Adaptive reports what the mid-query re-optimiser did.
 	Adaptive AdaptiveReport
 	// PanicContained is true when a worker panicked and the statement
-	// was transparently re-executed on the reference executor: one bad
-	// worker degrades the query instead of killing the process.
+	// was re-run once on the same pipeline at one worker with
+	// adaptation off (runSelect): one bad worker degrades the query
+	// instead of killing the process.
 	PanicContained bool
 }
 
@@ -104,23 +105,22 @@ func (o ExecOptions) adaptive() AdaptiveConfig {
 // shared heap cursors with kernel-fused filtering (zone-map pruning +
 // vectorized conjuncts inside the claiming worker) on the sequential
 // path, the boxed in-place filter when kernels are disabled, and a
-// serialised (but still fan-out-feeding) adapter on the index path.
+// serialised (but still fan-out-feeding) index cursor, every predicate
+// re-checked on what it fetches, on the index path.
 func scanBatches(sp *scanPlan, size int) (operators.BatchSource, error) {
-	if sp.indexCol != "" {
-		it, err := sp.build()
-		if err != nil {
-			return nil, err
-		}
-		return operators.NewIterBatches(it, size), nil
-	}
-	if len(sp.preds) > 0 && !sp.noKernel {
+	var src operators.BatchSource
+	switch {
+	case sp.indexCol != "":
+		src = operators.NewIterBatches(sp.indexScan(), size)
+	case len(sp.preds) > 0 && !sp.noKernel:
 		k, err := sp.filterKernel()
 		if err != nil {
 			return nil, err
 		}
 		return operators.NewHeapBatchesKernel(sp.reader, k), nil
+	default:
+		src = operators.NewHeapBatches(sp.reader)
 	}
-	var src operators.BatchSource = operators.NewHeapBatches(sp.reader)
 	if len(sp.preds) > 0 {
 		pred, err := compilePreds(sp.sch, sp.preds)
 		if err != nil {
@@ -131,13 +131,33 @@ func scanBatches(sp *scanPlan, size int) (operators.BatchSource, error) {
 	return src, nil
 }
 
-// runSelect plans a SELECT and runs it on the router, with panic
-// containment: a worker panic surfaces as *operators.PanicError after
-// all its peers have drained at the phase barrier (the failFlag
-// protocol), at which point nothing of the failed run is still touching
-// shared state — so the statement is transparently re-executed on the
-// independent reference executor. Other errors pass through untouched.
+// runSelect runs a SELECT on the pipeline, with panic containment: a
+// worker panic surfaces as *operators.PanicError after all its peers
+// have drained at the phase barrier (the failFlag protocol), so nothing
+// of the failed run still touches shared state. The statement is then
+// planned afresh and run once more at one worker with adaptation off:
+// that escapes worker races and every router move (replans, safe
+// points, PreferIndex), but not a deterministic bug in one-worker
+// pipeline code, whose second panic is the statement's error. Other
+// errors pass through untouched.
 func (e *Engine) runSelect(st *SelectStmt, opts ExecOptions) (*Result, *ExecReport, error) {
+	res, rep, err := e.runPipeline(st, opts)
+	var pe *operators.PanicError
+	if !errors.As(err, &pe) {
+		return res, rep, err
+	}
+	e.log.Span("query.parallel").Emit(e.clock(), trace.KindPanic,
+		"worker %d panicked in %s phase (%v); re-running at one worker, adaptation off", pe.Worker, pe.Phase, pe.Value)
+	opts.Workers, opts.Adaptive = 1, &AdaptiveConfig{Disabled: true}
+	res, rep, err = e.runPipeline(st, opts)
+	if rep != nil {
+		rep.Parallel, rep.PanicContained = false, true
+	}
+	return res, rep, err
+}
+
+// runPipeline plans a SELECT and runs it on the router.
+func (e *Engine) runPipeline(st *SelectStmt, opts ExecOptions) (*Result, *ExecReport, error) {
 	plan, err := e.planSelectOrder(st, opts.Txn, opts.JoinOrder)
 	if err != nil {
 		return nil, nil, err
@@ -160,14 +180,6 @@ func (e *Engine) runSelect(st *SelectStmt, opts ExecOptions) (*Result, *ExecRepo
 	plan.explainTx = "Parallel(workers=" + strconv.Itoa(rep.Workers) + ") " + plan.explainTx
 
 	res, err := e.execStagedJoins(plan, &tail, opts, rep)
-	var pe *operators.PanicError
-	if errors.As(err, &pe) {
-		e.log.Span("query.parallel").Emit(e.clock(), trace.KindPanic,
-			"worker %d panicked in %s phase (%v); degrading to the reference executor", pe.Worker, pe.Phase, pe.Value)
-		rep.Parallel, rep.PanicContained = false, true
-		res, err = e.execSelect(st, opts.Txn)
-		return res, rep, err
-	}
 	if err != nil {
 		return nil, rep, err
 	}
@@ -325,8 +337,9 @@ func (e *Engine) scanTail(plan *selectPlan, tail *selectTail, src operators.Batc
 		// Bare ordered scan: runs (or Top-K heaps) form inside the scan
 		// workers themselves — pages are claimed, keys extracted and
 		// partial orders built without an intermediate unordered
-		// materialisation.
-		rows, err = orderSourceParallel(src, tail.cols[tail.order], st.Desc, st.Limit, cfg)
+		// materialisation. Key ties break on the columns the tail keeps,
+		// as they do on a narrow probe row, never on one it drops.
+		rows, err = orderSourceParallel(src, tail.cols[tail.order], st.Desc, tail.cols, st.Limit, cfg)
 	} else {
 		if st.Limit > 0 {
 			// Unordered LIMIT: any prefix is valid, so a satisfied quota
@@ -353,26 +366,19 @@ func hasAggregate(st *SelectStmt) bool {
 
 // orderSourceParallel runs the parallel sort pipeline over src: a
 // bounded Top-K (limit >= 0) or worker-local runs merged through the
-// loser tree. The returned rows are globally ordered and — by the
-// shared comparator and content tie-break — identical to the serial
-// Sort/TopK output at any worker count and batch size.
-func orderSourceParallel(src operators.BatchSource, idx int, desc bool, limit int,
+// loser tree. Key ties break on the contents of the tie columns (nil:
+// the whole row), so the returned rows are globally ordered and
+// identical at any worker count and batch size.
+func orderSourceParallel(src operators.BatchSource, idx int, desc bool, tie []int, limit int,
 	cfg operators.ParallelConfig) ([]storage.Tuple, error) {
 	if limit >= 0 {
-		return operators.ParallelTopKBatches(src, idx, desc, limit, cfg)
+		return operators.ParallelTopKBatches(src, idx, desc, tie, limit, cfg)
 	}
-	merge, err := operators.ParallelSortBatches(src, idx, desc, cfg)
+	merge, err := operators.ParallelSortBatches(src, idx, desc, tie, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return operators.Drain(merge)
-}
-
-// orderRowsParallel is orderSourceParallel over already-materialised
-// rows (join output, aggregate output).
-func orderRowsParallel(rows []storage.Tuple, idx int, desc bool, limit int,
-	cfg operators.ParallelConfig) ([]storage.Tuple, error) {
-	return orderSourceParallel(operators.NewSliceBatches(rows, cfg.MorselSize), idx, desc, limit, cfg)
 }
 
 // finishProject ends a SELECT once rows are in their final order:
@@ -411,7 +417,8 @@ func (e *Engine) finishRows(plan *selectPlan, tail *selectTail, rows []storage.T
 	cfg operators.ParallelConfig) (*Result, error) {
 	if st := plan.stmt; tail.order >= 0 {
 		var err error
-		if rows, err = orderRowsParallel(rows, tail.order, st.Desc, st.Limit, cfg); err != nil {
+		src := operators.NewSliceBatches(rows, cfg.MorselSize)
+		if rows, err = orderSourceParallel(src, tail.order, st.Desc, nil, st.Limit, cfg); err != nil {
 			return nil, err
 		}
 	}

@@ -41,24 +41,6 @@ func seedParallel(t *testing.T, e *Engine) {
 	e.MustExec("ANALYZE small")
 }
 
-// refSelect runs sql on the reference executor — the static Volcano
-// tree, which shares no execution code with the pipeline under test. It
-// is the oracle of every differential test: Exec and MustExec run the
-// pipeline too, so an expectation taken from them would compare the
-// pipeline with itself. A nil txn reads under a snapshot of its own.
-func refSelect(t *testing.T, e *Engine, sql string, txn *storage.Txn) *Result {
-	t.Helper()
-	if txn == nil {
-		txn = e.cat.db.Txns().Begin()
-		defer txn.Rollback()
-	}
-	res, err := e.execSelect(MustParse(sql).(*SelectStmt), txn)
-	if err != nil {
-		t.Fatalf("reference executor: %s: %v", sql, err)
-	}
-	return res
-}
-
 // execTxn runs one statement inside txn with one worker.
 func execTxn(e *Engine, sql string, txn *storage.Txn) (*Result, error) {
 	res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: 1, Txn: txn})
@@ -89,7 +71,7 @@ func rowsMultiset(r *Result) []string {
 }
 
 // TestParallelMatchesSerialDeterminism asserts the pipeline returns the
-// exact same multiset of rows as the reference executor for a battery
+// exact same multiset of rows as the naive evaluator for a battery
 // of seeded scan/filter/aggregation queries, from every entry point,
 // inline (one worker) and at 2 and 4 workers. Join tails — projection, aggregate, ORDER BY, with and
 // without a mid-query replan — have their own, wider matrix in

@@ -75,8 +75,9 @@ type scanPlan struct {
 	// so the greedy ordering loop reads distinct counts without
 	// re-snapshotting per candidate.
 	stats TableStats
-	// noKernel disables the vectorized filter path (boxed reference
-	// executor, for differential testing and ExecOptions).
+	// noKernel forces the boxed per-row predicate
+	// (ExecOptions.NoVectorKernels): no filter kernel, no zone-map
+	// pruning.
 	noKernel bool
 	// kern is the compiled filter kernel, built lazily by filterKernel
 	// before the pipeline fans out and then shared by all its workers.
@@ -97,33 +98,6 @@ func (s *scanPlan) explain() string {
 // scan's columns (0 = unknown).
 func (s *scanPlan) distinctOn(col int) int {
 	return s.stats.Distinct[strings.ToLower(s.sch[col].Name)]
-}
-
-// build compiles the scan into an iterator. A filtered heap scan
-// compiles to the fused vectorized path (kernel + zone-map pruning
-// behind a batch→Volcano adapter) unless the kernel is disabled; index
-// scans and the boxed reference path keep the scalar pipeline.
-func (s *scanPlan) build() (operators.Iterator, error) {
-	var it operators.Iterator
-	if s.indexCol != "" {
-		it = s.indexScan()
-	} else if len(s.preds) > 0 && !s.noKernel {
-		bs, err := s.heapScan()
-		if err != nil {
-			return nil, err
-		}
-		return operators.NewIteratorFromBatch(bs), nil
-	} else {
-		it = operators.NewHeapScan(s.reader)
-	}
-	if len(s.preds) > 0 {
-		pred, err := compilePreds(s.sch, s.preds)
-		if err != nil {
-			return nil, err
-		}
-		it = operators.NewFilter(it, pred)
-	}
-	return it, nil
 }
 
 // indexScan is the chosen index path's operator.
@@ -381,17 +355,8 @@ type joinEdge struct {
 	aCol, bCol int // join-column positions local to each scan's schema
 }
 
-// stepFilter is a residual ON equality applied once both columns are
-// present in the joined prefix; positions index the cumulative
-// join-order tuple.
-type stepFilter struct{ a, b int }
-
 // joinStep attaches scans[i+1] to the joined prefix scans[0..i].
 type joinStep struct {
-	// leftCol is the hash-join column's position in the cumulative
-	// prefix tuple; rightCol is local to the attached scan.
-	leftCol  int
-	rightCol int
 	// buildLeft records whether the prefix side is the hash-build side.
 	buildLeft bool
 	// cross marks a cartesian attach: no ON edge connects the scan to
@@ -399,21 +364,17 @@ type joinStep struct {
 	cross bool
 	// estOut is the estimated prefix cardinality after this step.
 	estOut float64
-	// filters are residual ON equalities checked at this level.
-	filters []stepFilter
+	// filters counts the residual ON equalities checked at this level.
+	filters int
 }
 
 // selectPlan is the compiled plan of a SelectStmt. Scans are held in
-// join order (greedy or declared); sch stays in declaration order, and
-// outPerm maps the join-order tuple back to it.
+// join order (greedy or declared); sch stays in declaration order.
 type selectPlan struct {
-	scans []*scanPlan // in join order: scans[0] ⋈ scans[1] ⋈ ...
-	steps []joinStep  // steps[i] attaches scans[i+1]
-	edges []joinEdge  // resolved ON equalities (join-order index space)
-	sch   schema      // declaration-order output schema
-	// outPerm[d] is the join-order position of declaration column d;
-	// nil when join order equals declaration order.
-	outPerm   []int
+	scans     []*scanPlan // in join order: scans[0] ⋈ scans[1] ⋈ ...
+	steps     []joinStep  // steps[i] attaches scans[i+1]
+	edges     []joinEdge  // resolved ON equalities (join-order index space)
+	sch       schema      // declaration-order output schema
 	stmt      *SelectStmt
 	explainTx string
 }
@@ -531,7 +492,7 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 	p.scans, p.edges = scans, edges
 	if len(scans) == 1 {
 		p.explainTx = scans[0].explain()
-		return p, nil // no join order, steps or output permutation
+		return p, nil // no join order or steps
 	}
 
 	// Join ordering (declaration-order index space), then re-index the
@@ -554,7 +515,6 @@ func (e *Engine) planSelectOrder(st *SelectStmt, txn *storage.Txn, mode JoinOrde
 	}
 
 	p.steps = deriveSteps(p.scans, p.edges)
-	p.outPerm = declPermutation(p.scans)
 
 	// Explain text: the chosen join order with build sides and
 	// per-scan/per-join estimates.
@@ -576,8 +536,8 @@ func (s joinStep) explain() string {
 	if s.buildLeft {
 		side = "left"
 	}
-	if len(s.filters) > 0 {
-		return fmt.Sprintf("HashJoin(build=%s est=%.0f filters=%d)", side, s.estOut, len(s.filters))
+	if s.filters > 0 {
+		return fmt.Sprintf("HashJoin(build=%s est=%.0f filters=%d)", side, s.estOut, s.filters)
 	}
 	return fmt.Sprintf("HashJoin(build=%s est=%.0f)", side, s.estOut)
 }
@@ -720,20 +680,17 @@ func greedyJoinOrder(scans []*scanPlan, edges []joinEdge, adj [][]int) []int {
 	return order
 }
 
-// deriveSteps compiles the ordered scan list + edges into left-deep
-// join steps: the first unused edge (in ON-clause order) linking the
-// attached scan to the prefix becomes the hash condition; every other
-// edge becomes a residual equality filter at the first level where
-// both its columns exist; a scan with no edge to the prefix attaches
-// cartesian.
+// deriveSteps compiles the ordered scan list + edges into the static
+// plan's left-deep steps: the first unused edge (in ON-clause order)
+// linking the attached scan to the prefix is the hash condition; every
+// other edge is a residual equality checked at the first level where
+// both its scans are joined; a scan with no edge to the prefix attaches
+// cartesian. EXPLAIN renders the steps, and the router follows them
+// verbatim when adaptation is disabled.
 func deriveSteps(scans []*scanPlan, edges []joinEdge) []joinStep {
 	n := len(scans)
 	if n <= 1 {
 		return nil
-	}
-	off := make([]int, n)
-	for i := 1; i < n; i++ {
-		off[i] = off[i-1] + len(scans[i-1].sch)
 	}
 	adj := buildAdjacency(n, edges)
 	used := make([]bool, len(edges))
@@ -744,131 +701,22 @@ func deriveSteps(scans []*scanPlan, edges []joinEdge) []joinStep {
 	for i := 1; i < n; i++ {
 		st := joinStep{cross: true}
 		for ei, ed := range edges {
-			if used[ei] {
-				continue
+			if !used[ei] && (ed.a == i && inPrefix[ed.b] || ed.b == i && inPrefix[ed.a]) {
+				st.cross, used[ei] = false, true
+				break
 			}
-			var other, myCol, otherCol int
-			switch {
-			case ed.a == i && inPrefix[ed.b]:
-				other, myCol, otherCol = ed.b, ed.aCol, ed.bCol
-			case ed.b == i && inPrefix[ed.a]:
-				other, myCol, otherCol = ed.a, ed.bCol, ed.aCol
-			default:
-				continue
-			}
-			st.cross = false
-			st.leftCol = off[other] + otherCol
-			st.rightCol = myCol
-			used[ei] = true
-			break
 		}
-		out, _ := attachEst(curEst, scans[i].estRows, i, scans, edges, adj, inPrefix)
-		st.estOut = out
+		st.estOut, _ = attachEst(curEst, scans[i].estRows, i, scans, edges, adj, inPrefix)
 		st.buildLeft = curEst <= scans[i].estRows
 		inPrefix[i] = true
 		for ei, ed := range edges {
-			if used[ei] || !inPrefix[ed.a] || !inPrefix[ed.b] {
-				continue
+			if !used[ei] && inPrefix[ed.a] && inPrefix[ed.b] {
+				used[ei] = true
+				st.filters++
 			}
-			used[ei] = true
-			st.filters = append(st.filters, stepFilter{a: off[ed.a] + ed.aCol, b: off[ed.b] + ed.bCol})
 		}
-		curEst = out
+		curEst = st.estOut
 		steps = append(steps, st)
 	}
 	return steps
-}
-
-// declPermutation computes the join-order → declaration-order output
-// permutation (nil when the orders coincide).
-func declPermutation(scans []*scanPlan) []int {
-	n := len(scans)
-	declToJoin := make([]int, n)
-	identity := true
-	width := 0
-	for ji, sp := range scans {
-		declToJoin[sp.declPos] = ji
-		identity = identity && sp.declPos == ji
-		width += len(sp.sch)
-	}
-	if identity {
-		return nil
-	}
-	off := make([]int, n)
-	for i := 1; i < n; i++ {
-		off[i] = off[i-1] + len(scans[i-1].sch)
-	}
-	perm := make([]int, 0, width)
-	for d := 0; d < n; d++ {
-		ji := declToJoin[d]
-		for k := 0; k < len(scans[ji].sch); k++ {
-			perm = append(perm, off[ji]+k)
-		}
-	}
-	return perm
-}
-
-// toDecl wraps an iterator producing join-order tuples into
-// declaration order.
-func (p *selectPlan) toDecl(it operators.Iterator) operators.Iterator {
-	if p.outPerm == nil {
-		return it
-	}
-	return operators.NewProject(it, p.outPerm)
-}
-
-// stepFilterPred compiles residual ON equalities into a tuple
-// predicate (null-rejecting, like the hash condition).
-func stepFilterPred(fs []stepFilter) operators.Predicate {
-	return func(t storage.Tuple) bool {
-		for _, f := range fs {
-			av, bv := t[f.a], t[f.b]
-			if av.IsNull() || bv.IsNull() || !storage.Equal(av, bv) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// buildJoinTree compiles the joins into an iterator producing tuples
-// in declaration-order schema no matter which sides build or how the
-// joins were ordered.
-func (p *selectPlan) buildJoinTree() (operators.Iterator, error) {
-	left, err := p.scans[0].build()
-	if err != nil {
-		return nil, err
-	}
-	width := len(p.scans[0].sch)
-	for i, st := range p.steps {
-		right, err := p.scans[i+1].build()
-		if err != nil {
-			return nil, err
-		}
-		rw := len(p.scans[i+1].sch)
-		switch {
-		case st.cross:
-			left = operators.NewCrossJoin(left, right)
-		case st.buildLeft:
-			// build = prefix, probe = scan → output (prefix, scan): as-is.
-			left = operators.NewHashJoin(left, right, st.leftCol, st.rightCol)
-		default:
-			// build = scan, probe = prefix → output (scan, prefix):
-			// re-project to prefix-first order.
-			j := operators.NewHashJoin(right, left, st.rightCol, st.leftCol)
-			perm := make([]int, 0, width+rw)
-			for k := 0; k < width; k++ {
-				perm = append(perm, rw+k)
-			}
-			for k := 0; k < rw; k++ {
-				perm = append(perm, k)
-			}
-			left = operators.NewProject(j, perm)
-		}
-		width += rw
-		if len(st.filters) > 0 {
-			left = operators.NewFilter(left, stepFilterPred(st.filters))
-		}
-	}
-	return p.toDecl(left), nil
 }

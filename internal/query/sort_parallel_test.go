@@ -70,7 +70,7 @@ func requireSameOrdered(t *testing.T, label string, got, want []string) {
 
 // TestParallelOrderByMatchesSerial asserts the parallel ORDER BY
 // pipeline (worker runs + loser-tree merge, or Top-K heaps under
-// LIMIT) emits byte-for-byte the serial sequence, across worker
+// LIMIT) emits byte-for-byte the naive evaluator's sequence, across worker
 // counts 1/2/4/8 and batch sizes 1/64/1024, on a key column full of
 // duplicates, NaN, -0 and NULL.
 func TestParallelOrderByMatchesSerial(t *testing.T) {
@@ -145,5 +145,34 @@ func TestParallelOrderByUnderReplan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOrderByTiesBreakOnOutputRow: ORDER BY key ties break on the
+// output row's content (the ExecuteStmt contract), so a column the
+// select list drops cannot reorder them — on a bare ordered scan, whose
+// workers sort whole table rows, as through a join, whose probe emits
+// narrow ones; with and without LIMIT, at any worker count.
+func TestOrderByTiesBreakOnOutputRow(t *testing.T) {
+	e := NewEngine(NewCatalog(64), trace.New(), nil)
+	e.MustExec("CREATE TABLE tie (k INT, dropped INT, kept INT)")
+	e.MustExec("CREATE TABLE one (k INT)")
+	e.MustExec("INSERT INTO tie VALUES (1, 2, 10), (1, 1, 20), (0, 9, 30)")
+	e.MustExec("INSERT INTO one VALUES (1), (0)")
+	want := map[string][]string{
+		"SELECT kept FROM tie ORDER BY k":                                            {"1:30", "1:10", "1:20"},
+		"SELECT kept FROM tie ORDER BY k DESC LIMIT 2":                               {"1:10", "1:20"},
+		"SELECT t.kept FROM tie t JOIN one o ON t.k = o.k ORDER BY t.k":              {"1:30", "1:10", "1:20"},
+		"SELECT t.kept FROM tie t JOIN one o ON t.k = o.k ORDER BY t.k DESC LIMIT 2": {"1:10", "1:20"},
+	}
+	for sql, rows := range want {
+		requireSameOrdered(t, sql+" (naive)", rowsOrdered(refSelect(t, e, sql, nil)), rows)
+		for _, w := range []int{1, 4} {
+			res, _, err := e.ExecuteSQL(sql, ExecOptions{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameOrdered(t, fmt.Sprintf("%s workers=%d", sql, w), rowsOrdered(res), rows)
+		}
 	}
 }

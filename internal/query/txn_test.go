@@ -288,7 +288,7 @@ func TestTxnIndexNLJoinReadsSnapshot(t *testing.T) {
 				t.Fatalf("workers=%d old=%v: %d rows (%d late), want %d (%d late)",
 					workers, txn == old, len(res.Rows), late, want, wantLate)
 			}
-			requireSameOrdered(t, "against the reference", rowsMultiset(res), rowsMultiset(refSelect(t, eng, sql, txn)))
+			requireSameOrdered(t, "against the naive evaluator", rowsMultiset(res), rowsMultiset(refSelect(t, eng, sql, txn)))
 		}
 	}
 }

@@ -109,14 +109,20 @@ func (k AggKind) String() string {
 	return [...]string{"count", "sum", "avg", "min", "max"}[k]
 }
 
-// AggSpec is one aggregate over a column.
+// AggSpec is one aggregate over a column. COUNT counts rows, COUNT(*),
+// unless NonNull: COUNT(col) counts the rows whose Col is not NULL.
 type AggSpec struct {
-	Kind AggKind
-	Col  int
+	Kind    AggKind
+	Col     int
+	NonNull bool
 }
 
-// aggCell is one aggregate of one group: its rows (COUNT) or non-NULL
-// inputs counted, summed (SUM, AVG) or folded to the least or greatest.
+// hasArg reports whether the aggregate reads its column.
+func (sp AggSpec) hasArg() bool { return sp.Kind != AggCount || sp.NonNull }
+
+// aggCell is one aggregate of one group: its rows (COUNT(*)) or non-NULL
+// inputs counted (COUNT(col)), summed (SUM, AVG) or folded to the least
+// or greatest.
 type aggCell struct {
 	n   int64
 	sum float64
@@ -165,7 +171,7 @@ func newAggAccum(groupCol int, aggs []AggSpec, m []PairCol) *aggAccum {
 		a.group = at(groupCol)
 	}
 	for i, sp := range aggs {
-		if sp.Kind != AggCount {
+		if sp.hasArg() {
 			a.args[i] = at(sp.Col)
 		}
 	}
@@ -203,14 +209,15 @@ func (a *aggAccum) pair(b, p storage.Tuple) {
 	cells := a.cells[s*len(a.aggs):]
 	for i, sp := range a.aggs {
 		c := &cells[i]
-		if sp.Kind != AggCount {
+		if sp.hasArg() {
 			v := a.args[i].of(b, p)
 			if v.IsNull() {
 				continue
 			}
-			if sp.Kind == AggMin || sp.Kind == AggMax {
+			switch sp.Kind {
+			case AggMin, AggMax:
 				c.fold(sp.Kind, v)
-			} else {
+			case AggSum, AggAvg:
 				f, _ := v.AsFloat()
 				c.sum += f
 			}

@@ -371,7 +371,7 @@ func compileAggregate(st *SelectStmt, sch schema) (*aggPlan, error) {
 			name += "(" + item.Col.Col + ")"
 		}
 		slots = append(slots, itemSlot{aggIdx: len(specs), name: name})
-		specs = append(specs, operators.AggSpec{Kind: kind, Col: col})
+		specs = append(specs, operators.AggSpec{Kind: kind, Col: col, NonNull: kind == operators.AggCount && !item.AggStar})
 	}
 	// Internal layout: [group?] + aggs; re-project to item order.
 	base := 0

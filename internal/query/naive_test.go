@@ -287,9 +287,7 @@ func naiveAggregate(st *SelectStmt, joined [][]storage.Tuple,
 				row[i] = g.shown
 				continue
 			}
-			if item.Agg == AggCount {
-				// The group's rows, COUNT(col) included: the engine's
-				// written rule (aggCell), where SQL would skip NULLs.
+			if item.AggStar {
 				row[i] = storage.IntValue(int64(len(g.members)))
 				continue
 			}
@@ -310,6 +308,8 @@ func naiveAggregate(st *SelectStmt, joined [][]storage.Tuple,
 				n++
 			}
 			switch {
+			case item.Agg == AggCount: // COUNT(col): the non-NULL values
+				row[i] = storage.IntValue(int64(n))
 			case item.Agg == AggSum:
 				row[i] = storage.FloatValue(sum)
 			case n == 0:

@@ -178,8 +178,20 @@ const (
 	joinAggServerAllocBudget = 250
 )
 
-// TestAllocBudgets holds BenchmarkServerStatement's point and join_agg
-// ops to their allocation budgets.
+// The same for one write transaction (the wire benchmark's write_txn:
+// BEGIN, INSERT, UPDATE over the unindexed acct, COMMIT) on a fresh
+// server: 25,617 B and 108 allocs per op (26.0-27.3 KB under go test
+// -bench) while every write dropped its page's decode image and the
+// UPDATE's scan re-decoded the claimed page and the tail page each
+// transaction; 8,500-8,600 B and 105 allocs at GOMAXPROCS 1, 2 and 4
+// once the image survives inserts and claims.
+const (
+	writeByteBudget  = 9472
+	writeAllocBudget = 112
+)
+
+// TestAllocBudgets holds BenchmarkServerStatement's point, join_agg and
+// write ops to their allocation budgets.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Skip(t)
 	srv := newBenchServer(t)
@@ -189,4 +201,7 @@ func TestAllocBudgets(t *testing.T) {
 	joinAgg := allocbudget.Measure(t, "ServerStatement/join_agg", 2000, statementOp(t, srv, "join_agg"))
 	joinAgg.Allocs(joinAggServerAllocBudget)
 	joinAgg.Bytes(joinAggServerByteBudget)
+	write := allocbudget.Measure(t, "ServerStatement/write", 2000, statementOp(t, newBenchServer(t), "write"))
+	write.Allocs(writeAllocBudget)
+	write.Bytes(writeByteBudget)
 }

@@ -6,7 +6,7 @@
 // The protocol, end to end:
 //
 //   - Mutations log inside the page latch (Page.InsertWith, DeleteWith
-//     and MutateWith call back into logInsert/logDelete/logUpdate), so
+//     and SetXmaxWith call back into logInsert/logDelete/logUpdate), so
 //     per-page WAL order equals apply order and redo in LSN order is
 //     exact.
 //   - Checkpoints are fuzzy: capture redoPos = WAL tail, flush every

@@ -139,18 +139,7 @@ func (h *HeapFile) SetXmax(rid RID, xmax uint64, decide func(Version) error) err
 		return err
 	}
 	defer h.bm.Unpin(rid.Page)
-	err = p.MutateWith(rid.Slot, func(old []byte) ([]byte, error) {
-		if decide != nil {
-			v, err := RecordVersion(old)
-			if err != nil {
-				return nil, err
-			}
-			if err := decide(v); err != nil {
-				return nil, err
-			}
-		}
-		return stampXmax(old, xmax), nil
-	}, func(rec []byte) (uint64, error) {
+	err = p.SetXmaxWith(rid.Slot, xmax, decide, func(rec []byte) (uint64, error) {
 		return h.db.logUpdate(rid.Page, rid.Slot, rec)
 	})
 	if errors.Is(err, ErrSlotDeleted) || errors.Is(err, ErrBadSlot) {

@@ -35,12 +35,14 @@ var (
 // the shared-scan requirement of the parallel executor.
 //
 // dec caches the page's decoded live tuples (the arena produced by
-// decoded): scans of a page that hasn't changed since its last
-// decode skip record parsing entirely. Mutators clear it under the
-// write latch; readers publish it under the read latch, so a cached
-// image can never be stale. Cached tuples are shared across readers —
-// consumers must treat scanned tuples as immutable (the executor
-// always copies values before mutating).
+// decoded), so scans skip record parsing. It is copy-on-write and kept
+// exact under the write latch: an insert and an Xmax stamp derive the
+// next image and publish it once their log append succeeds; a
+// tombstone, Compact and the redo appliers drop it. Readers publish a
+// fresh decode under the read latch, so a cached image is never stale.
+// Cached tuples are shared across readers — consumers must treat
+// scanned tuples as immutable (the executor always copies values
+// before mutating).
 type Page struct {
 	mu  sync.RWMutex
 	buf [PageSize]byte
@@ -57,9 +59,9 @@ type Page struct {
 // the version summary admitsAll judges: allLive (no Xmax) and the
 // distinct Xmins, nxmin > len(xmins) marking overflow. Two fit the
 // measured pages (EXPERIMENTS.md snapshot-scan): a read-only wire
-// workload scans only pages of one or two creators. Every mutator drops
-// the image, so the summary is never stale; a copy-on-write image must
-// maintain it.
+// workload scans only pages of one or two creators. An image is never
+// changed once published: inserted and stamped derive its successor,
+// which maintains the summary.
 type decodedPage struct {
 	tuples  []Tuple
 	slots   []uint16
@@ -166,11 +168,11 @@ func (p *Page) CopyBytes() ([]byte, uint64) {
 // guarantees per-page WAL order matches apply order — two writers
 // racing on one page cannot log in the reverse of the order they
 // applied. If `after` fails the
-// mutation is rolled back and the page is unchanged.
+// mutation is rolled back and the page is unchanged; else the decode
+// image, if one is cached, gains the record.
 func (p *Page) InsertWith(rec []byte, after func(slot int) (uint64, error)) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.dec.Store(nil)
 	slot, err := p.insertLocked(rec)
 	if err != nil {
 		return 0, err
@@ -185,6 +187,7 @@ func (p *Page) InsertWith(rec []byte, after func(slot int) (uint64, error)) (int
 		return 0, err
 	}
 	p.lsn = lsn
+	p.dec.Store(p.dec.Load().inserted(slot, rec))
 	return slot, nil
 }
 
@@ -276,16 +279,15 @@ func (p *Page) DeleteWith(slot int, after func() (uint64, error)) error {
 	return nil
 }
 
-// MutateWith rewrites one record in place through `mutate` under a
-// single write-latch hold: the callback receives the current image
-// (read-only, valid only during the call) and returns the replacement,
-// so a read-decide-write sequence (the MVCC claim: inspect the
-// version, then stamp Xmax) is atomic with respect to every other
-// writer of the page. The replacement must keep the record's length —
-// a claim rewrites the header only — so a record never moves. `after`
-// is the latch-scoped logging hook (see InsertWith); it runs before
-// the rewrite lands, so a failed append leaves the page unchanged.
-func (p *Page) MutateWith(slot int, mutate func(old []byte) ([]byte, error),
+// SetXmaxWith stamps xmax as the deleting transaction of the record
+// in slot under a single write-latch hold: `decide` (nil: stamp
+// unconditionally) inspects the current version and may refuse, so a
+// read-decide-write sequence (the MVCC claim) is atomic with respect to
+// every other writer of the page. The stamp rewrites the header only,
+// so a record never moves. `after` is the latch-scoped logging hook
+// (see InsertWith) and receives the stamped record; it runs before the
+// stamp lands, so a failed append leaves the page unchanged.
+func (p *Page) SetXmaxWith(slot int, xmax uint64, decide func(Version) error,
 	after func(rec []byte) (uint64, error)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -293,22 +295,23 @@ func (p *Page) MutateWith(slot int, mutate func(old []byte) ([]byte, error),
 	if err != nil {
 		return err
 	}
-	//admvet:allow latchorder the claim decision must be atomic with the rewrite, so the mutate callback runs under the page latch by design
-	rec, err := mutate(p.buf[off : off+length])
+	v, err := RecordVersion(p.buf[off : off+length])
+	if err == nil && decide != nil {
+		//admvet:allow latchorder the claim decision must be atomic with the rewrite, so the decide callback runs under the page latch by design
+		err = decide(v)
+	}
 	if err != nil {
 		return err
 	}
-	if len(rec) != length {
-		return fmt.Errorf("storage: rewrite of slot %d changes its length %d to %d", slot, length, len(rec))
-	}
+	rec := stampXmax(p.buf[off:off+length], xmax)
 	//admvet:allow latchorder per-page WAL order must equal apply order, so the log callback runs under the page latch by design
 	lsn, err := after(rec)
 	if err != nil {
 		return err
 	}
-	p.dec.Store(nil)
 	copy(p.buf[off:], rec)
 	p.lsn = lsn
+	p.dec.Store(p.dec.Load().stamped(slot, xmax))
 	return nil
 }
 
@@ -529,27 +532,74 @@ func (p *Page) decoded() (*decodedPage, error) {
 		if length == 0 {
 			continue
 		}
-		body, v, _ := recordParts(p.buf[off : off+length]) // validated above
-		start := len(arena)
 		var err error
-		arena, err = decodeFields(arena, body[2:], int(binary.BigEndian.Uint16(body)))
-		if err != nil {
+		if arena, err = d.add(arena, s, p.buf[off:off+length]); err != nil {
 			return nil, err
 		}
-		d.tuples = append(d.tuples, arena[start:len(arena):len(arena)])
-		d.slots = append(d.slots, uint16(s))
-		d.vers = append(d.vers, v)
-		d.allLive = d.allLive && v.Xmax == 0
-		if n := int(d.nxmin); n <= len(d.xmins) && !slices.Contains(d.xmins[:n], v.Xmin) {
-			if n < len(d.xmins) {
-				d.xmins[n] = v.Xmin
-			}
-			d.nxmin++ // past len(xmins): overflow
-		}
 	}
-	// Publish under the read latch: any mutator's invalidation is
-	// either already visible (we decoded its write) or will run after
-	// our unlock and clear this image.
+	// Publish under the read latch: every mutator either already ran
+	// (we decoded its write) or runs after our unlock and derives from
+	// or drops this image.
 	p.dec.Store(d)
 	return d, nil
+}
+
+// add appends the record in slot to d, its fields carved from arena,
+// and folds its version into the summary: the one step of a fresh
+// decode and of an insert's derived image.
+func (d *decodedPage) add(arena Tuple, slot int, rec []byte) (Tuple, error) {
+	body, v, err := recordParts(rec)
+	if err != nil {
+		return arena, err
+	}
+	fields := int(binary.BigEndian.Uint16(body))
+	start := len(arena)
+	if arena, err = decodeFields(slices.Grow(arena, fields), body[2:], fields); err != nil {
+		return arena, err
+	}
+	d.tuples = append(d.tuples, arena[start:len(arena):len(arena)])
+	d.slots = append(d.slots, uint16(slot))
+	d.vers = append(d.vers, v)
+	d.allLive = d.allLive && v.Xmax == 0
+	if n := int(d.nxmin); n <= len(d.xmins) && !slices.Contains(d.xmins[:n], v.Xmin) {
+		if n < len(d.xmins) {
+			d.xmins[n] = v.Xmin
+		}
+		d.nxmin++ // past len(xmins): overflow
+	}
+	return arena, nil
+}
+
+// inserted derives the image after rec landed in slot, the page's new
+// last slot, decoding only rec into the spare capacity of d's slices:
+// only the current image is ever extended, and every reader of d reads
+// only its first len entries. With no image cached the page stays
+// undecoded; a record that does not decode drops the image.
+func (d *decodedPage) inserted(slot int, rec []byte) *decodedPage {
+	if d == nil {
+		return nil
+	}
+	next := *d
+	if _, err := next.add(nil, slot, rec); err != nil {
+		return nil
+	}
+	return &next
+}
+
+// stamped derives the image after slot's Xmax became xmax: tuples and
+// slots shared, vers copied with the one version patched and room for
+// the insert an UPDATE makes next, allLive recomputed.
+func (d *decodedPage) stamped(slot int, xmax uint64) *decodedPage {
+	if d == nil {
+		return nil
+	}
+	i, ok := slices.BinarySearch(d.slots, uint16(slot))
+	if !ok {
+		return nil
+	}
+	next := *d
+	next.vers = append(make([]Version, 0, len(d.vers)+1), d.vers...)
+	next.vers[i].Xmax = xmax
+	next.allLive = xmax == 0 && !slices.ContainsFunc(next.vers, func(v Version) bool { return v.Xmax != 0 })
+	return &next
 }

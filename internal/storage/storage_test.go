@@ -204,31 +204,51 @@ func TestPageCompactPreservesSlots(t *testing.T) {
 	}
 }
 
-// TestPageMutateInPlace: MutateWith rewrites a record in place, logs
-// before it lands (a failed append leaves the page as it was), and
-// refuses a replacement of another length — a claim never moves a
-// record.
+// TestPageMutateInPlace: SetXmaxWith stamps a record's Xmax in place
+// and logs the stamped record before it lands; a failed append and a
+// refusing decide both leave the page as it was.
 func TestPageMutateInPlace(t *testing.T) {
 	p := NewPage()
-	s, _ := pageInsert(p, []byte("aaaa"))
-	to := func(rec string) func([]byte) ([]byte, error) {
-		return func([]byte) ([]byte, error) { return []byte(rec), nil }
+	tu := Tuple{IntValue(1), StringValue("aaaa")}
+	s, _ := pageInsert(p, EncodeRecord(tu, Version{Xmin: 3}))
+	version := func() Version {
+		t.Helper()
+		b, err := p.Get(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, v, err := DecodeRecord(b)
+		if err != nil || len(got) != 2 || got[1].Str != "aaaa" {
+			t.Fatalf("record reads %v (%v)", got, err)
+		}
+		return v
 	}
-	if err := p.MutateWith(s, to("bbbb"), noLog[[]byte]); err != nil {
+	var logged []byte
+	logTo := func(rec []byte) (uint64, error) { logged = rec; return 0, nil }
+	if err := p.SetXmaxWith(s, 7, nil, logTo); err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := p.Get(s); string(b) != "bbbb" {
-		t.Fatalf("got %q", b)
+	if v := version(); v != (Version{Xmin: 3, Xmax: 7}) {
+		t.Fatalf("stamped version %+v", v)
+	}
+	if _, v, _ := DecodeRecord(logged); v != (Version{Xmin: 3, Xmax: 7}) {
+		t.Fatalf("logged version %+v", v)
 	}
 	failLog := func([]byte) (uint64, error) { return 0, errors.New("log down") }
-	if err := p.MutateWith(s, to("cccc"), failLog); err == nil {
-		t.Fatal("a rewrite whose log append failed succeeded")
+	if err := p.SetXmaxWith(s, 9, nil, failLog); err == nil {
+		t.Fatal("a stamp whose log append failed succeeded")
 	}
-	if err := p.MutateWith(s, to("cc"), noLog[[]byte]); err == nil {
-		t.Fatal("a rewrite that shrinks the record succeeded")
+	refuse := func(v Version) error {
+		if v.Xmax != 7 {
+			t.Errorf("decide saw %+v", v)
+		}
+		return ErrWriteConflict
 	}
-	if b, _ := p.Get(s); string(b) != "bbbb" {
-		t.Fatalf("failed rewrites changed the record to %q", b)
+	if err := p.SetXmaxWith(s, 9, refuse, noLog[[]byte]); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("a refused stamp returned %v", err)
+	}
+	if v := version(); v != (Version{Xmin: 3, Xmax: 7}) {
+		t.Fatalf("failed stamps changed the version to %+v", v)
 	}
 }
 

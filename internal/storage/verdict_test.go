@@ -34,7 +34,9 @@ var verdictShapes = []struct {
 // before and after each commit returns exactly the tuples and RIDs
 // that judging each version on its own returns. The per-row oracle is
 // HeapView.Get, which judges one version header with
-// TxnManager.visible.
+// TxnManager.visible. Every page is read between writes too, so each
+// write after a page's first derives the page's cached decode image
+// and the verdicts are judged on maintained images.
 func TestPageVerdictMatchesPerRowFilter(t *testing.T) {
 	for _, shape := range verdictShapes {
 		for seed := int64(1); seed <= 25; seed++ {
@@ -142,6 +144,18 @@ func insertKey(t *testing.T, tx *storage.Txn, h *storage.HeapFile, key *int64) {
 	if _, err := tx.Insert(h, storage.Tuple{storage.IntValue(*key), storage.StringValue(fmt.Sprintf("k%d", *key))}); err != nil {
 		t.Fatal(err)
 	}
+	readPages(t, h)
+}
+
+// readPages reads every page of h, caching each one's decode image for
+// the next write to derive from.
+func readPages(t *testing.T, h *storage.HeapFile) {
+	t.Helper()
+	for _, id := range h.PageIDs() {
+		if _, _, err := h.Blind().PageRowsInto(id, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // claimRows has tx delete one or two rows on about half the pages,
@@ -159,6 +173,7 @@ func claimRows(t *testing.T, rng *rand.Rand, tx *storage.Txn, h *storage.HeapFil
 			if err != nil && !errors.Is(err, storage.ErrWriteConflict) {
 				t.Fatal(err)
 			}
+			readPages(t, h)
 		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 //
 // 7963 with one heap reader (the HeapReader interface and the zone-map
 // type assertions out). 7230 with one SELECT executor (the Volcano
-// reference path and its operators out).
-const engineLineBudget = 7230
+// reference path and its operators out). 7237 once COUNT(col) skips
+// NULLs (AggSpec.NonNull and the accumulator reading COUNT's column).
+const engineLineBudget = 7237
 
 // Non-test lines of internal/storage: 4885 with two record formats and
 // detached heap files, 4551 with one of each (versioned records, every
@@ -29,8 +30,10 @@ const engineLineBudget = 7230
 // 4476 with one heap reader (a view holds its transaction; HeapFile's
 // blind reads, the Visibility closure and ZoneReader out). 4516 with the
 // page verdict (the decode image's version summary and a snapshot
-// scan's remembered creator verdict).
-const storageLineBudget = 4516
+// scan's remembered creator verdict). 4555 with a copy-on-write decode
+// image (an insert and an Xmax stamp derive the next image instead of
+// dropping it).
+const storageLineBudget = 4555
 
 // TestLineBudgets counts the non-test lines (newlines in every .go file
 // that is not a _test.go file) of the engine and of storage, and fails

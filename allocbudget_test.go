@@ -6,12 +6,14 @@ import (
 	"github.com/adm-project/adm/internal/allocbudget"
 )
 
-// Allocations per full batched heap-file scan (steady state is 0: the
-// page-list snapshot aliases the file's own list; it was 1 while it was
-// copied; headroom for pool warm-up noise). The snapshot scan opens per
-// op and adds the transaction, its view, the scan and its release
-// closure: per scan, never per row version. 5 → 4 once the view holds
-// its transaction instead of a visibility closure.
+// Allocations per full batched heap-file scan. The blind scan reads 2:
+// the view and the HeapBatches made per op (the page-list snapshot
+// aliases the file's own list); it read 0 while one reopened scan
+// operator served every op, and 1 while the page list was copied.
+// Headroom for pool warm-up noise. The snapshot scan opens per op and
+// adds the transaction and the source's release closure: per scan,
+// never per row version. 5 → 4 once the view holds its transaction
+// instead of a visibility closure.
 const scanAllocBudget = 8
 
 // Budgets for ORDER BY ... LIMIT 10 over 100k rows at 4 workers.
@@ -43,7 +45,7 @@ const (
 // allocation budgets, counted at fixed run counts.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Skip(t)
-	allocbudget.Measure(t, "BatchHeapScan", 20, blindScanOp(t, 50_000)).Allocs(scanAllocBudget)
+	allocbudget.Measure(t, "BlindHeapScan", 20, blindScanOp(t, 50_000)).Allocs(scanAllocBudget)
 	db, hf := scanBenchFile(t, 10_000)
 	allocbudget.Measure(t, "SnapshotHeapScan", 20, snapshotScanOp(t, db, hf, 10_000)).Allocs(scanAllocBudget)
 	topK := allocbudget.Measure(t, "TopK", 20, topKOp(t, 100_000))

@@ -694,24 +694,25 @@ func joinAggregateOp(tb testing.TB) func() {
 	}
 }
 
-// BenchmarkBatchHeapScan is the allocation gate of the vectorized scan
+// BenchmarkBlindHeapScan is the allocation gate of the vectorized scan
 // path: one op = one full batched scan of a 50k-row heap file through
-// a reused Batch, version-blind (HeapFile.Blind). Steady state must
-// stay O(1) allocs per scan (the page-list snapshot plus pool noise) —
-// TestAllocBudgets fails if allocs/op regresses above its budget, which
-// would mean per-tuple or per-page allocation crept back into the hot
-// path.
-func BenchmarkBatchHeapScan(b *testing.B) {
+// one HeapBatches made for the op and a reused Batch, version-blind
+// (HeapFile.Blind). Steady state must stay O(1) allocs per scan (the
+// view and the source) — TestAllocBudgets fails if allocs/op regresses
+// above its budget, which would mean per-tuple or per-page allocation
+// crept back into the hot path.
+func BenchmarkBlindHeapScan(b *testing.B) {
 	const rows = 50_000
 	benchOp(b, rows, blindScanOp(b, rows))
 }
 
 // blindScanOp loads rows rows and returns one version-blind scan of
-// them, reusing one scan operator.
+// them.
 func blindScanOp(tb testing.TB, rows int) func() {
 	_, hf := scanBenchFile(tb, rows)
-	scan := operators.NewBatchHeapScan(hf.Blind())
-	return scanOp(tb, rows, func() (*operators.BatchHeapScan, func()) { return scan, func() {} })
+	return scanOp(tb, rows, func() (operators.BatchSource, func()) {
+		return operators.NewHeapBatches(hf.Blind(), nil, false), func() {}
+	})
 }
 
 // BenchmarkSnapshotHeapScan is the same scan, under the same budget,
@@ -748,9 +749,9 @@ func BenchmarkChurnedSnapshotScan(b *testing.B) {
 // snapshotScanOp returns one full scan of hf through a snapshot opened
 // per op, which must admit rows rows.
 func snapshotScanOp(tb testing.TB, db *storage.DB, hf *storage.HeapFile, rows int) func() {
-	return scanOp(tb, rows, func() (*operators.BatchHeapScan, func()) {
+	return scanOp(tb, rows, func() (operators.BatchSource, func()) {
 		tx := db.Txns().Begin()
-		return operators.NewBatchHeapScan(tx.View(hf)), func() { _ = tx.Rollback() } // read-only: nothing to undo, nothing to fail
+		return operators.NewHeapBatches(tx.View(hf), nil, false), func() { _ = tx.Rollback() } // read-only: nothing to undo, nothing to fail
 	})
 }
 
@@ -774,16 +775,12 @@ func scanBenchFile(tb testing.TB, rows int) (*storage.DB, *storage.HeapFile) {
 // through a Batch held until tb ends; open hands out the scan of each
 // op (done releases what it reads through). It scans once before
 // returning, to warm the page decode caches.
-func scanOp(tb testing.TB, rows int, open func() (scan *operators.BatchHeapScan, done func())) func() {
+func scanOp(tb testing.TB, rows int, open func() (scan operators.BatchSource, done func())) func() {
 	batch := operators.GetBatch()
 	tb.Cleanup(func() { operators.PutBatch(batch) })
 	drain := func() int {
 		scan, done := open()
 		defer done()
-		if err := scan.Open(); err != nil {
-			tb.Fatal(err)
-		}
-		defer scan.Close()
 		total := 0
 		for {
 			n, err := scan.NextBatch(batch)
@@ -823,13 +820,9 @@ func benchParallelSort(b *testing.B, rows, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merge, err := operators.ParallelSortBatches(
+		got, err := operators.ParallelSortBatches(
 			operators.NewSliceBatches(tuples, 0), 0, false, nil,
 			operators.ParallelConfig{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := operators.Drain(merge)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func RunSnapshotScanBench(m *Measurements, rows, workers, repeats int) error {
 	}
 	blind := func() (int, error) {
 		k := operators.NewFilterKernel([]operators.ColPred{{Col: 1, Op: operators.KernLT, Lit: storage.IntValue(10)}}, nil, nil)
-		rows, err := operators.DrainParallelBatches(operators.NewHeapBatchesKernel(t.Heap.Blind(), k),
+		rows, err := operators.DrainParallelBatches(operators.NewHeapBatches(t.Heap.Blind(), k, false),
 			operators.ParallelConfig{Workers: workers})
 		return len(rows), err
 	}

@@ -50,13 +50,9 @@ func RunParallelSortBench(m *Measurements, rows int, workers []int, repeats, bat
 		m.Add(series("SerialSort", 1), float64(rows)/time.Since(start).Seconds())
 		for _, w := range workers {
 			start := time.Now()
-			merge, err := operators.ParallelSortBatches(
+			got, err := operators.ParallelSortBatches(
 				operators.NewSliceBatches(tuples, batch), 0, false, nil,
 				operators.ParallelConfig{Workers: w, MorselSize: batch})
-			if err != nil {
-				return err
-			}
-			got, err := operators.Drain(merge)
 			if err != nil {
 				return err
 			}

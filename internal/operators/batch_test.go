@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -55,10 +54,10 @@ func batchHeap(t *testing.T, n int) (*storage.DB, *storage.HeapFile) {
 	return db, hf
 }
 
-// TestBatchHeapScanMatchesSerial: draining the batch-native page scan
-// must equal the Volcano heap scan exactly — including after deletes
-// punch holes in the slot directories.
-func TestBatchHeapScanMatchesSerial(t *testing.T) {
+// TestHeapBatchesMatchesSerial: draining the page source at one worker
+// must equal the view's row-at-a-time scan exactly — including after
+// deletes punch holes in the slot directories.
+func TestHeapBatchesMatchesSerial(t *testing.T) {
 	_, hf := batchHeap(t, 500)
 	// Tombstone a spread of slots, including page boundaries.
 	i := 0
@@ -75,11 +74,11 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := Drain(NewHeapScan(hf.Blind()))
+	want, err := hf.Blind().All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DrainBatches(NewBatchHeapScan(hf.Blind()))
+	got, err := drainSerial(NewHeapBatches(hf.Blind(), nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,71 +93,31 @@ func TestBatchHeapScanMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchAdapterRoundTrip: a Volcano heap scan behind IterBatches
-// must serve the batch-native scan's rows in its order at any batch
-// size, close its input at exhaustion, and stay exhausted.
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	_, hf := batchHeap(t, 300)
-	want, err := DrainBatches(NewBatchHeapScan(hf.Blind()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1, 7, 0} {
-		scan := NewHeapScan(hf.Blind())
-		ib := NewIterBatches(scan, size)
-		b := GetBatch()
-		var got []storage.Tuple
-		for {
-			n, err := ib.NextBatch(b)
-			if err != nil {
-				t.Fatalf("size=%d: %v", size, err)
-			}
-			if n == 0 {
-				break
-			}
-			if size > 0 && n > size {
-				t.Fatalf("size=%d: batch of %d rows", size, n)
-			}
-			got = append(got, b.Tuples...)
-		}
-		if n, err := ib.NextBatch(b); n != 0 || err != nil {
-			t.Fatalf("size=%d: claim after exhaustion = %d, %v", size, n, err)
-		}
-		PutBatch(b)
-		if scan.open || scan.buf != nil {
-			t.Fatalf("size=%d: input left open at exhaustion", size)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("size=%d: %d rows, want %d", size, len(got), len(want))
-		}
-		for j := range got {
-			if got[j][0].Int != want[j][0].Int || got[j][1].Str != want[j][1].Str {
-				t.Fatalf("size=%d row %d: %v want %v", size, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestBatchHeapScanReopen: Open re-snapshots the page list, so a
-// reopened scan sees rows inserted after the first drain.
-func TestBatchHeapScanReopen(t *testing.T) {
+// TestHeapBatchesSnapshotsPages: a source serves the pages the file
+// had when it was made, so only a source made after an insert that
+// forces new pages sees all of it.
+func TestHeapBatchesSnapshotsPages(t *testing.T) {
 	db, hf := batchHeap(t, 100)
-	scan := NewBatchHeapScan(hf.Blind())
-	first, err := DrainBatches(scan)
+	first, err := drainSerial(NewHeapBatches(hf.Blind(), nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
+	early := NewHeapBatches(hf.Blind(), nil, false)
 	var more []storage.Tuple
 	for i := int64(100); i < 700; i++ { // forces new pages
 		more = append(more, storage.Tuple{storage.IntValue(i), storage.StringValue("x")})
 	}
 	load(t, db, hf, more...)
-	second, err := DrainBatches(scan)
+	stale, err := drainSerial(early)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first) != 100 || len(second) != 700 {
-		t.Fatalf("first=%d second=%d", len(first), len(second))
+	second, err := drainSerial(NewHeapBatches(hf.Blind(), nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 100 || len(stale) >= 700 || len(second) != 700 {
+		t.Fatalf("first=%d stale=%d second=%d", len(first), len(stale), len(second))
 	}
 }
 
@@ -167,10 +126,7 @@ func TestBatchHeapScanReopen(t *testing.T) {
 // arena-ownership contract consumers like hash-join builds rely on).
 func TestBatchRetentionAcrossRecycle(t *testing.T) {
 	_, hf := batchHeap(t, 600)
-	scan := NewBatchHeapScan(hf.Blind())
-	if err := scan.Open(); err != nil {
-		t.Fatal(err)
-	}
+	scan := NewHeapBatches(hf.Blind(), nil, false)
 	b := GetBatch()
 	var retained []storage.Tuple
 	for {
@@ -184,7 +140,6 @@ func TestBatchRetentionAcrossRecycle(t *testing.T) {
 		retained = append(retained, b.Tuples...)
 	}
 	PutBatch(b)
-	scan.Close()
 	seen := map[int64]bool{}
 	for _, tp := range retained {
 		if tp[1].Str != fmt.Sprintf("v%d", tp[0].Int) {
@@ -202,7 +157,7 @@ func TestBatchRetentionAcrossRecycle(t *testing.T) {
 func TestBatchFilterProjectMatchSerial(t *testing.T) {
 	_, hf := batchHeap(t, 300)
 	pred := func(tp storage.Tuple) bool { return tp[0].Int%3 == 0 }
-	all, err := Drain(NewHeapScan(hf.Blind()))
+	all, err := hf.Blind().All()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +167,7 @@ func TestBatchFilterProjectMatchSerial(t *testing.T) {
 			want = append(want, storage.Tuple{tp[1], tp[0]})
 		}
 	}
-	kept, err := DrainParallelBatches(NewFilterBatches(NewHeapBatches(hf.Blind()), pred), ParallelConfig{Workers: 4})
+	kept, err := DrainParallelBatches(NewFilterBatches(NewHeapBatches(hf.Blind(), nil, false), pred), ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,17 +208,13 @@ func TestJoinKeyEdgeCases(t *testing.T) {
 	}
 }
 
-// DrainBatches runs a BatchIterator to completion and returns all
-// tuples. Close errors are joined with the drain error, not discarded.
-func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
-	if err := bi.Open(); err != nil {
-		return nil, err
-	}
-	defer func() { err = errors.Join(err, bi.Close()) }()
+// drainSerial drains src on the calling goroutine, so a source whose
+// claims follow a fixed order serves its tuples in that order.
+func drainSerial(src BatchSource) (out []storage.Tuple, err error) {
 	b := GetBatch()
 	defer PutBatch(b)
 	for {
-		n, nerr := bi.NextBatch(b)
+		n, nerr := src.NextBatch(b)
 		if nerr != nil || n == 0 {
 			return out, nerr
 		}
@@ -271,11 +222,12 @@ func DrainBatches(bi BatchIterator) (out []storage.Tuple, err error) {
 	}
 }
 
-// TestBatchHeapScanWithRIDs: a scan asked for RIDs hands out, beside
-// every tuple, the place Get finds that tuple — with no kernel, and
-// with one compacting both columns (conjunct and boxed residual), and
-// over slot directories with holes. Without the ask the column is empty.
-func TestBatchHeapScanWithRIDs(t *testing.T) {
+// TestHeapBatchesWithRIDs: a source asked for RIDs hands out, beside
+// every tuple, the place Get finds that tuple — with no filter, with a
+// kernel compacting both columns (conjunct and boxed residual), and
+// under the boxed FilterBatches, over slot directories with holes.
+// Without the ask the column is empty.
+func TestHeapBatchesWithRIDs(t *testing.T) {
 	_, hf := batchHeap(t, 500)
 	var kill []storage.RID
 	hf.Blind().Scan(func(rid storage.RID, tu storage.Tuple) bool {
@@ -290,23 +242,22 @@ func TestBatchHeapScanWithRIDs(t *testing.T) {
 		}
 	}
 	odd := func(tu storage.Tuple) bool { return tu[0].Int%2 == 1 }
+	upperOdd := func(tu storage.Tuple) bool { return tu[0].Int >= 250 && odd(tu) }
 	for _, tc := range []struct {
-		name   string
-		kernel *FilterKernel
-		want   int
+		name     string
+		src      BatchSource
+		filtered bool
+		want     int
 	}{
-		{"no kernel", nil, 400},
-		{"kernel", NewFilterKernel([]ColPred{{Col: 0, Op: KernGE, Lit: storage.IntValue(250)}}, odd, nil), 100},
+		{"no filter", NewHeapBatches(hf.Blind(), nil, true), false, 400},
+		{"kernel", NewHeapBatches(hf.Blind(),
+			NewFilterKernel([]ColPred{{Col: 0, Op: KernGE, Lit: storage.IntValue(250)}}, odd, nil), true), true, 100},
+		{"boxed", NewFilterBatches(NewHeapBatches(hf.Blind(), nil, true), upperOdd), true, 100},
 	} {
-		bs := NewBatchHeapScan(hf.Blind())
-		bs.Kernel, bs.WithRIDs = tc.kernel, true
-		if err := bs.Open(); err != nil {
-			t.Fatal(err)
-		}
 		b := GetBatch()
 		got := 0
 		for {
-			n, err := bs.NextBatch(b)
+			n, err := tc.src.NextBatch(b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,25 +272,20 @@ func TestBatchHeapScanWithRIDs(t *testing.T) {
 				if err != nil || at[0].Int != tu[0].Int {
 					t.Fatalf("%s: tuple %v paired with %v, which holds %v (%v)", tc.name, tu, b.RIDs[i], at, err)
 				}
-				if tc.kernel != nil && (tu[0].Int < 250 || !odd(tu)) {
+				if tc.filtered && !upperOdd(tu) {
 					t.Fatalf("%s: %v passed the filter", tc.name, tu)
 				}
 			}
 			got += n
 		}
 		PutBatch(b)
-		bs.Close()
 		if got != tc.want {
 			t.Fatalf("%s: %d rows, want %d", tc.name, got, tc.want)
 		}
 	}
-	bs := NewBatchHeapScan(hf.Blind())
-	if err := bs.Open(); err != nil {
-		t.Fatal(err)
-	}
 	b := GetBatch()
 	defer PutBatch(b)
-	if n, err := bs.NextBatch(b); err != nil || n == 0 || len(b.RIDs) != 0 {
+	if n, err := NewHeapBatches(hf.Blind(), nil, false).NextBatch(b); err != nil || n == 0 || len(b.RIDs) != 0 {
 		t.Fatalf("unasked scan: n=%d err=%v RIDs=%d", n, err, len(b.RIDs))
 	}
 }

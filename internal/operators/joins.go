@@ -28,67 +28,55 @@ func concat(l, r storage.Tuple) storage.Tuple {
 
 // IndexNLJoin probes a B-tree index for each outer tuple — the
 // operator Scenario 3's re-optimiser injects when it "adds an index
-// to one of the tables".
+// to one of the tables". It joins one claimed outer batch at a time, in
+// place and in the claiming worker, so it is as shareable as its outer
+// source.
 type IndexNLJoin struct {
-	Outer    Iterator
-	OuterCol int
-	Index    *storage.BTree
-	File     *storage.HeapView
-	pending  []storage.Tuple
-	open     bool
-	// Probes counts index lookups.
-	Probes uint64
+	outer    BatchSource
+	outerCol int
+	index    *storage.BTree
+	file     *storage.HeapView
 }
 
 // NewIndexNLJoin joins outer.col against the indexed inner file, read
 // through file: a snapshot-bound reader hides the versions its
-// statement must not see (index entries cover every version).
-func NewIndexNLJoin(outer Iterator, outerCol int, index *storage.BTree, file *storage.HeapView) *IndexNLJoin {
-	return &IndexNLJoin{Outer: outer, OuterCol: outerCol, Index: index, File: file}
+// statement must not see (index entries cover every version). Each
+// joined tuple is the outer tuple's columns, then the inner's.
+func NewIndexNLJoin(outer BatchSource, outerCol int, index *storage.BTree, file *storage.HeapView) *IndexNLJoin {
+	return &IndexNLJoin{outer: outer, outerCol: outerCol, index: index, file: file}
 }
 
-// Open implements Iterator.
-func (j *IndexNLJoin) Open() error {
-	j.pending = nil
-	j.open = true
-	return j.Outer.Open()
-}
-
-// Next implements Iterator.
-func (j *IndexNLJoin) Next() (storage.Tuple, bool, error) {
-	if !j.open {
-		return nil, false, ErrNotOpen
-	}
+// NextBatch implements BatchSource: the joined tuples of the next outer
+// batch with any, appended behind its outer tuples, which then make way.
+func (j *IndexNLJoin) NextBatch(b *Batch) (int, error) {
 	for {
-		if len(j.pending) > 0 {
-			t := j.pending[0]
-			j.pending = j.pending[1:]
-			return t, true, nil
+		n, err := j.outer.NextBatch(b)
+		if err != nil || n == 0 {
+			return 0, err
 		}
-		o, ok, err := j.Outer.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v := o[j.OuterCol]
-		if v.IsNull() {
-			continue
-		}
-		j.Probes++
-		for _, rid := range j.Index.Search(v) {
-			inner, err := j.File.Get(rid)
-			if errors.Is(err, storage.ErrNotFound) {
-				continue // deleted under us, or outside the snapshot
+		for _, o := range b.Tuples[:n] {
+			v := o[j.outerCol]
+			if v.IsNull() {
+				continue
 			}
-			if err != nil {
-				return nil, false, err
+			for _, rid := range j.index.Search(v) {
+				inner, err := j.file.Get(rid)
+				if errors.Is(err, storage.ErrNotFound) {
+					continue // deleted under us, or outside the snapshot
+				}
+				if err != nil {
+					return 0, err
+				}
+				b.Tuples = append(b.Tuples, concat(o, inner))
 			}
-			j.pending = append(j.pending, concat(o, inner))
+		}
+		b.Tuples = append(b.Tuples[:0], b.Tuples[n:]...)
+		b.RIDs = b.RIDs[:0]
+		if len(b.Tuples) > 0 {
+			return len(b.Tuples), nil
 		}
 	}
 }
-
-// Close implements Iterator.
-func (j *IndexNLJoin) Close() error { j.open = false; return j.Outer.Close() }
 
 // ---------------------------------------------------------------------------
 // Aggregation.

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,16 +24,6 @@ func intsOf(ts []storage.Tuple, col int) []int64 {
 		out = append(out, t[col].Int)
 	}
 	return out
-}
-
-func TestMemScanAndDrain(t *testing.T) {
-	got, err := Drain(NewMemScan(rows(1, 2, 3)))
-	if err != nil || len(got) != 3 {
-		t.Fatalf("%v %v", got, err)
-	}
-	if _, _, err := NewMemScan(nil).Next(); err != ErrNotOpen {
-		t.Fatalf("unopened Next: %v", err)
-	}
 }
 
 // TestFilterProjectLimit runs filter, projection and a row limit the
@@ -64,11 +55,7 @@ func TestProjectOutOfRange(t *testing.T) {
 func TestSortAscDesc(t *testing.T) {
 	src := rows(3, 1, 2)
 	sorted := func(desc bool) []int64 {
-		m, err := ParallelSortBatches(NewSliceBatches(src, 0), 0, desc, nil, ParallelConfig{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Drain(m)
+		got, err := ParallelSortBatches(NewSliceBatches(src, 0), 0, desc, nil, ParallelConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,6 +69,12 @@ func TestSortAscDesc(t *testing.T) {
 	}
 }
 
+// TestHeapAndIndexScan counts a heap source and checks an index range
+// scan: the range's rows in posting order, then the NaN rows (NaN
+// equals every number to a predicate, but the index files it last),
+// minus a version deleted before the reading snapshot, each beside its
+// RID, in claims of at most the run size at any size, exhausted for
+// good — and the same multiset when four workers share it.
 func TestHeapAndIndexScan(t *testing.T) {
 	db, hf := newHeap(t, "t", 16)
 	idx := storage.NewBTree("t_a")
@@ -89,22 +82,65 @@ func TestHeapAndIndexScan(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		seed = append(seed, storage.Tuple{storage.IntValue(i), storage.StringValue("x")})
 	}
-	for i, rid := range load(t, db, hf, seed...) {
-		idx.Insert(storage.IntValue(int64(i)), rid)
+	nan := storage.FloatValue(math.NaN())
+	seed = append(seed, storage.Tuple{nan, storage.StringValue("n")}, storage.Tuple{nan, storage.StringValue("n")})
+	rids := load(t, db, hf, seed...)
+	for i, rid := range rids {
+		idx.Insert(seed[i][0], rid)
 	}
-	n, err := Count(NewHeapScan(hf.Blind()))
-	if err != nil || n != 100 {
+	n, err := Count(NewHeapBatches(hf.Blind(), nil, false))
+	if err != nil || n != 102 {
 		t.Fatalf("heap count = %d %v", n, err)
 	}
-	got, err := Drain(NewIndexScan(hf.Blind(), idx, storage.IntValue(10), storage.IntValue(19)))
-	if err != nil || len(got) != 10 {
-		t.Fatalf("index scan = %d %v", len(got), err)
+	del := db.Txns().Begin()
+	if err := del.Delete(hf, rids[13]); err != nil {
+		t.Fatal(err)
 	}
-	for i, tu := range got {
-		if tu[0].Int != int64(10+i) {
-			t.Fatalf("order: %v", intsOf(got, 0))
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	view := db.Txns().Begin().View(hf)
+	var want []storage.Tuple
+	for i := 10; i < 20; i++ {
+		if i != 13 {
+			want = append(want, seed[i])
 		}
 	}
+	want = append(want, seed[100:]...)
+	for _, size := range []int{1, 3, 0} {
+		s := NewIndexScan(view, idx, storage.IntValue(10), storage.IntValue(19), size)
+		b := GetBatch()
+		var got []storage.Tuple
+		for {
+			n, err := s.NextBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			if size > 0 && n > size || len(b.RIDs) != n {
+				t.Fatalf("size=%d: batch of %d rows, %d RIDs", size, n, len(b.RIDs))
+			}
+			for i, tu := range b.Tuples {
+				if at, err := view.Get(b.RIDs[i]); err != nil || at[1].Str != tu[1].Str || at[0].String() != tu[0].String() {
+					t.Fatalf("size=%d: %v beside %v, which holds %v (%v)", size, tu, b.RIDs[i], at, err)
+				}
+			}
+			got = append(got, b.Tuples...)
+		}
+		if n, err := s.NextBatch(b); n != 0 || err != nil {
+			t.Fatalf("size=%d: claim after exhaustion = %d, %v", size, n, err)
+		}
+		PutBatch(b)
+		requireSameRows(t, fmt.Sprintf("size=%d", size), got, want)
+	}
+	got, err := DrainParallelBatches(NewIndexScan(view, idx, storage.IntValue(10), storage.IntValue(19), 2),
+		ParallelConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMultiset(t, got, want)
 }
 
 func joinInputs() ([]storage.Tuple, []storage.Tuple) {
@@ -165,6 +201,11 @@ func TestHashJoinRespectsColumnsAndNulls(t *testing.T) {
 	}
 }
 
+// TestIndexNLJoin checks the index nested-loop join against a nested
+// loop over the inner view at 1/2/4 workers: a NULL outer key and an
+// unmatched one join nothing, and a version deleted before the reading
+// snapshot is skipped. Each joined row is the outer's columns, then the
+// inner's.
 func TestIndexNLJoin(t *testing.T) {
 	db, inner := newHeap(t, "inner", 16)
 	idx := storage.NewBTree("inner_k")
@@ -172,28 +213,44 @@ func TestIndexNLJoin(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		seed = append(seed, storage.Tuple{storage.IntValue(i % 10), storage.IntValue(i)})
 	}
-	for i, rid := range load(t, db, inner, seed...) {
+	rids := load(t, db, inner, seed...)
+	for i, rid := range rids {
 		idx.Insert(storage.IntValue(int64(i%10)), rid)
 	}
-	outer := rows(3, 7, 3)
-	j := NewIndexNLJoin(NewMemScan(outer), 0, idx, inner.Blind())
-	got, err := Drain(j)
+	del := db.Txns().Begin()
+	if err := del.Delete(inner, rids[3]); err != nil { // key 3
+		t.Fatal(err)
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	view := db.Txns().Begin().View(inner)
+	outer := append(rows(3, 7, 42, 3), storage.Tuple{storage.NullValue(), storage.StringValue("r")})
+	all, err := view.All()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 15 { // 5 inner matches per outer tuple
-		t.Fatalf("rows = %d", len(got))
-	}
-	if j.Probes != 3 {
-		t.Fatalf("probes = %d", j.Probes)
-	}
-	// Agreement with the nested-loop oracle: outer rows, then inner.
-	all, _ := inner.Blind().All()
 	var want []storage.Tuple
-	for _, m := range joinOracle(all, outer, 0) {
-		want = append(want, append(m[2:4:4], m[:2]...))
+	for _, o := range outer {
+		for _, in := range all {
+			if !o[0].IsNull() && storage.Compare(o[0], in[0]) == 0 {
+				want = append(want, append(append(storage.Tuple{}, o...), in...))
+			}
+		}
 	}
-	sameMultiset(t, got, want)
+	if len(want) != 13 { // 4 + 5 + 0 + 4 + 0: one key-3 version deleted
+		t.Fatalf("nested loop = %d rows", len(want))
+	}
+	for _, w := range []int{1, 2, 4} {
+		for _, size := range []int{1, 2, 0} {
+			got, err := DrainParallelBatches(NewIndexNLJoin(NewSliceBatches(outer, size), 0, idx, view),
+				ParallelConfig{Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMultiset(t, got, want)
+		}
+	}
 }
 
 func TestHashAggregate(t *testing.T) {

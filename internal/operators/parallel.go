@@ -1,5 +1,5 @@
 // Morsel-driven parallel execution: the exchange layer that widens
-// the Volcano pipeline across GOMAXPROCS workers. The design follows
+// the batch pipeline across GOMAXPROCS workers. The design follows
 // the morsel model (Leis et al.): sources hand out small batches
 // ("morsels") to whichever worker is free, so skewed partitions never
 // stall the pipeline; the hash join runs as a partitioned build (each
@@ -82,16 +82,17 @@ func (c ParallelConfig) WorkerCount() int {
 }
 
 // ---------------------------------------------------------------------------
-// Batch sources (the concurrent counterpart of BatchIterator).
+// Batch sources.
 
-// BatchSource hands out batches of tuples to concurrent workers.
-// NextBatch must be safe for concurrent use; it resets and refills b
-// and returns the tuple count, 0 with nil error meaning exhausted.
-// Each tuple is handed out exactly once, so a partially-consumed
-// source can keep serving the remainder to a later phase (how
-// replanning resumes the aborted build side). Tuple values must stay
-// valid after b is reused — sources decode arena-style or serve
-// stable slices, so consumers may retain tuples without copying.
+// BatchSource is the engine's one operator protocol: it hands out
+// batches of tuples to concurrent workers. NextBatch must be safe for
+// concurrent use; it resets and refills b and returns the tuple count,
+// 0 with nil error meaning exhausted. Each tuple is handed out exactly
+// once, so a partially-consumed source can keep serving the remainder
+// to a later phase (how replanning resumes the aborted build side).
+// Tuple values must stay valid after b is reused — sources decode
+// arena-style or serve stable slices, so consumers may retain tuples
+// without copying.
 type BatchSource interface {
 	NextBatch(b *Batch) (int, error)
 }
@@ -100,28 +101,27 @@ type BatchSource interface {
 // indexes from an atomic cursor over a snapshot of the page list and
 // decode each page into their own batch under one read-latch
 // acquisition, so the underlying file stays shareable with concurrent
-// writers. With a kernel attached (NewHeapBatchesKernel), each claimed
-// page is first tested against its zone map — pruned pages cost one
-// atomic increment instead of a pin+decode — and survivors are
-// filtered through the kernel inside the claiming worker.
+// writers. With a kernel attached, each claimed page is first tested
+// against its zone map — pruned pages cost one atomic increment instead
+// of a pin+decode — and survivors are filtered through the kernel
+// inside the claiming worker: the scan+filter pipeline the paper's
+// database machines pushed to the disk head, here pushed below the
+// batch boundary.
 type HeapBatches struct {
 	file   *storage.HeapView
 	kernel *FilterKernel
+	rids   bool
 	pages  []storage.PageID
 	zones  [][]storage.ColZone
 	next   atomic.Int64
 }
 
-// NewHeapBatches snapshots file's pages for parallel consumption.
-func NewHeapBatches(file *storage.HeapView) *HeapBatches {
-	return &HeapBatches{file: file, pages: file.PageIDs()}
-}
-
-// NewHeapBatchesKernel snapshots file's pages and zone maps for
-// parallel consumption with kernel-fused filtering. The kernel (shared
-// by all workers) may be nil, giving plain NewHeapBatches behaviour.
-func NewHeapBatchesKernel(file *storage.HeapView, kernel *FilterKernel) *HeapBatches {
-	h := &HeapBatches{file: file, kernel: kernel, pages: file.PageIDs()}
+// NewHeapBatches snapshots file's pages (and, with a kernel, their zone
+// maps) for parallel consumption. The kernel, shared by all workers, may
+// be nil: no filtering. With rids every batch carries its tuples' RIDs
+// (Batch.RIDs), read from the same image of the page as the tuples.
+func NewHeapBatches(file *storage.HeapView, kernel *FilterKernel, rids bool) *HeapBatches {
+	h := &HeapBatches{file: file, kernel: kernel, rids: rids, pages: file.PageIDs()}
 	if kernel != nil {
 		h.zones = file.PageZones(h.pages)
 	}
@@ -143,11 +143,15 @@ func (h *HeapBatches) NextBatch(b *Batch) (int, error) {
 				continue
 			}
 		}
-		ts, err := h.file.PageTuplesInto(h.pages[i], b.Tuples[:0])
+		var err error
+		if h.rids {
+			b.Tuples, b.RIDs, err = h.file.PageRowsInto(h.pages[i], b.Tuples[:0], b.RIDs[:0])
+		} else {
+			b.Tuples, err = h.file.PageTuplesInto(h.pages[i], b.Tuples[:0])
+		}
 		if err != nil {
 			return 0, err
 		}
-		b.Tuples = ts
 		if h.kernel != nil {
 			h.kernel.countPage(false)
 			if h.kernel.Apply(b) > 0 {
@@ -155,8 +159,8 @@ func (h *HeapBatches) NextBatch(b *Batch) (int, error) {
 			}
 			continue
 		}
-		if len(ts) > 0 {
-			return len(ts), nil
+		if len(b.Tuples) > 0 {
+			return len(b.Tuples), nil
 		}
 	}
 }
@@ -221,59 +225,6 @@ func (f *FilterBatches) NextBatch(b *Batch) (int, error) {
 	}
 }
 
-// IterBatches adapts a serial Iterator (index scans, adaptive
-// operators) to the batch-source interface behind a mutex: the scan
-// itself is serialised but everything downstream still parallelises.
-type IterBatches struct {
-	mu     sync.Mutex
-	it     Iterator
-	size   int
-	opened bool
-	done   bool
-}
-
-// NewIterBatches wraps it; size <= 0 means DefaultBatchSize. The
-// iterator is opened lazily on first claim and closed at exhaustion.
-func NewIterBatches(it Iterator, size int) *IterBatches {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &IterBatches{it: it, size: size}
-}
-
-// NextBatch implements BatchSource.
-func (m *IterBatches) NextBatch(b *Batch) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b.Reset()
-	if m.done {
-		return 0, nil
-	}
-	if !m.opened {
-		if err := m.it.Open(); err != nil {
-			m.done = true
-			return 0, err
-		}
-		m.opened = true
-	}
-	for len(b.Tuples) < m.size {
-		t, ok, err := m.it.Next()
-		if err != nil {
-			m.done = true
-			return 0, errors.Join(err, m.it.Close())
-		}
-		if !ok {
-			m.done = true
-			if cerr := m.it.Close(); cerr != nil {
-				return 0, cerr
-			}
-			break
-		}
-		b.Tuples = append(b.Tuples, t)
-	}
-	return len(b.Tuples), nil
-}
-
 // ChainBatches serves all of a, then all of b (the replay stream of a
 // replanned join: consumed prefix first, then the untouched remainder
 // of the aborted source).
@@ -298,7 +249,20 @@ func (c *ChainBatches) NextBatch(b *Batch) (int, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel drain (scan/filter fan-out).
+// Drains.
+
+// Count drains src on the calling goroutine and returns its tuple count.
+func Count(src BatchSource) (n int, err error) {
+	b := GetBatch()
+	defer PutBatch(b)
+	for {
+		k, err := src.NextBatch(b)
+		if err != nil || k == 0 {
+			return n, err
+		}
+		n += k
+	}
+}
 
 // DrainParallelBatches collects every tuple of src using cfg workers,
 // each pulling into a pool-recycled batch. The result order is

@@ -67,7 +67,7 @@ func TestHeapBatchesMatchSerialScan(t *testing.T) {
 		want = append(want, intTuple(int64(i), int64(i%13)))
 	}
 	load(t, db, hf, want...)
-	got, err := DrainParallelBatches(NewHeapBatches(hf.Blind()), ParallelConfig{Workers: 4})
+	got, err := DrainParallelBatches(NewHeapBatches(hf.Blind(), nil, false), ParallelConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +91,6 @@ func TestFilterBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMultiset(t, got, want)
-}
-
-func TestIterBatchesMatchesDrain(t *testing.T) {
-	var in []storage.Tuple
-	for i := 0; i < 333; i++ {
-		in = append(in, intTuple(int64(i)))
-	}
-	src := NewIterBatches(NewMemScan(in), 10)
-	got, err := DrainParallelBatches(src, ParallelConfig{Workers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMultiset(t, got, in)
 }
 
 func TestParallelJoinMatchesSerial(t *testing.T) {

@@ -13,9 +13,10 @@
 //     numbers — Compare's NaN-equals-everything is non-transitive and
 //     cannot drive a deterministic sort), and sorts its accumulated
 //     run with plain float/string comparisons;
-//   - a k-way loser-tree (tournament) merge streams globally ordered
-//     tuples out of the worker runs without re-materialising them —
-//     each emitted tuple costs ⌈log₂ k⌉ comparisons up the tree;
+//   - a k-way loser-tree (tournament) merge lays the worker runs out
+//     in global order in one presized slice of tuple headers (the
+//     tuples themselves are not copied) — each emitted tuple costs
+//     ⌈log₂ k⌉ comparisons up the tree;
 //   - ORDER BY ... LIMIT k runs as a bounded Top-K heap instead: each
 //     worker keeps only its k best rows, and the barrier merges the
 //     ≤ k·W candidates, so LIMIT 10 over a million rows never
@@ -352,40 +353,16 @@ func (lt *loserTree) next() (storage.Tuple, bool) {
 	return t, true
 }
 
-// MergedRuns streams the loser-tree merge as a Volcano iterator, so
-// downstream operators consume globally ordered tuples without the
-// runs ever being concatenated or re-sorted.
-type MergedRuns struct {
-	lt   *loserTree
-	open bool
-}
-
-// Open implements Iterator.
-func (m *MergedRuns) Open() error { m.open = true; return nil }
-
-// Next implements Iterator.
-func (m *MergedRuns) Next() (storage.Tuple, bool, error) {
-	if !m.open {
-		return nil, false, ErrNotOpen
-	}
-	t, ok := m.lt.next()
-	return t, ok, nil
-}
-
-// Close implements Iterator; the runs are released.
-func (m *MergedRuns) Close() error { m.open = false; m.lt = nil; return nil }
-
 // ---------------------------------------------------------------------------
 // Parallel sort.
 
 // ParallelSortBatches sorts src by col across cfg workers: each worker
 // claims batches, extracts the typed key column, and accumulates one
-// local run, sorted at source exhaustion; the returned iterator
-// streams the loser-tree merge of the runs. Key ties break on the
-// contents of the tie columns (nil: the whole tuple). Output order is
-// fully deterministic (see package comment): identical at any worker
-// count and batch size.
-func ParallelSortBatches(src BatchSource, col int, desc bool, tie []int, cfg ParallelConfig) (*MergedRuns, error) {
+// local run, sorted at source exhaustion; the runs' loser-tree merge
+// is the returned rows. Key ties break on the contents of the tie
+// columns (nil: the whole tuple). Output order is fully deterministic
+// (see package comment): identical at any worker count and batch size.
+func ParallelSortBatches(src BatchSource, col int, desc bool, tie []int, cfg ParallelConfig) ([]storage.Tuple, error) {
 	o := sortOrder{desc: desc, tie: tie}
 	w := cfg.WorkerCount()
 	runs := make([]sortRun, w)
@@ -420,13 +397,18 @@ func ParallelSortBatches(src BatchSource, col int, desc bool, tie []int, cfg Par
 		return nil, err
 	}
 	// Drop empty runs so the tournament only plays live heads.
-	live := runs[:0]
+	live, rows := runs[:0], 0
 	for _, r := range runs {
 		if len(r.tups) > 0 {
-			live = append(live, r)
+			live, rows = append(live, r), rows+len(r.tups)
 		}
 	}
-	return &MergedRuns{lt: newLoserTree(live, o)}, nil
+	out := make([]storage.Tuple, 0, rows)
+	lt := newLoserTree(live, o)
+	for t, ok := lt.next(); ok; t, ok = lt.next() {
+		out = append(out, t)
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

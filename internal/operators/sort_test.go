@@ -246,12 +246,8 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 			want := sortedRef(tuples, 0, desc, tie)
 			for _, w := range []int{1, 2, 4, 8} {
 				for _, batch := range []int{1, 64, 1024} {
-					m, err := ParallelSortBatches(NewSliceBatches(tuples, batch), 0, desc, tie,
+					got, err := ParallelSortBatches(NewSliceBatches(tuples, batch), 0, desc, tie,
 						ParallelConfig{Workers: w})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Drain(m)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -307,11 +303,7 @@ func TestParallelTopKMatchesSortPrefix(t *testing.T) {
 func TestSerialTopKMatchesSortLimit(t *testing.T) {
 	tuples := messyTuples(400)
 	serial := ParallelConfig{Workers: 1}
-	m, err := ParallelSortBatches(NewSliceBatches(tuples, 0), 0, false, nil, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Drain(m)
+	full, err := ParallelSortBatches(NewSliceBatches(tuples, 0), 0, false, nil, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,45 +360,6 @@ type countingBatches struct {
 func (c *countingBatches) NextBatch(b *Batch) (int, error) {
 	c.claims.Add(1)
 	return c.src.NextBatch(b)
-}
-
-// TestSortReleasesBuffer checks that the merged runs are dropped on
-// Close, whether the merge was drained or abandoned early, so a closed
-// sort pins none of its input.
-func TestSortReleasesBuffer(t *testing.T) {
-	sorted := func() *MergedRuns {
-		m, err := ParallelSortBatches(NewSliceBatches(messyTuples(50), 8), 0, false, nil,
-			ParallelConfig{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	s := sorted()
-	got, err := Drain(s)
-	if err != nil || len(got) != 50 {
-		t.Fatalf("drain = %d rows, %v", len(got), err)
-	}
-	if s.lt != nil {
-		t.Fatal("sort retained its runs after Close")
-	}
-	// Close-before-exhaustion must release too.
-	s2 := sorted()
-	if err := s2.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s2.Next(); !ok || err != nil {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s2.lt != nil {
-		t.Fatal("sort retained its runs after early Close")
-	}
-	if _, _, err := s2.Next(); err != ErrNotOpen {
-		t.Fatalf("Next after Close = %v, want ErrNotOpen", err)
-	}
 }
 
 // TestDrainParallelLimitStopsClaiming checks the cooperative LIMIT

@@ -430,13 +430,13 @@ func (c *Catalog) SetStats(table string, stats TableStats) error {
 	return nil
 }
 
-// Scan returns a raw iterator over a table's records, every version
-// (live or dead, committed or not): a measurement of the heap, not a
-// query — queries read through a transaction's snapshot.
-func (c *Catalog) Scan(table string) (operators.Iterator, error) {
+// Scan returns a raw batch source over a table's records, every
+// version (live or dead, committed or not): a measurement of the heap,
+// not a query — queries read through a transaction's snapshot.
+func (c *Catalog) Scan(table string) (operators.BatchSource, error) {
 	t, err := c.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	return operators.NewHeapScan(t.Heap.Blind()), nil
+	return operators.NewHeapBatches(t.Heap.Blind(), nil, false), nil
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/storage"
 )
 
@@ -162,11 +161,7 @@ func TestDMLDifferential(t *testing.T) {
 					tbl, _ := e.cat.Table("hard")
 
 					// The expectation, from the table as loaded.
-					it, err := e.cat.Scan("hard")
-					if err != nil {
-						t.Fatal(err)
-					}
-					before, err := operators.Drain(it)
+					before, err := tbl.Heap.Blind().All()
 					if err != nil {
 						t.Fatal(err)
 					}

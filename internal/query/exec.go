@@ -93,8 +93,9 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 // The SELECT contract, whatever the caller and the options: every
 // SELECT runs on the one adaptive pipeline (routing.go) at opts.Workers
 // workers — inline on the calling goroutine at one, and always inline
-// for a bare index scan with no aggregate or ORDER BY. Scans read through
-// opts.Txn's snapshot. opts.Cancel is polled between batches and
+// for a bare index scan with no aggregate or ORDER BY, whose postings
+// rarely outlast the first claim. Scans read through opts.Txn's
+// snapshot. opts.Cancel is polled between batches and
 // opts.MemBudget meters what the statement materialises; either cancels
 // it cooperatively and surfaces as its error. A worker panic is
 // contained: the statement re-runs once at one worker with adaptation

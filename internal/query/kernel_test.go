@@ -207,7 +207,7 @@ func TestThreeValuedLogicMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		kept, err := operators.DrainParallelBatches(
-			operators.NewFilterBatches(operators.NewHeapBatches(tbl.Heap.Blind()), pred), operators.ParallelConfig{Workers: 2})
+			operators.NewFilterBatches(operators.NewHeapBatches(tbl.Heap.Blind(), nil, false), pred), operators.ParallelConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,21 +105,23 @@ func (o ExecOptions) adaptive() AdaptiveConfig {
 // shared heap cursors with kernel-fused filtering (zone-map pruning +
 // vectorized conjuncts inside the claiming worker) on the sequential
 // path, the boxed in-place filter when kernels are disabled, and a
-// serialised (but still fan-out-feeding) index cursor, every predicate
-// re-checked on what it fetches, on the index path.
-func scanBatches(sp *scanPlan, size int) (operators.BatchSource, error) {
+// shared cursor over the index postings, fetching runs of size, every
+// predicate re-checked on what it fetches, on the index path. With rids
+// every batch carries its tuples' RIDs (an index scan's always do).
+func scanBatches(sp *scanPlan, size int, rids bool) (operators.BatchSource, error) {
 	var src operators.BatchSource
 	switch {
 	case sp.indexCol != "":
-		src = operators.NewIterBatches(sp.indexScan(), size)
+		idx, _ := sp.table.Index(sp.indexCol)
+		src = operators.NewIndexScan(sp.reader, idx, sp.indexLo, sp.indexHi, size)
 	case len(sp.preds) > 0 && !sp.noKernel:
 		k, err := sp.filterKernel()
 		if err != nil {
 			return nil, err
 		}
-		return operators.NewHeapBatchesKernel(sp.reader, k), nil
+		return operators.NewHeapBatches(sp.reader, k, rids), nil
 	default:
-		src = operators.NewHeapBatches(sp.reader)
+		src = operators.NewHeapBatches(sp.reader, nil, rids)
 	}
 	if len(sp.preds) > 0 {
 		pred, err := compilePreds(sp.sch, sp.preds)
@@ -173,8 +175,10 @@ func (e *Engine) runPipeline(st *SelectStmt, opts ExecOptions) (*Result, *ExecRe
 	}
 	rep := &ExecReport{Parallel: true, Workers: opts.workers()}
 	if sp := plan.scans[0]; len(plan.scans) == 1 && sp.indexCol != "" && tail.agg == nil && tail.order < 0 {
-		// A zero-step index drain runs inline: its source serialises the
-		// index cursor, so a second worker could only contend for it.
+		// A zero-step index drain runs inline: an index path is chosen
+		// for being selective (a keyed lookup fetches one row) and its
+		// postings are claimed a batch at a time, so a second worker
+		// would cost its launch and mostly find nothing left to claim.
 		rep.Workers = 1
 	}
 	plan.explainTx = "Parallel(workers=" + strconv.Itoa(rep.Workers) + ") " + plan.explainTx
@@ -374,11 +378,7 @@ func orderSourceParallel(src operators.BatchSource, idx int, desc bool, tie []in
 	if limit >= 0 {
 		return operators.ParallelTopKBatches(src, idx, desc, tie, limit, cfg)
 	}
-	merge, err := operators.ParallelSortBatches(src, idx, desc, tie, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return operators.Drain(merge)
+	return operators.ParallelSortBatches(src, idx, desc, tie, cfg)
 }
 
 // finishProject ends a SELECT once rows are in their final order:

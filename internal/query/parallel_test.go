@@ -180,24 +180,25 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 	}
 }
 
-// TestParallelIndexPathMatchesSerial covers the index-scan morsel
-// adapter: the serialised index cursor must feed the worker pool
-// without losing or duplicating rows.
+// TestParallelIndexPathMatchesSerial covers the index scan's shared
+// cursor: four workers claiming one posting at a time (under an ORDER
+// BY, so the scan is not drained inline) must lose and duplicate no
+// row.
 func TestParallelIndexPathMatchesSerial(t *testing.T) {
 	e := NewEngine(NewCatalog(256), trace.New(), nil)
 	seedParallel(t, e)
 	e.MustExec("CREATE INDEX ON orders (user_id)")
-	sql := "SELECT id, amount FROM orders WHERE user_id = 7"
+	sql := "SELECT id, amount FROM orders WHERE user_id = 7 ORDER BY id"
 	want := rowsMultiset(refSelect(t, e, sql, nil))
-	res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 4})
+	res, rep, err := e.ExecuteSQL(sql, ExecOptions{Workers: 4, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Parallel {
-		t.Fatal("expected parallel execution")
+	if !rep.Parallel || rep.Workers != 4 {
+		t.Fatalf("expected 4 parallel workers, report %+v", rep)
 	}
 	got := rowsMultiset(res)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
+	if len(want) < 2 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	if !strings.Contains(res.Plan, "IndexScan") {
@@ -273,9 +274,9 @@ func TestTraceStaysFlatWithoutAdaptation(t *testing.T) {
 }
 
 // TestIndexDrainRunsInline: a bare index scan runs at one worker
-// whatever Workers asks — its source serialises the index cursor — and
-// the report and the executed plan say so; anything more than a drain
-// keeps the requested workers.
+// whatever Workers asks — its postings rarely outlast the first claim —
+// and the report and the executed plan say so; anything more than a
+// drain keeps the requested workers.
 func TestIndexDrainRunsInline(t *testing.T) {
 	e := NewEngine(NewCatalog(256), trace.New(), nil)
 	seedParallel(t, e)

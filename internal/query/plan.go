@@ -100,80 +100,32 @@ func (s *scanPlan) distinctOn(col int) int {
 	return s.stats.Distinct[strings.ToLower(s.sch[col].Name)]
 }
 
-// indexScan is the chosen index path's operator.
-func (s *scanPlan) indexScan() *operators.IndexScan {
-	idx, _ := s.table.Index(s.indexCol)
-	return operators.NewIndexScan(s.reader, idx, s.indexLo, s.indexHi)
-}
-
-// heapScan is the page-at-a-time heap scan, with the filter kernel
-// fused (zone veto and all) when there is one to fuse.
-func (s *scanPlan) heapScan() (*operators.BatchHeapScan, error) {
-	bs := operators.NewBatchHeapScan(s.reader)
-	if len(s.preds) > 0 && !s.noKernel {
-		k, err := s.filterKernel()
-		if err != nil {
-			return nil, err
-		}
-		bs.Kernel = k
-	}
-	return bs, nil
-}
-
-// victims drains the scan's operator for the rows a DML statement will
-// change, with their RIDs. Index entries cover every version of a row:
-// the index scan fetches each through the reader (one outside the
-// snapshot reads as not found) and every predicate is re-checked on the
-// result. The heap scan hands over a page's tuples and RIDs from one
-// image of it. cancel is polled per fetch and per batch.
+// victims collects the rows a DML statement will change, with their
+// RIDs, from the source a SELECT over the same WHERE would scan (kernel,
+// page verdict and boxed residual included) at one worker. Index
+// entries cover every version of a row: the index scan fetches each
+// through the reader (one outside the snapshot reads as not found) and
+// every predicate is re-checked on the result. The heap scan hands over
+// a page's tuples and RIDs from one image of it. cancel is polled per
+// batch.
 func (s *scanPlan) victims(cancel func() error) ([]victim, error) {
-	pred, err := compilePreds(s.sch, s.preds)
+	src, err := scanBatches(s, 0, true)
 	if err != nil {
 		return nil, err
 	}
-	var out []victim
-	if s.indexCol != "" {
-		is := s.indexScan()
-		if err := is.Open(); err != nil {
-			return nil, err
-		}
-		defer is.Close()
-		for {
-			if err := cancel(); err != nil {
-				return nil, err
-			}
-			t, ok, err := is.Next()
-			if err != nil || !ok {
-				return out, err
-			}
-			if pred(t) {
-				out = append(out, victim{rid: is.RID(), row: t})
-			}
-		}
-	}
-	bs, err := s.heapScan()
-	if err != nil {
-		return nil, err
-	}
-	bs.WithRIDs = true
-	if err := bs.Open(); err != nil {
-		return nil, err
-	}
-	defer bs.Close()
 	b := operators.GetBatch() // page buffers whose capacity outlives the statement
 	defer operators.PutBatch(b)
+	var out []victim
 	for {
 		if err := cancel(); err != nil {
 			return nil, err
 		}
-		n, err := bs.NextBatch(b)
+		n, err := src.NextBatch(b)
 		if err != nil || n == 0 {
 			return out, err
 		}
 		for i, t := range b.Tuples {
-			if bs.Kernel != nil || pred(t) { // the kernel has filtered already
-				out = append(out, victim{rid: b.RIDs[i], row: t})
-			}
+			out = append(out, victim{rid: b.RIDs[i], row: t})
 		}
 	}
 }

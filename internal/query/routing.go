@@ -55,7 +55,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 	}
 	n := len(plan.scans)
 	if n == 1 {
-		src, err := scanBatches(plan.scans[0], batch)
+		src, err := scanBatches(plan.scans[0], batch, false)
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 	srcs := make([]operators.BatchSource, n)
 	src := func(i int) (operators.BatchSource, error) {
 		if srcs[i] == nil {
-			s, err := scanBatches(plan.scans[i], buildBatch)
+			s, err := scanBatches(plan.scans[i], buildBatch, false)
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +194,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 				rep.Adaptive.FinalBuild = b
 				ps = probeStage{table: bt, src: psrc, col: prCol, build: []int{bScan}, probe: []int{prScan}}
 			} else {
-				if ps, err = e.indexNLStage(plan, srcs[bScan], bScan, bCol, prScan, prCol, acfg, buildBatch); err != nil {
+				if ps, err = e.indexNLStage(plan, srcs[bScan], bScan, bCol, prScan, prCol, acfg); err != nil {
 					return nil, err
 				}
 				if ps.table == nil {
@@ -288,7 +288,7 @@ func (e *Engine) execStagedJoins(plan *selectPlan, tail *selectTail, opts ExecOp
 // a one-row, zero-column build table, so the stage is a probeStage like
 // any other. A zero stage means the move does not apply.
 func (e *Engine) indexNLStage(plan *selectPlan, replay operators.BatchSource, b, bCol, inner, innerCol int,
-	acfg AdaptiveConfig, size int) (probeStage, error) {
+	acfg AdaptiveConfig) (probeStage, error) {
 	in := plan.scans[inner]
 	if !acfg.PreferIndex || innerCol < 0 || len(in.preds) > 0 {
 		return probeStage{}, nil
@@ -302,8 +302,8 @@ func (e *Engine) indexNLStage(plan *selectPlan, replay operators.BatchSource, b,
 	if err != nil {
 		return probeStage{}, err
 	}
-	nl := operators.NewIndexNLJoin(operators.NewSourceIterator(replay), bCol, idx, in.reader)
-	return probeStage{table: unit, src: operators.NewIterBatches(nl, size), col: -1, probe: []int{b, inner}}, nil
+	nl := operators.NewIndexNLJoin(replay, bCol, idx, in.reader)
+	return probeStage{table: unit, src: nl, col: -1, probe: []int{b, inner}}, nil
 }
 
 // stagedBuild runs one safe-pointed hash build of scan b from srcs[b].

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/adm-project/adm/internal/operators"
 	"github.com/adm-project/adm/internal/storage"
 )
 
@@ -202,6 +203,44 @@ func TestTxnWriteConflictThroughEngine(t *testing.T) {
 	_, err := execTxn(eng, "UPDATE kv SET v = 'b' WHERE k = 2", t2)
 	if !errors.Is(err, storage.ErrWriteConflict) {
 		t.Fatalf("concurrent update err = %v, want ErrWriteConflict", err)
+	}
+}
+
+// TestCatalogScanCountsEveryVersion pins the raw scan the wire
+// benchmark's per-layer heap timing counts (Catalog.Scan through
+// operators.Count): every version on the table's pages, as
+// HeapFile.Count reports them — after an UPDATE (old and new versions)
+// and a rolled-back INSERT — and an error for an unknown table, so the
+// timing cannot silently count nothing.
+func TestCatalogScanCountsEveryVersion(t *testing.T) {
+	eng, db := newTxnEngine(t, 20, false)
+	eng.MustExec("UPDATE kv SET v = 'u' WHERE k < 5")
+	txn := db.Txns().Begin()
+	if _, err := execTxn(eng, "INSERT INTO kv VALUES (99, 'gone')", txn); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := eng.Catalog().Scan("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := operators.Count(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := eng.Catalog().Table("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 20 loaded, 5 new versions from the UPDATE; the rolled-back insert
+	// is undone off its page.
+	if want := tbl.Heap.Count(); n != want || n != 25 {
+		t.Fatalf("Scan counted %d versions; Heap.Count = %d, want both 25", n, want)
+	}
+	if _, err := eng.Catalog().Scan("nope"); err == nil {
+		t.Fatal("Scan of an unknown table: want an error")
 	}
 }
 

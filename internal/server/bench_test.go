@@ -162,7 +162,9 @@ func statementOp(tb testing.TB, srv *Server, name string) func() {
 // index cursor, a token slice grown by doubling, a fresh buffer per
 // frame, a timer per statement); 3,170-3,250 B and 47 allocs after, at
 // GOMAXPROCS 1, 2 and 4; 47 → 46 (3,140-3,230 B) once the statement's
-// view holds its transaction instead of a visibility closure.
+// view holds its transaction instead of a visibility closure; 46 → 45
+// (3,100-3,170 → 2,940-3,000 B) once the index scan is a batch source
+// itself instead of an iterator behind a mutexed adapter.
 const (
 	pointByteBudget  = 3584
 	pointAllocBudget = 52
@@ -184,7 +186,8 @@ const (
 // -bench) while every write dropped its page's decode image and the
 // UPDATE's scan re-decoded the claimed page and the tail page each
 // transaction; 8,500-8,600 B and 105 allocs at GOMAXPROCS 1, 2 and 4
-// once the image survives inserts and claims.
+// once the image survives inserts and claims; 8,390-8,570 B and 103
+// once the UPDATE's row search reads through the SELECT scan source.
 const (
 	writeByteBudget  = 9472
 	writeAllocBudget = 112

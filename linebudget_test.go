@@ -21,7 +21,9 @@ import (
 // type assertions out). 7230 with one SELECT executor (the Volcano
 // reference path and its operators out). 7237 once COUNT(col) skips
 // NULLs (AggSpec.NonNull and the accumulator reading COUNT's column).
-const engineLineBudget = 7237
+// 6886 with one operator protocol (Iterator, BatchIterator, their scans
+// and the adapters between them out; every operator a BatchSource).
+const engineLineBudget = 6886
 
 // Non-test lines of internal/storage: 4885 with two record formats and
 // detached heap files, 4551 with one of each (versioned records, every

@@ -25,7 +25,9 @@
 #                read DML picks its victims through
 #                (TestPageRowsReadOneImage), the query package's the
 #                sessions whose keyed claims run beside a sequential
-#                UPDATE (TestKeyedClaimsBesideSequentialUpdate)
+#                UPDATE (TestKeyedClaimsBesideSequentialUpdate); the
+#                server package's, since a streamed scan's morsel
+#                workers write the connection's reply themselves
 #   crash matrix the deterministic fault-injection recovery suite
 #                (internal/fault) at GOMAXPROCS=2 and 4 under two
 #                ADM_FAULT_SEED schedules: crash at every WAL write
@@ -133,7 +135,8 @@ else
     for gmp in 2 4; do
         echo "   GOMAXPROCS=$gmp"
         GOMAXPROCS=$gmp go test -count=1 -race \
-            ./internal/operators/... ./internal/query/... ./internal/storage/...
+            ./internal/operators/... ./internal/query/... ./internal/storage/... \
+            ./internal/server/...
     done
 
     step "crash matrix (seeded fault schedules)"

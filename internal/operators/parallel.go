@@ -54,9 +54,9 @@ type ParallelConfig struct {
 	// Limit, when > 0, is a cooperative output quota: workers stop
 	// claiming batches as soon as the combined output reaches Limit
 	// rows, so a satisfied downstream LIMIT cancels the rest of the
-	// scan instead of finishing it. Checked at batch granularity — the
-	// drain may return slightly more than Limit rows (in-flight batches
-	// complete); callers truncate. <= 0 means unlimited.
+	// scan instead of finishing it. A stream emits exactly min(Limit,
+	// rows); a probe may return more (in-flight batches complete), which
+	// callers truncate. <= 0 means unlimited.
 	Limit int
 	// Cancel, when non-nil, is polled by every worker between batches:
 	// a non-nil return cancels the statement cooperatively (the error
@@ -264,51 +264,83 @@ func Count(src BatchSource) (n int, err error) {
 	}
 }
 
-// DrainParallelBatches collects every tuple of src using cfg workers,
-// each pulling into a pool-recycled batch. The result order is
-// nondeterministic (a multiset). When cfg.Limit > 0, workers stop
-// claiming once the combined output covers the quota.
-func DrainParallelBatches(src BatchSource, cfg ParallelConfig) ([]storage.Tuple, error) {
-	w := cfg.WorkerCount()
-	outs := make([][]storage.Tuple, w)
-	var produced atomic.Int64
-	var fail failFlag
-	fanOut(w, &fail, "scan", func(i int) {
+// RowEmitter takes a stream's rows; an error fails the stream.
+type RowEmitter interface {
+	EmitRows(rows []storage.Tuple) error
+}
+
+// stream is one StreamParallelBatches run: the failure latch, and the
+// lock that serialises the emitter and guards the emitted count.
+type stream struct {
+	fail    failFlag
+	mu      sync.Mutex
+	emitted int
+	full    atomic.Bool // emitted reached the limit
+}
+
+// put hands rows, cut to what the limit leaves, to emit under the lock.
+func (s *stream) put(emit RowEmitter, limit int, rows []storage.Tuple) error {
+	s.mu.Lock()
+	defer s.mu.Unlock() // a panicking emitter must not wedge its peers
+	if limit > 0 {
+		rows = rows[:min(len(rows), limit-s.emitted)]
+		s.full.Store(s.emitted+len(rows) >= limit)
+	}
+	s.emitted += len(rows)
+	return emit.EmitRows(rows)
+}
+
+// StreamParallelBatches hands every tuple of src to emit as cfg workers
+// claim it, one call at a time with a batch valid only for the call, so
+// the stream is never held whole; the order is arbitrary. With cfg.Limit
+// > 0 it emits exactly min(Limit, rows), and workers then stop claiming.
+func StreamParallelBatches(src BatchSource, cfg ParallelConfig, emit RowEmitter) error {
+	s := &stream{}
+	fanOut(cfg.WorkerCount(), &s.fail, "scan", func(i int) {
 		b := GetBatch()
 		defer PutBatch(b)
 		rows := 0
-		for !fail.failed() {
-			if cfg.Limit > 0 && produced.Load() >= int64(cfg.Limit) {
-				break
-			}
-			if cfg.interrupted(&fail) {
-				break
-			}
+		for !s.fail.failed() && !s.full.Load() && !cfg.interrupted(&s.fail) {
 			n, err := src.NextBatch(b)
+			if err == nil && n > 0 {
+				rows += n
+				err = s.put(emit, cfg.Limit, b.Tuples)
+			}
 			if err != nil {
-				fail.set(err)
-				return
+				s.fail.set(err)
 			}
-			if n == 0 {
+			if err != nil || n == 0 {
 				break
-			}
-			if cfg.charge(&fail, b.Tuples) {
-				break
-			}
-			outs[i] = append(outs[i], b.Tuples...)
-			rows += n
-			if cfg.Limit > 0 {
-				produced.Add(int64(n))
 			}
 		}
 		if cfg.OnWorker != nil {
 			cfg.OnWorker(i, "scan", rows)
 		}
 	})
-	if err := fail.err(); err != nil {
+	return s.fail.err()
+}
+
+// DrainParallelBatches collects what StreamParallelBatches emits,
+// charging it to cfg.Budget.
+func DrainParallelBatches(src BatchSource, cfg ParallelConfig) ([]storage.Tuple, error) {
+	c := &collector{budget: cfg.Budget}
+	if err := StreamParallelBatches(src, cfg, c); err != nil {
 		return nil, err
 	}
-	return mergeSlices(outs), nil
+	return c.rows, nil
+}
+
+// collector is DrainParallelBatches's emitter.
+type collector struct {
+	rows   []storage.Tuple
+	budget *MemBudget
+}
+
+func (c *collector) EmitRows(rows []storage.Tuple) (err error) {
+	if c.rows = append(c.rows, rows...); c.budget != nil {
+		err = c.budget.Charge(TupleBytes(rows))
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -909,19 +941,6 @@ func (f *failFlag) err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.e
-}
-
-// mergeSlices concatenates per-worker outputs.
-func mergeSlices(outs [][]storage.Tuple) []storage.Tuple {
-	n := 0
-	for _, o := range outs {
-		n += len(o)
-	}
-	merged := make([]storage.Tuple, 0, n)
-	for _, o := range outs {
-		merged = append(merged, o...)
-	}
-	return merged
 }
 
 // fnv32 is FNV-1a over the join key, the radix-partition hash.

@@ -364,7 +364,8 @@ func (c *countingBatches) NextBatch(b *Batch) (int, error) {
 
 // TestDrainParallelLimitStopsClaiming checks the cooperative LIMIT
 // quota: once the quota is covered, workers stop claiming batches, so
-// a LIMIT 10 over a huge source never drains it.
+// a LIMIT 10 over a huge source never drains it, and it returns exactly
+// the quota.
 func TestDrainParallelLimitStopsClaiming(t *testing.T) {
 	const rows, batch, limit, workers = 100_000, 100, 10, 4
 	tuples := make([]storage.Tuple, rows)
@@ -376,8 +377,8 @@ func TestDrainParallelLimitStopsClaiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) < limit {
-		t.Fatalf("drained %d rows, want at least %d", len(got), limit)
+	if len(got) != limit {
+		t.Fatalf("drained %d rows, want %d", len(got), limit)
 	}
 	// Each worker may have one batch in flight when the quota fills;
 	// anything near the full source means cancellation did not work.

@@ -99,10 +99,12 @@ func (e *Engine) ExecuteSQL(sql string, opts ExecOptions) (*Result, *ExecReport,
 // opts.MemBudget meters what the statement materialises; either cancels
 // it cooperatively and surfaces as its error. A worker panic is
 // contained: the statement re-runs once at one worker with adaptation
-// off, and a second panic is its error (runSelect). The result is the same
-// multiset at every worker count, batch size and adaptation setting;
-// row order is unspecified without ORDER BY, and with ORDER BY it is
-// one total order (ties break on the output row's content).
+// off, and a second panic is its error (runSelect), as is the first once
+// a row has left for opts.Sink. Rows leave before autocommit commits: a
+// read transaction commits without writing, so that cannot fail. The
+// result is the same multiset at every worker count, batch size and
+// adaptation setting; row order is unspecified without ORDER BY, and
+// with ORDER BY it is one total order (ties break on the row's content).
 func (e *Engine) ExecuteStmt(st Stmt, opts ExecOptions) (*Result, *ExecReport, error) {
 	if opts.Txn == nil && transactional(st) {
 		return e.autocommit(st, opts)

@@ -56,6 +56,8 @@ type ExecOptions struct {
 	// materialises across every phase; overflow cancels it with
 	// operators.ErrMemBudget.
 	MemBudget *operators.MemBudget
+	// Sink, when set, takes a SELECT's rows instead of Result.Rows.
+	Sink RowSink
 
 	// panicInWorker, when set (tests only), is the pipeline's
 	// ParallelConfig.OnWorker: it runs inside each worker as it finishes
@@ -64,20 +66,28 @@ type ExecOptions struct {
 	panicInWorker func(worker int, phase string, rows int)
 }
 
+// RowSink takes a SELECT's rows, the values at positions pos of each
+// tuple: a bare unordered scan's batch by batch from its workers, any
+// other SELECT's at once. Calls never overlap; rows is theirs alone.
+type RowSink interface {
+	Rows(names []string, pos []int, rows []storage.Tuple) error
+}
+
 // ExecReport describes how ExecuteStmt ran.
 type ExecReport struct {
 	// Parallel is false when the statement was not a SELECT, or when a
 	// contained worker panic re-ran it at one worker (PanicContained).
 	Parallel bool
-	// Workers is the effective worker count of a SELECT.
-	Workers int
-	// Adaptive reports what the mid-query re-optimiser did.
-	Adaptive AdaptiveReport
 	// PanicContained is true when a worker panicked and the statement
 	// was re-run once on the same pipeline at one worker with
 	// adaptation off (runSelect): one bad worker degrades the query
 	// instead of killing the process.
 	PanicContained bool
+	// Workers is the effective worker count of a SELECT.
+	Workers int
+	// Adaptive reports what the mid-query re-optimiser did.
+	Adaptive AdaptiveReport
+	Sent     int // rows handed to ExecOptions.Sink, failed or not
 }
 
 func (o ExecOptions) workers() int {
@@ -136,16 +146,17 @@ func scanBatches(sp *scanPlan, size int, rids bool) (operators.BatchSource, erro
 // runSelect runs a SELECT on the pipeline, with panic containment: a
 // worker panic surfaces as *operators.PanicError after all its peers
 // have drained at the phase barrier (the failFlag protocol), so nothing
-// of the failed run still touches shared state. The statement is then
-// planned afresh and run once more at one worker with adaptation off:
-// that escapes worker races and every router move (replans, safe
-// points, PreferIndex), but not a deterministic bug in one-worker
-// pipeline code, whose second panic is the statement's error. Other
-// errors pass through untouched.
+// of the failed run still touches shared state. Unless a row has
+// already left for opts.Sink (a re-run would send it twice), the
+// statement is then planned afresh and run once more at one worker with
+// adaptation off: that escapes worker races and every router move
+// (replans, safe points, PreferIndex), but not a deterministic bug in
+// one-worker pipeline code, whose second panic is the statement's
+// error. Other errors pass through untouched.
 func (e *Engine) runSelect(st *SelectStmt, opts ExecOptions) (*Result, *ExecReport, error) {
 	res, rep, err := e.runPipeline(st, opts)
 	var pe *operators.PanicError
-	if !errors.As(err, &pe) {
+	if !errors.As(err, &pe) || rep.Sent > 0 {
 		return res, rep, err
 	}
 	e.log.Span("query.parallel").Emit(e.clock(), trace.KindPanic,
@@ -168,6 +179,7 @@ func (e *Engine) runPipeline(st *SelectStmt, opts ExecOptions) (*Result, *ExecRe
 	if err != nil {
 		return nil, nil, err
 	}
+	tail.sink = opts.Sink
 	if opts.NoVectorKernels {
 		for _, sp := range plan.scans {
 			sp.noKernel = true
@@ -184,6 +196,7 @@ func (e *Engine) runPipeline(st *SelectStmt, opts ExecOptions) (*Result, *ExecRe
 	plan.explainTx = "Parallel(workers=" + strconv.Itoa(rep.Workers) + ") " + plan.explainTx
 
 	res, err := e.execStagedJoins(plan, &tail, opts, rep)
+	rep.Sent = tail.sent
 	if err != nil {
 		return nil, rep, err
 	}
@@ -215,6 +228,14 @@ type selectTail struct {
 	// order locates the ORDER BY column — in cols, or in the aggregate's
 	// output row; -1 without ORDER BY.
 	order int
+	sink  RowSink // ExecOptions.Sink
+	sent  int     // rows handed to sink
+}
+
+// EmitRows streams a scan's batch: the select list leads tail.cols.
+func (t *selectTail) EmitRows(rows []storage.Tuple) error {
+	t.sent += len(rows)
+	return t.sink.Rows(t.names, t.cols[:len(t.names)], rows)
 }
 
 func compileTail(st *SelectStmt, sch schema) (selectTail, error) {
@@ -323,8 +344,9 @@ func (e *Engine) probeTail(plan *selectPlan, tail *selectTail, ps probeStage,
 }
 
 // scanTail is the zero-join pipeline: the scan's batch source feeds
-// the aggregate, the sort or the drain directly. It is also how the
-// router ends a statement whose joined prefix came out empty.
+// the aggregate, the sort or the drain — a stream, into a sink — directly.
+// It is also how the router ends a statement whose joined prefix came
+// out empty.
 func (e *Engine) scanTail(plan *selectPlan, tail *selectTail, src operators.BatchSource,
 	cfg operators.ParallelConfig) (*Result, error) {
 	st := plan.stmt
@@ -347,10 +369,15 @@ func (e *Engine) scanTail(plan *selectPlan, tail *selectTail, src operators.Batc
 	} else {
 		if st.Limit > 0 {
 			// Unordered LIMIT: any prefix is valid, so a satisfied quota
-			// stops the workers claiming pages (early termination).
+			// stops the workers claiming pages (early termination). A
+			// zero quota is none: LIMIT 0 drains, and finishProject cuts.
 			cfg.Limit = st.Limit
 		}
-		rows, err = operators.DrainParallelBatches(src, cfg)
+		if tail.sink != nil && st.Limit != 0 {
+			err = operators.StreamParallelBatches(src, cfg, tail)
+		} else {
+			rows, err = operators.DrainParallelBatches(src, cfg)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -382,27 +409,29 @@ func orderSourceParallel(src operators.BatchSource, idx int, desc bool, tie []in
 }
 
 // finishProject ends a SELECT once rows are in their final order:
-// LIMIT, then every row cut down to the select list, whose items sit at
-// positions pos of it.
+// LIMIT, then the rows, whose select list sits at positions pos, go to
+// the sink or, with none, are cut down to it in Result.Rows.
 func (e *Engine) finishProject(plan *selectPlan, tail *selectTail, rows []storage.Tuple,
 	pos []int) (*Result, error) {
 	if st := plan.stmt; st.Limit >= 0 && st.Limit < len(rows) {
 		rows = rows[:st.Limit]
+	}
+	if tail.sink != nil {
+		tail.sent += len(rows)
+		return &Result{Cols: tail.names, Plan: plan.Explain()}, tail.sink.Rows(tail.names, pos, rows)
 	}
 	prefix := true
 	for i, c := range pos {
 		prefix = prefix && c == i
 	}
 	if !prefix {
-		out, err := operators.ProjectTuples(nil, rows, pos)
-		if err != nil {
+		var err error
+		if rows, err = operators.ProjectTuples(nil, rows, pos); err != nil {
 			return nil, err
 		}
-		return &Result{Cols: tail.names, Rows: out, Plan: plan.Explain()}, nil
-	}
-	// The select list leads every row (SELECT *; a narrow probe row with
-	// its ORDER BY column riding last): re-slice, nothing to copy.
-	if len(rows) > 0 && len(rows[0]) > len(pos) {
+	} else if len(rows) > 0 && len(rows[0]) > len(pos) {
+		// The select list leads every row (SELECT *; a narrow probe row
+		// with its ORDER BY column riding last): re-slice, nothing to copy.
 		for i, t := range rows {
 			rows[i] = t[:len(pos)]
 		}

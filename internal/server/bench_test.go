@@ -83,7 +83,7 @@ func newBenchServer(tb testing.TB) *Server {
 // texts are generated before the timer starts.
 func BenchmarkServerStatement(b *testing.B) {
 	srv := newBenchServer(b)
-	for _, name := range []string{"point", "scan", "join_agg", "write"} {
+	for _, name := range []string{"point", "scan", "wide", "join_agg", "write"} {
 		b.Run(name, func(b *testing.B) {
 			op := statementOp(b, srv, name)
 			b.ReportAllocs()
@@ -105,6 +105,10 @@ var benchStatements = map[string]func(i int) []string{
 	"scan": func(i int) []string {
 		lo := i * 37 % 9900
 		return []string{fmt.Sprintf("SELECT id, price FROM item WHERE price >= %d AND price < %d", lo, lo+100)}
+	},
+	"wide": func(i int) []string {
+		lo := i * 37 % 8500
+		return []string{fmt.Sprintf("SELECT id, seq, grp, price, name FROM item WHERE price >= %d AND price < %d", lo, lo+1500)}
 	},
 	"join_agg": func(i int) []string {
 		return []string{fmt.Sprintf("SELECT g.region, COUNT(*), SUM(i.price) FROM item i JOIN grp g "+
@@ -164,10 +168,31 @@ func statementOp(tb testing.TB, srv *Server, name string) func() {
 // GOMAXPROCS 1, 2 and 4; 47 → 46 (3,140-3,230 B) once the statement's
 // view holds its transaction instead of a visibility closure; 46 → 45
 // (3,100-3,170 → 2,940-3,000 B) once the index scan is a batch source
-// itself instead of an iterator behind a mutexed adapter.
+// itself instead of an iterator behind a mutexed adapter; 45 → 40
+// (2,800-2,850 B) once the row streams from the scan to the connection's
+// result writer, with no drain slices, no projected tuple and no
+// client-side append growth.
 const (
-	pointByteBudget  = 3584
-	pointAllocBudget = 52
+	pointByteBudget  = 3328
+	pointAllocBudget = 45
+)
+
+// The same for the selective scan (the wire benchmark's scan_select,
+// ~20 rows of two columns): 14,200-14,400 B and 111-113 allocs while
+// the whole result was drained, merged and projected before its first
+// frame; 7,450-7,700 B and 91-92 allocs at GOMAXPROCS 1, 2 and 4 once
+// rows stream from the morsel workers to the wire.
+const (
+	scanByteBudget  = 8960
+	scanAllocBudget = 104
+)
+
+// The same for a wide scan (scan_wide's shape at ~300 rows of all five
+// columns, two row chunks): 133,600-138,900 B and 691-696 allocs
+// drained whole; 107,800-109,400 B and 677-678 allocs streamed.
+const (
+	wideByteBudget  = 126976
+	wideAllocBudget = 720
 )
 
 // The same for the join-aggregate (the wire benchmark's join_agg at a
@@ -193,14 +218,20 @@ const (
 	writeAllocBudget = 112
 )
 
-// TestAllocBudgets holds BenchmarkServerStatement's point, join_agg and
-// write ops to their allocation budgets.
+// TestAllocBudgets holds BenchmarkServerStatement's ops to their
+// allocation budgets.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Skip(t)
 	srv := newBenchServer(t)
 	point := allocbudget.Measure(t, "ServerStatement/point", 2000, statementOp(t, srv, "point"))
 	point.Allocs(pointAllocBudget)
 	point.Bytes(pointByteBudget)
+	scan := allocbudget.Measure(t, "ServerStatement/scan", 2000, statementOp(t, srv, "scan"))
+	scan.Allocs(scanAllocBudget)
+	scan.Bytes(scanByteBudget)
+	wide := allocbudget.Measure(t, "ServerStatement/wide", 2000, statementOp(t, srv, "wide"))
+	wide.Allocs(wideAllocBudget)
+	wide.Bytes(wideByteBudget)
 	joinAgg := allocbudget.Measure(t, "ServerStatement/join_agg", 2000, statementOp(t, srv, "join_agg"))
 	joinAgg.Allocs(joinAggServerAllocBudget)
 	joinAgg.Bytes(joinAggServerByteBudget)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -81,7 +82,8 @@ func closeJoin(nc net.Conn, err error) error {
 
 // Query sends one SQL statement and decodes the full response.
 // A *RemoteError means the server is healthy and reported a
-// statement-level failure; any other error poisons the connection.
+// statement-level failure — also one that arrives after some of the
+// rows, which are then dropped; any other error poisons the connection.
 func (c *Client) Query(sql string) (*ClientResult, error) {
 	if err := c.fc.WriteFrameString(frameQuery, sql); err != nil {
 		return nil, err
@@ -99,30 +101,35 @@ func (c *Client) Query(sql string) (*ClientResult, error) {
 	if typ != frameResult {
 		return nil, fmt.Errorf("server: unexpected reply frame %q", typ)
 	}
-	res, want, err := decodeHeader(payload)
+	res, err := decodeHeader(payload)
 	if err != nil {
 		return nil, err
 	}
-	for uint64(len(res.Rows)) < want {
+	var stack [4][]storage.Tuple
+	chunks := stack[:0]
+	for {
 		typ, payload, err := c.fc.ReadFrame()
 		if err != nil {
 			return nil, err
 		}
-		if typ != frameRows {
-			return nil, fmt.Errorf("server: expected row chunk, got %q", typ)
+		switch typ {
+		case frameRows:
+			rows, err := decodeRows(payload)
+			if err != nil {
+				return nil, err
+			}
+			chunks = append(chunks, rows)
+		case frameDone:
+			if err := res.complete(payload, chunks); err != nil {
+				return nil, err
+			}
+			return res, nil
+		case frameError:
+			return nil, decodeErr(payload)
+		default:
+			return nil, fmt.Errorf("server: expected row chunk or completion, got %q", typ)
 		}
-		if err := decodeRows(res, payload); err != nil {
-			return nil, err
-		}
 	}
-	typ, _, err = c.fc.ReadFrame()
-	if err != nil {
-		return nil, err
-	}
-	if typ != frameDone {
-		return nil, fmt.Errorf("server: expected completion, got %q", typ)
-	}
-	return res, nil
 }
 
 // Close sends goodbye and drops the connection.
@@ -145,46 +152,65 @@ func decodeErr(payload []byte) error {
 	return &RemoteError{Code: payload[0], Msg: string(payload[1:])}
 }
 
-func decodeHeader(b []byte) (*ClientResult, uint64, error) {
+func decodeHeader(b []byte) (*ClientResult, error) {
 	ncols, b, err := readUvarint(b)
 	// As in readRow: a column name occupies at least its length byte.
 	if err != nil || ncols > uint64(len(b)) {
-		return nil, 0, errTruncated
+		return nil, errTruncated
 	}
 	res := &ClientResult{Cols: make([]string, 0, ncols)}
 	for i := uint64(0); i < ncols; i++ {
 		var n uint64
 		n, b, err = readUvarint(b)
 		if err != nil || uint64(len(b)) < n {
-			return nil, 0, errTruncated
+			return nil, errTruncated
 		}
 		res.Cols = append(res.Cols, string(b[:n]))
 		b = b[n:]
 	}
-	affected, b, err := readUvarint(b)
-	if err != nil {
-		return nil, 0, errTruncated
-	}
-	res.Affected = int(affected)
-	nrows, _, err := readUvarint(b)
-	if err != nil {
-		return nil, 0, errTruncated
-	}
-	return res, nrows, nil
+	return res, nil
 }
 
-func decodeRows(res *ClientResult, b []byte) error {
+// decodeRows decodes one 'D' chunk into a slice of its row count.
+func decodeRows(b []byte) ([]storage.Tuple, error) {
 	n, b, err := readUvarint(b)
+	// The count sizes an allocation and comes off the wire: every row
+	// occupies at least its width byte.
+	if err != nil || n > uint64(len(b)) {
+		return nil, errTruncated
+	}
+	rows := make([]storage.Tuple, n)
+	for i := range rows {
+		if rows[i], b, err = readRow(b); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// complete reads the 'C' payload and joins the row chunks once, after
+// checking that the server counted the rows that arrived.
+func (res *ClientResult) complete(b []byte, chunks [][]storage.Tuple) error {
+	affected, b, err := readUvarint(b)
 	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < n; i++ {
-		var t storage.Tuple
-		t, b, err = readRow(b)
-		if err != nil {
-			return err
-		}
-		res.Rows = append(res.Rows, t)
+	want, _, err := readUvarint(b)
+	if err != nil {
+		return err
+	}
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	if uint64(n) != want {
+		return fmt.Errorf("server: completion counts %d rows, %d arrived", want, n)
+	}
+	res.Affected = int(affected)
+	if len(chunks) == 1 {
+		res.Rows = chunks[0]
+	} else {
+		res.Rows = slices.Concat(chunks...)
 	}
 	return nil
 }

@@ -119,7 +119,8 @@ func waitConnsGone(t *testing.T, srv *Server) {
 
 // TestConnectionFaultMatrix is the crash/disconnect matrix: torn
 // frames, mid-result disconnects, stalled readers hitting the write
-// deadline, abrupt death inside an explicit transaction, and client
+// deadline (on a materialised join's reply and inside the workers of a
+// streamed scan), abrupt death inside an explicit transaction, and client
 // death mid-group-commit — all asserting the server leaks no
 // transactions, no pooled batches, and no goroutines.
 func TestConnectionFaultMatrix(t *testing.T) {
@@ -128,6 +129,7 @@ func TestConnectionFaultMatrix(t *testing.T) {
 		WriteTimeout:     250 * time.Millisecond,
 		MemQuota:         256 << 20, // the stalled-reader join materialises ~36MB
 	})
+	fillTable(t, srv, "wide", 2000, 200) // a ~0.4MB streamed scan
 	rng := fault.NewRand(faultSeed(t))
 
 	// Warm up (pools, lazy init) before taking leak baselines.
@@ -217,6 +219,48 @@ func TestConnectionFaultMatrix(t *testing.T) {
 		// the serving goroutine forever.
 		waitConnsGone(t, srv)
 		waitDrained(t, db, batchBase)
+	})
+
+	t.Run("StalledReaderStreamedScan", func(t *testing.T) {
+		// A scan streams: its rows go to the socket from the morsel
+		// workers as they claim pages, so the write that stalls, and
+		// the deadline that fails it, are inside a worker. The server's
+		// send buffer is pinned small once the connection is up, so a
+		// result of a few hundred KB cannot fit in kernel buffers.
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		if err := nc.(*net.TCPConn).SetReadBuffer(2048); err != nil {
+			t.Fatal(err)
+		}
+		rc := &rawClient{nc: nc, fc: newFrameConn(nc, 5*time.Second)}
+		rc.send(t, frameHello, nil)
+		if typ, _, err := rc.fc.ReadFrame(); err != nil || typ != frameHelloOK {
+			t.Fatalf("handshake: frame %q err %v", typ, err)
+		}
+		srv.mu.Lock()
+		for c := range srv.conns {
+			if err := c.(*net.TCPConn).SetWriteBuffer(4096); err != nil {
+				t.Error(err)
+			}
+		}
+		srv.mu.Unlock()
+		before := srv.Stats()
+		rc.send(t, frameQuery, []byte("SELECT i, s FROM wide"))
+		// Read the header, then stop reading.
+		if typ, _, err := rc.fc.ReadFrame(); err != nil || typ != frameResult {
+			t.Fatalf("first reply frame %q err %v, want the result header", typ, err)
+		}
+		waitConnsGone(t, srv)
+		waitDrained(t, db, batchBase)
+		// The statement failed while it ran: a stall after it had
+		// completed would count it served.
+		if after := srv.Stats(); after.Served != before.Served || after.Errors != before.Errors+1 {
+			t.Fatalf("served %d -> %d, errors %d -> %d; want the statement failed mid-stream",
+				before.Served, after.Served, before.Errors, after.Errors)
+		}
 	})
 
 	t.Run("DeathInTxn", func(t *testing.T) {

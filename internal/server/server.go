@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -320,6 +321,7 @@ func (s *Server) tickLoop() {
 // is never silently dropped.
 func (s *Server) serve(nc net.Conn) (err error) {
 	fc := newFrameConn(nc, s.cfg.WriteTimeout)
+	rw := &resultWriter{fc: fc}
 	sess := session.NewDBSession(s.eng, s.db)
 	dl := newDeadline()
 	defer func() {
@@ -331,10 +333,10 @@ func (s *Server) serve(nc net.Conn) (err error) {
 		return err
 	}
 	if typ != frameHello {
-		return errors.Join(errAuth, s.writeErr(fc, CodeBadFrame, "expected hello"))
+		return errors.Join(errAuth, rw.fail(CodeBadFrame, "expected hello"))
 	}
 	if s.cfg.AuthToken != "" && string(payload) != s.cfg.AuthToken {
-		return errors.Join(errAuth, s.writeErr(fc, CodeAuth, "bad token"))
+		return errors.Join(errAuth, rw.fail(CodeAuth, "bad token"))
 	}
 	if err := fc.WriteFrame(frameHelloOK, nil); err != nil {
 		return err
@@ -354,14 +356,14 @@ func (s *Server) serve(nc net.Conn) (err error) {
 		switch typ {
 		case frameQuery:
 			start := time.Now()
-			if err := s.handleQuery(fc, sess, dl, string(payload)); err != nil {
+			if err := s.handleQuery(rw, sess, dl, string(payload)); err != nil {
 				return err
 			}
 			yieldAfterStatement(time.Since(start)) // the reply is out: let a thread queued behind this one run
 		case frameGoodbye:
 			return nil
 		default:
-			if err := s.writeErr(fc, CodeBadFrame, fmt.Sprintf("unexpected frame %q", typ)); err != nil {
+			if err := rw.fail(CodeBadFrame, fmt.Sprintf("unexpected frame %q", typ)); err != nil {
 				return err
 			}
 		}
@@ -392,8 +394,9 @@ func newDeadline() *deadline {
 // explicit transaction — the client already holds row claims, and
 // stalling it would hold them longer), the controller's current
 // tuning, the connection's deadline hook and a memory budget threaded
-// into the morsel pipelines, then the streamed response.
-func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, dl *deadline, sql string) error {
+// into the morsel pipelines, and the connection's result writer as the
+// row sink, so a SELECT's rows stream out as the pipeline makes them.
+func (s *Server) handleQuery(rw *resultWriter, sess *session.DBSession, dl *deadline, sql string) error {
 	// The latency window starts before admission so the controller
 	// sees queue wait — that is exactly the latency a backlog inflates
 	// and the ladder exists to cut — and closes once the reply has been
@@ -403,7 +406,7 @@ func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, dl *deadlin
 	start := time.Now()
 	if !sess.InTxn() {
 		if err := s.adm.Acquire(s.cfg.StatementTimeout); err != nil {
-			return s.writeErr(fc, CodeOverloaded, err.Error())
+			return rw.fail(CodeOverloaded, err.Error())
 		}
 		defer s.adm.Release()
 	}
@@ -416,6 +419,7 @@ func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, dl *deadlin
 		BatchSize: tun.Batch,
 		Cancel:    dl.cancel,
 		MemBudget: operators.NewMemBudget(s.cfg.MemQuota),
+		Sink:      rw,
 	}
 
 	res, err := sess.ExecOpts(sql, opts)
@@ -431,10 +435,10 @@ func (s *Server) handleQuery(fc *frameConn, sess *session.DBSession, dl *deadlin
 		default:
 			s.errs.Add(1)
 		}
-		return s.writeErr(fc, code, err.Error())
+		return rw.fail(code, err.Error())
 	}
 	s.served.Add(1)
-	return s.writeResult(fc, res)
+	return rw.done(res)
 }
 
 // classify maps execution errors to wire codes.
@@ -453,43 +457,109 @@ func classify(err error) byte {
 	}
 }
 
-// writeResult streams header + bounded row chunks + completion.
-func (s *Server) writeResult(fc *frameConn, res *query.Result) error {
-	if res == nil {
-		res = &query.Result{}
-	}
-	buf := appendUvarint(fc.enc[:0], uint64(len(res.Cols)))
-	for _, c := range res.Cols {
-		buf = appendUvarint(buf, uint64(len(c)))
-		buf = append(buf, c...)
-	}
-	buf = appendUvarint(buf, uint64(res.Affected))
-	buf = appendUvarint(buf, uint64(len(res.Rows)))
-	if err := fc.WriteFrame(frameResult, buf); err != nil {
-		return err
-	}
-	for lo := 0; lo < len(res.Rows); lo += rowChunk {
-		hi := min(lo+rowChunk, len(res.Rows))
-		buf = appendUvarint(buf[:0], uint64(hi-lo))
-		for _, t := range res.Rows[lo:hi] {
-			buf = appendRow(buf, t)
+// resultWriter is a connection's query.RowSink, bound once per
+// connection: it streams each statement's reply as the rows arrive —
+// the 'R' header with the first of them (or at the end), 'D' frames of
+// rowChunk rows, then 'C' on success or 'E' on failure. Its calls never
+// overlap: the morsel workers take turns (StreamParallelBatches), then
+// the serving goroutine ends the statement.
+type resultWriter struct {
+	fc *frameConn
+	// buf is the statement's encoding. kept is the buffer the next one
+	// starts from: buf, unless it outgrew maxKeptBuf, so one huge row
+	// chunk does not pin its size for the connection's life.
+	buf, kept []byte
+	open      bool // the statement's 'R' is out
+	chunk     int  // rows encoded in buf
+	rows      int  // rows the statement has encoded
+	count     [binary.MaxVarintLen64]byte
+}
+
+// Rows implements query.RowSink; a nil pos sends whole tuples.
+func (w *resultWriter) Rows(names []string, pos []int, rows []storage.Tuple) error {
+	if !w.open {
+		w.open = true
+		w.buf = appendUvarint(w.buf[:0], uint64(len(names)))
+		for _, c := range names {
+			w.buf = appendUvarint(w.buf, uint64(len(c)))
+			w.buf = append(w.buf, c...)
 		}
-		if err := fc.WriteFrame(frameRows, buf); err != nil {
+		err := w.fc.WriteFrame(frameResult, w.buf)
+		if w.buf = w.buf[:0]; err != nil {
 			return err
 		}
 	}
-	fc.keepEnc(buf)
-	if err := fc.WriteFrame(frameDone, nil); err != nil {
-		return err
+	for _, t := range rows {
+		if pos == nil {
+			w.buf = appendRow(w.buf, t)
+		} else {
+			w.buf = appendUvarint(w.buf, uint64(len(pos)))
+			for _, p := range pos {
+				w.buf = appendValue(w.buf, t[p])
+			}
+		}
+		w.rows++
+		if w.chunk++; w.chunk == rowChunk {
+			if err := w.flushChunk(); err != nil {
+				return err
+			}
+		}
 	}
-	return fc.Flush()
+	return nil
 }
 
-func (s *Server) writeErr(fc *frameConn, code byte, msg string) error {
-	buf := append(append(fc.enc[:0], code), msg...)
-	fc.keepEnc(buf)
-	if err := fc.WriteFrame(frameError, buf); err != nil {
+// flushChunk writes the rows in buf as one 'D' frame.
+func (w *resultWriter) flushChunk() error {
+	k := binary.PutUvarint(w.count[:], uint64(w.chunk))
+	err := w.fc.writeHeader(frameRows, k+len(w.buf))
+	if err == nil {
+		_, err = w.fc.w.Write(w.count[:k])
+	}
+	if err == nil {
+		_, err = w.fc.w.Write(w.buf)
+	}
+	w.buf, w.chunk = w.buf[:0], 0
+	return err
+}
+
+// done ends a statement that succeeded: the rows res holds (a
+// statement the sink never saw, such as EXPLAIN), the last chunk, then
+// 'C' with the affected and row counts.
+func (w *resultWriter) done(res *query.Result) error {
+	if res == nil {
+		res = &query.Result{}
+	}
+	err := w.Rows(res.Cols, nil, res.Rows)
+	if err == nil && w.chunk > 0 {
+		err = w.flushChunk()
+	}
+	if err == nil {
+		w.buf = appendUvarint(appendUvarint(w.buf[:0], uint64(res.Affected)), uint64(w.rows))
+		err = w.fc.WriteFrame(frameDone, w.buf)
+	}
+	w.end()
+	if err != nil {
 		return err
 	}
-	return fc.Flush()
+	return w.fc.Flush()
+}
+
+// fail ends a statement with an 'E' frame. Rows still in buf are
+// dropped; the client drops those it has received.
+func (w *resultWriter) fail(code byte, msg string) error {
+	w.buf = append(append(w.buf[:0], code), msg...)
+	err := w.fc.WriteFrame(frameError, w.buf)
+	w.end()
+	if err != nil {
+		return err
+	}
+	return w.fc.Flush()
+}
+
+// end resets the writer for the next statement.
+func (w *resultWriter) end() {
+	if cap(w.buf) <= maxKeptBuf {
+		w.kept = w.buf
+	}
+	w.buf, w.open, w.chunk, w.rows = w.kept[:0], false, 0, 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -213,6 +214,79 @@ func TestServerDeadlineCode(t *testing.T) {
 	}
 }
 
+// fillTable creates table name (i INT, s STRING) holding rows rows, each
+// s a width-byte string.
+func fillTable(t *testing.T, srv *Server, name string, rows, width int) {
+	t.Helper()
+	srv.eng.MustExec("CREATE TABLE " + name + " (i INT, s STRING)")
+	pad := strings.Repeat("s", width)
+	for lo := 0; lo < rows; lo += 250 {
+		var vals []string
+		for i := lo; i < min(lo+250, rows); i++ {
+			vals = append(vals, fmt.Sprintf("(%d, '%s')", i, pad))
+		}
+		srv.eng.MustExec("INSERT INTO " + name + " VALUES " + strings.Join(vals, ", "))
+	}
+}
+
+// stallConn is a client connection whose next read, once armed, waits
+// stall first; read counts the bytes it has delivered.
+type stallConn struct {
+	net.Conn
+	stall time.Duration
+	armed atomic.Bool
+	read  atomic.Int64
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	if c.armed.Swap(false) {
+		time.Sleep(c.stall)
+	}
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
+// TestStreamedScanDeadline: a deadline that fires while a streamed
+// scan's rows are leaving ends the reply with CodeDeadline after the
+// frames already out. Over net.Pipe a write waits for its reader, so a
+// reader that stalls past the deadline holds the scan's first full
+// buffer in a worker, and the next batch's deadline poll cancels the
+// scan. The client drops the rows it received and reports the
+// statement's error, and the connection serves the next statement.
+func TestStreamedScanDeadline(t *testing.T) {
+	srv, _ := newServerFixture(t, Config{StatementTimeout: 40 * time.Millisecond, MemQuota: -1})
+	fillTable(t, srv, "big", 8000, 0)
+	cli, conn := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- srv.serve(conn) }()
+	sc := &stallConn{Conn: cli, stall: 200 * time.Millisecond}
+	c := &Client{fc: newFrameConn(sc, 0), nc: sc}
+	if err := c.hello(""); err != nil {
+		t.Fatal(err)
+	}
+	sc.armed.Store(true)
+	start := sc.read.Load()
+	res, err := c.Query("SELECT i FROM big")
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != CodeDeadline || res != nil {
+		t.Fatalf("stalled streamed scan = %v, %v; want no rows and CodeDeadline", res, err)
+	}
+	if got := sc.read.Load() - start; got < 4<<10 {
+		t.Fatalf("the reply was %d bytes: the deadline fired before rows left", got)
+	}
+	res, err = c.Query("SELECT k FROM kv WHERE k = 1")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("statement after a mid-stream deadline = %v, %v", res, err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServerQuotaCode(t *testing.T) {
 	srv, _ := newServerFixture(t, Config{MemQuota: 4 << 10})
 	c := dialT(t, srv, "")
@@ -231,13 +305,17 @@ func TestServerQuotaCode(t *testing.T) {
 
 // TestServerQuotaMetersWhatASinkMaterialises: the quota bounds what a
 // statement holds, not what it looks at. Under one tight quota a join
-// that returns its 160,000 wide rows dies with the quota code, while
-// the same join folded into a COUNT(*) — whose probe materialises
-// nothing, so only the 400-row build side is charged — completes; and
-// neither leaves a pooled batch behind.
+// that returns its 160,000 wide rows dies with the quota code — its
+// probe tail still materialises them — while the same join folded into
+// a COUNT(*) — whose probe materialises nothing, so only the 400-row
+// build side is charged — completes. A scan streams its rows to the
+// wire and holds none: 4,000 rows that would charge ~0.8 MB complete,
+// and the same rows sorted, which holds them, trip the quota. No
+// statement leaves a pooled batch behind.
 func TestServerQuotaMetersWhatASinkMaterialises(t *testing.T) {
 	batchBase := operators.OutstandingBatches()
 	srv, _ := newServerFixture(t, Config{MemQuota: 256 << 10})
+	fillTable(t, srv, "w", 4000, 100)
 	c := dialT(t, srv, "")
 	defer c.Close()
 
@@ -252,6 +330,15 @@ func TestServerQuotaMetersWhatASinkMaterialises(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][1].Int != 400*400 {
 		t.Fatalf("join-aggregate rows = %v, want one group of 160000", res.Rows)
+	}
+	if res, err = c.Query("SELECT i, s FROM w"); err != nil {
+		t.Fatalf("streamed scan under the same quota: %v", err)
+	}
+	if len(res.Rows) != 4000 {
+		t.Fatalf("streamed scan: %d rows, want 4000", len(res.Rows))
+	}
+	if _, err = c.Query("SELECT i, s FROM w ORDER BY i"); !errors.As(err, &re) || re.Code != CodeQuota {
+		t.Fatalf("sorted scan error = %v, want CodeQuota", err)
 	}
 	if n := operators.OutstandingBatches(); n != batchBase {
 		t.Fatalf("%d pooled batches outstanding, want %d", n, batchBase)
@@ -490,42 +577,54 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// fakeReply returns a Client over net.Pipe whose server end reads one
+// query frame and answers it with frames, each a type byte and its
+// payload.
+func fakeReply(t *testing.T, frames ...[]byte) *Client {
+	cli, srv := net.Pipe()
+	t.Cleanup(func() {
+		cli.Close()
+		srv.Close()
+	})
+	go func() {
+		fc := newFrameConn(srv, 0)
+		if _, _, err := fc.ReadFrame(); err != nil {
+			return
+		}
+		for _, f := range frames {
+			if fc.WriteFrame(f[0], f[1:]) != nil {
+				return
+			}
+		}
+		_ = fc.Flush() // fails if the client has already hung up
+	}()
+	return &Client{fc: newFrameConn(cli, 0), nc: cli}
+}
+
+// frame joins a frame type and its payload pieces.
+func frame(typ byte, parts ...[]byte) []byte {
+	return slices.Concat(append([][]byte{{typ}}, parts...)...)
+}
+
 // TestClientBoundsWireLengths: a length that sizes an allocation comes
 // off the wire, so a torn or hostile reply must fail as truncated
-// before anything is allocated from it — a row width (or a column
-// count) of maxFrame used to request ~400 MB on a 3-byte frame.
+// before anything is allocated from it — a row width, a chunk's row
+// count or a column count of maxFrame used to request ~400 MB on a
+// 3-byte frame.
 func TestClientBoundsWireLengths(t *testing.T) {
 	huge := appendUvarint(nil, maxFrame)
-	header := []byte{1, 1, 'c', 0, 1} // one column "c", 0 affected, 1 row
+	header := frame(frameResult, []byte{1, 1, 'c'}) // one column "c"
 	cases := []struct {
 		name   string
-		frames [][]byte // reply frames: a result header, then row chunks
+		frames [][]byte
 	}{
-		{"row width", [][]byte{header, append(append([]byte{1}, huge...), wireNull, wireNull)}},
-		{"column count", [][]byte{append(append([]byte(nil), huge...), 1, 'c')}},
+		{"row width", [][]byte{header, frame(frameRows, []byte{1}, huge, []byte{wireNull, wireNull})}},
+		{"chunk row count", [][]byte{header, frame(frameRows, huge, []byte{1, wireNull})}},
+		{"column count", [][]byte{frame(frameResult, huge, []byte{1, 'c'})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cli, srv := net.Pipe()
-			defer cli.Close()
-			defer srv.Close()
-			go func() {
-				fc := newFrameConn(srv, 0)
-				if _, _, err := fc.ReadFrame(); err != nil {
-					return
-				}
-				for i, f := range tc.frames {
-					typ := byte(frameRows)
-					if i == 0 {
-						typ = frameResult
-					}
-					if fc.WriteFrame(typ, f) != nil {
-						return
-					}
-				}
-				_ = fc.Flush() // fails if the client has already hung up
-			}()
-			c := &Client{fc: newFrameConn(cli, 0), nc: cli}
+			c := fakeReply(t, tc.frames...)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := c.Query("SELECT c FROM t")
@@ -540,53 +639,68 @@ func TestClientBoundsWireLengths(t *testing.T) {
 	}
 }
 
-// TestFrameBuffersKeptUpToCap: a connection encodes every reply in one
-// reused buffer and reads every frame into another, keeping each only
-// up to maxKeptBuf — a 77 KiB row chunk gets one-off buffers on both
-// sides — and every reply decodes intact, before and after the
-// oversized one: a kept buffer never holds a frame still in use.
+// TestClientChecksRowCount: a completion frame whose row count is not
+// the number of rows that arrived is a protocol error, not a result —
+// and not a statement error either.
+func TestClientChecksRowCount(t *testing.T) {
+	c := fakeReply(t,
+		frame(frameResult, []byte{1, 1, 'c'}),
+		frame(frameRows, []byte{1}, appendRow(nil, storage.Tuple{storage.IntValue(7)})),
+		frame(frameDone, []byte{0, 2})) // 0 affected, 2 rows
+	res, err := c.Query("SELECT c FROM t")
+	if err == nil || errors.As(err, new(*RemoteError)) {
+		t.Fatalf("Query = %v, %v; want a protocol error", res, err)
+	}
+}
+
+// TestFrameBuffersKeptUpToCap: a connection's result writer encodes
+// every reply in one reused buffer and the client reads every frame into
+// another, keeping each only up to maxKeptBuf — a 77 KiB row chunk gets
+// one-off buffers on both sides — and every reply decodes intact,
+// before and after the oversized one: a kept buffer never holds a frame
+// still in use. Each reply streams its rows in two calls, as the morsel
+// workers would, through select-list positions.
 func TestFrameBuffersKeptUpToCap(t *testing.T) {
 	rows := func(n int, s string) []storage.Tuple {
 		out := make([]storage.Tuple, n)
 		for i := range out {
-			out[i] = storage.Tuple{storage.IntValue(int64(i)), storage.StringValue(s)}
+			out[i] = storage.Tuple{storage.StringValue("unsent"), storage.IntValue(int64(i)), storage.StringValue(s)}
 		}
 		return out
 	}
-	results := []*query.Result{
-		{Cols: []string{"i", "s"}, Rows: rows(300, "small")},
-		{Cols: []string{"i", "s"}, Rows: rows(300, strings.Repeat("x", 300))},
-		{Cols: []string{"i", "s"}, Rows: rows(3, "again")},
-	}
+	replies := [][]storage.Tuple{rows(300, "small"), rows(300, strings.Repeat("x", 300)), rows(3, "again")}
+	names := []string{"i", "s"}
 	cli, conn := net.Pipe()
 	defer cli.Close()
 	defer conn.Close()
-	encCaps := make(chan int, len(results))
+	encCaps := make(chan int, len(replies))
 	go func() {
-		fc := newFrameConn(conn, 0)
-		for _, res := range results {
-			if _, _, err := fc.ReadFrame(); err != nil {
+		rw := &resultWriter{fc: newFrameConn(conn, 0)}
+		for _, r := range replies {
+			if _, _, err := rw.fc.ReadFrame(); err != nil {
 				return
 			}
-			if (&Server{}).writeResult(fc, res) != nil {
+			half := len(r) / 2
+			if rw.Rows(names, []int{1, 2}, r[:half]) != nil || rw.Rows(names, []int{1, 2}, r[half:]) != nil ||
+				rw.done(&query.Result{Cols: names}) != nil {
 				return
 			}
-			encCaps <- cap(fc.enc)
+			encCaps <- cap(rw.kept)
 		}
 	}()
 	c := &Client{fc: newFrameConn(cli, 0), nc: cli}
 	kept := 0
-	for i, want := range results {
+	for i, want := range replies {
 		got, err := c.Query("SELECT i, s FROM t")
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("reply %d: %d rows, want %d", i, len(got.Rows), len(want.Rows))
+		if len(got.Rows) != len(want) || !slices.Equal(got.Cols, names) {
+			t.Fatalf("reply %d: %d rows named %v, want %d named %v", i, len(got.Rows), got.Cols, len(want), names)
 		}
 		for r, row := range got.Rows {
-			if row[0].Int != int64(r) || row[1].Str != want.Rows[r][1].Str {
-				t.Fatalf("reply %d row %d = %v, want %v", i, r, row, want.Rows[r])
+			if len(row) != 2 || row[0].Int != int64(r) || row[1].Str != want[r][2].Str {
+				t.Fatalf("reply %d row %d = %v, want %v", i, r, row, want[r][1:])
 			}
 		}
 		if rc := cap(c.fc.rbuf); rc == 0 || rc > maxKeptBuf {

@@ -35,15 +35,18 @@ import (
 // Server to client:
 //
 //	'h' hello-ok
-//	'R' result header  uvarint ncols, ncols x (uvarint len, name),
-//	                   uvarint affected, uvarint nrows
+//	'R' result header  uvarint ncols, ncols x (uvarint len, name)
 //	'D' row chunk      uvarint nrows, rows as (uvarint width, values)
-//	'C' complete
+//	'C' complete       uvarint affected, uvarint nrows (all chunks')
 //	'E' error          byte code, message text
 //
-// Results stream in bounded 'D' chunks so a client can consume
-// arbitrarily large results without a frame-size blowup — and so the
-// fault matrix can kill a connection mid-result.
+// A reply is 'R', any number of 'D', then 'C'; or 'E', alone or after
+// an 'R' and some 'D' frames. Results stream: rows leave the server as
+// the pipeline produces them, in 'D' chunks of rowChunk rows, so
+// neither end holds a frame the size of the result — and a statement
+// can fail after its first rows are out, whereupon the client drops
+// them. Chunking also lets the fault matrix kill a connection
+// mid-result.
 const (
 	frameHello   = 'H'
 	frameQuery   = 'Q'
@@ -92,7 +95,7 @@ const maxFrame = 8 << 20
 const rowChunk = 256
 
 // maxKeptBuf caps the read and encode buffers a connection keeps
-// between frames. A larger frame gets a one-off buffer, so one huge
+// between frames and statements. A larger frame gets a one-off buffer, so one huge
 // statement or row chunk does not pin its size for the connection's
 // life.
 const maxKeptBuf = 64 << 10
@@ -102,19 +105,18 @@ const maxKeptBuf = 64 << 10
 // stalled reader (client that stopped draining) fails the write
 // instead of wedging the serving goroutine forever.
 //
-// The connection owns two reused buffers, each kept up to maxKeptBuf:
-// rbuf, which every ReadFrame payload aliases — valid only until the
-// next ReadFrame, so callers copy what they keep — and enc, the
-// encoding buffer a reply borrows (see keepEnc). WriteFrame copies its
-// payload into the bufio writer or the socket before it returns, so
-// reusing enc for the next frame never aliases one still being written.
+// The connection reuses rbuf, kept up to maxKeptBuf, which every
+// ReadFrame payload aliases — valid only until the next ReadFrame, so
+// callers copy what they keep. WriteFrame copies its payload into the
+// bufio writer or the socket before it returns, so a caller may reuse
+// its encoding buffer for the next frame (resultWriter does).
 type frameConn struct {
 	c            net.Conn
 	r            *bufio.Reader
 	w            *bufio.Writer
 	writeTimeout time.Duration
 	hdr          [5]byte
-	rbuf, enc    []byte
+	rbuf         []byte
 }
 
 func newFrameConn(c net.Conn, writeTimeout time.Duration) *frameConn {
@@ -185,14 +187,6 @@ func (fc *frameConn) writeHeader(typ byte, n int) error {
 	fc.hdr[4] = typ
 	_, err := fc.w.Write(fc.hdr[:5])
 	return err
-}
-
-// keepEnc hands an encoding buffer back for the next reply, unless it
-// outgrew maxKeptBuf. A reply starts from fc.enc[:0].
-func (fc *frameConn) keepEnc(buf []byte) {
-	if cap(buf) <= maxKeptBuf {
-		fc.enc = buf
-	}
 }
 
 // Flush pushes buffered frames to the socket.

@@ -255,11 +255,11 @@ type (
 )
 
 // NewEngine builds a SQL engine over a fresh in-memory DB (WAL and
-// page file on MemDisks, SyncManual) with the given buffer-pool frames:
-// the storage NewDurableEngine runs over, minus the caller's disks.
-// Every statement runs in a transaction — Exec autocommits.
-func NewEngine(bufferFrames int) *Engine {
-	return query.NewEngine(query.NewCatalog(bufferFrames), trace.New(), nil)
+// page file on MemDisks, SyncManual): the storage NewDurableEngine runs
+// over, minus the caller's disks. Every statement runs in a
+// transaction — Exec autocommits.
+func NewEngine() *Engine {
+	return query.NewEngine(query.NewCatalog(), trace.New(), nil)
 }
 
 // Crash-safe storage: WAL + redo recovery + checksummed page file,

@@ -103,7 +103,7 @@ func TestFacadeGoSystemAndTable1(t *testing.T) {
 }
 
 func TestFacadeEngineAndResumable(t *testing.T) {
-	e := NewEngine(64)
+	e := NewEngine()
 	e.MustExec("CREATE TABLE t (a INT)")
 	e.MustExec("INSERT INTO t VALUES (1), (2), (3)")
 	res := e.MustExec("SELECT SUM(a) FROM t")
@@ -182,7 +182,7 @@ func TestFacadeConstraintRuleSetTypes(t *testing.T) {
 // log.
 func TestFacadeDurableEngine(t *testing.T) {
 	wal, data := NewMemDisk(), NewMemDisk()
-	db, err := OpenDB(wal, data, DBOptions{BufferFrames: 128})
+	db, err := OpenDB(wal, data, DBOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

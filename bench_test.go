@@ -471,7 +471,7 @@ func BenchmarkStorage_BTreeInsert(b *testing.B) {
 }
 
 func BenchmarkStorage_HeapInsertScan(b *testing.B) {
-	db, hf := benchFile(b, 256)
+	db, hf := benchFile(b)
 	row := storage.Tuple{storage.IntValue(1), storage.StringValue("payload")}
 	tx := db.Txns().Begin()
 	b.ResetTimer()
@@ -485,11 +485,11 @@ func BenchmarkStorage_HeapInsertScan(b *testing.B) {
 	}
 }
 
-// benchFile creates a heap file in a DB of its own over fresh MemDisks
-// with a pool of `frames` buffer frames.
-func benchFile(tb testing.TB, frames int) (*storage.DB, *storage.HeapFile) {
+// benchFile creates a heap file in a DB of its own over fresh
+// MemDisks.
+func benchFile(tb testing.TB) (*storage.DB, *storage.HeapFile) {
 	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
-		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: frames})
+		storage.DBOptions{Sync: storage.SyncManual})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func benchLoad(tb testing.TB, cat *query.Catalog, table string, n int, row func(
 }
 
 func BenchmarkQuery_ParsePlanExecute(b *testing.B) {
-	e := query.NewEngine(query.NewCatalog(256), nil, nil)
+	e := query.NewEngine(query.NewCatalog(), nil, nil)
 	e.MustExec("CREATE TABLE users (id INT, city STRING)")
 	for i := 0; i < 1000; i++ {
 		e.MustExec(fmt.Sprintf("INSERT INTO users VALUES (%d, 'c%d')", i, i%10))
@@ -668,7 +668,7 @@ const joinAggItems, joinAggGroups = 12_000, 1_000
 // joinAggregateOp loads BenchmarkJoinAggregate's tables and returns its
 // op.
 func joinAggregateOp(tb testing.TB) func() {
-	e := query.NewEngine(query.NewCatalog(4096), nil, nil)
+	e := query.NewEngine(query.NewCatalog(), nil, nil)
 	e.MustExec("CREATE TABLE item (id INT, grp INT, price FLOAT, name STRING)")
 	e.MustExec("CREATE TABLE grp (g INT, region STRING)")
 	cat := e.Catalog()
@@ -758,7 +758,7 @@ func snapshotScanOp(tb testing.TB, db *storage.DB, hf *storage.HeapFile, rows in
 // scanBenchFile loads `rows` two-int rows into a fresh DB's file in one
 // committed transaction.
 func scanBenchFile(tb testing.TB, rows int) (*storage.DB, *storage.HeapFile) {
-	db, hf := benchFile(tb, 4096)
+	db, hf := benchFile(tb)
 	load := db.Txns().Begin()
 	for i := 0; i < rows; i++ {
 		if _, err := load.Insert(hf, storage.Tuple{storage.IntValue(int64(i)), storage.IntValue(int64(i * 3))}); err != nil {

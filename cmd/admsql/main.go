@@ -48,7 +48,7 @@ func main() {
 		return
 	}
 	log := trace.New()
-	m, err := dbmachine.New(512, log)
+	m, err := dbmachine.New(log)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "admsql: %v\n", err)
 		os.Exit(1)

@@ -50,13 +50,12 @@ var latchLevels = map[[2]string]latchClass{
 	// The zone-map latch protects only the per-page summary table and
 	// its generation counters; it is never held across a page read or
 	// any callback (BuildZoneMaps decodes pages outside it), so it sits
-	// between the heap-file latch and the buffer latches.
-	{"ZoneMaps", "mu"}:                {35, "zone-map"},
-	{"BufferManager", "quarantineMu"}: {38, "buffer-quarantine"},
-	{"bufShard", "mu"}:                {40, "buffer-shard"},
-	{"lockedPolicy", "mu"}:            {42, "replacement-policy"},
-	{"storeShard", "mu"}:              {45, "store-shard"},
-	{"Page", "mu"}:                    {50, "page"},
+	// between the heap-file latch and the page table's.
+	{"ZoneMaps", "mu"}: {35, "zone-map"},
+	// The page table's only latch serialises growing its directory;
+	// GetPage, Unpin and quarantine marks are atomics and take nothing.
+	{"BufferManager", "growMu"}: {45, "page-table-grow"},
+	{"Page", "mu"}:              {50, "page"},
 	// The MVCC component has one latch, the group-commit queue's,
 	// between the page latch and the DB/WAL latches; it is never held
 	// across any other acquisition (the leader drains the queue,

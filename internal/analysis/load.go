@@ -1,7 +1,7 @@
 // Package analysis is the engine-invariant static-analysis layer: a
 // small, dependency-free analogue of golang.org/x/tools/go/analysis
 // that encodes the resource and concurrency disciplines accumulated by
-// the storage and operator layers (buffer-pool pins, pooled batches,
+// the storage and operator layers (page pins, pooled batches,
 // the latch hierarchy, ErrDBFailed poisoning, containPanic at morsel
 // sites) as checkable rules over the Go source. cmd/admvet is the
 // multichecker front end; ci.sh runs it alongside admlint.

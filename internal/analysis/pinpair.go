@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Pinpair enforces the buffer-pool pin discipline: every
+// Pinpair enforces the page pin discipline: every
 // BufferManager.GetPage has a matching Unpin on every path out of the
 // function — error returns, early returns, loop continues — and a pin
 // is never held across a call to an opaque function value (a

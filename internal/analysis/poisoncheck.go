@@ -11,15 +11,9 @@ import (
 // it. A swallowed storage error is how a database acknowledges writes
 // it has already lost; the sticky ErrDBFailed poison only works if
 // every observation feeds it.
-//
-// A second rule covers the iterator boundary: Close() errors on the
-// engine's Iterator/BatchIterator interfaces surface deferred storage
-// failures, so discarding them (bare call, bare defer, blank assign)
-// is flagged — join them with the path error or capture them via a
-// named-return defer.
 var Poisoncheck = &Analyzer{
 	Name: "poisoncheck",
-	Doc:  "WAL/page-file errors propagate through the ErrDBFailed spine; iterator Close errors are not discarded",
+	Doc:  "WAL/page-file errors propagate through the ErrDBFailed spine",
 	Run:  runPoisoncheck,
 }
 
@@ -57,7 +51,6 @@ func runPoisoncheck(pass *Pass) {
 				continue
 			}
 			checkSpineCalls(pass, fd.Body)
-			checkCloseDiscards(pass, fd.Body)
 		}
 	}
 }
@@ -248,43 +241,4 @@ func classifyErrUse(stack []ast.Node, id ast.Node) string {
 		child = stack[i]
 	}
 	return "condition"
-}
-
-// checkCloseDiscards flags discarded Close errors on the engine
-// iterator interfaces.
-func checkCloseDiscards(pass *Pass, body *ast.BlockStmt) {
-	walkStack(body, func(n ast.Node, stack []ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(stack) == 0 {
-			return
-		}
-		recv := methodCall(call, "Close")
-		if recv == nil || len(call.Args) != 0 {
-			return
-		}
-		tn := namedTypeName(pass, recv)
-		if tn != "Iterator" && tn != "BatchIterator" {
-			return
-		}
-		discarded := false
-		switch parent := stack[len(stack)-1].(type) {
-		case *ast.ExprStmt, *ast.DeferStmt:
-			discarded = true
-		case *ast.AssignStmt:
-			if len(parent.Rhs) == 1 && parent.Rhs[0] == ast.Expr(call) {
-				blank := true
-				for _, l := range parent.Lhs {
-					if id, ok := l.(*ast.Ident); !ok || id.Name != "_" {
-						blank = false
-					}
-				}
-				discarded = blank
-			}
-		}
-		if discarded {
-			pass.Reportf(call.Pos(), "close-discard",
-				"Close error on %s is discarded — it surfaces deferred storage failures; join it with the path error (errors.Join) or capture it via a named-return defer",
-				types.ExprString(recv))
-		}
-	})
 }

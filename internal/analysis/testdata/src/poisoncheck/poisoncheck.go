@@ -1,9 +1,6 @@
 // Package poisoncheck is the golden fixture for the poisoncheck
-// analyzer: WAL/page-file errors must propagate, iterator Close
-// errors must not be discarded.
+// analyzer: WAL/page-file errors must propagate.
 package poisoncheck
-
-import "errors"
 
 type WAL struct{}
 
@@ -13,11 +10,6 @@ func (w *WAL) Sync() error                           { return nil }
 type PageFile struct{}
 
 func (f *PageFile) WritePage(id uint32, b []byte) error { return nil }
-
-type Iterator interface {
-	Open() error
-	Close() error
-}
 
 // discarded drops the append error on the floor.
 func discarded(w *WAL) {
@@ -60,24 +52,6 @@ func wrapped(w *WAL, fail func(error) error) error {
 	if err != nil {
 		return fail(err)
 	}
-	return nil
-}
-
-// closeDiscard drops an iterator Close error via bare defer.
-func closeDiscard(it Iterator) error {
-	if err := it.Open(); err != nil {
-		return err
-	}
-	defer it.Close() // want "Close error"
-	return nil
-}
-
-// closeJoined captures the Close error into the named return.
-func closeJoined(it Iterator) (err error) {
-	if err := it.Open(); err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, it.Close()) }()
 	return nil
 }
 

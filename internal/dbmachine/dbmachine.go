@@ -68,11 +68,11 @@ var ErrNotSelect = errors.New("dbmachine: not a SELECT")
 
 // New assembles the machine: frontend → parser, frontend → executor,
 // executor → optimiser(initial).
-func New(bufferFrames int, log *trace.Log) (*Machine, error) {
+func New(log *trace.Log) (*Machine, error) {
 	if log == nil {
 		log = trace.New()
 	}
-	eng := query.NewEngine(query.NewCatalog(bufferFrames), log, nil)
+	eng := query.NewEngine(query.NewCatalog(), log, nil)
 	asm := component.NewAssembly(log, nil)
 	m := &Machine{Asm: asm, Engine: eng, log: log}
 

@@ -12,7 +12,7 @@ import (
 
 func seeded(t *testing.T) *Machine {
 	t.Helper()
-	m, err := New(256, trace.New())
+	m, err := New(trace.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func DBMachine() (*Report, error) {
 
 	// And the upper half of the claim: the DBMS itself as components,
 	// the optimiser swapped mid-session without changing answers.
-	m, err := dbmachine.New(128, trace.New())
+	m, err := dbmachine.New(trace.New())
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func DBMachine() (*Report, error) {
 // from a failed device to a replica and finishes exactly.
 func Failover() (*Report, error) {
 	mk := func() (*query.Engine, error) {
-		e := query.NewEngine(query.NewCatalog(128), trace.New(), nil)
+		e := query.NewEngine(query.NewCatalog(), trace.New(), nil)
 		if _, err := e.Exec("CREATE TABLE m (k INT, v FLOAT)"); err != nil {
 			return nil, err
 		}

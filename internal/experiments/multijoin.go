@@ -44,7 +44,7 @@ func starEngine(rows int) (*query.Engine, error) {
 		rows = 200
 	}
 	orders, customers, nations := rows/4, rows/20, 6
-	e := query.NewEngine(query.NewCatalog(4096), trace.New(), nil)
+	e := query.NewEngine(query.NewCatalog(), trace.New(), nil)
 	for _, ddl := range []string{
 		"CREATE TABLE nation (id INT, region INT)",
 		"CREATE TABLE customer (id INT, n_id INT)",

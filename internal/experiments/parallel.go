@@ -34,7 +34,7 @@ func load(cat *query.Catalog, table string, n int, row func(i int) storage.Tuple
 // side, unique keys, and fresh statistics: the fixture of `admbench
 // -bench` and of BenchmarkParallelJoin alike.
 func ParallelJoinEngine(rows int) (*query.Engine, error) {
-	e := query.NewEngine(query.NewCatalog(4096), trace.New(), nil)
+	e := query.NewEngine(query.NewCatalog(), trace.New(), nil)
 	for _, ddl := range []string{
 		"CREATE TABLE l (k INT, v INT)",
 		"CREATE TABLE r (k INT, v INT)",

@@ -28,7 +28,7 @@ import (
 // one committed transaction, analyzes, and checkpoints — the durable
 // build point that installs the zone maps the kernel path prunes with.
 func scanFilterEngine(rows int) (*query.Engine, error) {
-	cat := query.NewCatalog(4096)
+	cat := query.NewCatalog()
 	e := query.NewEngine(cat, trace.New(), nil)
 	if _, err := e.Exec("CREATE TABLE s (k INT, v INT)"); err != nil {
 		return nil, err
@@ -132,7 +132,7 @@ func RunScanFilterBench(m *Measurements, rows, workers, repeats int) error {
 	want := rows / 100
 	sql := fmt.Sprintf("SELECT v FROM s WHERE k < %d", want)
 	// Repeat -1 is an untimed round of each variant: it warms the
-	// buffer pool and the plan path so repeat 0 is not a cold outlier.
+	// caches and the plan path so repeat 0 is not a cold outlier.
 	for rep := -1; rep < repeats; rep++ {
 		for _, v := range []struct {
 			bench string

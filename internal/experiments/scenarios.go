@@ -315,7 +315,7 @@ type Scenario3Result struct {
 // RunScenario3 builds the misestimated-join engine and runs static vs
 // adaptive execution.
 func RunScenario3() (*Scenario3Result, error) {
-	e := query.NewEngine(query.NewCatalog(512), trace.New(), nil)
+	e := query.NewEngine(query.NewCatalog(), trace.New(), nil)
 	if _, err := e.Exec("CREATE TABLE big (k INT, pad STRING)"); err != nil {
 		return nil, err
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // newHeap creates the heap file name in a DB of its own, over fresh
-// MemDisks with a pool of `frames` buffer frames.
-func newHeap(t testing.TB, name string, frames int) (*storage.DB, *storage.HeapFile) {
+// MemDisks.
+func newHeap(t testing.TB, name string) (*storage.DB, *storage.HeapFile) {
 	t.Helper()
 	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
-		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: frames})
+		storage.DBOptions{Sync: storage.SyncManual})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func load(t testing.TB, db *storage.DB, hf *storage.HeapFile, rows ...storage.Tu
 // batchHeap builds a heap file with n sequential rows (id, "v<id>").
 func batchHeap(t *testing.T, n int) (*storage.DB, *storage.HeapFile) {
 	t.Helper()
-	db, hf := newHeap(t, "t", 64)
+	db, hf := newHeap(t, "t")
 	rows := make([]storage.Tuple, n)
 	for i := range rows {
 		rows[i] = storage.Tuple{storage.IntValue(int64(i)), storage.StringValue(fmt.Sprintf("v%d", i))}

@@ -4,7 +4,7 @@
 //     the operator above it with its error, and no pooled batch stays
 //     checked out.
 //  2. A pipeline that errors mid-stream, or is abandoned, holds no
-//     buffer-pool frame: BufferManager.PinnedFrames() returns to
+//     page pin: BufferManager.PinnedFrames() returns to
 //     baseline.
 //
 // The audit instrument is erringSource, which serves one-row batches
@@ -79,11 +79,11 @@ func TestSourceErrorLeavesNothingHeld(t *testing.T) {
 }
 
 // TestPinnedFramesBalancedAfterErrors runs real heap scans — the only
-// operators that pin buffer-pool frames — to completion and abandoned
-// mid-stream, and asserts the pool's pin gauge returns to zero: no
-// scan path holds a frame between claims.
+// operators that pin pages — to completion and abandoned mid-stream,
+// and asserts the page table's pin gauge returns to zero: no scan path
+// holds a page between claims.
 func TestPinnedFramesBalancedAfterErrors(t *testing.T) {
-	db, hf := newHeap(t, "leak", 64)
+	db, hf := newHeap(t, "leak")
 	bm := db.Buffer()
 	var rows []storage.Tuple
 	for i := 0; i < 500; i++ {

@@ -76,7 +76,7 @@ func TestSortAscDesc(t *testing.T) {
 // RID, in claims of at most the run size at any size, exhausted for
 // good — and the same multiset when four workers share it.
 func TestHeapAndIndexScan(t *testing.T) {
-	db, hf := newHeap(t, "t", 16)
+	db, hf := newHeap(t, "t")
 	idx := storage.NewBTree("t_a")
 	var seed []storage.Tuple
 	for i := int64(0); i < 100; i++ {
@@ -207,7 +207,7 @@ func TestHashJoinRespectsColumnsAndNulls(t *testing.T) {
 // snapshot is skipped. Each joined row is the outer's columns, then the
 // inner's.
 func TestIndexNLJoin(t *testing.T) {
-	db, inner := newHeap(t, "inner", 16)
+	db, inner := newHeap(t, "inner")
 	idx := storage.NewBTree("inner_k")
 	var seed []storage.Tuple
 	for i := int64(0); i < 50; i++ {

@@ -61,7 +61,7 @@ func TestSliceBatchesCoverEverythingOnce(t *testing.T) {
 }
 
 func TestHeapBatchesMatchSerialScan(t *testing.T) {
-	db, hf := newHeap(t, "t", 8)
+	db, hf := newHeap(t, "t")
 	var want []storage.Tuple
 	for i := 0; i < 2500; i++ {
 		want = append(want, intTuple(int64(i), int64(i%13)))

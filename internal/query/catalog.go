@@ -104,11 +104,10 @@ var (
 )
 
 // NewCatalog builds a catalog over a fresh in-memory DB (both disks
-// MemDisks, WAL barriers only on commit) with the given buffer-pool
-// size in frames.
-func NewCatalog(bufferFrames int) *Catalog {
+// MemDisks, WAL barriers only on commit).
+func NewCatalog() *Catalog {
 	db, err := storage.Open(storage.NewMemDisk(), storage.NewMemDisk(),
-		storage.DBOptions{Sync: storage.SyncManual, BufferFrames: bufferFrames})
+		storage.DBOptions{Sync: storage.SyncManual})
 	if err != nil {
 		panic(fmt.Sprintf("query: opening an empty in-memory DB: %v", err))
 	}
@@ -118,9 +117,6 @@ func NewCatalog(bufferFrames int) *Catalog {
 	}
 	return c
 }
-
-// Buffer exposes the buffer manager (grain ablation, policy swaps).
-func (c *Catalog) Buffer() *storage.BufferManager { return c.db.Buffer() }
 
 // CreateTable registers a new table: the heap file and schema are
 // redo-logged before the table is visible.

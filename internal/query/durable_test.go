@@ -11,7 +11,7 @@ import (
 
 func openDurableEngine(t *testing.T, wal, data *storage.MemDisk) (*Engine, *storage.DB) {
 	t.Helper()
-	db, err := storage.Open(wal, data, storage.DBOptions{BufferFrames: 256})
+	db, err := storage.Open(wal, data, storage.DBOptions{})
 	if err != nil {
 		t.Fatalf("open db: %v", err)
 	}

@@ -119,7 +119,7 @@ func TestFusedTailsMatchSerial(t *testing.T) {
 			sql := fmt.Sprintf(tc.sql, from)
 			for _, lie := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/lie=%v", tc.name, strings.Fields(from)[1], lie), func(t *testing.T) {
-					e := NewEngine(NewCatalog(256), trace.New(), nil)
+					e := NewEngine(NewCatalog(), trace.New(), nil)
 					seedFused(t, e)
 					want := rowsMultiset(refSelect(t, e, sql, nil))
 					if lie {
@@ -170,7 +170,7 @@ func TestFusedProbePanicDegradesToSerial(t *testing.T) {
 	} {
 		t.Run(sql, func(t *testing.T) {
 			log := trace.New()
-			e := NewEngine(NewCatalog(256), log, nil)
+			e := NewEngine(NewCatalog(), log, nil)
 			seedFused(t, e)
 			want := rowsMultiset(refSelect(t, e, sql, nil))
 			var probes atomic.Int32

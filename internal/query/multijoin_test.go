@@ -250,7 +250,7 @@ func TestMultiJoinDeterminismMatrix(t *testing.T) {
 	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			e := NewEngine(NewCatalog(256), trace.New(), nil)
+			e := NewEngine(NewCatalog(), trace.New(), nil)
 			seedStar(t, e)
 			want := rowsMultiset(refSelect(t, e, q.sql, nil))
 			// Stale statistics: orders claimed tiny → the router's first
@@ -293,7 +293,7 @@ func TestMultiJoinDeterminismMatrix(t *testing.T) {
 // mis-ordered baseline the benchmarks compare against. The answer is
 // unchanged.
 func TestMultiJoinDeclaredOrderKnob(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	seedStar(t, e)
 	want := rowsMultiset(refSelect(t, e, starSQL, nil))
 	res, rep, err := e.ExecuteSQL(starSQL, ExecOptions{

@@ -52,7 +52,7 @@ func TestWorkerPanicDegradesToSerial(t *testing.T) {
 	for _, sql := range queries {
 		t.Run(sql, func(t *testing.T) {
 			log := trace.New()
-			e := NewEngine(NewCatalog(256), log, nil)
+			e := NewEngine(NewCatalog(), log, nil)
 			seedParallel(t, e)
 			want := rowsMultiset(refSelect(t, e, sql, nil))
 
@@ -108,7 +108,7 @@ func TestWorkerPanicDegradesToSerial(t *testing.T) {
 // re-run the statement at one worker.
 func TestAllWorkersPanic(t *testing.T) {
 	log := trace.New()
-	e := NewEngine(NewCatalog(256), log, nil)
+	e := NewEngine(NewCatalog(), log, nil)
 	seedParallel(t, e)
 	sql := "SELECT u.city, SUM(o.amount) FROM users u JOIN orders o ON u.id = o.user_id GROUP BY u.city"
 	want := rowsMultiset(refSelect(t, e, sql, nil))
@@ -133,7 +133,7 @@ func TestAllWorkersPanic(t *testing.T) {
 // batch, and serves the next statement.
 func TestDeterministicPanicFailsStatement(t *testing.T) {
 	log := trace.New()
-	e := NewEngine(NewCatalog(256), log, nil)
+	e := NewEngine(NewCatalog(), log, nil)
 	seedParallel(t, e)
 	sql := "SELECT u.city, SUM(o.amount) FROM users u JOIN orders o ON u.id = o.user_id GROUP BY u.city"
 	want := rowsMultiset(refSelect(t, e, sql, nil))

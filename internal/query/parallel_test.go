@@ -93,7 +93,7 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(NewCatalog(256), trace.New(), nil)
+			e := NewEngine(NewCatalog(), trace.New(), nil)
 			seedParallel(t, e)
 			want := rowsMultiset(refSelect(t, e, tc.sql, nil))
 			// Sweep worker counts at the default batch size, then batch
@@ -146,7 +146,7 @@ func TestParallelMatchesSerialDeterminism(t *testing.T) {
 // of nulls holds 15 rows; v is NULL in all of groups 0 and 1 and in
 // none of the rest.
 func TestCountColumnSkipsNulls(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	e.MustExec("CREATE TABLE nulls (g INT, v INT)")
 	e.MustExec("CREATE TABLE tags (g INT, tag STRING)")
 	for i := 0; i < 90; i++ {
@@ -185,7 +185,7 @@ func TestCountColumnSkipsNulls(t *testing.T) {
 // BY, so the scan is not drained inline) must lose and duplicate no
 // row.
 func TestParallelIndexPathMatchesSerial(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	seedParallel(t, e)
 	e.MustExec("CREATE INDEX ON orders (user_id)")
 	sql := "SELECT id, amount FROM orders WHERE user_id = 7 ORDER BY id"
@@ -211,7 +211,7 @@ func TestParallelIndexPathMatchesSerial(t *testing.T) {
 // records the side swap.
 func TestParallelSafePointTrace(t *testing.T) {
 	log := trace.New()
-	e := NewEngine(NewCatalog(256), log, nil)
+	e := NewEngine(NewCatalog(), log, nil)
 	seedParallel(t, e)
 	if err := e.cat.SetStats("big", TableStats{Rows: 3, Distinct: map[string]int{"k": 3}}); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestParallelSafePointTrace(t *testing.T) {
 // life, so statements that do not adapt — point, scan and join SELECTs
 // at several workers — must add nothing to it.
 func TestTraceStaysFlatWithoutAdaptation(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	seedParallel(t, e)
 	e.MustExec("CREATE INDEX ON users (id)")
 	before := e.Trace().Len()
@@ -278,7 +278,7 @@ func TestTraceStaysFlatWithoutAdaptation(t *testing.T) {
 // and the report and the executed plan say so; anything more than a
 // drain keeps the requested workers.
 func TestIndexDrainRunsInline(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	seedParallel(t, e)
 	e.MustExec("CREATE INDEX ON orders (user_id)")
 	for sql, want := range map[string]int{
@@ -301,7 +301,7 @@ func TestIndexDrainRunsInline(t *testing.T) {
 
 // TestParallelNonSelectFallsBack checks DML passes straight through.
 func TestParallelNonSelectFallsBack(t *testing.T) {
-	e := NewEngine(NewCatalog(64), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	e.MustExec("CREATE TABLE t (x INT)")
 	res, rep, err := e.ExecuteSQL("INSERT INTO t VALUES (1), (2)", ExecOptions{Workers: 4})
 	if err != nil {

@@ -24,7 +24,7 @@ func BenchmarkPlanMultiJoin(b *testing.B) {
 // its op: one plan of the parsed statement, inside a transaction that
 // rolls back when tb ends.
 func planMultiJoinOp(tb testing.TB) func() {
-	e := NewEngine(NewCatalog(64), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	for i := 0; i < 5; i++ {
 		if _, err := e.Exec(fmt.Sprintf("CREATE TABLE t%d (a INT, b INT)", i)); err != nil {
 			tb.Fatal(err)

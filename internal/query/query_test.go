@@ -27,7 +27,7 @@ func loadRows(t testing.TB, cat *Catalog, table string, rows ...storage.Tuple) {
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
-	return NewEngine(NewCatalog(256), trace.New(), nil)
+	return NewEngine(NewCatalog(), trace.New(), nil)
 }
 
 func seedShop(t *testing.T, e *Engine) {
@@ -456,7 +456,7 @@ func TestAdaptiveExecIndexInjection(t *testing.T) {
 // plan) and enabled, whether or not it replans.
 func TestAdaptiveMatchesStaticProperty(t *testing.T) {
 	f := func(seed int64, bigN, smallN uint8, lieRaw uint8) bool {
-		e := NewEngine(NewCatalog(256), trace.New(), nil)
+		e := NewEngine(NewCatalog(), trace.New(), nil)
 		e.MustExec("CREATE TABLE big (k INT)")
 		e.MustExec("CREATE TABLE small (k INT)")
 		bn := int(bigN)%300 + 1

@@ -20,7 +20,7 @@ func replicaEngines(t *testing.T, rows int) (a, b, diverged *Engine) {
 		t.Helper()
 	}
 	mk := func(tweak bool) *Engine {
-		e := NewEngine(NewCatalog(128), trace.New(), nil)
+		e := NewEngine(NewCatalog(), trace.New(), nil)
 		e.MustExec("CREATE TABLE m (k INT, v FLOAT)")
 		for i := 0; i < rows; i++ {
 			v := float64(i % 50)
@@ -153,7 +153,7 @@ func TestRestoreRejectsWrongShape(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	// Snapshot beyond replica size.
-	small := NewEngine(NewCatalog(64), nil, nil)
+	small := NewEngine(NewCatalog(), nil, nil)
 	small.MustExec("CREATE TABLE m (k INT, v FLOAT)")
 	small.MustExec("INSERT INTO m VALUES (0, 0.0)")
 	qs, _ := NewResumableAgg(small.Catalog(), "m", "v", nil)

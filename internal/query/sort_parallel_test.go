@@ -74,7 +74,7 @@ func requireSameOrdered(t *testing.T, label string, got, want []string) {
 // counts 1/2/4/8 and batch sizes 1/64/1024, on a key column full of
 // duplicates, NaN, -0 and NULL.
 func TestParallelOrderByMatchesSerial(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	n := seedMessy(t, e)
 
 	queries := []string{
@@ -122,7 +122,7 @@ func TestParallelOrderByUnderReplan(t *testing.T) {
 		"SELECT s.tag, COUNT(*), SUM(b.pad) FROM big b JOIN small s ON b.k = s.k GROUP BY s.tag ORDER BY tag",
 	} {
 		t.Run(sql, func(t *testing.T) {
-			e := NewEngine(NewCatalog(256), trace.New(), nil)
+			e := NewEngine(NewCatalog(), trace.New(), nil)
 			seedParallel(t, e)
 			want := rowsOrdered(refSelect(t, e, sql, nil))
 			// Lie about big so it is picked as build side and blows the
@@ -154,7 +154,7 @@ func TestParallelOrderByUnderReplan(t *testing.T) {
 // workers sort whole table rows, as through a join, whose probe emits
 // narrow ones; with and without LIMIT, at any worker count.
 func TestOrderByTiesBreakOnOutputRow(t *testing.T) {
-	e := NewEngine(NewCatalog(64), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	e.MustExec("CREATE TABLE tie (k INT, dropped INT, kept INT)")
 	e.MustExec("CREATE TABLE one (k INT)")
 	e.MustExec("INSERT INTO tie VALUES (1, 2, 10), (1, 1, 20), (0, 9, 30)")

@@ -41,7 +41,7 @@ func (s *keepSink) result() *Result { return &Result{Cols: s.names, Rows: s.rows
 // Result.Rows empty. A bare unordered scan streams (one call per batch
 // that survives its filter); every other shape hands its rows over once.
 func TestSinkMatchesNaive(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	seedParallel(t, e)
 	cases := []struct {
 		sql    string
@@ -82,7 +82,7 @@ func TestSinkMatchesNaive(t *testing.T) {
 // LIMIT rows (all of them when there are fewer), distinct rows of the
 // table, at any worker count and batch size.
 func TestStreamedLimitIsExact(t *testing.T) {
-	e := NewEngine(NewCatalog(256), trace.New(), nil)
+	e := NewEngine(NewCatalog(), trace.New(), nil)
 	seedParallel(t, e)
 	for _, limit := range []int{1, 7, 64, 119, 120, 500} {
 		for _, workers := range []int{1, 2, 4} {
@@ -116,7 +116,7 @@ func TestStreamedLimitIsExact(t *testing.T) {
 // way no transaction or pooled batch is left behind.
 func TestStreamedPanicContainment(t *testing.T) {
 	log := trace.New()
-	e := NewEngine(NewCatalog(256), log, nil)
+	e := NewEngine(NewCatalog(), log, nil)
 	seedParallel(t, e)
 	batches := operators.OutstandingBatches()
 	before := []struct{ sql, phase string }{

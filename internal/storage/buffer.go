@@ -7,292 +7,26 @@ import (
 	"sync/atomic"
 )
 
-// PageID identifies a page within a store.
+// PageID identifies a page within a DB.
 type PageID uint32
-
-// storeShardCount is the fixed store shard fan-out (power of two).
-// Page ids are dealt round-robin across shards, so a sequential scan
-// touches every shard in turn and concurrent workers rarely collide.
-const storeShardCount = 16
-
-// Store is the backing page repository (the simulated "disk"). Reads
-// and writes are counted so experiments can price I/O; in this
-// main-memory substrate the cost is purely statistical. The page map
-// is sharded by PageID so concurrent morsel workers do not serialise
-// on one mutex, and the counters are atomics so Stats() never takes a
-// shard lock.
-type Store struct {
-	shards [storeShardCount]storeShard
-	next   atomic.Uint32
-	reads  atomic.Uint64
-	writes atomic.Uint64
-}
-
-type storeShard struct {
-	mu    sync.Mutex
-	pages map[PageID]*Page
-}
-
-// NewStore returns an empty store.
-func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].pages = map[PageID]*Page{}
-	}
-	return s
-}
-
-func (s *Store) shard(id PageID) *storeShard {
-	return &s.shards[uint32(id)&(storeShardCount-1)]
-}
-
-// Allocate creates a fresh page and returns its id.
-func (s *Store) Allocate() PageID {
-	id := PageID(s.next.Add(1) - 1)
-	sh := s.shard(id)
-	sh.mu.Lock()
-	sh.pages[id] = NewPage()
-	sh.mu.Unlock()
-	return id
-}
 
 // ErrNoPage is returned for an unknown page id.
 var ErrNoPage = errors.New("storage: no such page")
-
-func (s *Store) read(id PageID) (*Page, error) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	p, ok := sh.pages[id]
-	sh.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
-	}
-	s.reads.Add(1)
-	return p, nil
-}
-
-// Stats returns cumulative (reads, writes). Lock-free: monitor gauges
-// can poll it mid-query without stalling scan workers.
-func (s *Store) Stats() (reads, writes uint64) {
-	return s.reads.Load(), s.writes.Load()
-}
-
-// install places a recovered page at a specific id, bumping the
-// allocator cursor past it — recovery rebuilding the store from a
-// checkpoint image and redo log must reproduce the exact pre-crash
-// PageIDs or every logged RID would dangle.
-func (s *Store) install(id PageID, p *Page) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	sh.pages[id] = p
-	sh.mu.Unlock()
-	s.ensureNext(uint32(id) + 1)
-}
-
-// ensureNext raises the allocator cursor to at least n (recovery's
-// next-page watermark).
-func (s *Store) ensureNext(n uint32) {
-	for {
-		cur := s.next.Load()
-		if cur >= n || s.next.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// PageCount returns the number of allocated pages.
-func (s *Store) PageCount() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		n += len(s.shards[i].pages)
-		s.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// ---------------------------------------------------------------------------
-// Replacement policies — the paper's fine-grain claim in miniature:
-// the policy is a swappable component behind a small interface.
-
-// Policy chooses eviction victims. Implementations are not
-// concurrency-safe; the buffer manager serialises access (per shard —
-// each shard of a sharded pool runs its own policy instance, or a
-// mutex-wrapped shared instance for policy types it cannot clone).
-type Policy interface {
-	// Name identifies the policy.
-	Name() string
-	// Touched notes a hit/admission of id.
-	Touched(id PageID)
-	// Admitted notes id entering the pool.
-	Admitted(id PageID)
-	// Evicted notes id leaving the pool.
-	Evicted(id PageID)
-	// Victim picks an evictable page from candidates (non-pinned);
-	// candidates is non-empty.
-	Victim(candidates []PageID) PageID
-}
-
-// LRUPolicy evicts the least recently used page.
-type LRUPolicy struct {
-	stamp map[PageID]uint64
-	tick  uint64
-}
-
-// NewLRU returns an LRU policy.
-func NewLRU() *LRUPolicy { return &LRUPolicy{stamp: map[PageID]uint64{}} }
-
-// Name implements Policy.
-func (p *LRUPolicy) Name() string { return "lru" }
-
-// Touched implements Policy.
-func (p *LRUPolicy) Touched(id PageID) { p.tick++; p.stamp[id] = p.tick }
-
-// Admitted implements Policy.
-func (p *LRUPolicy) Admitted(id PageID) { p.Touched(id) }
-
-// Evicted implements Policy.
-func (p *LRUPolicy) Evicted(id PageID) { delete(p.stamp, id) }
-
-// Victim implements Policy.
-func (p *LRUPolicy) Victim(candidates []PageID) PageID {
-	best := candidates[0]
-	bestStamp := p.stamp[best]
-	for _, c := range candidates[1:] {
-		if s := p.stamp[c]; s < bestStamp {
-			best, bestStamp = c, s
-		}
-	}
-	return best
-}
-
-// ClockPolicy is the classic second-chance clock.
-type ClockPolicy struct {
-	ref  map[PageID]bool
-	ring []PageID
-	hand int
-}
-
-// NewClock returns a clock policy.
-func NewClock() *ClockPolicy { return &ClockPolicy{ref: map[PageID]bool{}} }
-
-// Name implements Policy.
-func (p *ClockPolicy) Name() string { return "clock" }
-
-// Touched implements Policy.
-func (p *ClockPolicy) Touched(id PageID) { p.ref[id] = true }
-
-// Admitted implements Policy.
-func (p *ClockPolicy) Admitted(id PageID) {
-	p.ref[id] = true
-	p.ring = append(p.ring, id)
-}
-
-// Evicted implements Policy.
-func (p *ClockPolicy) Evicted(id PageID) {
-	delete(p.ref, id)
-	for i, r := range p.ring {
-		if r == id {
-			p.ring = append(p.ring[:i], p.ring[i+1:]...)
-			if p.hand > i {
-				p.hand--
-			}
-			break
-		}
-	}
-	if len(p.ring) > 0 {
-		p.hand %= len(p.ring)
-	} else {
-		p.hand = 0
-	}
-}
-
-// Victim implements Policy.
-func (p *ClockPolicy) Victim(candidates []PageID) PageID {
-	cand := map[PageID]bool{}
-	for _, c := range candidates {
-		cand[c] = true
-	}
-	for sweep := 0; sweep < 2*len(p.ring)+1; sweep++ {
-		if len(p.ring) == 0 {
-			break
-		}
-		id := p.ring[p.hand]
-		p.hand = (p.hand + 1) % len(p.ring)
-		if !cand[id] {
-			continue
-		}
-		if p.ref[id] {
-			p.ref[id] = false
-			continue
-		}
-		return id
-	}
-	return candidates[0]
-}
-
-// clonePolicy returns a fresh instance of the same policy type for
-// another shard, or false for policy types it does not know (custom
-// test policies), which then share one mutex-wrapped instance.
-func clonePolicy(p Policy) (Policy, bool) {
-	switch p.(type) {
-	case *LRUPolicy:
-		return NewLRU(), true
-	case *ClockPolicy:
-		return NewClock(), true
-	}
-	return nil, false
-}
-
-// lockedPolicy serialises a shared policy instance across shards.
-type lockedPolicy struct {
-	mu sync.Mutex
-	p  Policy
-}
-
-func (l *lockedPolicy) Name() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.Name()
-}
-func (l *lockedPolicy) Touched(id PageID) {
-	l.mu.Lock()
-	l.p.Touched(id)
-	l.mu.Unlock()
-}
-func (l *lockedPolicy) Admitted(id PageID) {
-	l.mu.Lock()
-	l.p.Admitted(id)
-	l.mu.Unlock()
-}
-func (l *lockedPolicy) Evicted(id PageID) {
-	l.mu.Lock()
-	l.p.Evicted(id)
-	l.mu.Unlock()
-}
-func (l *lockedPolicy) Victim(candidates []PageID) PageID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.Victim(candidates)
-}
-
-// ---------------------------------------------------------------------------
-// Buffer manager.
-
-// ErrAllPinned is returned when the pool has no evictable frame.
-var ErrAllPinned = errors.New("storage: all frames pinned")
 
 // ErrQuarantined is returned for pages pulled from service after a
 // checksum failure: the engine reports the corruption instead of
 // silently serving bad bytes.
 var ErrQuarantined = errors.New("storage: page quarantined (checksum failure)")
 
-// BufferStats reports pool effectiveness and integrity counters.
+// BufferStats reports page-table traffic and integrity counters. Every
+// page is resident, so every GetPage is a hit: Misses and Evictions
+// read 0.
 type BufferStats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	// ChecksumFailures counts verifier rejections on fetch.
+	// ChecksumFailures counts pages that failed their checksum, at
+	// recovery or in a checkpoint's scrub.
 	ChecksumFailures uint64
 	// QuarantinedPages is the number of pages currently quarantined.
 	QuarantinedPages uint64
@@ -307,104 +41,167 @@ func (s BufferStats) HitRate() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
-// Shard sizing: pools get up to bufferShardMax shards, but never so
-// many that a shard drops below bufferShardMinFrames frames — small
-// deterministic pools (unit tests, ablations) stay single-shard and
-// keep exact global LRU/clock semantics.
+// chunkSlots is the number of page slots in one chunk of the table.
 const (
-	bufferShardMax       = 16
-	bufferShardMinFrames = 32
+	chunkShift = 8
+	chunkSlots = 1 << chunkShift
 )
 
-func bufferShardCount(capacity int) int {
-	n := 1
-	for n*2 <= bufferShardMax && capacity/(n*2) >= bufferShardMinFrames {
-		n *= 2
-	}
-	return n
-}
-
-// BufferManager caches pages over a store with a bounded frame pool
-// and a pluggable replacement policy. GetPage is the paper's exemplar
-// fine-grained operation, and the pool is built so many workers can
-// issue it at once: frames are sharded by PageID (per-shard mutex and
-// policy, capacity split evenly) and the hit/miss/eviction counters
-// are atomics readable without any lock. Sharding trades exact global
-// eviction order for concurrency — each shard evicts among its own
-// resident pages — which only engages on pools of 64+ frames.
+// BufferManager is the DB's page table. Every page lives in memory;
+// the page file is only the checkpoint image recovery starts from.
+// Page ids are dense (Allocate is a counter), so the table is a
+// grow-only directory of fixed-size chunks, and a page's slot holds
+// the page, its pin count and its quarantine mark, each an atomic.
+// GetPage and Unpin take no lock; only growing the directory does.
+// The zero value is an empty table.
 type BufferManager struct {
-	store     *Store
-	shards    []bufShard
-	mask      uint32
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	checksum  atomic.Uint64
+	growMu sync.Mutex
+	dir    atomic.Pointer[[]*pageChunk]
+	next   atomic.Uint32
 
-	// verifier, when set, runs on every pool miss before the fetched
-	// page is admitted (the DB wires it to the page file's stored CRC).
-	// A non-nil error quarantines the page. Guarded by quarantineMu
-	// only at install time; reads are via the atomic pointer.
-	verifier atomic.Pointer[func(PageID, *Page) error]
+	hits        atomic.Uint64
+	checksum    atomic.Uint64
+	quarantined atomic.Uint64
 
-	quarantineMu sync.Mutex
-	quarantined  map[PageID]error
-	// onQuarantine holds callbacks run (outside every pool latch) the
-	// first time a page is quarantined; heap files register their
-	// zone-map invalidation here so a page that goes unreadable never
-	// keeps a prunable summary. cbMu is an incidental leaf mutex, not
-	// part of the latch hierarchy: registration can happen under the
-	// db latch (CreateFile), so it must rank below nothing — it is
-	// never held across any other acquisition.
+	// onQuarantine holds callbacks run the first time a page is
+	// quarantined; heap files register their zone-map invalidation here
+	// so a page that goes unreadable never keeps a prunable summary.
+	// cbMu is an incidental leaf mutex, not part of the latch
+	// hierarchy: registration can happen under the db latch
+	// (CreateFile), so it must rank below nothing — it is never held
+	// across any other acquisition.
 	cbMu         sync.Mutex
 	onQuarantine []func(PageID)
 }
 
-type bufShard struct {
-	mu     sync.Mutex
-	frames map[PageID]*frame
-	cap    int
-	policy Policy
+type pageChunk [chunkSlots]pageSlot
+
+// pageSlot is one page id's entry: a nil page is an id with no page
+// installed yet, a non-nil mark pulls the page from service.
+type pageSlot struct {
+	page       atomic.Pointer[Page]
+	pins       atomic.Int32
+	quarantine atomic.Pointer[quarantineMark]
 }
 
-type frame struct {
-	page *Page
-	pins int
+type quarantineMark struct{ cause error }
+
+// slot returns id's slot, or nil when the table has not grown to id.
+func (b *BufferManager) slot(id PageID) *pageSlot {
+	dir := b.dir.Load()
+	if dir == nil || int(id>>chunkShift) >= len(*dir) {
+		return nil
+	}
+	return &(*dir)[id>>chunkShift][id&(chunkSlots-1)]
 }
 
-// NewBufferManager builds a pool of `capacity` frames over store. The
-// given policy seeds shard 0; known policy types (LRU, clock) are
-// cloned per shard, unknown ones are shared behind a mutex.
-func NewBufferManager(store *Store, capacity int, policy Policy) *BufferManager {
-	if capacity < 1 {
-		capacity = 64
+// grow returns id's slot, growing the directory to cover it.
+func (b *BufferManager) grow(id PageID) *pageSlot {
+	if s := b.slot(id); s != nil {
+		return s
 	}
-	if policy == nil {
-		policy = NewLRU()
+	b.growMu.Lock()
+	defer b.growMu.Unlock()
+	var dir []*pageChunk
+	if d := b.dir.Load(); d != nil {
+		dir = *d
 	}
-	n := bufferShardCount(capacity)
-	b := &BufferManager{store: store, shards: make([]bufShard, n), mask: uint32(n - 1)}
-	perShard := capacity / n
-	policies := shardPolicies(policy, n)
-	for i := range b.shards {
-		b.shards[i] = bufShard{frames: map[PageID]*frame{}, cap: perShard, policy: policies[i]}
+	if n := int(id>>chunkShift) + 1; n > len(dir) {
+		grown := make([]*pageChunk, n)
+		copy(grown, dir)
+		for i := len(dir); i < n; i++ {
+			grown[i] = new(pageChunk)
+		}
+		b.dir.Store(&grown)
 	}
-	b.quarantined = map[PageID]error{}
-	return b
+	return b.slot(id)
 }
 
-// SetVerifier installs the fetch-time integrity check run on every
-// pool miss. Passing nil disables verification.
-func (b *BufferManager) SetVerifier(fn func(PageID, *Page) error) {
-	if fn == nil {
-		b.verifier.Store(nil)
+// slots calls fn for the slot of every id below the allocator cursor.
+func (b *BufferManager) slots(fn func(PageID, *pageSlot)) {
+	n := PageID(b.next.Load())
+	for id := PageID(0); id < n; id++ {
+		if s := b.slot(id); s != nil {
+			fn(id, s)
+		}
+	}
+}
+
+// Allocate creates a fresh page and returns its id.
+func (b *BufferManager) Allocate() PageID {
+	id := PageID(b.next.Add(1) - 1)
+	b.grow(id).page.Store(NewPage())
+	return id
+}
+
+// install places a recovered page at a specific id, bumping the
+// allocator cursor past it — recovery rebuilding the table from a
+// checkpoint image and redo log must reproduce the exact pre-crash
+// PageIDs or every logged RID would dangle.
+func (b *BufferManager) install(id PageID, p *Page) {
+	b.grow(id).page.Store(p)
+	b.ensureNext(uint32(id) + 1)
+}
+
+// ensureNext raises the allocator cursor to at least n (recovery's
+// next-page watermark).
+func (b *BufferManager) ensureNext(n uint32) {
+	for {
+		cur := b.next.Load()
+		if cur >= n || b.next.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
+// page returns id's page without pinning it or checking its
+// quarantine mark (checkpoint's flush and recovery's redo).
+func (b *BufferManager) page(id PageID) (*Page, error) {
+	if s := b.slot(id); s != nil {
+		if p := s.page.Load(); p != nil {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
+}
+
+// GetPage pins and returns a page. A quarantined page fails with
+// ErrQuarantined, wrapping the cause of its quarantine.
+func (b *BufferManager) GetPage(id PageID) (*Page, error) {
+	s := b.slot(id)
+	if s == nil {
+		return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
+	}
+	if m := s.quarantine.Load(); m != nil {
+		// Both sentinels stay matchable: ErrQuarantined for the service
+		// state, the cause (typically ErrChecksum) for the diagnosis.
+		return nil, fmt.Errorf("%w: page %d: %w", ErrQuarantined, id, m.cause)
+	}
+	p := s.page.Load()
+	if p == nil {
+		return nil, fmt.Errorf("%w: %d", ErrNoPage, id)
+	}
+	s.pins.Add(1)
+	b.hits.Add(1)
+	return p, nil
+}
+
+// Unpin releases a pin taken by GetPage.
+func (b *BufferManager) Unpin(id PageID) {
+	s := b.slot(id)
+	if s == nil {
 		return
 	}
-	b.verifier.Store(&fn)
+	for {
+		n := s.pins.Load()
+		if n <= 0 || s.pins.CompareAndSwap(n, n-1) {
+			return
+		}
+	}
 }
 
 // OnQuarantine registers fn to run after a page is first quarantined.
-// Callbacks are invoked with no pool latch held (admvet: callbacks
+// Callbacks are invoked with no table latch held (admvet: callbacks
 // never run under engine latches), so they may take their own locks.
 func (b *BufferManager) OnQuarantine(fn func(PageID)) {
 	b.cbMu.Lock()
@@ -414,225 +211,49 @@ func (b *BufferManager) OnQuarantine(fn func(PageID)) {
 
 // Quarantine pulls a page from service: subsequent GetPage calls fail
 // with ErrQuarantined (wrapping cause) instead of serving bytes that
-// failed their checksum. Registered OnQuarantine callbacks fire once
-// per page, after the quarantine is in effect.
+// failed their checksum. A pin already held keeps its page. Registered
+// OnQuarantine callbacks fire once per page, after the quarantine is
+// in effect. An id with no page installed has nothing to pull.
 func (b *BufferManager) Quarantine(id PageID, cause error) {
-	b.quarantineMu.Lock()
-	_, dup := b.quarantined[id]
-	if !dup {
-		b.quarantined[id] = cause
+	s := b.slot(id)
+	if s == nil || s.page.Load() == nil || !s.quarantine.CompareAndSwap(nil, &quarantineMark{cause}) {
+		return
 	}
-	b.quarantineMu.Unlock()
+	b.quarantined.Add(1)
 	b.cbMu.Lock()
 	cbs := b.onQuarantine
 	b.cbMu.Unlock()
-	// Drop any resident frame so the poisoned image cannot be served
-	// from cache. Pinned frames stay (the pin holder already has the
-	// pointer); the quarantine check still blocks new fetches.
-	sh := b.shard(id)
-	sh.mu.Lock()
-	if f, ok := sh.frames[id]; ok && f.pins == 0 {
-		delete(sh.frames, id)
-		sh.policy.Evicted(id)
-	}
-	sh.mu.Unlock()
-	if !dup {
-		for _, fn := range cbs {
-			fn(id)
-		}
+	for _, fn := range cbs {
+		fn(id)
 	}
 }
 
-// Quarantined returns the ids currently quarantined (diagnostics).
+// Quarantined returns the ids currently quarantined, ascending.
 func (b *BufferManager) Quarantined() []PageID {
-	b.quarantineMu.Lock()
-	defer b.quarantineMu.Unlock()
-	out := make([]PageID, 0, len(b.quarantined))
-	for id := range b.quarantined {
-		out = append(out, id)
-	}
+	var out []PageID
+	b.slots(func(id PageID, s *pageSlot) {
+		if s.quarantine.Load() != nil {
+			out = append(out, id)
+		}
+	})
 	return out
 }
 
-func (b *BufferManager) quarantineErr(id PageID) error {
-	b.quarantineMu.Lock()
-	cause, ok := b.quarantined[id]
-	b.quarantineMu.Unlock()
-	if !ok {
-		return nil
-	}
-	if cause != nil {
-		// Both sentinels stay matchable: ErrQuarantined for the service
-		// state, the cause (typically ErrChecksum) for the diagnosis.
-		return fmt.Errorf("%w: page %d: %w", ErrQuarantined, id, cause)
-	}
-	return fmt.Errorf("%w: page %d", ErrQuarantined, id)
-}
-
-// shardPolicies produces one policy per shard: clones when the type is
-// clonable, otherwise one shared locked instance.
-func shardPolicies(p Policy, n int) []Policy {
-	out := make([]Policy, n)
-	if n == 1 {
-		out[0] = p
-		return out
-	}
-	if _, ok := clonePolicy(p); !ok {
-		shared := &lockedPolicy{p: p}
-		for i := range out {
-			out[i] = shared
-		}
-		return out
-	}
-	out[0] = p
-	for i := 1; i < n; i++ {
-		out[i], _ = clonePolicy(p)
-	}
-	return out
-}
-
-func (b *BufferManager) shard(id PageID) *bufShard {
-	return &b.shards[uint32(id)&b.mask]
-}
-
-// ShardCount reports the pool's shard fan-out.
-func (b *BufferManager) ShardCount() int { return len(b.shards) }
-
-// Policy returns the current replacement policy name.
-func (b *BufferManager) Policy() string {
-	sh := &b.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.policy.Name()
-}
-
-// SwapPolicy replaces the replacement policy at run time — the
-// buffer-manager component being rebound without flushing the pool.
-// Each shard's resident pages are re-admitted into its new policy
-// instance.
-func (b *BufferManager) SwapPolicy(p Policy) {
-	policies := shardPolicies(p, len(b.shards))
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for id := range sh.frames {
-			policies[i].Admitted(id)
-		}
-		sh.policy = policies[i]
-		sh.mu.Unlock()
-	}
-}
-
-// GetPage pins and returns a page, faulting it in if needed. On a
-// pool miss the installed verifier (if any) checks the page before it
-// is admitted; a failure quarantines the page and the fetch errors
-// instead of serving unverified bytes.
-func (b *BufferManager) GetPage(id PageID) (*Page, error) {
-	if err := b.quarantineErr(id); err != nil {
-		return nil, err
-	}
-	sh := b.shard(id)
-	sh.mu.Lock()
-	if f, ok := sh.frames[id]; ok {
-		f.pins++
-		sh.policy.Touched(id)
-		sh.mu.Unlock()
-		b.hits.Add(1)
-		return f.page, nil
-	}
-	b.misses.Add(1)
-	if len(sh.frames) >= sh.cap {
-		if err := b.evictLocked(sh); err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-	}
-	p, err := b.store.read(id)
-	if err != nil {
-		sh.mu.Unlock()
-		return nil, err
-	}
-	if vp := b.verifier.Load(); vp != nil {
-		//admvet:allow latchorder verify-before-admit: the page must be checked under the shard latch or a racing fetch could pin unverified bytes
-		if err := (*vp)(id, p); err != nil {
-			sh.mu.Unlock()
-			b.checksum.Add(1)
-			b.Quarantine(id, err)
-			return nil, b.quarantineErr(id)
-		}
-	}
-	sh.frames[id] = &frame{page: p, pins: 1}
-	sh.policy.Admitted(id)
-	sh.mu.Unlock()
-	return p, nil
-}
-
-func (b *BufferManager) evictLocked(sh *bufShard) error {
-	var cands []PageID
-	for id, f := range sh.frames {
-		if f.pins == 0 {
-			cands = append(cands, id)
-		}
-	}
-	if len(cands) == 0 {
-		return ErrAllPinned
-	}
-	victim := sh.policy.Victim(cands)
-	delete(sh.frames, victim)
-	sh.policy.Evicted(victim)
-	b.evictions.Add(1)
-	return nil
-}
-
-// Unpin releases a pin taken by GetPage.
-func (b *BufferManager) Unpin(id PageID) {
-	sh := b.shard(id)
-	sh.mu.Lock()
-	if f, ok := sh.frames[id]; ok && f.pins > 0 {
-		f.pins--
-	}
-	sh.mu.Unlock()
-}
-
-// Resident returns the number of cached pages.
-func (b *BufferManager) Resident() int {
-	n := 0
-	for i := range b.shards {
-		b.shards[i].mu.Lock()
-		n += len(b.shards[i].frames)
-		b.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// PinnedFrames returns the total outstanding pin count across the
-// pool — the leak-audit gauge: after a query completes (success or
-// error), this must return to its pre-query value.
+// PinnedFrames returns the total outstanding pin count — the
+// leak-audit gauge: after a query completes (success or error), this
+// must return to its pre-query value.
 func (b *BufferManager) PinnedFrames() int {
 	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			n += f.pins
-		}
-		sh.mu.Unlock()
-	}
+	b.slots(func(_ PageID, s *pageSlot) { n += int(s.pins.Load()) })
 	return n
 }
 
-// Stats returns pool statistics. Mostly lock-free — safe for monitor
-// gauges to poll mid-query; the quarantine count takes a small mutex
-// no hot path holds.
+// Stats returns the table's counters. Lock-free: monitor gauges can
+// poll it mid-query.
 func (b *BufferManager) Stats() BufferStats {
-	b.quarantineMu.Lock()
-	nq := uint64(len(b.quarantined))
-	b.quarantineMu.Unlock()
 	return BufferStats{
 		Hits:             b.hits.Load(),
-		Misses:           b.misses.Load(),
-		Evictions:        b.evictions.Load(),
 		ChecksumFailures: b.checksum.Load(),
-		QuarantinedPages: nq,
+		QuarantinedPages: b.quarantined.Load(),
 	}
 }

@@ -86,6 +86,22 @@ func commitOne(db *DB, fn func(tx *Txn) error) error {
 	return tx.Commit()
 }
 
+// insertKeys commits the workload rows of keys [from, to) into h in one
+// transaction.
+func insertKeys(t *testing.T, db *DB, h *HeapFile, from, to int64) {
+	t.Helper()
+	if err := commitOne(db, func(tx *Txn) error {
+		for i := from; i < to; i++ {
+			if _, err := tx.Insert(h, wlTuple(i, 0)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // applyOp runs one op against db, updating the model only on success.
 func applyOp(db *DB, op wlOp, s *wlState) error {
 	h, _ := db.File("t")
@@ -623,12 +639,12 @@ func TestRecoveryQuarantinesCorruptPage(t *testing.T) {
 }
 
 // TestFetchTimeChecksum corrupts a frame's stored CRC after a
-// checkpoint and forces the page out of the buffer pool: the next
-// fetch must fail verification, bump the counters, and quarantine the
-// page instead of serving it.
+// checkpoint; the next checkpoint's scrub must catch the page whose
+// memory no longer matches its frame, bump the counters, and
+// quarantine the page so the next fetch fails instead of serving it.
 func TestFetchTimeChecksum(t *testing.T) {
 	walDisk, dataDisk := NewMemDisk(), NewMemDisk()
-	db, err := Open(walDisk, dataDisk, DBOptions{BufferFrames: 2})
+	db, err := Open(walDisk, dataDisk, DBOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,16 +684,15 @@ func TestFetchTimeChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Evict the victim from the 2-frame pool by touching other pages.
-	for round := 0; round < 4; round++ {
-		for _, id := range pages[1:] {
-			if p, err := db.Buffer().GetPage(id); err != nil {
-				t.Fatal(err)
-			} else {
-				_ = p
-				db.Buffer().Unpin(id)
-			}
+	// The second checkpoint flushes nothing and scrubs every page.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range pages[1:] {
+		if _, err := db.Buffer().GetPage(id); err != nil {
+			t.Fatalf("healthy page %d: %v", id, err)
 		}
+		db.Buffer().Unpin(id)
 	}
 	_, err = db.Buffer().GetPage(victim)
 	if !errors.Is(err, ErrChecksum) || !errors.Is(err, ErrQuarantined) {
@@ -692,6 +707,83 @@ func TestFetchTimeChecksum(t *testing.T) {
 	}
 	if len(hooked) != 1 || hooked[0] != victim {
 		t.Fatalf("corruption hook saw %v, want [%d]", hooked, victim)
+	}
+}
+
+// TestScrubSkipsDirtyPage: a page written since the last checkpoint
+// is dirty and its frame stale — the WAL, not the frame, governs it —
+// so a scrub must not flag it, before or after the flush that makes
+// the frame current again.
+func TestScrubSkipsDirtyPage(t *testing.T) {
+	db, err := Open(NewMemDisk(), NewMemDisk(), DBOptions{Sync: SyncManual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := db.CreateFile("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertKeys(t, db, h, 0, 20)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insertKeys(t, db, h, 20, 21) // lands on the last page: dirty, its frame stale
+	last := h.PageIDs()[len(h.PageIDs())-1]
+	if !db.isDirty(last) {
+		t.Fatalf("page %d not dirty after a write", last)
+	}
+	check := func(when string) {
+		t.Helper()
+		if st := db.Stats().Buffer; st.ChecksumFailures != 0 || st.QuarantinedPages != 0 {
+			t.Fatalf("%s: scrub flagged a healthy page: %+v", when, st)
+		}
+		if _, err := db.Buffer().GetPage(last); err != nil {
+			t.Fatalf("%s: page %d: %v", when, last, err)
+		}
+		db.Buffer().Unpin(last)
+	}
+	db.scrub(nil) // every page, the dirty one included
+	check("scrub of a dirty page")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpoint")
+}
+
+// TestCheckpointAfterRecovery: the rows recovery replays past the
+// last checkpoint must survive a checkpoint taken after the reopen and
+// a second crash — the replayed pages are ahead of their frames, so
+// that checkpoint has to flush them before it moves redoPos past
+// their records.
+func TestCheckpointAfterRecovery(t *testing.T) {
+	walDisk, dataDisk := NewMemDisk(), NewMemDisk()
+	db, err := Open(walDisk, dataDisk, DBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := db.CreateFile("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertKeys(t, db, h, 0, 5)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insertKeys(t, db, h, 5, 10) // in the log only
+
+	wal2, data2 := NewMemDiskFrom(walDisk.Bytes()), NewMemDiskFrom(dataDisk.Bytes())
+	db2, err := Open(wal2, data2, DBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2, _ := db2.File("t"); h2.Count() != 10 {
+		t.Fatalf("first recovery: %d rows, want 10", h2.Count())
+	}
+	if err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if h3, _ := reopen(t, wal2.Bytes(), data2.Bytes()).File("t"); h3.Count() != 10 {
+		t.Fatalf("recovery after a post-recovery checkpoint: %d rows, want 10", h3.Count())
 	}
 }
 

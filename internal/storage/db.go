@@ -1,7 +1,7 @@
 // DB is the durability spine: it owns the WAL, the checksummed page
-// file, and the store/buffer pair, and threads them together so that
-// every heap mutation is redo-logged before it is acknowledged and a
-// reopen after any crash rebuilds byte-identical state.
+// file and the in-memory page table, and threads them together so
+// that every heap mutation is redo-logged before it is acknowledged
+// and a reopen after any crash rebuilds byte-identical state.
 //
 // The protocol, end to end:
 //
@@ -15,6 +15,9 @@
 //     redoPos. The WAL is never truncated — recovery scans for the
 //     last complete checkpoint, so a crash mid-checkpoint just falls
 //     back to the previous one.
+//   - Each checkpoint also scrubs the pages it did not flush: a clean
+//     page must still match its frame's checksum, or it is
+//     quarantined.
 //   - Recovery loads checkpointed frames (quarantining any that fail
 //     their checksum), replays the log from redoPos with the per-page
 //     LSN guard, recounts heap files, and rebuilds B-trees by
@@ -40,10 +43,6 @@ type IndexDef struct {
 
 // DBOptions configures Open.
 type DBOptions struct {
-	// BufferFrames sizes the buffer pool (default 1024).
-	BufferFrames int
-	// Policy is the replacement policy (default LRU).
-	Policy Policy
 	// Sync is the WAL barrier policy (default SyncEveryRecord).
 	Sync SyncPolicy
 }
@@ -84,11 +83,10 @@ var ErrDBFailed = errors.New("storage: db failed")
 // DB is a crash-safe storage instance over two DiskFiles (WAL + page
 // file).
 type DB struct {
-	wal   *WAL
-	pf    *PageFile
-	store *Store
-	bm    *BufferManager
-	txns  *TxnManager
+	wal  *WAL
+	pf   *PageFile
+	bm   *BufferManager
+	txns *TxnManager
 
 	mu        sync.Mutex
 	files     map[string]*HeapFile
@@ -105,19 +103,13 @@ type DB struct {
 	recovery    RecoveryStats
 
 	// onCorruption, when set, is notified of every quarantined page
-	// (recovery or fetch-time). Must not call back into the DB.
+	// (recovery or checkpoint scrub). Must not call back into the DB.
 	onCorruption func(PageID, error)
 }
 
 // Open opens (or creates) a DB over the given WAL and page-file
 // disks, running redo recovery if the log is non-empty.
 func Open(walDisk, dataDisk DiskFile, opts DBOptions) (*DB, error) {
-	if opts.BufferFrames <= 0 {
-		opts.BufferFrames = 1024
-	}
-	if opts.Policy == nil {
-		opts.Policy = NewLRU()
-	}
 	wal, recs, err := OpenWAL(walDisk, opts.Sync)
 	if err != nil {
 		return nil, err
@@ -126,18 +118,15 @@ func Open(walDisk, dataDisk DiskFile, opts DBOptions) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := NewStore()
 	db := &DB{
 		wal:     wal,
 		pf:      pf,
-		store:   store,
-		bm:      NewBufferManager(store, opts.BufferFrames, opts.Policy),
+		bm:      &BufferManager{},
 		files:   map[string]*HeapFile{},
 		indexes: map[string]*BTree{},
 		meta:    map[string]string{},
 		dirty:   map[PageID]uint64{},
 	}
-	db.bm.SetVerifier(db.verifyPage)
 	if err := db.recover(recs); err != nil {
 		return nil, err
 	}
@@ -193,7 +182,7 @@ func recoverCommitTable(tm *TxnManager, recs []Record, stats *RecoveryStats) {
 	tm.nextID.Store(maxID)
 }
 
-// Buffer returns the buffer manager.
+// Buffer returns the page table.
 func (db *DB) Buffer() *BufferManager { return db.bm }
 
 // WAL returns the log (tests and benchmarks inspect barriers/tail).
@@ -456,7 +445,7 @@ func (db *DB) Checkpoint() error {
 
 	flushed := make(map[PageID]uint64, len(ids))
 	for _, id := range ids {
-		p, err := db.store.read(id)
+		p, err := db.bm.page(id)
 		if err != nil {
 			return db.fail(err)
 		}
@@ -482,7 +471,7 @@ func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	img := checkpointImage{
 		redoPos:  redoPos,
-		nextPage: PageID(db.store.next.Load()),
+		nextPage: PageID(db.bm.next.Load()),
 		meta:     db.meta,
 		indexes:  append([]IndexDef(nil), db.indexDefs...),
 	}
@@ -501,11 +490,12 @@ func (db *DB) Checkpoint() error {
 		return db.fail(err)
 	}
 	db.checkpoints.Add(1)
+	db.scrub(flushed)
 
 	// Refresh zone maps off the just-flushed heaps: checkpoint is the
-	// natural build point (pages are warm and the write burst that
-	// invalidated entries has quiesced). A page that cannot be read or
-	// decoded here will not read later either — engine-fatal.
+	// natural build point (the write burst that invalidated entries has
+	// quiesced). A page that cannot be read or decoded here will not
+	// read later either — engine-fatal.
 	db.mu.Lock()
 	files := make([]*HeapFile, 0, len(db.fileOrder))
 	for _, name := range db.fileOrder {
@@ -521,12 +511,29 @@ func (db *DB) Checkpoint() error {
 }
 
 // ---------------------------------------------------------------------------
-// Fetch-time verification.
+// Checkpoint scrub.
 
-// verifyPage is the buffer pool's miss-time integrity check: a clean
-// page whose on-disk frame carries the same LSN must match that
-// frame's checksum. Dirty pages and pages the log is still ahead of
-// are skipped — the WAL, not the frame, governs their contents.
+// scrub runs verifyPage over every page this checkpoint did not flush,
+// quarantining each that fails: in-memory bytes that no longer match
+// their checkpointed frame are reported, not served. Run after the
+// flush, and before the zone-map build so a quarantined page stays
+// zone-less.
+func (db *DB) scrub(flushed map[PageID]uint64) {
+	db.bm.slots(func(id PageID, s *pageSlot) {
+		p := s.page.Load()
+		if _, ok := flushed[id]; ok || p == nil || s.quarantine.Load() != nil {
+			return
+		}
+		if err := db.verifyPage(id, p); err != nil {
+			db.quarantine(id, err)
+		}
+	})
+}
+
+// verifyPage is the scrub's integrity check: a clean page whose
+// on-disk frame carries the same LSN must match that frame's checksum.
+// Dirty pages and pages the log is still ahead of are skipped — the
+// WAL, not the frame, governs their contents.
 func (db *DB) verifyPage(id PageID, p *Page) error {
 	if db.isDirty(id) {
 		return nil
@@ -536,22 +543,26 @@ func (db *DB) verifyPage(id PageID, p *Page) error {
 		return nil // never checkpointed; nothing on disk to diverge from
 	}
 	if err != nil {
-		db.reportCorruption(id, err)
 		return err
 	}
 	img, plsn := p.CopyBytes()
 	if plsn != lsn {
 		return nil // frame belongs to a different epoch; redo governs
 	}
-	frame := make([]byte, framePayload)
-	copy(frame, img)
-	binary.BigEndian.PutUint64(frame[PageSize:], lsn)
-	if got := crc32.Checksum(frame, castagnoli); got != crc {
-		err := fmt.Errorf("%w: page %d: memory crc %08x, frame crc %08x", ErrChecksum, id, got, crc)
-		db.reportCorruption(id, err)
-		return err
+	var tail [8]byte
+	binary.BigEndian.PutUint64(tail[:], lsn)
+	if got := crc32.Update(crc32.Checksum(img, castagnoli), castagnoli, tail[:]); got != crc {
+		return fmt.Errorf("%w: page %d: memory crc %08x, frame crc %08x", ErrChecksum, id, got, crc)
 	}
 	return nil
+}
+
+// quarantine pulls a page that failed its checksum from service,
+// counts the failure and reports it to the corruption hook.
+func (db *DB) quarantine(id PageID, err error) {
+	db.bm.checksum.Add(1)
+	db.bm.Quarantine(id, err)
+	db.reportCorruption(id, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -594,21 +605,19 @@ func (db *DB) recover(recs []Record) error {
 			img, lsn, err := db.pf.ReadPage(id)
 			switch {
 			case err == nil:
-				db.store.install(id, pageFromImage(img, lsn))
+				db.bm.install(id, pageFromImage(img, lsn))
 				stats.PagesLoaded++
 			case errors.Is(err, ErrNoFrame):
 				// Allocated before the checkpoint record but never
 				// flushed: every mutation is past redoPos, replay
 				// rebuilds it from empty.
-				db.store.install(id, NewPage())
+				db.bm.install(id, NewPage())
 				stats.PagesLoaded++
 			case errors.Is(err, ErrChecksum):
 				// Corrupt frame: quarantine, keep a placeholder so the
 				// id stays allocated, and skip its redo records.
-				db.store.install(id, NewPage())
-				db.bm.checksum.Add(1)
-				db.bm.Quarantine(id, err)
-				db.reportCorruption(id, err)
+				db.bm.install(id, NewPage())
+				db.quarantine(id, err)
 				quarantined[id] = true
 				stats.PagesQuarantined++
 			default:
@@ -620,7 +629,7 @@ func (db *DB) recover(recs []Record) error {
 	for k, v := range ck.meta {
 		db.meta[k] = v
 	}
-	db.store.ensureNext(uint32(ck.nextPage))
+	db.bm.ensureNext(uint32(ck.nextPage))
 
 	// Redo pass: replay the suffix past redoPos in log order. The
 	// page-LSN guard inside each redo applier skips mutations a
@@ -653,7 +662,7 @@ func (db *DB) recover(recs []Record) error {
 			}
 			if !pageSeen[id] {
 				pageSeen[id] = true
-				db.store.install(id, NewPage())
+				db.bm.install(id, NewPage())
 				filePages[name] = append(filePages[name], id)
 				stats.PagesLoaded++
 			}
@@ -666,13 +675,17 @@ func (db *DB) recover(recs []Record) error {
 			if quarantined[id] {
 				continue
 			}
-			p, err := db.store.read(id)
+			p, err := db.bm.page(id)
 			if err != nil {
 				return err
 			}
 			if err := p.redoInsert(slot, rec, r.LSN); err != nil {
 				return err
 			}
+			// Replayed pages are ahead of their frames: dirty, or the
+			// next checkpoint would move redoPos past these records
+			// without flushing them.
+			db.markDirty(id, r.LSN)
 			stats.RecordsReplayed++
 		case RecDelete:
 			id, slot, err := decodeDelete(r.Payload)
@@ -682,13 +695,14 @@ func (db *DB) recover(recs []Record) error {
 			if quarantined[id] {
 				continue
 			}
-			p, err := db.store.read(id)
+			p, err := db.bm.page(id)
 			if err != nil {
 				return err
 			}
 			if err := p.redoDelete(slot, r.LSN); err != nil {
 				return err
 			}
+			db.markDirty(id, r.LSN)
 			stats.RecordsReplayed++
 		case RecUpdate:
 			id, slot, rec, err := decodeSlotRecord(r.Payload)
@@ -698,13 +712,14 @@ func (db *DB) recover(recs []Record) error {
 			if quarantined[id] {
 				continue
 			}
-			p, err := db.store.read(id)
+			p, err := db.bm.page(id)
 			if err != nil {
 				return err
 			}
 			if err := p.redoUpdate(slot, rec, r.LSN); err != nil {
 				return err
 			}
+			db.markDirty(id, r.LSN)
 			stats.RecordsReplayed++
 		case RecCreateIndex:
 			name, file, col, err := decodeCreateIndex(r.Payload)

@@ -18,8 +18,8 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 // ErrNotFound is returned for missing records.
 var ErrNotFound = errors.New("storage: record not found")
 
-// HeapFile is an unordered record file over the buffer manager of the
-// DB that owns it: every mutation is redo-logged to the WAL before it
+// HeapFile is an unordered record file over the page table of the DB
+// that owns it: every mutation is redo-logged to the WAL before it
 // is acknowledged. Every record is a row version (version.go), written
 // through a transaction (Txn.Insert/Delete/Update). Every read goes
 // through a HeapView: a transaction's (Txn.View) sees its snapshot, a
@@ -43,7 +43,7 @@ type HeapFile struct {
 }
 
 // newHeapFile builds one of db's files (CreateFile and recovery).
-// Registering the zone invalidation with the buffer manager keeps
+// Registering the zone invalidation with the page table keeps
 // quarantine and pruning consistent: a page pulled from service after
 // its entry was built loses the entry, so every later scan attempts the
 // read and reports ErrQuarantined instead of silently pruning past
@@ -99,7 +99,7 @@ func (h *HeapFile) insertRec(rec []byte) (RID, error) {
 			return RID{}, err
 		}
 	}
-	id := h.db.store.Allocate()
+	id := h.bm.Allocate()
 	if err := h.db.logAlloc(h.name, id); err != nil {
 		return RID{}, err
 	}
@@ -235,6 +235,10 @@ func (h *HeapFile) Vacuum() error {
 			return err
 		}
 		p.Compact()
+		// Compaction is unlogged and keeps the LSN: dirty, so the next
+		// checkpoint flushes the new image instead of its scrub finding
+		// it unlike its frame.
+		h.db.markDirty(id, p.LSN())
 		h.bm.Unpin(id)
 	}
 	return nil

@@ -115,8 +115,8 @@ func (f *PageFile) ReadPage(id PageID) ([]byte, uint64, error) {
 }
 
 // FrameLSN returns the stored LSN and CRC of a frame without
-// verifying page contents (the buffer-pool verifier's fast path reads
-// only the trailer).
+// verifying page contents (the checkpoint scrub reads only the trailer
+// of a page whose LSN has moved on).
 func (f *PageFile) FrameLSN(id PageID) (lsn uint64, crc uint32, err error) {
 	trailer := make([]byte, frameTrailer)
 	n, err := f.disk.ReadAt(trailer, frameOffset(id)+PageSize)

@@ -1,8 +1,8 @@
 // Package storage implements the getpage-grained storage substrate
-// the paper's fine-grained DBMS decomposes into: slotted pages, a
-// buffer manager with pluggable (component-swappable) replacement
-// policies, heap files and a B-tree index, in the main-memory-DBMS
-// style of Smallbase [16], which the paper cites as the decomposition
+// the paper's fine-grained DBMS decomposes into: slotted pages, one
+// in-memory page table (every page resident, the page file only the
+// checkpoint image), heap files and a B-tree index, in the
+// main-memory-DBMS style of Smallbase [16], which the paper cites as the decomposition
 // substrate of [28]. The paper's point is that these "lower level
 // operations (such as getpage)" are themselves components; the query
 // engine consumes them through the same call interfaces the component

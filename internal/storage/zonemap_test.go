@@ -80,7 +80,7 @@ func TestZoneMapsGenerationGuardsInstall(t *testing.T) {
 // page it lands on; claims and deletes leave entries in place (a
 // version-header rewrite or a removal keeps the summary a superset).
 func TestHeapFileZoneInvalidation(t *testing.T) {
-	h := newHeap(t, 256)
+	h := newHeap(t)
 	var rids []RID
 	for i := 0; i < 400; i++ {
 		rid, err := insertRow(h, Tuple{IntValue(int64(i))})
@@ -139,7 +139,7 @@ func TestHeapFileZoneInvalidation(t *testing.T) {
 // otherwise pass the install check and publish a summary missing the
 // new value.
 func TestWriteInvalidatesAroundMutation(t *testing.T) {
-	h := newHeap(t, 16)
+	h := newHeap(t)
 	rid, err := insertRow(h, Tuple{IntValue(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func assertZonesCoverPages(t *testing.T, h *HeapFile) {
 // invalidation and the write itself must never leave a stale summary
 // once the writes have returned.
 func TestZoneBuildConcurrentWriterNeverStale(t *testing.T) {
-	h := newHeap(t, 512)
+	h := newHeap(t)
 	for i := 0; i < 200; i++ {
 		if _, err := insertRow(h, Tuple{IntValue(int64(i % 50))}); err != nil {
 			t.Fatal(err)
@@ -234,7 +234,7 @@ func TestZoneBuildConcurrentWriterNeverStale(t *testing.T) {
 // heap, any tuple on the page must be absorbed by the page's built
 // zone — i.e. each column's category flag covers the value.
 func TestZoneMapsPruneSoundnessRandom(t *testing.T) {
-	h := newHeap(t, 512)
+	h := newHeap(t)
 	vals := []Value{
 		IntValue(-100), IntValue(0), IntValue(100),
 		FloatValue(-0.0), FloatValue(math.NaN()), FloatValue(2.5),
@@ -344,7 +344,7 @@ func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
 // every subsequent scan touches the page and reports ErrQuarantined
 // instead of pruning past the corruption.
 func TestQuarantineDropsZoneEntry(t *testing.T) {
-	h := newHeap(t, 16)
+	h := newHeap(t)
 	bm := h.bm
 	for i := 0; i < 8; i++ {
 		if _, err := insertRow(h, Tuple{IntValue(int64(i))}); err != nil {
@@ -382,7 +382,7 @@ func TestBuildColZonesZeroWidth(t *testing.T) {
 	if z := BuildColZones([]Tuple{{IntValue(1)}, {}}); z != nil {
 		t.Fatalf("zero-width summary = %v, want nil", z)
 	}
-	h := newHeap(t, 16)
+	h := newHeap(t)
 	if _, err := insertRow(h, Tuple{IntValue(1)}); err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ import (
 // and the adapters between them out; every operator a BatchSource).
 // 6936 with streamed results (StreamParallelBatches and the row sink a
 // bare scan streams into; the per-worker drain slices and their merge
-// out).
-const engineLineBudget = 6936
+// out). 6932 without Catalog.Buffer and NewCatalog's frame count.
+const engineLineBudget = 6932
 
 // Non-test lines of internal/storage: 4885 with two record formats and
 // detached heap files, 4551 with one of each (versioned records, every
@@ -37,8 +37,9 @@ const engineLineBudget = 6936
 // page verdict (the decode image's version summary and a snapshot
 // scan's remembered creator verdict). 4555 with a copy-on-write decode
 // image (an insert and an Xmax stamp derive the next image instead of
-// dropping it).
-const storageLineBudget = 4555
+// dropping it). 4195 with one page table: the policies, shards and
+// Store out.
+const storageLineBudget = 4195
 
 // TestLineBudgets counts the non-test lines (newlines in every .go file
 // that is not a _test.go file) of the engine and of storage, and fails

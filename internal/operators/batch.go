@@ -10,7 +10,7 @@
 // Memory discipline: a Batch owns only its header slices, never the
 // tuple values. Sources hand out tuples that stay valid after the batch
 // is refilled — a page's shared decode image
-// (storage.HeapView.PageTuplesInto), a fetched or freshly built tuple,
+// (storage.HeapView.ReadPage), a fetched or freshly built tuple,
 // a stable slice — so consumers may retain individual tuples after the
 // batch is recycled but must not modify them; only the []Tuple headers
 // are reused. Batches are recycled through a sync.Pool.
@@ -31,24 +31,24 @@ const DefaultBatchSize = 1024
 // contents; capacity is retained across refills.
 type Batch struct {
 	Tuples []storage.Tuple
-	// Sel is the selection-vector scratch used by vectorized filter
-	// kernels (FilterKernel.Apply): row indexes into Tuples that
-	// survive the conjuncts so far. It is working space owned by the
-	// batch purely so its capacity is reused across refills — between
-	// operator calls it is always empty.
-	Sel []int32
 	// RIDs is where each of Tuples lives, index for index, when the
 	// source carries them (IndexScan always, HeapBatches when asked: the
 	// DML row search); empty otherwise. Filters compact it alongside
 	// Tuples.
 	RIDs []storage.RID
+	// pass is the worker's run of the filter kernel its heap source
+	// reads pages through: the reused selection vector (positions of a
+	// page image's rows that survive the conjuncts so far) and the
+	// worker's selectivity tallies. It lives on the batch so its
+	// capacity is reused across refills.
+	pass kernelPass
 }
 
 // Len returns the number of tuples in the batch.
 func (b *Batch) Len() int { return len(b.Tuples) }
 
 // Reset empties the batch, keeping capacity.
-func (b *Batch) Reset() { b.Tuples, b.Sel, b.RIDs = b.Tuples[:0], b.Sel[:0], b.RIDs[:0] }
+func (b *Batch) Reset() { b.Tuples, b.RIDs = b.Tuples[:0], b.RIDs[:0] }
 
 var batchPool = sync.Pool{
 	New: func() any { return &Batch{Tuples: make([]storage.Tuple, 0, DefaultBatchSize)} },
@@ -79,6 +79,7 @@ func GetBatch() *Batch {
 func PutBatch(b *Batch) {
 	outstandingBatches.Add(-1)
 	b.Reset()
+	b.pass.k = nil // unpublished tallies are dropped with the kernel
 	batchPool.Put(b)
 }
 

@@ -12,9 +12,10 @@
 package operators
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/adm-project/adm/internal/storage"
@@ -71,16 +72,22 @@ type ColPred struct {
 
 // compiledPred is a ColPred with the literal pre-classified and the
 // operator expanded to pass bits, plus windowless observed-selectivity
-// counters (shared across scan workers, hence atomic).
+// counters: shared across scan workers, hence atomic, and written only
+// when a worker publishes its tallies (kernelPass). idx is the
+// conjunct's compile position, which indexes those tallies.
 type compiledPred struct {
 	ColPred
 	passLT, passEQ, passGT bool
-	litNull                bool
-	litNum                 bool // AsFloat ok
-	litNaN                 bool
-	litStr                 bool
-	litF                   float64
-	litS                   string
+	// pass is the pass bits as a table indexed by
+	// b(f<lit) | b(f>lit)<<1: EQ (NaN included), LT, GT.
+	pass    [4]uint8
+	idx     uint16
+	litNull bool
+	litNum  bool // AsFloat ok
+	litNaN  bool
+	litStr  bool
+	litF    float64
+	litS    string
 
 	evals  atomic.Int64
 	passes atomic.Int64
@@ -92,6 +99,7 @@ func compilePred(p ColPred) *compiledPred {
 		c.Cost = 1
 	}
 	c.passLT, c.passEQ, c.passGT = p.Op.passBits()
+	c.pass = [4]uint8{uint8(b2i(c.passEQ)), uint8(b2i(c.passLT)), uint8(b2i(c.passGT))}
 	c.litNull = p.Lit.Kind == storage.KindNull
 	if f, ok := p.Lit.AsFloat(); ok {
 		c.litNum, c.litF, c.litNaN = true, f, math.IsNaN(f)
@@ -100,6 +108,13 @@ func compilePred(p ColPred) *compiledPred {
 		c.litStr, c.litS = true, p.Lit.Str
 	}
 	return c
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // slowKeep is the reference row evaluation: boxed semantics verbatim
@@ -127,57 +142,44 @@ func (p *compiledPred) slowKeep(v storage.Value) bool {
 	return p.passEQ
 }
 
-// filterSel compacts sel to the rows passing this predicate. The typed
-// fast paths compare int64/float64 columns against a numeric literal
-// (through the float image, replicating Compare's coercion) and string
-// columns against a string literal without any interface dispatch; NaN
-// rows fall through both inequalities into the passEQ bit, exactly as
-// Compare returns 0 for them.
-func (p *compiledPred) filterSel(tuples []storage.Tuple, sel []int32) []int32 {
-	in := len(sel)
+// filterSel compacts sel to the rows of img passing this predicate.
+// A numeric literal reads the column's vector (storage.ColVec): over an
+// all-numeric column a branch-free compare-and-compact loop, else a
+// switch on each row's class, its other rows (strings) going to
+// slowKeep on the tuple. NaN rows fall through both inequalities into
+// the EQ slot, exactly as Compare returns 0 for them. String literals
+// and the null tests compare the tuples' values directly.
+func (p *compiledPred) filterSel(img storage.PageImage, sel []int32) []int32 {
 	out := sel[:0]
 	col := p.Col
+	rows := img.Rows()
 	switch {
 	case p.Op == KernIsNull:
 		for _, i := range sel {
-			if tuples[i][col].Kind == storage.KindNull {
+			if rows[i][col].Kind == storage.KindNull {
 				out = append(out, i)
 			}
 		}
 	case p.Op == KernNotNull:
 		for _, i := range sel {
-			if tuples[i][col].Kind != storage.KindNull {
+			if rows[i][col].Kind != storage.KindNull {
 				out = append(out, i)
 			}
 		}
 	case p.litNum:
+		v := img.Col(col)
+		if v.AllNum {
+			return p.numSel(v.F, sel)
+		}
 		lf := p.litF
 		for _, i := range sel {
-			v := &tuples[i][col]
 			var keep bool
-			switch v.Kind {
-			case storage.KindInt:
-				switch f := float64(v.Int); {
-				case f < lf:
-					keep = p.passLT
-				case f > lf:
-					keep = p.passGT
-				default:
-					keep = p.passEQ
-				}
-			case storage.KindFloat:
-				switch f := v.Float; {
-				case f < lf:
-					keep = p.passLT
-				case f > lf:
-					keep = p.passGT
-				default:
-					keep = p.passEQ
-				}
-			case storage.KindNull:
-				keep = false
-			default:
-				keep = p.slowKeep(*v)
+			switch v.Class[i] {
+			case storage.ClassNum:
+				f := v.F[i]
+				keep = p.pass[(b2i(f < lf)|b2i(f > lf)<<1)&3] != 0
+			case storage.ClassOther:
+				keep = p.slowKeep(rows[i][col])
 			}
 			if keep {
 				out = append(out, i)
@@ -186,7 +188,7 @@ func (p *compiledPred) filterSel(tuples []storage.Tuple, sel []int32) []int32 {
 	case p.litStr:
 		ls := p.litS
 		for _, i := range sel {
-			v := &tuples[i][col]
+			v := &rows[i][col]
 			var keep bool
 			switch v.Kind {
 			case storage.KindString:
@@ -209,14 +211,25 @@ func (p *compiledPred) filterSel(tuples []storage.Tuple, sel []int32) []int32 {
 		}
 	default: // NULL literal: every non-null row compares +1
 		for _, i := range sel {
-			if v := &tuples[i][col]; v.Kind != storage.KindNull && p.passGT {
+			if v := &rows[i][col]; v.Kind != storage.KindNull && p.passGT {
 				out = append(out, i)
 			}
 		}
 	}
-	p.evals.Add(int64(in))
-	p.passes.Add(int64(len(out)))
 	return out
+}
+
+// numSel is filterSel over an all-numeric column: every position is
+// written, and the pass table decides whether the write is kept.
+func (p *compiledPred) numSel(f []float64, sel []int32) []int32 {
+	pass, lf := &p.pass, p.litF
+	n := 0
+	for _, i := range sel {
+		x := f[i]
+		sel[n] = i
+		n += int(pass[(b2i(x < lf)|b2i(x > lf)<<1)&3])
+	}
+	return sel[:n]
 }
 
 // selectivity is the predicate's observed pass rate (0.5 uninformed
@@ -312,16 +325,18 @@ type ScanStats struct {
 	Scanned atomic.Int64
 }
 
-// reorderEvery is the adaptation cadence: the kernel re-ranks its
-// conjuncts from observed selectivities every reorderEvery batches.
+// reorderEvery is the adaptation cadence: each worker publishes its
+// selectivity tallies, and the kernel re-ranks its conjuncts from them,
+// every reorderEvery pages the worker filters.
 const reorderEvery = 32
 
-// FilterKernel is a compiled conjunction evaluated over batches with a
-// selection vector. The conjunct order adapts continuously: every
-// reorderEvery batches the conjuncts re-sort by the eddy rank
-// cost/(1-selectivity), so the cheapest most-selective kernel runs
-// first. Reordering never changes the surviving row set (conjunction
-// is commutative and the predicates are pure), so results stay
+// FilterKernel is a compiled conjunction a page read runs over the
+// page image (storage.RowFilter, through each worker's kernelPass).
+// The conjunct order adapts continuously: the conjuncts re-sort by the
+// eddy rank cost/(1-selectivity) whenever a worker publishes its
+// tallies, so the cheapest most-selective kernel runs first.
+// Reordering never changes the surviving row set (conjunction is
+// commutative and the predicates are pure), so results stay
 // byte-identical no matter when adaptation fires. Safe for concurrent
 // use by any number of scan workers.
 type FilterKernel struct {
@@ -330,20 +345,21 @@ type FilterKernel struct {
 	// swapped atomically; readers never see a partial sort).
 	order atomic.Pointer[[]*compiledPred]
 	// Boxed, when non-nil, is the residual predicate for conjuncts the
-	// kernel set does not cover; it runs after the kernels, on the
-	// compacted batch.
+	// kernel set does not cover; it runs after the kernels, on their
+	// survivors.
 	Boxed Predicate
 	// Stats, when non-nil, receives page prune/scan counts.
-	Stats   *ScanStats
-	batches atomic.Int64
+	Stats *ScanStats
 }
 
 // NewFilterKernel compiles the conjunction. boxed may be nil; stats
 // may be nil.
 func NewFilterKernel(preds []ColPred, boxed Predicate, stats *ScanStats) *FilterKernel {
 	k := &FilterKernel{Boxed: boxed, Stats: stats}
-	for _, p := range preds {
-		k.preds = append(k.preds, compilePred(p))
+	for i, p := range preds {
+		c := compilePred(p)
+		c.idx = uint16(i)
+		k.preds = append(k.preds, c)
 	}
 	initial := append([]*compiledPred(nil), k.preds...)
 	k.order.Store(&initial)
@@ -353,64 +369,96 @@ func NewFilterKernel(preds []ColPred, boxed Predicate, stats *ScanStats) *Filter
 // NumPreds returns the compiled conjunct count.
 func (k *FilterKernel) NumPreds() int { return len(k.preds) }
 
-// Apply filters b in place and returns the surviving row count: the
-// selection vector is built by the first conjunct, narrowed by each
-// subsequent one and the boxed residual, and the survivors (b.RIDs with
-// them, when the scan filled it) compacted to the batch head. Steady
-// state allocates nothing: the selection vector stays on the batch.
-func (k *FilterKernel) Apply(b *Batch) int {
-	n := len(b.Tuples)
-	if n == 0 {
-		return 0
+// kernelPass is one worker's run of a FilterKernel, carried on the
+// worker's Batch: the storage.RowFilter its page reads call, the
+// reused selection vector, and the worker's per-conjunct tallies
+// (indexed by compile position), which reach the kernel's shared
+// counters only every reorderEvery pages, so the filter loop writes no
+// shared memory.
+type kernelPass struct {
+	k             *FilterKernel
+	sel           []int32
+	pages         int
+	evals, passes []int64
+}
+
+// bind points the pass at k, publishing what it tallied for another
+// kernel first; a nil k reads unfiltered.
+func (w *kernelPass) bind(k *FilterKernel) storage.RowFilter {
+	if k == nil {
+		return nil
 	}
-	sel := b.Sel[:0]
-	if cap(sel) < n {
-		sel = make([]int32, 0, cap(b.Tuples))
+	if w.k != k {
+		w.publish()
+		w.k, w.pages = k, 0
+		w.evals = append(w.evals[:0], make([]int64, len(k.preds))...)
+		w.passes = append(w.passes[:0], make([]int64, len(k.preds))...)
 	}
-	for i := 0; i < n; i++ {
-		sel = append(sel, int32(i))
-	}
+	return w
+}
+
+// Sel implements storage.RowFilter: the empty selection vector.
+func (w *kernelPass) Sel() []int32 { return w.sel[:0] }
+
+// Filter implements storage.RowFilter: each conjunct in the kernel's
+// current order narrows sel, then the boxed residual does. Steady
+// state allocates nothing: the selection vector stays on the pass.
+func (w *kernelPass) Filter(img storage.PageImage, sel []int32) []int32 {
+	k := w.k
 	for _, p := range *k.order.Load() {
 		if len(sel) == 0 {
 			break
 		}
-		sel = p.filterSel(b.Tuples, sel)
+		w.evals[p.idx] += int64(len(sel))
+		sel = p.filterSel(img, sel)
+		w.passes[p.idx] += int64(len(sel))
 	}
 	if k.Boxed != nil {
-		kept := sel[:0]
+		rows, kept := img.Rows(), sel[:0]
 		for _, i := range sel {
-			if k.Boxed(b.Tuples[i]) {
+			if k.Boxed(rows[i]) {
 				kept = append(kept, i)
 			}
 		}
 		sel = kept
 	}
-	// Compact survivors to the head; sel is ascending so j <= sel[j].
-	for j, i := range sel {
-		b.Tuples[j] = b.Tuples[i]
-	}
-	b.Tuples = b.Tuples[:len(sel)]
-	if len(b.RIDs) == n {
-		for j, i := range sel {
-			b.RIDs[j] = b.RIDs[i]
+	w.sel = sel[:0] // retain capacity
+	if w.pages++; w.pages%reorderEvery == 0 {
+		w.publish()
+		if len(k.preds) > 1 {
+			k.reorder()
 		}
-		b.RIDs = b.RIDs[:len(sel)]
 	}
-	b.Sel = sel[:0] // retain capacity on the batch
-	if len(k.preds) > 1 && k.batches.Add(1)%reorderEvery == 0 {
-		k.reorder()
+	return sel
+}
+
+// publish adds the pass's tallies to its kernel's counters and zeroes
+// them.
+func (w *kernelPass) publish() {
+	if w.k == nil {
+		return
 	}
-	return len(sel)
+	for _, p := range w.k.preds {
+		if e := w.evals[p.idx]; e > 0 {
+			p.evals.Add(e)
+			p.passes.Add(w.passes[p.idx])
+			w.evals[p.idx], w.passes[p.idx] = 0, 0
+		}
+	}
 }
 
 // reorder installs a fresh conjunct order ranked by observed
-// selectivity (see FilterRank). Stable sort keeps ties deterministic.
+// selectivity (see FilterRank), unless the current one already is.
+// Stable sort keeps ties deterministic.
 func (k *FilterKernel) reorder() {
-	next := append([]*compiledPred(nil), k.preds...)
-	sort.SliceStable(next, func(a, b int) bool {
-		return FilterRank(next[a].Cost, next[a].selectivity()) <
-			FilterRank(next[b].Cost, next[b].selectivity())
-	})
+	byRank := func(a, b *compiledPred) int {
+		return cmp.Compare(FilterRank(a.Cost, a.selectivity()), FilterRank(b.Cost, b.selectivity()))
+	}
+	if slices.IsSortedFunc(*k.order.Load(), byRank) {
+		return
+	}
+	next := slices.Clone(k.preds)
+	slices.SortStableFunc(next, byRank)
 	k.order.Store(&next)
 }
 

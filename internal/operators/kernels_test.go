@@ -71,41 +71,101 @@ func hardValues() []storage.Value {
 	}
 }
 
+// predFilter is a storage.RowFilter of one compiled conjunct, which
+// records whether the image's column read as all-numeric.
+type predFilter struct {
+	p      *compiledPred
+	allNum bool
+}
+
+func (f *predFilter) Sel() []int32 { return nil }
+
+func (f *predFilter) Filter(img storage.PageImage, sel []int32) []int32 {
+	f.allNum = img.Col(f.p.Col).AllNum
+	return f.p.filterSel(img, sel)
+}
+
+// onePage loads vals, one row each, into a heap file of one page and
+// returns its reader.
+func onePage(t *testing.T, vals []storage.Value) (*storage.HeapView, storage.PageID) {
+	t.Helper()
+	db, hf := newHeap(t, "v")
+	rows := make([]storage.Tuple, len(vals))
+	for i, v := range vals {
+		rows[i] = storage.Tuple{v}
+	}
+	load(t, db, hf, rows...)
+	view := hf.Blind()
+	if ids := view.PageIDs(); len(ids) != 1 {
+		t.Fatalf("%d values fill %d pages, want 1", len(vals), len(ids))
+	}
+	return view, view.PageIDs()[0]
+}
+
 // TestKernelMatchesBoxedExhaustive runs every (row value × literal ×
-// operator) combination through filterSel and the boxed rule.
+// operator) combination through three paths and holds each to the
+// boxed rule: a page read of an all-numeric page (the branch-free
+// loop), a page read of a page mixing every kind, NULL and strings
+// included (the class switch), and slowKeep on the value (the tuple
+// fallback).
 func TestKernelMatchesBoxedExhaustive(t *testing.T) {
 	vals := hardValues()
-	for _, lit := range vals {
-		for _, oc := range cmpOps {
-			p := compilePred(ColPred{Col: 0, Op: oc.op, Lit: lit})
-			tuples := make([]storage.Tuple, len(vals))
-			sel := make([]int32, len(vals))
-			for i, v := range vals {
-				tuples[i] = storage.Tuple{v}
-				sel[i] = int32(i)
+	var nums []storage.Value
+	for _, v := range vals {
+		if _, ok := v.AsFloat(); ok {
+			nums = append(nums, v)
+		}
+	}
+	pages := []struct {
+		name   string
+		vals   []storage.Value
+		allNum bool
+	}{{"all-numeric page", nums, true}, {"mixed page", vals, false}}
+	check := func(op KernelOp, name string, lit storage.Value) {
+		p := compilePred(ColPred{Col: 0, Op: op, Lit: lit})
+		for _, pg := range pages {
+			view, id := onePage(t, pg.vals)
+			f := &predFilter{p: p}
+			got, err := view.ReadPage(id, nil, nil, f)
+			if err != nil {
+				t.Fatal(err)
 			}
-			out := p.filterSel(tuples, sel)
-			kept := map[int32]bool{}
-			for _, i := range out {
-				kept[i] = true
+			if f.allNum != pg.allNum {
+				t.Fatalf("%s: column read all-numeric = %v", pg.name, f.allNum)
 			}
-			for i, v := range vals {
-				want := boxedKeep(oc.op, v, lit)
-				if kept[int32(i)] != want {
-					t.Errorf("%v %s %v: kernel=%v boxed=%v", v, oc.name, lit, kept[int32(i)], want)
+			kept := 0
+			for _, v := range pg.vals {
+				want := boxedKeep(op, v, lit)
+				if kept < len(got) && sameValue(got[kept][0], v) {
+					kept++
+					if !want {
+						t.Errorf("%s: %v %s %v kept, boxed drops it", pg.name, v, name, lit)
+					}
+				} else if want {
+					t.Errorf("%s: %v %s %v dropped, boxed keeps it", pg.name, v, name, lit)
 				}
 			}
 		}
-	}
-	for _, op := range []KernelOp{KernIsNull, KernNotNull} {
-		p := compilePred(ColPred{Col: 0, Op: op})
 		for _, v := range vals {
-			out := p.filterSel([]storage.Tuple{{v}}, []int32{0})
-			if (len(out) == 1) != boxedKeep(op, v, storage.Value{}) {
-				t.Errorf("nulltest %d on %v: kernel=%v", op, v, len(out) == 1)
+			if got, want := p.slowKeep(v), boxedKeep(op, v, lit); got != want {
+				t.Errorf("slowKeep: %v %s %v = %v, boxed %v", v, name, lit, got, want)
 			}
 		}
 	}
+	for _, lit := range vals {
+		for _, oc := range cmpOps {
+			check(oc.op, oc.name, lit)
+		}
+	}
+	check(KernIsNull, "IS NULL", storage.Value{})
+	check(KernNotNull, "IS NOT NULL", storage.Value{})
+}
+
+// sameValue is identity of values as stored: kind and bits (NaN is
+// itself, -0 is not +0).
+func sameValue(a, b storage.Value) bool {
+	return a.Kind == b.Kind && a.Int == b.Int && a.Str == b.Str && a.Bool == b.Bool &&
+		math.Float64bits(a.Float) == math.Float64bits(b.Float)
 }
 
 // TestMayMatchNeverPrunesPassingRow: for every single-value page and
@@ -146,78 +206,93 @@ func TestMayMatchNeverPrunesPassingRow(t *testing.T) {
 	}
 }
 
-// TestFilterKernelApplyCompacts: multi-conjunct Apply keeps exactly
-// the rows passing all conjuncts, in input order, at any batch size,
-// and keeps agreeing after enough batches to trigger reordering.
-func TestFilterKernelApplyCompacts(t *testing.T) {
-	preds := []ColPred{
-		{Col: 0, Op: KernGE, Lit: storage.IntValue(10), Name: "a >= 10"},
-		{Col: 1, Op: KernLT, Lit: storage.StringValue("m"), Name: "b < 'm'"},
-		{Col: 0, Op: KernNE, Lit: storage.IntValue(13), Name: "a != 13"},
-	}
-	mk := func() *FilterKernel { return NewFilterKernel(preds, nil, nil) }
-	gen := func(n, off int) []storage.Tuple {
-		out := make([]storage.Tuple, n)
-		for i := range out {
-			s := "z"
-			if (i+off)%3 == 0 {
-				s = "a"
-			}
-			out[i] = storage.Tuple{storage.IntValue(int64((i + off) % 20)), storage.StringValue(s)}
+// drain reads every page of src serially into one batch and returns
+// the rows.
+func drain(t *testing.T, src BatchSource) []storage.Tuple {
+	t.Helper()
+	b := GetBatch()
+	defer PutBatch(b)
+	var out []storage.Tuple
+	for {
+		n, err := src.NextBatch(b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
-	}
-	ref := func(ts []storage.Tuple) []string {
-		var out []string
-		for _, tu := range ts {
-			if boxedKeep(KernGE, tu[0], storage.IntValue(10)) &&
-				boxedKeep(KernLT, tu[1], storage.StringValue("m")) &&
-				boxedKeep(KernNE, tu[0], storage.IntValue(13)) {
-				out = append(out, fmt.Sprint(tu))
-			}
+		if n == 0 {
+			return out
 		}
-		return out
-	}
-	for _, size := range []int{1, 7, 64, 1024} {
-		k := mk()
-		b := &Batch{}
-		// 100 batches crosses the reorder cadence several times.
-		for round := 0; round < 100; round++ {
-			in := gen(size, round)
-			b.Tuples = append(b.Tuples[:0], in...)
-			k.Apply(b)
-			want := ref(in)
-			if len(b.Tuples) != len(want) {
-				t.Fatalf("size %d round %d: %d rows, want %d", size, round, len(b.Tuples), len(want))
-			}
-			for i, tu := range b.Tuples {
-				if fmt.Sprint(tu) != want[i] {
-					t.Fatalf("size %d round %d row %d: %v want %s", size, round, i, tu, want[i])
-				}
-			}
-		}
+		out = append(out, b.Tuples...)
 	}
 }
 
-// TestFilterKernelBoxedResidual: residual predicate runs after the
-// kernels on the compacted batch.
+// TestFilterKernelPageReadCompacts: a multi-conjunct kernel run by the
+// page read keeps exactly the rows passing all conjuncts, in page
+// order, and keeps agreeing across enough pages to reorder them.
+func TestFilterKernelPageReadCompacts(t *testing.T) {
+	preds := []ColPred{
+		{Col: 0, Op: KernNE, Lit: storage.IntValue(13), Name: "a != 13"},
+		{Col: 0, Op: KernGE, Lit: storage.IntValue(10), Name: "a >= 10"},
+		{Col: 1, Op: KernLT, Lit: storage.StringValue("m"), Name: "b < 'm'"},
+	}
+	db, hf := newHeap(t, "t")
+	var rows []storage.Tuple
+	for i := 0; i < 12000; i++ {
+		s := "z"
+		if i%3 == 0 {
+			s = "a"
+		}
+		rows = append(rows, storage.Tuple{storage.IntValue(int64(i % 20)), storage.StringValue(s)})
+	}
+	load(t, db, hf, rows...)
+	var want []string
+	for _, tu := range rows {
+		if boxedKeep(KernGE, tu[0], storage.IntValue(10)) &&
+			boxedKeep(KernLT, tu[1], storage.StringValue("m")) &&
+			boxedKeep(KernNE, tu[0], storage.IntValue(13)) {
+			want = append(want, fmt.Sprint(tu))
+		}
+	}
+	if pages := len(hf.PageIDs()); pages < 2*reorderEvery {
+		t.Fatalf("%d pages cross the reorder cadence too few times", pages)
+	}
+	k := NewFilterKernel(preds, nil, nil)
+	for round := 0; round < 3; round++ {
+		got := drain(t, NewHeapBatches(hf.Blind(), k, false))
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d rows, want %d", round, len(got), len(want))
+		}
+		for i, tu := range got {
+			if fmt.Sprint(tu) != want[i] {
+				t.Fatalf("round %d row %d: %v want %s", round, i, tu, want[i])
+			}
+		}
+	}
+	// a != 13 drops 5% of its input, b < 'm' two thirds: the rank
+	// moves the string conjunct ahead of it.
+	if order := *k.order.Load(); order[0].Name != "b < 'm'" {
+		t.Fatalf("after %d pages the first conjunct is %s", 3*len(hf.PageIDs()), order[0].Name)
+	}
+}
+
+// TestFilterKernelBoxedResidual: the residual predicate runs after the
+// kernels, on their survivors.
 func TestFilterKernelBoxedResidual(t *testing.T) {
 	k := NewFilterKernel(
 		[]ColPred{{Col: 0, Op: KernGT, Lit: storage.IntValue(5), Name: "a > 5"}},
 		func(tu storage.Tuple) bool { return tu[0].Int%2 == 0 },
 		nil)
-	b := &Batch{}
+	db, hf := newHeap(t, "t")
 	for i := 0; i < 20; i++ {
-		b.Tuples = append(b.Tuples, storage.Tuple{storage.IntValue(int64(i))})
+		load(t, db, hf, storage.Tuple{storage.IntValue(int64(i))})
 	}
-	k.Apply(b)
-	for _, tu := range b.Tuples {
+	got := drain(t, NewHeapBatches(hf.Blind(), k, false))
+	for _, tu := range got {
 		if tu[0].Int <= 5 || tu[0].Int%2 != 0 {
 			t.Fatalf("row %v survived kernel+residual", tu)
 		}
 	}
-	if len(b.Tuples) != 7 { // 6,8,10,12,14,16,18
-		t.Fatalf("%d rows, want 7", len(b.Tuples))
+	if len(got) != 7 { // 6,8,10,12,14,16,18
+		t.Fatalf("%d rows, want 7", len(got))
 	}
 }
 
@@ -234,10 +309,11 @@ func TestFilterRankMatchesEddy(t *testing.T) {
 }
 
 // BenchmarkFilterBatch is the allocation gate: steady-state kernel
-// filtering of a 1024-row batch must stay within TestAllocBudgets's
-// budget (the selection vector is retained on the batch).
+// filtering of 1,024 rows through the page read, over cached page
+// images, must stay within TestAllocBudgets's budget (the selection
+// vector is retained on the batch's kernel pass).
 func BenchmarkFilterBatch(b *testing.B) {
-	op := filterBatchOp()
+	op := filterBatchOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -245,37 +321,40 @@ func BenchmarkFilterBatch(b *testing.B) {
 	}
 }
 
-// filterBatchOp returns BenchmarkFilterBatch's op: one kernel pass over
-// a fresh copy of a 1024-row batch.
-func filterBatchOp() func() {
+// filterBatchOp returns BenchmarkFilterBatch's op: one filtered read of
+// every page of a 1,024-row heap file into a batch.
+func filterBatchOp(tb testing.TB) func() {
 	const n = 1024
-	base := make([]storage.Tuple, n)
-	arena := make(storage.Tuple, 0, 2*n)
-	for i := 0; i < n; i++ {
-		start := len(arena)
-		arena = append(arena, storage.IntValue(int64(i%100)), storage.FloatValue(float64(i)))
-		base[i] = arena[start:len(arena):len(arena)]
+	db, hf := newHeap(tb, "f")
+	rows := make([]storage.Tuple, n)
+	for i := range rows {
+		rows[i] = storage.Tuple{storage.IntValue(int64(i % 100)), storage.FloatValue(float64(i))}
 	}
+	load(tb, db, hf, rows...)
 	k := NewFilterKernel([]ColPred{
 		{Col: 0, Op: KernLT, Lit: storage.IntValue(50), Name: "a < 50"},
 		{Col: 1, Op: KernGE, Lit: storage.FloatValue(10), Name: "b >= 10"},
 	}, nil, nil)
-	batch := &Batch{Tuples: make([]storage.Tuple, 0, n)}
-	work := make([]storage.Tuple, n)
+	view, ids := hf.Blind(), hf.PageIDs()
+	batch := GetBatch()
+	f := batch.pass.bind(k)
 	return func() {
-		copy(work, base)
-		batch.Tuples = work[:n]
-		k.Apply(batch)
+		for _, id := range ids {
+			var err error
+			if batch.Tuples, err = view.ReadPage(id, batch.Tuples[:0], nil, f); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
 }
 
-// Steady-state vectorized filtering of a 1024-row batch (measured 0:
-// the selection vector lives on the batch and is reused; headroom for
-// the occasional conjunct-reorder copy).
+// Steady-state vectorized filtering of 1,024 rows (measured 0: the
+// images and their vectors are cached, the selection vector is reused;
+// headroom for the occasional conjunct-reorder copy).
 const filterAllocBudget = 2
 
 // TestAllocBudgets holds BenchmarkFilterBatch to its allocation budget.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Skip(t)
-	allocbudget.Measure(t, "FilterBatch", 100, filterBatchOp()).Allocs(filterAllocBudget)
+	allocbudget.Measure(t, "FilterBatch", 100, filterBatchOp(t)).Allocs(filterAllocBudget)
 }

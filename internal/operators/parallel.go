@@ -103,10 +103,10 @@ type BatchSource interface {
 // acquisition, so the underlying file stays shareable with concurrent
 // writers. With a kernel attached, each claimed page is first tested
 // against its zone map — pruned pages cost one atomic increment instead
-// of a pin+decode — and survivors are filtered through the kernel
-// inside the claiming worker: the scan+filter pipeline the paper's
-// database machines pushed to the disk head, here pushed below the
-// batch boundary.
+// of a pin+decode — and the page read runs the kernel over the page
+// image's column vectors inside the claiming worker, so only survivors
+// become rows: the scan+filter pipeline the paper's database machines
+// pushed to the disk head, here pushed below the row boundary.
 type HeapBatches struct {
 	file   *storage.HeapView
 	kernel *FilterKernel
@@ -143,21 +143,17 @@ func (h *HeapBatches) NextBatch(b *Batch) (int, error) {
 				continue
 			}
 		}
-		var err error
+		var rids *[]storage.RID
 		if h.rids {
-			b.Tuples, b.RIDs, err = h.file.PageRowsInto(h.pages[i], b.Tuples[:0], b.RIDs[:0])
-		} else {
-			b.Tuples, err = h.file.PageTuplesInto(h.pages[i], b.Tuples[:0])
+			b.RIDs, rids = b.RIDs[:0], &b.RIDs
 		}
+		var err error
+		b.Tuples, err = h.file.ReadPage(h.pages[i], b.Tuples[:0], rids, b.pass.bind(h.kernel))
 		if err != nil {
 			return 0, err
 		}
 		if h.kernel != nil {
 			h.kernel.countPage(false)
-			if h.kernel.Apply(b) > 0 {
-				return len(b.Tuples), nil
-			}
-			continue
 		}
 		if len(b.Tuples) > 0 {
 			return len(b.Tuples), nil

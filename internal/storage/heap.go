@@ -185,18 +185,6 @@ func (h *HeapFile) PageIDs() []PageID {
 	return h.pages[:n:n]
 }
 
-// pageRows is the one pinned page read behind every page-granular read
-// (Page.rowsInto): txn's snapshot judges the page, or each version on
-// it, and a nil txn admits every version.
-func (h *HeapFile) pageRows(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple, error) {
-	p, err := h.bm.GetPage(id)
-	if err != nil {
-		return dst, err
-	}
-	defer h.bm.Unpin(id)
-	return p.rowsInto(id, dst, rids, txn)
-}
-
 // restore installs the recovered page list and recounts live records
 // (recovery only; runs before the file is visible to queries).
 func (h *HeapFile) restore(pages []PageID) error {

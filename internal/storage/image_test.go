@@ -3,7 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -11,9 +11,18 @@ import (
 	"testing"
 )
 
-// imageRec is the record of key k created by xmin.
+// mixedValues is what the third column of imageRec cycles through:
+// every class, and the floats a vector must keep bit for bit.
+var mixedValues = []Value{
+	IntValue(3), NullValue(), FloatValue(math.NaN()), FloatValue(math.Copysign(0, -1)),
+	BoolValue(true), StringValue("s"), FloatValue(2.5), IntValue(math.MaxInt64),
+}
+
+// imageRec is the record of key k created by xmin: (k, "k<k>", a
+// mixed value).
 func imageRec(k int64, xmin uint64) []byte {
-	return EncodeRecord(Tuple{IntValue(k), StringValue(fmt.Sprintf("k%d", k))}, Version{Xmin: xmin})
+	mixed := mixedValues[k%int64(len(mixedValues))]
+	return EncodeRecord(Tuple{IntValue(k), StringValue(fmt.Sprintf("k%d", k)), mixed}, Version{Xmin: xmin})
 }
 
 // freshImage decodes a copy of p's bytes: the image a reader with
@@ -28,16 +37,24 @@ func freshImage(t *testing.T, p *Page) *decodedPage {
 	return d
 }
 
-// copyImage deep-copies d, so a later comparison sees any write to the
-// memory d reads.
-func copyImage(d *decodedPage) decodedPage {
+// rowsOf renders d without its vectors: text, so a NaN row equals
+// itself.
+func rowsOf(d *decodedPage) string {
 	c := *d
-	c.tuples = make([]Tuple, len(d.tuples))
-	for i, tu := range d.tuples {
-		c.tuples[i] = slices.Clone(tu)
-	}
-	c.slots, c.vers = slices.Clone(d.slots), slices.Clone(d.vers)
-	return c
+	c.vecs = nil
+	return fmt.Sprintf("%+v", c)
+}
+
+// cloneVec deep-copies a vector read.
+func cloneVec(v ColVec) ColVec {
+	return ColVec{Class: slices.Clone(v.Class), F: slices.Clone(v.F), AllNum: v.AllNum}
+}
+
+// sameVec compares two vector reads bit for bit: NaN is itself, -0 is
+// not +0.
+func sameVec(a, b ColVec) bool {
+	return a.AllNum == b.AllNum && slices.Equal(a.Class, b.Class) &&
+		slices.EqualFunc(a.F, b.F, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestDecodeImageMatchesFreshDecode: after every mutator the page's
@@ -63,7 +80,10 @@ func TestDecodeImageMatchesFreshDecode(t *testing.T) {
 		}
 	}
 	// check holds the image to a fresh decode; kept says whether the
-	// mutation before it had a cached image to keep.
+	// mutation before it had a cached image to keep. Every column's
+	// vector is then read, so the next mutation finds them built; a kept
+	// image must carry them filled for every row already: an insert
+	// extends them, a stamp shares them.
 	check := func(step string, kept bool) {
 		t.Helper()
 		if got := p.dec.Load() != nil; got != kept {
@@ -73,16 +93,30 @@ func TestDecodeImageMatchesFreshDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := freshImage(t, p); !reflect.DeepEqual(*d, *want) {
-			t.Fatalf("%s: image\n%+v\nfresh decode\n%+v", step, *d, *want)
+		want := freshImage(t, p)
+		if got, fresh := rowsOf(d), rowsOf(want); got != fresh {
+			t.Fatalf("%s: image\n%s\nfresh decode\n%s", step, got, fresh)
+		}
+		for c := range *d.vecs {
+			if v := (*d.vecs)[c].Load(); kept && (v == nil || int(v.n.Load()) != len(d.tuples)) {
+				t.Fatalf("%s: column %d's vector was not carried over", step, c)
+			}
+			if got, fresh := d.col(c), want.col(c); !sameVec(got, fresh) {
+				t.Fatalf("%s: column %d's vector\n%+v\nfresh decode\n%+v", step, c, got, fresh)
+			}
 		}
 	}
 	logDown := errors.New("log down")
 
 	insert(0, 1) // nothing cached: the page stays undecoded
 	check("insert with no image", false)
-	insert(1, 1)
-	check("insert", true)
+	for k := int64(1); k < 12; k++ { // past the room the first vectors were built with
+		insert(k, 1)
+		check("insert", true)
+	}
+	if d := p.dec.Load(); !d.col(0).AllNum || d.col(2).AllNum {
+		t.Fatal("the key column must read all-numeric, the mixed one must not")
+	}
 	insert(2, 2)
 	check("insert of a second creator", true)
 	stamp(slots[0], 3)
@@ -159,11 +193,18 @@ func imageStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				held := copyImage(d)
+				held := rowsOf(d)
+				vecs := []ColVec{cloneVec(d.col(0)), cloneVec(d.col(2))}
 				runtime.Gosched()
-				if !reflect.DeepEqual(*d, held) {
-					t.Errorf("a published image changed under its reader:\n%+v\nwas\n%+v", *d, held)
+				if now := rowsOf(d); now != held {
+					t.Errorf("a published image changed under its reader:\n%s\nwas\n%s", now, held)
 					return
+				}
+				for i, c := range []int{0, 2} {
+					if got := d.col(c); !sameVec(got, vecs[i]) {
+						t.Errorf("column %d's vector changed under its reader:\n%+v\nwas\n%+v", c, got, vecs[i])
+						return
+					}
 				}
 			}
 		}()
@@ -191,7 +232,13 @@ func imageStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := freshImage(t, p); !reflect.DeepEqual(*d, *want) {
-		t.Fatalf("image after the stress\n%+v\nfresh decode\n%+v", *d, *want)
+	want := freshImage(t, p)
+	if got, fresh := rowsOf(d), rowsOf(want); got != fresh {
+		t.Fatalf("image after the stress\n%s\nfresh decode\n%s", got, fresh)
+	}
+	for c := range *d.vecs {
+		if got, fresh := d.col(c), want.col(c); !sameVec(got, fresh) {
+			t.Fatalf("column %d's vector after the stress\n%+v\nfresh decode\n%+v", c, got, fresh)
+		}
 	}
 }

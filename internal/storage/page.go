@@ -34,15 +34,15 @@ var (
 // the read latch, so heap scans can run concurrently with inserts —
 // the shared-scan requirement of the parallel executor.
 //
-// dec caches the page's decoded live tuples (the arena produced by
-// decoded), so scans skip record parsing. It is copy-on-write and kept
-// exact under the write latch: an insert and an Xmax stamp derive the
-// next image and publish it once their log append succeeds; a
-// tombstone, Compact and the redo appliers drop it. Readers publish a
-// fresh decode under the read latch, so a cached image is never stale.
-// Cached tuples are shared across readers — consumers must treat
-// scanned tuples as immutable (the executor always copies values
-// before mutating).
+// dec caches the page's decode image (decoded): the live tuples, and
+// the typed column vectors the filter kernels read, so scans skip
+// record parsing. It is copy-on-write and kept exact under the write
+// latch: an insert and an Xmax stamp derive the next image and publish
+// it once their log append succeeds; a tombstone, Compact and the redo
+// appliers drop it. Readers publish a fresh decode under the read
+// latch, so a cached image is never stale. Cached tuples are shared
+// across readers — consumers must treat scanned tuples as immutable
+// (the executor always copies values before mutating).
 type Page struct {
 	mu  sync.RWMutex
 	buf [PageSize]byte
@@ -61,7 +61,8 @@ type Page struct {
 // measured pages (EXPERIMENTS.md snapshot-scan): a read-only wire
 // workload scans only pages of one or two creators. An image is never
 // changed once published: inserted and stamped derive its successor,
-// which maintains the summary.
+// which maintains the summary. vecs holds each column's vector
+// (colvec.go): stamped shares them, inserted extends the built ones.
 type decodedPage struct {
 	tuples  []Tuple
 	slots   []uint16
@@ -69,6 +70,7 @@ type decodedPage struct {
 	allLive bool
 	nxmin   uint8
 	xmins   [2]uint64
+	vecs    *[]atomic.Pointer[colVec]
 }
 
 // admitsAll is the page verdict: with no Xmax, visible(v, s) ==
@@ -119,18 +121,9 @@ func (p *Page) setSlot(i, off, length int) {
 	binary.BigEndian.PutUint16(p.buf[base+2:base+4], uint16(length))
 }
 
-func (p *Page) freeEndActual() int { return p.freeEnd() }
-
-// FreeSpace returns the bytes available for one more record + slot.
-func (p *Page) FreeSpace() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.freeSpaceLocked()
-}
-
 func (p *Page) freeSpaceLocked() int {
 	used := pageHeaderSize + p.slotCount()*slotSize
-	free := p.freeEndActual() - used - slotSize
+	free := p.freeEnd() - used - slotSize
 	if free < 0 {
 		return 0
 	}
@@ -196,7 +189,7 @@ func (p *Page) insertLocked(rec []byte) (int, error) {
 		return 0, fmt.Errorf("%w: need %d, have %d", ErrPageFull, len(rec), p.freeSpaceLocked())
 	}
 	n := p.slotCount()
-	newEnd := p.freeEndActual() - len(rec)
+	newEnd := p.freeEnd() - len(rec)
 	copy(p.buf[newEnd:], rec)
 	p.setSlot(n, newEnd, len(rec))
 	p.setSlotCount(n + 1)
@@ -363,20 +356,6 @@ func (p *Page) Compact() {
 	p.setSlotCount(n)
 }
 
-// LiveBytes returns the total bytes of live records.
-func (p *Page) LiveBytes() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := 0
-	for i := 0; i < p.slotCount(); i++ {
-		if p.liveLocked(i) {
-			_, l := p.slotAt(i)
-			n += l
-		}
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Redo appliers. Each is LSN-guarded (a page whose LSN is already at
 // or past the record's was flushed after the mutation — reapplying
@@ -437,25 +416,19 @@ func (p *Page) redoUpdate(slot int, rec []byte, lsn uint64) error {
 	return nil
 }
 
-// setLSN installs a recovered page's flushed LSN (recovery only).
-func (p *Page) setLSN(lsn uint64) {
-	p.mu.Lock()
-	p.lsn = lsn
-	p.mu.Unlock()
-}
-
-// rowsInto appends the page's live tuples whose version txn's snapshot
-// admits (nil txn: every version) to dst, read from the page's decode
-// image. The snapshot, read once, judges the page once (admitsAll): a
-// page it admits is appended whole, as a blind read is; else each
-// version is judged, the tuples-only loop remembering the last
+// rowsInto is the one page read: it appends the page's live tuples
+// whose version txn's snapshot admits (nil txn: every version) and
+// that f keeps (nil f: every one) to dst, with each one's RID when rids
+// is non-nil, all read from one decode image. The snapshot, read once,
+// judges the page once (admitsAll): a page it admits is taken whole, as
+// a blind read is; else each version is judged, remembering the last
 // creator's verdict (fixed per (id, snapshot), see TxnManager.dir). No
-// latch is taken after the decode. With rids non-nil each admitted
-// tuple's RID is appended too; tuples and slots come from one image.
-// Appended tuples own their memory (the image's arena), so retaining
-// consumers alias them without copying. The two loops stay apart:
-// sharing one cost the tuples-only scan 15%.
-func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple, error) {
+// latch is taken after the decode. Appended tuples own their memory
+// (the image's arena), so retaining consumers alias them without
+// copying. A filter runs between the visibility selection and the
+// copy, so only survivors are copied. Without one the loops stay
+// apart: sharing one cost the tuples-only scan of judged pages 15-40%.
+func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, txn *Txn, f RowFilter) ([]Tuple, error) {
 	d, err := p.decoded()
 	if err != nil {
 		return dst, err
@@ -467,11 +440,35 @@ func (p *Page) rowsInto(id PageID, dst []Tuple, rids *[]RID, txn *Txn) ([]Tuple,
 		tm, s = txn.tm, txn.Snapshot()
 		all = d.admitsAll(tm, s)
 	}
+	x, xok := s.Self, true // the last creator judged: committedAt(s.Self, s) holds
+	if f != nil {
+		sel := f.Sel()
+		for i := range d.vers {
+			if v := &d.vers[i]; !all {
+				if v.Xmin != x {
+					x, xok = v.Xmin, tm.committedAt(v.Xmin, s)
+				}
+				if !tm.visibleFrom(xok, *v, s) {
+					continue
+				}
+			}
+			sel = append(sel, int32(i))
+		}
+		if len(sel) > 0 {
+			sel = f.Filter(PageImage{d}, sel)
+		}
+		for _, i := range sel {
+			dst = append(dst, d.tuples[i])
+			if rids != nil {
+				*rids = append(*rids, RID{Page: id, Slot: int(d.slots[i])})
+			}
+		}
+		return dst, nil
+	}
 	if rids == nil {
 		if all {
 			return append(dst, d.tuples...), nil
 		}
-		x, xok := s.Self, true // the last creator judged: committedAt(s.Self, s) holds
 		for i, t := range d.tuples {
 			v := d.vers[i]
 			if v.Xmin != x {
@@ -505,7 +502,7 @@ func (p *Page) decoded() (*decodedPage, error) {
 	defer p.mu.RUnlock()
 	// Pre-pass: validate every record header, size the value arena and
 	// count live slots for the cache image.
-	total, live := 0, 0
+	total, live, width := 0, 0, 0
 	for s := 0; s < p.slotCount(); s++ {
 		off, length := p.slotAt(s)
 		if length == 0 {
@@ -515,7 +512,9 @@ func (p *Page) decoded() (*decodedPage, error) {
 		if err != nil {
 			return nil, err
 		}
-		total += int(binary.BigEndian.Uint16(body))
+		fields := int(binary.BigEndian.Uint16(body))
+		total += fields
+		width = max(width, fields)
 		live++
 	}
 	// The arena never reallocates (capacity is exact), so the tuple
@@ -526,6 +525,7 @@ func (p *Page) decoded() (*decodedPage, error) {
 		slots:   make([]uint16, 0, live),
 		vers:    make([]Version, 0, live),
 		allLive: true,
+		vecs:    newColSlots(width),
 	}
 	for s := 0; s < p.slotCount(); s++ {
 		off, length := p.slotAt(s)
@@ -571,10 +571,11 @@ func (d *decodedPage) add(arena Tuple, slot int, rec []byte) (Tuple, error) {
 }
 
 // inserted derives the image after rec landed in slot, the page's new
-// last slot, decoding only rec into the spare capacity of d's slices:
-// only the current image is ever extended, and every reader of d reads
-// only its first len entries. With no image cached the page stays
-// undecoded; a record that does not decode drops the image.
+// last slot, decoding only rec into the spare capacity of d's slices
+// and of its built column vectors: only the current image is ever
+// extended, and every reader of d reads only its first len entries.
+// With no image cached the page stays undecoded; a record that does
+// not decode drops the image.
 func (d *decodedPage) inserted(slot int, rec []byte) *decodedPage {
 	if d == nil {
 		return nil
@@ -583,11 +584,12 @@ func (d *decodedPage) inserted(slot int, rec []byte) *decodedPage {
 	if _, err := next.add(nil, slot, rec); err != nil {
 		return nil
 	}
+	next.extend(len(d.tuples), next.tuples[len(d.tuples)])
 	return &next
 }
 
-// stamped derives the image after slot's Xmax became xmax: tuples and
-// slots shared, vers copied with the one version patched and room for
+// stamped derives the image after slot's Xmax became xmax: tuples,
+// slots and column vectors shared, vers copied with the one version patched and room for
 // the insert an UPDATE makes next, allLive recomputed.
 func (d *decodedPage) stamped(slot int, xmax uint64) *decodedPage {
 	if d == nil {

@@ -761,3 +761,24 @@ func TestAllocBudgets(t *testing.T) {
 	allocbudget.Skip(t)
 	allocbudget.Measure(t, "MemDiskAppend", 20000, memDiskAppendOp(t)).Bytes(memDiskAppendByteBudget)
 }
+
+// FreeSpace returns the bytes available for one more record + slot.
+func (p *Page) FreeSpace() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.freeSpaceLocked()
+}
+
+// LiveBytes returns the total bytes of live records.
+func (p *Page) LiveBytes() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	n := 0
+	for i := 0; i < p.slotCount(); i++ {
+		if p.liveLocked(i) {
+			_, l := p.slotAt(i)
+			n += l
+		}
+	}
+	return n
+}

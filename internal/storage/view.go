@@ -35,15 +35,10 @@ func (v *HeapView) PageIDs() []PageID { return v.h.PageIDs() }
 // to read without locks.
 func (v *HeapView) PageZones(ids []PageID) [][]ColZone { return v.h.zm.snapshot(ids) }
 
-// PageTuplesInto appends one page's visible tuples to dst (usually
-// dst[:0] of a recycled batch) under a single latch acquisition,
-// decoded arena-style with no per-tuple allocation. It is safe to call
-// from many goroutines at once — the per-partition cursor primitive of
-// the parallel executor. The returned tuples stay valid after dst is
-// recycled (they own their arena), so both retaining and streaming
-// consumers are safe.
+// PageTuplesInto appends one page's visible tuples to dst: ReadPage
+// with no filter and no RIDs.
 func (v *HeapView) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
-	return v.h.pageRows(id, dst, nil, v.txn)
+	return v.ReadPage(id, dst, nil, nil)
 }
 
 // errNotVisible is how Get reports a version outside the snapshot:
@@ -69,11 +64,28 @@ func (v *HeapView) Get(rid RID) (Tuple, error) {
 	return t, err
 }
 
-// PageRowsInto appends one page's visible tuples and their RIDs, read
-// from a single image of the page (Page.rowsInto).
+// PageRowsInto appends one page's visible tuples and their RIDs:
+// ReadPage with no filter.
 func (v *HeapView) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []RID, error) {
-	ts, err := v.h.pageRows(id, ts, &rids, v.txn)
+	ts, err := v.ReadPage(id, ts, &rids, nil)
 	return ts, rids, err
+}
+
+// ReadPage is the pinned page read behind every page-granular read
+// (Page.rowsInto): it appends the visible tuples of one page that f
+// keeps (nil f: all of them) to dst, and their RIDs to *rids when rids
+// is non-nil. The page is decoded under one read-latch acquisition,
+// arena-style, and safe to read from many goroutines at once: the
+// per-partition cursor primitive of the parallel executor. The
+// returned tuples stay valid after dst is recycled (they own their
+// arena), so both retaining and streaming consumers are safe.
+func (v *HeapView) ReadPage(id PageID, dst []Tuple, rids *[]RID, f RowFilter) ([]Tuple, error) {
+	p, err := v.h.bm.GetPage(id)
+	if err != nil {
+		return dst, err
+	}
+	defer v.h.bm.Unpin(id)
+	return p.rowsInto(id, dst, rids, v.txn, f)
 }
 
 // Scan calls fn for every visible record in file order; returning

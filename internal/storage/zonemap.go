@@ -205,9 +205,10 @@ func (z *ZoneMaps) reset() {
 // caller, which on the durable path feeds the DB failure spine.
 func (h *HeapFile) BuildZoneMaps() error {
 	var buf []Tuple
+	v := h.Blind()
 	for _, id := range h.PageIDs() {
 		gen := h.zm.generation(id)
-		ts, err := h.pageRows(id, buf[:0], nil, nil)
+		ts, err := v.PageTuplesInto(id, buf[:0])
 		if errors.Is(err, ErrQuarantined) {
 			continue
 		}

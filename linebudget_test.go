@@ -26,7 +26,10 @@ import (
 // 6936 with streamed results (StreamParallelBatches and the row sink a
 // bare scan streams into; the per-worker drain slices and their merge
 // out). 6932 without Catalog.Buffer and NewCatalog's frame count.
-const engineLineBudget = 6932
+// 6977 with the WHERE run inside the page read (the class-switch and
+// branch-free loops over column vectors, each worker's kernel pass and
+// its published tallies; FilterKernel.Apply out).
+const engineLineBudget = 6977
 
 // Non-test lines of internal/storage: 4885 with two record formats and
 // detached heap files, 4551 with one of each (versioned records, every
@@ -38,8 +41,10 @@ const engineLineBudget = 6932
 // scan's remembered creator verdict). 4555 with a copy-on-write decode
 // image (an insert and an Xmax stamp derive the next image instead of
 // dropping it). 4195 with one page table: the policies, shards and
-// Store out.
-const storageLineBudget = 4195
+// Store out. 4324 with column vectors on the decode image and a filter
+// inside the one page read (setLSN, and FreeSpace and LiveBytes, which
+// only tests called, out).
+const storageLineBudget = 4324
 
 // TestLineBudgets counts the non-test lines (newlines in every .go file
 // that is not a _test.go file) of the engine and of storage, and fails

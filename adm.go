@@ -436,7 +436,9 @@ type (
 	// TunerConfig calibrates a ThresholdTuner.
 	TunerConfig = learn.Config
 	// ResumableAgg is a checkpointable aggregation query that can
-	// jump to another device's replica after a failure (§1).
+	// jump to another device's replica after a failure (§1). A Step
+	// is page-granular: it consumes whole pages until it has consumed
+	// at least the rows asked for, so Position may pass them.
 	ResumableAgg = query.ResumableAgg
 )
 

@@ -97,7 +97,7 @@ func Failover() (*Report, error) {
 	}
 	sm := adapt.NewStateManager(nil, nil)
 	const checkpointEvery = 100
-	for qa.Position() < 800 { // device A dies at 40%
+	for qa.Position() < 800 { // device A dies once past 40%
 		qa.Step(checkpointEvery)
 		if err := sm.Capture("q", qa); err != nil {
 			return nil, err
@@ -110,17 +110,19 @@ func Failover() (*Report, error) {
 	if err := sm.Restore("q", qb); err != nil {
 		return nil, err
 	}
-	resumedFrom := qb.Position()
+	// A step consumes whole pages, so A stops at the first page end at
+	// or past row 800, and B resumes at A's last checkpoint.
+	failedAt, resumedFrom := qa.Position(), qb.Position()
 	for !qb.Done() {
 		qb.Step(500)
 	}
 	exact := devB.MustExec("SELECT SUM(v) FROM m").Rows[0][0].Float
 	res := qb.Result()
 	rep := &Report{ID: "failover", Title: "Query jumps to another device after mid-query failure (§1)"}
-	rep.Add("failure point", "mid-query", "row 800 of 2000", "")
+	rep.Add("failure point", "mid-query", fmt.Sprintf("row %d of 2000", failedAt), "")
 	rep.Add("resumed from", "last safe point", fmt.Sprintf("row %d", resumedFrom),
-		fmt.Sprintf("checkpoint every %d rows", checkpointEvery))
-	rep.Add("work lost", "bounded", fmt.Sprintf("%d rows", 800-resumedFrom), "")
+		fmt.Sprintf("checkpoint every step of ≥ %d rows (whole pages)", checkpointEvery))
+	rep.Add("work lost", "bounded", fmt.Sprintf("%d rows", failedAt-resumedFrom), "")
 	rep.Add("answer exact", "yes", fmt.Sprintf("%v (SUM=%.1f)", res.Sum == exact, res.Sum),
 		"replica checksum verified")
 	if res.Sum != exact {

@@ -19,14 +19,14 @@ import (
 func RunBlockingHashJoin(l, r *TimedSource, lcol, rcol int) RunResult {
 	res := newRunResult()
 	now := 0.0
-	table := map[string][]TimedTuple{}
+	table := map[joinK][]TimedTuple{}
 	mem := 0
 	// Build phase: wait for every left tuple.
 	for !l.Done() {
 		if t, ok := l.PollAt(now); ok {
 			v := t.Tuple[lcol]
 			if !v.IsNull() {
-				table[joinKey(v)] = append(table[joinKey(v)], t)
+				table[keyOf(v)] = append(table[keyOf(v)], t)
 			}
 			mem++
 			if mem > res.MaxMemTuples {
@@ -52,7 +52,7 @@ func RunBlockingHashJoin(l, r *TimedSource, lcol, rcol int) RunResult {
 			continue
 		}
 		res.Comparisons++
-		for _, b := range table[joinKey(v)] {
+		for _, b := range table[keyOf(v)] {
 			res.emit(TimedOutput{Tuple: concat(b.Tuple, t.Tuple), At: now, LSeq: b.Seq, RSeq: t.Seq})
 		}
 	}
@@ -68,8 +68,8 @@ func RunBlockingHashJoin(l, r *TimedSource, lcol, rcol int) RunResult {
 func RunSymmetricHashJoin(l, r *TimedSource, lcol, rcol int) RunResult {
 	res := newRunResult()
 	now := 0.0
-	hl := map[string][]TimedTuple{}
-	hr := map[string][]TimedTuple{}
+	hl := map[joinK][]TimedTuple{}
+	hr := map[joinK][]TimedTuple{}
 	mem := 0
 	for !l.Done() || !r.Done() {
 		progressed := false
@@ -77,7 +77,7 @@ func RunSymmetricHashJoin(l, r *TimedSource, lcol, rcol int) RunResult {
 			progressed = true
 			v := t.Tuple[lcol]
 			if !v.IsNull() {
-				k := joinKey(v)
+				k := keyOf(v)
 				hl[k] = append(hl[k], t)
 				res.Comparisons++
 				for _, m := range hr[k] {
@@ -90,7 +90,7 @@ func RunSymmetricHashJoin(l, r *TimedSource, lcol, rcol int) RunResult {
 			progressed = true
 			v := t.Tuple[rcol]
 			if !v.IsNull() {
-				k := joinKey(v)
+				k := keyOf(v)
 				hr[k] = append(hr[k], t)
 				res.Comparisons++
 				for _, m := range hl[k] {
@@ -153,15 +153,15 @@ func RunXJoin(l, r *TimedSource, lcol, rcol int, cfg XJoinConfig) RunResult {
 	res := newRunResult()
 	now := 0.0
 	type side struct {
-		mem     map[string][]TimedTuple
+		mem     map[joinK][]TimedTuple
 		memN    int
 		disk    []TimedTuple
-		diskIdx map[string][]TimedTuple // hash over spilled tuples
+		diskIdx map[joinK][]TimedTuple // hash over spilled tuples
 		col     int
 		cur     int // reactive-stage cursor into disk
 	}
-	L := &side{mem: map[string][]TimedTuple{}, diskIdx: map[string][]TimedTuple{}, col: lcol}
-	R := &side{mem: map[string][]TimedTuple{}, diskIdx: map[string][]TimedTuple{}, col: rcol}
+	L := &side{mem: map[joinK][]TimedTuple{}, diskIdx: map[joinK][]TimedTuple{}, col: lcol}
+	R := &side{mem: map[joinK][]TimedTuple{}, diskIdx: map[joinK][]TimedTuple{}, col: rcol}
 	seen := map[uint64]struct{}{}
 	pairKey := func(ls, rs int) uint64 { return uint64(ls)<<32 | uint64(uint32(rs)) }
 	emit := func(lt, rt TimedTuple, at float64) {
@@ -178,7 +178,7 @@ func RunXJoin(l, r *TimedSource, lcol, rcol int, cfg XJoinConfig) RunResult {
 		if v.IsNull() {
 			return
 		}
-		k := joinKey(v)
+		k := keyOf(v)
 		// Probe opposite memory table.
 		res.Comparisons++
 		for _, m := range o.mem[k] {
@@ -210,7 +210,7 @@ func RunXJoin(l, r *TimedSource, lcol, rcol int, cfg XJoinConfig) RunResult {
 			for i := 0; i < cfg.ReactiveBatch && L.cur < len(L.disk); i++ {
 				t := L.disk[L.cur]
 				L.cur++
-				k := joinKey(t.Tuple[L.col])
+				k := keyOf(t.Tuple[L.col])
 				res.Comparisons++
 				// Arrival already probed the opposite memory table;
 				// the pairs stage 1 cannot have seen are disk×disk.
@@ -221,7 +221,7 @@ func RunXJoin(l, r *TimedSource, lcol, rcol int, cfg XJoinConfig) RunResult {
 			for i := 0; i < cfg.ReactiveBatch && R.cur < len(R.disk); i++ {
 				t := R.disk[R.cur]
 				R.cur++
-				k := joinKey(t.Tuple[R.col])
+				k := keyOf(t.Tuple[R.col])
 				res.Comparisons++
 				for _, m := range L.diskIdx[k] {
 					emit(m, t, now+cfg.ReactiveStepMS)
@@ -271,13 +271,13 @@ func RunXJoin(l, r *TimedSource, lcol, rcol int, cfg XJoinConfig) RunResult {
 		return append(out, s.disk...)
 	}
 	lAll, rAll := allOf(L), allOf(R)
-	rByKey := map[string][]TimedTuple{}
+	rByKey := map[joinK][]TimedTuple{}
 	for _, t := range rAll {
-		rByKey[joinKey(t.Tuple[R.col])] = append(rByKey[joinKey(t.Tuple[R.col])], t)
+		rByKey[keyOf(t.Tuple[R.col])] = append(rByKey[keyOf(t.Tuple[R.col])], t)
 	}
 	for _, lt := range lAll {
 		res.Comparisons++
-		for _, rt := range rByKey[joinKey(lt.Tuple[L.col])] {
+		for _, rt := range rByKey[keyOf(lt.Tuple[L.col])] {
 			emit(lt, rt, now)
 		}
 	}

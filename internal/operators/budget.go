@@ -40,8 +40,8 @@ func NewMemBudget(limit int64) *MemBudget {
 
 // Charge adds n bytes, failing with ErrMemBudget once the total
 // exceeds the limit. The charge is recorded even when it overflows,
-// so Used reports how far past the quota the statement got before the
-// workers drained.
+// so every later charge fails too, reporting how far past the quota
+// the statement got.
 func (m *MemBudget) Charge(n int64) error {
 	if m == nil {
 		return nil
@@ -51,22 +51,6 @@ func (m *MemBudget) Charge(n int64) error {
 		return fmt.Errorf("%w: %d of %d bytes", ErrMemBudget, used, m.limit)
 	}
 	return nil
-}
-
-// Used returns the bytes charged so far.
-func (m *MemBudget) Used() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.used.Load()
-}
-
-// Limit returns the configured cap (0 = unlimited).
-func (m *MemBudget) Limit() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.limit
 }
 
 // valueBytes approximates the resident size of one storage.Value

@@ -7,18 +7,6 @@ import (
 	"github.com/adm-project/adm/internal/storage"
 )
 
-// joinKey renders a value as a hash-map key. Numeric kinds normalise
-// to float text so 2 (int) joins with 2.0 (float), matching Compare.
-func joinKey(v storage.Value) string {
-	if f, ok := v.AsFloat(); ok {
-		return fmt.Sprintf("n:%g", f)
-	}
-	if v.Kind == storage.KindNull {
-		return "∅" // never joins; filtered by callers
-	}
-	return "s:" + v.Str
-}
-
 func concat(l, r storage.Tuple) storage.Tuple {
 	out := make(storage.Tuple, 0, len(l)+len(r))
 	out = append(out, l...)
@@ -117,9 +105,18 @@ type aggCell struct {
 	v   storage.Value
 }
 
-// fold folds v into c's MIN or MAX.
+// fold folds v into c's MIN or MAX by ORDER BY's key order, so NaN
+// sits after every number (storage.Compare, the predicate's order,
+// makes NaN equal to every number: a partial that met a NaN first
+// would keep it). A tie keeps the totalValueCompare-least value, as
+// sortLess breaks ORDER BY ties, so MAX(v) is ORDER BY v DESC LIMIT 1
+// and no answer depends on which worker saw which value first.
 func (c *aggCell) fold(kind AggKind, v storage.Value) {
-	if c.n == 0 || kind == AggMin && storage.Compare(v, c.v) < 0 || kind == AggMax && storage.Compare(v, c.v) > 0 {
+	r := compareKeys(sortKeyOf(v), sortKeyOf(c.v))
+	if kind == AggMax {
+		r = -r
+	}
+	if c.n == 0 || r < 0 || r == 0 && totalValueCompare(v, c.v) < 0 {
 		c.v = v
 	}
 }
@@ -232,6 +229,30 @@ func (a *aggAccum) merge(b *aggAccum) {
 			c.n += bc.n
 		}
 	}
+}
+
+// FoldGlobal is the pipeline's aggregate fold for a caller that feeds
+// rows itself (the resumable aggregate), over one global group of
+// aggs: it folds rows into state and returns the next state and the
+// aggregates' values. The state is a tuple — per aggregate the count,
+// the sum and the extreme so far; empty before the first row — which
+// the record codec carries bit for bit, NaN and ±Inf included.
+func FoldGlobal(aggs []AggSpec, state storage.Tuple, rows []storage.Tuple) (next, values storage.Tuple, err error) {
+	if len(state) != 0 && len(state) != 3*len(aggs) {
+		return nil, nil, fmt.Errorf("operators: aggregate state has %d values, want %d", len(state), 3*len(aggs))
+	}
+	a := newAggAccum(-1, aggs, nil)
+	a.rows(nil) // adds the global group
+	for i := 0; i < len(state); i += 3 {
+		a.cells[i/3] = aggCell{n: state[i].Int, sum: state[i+1].Float, v: state[i+2]}
+	}
+	for _, t := range rows {
+		a.pair(nil, t)
+	}
+	for _, c := range a.cells {
+		next = append(next, storage.IntValue(c.n), storage.FloatValue(c.sum), c.v)
+	}
+	return next, a.rows(nil)[0], nil
 }
 
 // rows renders one tuple per group in first-seen order, carved from one

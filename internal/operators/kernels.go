@@ -366,9 +366,6 @@ func NewFilterKernel(preds []ColPred, boxed Predicate, stats *ScanStats) *Filter
 	return k
 }
 
-// NumPreds returns the compiled conjunct count.
-func (k *FilterKernel) NumPreds() int { return len(k.preds) }
-
 // kernelPass is one worker's run of a FilterKernel, carried on the
 // worker's Batch: the storage.RowFilter its page reads call, the
 // reused selection vector, and the worker's per-conjunct tallies

@@ -380,6 +380,47 @@ func TestAdaptiveJoinsProduceSameResults(t *testing.T) {
 	sameOutputs(t, blocking, xjoin, "blocking-vs-xjoin")
 }
 
+// TestAdaptiveJoinsKeyLikeTheHashJoin: the timed joins match keys as
+// the pipeline's hash join does (keyOf): -0 meets 0, Int 2 meets Float
+// 2, NaN meets NaN, NULL meets nothing and the string "2" only itself
+// — ten matches of these keys with themselves.
+func TestAdaptiveJoinsKeyLikeTheHashJoin(t *testing.T) {
+	var keys []storage.Tuple
+	for _, v := range []storage.Value{storage.FloatValue(math.Copysign(0, -1)), storage.FloatValue(0), storage.IntValue(2),
+		storage.FloatValue(2), storage.FloatValue(math.NaN()), storage.NullValue(), storage.StringValue("2")} {
+		keys = append(keys, storage.Tuple{v})
+	}
+	cfg := ParallelConfig{Workers: 1}
+	bt, _, err := ParallelBuildBatches(NewSliceBatches(keys, 0), 0, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hj, err := bt.ProbeProject(NewSliceBatches(keys, 0), 0, cfg, nil, nil)
+	if err != nil || len(hj) != 10 {
+		t.Fatalf("hash join: %d matches, %v", len(hj), err)
+	}
+	mk := func() (*TimedSource, *TimedSource) {
+		return NewTimedSource("L", keys, ArrivalPattern{PerTupleMS: 1}), NewTimedSource("R", keys, ArrivalPattern{PerTupleMS: 2})
+	}
+	l1, r1 := mk()
+	l2, r2 := mk()
+	l3, r3 := mk()
+	for name, res := range map[string]RunResult{
+		"blocking":  RunBlockingHashJoin(l1, r1, 0, 0),
+		"symmetric": RunSymmetricHashJoin(l2, r2, 0, 0),
+		"xjoin":     RunXJoin(l3, r3, 0, 0, XJoinConfig{MemTuplesPerSide: 2, ReactiveBatch: 1, ReactiveStepMS: 1}),
+	} {
+		var got []storage.Tuple
+		for _, o := range res.Outputs {
+			got = append(got, o.Tuple)
+		}
+		if len(got) != len(hj) {
+			t.Fatalf("%s: %d matches, hash join %d", name, len(got), len(hj))
+		}
+		sameMultiset(t, got, hj)
+	}
+}
+
 func TestSymmetricBeatsBlockingTimeToFirstTuple(t *testing.T) {
 	// Both sides trickle in slowly: the blocking join cannot emit
 	// until the whole build side lands; the symmetric join emits on

@@ -11,7 +11,6 @@ package query
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -154,18 +153,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
 	return t, nil
-}
-
-// Tables lists table names, sorted.
-func (c *Catalog) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, t.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CreateIndex builds a B-tree on table.col, backfilling existing rows.

@@ -218,7 +218,10 @@ func naiveSelect(cat *Catalog, st *SelectStmt, txn *storage.Txn) (*Result, error
 // in select-item order. Groups follow the documented rule: a row joins
 // the group whose value it equals under storage.Equal, except that NULL
 // equals only NULL and NaN only NaN, and a group shows the least of its
-// values in content order. A global aggregate over no rows is one row.
+// values in content order. MIN and MAX pick by the ORDER BY key order
+// (NaN after every number), ties going to the least value in content
+// order, as ORDER BY breaks them. A global aggregate over no rows is
+// one row.
 func naiveAggregate(st *SelectStmt, joined [][]storage.Tuple,
 	resolve func(ColRef) (naiveCol, error)) ([]string, []storage.Tuple, error) {
 	group := naiveCol{table: -1}
@@ -299,8 +302,11 @@ func naiveAggregate(st *SelectStmt, joined [][]storage.Tuple,
 				if v.IsNull() {
 					continue
 				}
-				c := storage.Compare(v, best)
-				if n == 0 || item.Agg == AggMin && c < 0 || item.Agg == AggMax && c > 0 {
+				c := orderCompare(v, best) // MIN is ORDER BY's first value, MAX ORDER BY DESC's
+				if item.Agg == AggMax {
+					c = -c
+				}
+				if n == 0 || c < 0 || c == 0 && valueContentCompare(v, best) < 0 {
 					best = v
 				}
 				f, _ := v.AsFloat()

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,5 +203,81 @@ func TestResumeAnywhereProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeOverNaNAndInfinities: over a FLOAT column holding NaN (the
+// first row, and one mid-page), ±Inf and -0, an aggregation captured
+// at any of three cut points, restored on a replica and finished there
+// equals the uninterrupted run bit for bit, and both equal SQL's
+// COUNT(v), SUM(v), MIN(v) and MAX(v). A checkpoint that carried its
+// sums as JSON numbers could not be taken once a NaN had been folded.
+func TestResumeOverNaNAndInfinities(t *testing.T) {
+	special := map[int]float64{0: math.NaN(), 57: math.NaN(), 200: math.Inf(1), 400: math.Inf(-1), 600: math.Copysign(0, -1)}
+	replica := func() *Engine {
+		e := NewEngine(NewCatalog(), trace.New(), nil)
+		e.MustExec("CREATE TABLE m (k INT, v FLOAT)")
+		var rows []storage.Tuple
+		for i := 0; i < 1000; i++ {
+			v, ok := special[i]
+			if !ok {
+				v = float64(i%50) + 0.5
+			}
+			rows = append(rows, storage.Tuple{storage.IntValue(int64(i)), storage.FloatValue(v)})
+		}
+		loadRows(t, e.cat, "m", rows...)
+		return e
+	}
+	devA, devB := replica(), replica()
+	bits := func(r AggResult) string {
+		return fmt.Sprintf("count %d valid %v sum %x avg %x min %x max %x", r.Count, r.Valid, math.Float64bits(r.Sum),
+			math.Float64bits(r.Avg), math.Float64bits(r.Min), math.Float64bits(r.Max))
+	}
+	whole, err := NewResumableAgg(devA.Catalog(), "m", "v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole.Step(1 << 30)
+	want := whole.Result()
+	sql := devA.MustExec("SELECT COUNT(v), SUM(v), MIN(v), MAX(v) FROM m").Rows[0]
+	if want.Count != sql[0].Int || math.Float64bits(want.Sum) != math.Float64bits(sql[1].Float) ||
+		math.Float64bits(want.Min) != math.Float64bits(sql[2].Float) || math.Float64bits(want.Max) != math.Float64bits(sql[3].Float) {
+		t.Fatalf("resumable %s vs sql %v", bits(want), sql)
+	}
+	if !math.IsInf(want.Min, -1) || !math.IsNaN(want.Max) {
+		t.Fatalf("MIN %v MAX %v, want -Inf and NaN", want.Min, want.Max)
+	}
+	for _, cut := range []int{1, 300, 700} {
+		qa, err := NewResumableAgg(devA.Catalog(), "m", "v", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qa.Step(cut)
+		snap, err := qa.CaptureState()
+		if err != nil {
+			t.Fatalf("cut %d: capture: %v", cut, err)
+		}
+		qb, err := NewResumableAgg(devB.Catalog(), "m", "v", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := qb.RestoreState(snap); err != nil {
+			t.Fatalf("cut %d: restore: %v", cut, err)
+		}
+		for !qb.Done() {
+			qb.Step(97)
+		}
+		if got := qb.Result(); bits(got) != bits(want) {
+			t.Fatalf("cut %d: resumed %s, uninterrupted %s", cut, bits(got), bits(want))
+		}
+		// A replica with fewer pages than the checkpoint consumed is
+		// refused before any page is read.
+		small := NewEngine(NewCatalog(), nil, nil)
+		small.MustExec("CREATE TABLE m (k INT, v FLOAT)")
+		small.MustExec("INSERT INTO m VALUES (0, 0.5)")
+		qs, _ := NewResumableAgg(small.Catalog(), "m", "v", nil)
+		if err := qs.RestoreState(snap); cut > 1 && (err == nil || !strings.Contains(err.Error(), "beyond")) {
+			t.Fatalf("cut %d: a one-page replica took the checkpoint: %v", cut, err)
+		}
 	}
 }

@@ -30,7 +30,9 @@
 #                workers write the connection's reply themselves; then
 #                the aggregate invariance tests (MIN/MAX over NaN and
 #                -0 at every worker count, batch size and insert
-#                order) five more times at GOMAXPROCS=4
+#                order) five more times at GOMAXPROCS=4, and the page
+#                image stress and the zone-summary prune races (writers
+#                against vetoing readers) ten more times at GOMAXPROCS=4
 #   crash matrix the deterministic fault-injection recovery suite
 #                (internal/fault) at GOMAXPROCS=2 and 4 under two
 #                ADM_FAULT_SEED schedules: crash at every WAL write
@@ -147,6 +149,13 @@ else
     echo "   GOMAXPROCS=4 -count=5 aggregate invariance"
     GOMAXPROCS=4 go test -count=5 -race \
         -run '^(TestAggregatesInvariantUnderNaN|TestMinMaxAgreeWithOrderBy)$' ./internal/query/
+    # A page's zone summary is a field of its decode image, built by the
+    # first veto that asks and carried by a writer's derived images:
+    # repeat the image stress and the writers-against-vetoing-readers
+    # race where scheduling varies most.
+    echo "   GOMAXPROCS=4 -count=10 page image and zone summary races"
+    GOMAXPROCS=4 go test -count=10 -race \
+        -run '^(TestPageImageStress|TestZoneBuildConcurrentWriterNeverStale|TestZoneSummaryPruneSoundnessRandom)$' ./internal/storage/
 
     step "crash matrix (seeded fault schedules)"
     # The fault-injection recovery suite under two GOMAXPROCS values and

@@ -47,11 +47,6 @@ var latchLevels = map[[2]string]latchClass{
 	{"Catalog", "mu"}:    {10, "catalog"},
 	{"Table", "mu"}:      {20, "table"},
 	{"HeapFile", "mu"}:   {30, "heap-file"},
-	// The zone-map latch protects only the per-page summary table and
-	// its generation counters; it is never held across a page read or
-	// any callback (BuildZoneMaps decodes pages outside it), so it sits
-	// between the heap-file latch and the page table's.
-	{"ZoneMaps", "mu"}: {35, "zone-map"},
 	// The page table's only latch serialises growing its directory;
 	// GetPage, Unpin and quarantine marks are atomics and take nothing.
 	{"BufferManager", "growMu"}: {45, "page-table-grow"},

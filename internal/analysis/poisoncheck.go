@@ -31,10 +31,6 @@ var spineReceivers = map[string]map[string]bool{
 	// any WAL failure inside it has already poisoned the DB.
 	"TxnManager": {"commitTxn": true, "commitBatch": true, "abortTxn": true},
 	"Txn":        {"Commit": true},
-	// Zone-map builds read and decode every page of the file; an error
-	// is a page-read failure, and on the durable build points
-	// (Checkpoint, recovery) it must reach DB.fail, never be dropped.
-	"HeapFile": {"BuildZoneMaps": true},
 	// The server's wire layer: a discarded frame error means a torn or
 	// stalled connection keeps being served as if healthy. Session
 	// close rolls back any open transaction; dropping its error leaks

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -160,5 +161,28 @@ func TestTable1SensitivityShape(t *testing.T) {
 		if !strings.Contains(r.Note, "ordering holds") {
 			t.Fatalf("row %s: %s", r.Name, r.Note)
 		}
+	}
+}
+
+// TestFailoverLosesAtMostOneInterval: device A dies past its last safe
+// point, so the replica re-reads some rows, never more than one
+// checkpoint interval's pages, and its SUM is exact.
+func TestFailoverLosesAtMostOneInterval(t *testing.T) {
+	rep, err := Failover()
+	if err != nil {
+		t.Fatal(err) // includes a resumed SUM that is not exact
+	}
+	var lost, interval int
+	if _, err := fmt.Sscanf(rowValue(t, rep, "work lost"), "%d rows", &lost); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(rowValue(t, rep, "checkpoint interval"), "%d rows", &interval); err != nil {
+		t.Fatal(err)
+	}
+	if lost <= 0 || lost > interval {
+		t.Fatalf("work lost = %d rows, want 0 < lost <= %d (one interval)", lost, interval)
+	}
+	if got := rowValue(t, rep, "answer exact"); !strings.HasPrefix(got, "true") {
+		t.Fatalf("answer exact = %s", got)
 	}
 }

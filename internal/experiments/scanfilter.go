@@ -1,5 +1,5 @@
 // ScanFilter benchmark: the vectorized filter path (typed predicate
-// kernels over selection vectors plus zone-map page pruning) against
+// kernels over selection vectors plus zone-summary page vetoes) against
 // the boxed tuple-at-a-time reference, on the workload the machinery
 // targets — a ~1% selective predicate over a clustered key on a
 // checkpointed multi-page table. Both variants run back-to-back in
@@ -24,9 +24,10 @@ import (
 )
 
 // scanFilterEngine seeds s(k INT, v INT) with k = 0..rows-1 in insert
-// order (clustered, so zone maps carry disjoint k ranges per page) in
-// one committed transaction, analyzes, and checkpoints — the durable
-// build point that installs the zone maps the kernel path prunes with.
+// order (clustered, so each page's zone summary carries a disjoint k
+// range) in one committed transaction, analyzes, and checkpoints. No
+// step builds a summary: the kernel path's first read of each page
+// image summarises it, and later reads veto on that summary.
 func scanFilterEngine(rows int) (*query.Engine, error) {
 	cat := query.NewCatalog()
 	e := query.NewEngine(cat, trace.New(), nil)

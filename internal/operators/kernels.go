@@ -1,12 +1,12 @@
 // Vectorized predicate kernels: compiled column-vs-constant conjuncts
 // evaluated over a batch's selection vector without per-row closure
-// dispatch, plus the zone-map page-prune decision that runs before a
-// page is even decoded. The kernels replicate the boxed predicate's
-// semantics EXACTLY — NULL fails every comparison (even !=), numeric
-// kinds compare through their float64 image (int64 precision loss
-// included), NaN compares equal to every numeric, mixed string/number
-// order by kind tag — by reducing each operator to three precomputed
-// pass bits indexed by the sign of storage.Compare. Byte-identical
+// dispatch, plus the page veto that runs on the page image's zone
+// summary before any version is judged. The kernels replicate the
+// boxed predicate's semantics EXACTLY — NULL fails every comparison
+// (even !=), numeric kinds compare through their float64 image (int64
+// precision loss included), NaN compares equal to every numeric, mixed
+// string/number order by kind tag — by reducing each operator to three
+// precomputed pass bits indexed by the sign of storage.Compare. Byte-identical
 // results with the boxed path are a hard invariant, enforced by the
 // determinism matrix in the query package.
 package operators
@@ -394,6 +394,20 @@ func (w *kernelPass) bind(k *FilterKernel) storage.RowFilter {
 	return w
 }
 
+// MayMatch implements storage.RowFilter: the kernel's veto over the
+// page image's zone summary, counted as one pruned or scanned page.
+func (w *kernelPass) MayMatch(img storage.PageImage) bool {
+	ok := w.k.MayMatchPage(img.Zones())
+	if st := w.k.Stats; st != nil {
+		if ok {
+			st.Scanned.Add(1)
+		} else {
+			st.Pruned.Add(1)
+		}
+	}
+	return ok
+}
+
 // Sel implements storage.RowFilter: the empty selection vector.
 func (w *kernelPass) Sel() []int32 { return w.sel[:0] }
 
@@ -459,10 +473,10 @@ func (k *FilterKernel) reorder() {
 	k.order.Store(&next)
 }
 
-// MayMatchPage decides whether a page needs decoding: nil zones (no
-// entry — never built or invalidated) must scan; an empty non-nil
-// entry is a rowless page; otherwise every conjunct gets a veto. The
-// boxed residual never vetoes — it sees every surviving page.
+// MayMatchPage decides whether a page may hold a passing row: nil
+// zones (no summary) must be read; an empty non-nil summary is a
+// rowless page; otherwise every conjunct gets a veto. The boxed
+// residual never vetoes — it sees every surviving page.
 func (k *FilterKernel) MayMatchPage(zones []storage.ColZone) bool {
 	if zones == nil {
 		return true
@@ -476,18 +490,6 @@ func (k *FilterKernel) MayMatchPage(zones []storage.ColZone) bool {
 		}
 	}
 	return true
-}
-
-// countPage records one prune/scan decision.
-func (k *FilterKernel) countPage(pruned bool) {
-	if k.Stats == nil {
-		return
-	}
-	if pruned {
-		k.Stats.Pruned.Add(1)
-	} else {
-		k.Stats.Scanned.Add(1)
-	}
 }
 
 // Describe renders the conjunction for EXPLAIN: each kernel-compiled

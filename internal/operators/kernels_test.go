@@ -78,6 +78,9 @@ type predFilter struct {
 	allNum bool
 }
 
+// MayMatch never vetoes: the exhaustive test holds the row loop.
+func (f *predFilter) MayMatch(storage.PageImage) bool { return true }
+
 func (f *predFilter) Sel() []int32 { return nil }
 
 func (f *predFilter) Filter(img storage.PageImage, sel []int32) []int32 {
@@ -357,4 +360,32 @@ const filterAllocBudget = 2
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Skip(t)
 	allocbudget.Measure(t, "FilterBatch", 100, filterBatchOp(t)).Allocs(filterAllocBudget)
+}
+
+// TestHeapBatchesVetoOnImageSummary: with no build step before it, a
+// kernel scan of a clustered table vetoes every page whose image
+// summary rules the predicate out, inside the page read, keeps exactly
+// the passing rows, and counts each page once, pruned or scanned.
+func TestHeapBatchesVetoOnImageSummary(t *testing.T) {
+	db, hf := newHeap(t, "t")
+	rows := make([]storage.Tuple, 3000)
+	for i := range rows {
+		rows[i] = storage.Tuple{storage.IntValue(int64(i))}
+	}
+	load(t, db, hf, rows...)
+	pages := len(hf.PageIDs())
+	if pages < 4 {
+		t.Fatalf("fixture spans %d pages, want >= 4", pages)
+	}
+	for pass := 0; pass < 2; pass++ {
+		var stats ScanStats
+		k := NewFilterKernel([]ColPred{{Col: 0, Op: KernGE, Lit: storage.IntValue(2990), Name: "k >= 2990"}}, nil, &stats)
+		if got := drain(t, NewHeapBatches(hf.Blind(), k, false)); len(got) != 10 || got[0][0].Int != 2990 {
+			t.Fatalf("pass %d: kept %v, want k 2990..2999", pass, got)
+		}
+		pruned, scanned := stats.Pruned.Load(), stats.Scanned.Load()
+		if pruned+scanned != int64(pages) || scanned != 1 {
+			t.Fatalf("pass %d: pruned %d, scanned %d of %d pages: want all but the last pruned", pass, pruned, scanned, pages)
+		}
+	}
 }

@@ -101,10 +101,10 @@ type BatchSource interface {
 // indexes from an atomic cursor over a snapshot of the page list and
 // decode each page into their own batch under one read-latch
 // acquisition, so the underlying file stays shareable with concurrent
-// writers. With a kernel attached, each claimed page is first tested
-// against its zone map — pruned pages cost one atomic increment instead
-// of a pin+decode — and the page read runs the kernel over the page
-// image's column vectors inside the claiming worker, so only survivors
+// writers. With a kernel attached, the page read runs it inside the
+// claiming worker: first as a veto over the page image's zone summary
+// — a vetoed page costs its pin and the check, no visibility pass and
+// no copy — then over the image's column vectors, so only survivors
 // become rows: the scan+filter pipeline the paper's database machines
 // pushed to the disk head, here pushed below the row boundary.
 type HeapBatches struct {
@@ -112,20 +112,15 @@ type HeapBatches struct {
 	kernel *FilterKernel
 	rids   bool
 	pages  []storage.PageID
-	zones  [][]storage.ColZone
 	next   atomic.Int64
 }
 
-// NewHeapBatches snapshots file's pages (and, with a kernel, their zone
-// maps) for parallel consumption. The kernel, shared by all workers, may
-// be nil: no filtering. With rids every batch carries its tuples' RIDs
-// (Batch.RIDs), read from the same image of the page as the tuples.
+// NewHeapBatches snapshots file's pages for parallel consumption. The
+// kernel, shared by all workers, may be nil: no filtering. With rids
+// every batch carries its tuples' RIDs (Batch.RIDs), read from the same
+// image of the page as the tuples.
 func NewHeapBatches(file *storage.HeapView, kernel *FilterKernel, rids bool) *HeapBatches {
-	h := &HeapBatches{file: file, kernel: kernel, rids: rids, pages: file.PageIDs()}
-	if kernel != nil {
-		h.zones = file.PageZones(h.pages)
-	}
-	return h
+	return &HeapBatches{file: file, kernel: kernel, rids: rids, pages: file.PageIDs()}
 }
 
 // NextBatch implements BatchSource; one batch is one page (post
@@ -137,12 +132,6 @@ func (h *HeapBatches) NextBatch(b *Batch) (int, error) {
 			b.Reset()
 			return 0, nil
 		}
-		if h.kernel != nil && i < int64(len(h.zones)) {
-			if !h.kernel.MayMatchPage(h.zones[i]) {
-				h.kernel.countPage(true)
-				continue
-			}
-		}
 		var rids *[]storage.RID
 		if h.rids {
 			b.RIDs, rids = b.RIDs[:0], &b.RIDs
@@ -151,9 +140,6 @@ func (h *HeapBatches) NextBatch(b *Batch) (int, error) {
 		b.Tuples, err = h.file.ReadPage(h.pages[i], b.Tuples[:0], rids, b.pass.bind(h.kernel))
 		if err != nil {
 			return 0, err
-		}
-		if h.kernel != nil {
-			h.kernel.countPage(false)
 		}
 		if len(b.Tuples) > 0 {
 			return len(b.Tuples), nil

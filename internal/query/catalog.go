@@ -363,7 +363,8 @@ func (c *Catalog) update(table string, victims []victim, set map[string]storage.
 }
 
 // Analyze refreshes a table's statistics from the rows a fresh
-// snapshot sees.
+// snapshot sees. It builds no zone summaries: each page's is part of
+// its decode image, built by the first filtered read that asks.
 func (c *Catalog) Analyze(table string) error {
 	t, err := c.Table(table)
 	if err != nil {
@@ -395,10 +396,7 @@ func (c *Catalog) Analyze(table string) error {
 	t.mu.Lock()
 	t.Stats = fresh // installed wholesale, never mutated in place
 	t.mu.Unlock()
-	// Statistics refresh doubles as a zone-map build point (every
-	// checkpoint is another). Zones summarise every version, so they
-	// stay a superset of what any snapshot reads.
-	return t.Heap.BuildZoneMaps()
+	return nil
 }
 
 // SetStats force-sets statistics (experiments inject stale values).

@@ -327,7 +327,7 @@ func TestDMLHalloween(t *testing.T) {
 
 // TestDMLPlanGolden: Result.Plan of an UPDATE/DELETE names the access
 // path its rows came through, so "did it use the index" and "did the
-// zone maps prune" are read off the plan, not inferred from a timing.
+// zone summaries prune" are read off the plan, not inferred from a timing.
 func TestDMLPlanGolden(t *testing.T) {
 	e := newEngine(t)
 	e.MustExec("CREATE TABLE item (id INT, grp INT, price FLOAT)")

@@ -42,7 +42,7 @@ type ExecOptions struct {
 	// across every worker) and DML stamps its id.
 	Txn *storage.Txn
 	// NoVectorKernels forces the boxed per-row predicate path,
-	// disabling the compiled filter kernels and zone-map page pruning.
+	// disabling the compiled filter kernels and zone-summary page vetoes.
 	// The boxed path is the reference semantics — benchmarks and
 	// differential tests flip this to compare against it.
 	NoVectorKernels bool
@@ -112,8 +112,8 @@ func (o ExecOptions) adaptive() AdaptiveConfig {
 }
 
 // scanBatches builds the batch source for one scan: page-granular
-// shared heap cursors with kernel-fused filtering (zone-map pruning +
-// vectorized conjuncts inside the claiming worker) on the sequential
+// shared heap cursors with kernel-fused filtering (a zone-summary veto
+// and vectorized conjuncts inside the claiming worker) on the sequential
 // path, the boxed in-place filter when kernels are disabled, and a
 // shared cursor over the index postings, fetching runs of size, every
 // predicate re-checked on what it fetches, on the index path. With rids
@@ -205,7 +205,7 @@ func (e *Engine) runPipeline(st *SelectStmt, opts ExecOptions) (*Result, *ExecRe
 		res.Plan += " | " + rep.Adaptive.Describe()
 	}
 	// Per-scan filter summaries: kernel vs boxed conjuncts and the
-	// zone-map prune counters observed during this execution.
+	// page prune counters observed during this execution.
 	for _, sp := range plan.scans {
 		if fs := sp.filterSummary(); fs != "" {
 			res.Plan += " | " + fs

@@ -76,8 +76,8 @@ type scanPlan struct {
 	// re-snapshotting per candidate.
 	stats TableStats
 	// noKernel forces the boxed per-row predicate
-	// (ExecOptions.NoVectorKernels): no filter kernel, no zone-map
-	// pruning.
+	// (ExecOptions.NoVectorKernels): no filter kernel, no zone-summary
+	// veto.
 	noKernel bool
 	// kern is the compiled filter kernel, built lazily by filterKernel
 	// before the pipeline fans out and then shared by all its workers.

@@ -62,16 +62,6 @@ type BufferManager struct {
 	hits        atomic.Uint64
 	checksum    atomic.Uint64
 	quarantined atomic.Uint64
-
-	// onQuarantine holds callbacks run the first time a page is
-	// quarantined; heap files register their zone-map invalidation here
-	// so a page that goes unreadable never keeps a prunable summary.
-	// cbMu is an incidental leaf mutex, not part of the latch
-	// hierarchy: registration can happen under the db latch
-	// (CreateFile), so it must rank below nothing — it is never held
-	// across any other acquisition.
-	cbMu         sync.Mutex
-	onQuarantine []func(PageID)
 }
 
 type pageChunk [chunkSlots]pageSlot
@@ -200,32 +190,17 @@ func (b *BufferManager) Unpin(id PageID) {
 	}
 }
 
-// OnQuarantine registers fn to run after a page is first quarantined.
-// Callbacks are invoked with no table latch held (admvet: callbacks
-// never run under engine latches), so they may take their own locks.
-func (b *BufferManager) OnQuarantine(fn func(PageID)) {
-	b.cbMu.Lock()
-	b.onQuarantine = append(b.onQuarantine, fn)
-	b.cbMu.Unlock()
-}
-
 // Quarantine pulls a page from service: subsequent GetPage calls fail
 // with ErrQuarantined (wrapping cause) instead of serving bytes that
-// failed their checksum. A pin already held keeps its page. Registered
-// OnQuarantine callbacks fire once per page, after the quarantine is
-// in effect. An id with no page installed has nothing to pull.
+// failed their checksum. A pin already held keeps its page. A page is
+// counted once however often it is quarantined. An id with no page
+// installed has nothing to pull.
 func (b *BufferManager) Quarantine(id PageID, cause error) {
 	s := b.slot(id)
 	if s == nil || s.page.Load() == nil || !s.quarantine.CompareAndSwap(nil, &quarantineMark{cause}) {
 		return
 	}
 	b.quarantined.Add(1)
-	b.cbMu.Lock()
-	cbs := b.onQuarantine
-	b.cbMu.Unlock()
-	for _, fn := range cbs {
-		fn(id)
-	}
 }
 
 // Quarantined returns the ids currently quarantined, ascending.

@@ -59,9 +59,13 @@ func TestPageTableStress(t *testing.T) {
 	for i := 0; i < initial; i++ {
 		bm.Allocate()
 	}
-	var fired atomic.Int64
-	bm.OnQuarantine(func(PageID) { fired.Add(1) })
 	sick := func(id PageID) bool { return id < initial && id%7 == 0 }
+	nSick := uint64(0)
+	for id := PageID(0); id < initial; id++ {
+		if sick(id) {
+			nSick++
+		}
+	}
 
 	var cursor atomic.Uint32 // every id below it has a page installed
 	cursor.Store(initial)
@@ -92,13 +96,16 @@ func TestPageTableStress(t *testing.T) {
 			cursor.Store(uint32(bm.Allocate()) + 1)
 		}
 	}()
-	go func() { // quarantiner: each sick page twice, the hook fires once
+	go func() { // quarantiner: each sick page twice, counted once
 		defer wg.Done()
 		for round := 0; round < 2; round++ {
 			for id := PageID(0); id < initial; id++ {
 				if sick(id) {
 					bm.Quarantine(id, ErrChecksum)
 				}
+			}
+			if n := bm.Stats().QuarantinedPages; n != nSick {
+				t.Errorf("after round %d: %d pages counted quarantined, want %d", round, n, nSick)
 			}
 		}
 	}()
@@ -135,8 +142,8 @@ func TestPageTableStress(t *testing.T) {
 	if got := bm.Quarantined(); !slices.Equal(got, want) {
 		t.Fatalf("Quarantined() = %v, want %v", got, want)
 	}
-	if st := bm.Stats(); st.QuarantinedPages != uint64(len(want)) || fired.Load() != int64(len(want)) {
-		t.Fatalf("quarantined %d pages, stats %+v, hook fired %d", len(want), st, fired.Load())
+	if st := bm.Stats(); st.QuarantinedPages != uint64(len(want)) {
+		t.Fatalf("quarantined %d pages, stats %+v", len(want), st)
 	}
 }
 
@@ -176,22 +183,27 @@ func TestBufferPinCount(t *testing.T) {
 	}
 }
 
-// TestQuarantineOnce: the hook fires once per page however often it is
-// quarantined, GetPage wraps the first cause, and an id with no page
-// installed is not quarantined at all.
+// TestQuarantineOnce: a page is counted quarantined once however often
+// it is quarantined, GetPage wraps the first cause, and an id with no
+// page installed is not quarantined at all.
 func TestQuarantineOnce(t *testing.T) {
 	var bm BufferManager
 	a, b := bm.Allocate(), bm.Allocate()
-	var fired []PageID
-	bm.OnQuarantine(func(id PageID) { fired = append(fired, id) })
+	counted := func(step string, want uint64) {
+		t.Helper()
+		if n := bm.Stats().QuarantinedPages; n != want {
+			t.Fatalf("%s: %d pages counted quarantined, want %d", step, n, want)
+		}
+	}
 	first, second := errors.New("first cause"), errors.New("second cause")
+	counted("before", 0)
 	bm.Quarantine(b, first)
+	counted("first quarantine", 1)
 	bm.Quarantine(b, second)
+	counted("second quarantine of the same page", 1)
 	bm.Quarantine(2, first)     // in the first chunk, past the cursor
 	bm.Quarantine(99999, first) // past the table
-	if !slices.Equal(fired, []PageID{b}) {
-		t.Fatalf("hook fired for %v, want [%d]", fired, b)
-	}
+	counted("ids with no page", 1)
 	_, err := bm.GetPage(b)
 	if !errors.Is(err, ErrQuarantined) || !errors.Is(err, first) || errors.Is(err, second) {
 		t.Fatalf("GetPage(quarantined) = %v, want ErrQuarantined wrapping the first cause", err)

@@ -114,9 +114,17 @@ func (m PageImage) Rows() []Tuple { return m.d.tuples }
 // Col returns column c's vector, built on the first ask.
 func (m PageImage) Col(c int) ColVec { return m.d.col(c) }
 
-// RowFilter is the WHERE a page read runs between its visibility
-// selection and its copy, so only the rows it keeps become rows.
+// Zones returns the image's zone summary (zonemap.go), built on the
+// first ask: nil when the page has none, empty when it holds no rows.
+func (m PageImage) Zones() []ColZone { return m.d.summary() }
+
+// RowFilter is the WHERE a page read runs: a veto over the whole page,
+// then a filter between its visibility selection and its copy, so only
+// the rows it keeps become rows.
 type RowFilter interface {
+	// MayMatch reports whether img's page may hold a row the filter
+	// keeps; a page it vetoes yields no rows.
+	MayMatch(img PageImage) bool
 	// Sel returns the filter's selection vector, empty, for the read to
 	// fill with the visible rows' positions.
 	Sel() []int32

@@ -491,22 +491,6 @@ func (db *DB) Checkpoint() error {
 	}
 	db.checkpoints.Add(1)
 	db.scrub(flushed)
-
-	// Refresh zone maps off the just-flushed heaps: checkpoint is the
-	// natural build point (the write burst that invalidated entries has
-	// quiesced). A page that cannot be read or decoded here will not
-	// read later either — engine-fatal.
-	db.mu.Lock()
-	files := make([]*HeapFile, 0, len(db.fileOrder))
-	for _, name := range db.fileOrder {
-		files = append(files, db.files[name])
-	}
-	db.mu.Unlock()
-	for _, h := range files {
-		if err := h.BuildZoneMaps(); err != nil {
-			return db.fail(err)
-		}
-	}
 	return nil
 }
 
@@ -516,8 +500,7 @@ func (db *DB) Checkpoint() error {
 // scrub runs verifyPage over every page this checkpoint did not flush,
 // quarantining each that fails: in-memory bytes that no longer match
 // their checkpointed frame are reported, not served. Run after the
-// flush, and before the zone-map build so a quarantined page stays
-// zone-less.
+// flush.
 func (db *DB) scrub(flushed map[PageID]uint64) {
 	db.bm.slots(func(id PageID, s *pageSlot) {
 		p := s.page.Load()
@@ -775,16 +758,6 @@ func (db *DB) recover(recs []Record) error {
 		}
 		db.indexes[def.Name] = tree
 		stats.Indexes++
-	}
-
-	// Rebuild zone maps from the recovered heaps. restore() wiped any
-	// pre-crash entries; quarantined pages are skipped inside
-	// BuildZoneMaps and stay zone-less — an unreadable page is never
-	// pruned on the strength of a summary taken before it went bad.
-	for _, name := range db.fileOrder {
-		if err := db.files[name].BuildZoneMaps(); err != nil {
-			return err
-		}
 	}
 
 	db.recovery = stats

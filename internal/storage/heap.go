@@ -24,7 +24,8 @@ var ErrNotFound = errors.New("storage: record not found")
 // through a transaction (Txn.Insert/Delete/Update). Every read goes
 // through a HeapView: a transaction's (Txn.View) sees its snapshot, a
 // blind one (Blind) every version, live or dead — what index backfill
-// wants.
+// wants. The file keeps no per-page state of its own beyond the page
+// list: a page's zone summary is part of its decode image (zonemap.go).
 type HeapFile struct {
 	mu    sync.Mutex
 	name  string
@@ -32,26 +33,11 @@ type HeapFile struct {
 	bm    *BufferManager
 	pages []PageID
 	live  int
-	// zm holds the file's per-page zone maps. Inserts, the only
-	// mutation that can change page VALUES, invalidate the page's entry
-	// both before touching it and again once the mutation lands — the
-	// second bump is what keeps a concurrent BuildZoneMaps from keeping
-	// a summary of the pre-write image (see zonemap.go). Delete and
-	// Xmax stamping leave entries in place — removal and version-header
-	// rewrites keep the summary a superset.
-	zm ZoneMaps
 }
 
 // newHeapFile builds one of db's files (CreateFile and recovery).
-// Registering the zone invalidation with the page table keeps
-// quarantine and pruning consistent: a page pulled from service after
-// its entry was built loses the entry, so every later scan attempts the
-// read and reports ErrQuarantined instead of silently pruning past
-// corruption.
 func newHeapFile(name string, db *DB) *HeapFile {
-	h := &HeapFile{name: name, db: db, bm: db.bm}
-	h.bm.OnQuarantine(h.zm.invalidate)
-	return h
+	return &HeapFile{name: name, db: db, bm: db.bm}
 }
 
 // Name returns the file name.
@@ -87,9 +73,7 @@ func (h *HeapFile) insertRec(rec []byte) (RID, error) {
 		if err != nil {
 			return RID{}, err
 		}
-		h.zm.invalidate(id) // before the mutation is observable
 		slot, err := h.insertPage(p, id, rec)
-		h.zm.invalidate(id) // and after: outdate any mid-write build
 		h.bm.Unpin(id)
 		if err == nil {
 			h.live++
@@ -109,8 +93,6 @@ func (h *HeapFile) insertRec(rec []byte) (RID, error) {
 		return RID{}, err
 	}
 	defer h.bm.Unpin(id)
-	h.zm.invalidate(id)       // before the mutation is observable
-	defer h.zm.invalidate(id) // and after: outdate any mid-write build
 	slot, err := h.insertPage(p, id, rec)
 	if err != nil {
 		return RID{}, err
@@ -208,7 +190,6 @@ func (h *HeapFile) restore(pages []PageID) error {
 	h.pages = append([]PageID(nil), pages...)
 	h.live = live
 	h.mu.Unlock()
-	h.zm.reset() // stale pre-crash zones never survive into recovery
 	return nil
 }
 

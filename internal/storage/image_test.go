@@ -37,12 +37,20 @@ func freshImage(t *testing.T, p *Page) *decodedPage {
 	return d
 }
 
-// rowsOf renders d without its vectors: text, so a NaN row equals
-// itself.
+// rowsOf renders d without its vectors and zone summary: text, so a
+// NaN row equals itself.
 func rowsOf(d *decodedPage) string {
-	c := *d
-	c.vecs = nil
-	return fmt.Sprintf("%+v", c)
+	return fmt.Sprintf("tuples:%+v slots:%v vers:%+v allLive:%v nxmin:%d xmins:%v",
+		d.tuples, d.slots, d.vers, d.allLive, d.nxmin, d.xmins)
+}
+
+// carriesSummary fails unless d's zone summary, if it has one, contains
+// the summary a fresh decode of the page builds.
+func carriesSummary(t *testing.T, step string, d, fresh *decodedPage) {
+	t.Helper()
+	if z := d.zones.Load(); z != nil && !summaryContains(*z, BuildColZones(fresh.tuples)) {
+		t.Fatalf("%s: zone summary\n%+v\ndoes not contain the fresh decode's\n%+v", step, *z, BuildColZones(fresh.tuples))
+	}
 }
 
 // cloneVec deep-copies a vector read.
@@ -59,9 +67,10 @@ func sameVec(a, b ColVec) bool {
 
 // TestDecodeImageMatchesFreshDecode: after every mutator the page's
 // decode image equals a fresh decode of its bytes — tuples, slots,
-// versions and the version summary. An insert and an Xmax stamp,
-// failed or not, keep a cached image (derived, or left as it was);
-// a tombstone, Compact and the redo appliers drop it.
+// versions and the version summary — and its zone summary contains the
+// fresh decode's. An insert and an Xmax stamp, failed or not, keep a
+// cached image (derived, or left as it was) and its zone summary;
+// a tombstone, Compact and the redo appliers drop both.
 func TestDecodeImageMatchesFreshDecode(t *testing.T) {
 	p := NewPage()
 	var slots []int
@@ -81,9 +90,10 @@ func TestDecodeImageMatchesFreshDecode(t *testing.T) {
 	}
 	// check holds the image to a fresh decode; kept says whether the
 	// mutation before it had a cached image to keep. Every column's
-	// vector is then read, so the next mutation finds them built; a kept
-	// image must carry them filled for every row already: an insert
-	// extends them, a stamp shares them.
+	// vector and the zone summary are then read, so the next mutation
+	// finds them built; a kept image must carry them already: an insert
+	// extends the vectors and shares or widens the summary, a stamp
+	// shares both.
 	check := func(step string, kept bool) {
 		t.Helper()
 		if got := p.dec.Load() != nil; got != kept {
@@ -105,6 +115,11 @@ func TestDecodeImageMatchesFreshDecode(t *testing.T) {
 				t.Fatalf("%s: column %d's vector\n%+v\nfresh decode\n%+v", step, c, got, fresh)
 			}
 		}
+		if kept && d.zones.Load() == nil {
+			t.Fatalf("%s: the zone summary was not carried over", step)
+		}
+		carriesSummary(t, step, d, want)
+		(PageImage{d}).Zones()
 	}
 	logDown := errors.New("log down")
 
@@ -195,9 +210,14 @@ func imageStress(t *testing.T) {
 				}
 				held := rowsOf(d)
 				vecs := []ColVec{cloneVec(d.col(0)), cloneVec(d.col(2))}
+				zones := slices.Clone((PageImage{d}).Zones())
 				runtime.Gosched()
 				if now := rowsOf(d); now != held {
 					t.Errorf("a published image changed under its reader:\n%s\nwas\n%s", now, held)
+					return
+				}
+				if now := (PageImage{d}).Zones(); !slices.Equal(now, zones) || !summaryCovers(now, d.tuples) {
+					t.Errorf("an image's zone summary changed or lost a row:\n%+v\nwas\n%+v", now, zones)
 					return
 				}
 				for i, c := range []int{0, 2} {
@@ -241,4 +261,5 @@ func imageStress(t *testing.T) {
 			t.Fatalf("column %d's vector after the stress\n%+v\nfresh decode\n%+v", c, got, fresh)
 		}
 	}
+	carriesSummary(t, "after the stress", d, want)
 }

@@ -28,13 +28,6 @@ func (h *HeapFile) Blind() *HeapView { return &HeapView{h: h} }
 // PageIDs returns a read-only snapshot of the file's page list.
 func (v *HeapView) PageIDs() []PageID { return v.h.PageIDs() }
 
-// PageZones returns the file's zone entry for each id (nil = no entry:
-// never built or invalidated — the page must be scanned). Zones cover
-// every version, a superset of what any snapshot can see, so they
-// prune soundly for every view. Installed entries are immutable: safe
-// to read without locks.
-func (v *HeapView) PageZones(ids []PageID) [][]ColZone { return v.h.zm.snapshot(ids) }
-
 // PageTuplesInto appends one page's visible tuples to dst: ReadPage
 // with no filter and no RIDs.
 func (v *HeapView) PageTuplesInto(id PageID, dst []Tuple) ([]Tuple, error) {
@@ -74,7 +67,9 @@ func (v *HeapView) PageRowsInto(id PageID, ts []Tuple, rids []RID) ([]Tuple, []R
 // ReadPage is the pinned page read behind every page-granular read
 // (Page.rowsInto): it appends the visible tuples of one page that f
 // keeps (nil f: all of them) to dst, and their RIDs to *rids when rids
-// is non-nil. The page is decoded under one read-latch acquisition,
+// is non-nil. A page f vetoes on its image's zone summary yields none;
+// the summary covers every version, so the veto is sound for every
+// view. The page is decoded under one read-latch acquisition,
 // arena-style, and safe to read from many goroutines at once: the
 // per-partition cursor primitive of the parallel executor. The
 // returned tuples stay valid after dst is recycled (they own their

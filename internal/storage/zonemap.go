@@ -1,43 +1,27 @@
-// Zone maps: per-page, per-column min/max summaries that let scans
-// skip whole pages before decoding them — the "move the computation to
-// the data" half of the vectorized filter path. A zone entry is a
-// conservative superset of the page's contents across EVERY record
-// version (MVCC visibility stays a post-filter concern: a page whose
-// zone cannot match a predicate holds no matching version, visible or
-// not, so pruning it is sound under any snapshot).
+// Zone summaries: per-column min/max and value-category flags over a
+// page's rows, which let a filtered read veto a whole page before it
+// judges a single version — the "move the computation to the data"
+// half of the vectorized filter path. A summary covers EVERY row of its
+// page image, every version that is not tombstoned (MVCC visibility
+// stays a post-filter concern: a page whose summary cannot match a
+// predicate holds no matching version, visible or not, so vetoing it is
+// sound under any snapshot).
 //
-// Consistency protocol. Writers bracket every page mutation with
-// invalidations: once BEFORE the mutation becomes observable (so the
-// entry is absent while the write is in flight) and once AFTER it
-// completes (so the write's return is a fence past which no stale
-// entry survives). Builds run without holding the zone latch across
-// page reads (the latch-order hierarchy places ZoneMaps.mu below the
-// page latch): the builder records a per-page generation, decodes the
-// page, and installs the entry only if the generation is unchanged.
-// The post-mutation invalidation is what makes the generation check
-// sound — a builder that read the generation after the writer's first
-// invalidation but decoded the pre-write image installs a summary
-// missing the new value, and only the second bump (which both deletes
-// the entry and outdates the builder's generation) removes it. A
-// reader can therefore observe a missing entry for a write still in
-// flight (it scans the page — always sound) but never a surviving
-// entry that omits an acknowledged write. Quarantining a page also
-// invalidates its entry (HeapFile registers ZoneMaps.invalidate with
-// BufferManager.OnQuarantine), so a page that goes unreadable after
-// its entry was built is scanned — and reports ErrQuarantined —
-// instead of being pruned on the strength of a summary taken before
-// it went bad.
-//
-// Deletions and MVCC Xmax stamping do not invalidate: they only remove
-// values or rewrite version headers, so the existing entry remains a
-// superset and pruning stays sound (just occasionally pessimistic).
+// A summary is a field of the page's decode image (decodedPage.zones),
+// and a summary and its rows are one immutable object: the first veto
+// that asks builds it from the image's own rows and publishes it on the
+// image, an Xmax stamp shares it (the rows are unchanged), an insert
+// derives its image's summary from its parent's (shared when the new
+// row changes no column, widened by the row otherwise), and a
+// tombstone, Compact and the redo appliers drop it with the image. No
+// summary outlives or predates the rows it describes, so none needs
+// invalidating; a quarantined page fails in GetPage before any summary
+// is read, so a veto never passes over corruption.
 package storage
 
 import (
-	"errors"
 	"math"
-	"strings"
-	"sync"
+	"slices"
 )
 
 // ColZone summarises one column over every record version on a page.
@@ -121,104 +105,41 @@ func BuildColZones(ts []Tuple) []ColZone {
 			zones[c].absorb(t[c])
 		}
 	}
-	// The absorbed strings are substrings of the page's decode arena;
-	// clone so an installed entry retains only its min/max bytes, not a
-	// page worth of string data.
-	for c := range zones {
-		if zones[c].HasStr {
-			zones[c].MinS = strings.Clone(zones[c].MinS)
-			zones[c].MaxS = strings.Clone(zones[c].MaxS)
-		}
-	}
 	return zones
 }
 
-// ZoneMaps holds a heap file's per-page zone entries. The zero value
-// is ready to use.
-type ZoneMaps struct {
-	mu      sync.Mutex
-	entries map[PageID][]ColZone
-	// gen counts invalidations per page; the builder re-checks it at
-	// install time so a build racing a writer never installs a summary
-	// of the pre-write image.
-	gen map[PageID]uint64
-}
-
-// invalidate drops a page's entry and bumps its generation. Writers
-// call this both BEFORE and AFTER mutating the page, and quarantine
-// calls it when a page goes unreadable (see the package comment).
-func (z *ZoneMaps) invalidate(id PageID) {
-	z.mu.Lock()
-	delete(z.entries, id)
-	if z.gen == nil {
-		z.gen = map[PageID]uint64{}
+// summary returns the image's zone summary, building and publishing it
+// on the first ask. Its strings alias the image's rows, which it lives
+// and dies with.
+func (d *decodedPage) summary() []ColZone {
+	if z := d.zones.Load(); z != nil {
+		return *z
 	}
-	z.gen[id]++
-	z.mu.Unlock()
+	z := BuildColZones(d.tuples)
+	d.zones.Store(&z)
+	return z
 }
 
-// generation reads a page's current invalidation count.
-func (z *ZoneMaps) generation(id PageID) uint64 {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	return z.gen[id]
-}
-
-// install publishes a freshly built entry unless the page was
-// invalidated since the builder read gen.
-func (z *ZoneMaps) install(id PageID, gen uint64, zones []ColZone) {
-	z.mu.Lock()
-	if z.gen[id] == gen {
-		if z.entries == nil {
-			z.entries = map[PageID][]ColZone{}
-		}
-		z.entries[id] = zones
+// widened is the summary of an image an insert derives from one
+// summarised by z, whose new row is t: z itself when t lies inside every
+// column's range and flags, a copy with t absorbed otherwise. nil — no
+// summary, the next ask builds one — when z is nil, summarises no rows
+// (or no columns), or t is narrower than it.
+func widened(z *[]ColZone, t Tuple) *[]ColZone {
+	if z == nil || len(*z) == 0 || len(t) < len(*z) {
+		return nil
 	}
-	z.mu.Unlock()
-}
-
-// snapshot returns the entries for ids under one latch acquisition.
-func (z *ZoneMaps) snapshot(ids []PageID) [][]ColZone {
-	out := make([][]ColZone, len(ids))
-	z.mu.Lock()
-	for i, id := range ids {
-		out[i] = z.entries[id]
-	}
-	z.mu.Unlock()
-	return out
-}
-
-// reset drops every entry and generation (recovery reinstall).
-func (z *ZoneMaps) reset() {
-	z.mu.Lock()
-	z.entries, z.gen = nil, nil
-	z.mu.Unlock()
-}
-
-// BuildZoneMaps (re)builds the file's zone entries from its current
-// pages. Safe to run concurrently with readers and writers: each page
-// is decoded under its read latch only (never the zone latch), and the
-// generation check drops summaries of pages that were written
-// mid-build. Quarantined pages are skipped and left without an entry —
-// an unreadable page is never trusted, so scans still touch (and
-// report) it. Any other read or decode failure is returned to the
-// caller, which on the durable path feeds the DB failure spine.
-func (h *HeapFile) BuildZoneMaps() error {
-	var buf []Tuple
-	v := h.Blind()
-	for _, id := range h.PageIDs() {
-		gen := h.zm.generation(id)
-		ts, err := v.PageTuplesInto(id, buf[:0])
-		if errors.Is(err, ErrQuarantined) {
+	out := z
+	for c, old := range *z {
+		w := old
+		if w.absorb(t[c]); w == old {
 			continue
 		}
-		if err != nil {
-			return err
+		if out == z {
+			cp := slices.Clone(*z)
+			out = &cp
 		}
-		buf = ts
-		if zones := BuildColZones(ts); zones != nil {
-			h.zm.install(id, gen, zones)
-		}
+		(*out)[c] = w
 	}
-	return nil
+	return out
 }

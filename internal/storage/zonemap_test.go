@@ -1,8 +1,7 @@
-// Zone-map unit tests: category/range summaries, the
-// invalidate-around-mutate protocol (writers bump the generation both
-// before and after the page op), generation-checked installs, and the
-// quarantine rules (an unreadable page never gets an entry, and loses
-// any entry it had when it goes unreadable).
+// Zone summary tests: category/range summaries, the rule an insert
+// derives its image's summary by, vetoing readers racing writers, the
+// first read after recovery, and the quarantine rules (an unreadable
+// page fails before any summary of it is read).
 package storage
 
 import (
@@ -10,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -54,154 +55,246 @@ func TestBuildColZonesEmptyAndRagged(t *testing.T) {
 	}
 }
 
-func TestZoneMapsGenerationGuardsInstall(t *testing.T) {
-	var zm ZoneMaps
-	id := PageID(7)
-	gen := zm.generation(id)
-	// A racing invalidation between read and install drops the entry.
-	zm.invalidate(id)
-	zm.install(id, gen, []ColZone{{HasNum: true}})
-	if got := zm.snapshot([]PageID{id}); got[0] != nil {
-		t.Fatalf("stale install accepted: %v", got[0])
+// summaryOf reads page id's image and asks it for its zone summary, as
+// a vetoing read does.
+func summaryOf(h *HeapFile, id PageID) ([]ColZone, error) {
+	p, err := h.bm.GetPage(id)
+	if err != nil {
+		return nil, err
 	}
-	// Clean install lands.
-	gen = zm.generation(id)
-	zm.install(id, gen, []ColZone{{HasNum: true}})
-	if got := zm.snapshot([]PageID{id}); got[0] == nil {
-		t.Fatal("clean install dropped")
+	defer h.bm.Unpin(id)
+	d, err := p.decoded()
+	if err != nil {
+		return nil, err
 	}
-	zm.reset()
-	if got := zm.snapshot([]PageID{id}); got[0] != nil {
-		t.Fatal("reset kept an entry")
-	}
+	return PageImage{d}.Zones(), nil
 }
 
-// TestHeapFileZoneInvalidation: an insert invalidates the entry of the
-// page it lands on; claims and deletes leave entries in place (a
-// version-header rewrite or a removal keeps the summary a superset).
-func TestHeapFileZoneInvalidation(t *testing.T) {
-	h := newHeap(t)
-	var rids []RID
-	for i := 0; i < 400; i++ {
-		rid, err := insertRow(h, Tuple{IntValue(int64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	if err := h.BuildZoneMaps(); err != nil {
-		t.Fatal(err)
-	}
-	ids := h.PageIDs()
-	if len(ids) < 3 {
-		t.Fatalf("fixture spans %d pages, want >= 3", len(ids))
-	}
-	for i, z := range h.Blind().PageZones(ids) {
-		if z == nil {
-			t.Fatalf("page %d has no zone after build", ids[i])
-		}
-	}
-
-	// An update claims the old version in place (page 0 keeps its
-	// entry) and appends the new one (the last page loses its entry).
-	tx := h.db.Txns().Begin()
-	if _, err := tx.Update(h, rids[0], Tuple{IntValue(9999)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	zs := h.Blind().PageZones(ids)
-	if zs[len(zs)-1] != nil {
-		t.Fatal("the page the new version landed on kept a stale zone entry")
-	}
-	if zs[0] == nil || zs[1] == nil {
-		t.Fatal("a claim or an untouched page lost its zone entry")
-	}
-
-	// Rebuild, then delete: the entry stays (conservative superset).
-	if err := h.BuildZoneMaps(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Delete(rids[1]); err != nil {
-		t.Fatal(err)
-	}
-	if zs := h.Blind().PageZones(ids[:1]); zs[0] == nil {
-		t.Fatal("delete invalidated a zone entry; removal keeps the summary a superset")
-	}
-}
-
-// TestWriteInvalidatesAroundMutation: every completed write moves the
-// page generation by at least two — one invalidation before the page
-// op and one after. The second bump is the fix for the lost-write
-// race: a builder that read the generation after the writer's
-// pre-write invalidation but decoded the pre-write image would
-// otherwise pass the install check and publish a summary missing the
-// new value.
-func TestWriteInvalidatesAroundMutation(t *testing.T) {
-	h := newHeap(t)
-	rid, err := insertRow(h, Tuple{IntValue(1)})
+// cachedImage returns page id's cached decode image, nil when none.
+func cachedImage(t *testing.T, h *HeapFile, id PageID) *decodedPage {
+	t.Helper()
+	p, err := h.bm.GetPage(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := rid.Page
-	g := h.zm.generation(id)
-	if _, err := insertRow(h, Tuple{IntValue(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.zm.generation(id); got < g+2 {
-		t.Fatalf("insert moved generation %d -> %d, want pre- AND post-mutation invalidation", g, got)
-	}
+	defer h.bm.Unpin(id)
+	return p.dec.Load()
 }
 
-// assertZonesCoverPages checks the soundness invariant a scan relies
-// on: every tuple currently on a page with a zone entry is covered by
-// that entry (nil entries are fine — the page is simply scanned).
-func assertZonesCoverPages(t *testing.T, h *HeapFile) {
-	t.Helper()
-	ids := h.PageIDs()
-	for pi, zones := range h.Blind().PageZones(ids) {
-		if zones == nil {
-			continue
+// zoneCovers reports whether z admits v: the flag of v's category is
+// set and, for a number or a string, v lies in its range.
+func zoneCovers(z ColZone, v Value) bool {
+	switch v.Kind {
+	case KindNull:
+		return z.HasNull
+	case KindString:
+		return z.HasStr && z.MinS <= v.Str && z.MaxS >= v.Str
+	case KindInt, KindFloat, KindBool:
+		f, _ := v.AsFloat()
+		if math.IsNaN(f) {
+			return z.HasNaN
 		}
-		ts, err := h.Blind().PageTuplesInto(ids[pi], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tu := range ts {
-			for c, v := range tu {
-				if c >= len(zones) {
-					break
-				}
-				z := zones[c]
-				covered := false
-				switch v.Kind {
-				case KindNull:
-					covered = z.HasNull
-				case KindString:
-					covered = z.HasStr && z.MinS <= v.Str && z.MaxS >= v.Str
-				case KindInt, KindFloat, KindBool:
-					f, _ := v.AsFloat()
-					if math.IsNaN(f) {
-						covered = z.HasNaN
-					} else {
-						covered = z.HasNum && z.MinF <= f && z.MaxF >= f
-					}
-				}
-				if !covered {
-					t.Fatalf("page %d col %d: %v not covered by %+v", ids[pi], c, v, z)
-				}
+		return z.HasNum && z.MinF <= f && z.MaxF >= f
+	}
+	return z.HasOther
+}
+
+// summaryCovers reports whether zones admits every row of ts: each of
+// its columns covers the row's value there.
+func summaryCovers(zones []ColZone, ts []Tuple) bool {
+	for _, tu := range ts {
+		for c := range zones {
+			if !zoneCovers(zones[c], tu[c]) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
-// TestZoneBuildConcurrentWriterNeverStale races BuildZoneMaps against
-// a writer inserting values far outside the seeded range, then checks
-// that no surviving entry omits a committed row — the interleaving
-// where the builder decodes a page between a writer's pre-write
-// invalidation and the write itself must never leave a stale summary
-// once the writes have returned.
+// summaryContains reports whether z admits everything f does: no wider,
+// claiming rows wherever f does, and each column's flags and ranges a
+// superset of f's. A nil z (no summary) never prunes.
+func summaryContains(z, f []ColZone) bool {
+	switch {
+	case z == nil:
+		return true
+	case f == nil:
+		return false
+	case len(f) == 0:
+		return true
+	case len(z) == 0 || len(z) > len(f):
+		return false
+	}
+	for c := range z {
+		a, b := z[c], f[c]
+		if a.HasOther {
+			continue
+		}
+		if b.HasOther || b.HasNull && !a.HasNull || b.HasNaN && !a.HasNaN || b.HasBool && !a.HasBool ||
+			b.HasNum && !(a.HasNum && a.MinF <= b.MinF && a.MaxF >= b.MaxF) ||
+			b.HasStr && !(a.HasStr && a.MinS <= b.MinS && a.MaxS >= b.MaxS) {
+			return false
+		}
+	}
+	return true
+}
+
+// vetoFilter is a RowFilter of one column predicate: keep decides a
+// value, may decides from the column's zone whether it can hold a kept
+// one. Every image it vetoes is checked to hold no kept row: a veto
+// judges the image it is handed, so a summary that missed one of that
+// image's rows fails here.
+type vetoFilter struct {
+	t      *testing.T
+	col    int
+	keep   func(Value) bool
+	may    func(ColZone) bool
+	vetoed int
+}
+
+func (f *vetoFilter) MayMatch(img PageImage) bool {
+	z := img.Zones()
+	if z == nil || (len(z) > 0 && (f.col >= len(z) || f.may(z[f.col]))) {
+		return true
+	}
+	f.vetoed++
+	for _, r := range img.Rows() {
+		if f.col < len(r) && f.keep(r[f.col]) {
+			f.t.Errorf("a vetoed page holds kept row %v (summary %+v)", r, z)
+		}
+	}
+	return false
+}
+
+func (f *vetoFilter) Sel() []int32 { return nil }
+
+func (f *vetoFilter) Filter(img PageImage, sel []int32) []int32 {
+	rows, kept := img.Rows(), sel[:0]
+	for _, i := range sel {
+		if f.col < len(rows[i]) && f.keep(rows[i][f.col]) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
+}
+
+// atLeast is a vetoFilter keeping the numbers of col 0 at or above lo.
+func atLeast(t *testing.T, lo float64) *vetoFilter {
+	return &vetoFilter{t: t,
+		keep: func(v Value) bool { f, ok := v.AsFloat(); return ok && f >= lo },
+		may:  func(z ColZone) bool { return z.HasOther || (z.HasNum && z.MaxF >= lo) },
+	}
+}
+
+// readAll reads every page of h blind through f.
+func readAll(h *HeapFile, f RowFilter) ([]Tuple, error) {
+	var out []Tuple
+	v := h.Blind()
+	for _, id := range h.PageIDs() {
+		var err error
+		if out, err = v.ReadPage(id, out, nil, f); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestInsertedSummaryRule: an insert derives its image's summary from
+// its parent's — none when the parent has none (no reader asked), the
+// parent's own when the new row changes no column, a widened copy when
+// it does (the parent's left as it was), none when the row is
+// narrower — and a stamp shares it.
+func TestInsertedSummaryRule(t *testing.T) {
+	p := NewPage()
+	ins := func(tu Tuple) *decodedPage {
+		t.Helper()
+		if _, err := pageInsert(p, EncodeRecord(tu, Version{Xmin: 1})); err != nil {
+			t.Fatal(err)
+		}
+		return p.dec.Load()
+	}
+	ins(Tuple{IntValue(10), StringValue("m")})
+	d, err := p.decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d = ins(Tuple{IntValue(20), StringValue("q")}); d.zones.Load() != nil {
+		t.Fatal("an insert built a summary no reader asked for")
+	}
+	parent := PageImage{d}.Zones()
+	if parent[0].MinF != 10 || parent[0].MaxF != 20 || parent[1].MinS != "m" || parent[1].MaxS != "q" {
+		t.Fatalf("summary = %+v", parent)
+	}
+	pz := d.zones.Load()
+	if d = ins(Tuple{IntValue(15), StringValue("n")}); d.zones.Load() != pz {
+		t.Fatal("a row inside every range did not share its parent's summary")
+	}
+	d = ins(Tuple{IntValue(30), StringValue("a")})
+	z := d.zones.Load()
+	if z == nil || z == pz {
+		t.Fatal("a row outside the ranges did not widen a copy")
+	}
+	if (*z)[0].MaxF != 30 || (*z)[1].MinS != "a" || (*pz)[0].MaxF != 20 || (*pz)[1].MinS != "m" {
+		t.Fatalf("widened %+v from %+v", *z, *pz)
+	}
+	if !summaryCovers(*z, d.tuples) {
+		t.Fatalf("widened summary %+v misses a row of %v", *z, d.tuples)
+	}
+	if err := p.SetXmaxWith(0, 7, nil, noLog[[]byte]); err != nil {
+		t.Fatal(err)
+	}
+	if p.dec.Load().zones.Load() != z {
+		t.Fatal("a stamp did not share the summary")
+	}
+	if d = ins(Tuple{IntValue(1)}); d.zones.Load() != nil {
+		t.Fatal("a narrower row kept a summary wider than itself")
+	}
+	if z := (PageImage{d}).Zones(); len(z) != 1 || z[0].MinF != 1 || z[0].MaxF != 30 {
+		t.Fatalf("rebuilt summary = %+v", z)
+	}
+}
+
+// TestRowlessImageVetoedUntilInsert: an image whose every slot is
+// tombstoned has an empty summary and is vetoed under any predicate;
+// the image the next insert derives carries no summary (an empty one
+// would still read "no rows"), so the next read summarises the new row
+// and keeps it.
+func TestRowlessImageVetoedUntilInsert(t *testing.T) {
+	p := NewPage()
+	for k := int64(0); k < 3; k++ {
+		if _, err := pageInsert(p, EncodeRecord(Tuple{IntValue(k)}, Version{Xmin: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for slot := 0; slot < 3; slot++ {
+		if err := pageDelete(p, slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := atLeast(t, -1000)
+	if rows, err := p.rowsInto(0, nil, nil, nil, f); err != nil || len(rows) != 0 || f.vetoed != 1 {
+		t.Fatalf("rowless page read = %v, %v, vetoed %d: want it vetoed", rows, err, f.vetoed)
+	}
+	if z := p.dec.Load().zones.Load(); z == nil || *z == nil || len(*z) != 0 {
+		t.Fatal("a rowless image's summary must be empty, not absent")
+	}
+	if _, err := pageInsert(p, EncodeRecord(Tuple{IntValue(5)}, Version{Xmin: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if p.dec.Load().zones.Load() != nil {
+		t.Fatal("an insert into a rowless image carried its empty summary")
+	}
+	if rows, err := p.rowsInto(0, nil, nil, nil, f); err != nil || len(rows) != 1 || f.vetoed != 1 {
+		t.Fatalf("read after the insert = %v, %v, vetoed %d: want the new row", rows, err, f.vetoed)
+	}
+}
+
+// TestZoneBuildConcurrentWriterNeverStale races writers inserting
+// values far outside the seeded range against readers vetoing pages on
+// "k >= 100000": every row acknowledged before a scan starts is in that
+// scan's result — no page holding an acknowledged passing row is
+// pruned — and every page the readers veto holds no passing row.
 func TestZoneBuildConcurrentWriterNeverStale(t *testing.T) {
 	h := newHeap(t)
 	for i := 0; i < 200; i++ {
@@ -209,80 +302,231 @@ func TestZoneBuildConcurrentWriterNeverStale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 500; i++ {
-			if _, err := insertRow(h, Tuple{IntValue(int64(100000 + i))}); err != nil {
-				done <- err
-				return
+	const writers, perWriter = 2, 250
+	var acked [writers]atomic.Int64 // rows writer w has acknowledged
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := insertRow(h, Tuple{IntValue(int64(100000 + w*perWriter + i))}); err != nil {
+					t.Error(err)
+					return
+				}
+				acked[w].Store(int64(i + 1))
 			}
-		}
-		done <- nil
-	}()
-	for i := 0; i < 200; i++ {
-		if err := h.BuildZoneMaps(); err != nil {
+		}(w)
+	}
+	var readers sync.WaitGroup
+	vetoed := make([]int, 2)
+	for r := range vetoed {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			f := atLeast(t, 100000)
+			for !done.Load() {
+				var want [writers]int64
+				for w := range want {
+					want[w] = acked[w].Load()
+				}
+				rows, err := readAll(h, f)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := map[int64]bool{}
+				for _, tu := range rows {
+					got[tu[0].Int] = true
+				}
+				for w, n := range want {
+					for i := int64(0); i < n; i++ {
+						if k := int64(100000+w*perWriter) + i; !got[k] {
+							t.Errorf("acknowledged row %d missing: its page was pruned", k)
+							return
+						}
+					}
+				}
+			}
+			vetoed[r] = f.vetoed
+		}(r)
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	if vetoed[0]+vetoed[1] == 0 {
+		t.Fatal("no reader vetoed a page: the race never exercised a summary")
+	}
+	for _, id := range h.PageIDs() {
+		zones, err := summaryOf(h, id)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !summaryCovers(zones, cachedImage(t, h, id).tuples) {
+			t.Fatalf("page %d: summary %+v misses a row", id, zones)
+		}
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	assertZonesCoverPages(t, h)
 }
 
-// TestZoneMapsPruneSoundnessRandom: for every page of a mixed-value
-// heap, any tuple on the page must be absorbed by the page's built
-// zone — i.e. each column's category flag covers the value.
-func TestZoneMapsPruneSoundnessRandom(t *testing.T) {
+// TestZoneSummaryPruneSoundnessRandom: writers insert rows of mixed
+// kinds, and a key that widens every page's range as it fills, while
+// readers veto pages on "column c is v" for every column and value in
+// turn; a vetoed page never holds such a row, and at the end every
+// page's summary covers every row on it.
+func TestZoneSummaryPruneSoundnessRandom(t *testing.T) {
 	h := newHeap(t)
 	vals := []Value{
 		IntValue(-100), IntValue(0), IntValue(100),
 		FloatValue(-0.0), FloatValue(math.NaN()), FloatValue(2.5),
 		StringValue(""), StringValue("zz"), BoolValue(false), NullValue(),
 	}
-	for i := 0; i < 300; i++ {
-		if _, err := insertRow(h, Tuple{vals[i%len(vals)], vals[(i*7+3)%len(vals)]}); err != nil {
-			t.Fatal(err)
-		}
+	same := func(a, b Value) bool {
+		return a.Kind == b.Kind && a.Int == b.Int && a.Str == b.Str && a.Bool == b.Bool &&
+			math.Float64bits(a.Float) == math.Float64bits(b.Float)
 	}
-	if err := h.BuildZoneMaps(); err != nil {
-		t.Fatal(err)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 300; i += 2 {
+				if _, err := insertRow(h, Tuple{vals[i%len(vals)], vals[(i*7+3)%len(vals)], IntValue(int64(i))}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	ids := h.PageIDs()
-	for pi, zones := range h.Blind().PageZones(ids) {
-		ts, err := h.Blind().PageTuplesInto(ids[pi], nil)
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; !done.Load(); i++ {
+				col, lit := (i/len(vals))%3, vals[i%len(vals)]
+				if col == 2 {
+					lit = IntValue(int64(i * 37 % 300))
+				}
+				f := &vetoFilter{t: t, col: col,
+					keep: func(v Value) bool { return same(v, lit) },
+					may:  func(z ColZone) bool { return zoneCovers(z, lit) },
+				}
+				if _, err := readAll(h, f); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	for _, id := range h.PageIDs() {
+		zones, err := summaryOf(h, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tu := range ts {
-			for c, v := range tu {
-				z := zones[c]
-				covered := false
-				switch v.Kind {
-				case KindNull:
-					covered = z.HasNull
-				case KindString:
-					covered = z.HasStr && z.MinS <= v.Str && z.MaxS >= v.Str
-				case KindInt, KindFloat, KindBool:
-					f, _ := v.AsFloat()
-					if math.IsNaN(f) {
-						covered = z.HasNaN
-					} else {
-						covered = z.HasNum && z.MinF <= f && z.MaxF >= f
-					}
-				}
-				if !covered {
-					t.Fatalf("page %d col %d: %v not covered by %+v", ids[pi], c, v, z)
-				}
-			}
+		if ts := cachedImage(t, h, id).tuples; !summaryCovers(zones, ts) {
+			t.Fatalf("page %d: summary %+v misses a row of %v", id, zones, ts)
 		}
 	}
 }
 
-// TestZoneMapsQuarantinedPageNeverTrusted: after recovery quarantines
-// a corrupt page, that page must have no zone entry (scans must touch
-// and report it), while healthy pages keep theirs.
-func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
+// TestZoneSummaryAfterRecovery: recovery decodes no page, so no page
+// carries a summary; the first vetoing scan reads and summarises every
+// page, and the next one prunes the same pages from the images that
+// read left, with no page decoded again.
+func TestZoneSummaryAfterRecovery(t *testing.T) {
+	walDisk, dataDisk := NewMemDisk(), NewMemDisk()
+	db, err := Open(walDisk, dataDisk, DBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := db.CreateFile("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 200)
+	for i := 0; i < 200; i++ { // clustered: each page holds a k range
+		if _, err := insertRow(h, Tuple{IntValue(int64(i)), StringValue(pad)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db2, err := Open(NewMemDiskFrom(walDisk.Bytes()), NewMemDiskFrom(dataDisk.Bytes()), DBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, _ := db2.File("t")
+	ids := h2.PageIDs()
+	if len(ids) < 4 {
+		t.Fatalf("fixture spans %d pages, want >= 4", len(ids))
+	}
+	for _, id := range ids {
+		if cachedImage(t, h2, id) != nil {
+			t.Fatalf("page %d decoded by recovery", id)
+		}
+	}
+	scan := func() (*vetoFilter, []*decodedPage) {
+		t.Helper()
+		f := atLeast(t, 190)
+		rows, err := readAll(h2, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 10 {
+			t.Fatalf("scan kept %d rows, want 10", len(rows))
+		}
+		imgs := make([]*decodedPage, len(ids))
+		for i, id := range ids {
+			if imgs[i] = cachedImage(t, h2, id); imgs[i] == nil || imgs[i].zones.Load() == nil {
+				t.Fatalf("page %d not summarised by its read", id)
+			}
+		}
+		return f, imgs
+	}
+	first, imgs := scan()
+	next, again := scan()
+	if next.vetoed == 0 || next.vetoed != first.vetoed || next.vetoed >= len(ids) {
+		t.Fatalf("vetoed %d then %d of %d pages", first.vetoed, next.vetoed, len(ids))
+	}
+	for i := range ids {
+		if again[i] != imgs[i] {
+			t.Fatalf("page %d decoded again by the next scan", ids[i])
+		}
+	}
+}
+
+// TestQuarantinedPageFailsBeforeVeto: a page quarantined after its
+// image was summarised fails the next vetoing read with ErrQuarantined
+// instead of being pruned past the corruption: the read fails in
+// GetPage, before any summary is read.
+func TestQuarantinedPageFailsBeforeVeto(t *testing.T) {
+	h := newHeap(t)
+	for i := 0; i < 8; i++ {
+		if _, err := insertRow(h, Tuple{IntValue(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := h.PageIDs()[0]
+	f := atLeast(t, 1000)
+	if rows, err := h.Blind().ReadPage(id, nil, nil, f); err != nil || len(rows) != 0 || f.vetoed != 1 {
+		t.Fatalf("read = %v, %v, vetoed %d: want the page vetoed", rows, err, f.vetoed)
+	}
+	h.bm.Quarantine(id, ErrChecksum)
+	if _, err := h.Blind().ReadPage(id, nil, nil, f); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("quarantined page read = %v, want ErrQuarantined", err)
+	}
+	if f.vetoed != 1 {
+		t.Fatal("a quarantined page reached the veto")
+	}
+}
+
+// TestZoneSummaryQuarantinedPageNeverTrusted: after recovery quarantines
+// a corrupt page, no summary of that page can be read (scans must touch
+// and report it), while healthy pages are summarised by their read.
+func TestZoneSummaryQuarantinedPageNeverTrusted(t *testing.T) {
 	walDisk, dataDisk := NewMemDisk(), NewMemDisk()
 	db, err := Open(walDisk, dataDisk, DBOptions{})
 	if err != nil {
@@ -316,62 +560,28 @@ func TestZoneMapsQuarantinedPageNeverTrusted(t *testing.T) {
 		t.Fatalf("PagesQuarantined = %d, want 1", q)
 	}
 	h2, _ := db2.File("t")
-	ids := h2.PageIDs()
-	zones := h2.Blind().PageZones(ids)
 	healthy := 0
-	for i, id := range ids {
+	for _, id := range h2.PageIDs() {
+		zones, err := summaryOf(h2, id)
 		if id == victim {
-			if zones[i] != nil {
-				t.Fatal("quarantined page has a zone entry — it could be pruned instead of reported")
+			if !errors.Is(err, ErrQuarantined) {
+				t.Fatalf("quarantined page summarised (%v, %v) — it could be pruned instead of reported", zones, err)
 			}
 			continue
 		}
-		if zones[i] != nil {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zones != nil {
 			healthy++
 		}
 	}
 	if healthy == 0 {
-		t.Fatal("recovery built no zone entries for healthy pages")
+		t.Fatal("no healthy page was summarised by its read")
 	}
 	// And the quarantined page still reports on read, as always.
 	if _, err := h2.Blind().PageTuplesInto(victim, nil); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("victim read = %v, want ErrQuarantined", err)
-	}
-}
-
-// TestQuarantineDropsZoneEntry: a page quarantined AFTER its entry was
-// built (checksum failure on a later re-read) must lose the entry, so
-// every subsequent scan touches the page and reports ErrQuarantined
-// instead of pruning past the corruption.
-func TestQuarantineDropsZoneEntry(t *testing.T) {
-	h := newHeap(t)
-	bm := h.bm
-	for i := 0; i < 8; i++ {
-		if _, err := insertRow(h, Tuple{IntValue(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.BuildZoneMaps(); err != nil {
-		t.Fatal(err)
-	}
-	id := h.PageIDs()[0]
-	if h.Blind().PageZones([]PageID{id})[0] == nil {
-		t.Fatal("no zone entry after build")
-	}
-	bm.Quarantine(id, ErrChecksum)
-	if h.Blind().PageZones([]PageID{id})[0] != nil {
-		t.Fatal("quarantined page kept its zone entry — a scan could prune it instead of reporting")
-	}
-	// Rebuilding leaves it zone-less (builder skips quarantined pages)…
-	if err := h.BuildZoneMaps(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Blind().PageZones([]PageID{id})[0] != nil {
-		t.Fatal("rebuild installed an entry for a quarantined page")
-	}
-	// …and touching it still reports.
-	if _, err := h.Blind().PageTuplesInto(id, nil); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("quarantined page read = %v, want ErrQuarantined", err)
 	}
 }
 
@@ -389,41 +599,7 @@ func TestBuildColZonesZeroWidth(t *testing.T) {
 	if _, err := insertRow(h, Tuple{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.BuildZoneMaps(); err != nil {
-		t.Fatal(err)
-	}
-	if zs := h.Blind().PageZones(h.PageIDs()); zs[0] != nil {
-		t.Fatal("page holding a zero-width tuple must stay zone-less (always scanned)")
-	}
-}
-
-// TestCheckpointBuildsZones: the durable build point.
-func TestCheckpointBuildsZones(t *testing.T) {
-	db, err := Open(NewMemDisk(), NewMemDisk(), DBOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := db.CreateFile("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if _, err := insertRow(h, Tuple{IntValue(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := h.PageIDs()
-	for _, z := range h.Blind().PageZones(ids) {
-		if z != nil {
-			t.Fatal("zone entry exists before any build point")
-		}
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for i, z := range h.Blind().PageZones(ids) {
-		if z == nil {
-			t.Fatalf("page %d has no zone after checkpoint", ids[i])
-		}
+	if zs, err := summaryOf(h, h.PageIDs()[0]); err != nil || zs != nil {
+		t.Fatalf("summary = %v (%v): a page holding a zero-width tuple must have none (always read)", zs, err)
 	}
 }

@@ -34,8 +34,10 @@ import (
 // rows, own fold and String-rendering checksum out), and MIN/MAX fold
 // by ORDER BY's order; Catalog.Tables, FilterKernel.NumPreds,
 // MemBudget.Used and Limit, which nothing called, and joinKey, the
-// timed joins' second key rule, out.
-const engineLineBudget = 6969
+// timed joins' second key rule, out. 6955 with the page veto inside
+// the page read (HeapBatches' zone snapshot, its veto branch and
+// FilterKernel.countPage out).
+const engineLineBudget = 6955
 
 // Non-test lines of internal/storage: 4885 with two record formats and
 // detached heap files, 4551 with one of each (versioned records, every
@@ -49,8 +51,11 @@ const engineLineBudget = 6969
 // dropping it). 4195 with one page table: the policies, shards and
 // Store out. 4324 with column vectors on the decode image and a filter
 // inside the one page read (setLSN, and FreeSpace and LiveBytes, which
-// only tests called, out).
-const storageLineBudget = 4324
+// only tests called, out). 4197 with zone summaries on the decode
+// image: the per-file zone-map table, its generations, its build and
+// the three build points, the view's zone snapshot and the quarantine
+// callback registry out.
+const storageLineBudget = 4197
 
 // TestLineBudgets counts the non-test lines (newlines in every .go file
 // that is not a _test.go file) of the engine and of storage, and fails
